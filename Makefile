@@ -14,9 +14,7 @@
 #                     PR 3 the parallel-in-time baseline, PR 4 the hybrid
 #                     two-level scheduling baseline, PR 5 the recursive
 #                     reduced-system engine baseline, PR 6 the serving
-#                     latency baseline, PR 7 the crash-recovery baseline,
-#                     PR 8 the mixed-precision baseline, PR 9 the task-DAG
-#                     scheduler baseline)
+#                     latency baseline, PR 7 the crash-recovery baseline)
 #   make bench-smoke— regression gates: kernels GEMM rate vs BENCH_1.json
 #                     (25% floor), serving engine path vs BENCH_2.json,
 #                     pintime rates vs BENCH_3.json, hybrid solver cycle
@@ -26,23 +24,15 @@
 #                     BENCH_6.json (25% ceiling, p99 only) and crash
 #                     recovery vs BENCH_7.json (restart cost ceiling plus
 #                     the unconditional byte-identical-predictions check)
-#                     and mixed-precision GEMM rates — fp32 and fp64 —
-#                     vs BENCH_8.json (40% floor; the gate also refuses
-#                     a baseline recorded under a different precision mode)
-#                     and the task-DAG scheduler vs BENCH_9.json (40%
-#                     floor, plus the unconditional DAG-vs-phase-barrier
-#                     neutrality check of the current run)
 #   make all        — everything above
 
 GO ?= go
-# PR/BASE/BENCH parameterize the baseline artifact so successive PRs never
+# PR/BENCH parameterize the baseline artifact so successive PRs never
 # clobber earlier baselines (BENCH_1.json is the PR 1 kernels reference the
-# smoke compares against). BASE lags PR by one since PR 8 (persistence
-# hardening) gated on the existing baselines without adding a new one.
-PR ?= 10
-BASE ?= 9
-BENCH ?= BENCH_$(BASE).json
-EXP ?= sched
+# smoke compares against).
+PR ?= 7
+BENCH ?= BENCH_$(PR).json
+EXP ?= recovery
 
 .PHONY: all test vet fmt-check race purego bench baseline bench-smoke ci ci-local
 
@@ -82,8 +72,6 @@ bench-smoke:
 	$(GO) run ./cmd/dalia-bench -exp=reduced -quick -compare BENCH_5.json -maxregress 0.4
 	$(GO) run ./cmd/dalia-bench -exp=latency -quick -compare BENCH_6.json -maxregress 0.25
 	$(GO) run ./cmd/dalia-bench -exp=recovery -quick -compare BENCH_7.json -maxregress 1.0
-	$(GO) run ./cmd/dalia-bench -exp=precision -quick -compare BENCH_8.json -maxregress 0.4
-	$(GO) run ./cmd/dalia-bench -exp=sched -quick -compare BENCH_9.json -maxregress 0.4
 
 ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
@@ -100,6 +88,5 @@ ci-local: fmt-check test race
 		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...
-	$(GO) test -tags purego -count=1 -run '32|Mixed|Refined|Precision' ./internal/dense/ ./internal/bta/ ./internal/inla/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	-$(MAKE) bench-smoke

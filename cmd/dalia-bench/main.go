@@ -26,15 +26,7 @@
 // and throughput; -out writes BENCH_6.json, -compare gates p99 against
 // one), recovery (crash recovery: restart-from-store vs refit cost for a
 // registry of fitted models, asserting byte-identical predictions; -out
-// writes BENCH_7.json, -compare gates restart cost against one), precision
-// (mixed precision: fp32 vs fp64 GEMM/POTRF GFLOP/s and the mixed
-// per-stage BTA factor+solve cycle with its refinement iteration count;
-// -out writes BENCH_8.json, -compare gates GEMM rates against one and
-// refuses cross-mode baselines), sched (work-stealing task-DAG executor
-// vs the legacy phase-barrier concurrency: gradient-batch makespan,
-// width-1 evaluation latency and raw spawn/join rate, num_cpu recorded;
-// -out writes BENCH_9.json, -compare gates rates against one and always
-// checks DAG-vs-barrier neutrality of the current run).
+// writes BENCH_7.json, -compare gates restart cost against one).
 package main
 
 import (
@@ -295,64 +287,6 @@ func main() {
 					return fmt.Errorf("%d reduced regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
 				}
 				fmt.Printf("    no reduced regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
-			return nil
-		}},
-		{"precision", "mixed precision: fp32 vs fp64 kernels, mixed BTA factor+solve with refinement", func(quick bool) error {
-			base := bench.Precision(quick)
-			bench.PrintPrecision(base, os.Stdout)
-			if *out != "" {
-				if err := bench.WritePrecisionBaseline(base, *out); err != nil {
-					return err
-				}
-				fmt.Printf("    baseline written to %s\n", *out)
-			}
-			if *compare != "" {
-				stored, err := bench.LoadPrecisionBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				regs := bench.ComparePrecision(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d precision regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no GEMM regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
-			return nil
-		}},
-		{"sched", "task-DAG executor vs phase-barrier (gradient-batch makespan, spawn/join rate)", func(quick bool) error {
-			base, err := bench.Sched(quick)
-			if err != nil {
-				return err
-			}
-			bench.PrintSched(base, os.Stdout)
-			if *out != "" {
-				if err := bench.WriteSchedBaseline(base, *out); err != nil {
-					return err
-				}
-				fmt.Printf("    baseline written to %s\n", *out)
-			}
-			if *compare != "" {
-				stored, err := bench.LoadSchedBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.SchedComparable(base, stored) {
-					fmt.Printf("    baseline gate skipped: GOMAXPROCS %d here vs %d in %s (makespans not comparable; neutrality still checked)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					stored = nil
-				}
-				regs := bench.CompareSched(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d sched regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    dag within tolerance of phase-barrier; no rate regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
 			}
 			return nil
 		}},

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,9 +45,6 @@ type config struct {
 	Seed             int64   `json:"seed"`
 	MaxIter          int     `json:"maxIter"`
 	HyperUncertainty bool    `json:"hyperUncertainty"`
-	// Precision selects the factorization precision policy: "fp64" (default)
-	// or "mixed" (fp32 interior sweeps + fp64 iterative refinement).
-	Precision string `json:"precision,omitempty"`
 }
 
 func defaultConfig() config {
@@ -59,10 +57,22 @@ func defaultConfig() config {
 	}
 }
 
+// parseConfig overlays a JSON configuration on the defaults. Unknown keys
+// are an error naming the key: a typo or a key from an older schema must not
+// be silently ignored.
+func parseConfig(raw []byte) (config, error) {
+	cfg := defaultConfig()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return config{}, err
+	}
+	return cfg, nil
+}
+
 func main() {
 	cfgPath := flag.String("config", "", "path to a JSON model configuration")
 	printCfg := flag.Bool("print-config", false, "print the default configuration and exit")
-	precFlag := flag.String("precision", "", "factorization precision policy: fp64 or mixed (overrides the config's \"precision\")")
 	schedWorkers := flag.Int("sched-workers", 0, "worker count of the shared task-DAG executor that solver phases and evaluation batches run on (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *schedWorkers > 0 {
@@ -83,7 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &cfg); err != nil {
+		if cfg, err = parseConfig(raw); err != nil {
 			log.Fatalf("parsing %s: %v", *cfgPath, err)
 		}
 	}
@@ -111,18 +121,6 @@ func main() {
 	opts := dalia.DefaultFitOptions()
 	opts.Opt.MaxIter = cfg.MaxIter
 	opts.SkipHyperUncertainty = !cfg.HyperUncertainty
-	precSpec := cfg.Precision
-	if *precFlag != "" {
-		precSpec = *precFlag
-	}
-	prec, err := dalia.ParsePrecision(precSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts.Precision = prec
-	if prec == dalia.PrecMixed {
-		fmt.Println("precision: mixed (fp32 interior sweeps + fp64 iterative refinement)")
-	}
 	res, err := dalia.Fit(m, prior, ds.Theta0, opts)
 	if err != nil {
 		log.Fatal(err)

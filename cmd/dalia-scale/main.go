@@ -37,13 +37,7 @@ func main() {
 	seed := flag.Int64("seed", 31, "dataset seed")
 	reduceDepth := flag.Int("reduce-depth", 0, "reduced-system recursion depth (0 = sequential reduced solve)")
 	pipeline := flag.Bool("pipeline", false, "stream boundary contributions into the reduced assembly (pipelined handoff)")
-	precFlag := flag.String("precision", "", "factorization precision policy: fp64 (default) or mixed (fp32 interior sweeps + fp64 refinement)")
 	flag.Parse()
-
-	prec, err := dalia.ParsePrecision(*precFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var workers []int
 	maxWorkers := 0
@@ -118,7 +112,6 @@ func main() {
 			PartitionsPerRank: *partitions,
 			ReduceDepth:       *reduceDepth,
 			PipelineReduced:   *pipeline,
-			Precision:         prec,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -142,9 +135,6 @@ func main() {
 		if rep.Plan.PipelineReduced {
 			plan += "+pipe"
 		}
-		if rep.Plan.Precision == dalia.PrecMixed {
-			plan += "+mp"
-		}
 		fmt.Printf("%8d  %10.4f  %8.1fx  %7.1f  %-22s %11.2fx\n",
 			w, rep.PerIter,
 			t1/(rep.PerIter*float64(workers[0])),
@@ -154,9 +144,6 @@ func main() {
 		// planner may still route this row's workers to S1 groups whose
 		// solver width leaves the reduced-engine flags inert — say so
 		// rather than sweeping silently.
-		if prec == dalia.PrecMixed && rep.Plan.Precision != dalia.PrecMixed {
-			fmt.Printf("%8s  note: solver width 1 at this row — no interior sweeps; -precision mixed degenerates to fp64\n", "")
-		}
 		if *reduceDepth > 0 || *pipeline {
 			sw := rep.Plan.SolverWidthAt(m.Dims.Nt)
 			if sw < 2 {

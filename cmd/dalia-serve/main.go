@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/serve"
 	"github.com/dalia-hpc/dalia/internal/store"
@@ -60,21 +59,13 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight batches (0 = indefinitely)")
 	storeDir := flag.String("store-dir", "", "durable checkpoint store directory: fits persist here and the registry recovers on restart (empty = in-memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "persist in-flight optimizer state every N BFGS iterations (with -store-dir)")
-	precFlag := flag.String("precision", "", "fit factorization precision policy: fp64 (default) or mixed (fp32 interior sweeps + fp64 refinement; serving accuracy is unaffected)")
 	schedWorkers := flag.Int("sched-workers", 0, "worker count of the shared task-DAG executor that fit solver phases and evaluation batches run on (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *schedWorkers > 0 {
 		sched.SetSharedWorkers(*schedWorkers)
 	}
 
-	prec, err := bta.ParsePrecision(*precFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dalia-serve: %v\n", err)
-		os.Exit(1)
-	}
-
 	opts := serve.Options{
-		Precision:       prec,
 		BatchWindow:     *window,
 		SLO:             *slo,
 		Replicas:        *replicas,

@@ -364,25 +364,6 @@ const (
 	MaxReducedRecursionDepth = bta.MaxRecursionDepth
 )
 
-// Precision is the per-stage factorization precision policy
-// (FitOptions.Precision, ClusterConfig.Precision): PrecFloat64 runs every
-// stage in fp64; PrecMixed runs the interior elimination sweeps in fp32
-// (twice the SIMD width) while the reduced boundary system, log-det
-// accumulation and non-SPD recovery stay fp64, with fp64 iterative
-// refinement restoring solve accuracy.
-type Precision = bta.Precision
-
-// Precision policies.
-const (
-	PrecFloat64 = bta.PrecFloat64
-	PrecMixed   = bta.PrecMixed
-)
-
-// ParsePrecision parses the flag/JSON spelling of a precision policy
-// ("fp64" or "mixed"; "" means fp64) — the -precision surface of the dalia
-// commands.
-func ParsePrecision(s string) (Precision, error) { return bta.ParsePrecision(s) }
-
 // SetSchedWorkers overrides the worker count of the process-wide
 // work-stealing task executor that solver phases and evaluation batches
 // run on (0 restores the GOMAXPROCS default). Call at process startup —

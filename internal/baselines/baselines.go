@@ -180,6 +180,8 @@ type SimReport struct {
 	PerIter  float64
 	Makespan float64
 	Stats    comm.Stats
+	// Evals counts the objective evaluations each group performed.
+	Evals []int
 }
 
 // RunRINLASim simulates the R-INLA shared-memory execution on the virtual
@@ -196,6 +198,7 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 	for i := range evaluators {
 		evaluators[i] = &RINLAEvaluator{Model: m, Prior: prior}
 	}
+	evals := make([]int, world) // each rank writes its own element
 	st := comm.Run(world, mach, func(c *comm.Comm) {
 		ev := evaluators[c.Rank()]
 		theta := append([]float64(nil), theta0...)
@@ -206,6 +209,7 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 				var f float64
 				c.Compute(func() { f = ev.EvalOne(pts[i]) })
 				vals[i] = f
+				evals[c.Rank()]++
 			}
 			red := c.AllReduceSum(vals)
 			// Fixed damped step, mirroring the DALIA simulated driver.
@@ -224,6 +228,7 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 		PerIter:  st.Makespan() / float64(iterations),
 		Makespan: st.Makespan(),
 		Stats:    st,
+		Evals:    evals,
 	}, nil
 }
 

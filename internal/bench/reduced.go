@@ -36,18 +36,12 @@ type ReducedResult struct {
 // records the hardware parallelism — reduced-share drops and speedups need
 // at least as many real cores as partitions to show.
 type ReducedBaseline struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	Nt         int `json:"nt"`
-	BlockSize  int `json:"block_size"`
-	ArrowSize  int `json:"arrow_size"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []ReducedResult `json:"results"`
+	GoMaxProcs int             `json:"gomaxprocs"`
+	NumCPU     int             `json:"num_cpu"`
+	Nt         int             `json:"nt"`
+	BlockSize  int             `json:"block_size"`
+	ArrowSize  int             `json:"arrow_size"`
+	Results    []ReducedResult `json:"results"`
 }
 
 // reducedConfigs is the engine sweep per partition count: the sequential
@@ -96,7 +90,6 @@ func Reduced(quick bool) (*ReducedBaseline, error) {
 	}
 	rhs := make([]float64, len(rhs0))
 	out := &ReducedBaseline{
-		Precision:  "fp64",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Nt:         n, BlockSize: b, ArrowSize: a,
@@ -185,9 +178,6 @@ func ReducedComparable(cur, base *ReducedBaseline) bool {
 func CompareReduced(cur, base *ReducedBaseline, maxRegress float64) []string {
 	if !ReducedComparable(cur, base) {
 		return nil
-	}
-	if regs := precisionMismatch("reduced", cur.Precision, base.Precision); regs != nil {
-		return regs
 	}
 	key := func(r ReducedResult) string {
 		return fmt.Sprintf("p=%d/depth=%d/pipe=%v", r.Partitions, r.Depth, r.Pipeline)

@@ -36,17 +36,11 @@ type ServingResult struct {
 // (BENCH_2.json): the prediction-engine and HTTP-service rates the serving
 // subsystem establishes, for future PRs to compare against.
 type ServingBaseline struct {
-	GoMaxProcs int     `json:"gomaxprocs"`
-	LatentDim  int     `json:"latent_dim"`
-	Nv         int     `json:"nv"`
-	FitSeconds float64 `json:"fit_seconds"`
-	// Precision records the factorization precision policy the run measured
-	// ("fp64" here — this suite exercises the pure-fp64 path); RefineIters
-	// the refinement iterations its solves spent. Gates refuse comparisons
-	// across modes.
-	Precision   string          `json:"precision"`
-	RefineIters int             `json:"refine_iters"`
-	Results     []ServingResult `json:"results"`
+	GoMaxProcs int             `json:"gomaxprocs"`
+	LatentDim  int             `json:"latent_dim"`
+	Nv         int             `json:"nv"`
+	FitSeconds float64         `json:"fit_seconds"`
+	Results    []ServingResult `json:"results"`
 }
 
 // Serving measures posterior-prediction throughput on a trivariate model:
@@ -77,7 +71,6 @@ func Serving(quick bool) (*ServingBaseline, error) {
 	pr := m.Snapshot()
 	dims := m.Dims()
 	out := &ServingBaseline{
-		Precision:  "fp64",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		LatentDim:  dims.Total(),
 		Nv:         dims.Nv,

@@ -222,38 +222,6 @@ func (m *Matrix) MulVec(x, y []float64) {
 	}
 }
 
-// MulMulti computes Y = M·X for a block of column vectors using the
-// symmetric block structure — the multi-rhs residual primitive of the
-// mixed-precision refinement on SolveMulti.
-func (m *Matrix) MulMulti(x, y *dense.Matrix) {
-	nTot := m.Dim()
-	if x.Rows != nTot || y.Rows != nTot || x.Cols != y.Cols {
-		panic(fmt.Sprintf("bta: mulmulti shape (%dx%d)->(%dx%d), want rows %d and equal cols",
-			x.Rows, x.Cols, y.Rows, y.Cols, nTot))
-	}
-	y.Zero()
-	b := m.B
-	for i := 0; i < m.N; i++ {
-		xi := x.View(i*b, 0, b, x.Cols)
-		yi := y.View(i*b, 0, b, x.Cols)
-		dense.Gemm(dense.NoTrans, dense.NoTrans, 1, m.Diag[i], xi, 1, yi)
-		if i < m.N-1 {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, m.Lower[i], xi, 1, y.View((i+1)*b, 0, b, x.Cols))
-			dense.Gemm(dense.Trans, dense.NoTrans, 1, m.Lower[i], x.View((i+1)*b, 0, b, x.Cols), 1, yi)
-		}
-		if m.A > 0 {
-			xa := x.View(m.N*b, 0, m.A, x.Cols)
-			ya := y.View(m.N*b, 0, m.A, x.Cols)
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, m.Arrow[i], xi, 1, ya)
-			dense.Gemm(dense.Trans, dense.NoTrans, 1, m.Arrow[i], xa, 1, yi)
-		}
-	}
-	if m.A > 0 {
-		dense.Gemm(dense.NoTrans, dense.NoTrans, 1, m.Tip,
-			x.View(m.N*b, 0, m.A, x.Cols), 1, y.View(m.N*b, 0, m.A, x.Cols))
-	}
-}
-
 // BytesDense reports the densified block storage footprint in bytes —
 // the O(n·b²) memory cost of §IV-C that triggers the S3 memory-cap policy.
 func (m *Matrix) BytesDense() int64 {

@@ -3,7 +3,6 @@ package bta
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -204,8 +203,6 @@ type distPart struct {
 	bndDiag, bndArrow []*dense.Matrix
 	topCoupling       *dense.Matrix // original coupling (Lo, Lo−1); nil for partition 0
 
-	shadow *elimShadow32 // fp32 sweep arena (PrecMixed only)
-
 	err error
 }
 
@@ -242,12 +239,9 @@ type DistFactor struct {
 	frontier redFrontier    // pipelined incremental reduced factorization (rank 0)
 	logDet   float64        // full log-determinant, replicated on all ranks
 
-	low        bool // interior factor blocks came from the fp32 sweeps
-	lastRefine int  // corrections of the most recent PPOBTASRefined
-
-	// Multi-stream gang state (task-DAG mode): prebuilt task nodes and
-	// per-stream bodies, built on first runOwned and reused every call so
-	// the per-step allocation count stays constant.
+	// Multi-stream gang state: prebuilt task nodes and per-stream bodies,
+	// built on first runOwned and reused every call so the per-step
+	// allocation count stays constant.
 	gangEx    *sched.Executor
 	gangGroup sched.Group
 	gangTasks []sched.Task
@@ -266,21 +260,6 @@ type DistOptions struct {
 	// interleaves reduced elimination with the arrival of later ranks'
 	// boundary contributions instead of idling until the last one lands).
 	Reduced ReducedOptions
-	// Precision selects the per-stage precision policy: under PrecMixed the
-	// rank-local interior sweeps run fp32 (with fp64 fallback on lost
-	// definiteness) while the reduced boundary system on rank 0 stays fp64,
-	// and PPOBTASRefined recovers fp64 solves via residual correction. With
-	// a single global partition there are no interior sweeps and the policy
-	// degenerates to pure fp64. All ranks must pass the same value.
-	Precision Precision
-	// MaxRefine caps the fp64 residual corrections per PPOBTASRefined call
-	// (0 = DefaultMaxRefine).
-	MaxRefine int
-	// PhaseBarrier forces the legacy fresh-goroutine stream gangs (and a
-	// phase-barrier nested reduced engine) instead of scheduling the
-	// node's streams as tasks on the shared work-stealing executor. All
-	// ranks must pass the same value.
-	PhaseBarrier bool
 }
 
 // sweepScratch is one owned partition's preallocated selected-inversion
@@ -302,10 +281,6 @@ type distSolveScratch struct {
 	sol     []float64   // rank 0: per-peer solution staging
 	xTip    []float64   // replicated tip solution
 	full    []float64   // p == 1 full-system workspace
-
-	// PPOBTASRefined workspaces: the replicated full-length solution,
-	// residual and correction vectors, plus the owned-span staging buffer.
-	xFull, rFull, dxFull, rhsSpan []float64
 }
 
 // DistScratch recycles the per-factorization block allocations of the
@@ -325,10 +300,6 @@ type DistScratch struct {
 	sigma  *LocalSigma     // recycled Σ output storage (PPOBTASI)
 	redSig *Matrix         // rank 0: recycled reduced selected inverse
 	redEng *reducedEngine  // rank 0: recycled reduced engine (nested gang incl.)
-
-	// shadows holds per-owned-partition fp32 sweep arenas (PrecMixed);
-	// partition shapes are fixed across INLA refits, so these persist.
-	shadows []*elimShadow32
 }
 
 func (s *DistScratch) popBB() *dense.Matrix {
@@ -464,15 +435,6 @@ func (f *DistFactor) PerRank() int { return f.perRank }
 // LogDet returns log|A| (already replicated across ranks by PPOBTAF).
 func (f *DistFactor) LogDet() float64 { return f.logDet }
 
-// Low reports whether the interior factor blocks came from the fp32 sweeps
-// (PrecMixed with more than one global partition).
-func (f *DistFactor) Low() bool { return f.low }
-
-// LastRefineIters reports the fp64 residual corrections of the most recent
-// PPOBTASRefined call on this factor (0 before any, or after an unrefined
-// solve).
-func (f *DistFactor) LastRefineIters() int { return f.lastRefine }
-
 // runOwned executes body for every owned partition — concurrently when the
 // rank models a multi-stream node (perRank > 1), inline otherwise. Callers
 // wrap it in comm.Compute, the simulator's timing hook: the measured wall
@@ -483,23 +445,11 @@ func (f *DistFactor) runOwned(body func(j int)) {
 		body(0)
 		return
 	}
-	if f.opts.PhaseBarrier {
-		var wg sync.WaitGroup
-		for j := range f.parts {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				body(j)
-			}(j)
-		}
-		wg.Wait()
-		return
-	}
-	// Task-DAG mode: the node's streams become tasks on the shared
-	// executor (prebuilt bodies, built on first use, reused every call),
-	// with stream 0 on the calling goroutine which then help-joins. The
-	// comm.Compute wall-time charging around the caller is unchanged: the
-	// gang's makespan is still one node-level compute interval.
+	// The node's streams become tasks on the shared executor (prebuilt
+	// bodies, built on first use, reused every call), with stream 0 on the
+	// calling goroutine which then help-joins. The comm.Compute wall-time
+	// charging around the caller sees the gang's makespan as one node-level
+	// compute interval.
 	if f.gangTasks == nil {
 		f.gangEx = sched.Shared()
 		f.gangGroup.Init(f.gangEx)
@@ -660,9 +610,6 @@ func PPOBTAFOpts(c *comm.Comm, local *LocalBTA, scr *DistScratch, opts DistOptio
 		return nil, fmt.Errorf("bta: rank %d: reduced-system factorization failed", rank)
 	}
 	f.shareLogDet(c)
-	// With a single global partition (handled above) there are no interior
-	// sweeps, so only the multi-partition path can carry a low factor.
-	f.low = opts.Precision == PrecMixed
 	return f, nil
 }
 
@@ -703,7 +650,7 @@ func (f *DistFactor) reducedEngineFor(red *Matrix, nr int) (*reducedEngine, erro
 	if f.scr != nil && f.scr.redEng.matches(nr, f.b, f.a, f.opts.Reduced) {
 		return f.scr.redEng, nil
 	}
-	eng, err := newReducedEngine(red, f.opts.Reduced, f.opts.PhaseBarrier)
+	eng, err := newReducedEngine(red, f.opts.Reduced, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -738,31 +685,6 @@ func (f *DistFactor) eliminateInteriors(local *LocalBTA) error {
 		dp.gTop = make([]*dense.Matrix, 0, nInt)
 		dp.gArr = make([]*dense.Matrix, 0, nInt)
 	}
-	// Shadow arenas for the fp32 sweeps, persistent across refits (the
-	// partition shapes are fixed): allocated here, outside the gang.
-	if f.opts.Precision == PrecMixed {
-		for j, dp := range f.parts {
-			size := dp.part.Size()
-			nChain := 0
-			if dp.global > 0 {
-				nChain = len(dp.interior) + 1
-			}
-			var sh *elimShadow32
-			if f.scr != nil {
-				for len(f.scr.shadows) <= j {
-					f.scr.shadows = append(f.scr.shadows, nil)
-				}
-				sh = f.scr.shadows[j]
-			}
-			if !sh.fits(size, nChain, f.b, f.a) {
-				sh = newElimShadow32(size, nChain, f.b, f.a)
-				if f.scr != nil {
-					f.scr.shadows[j] = sh
-				}
-			}
-			dp.shadow = sh
-		}
-	}
 	f.runOwned(func(j int) { f.parts[j].err = f.elimOwned(local, j) })
 	for _, dp := range f.parts {
 		if dp.err != nil {
@@ -792,7 +714,6 @@ func (f *DistFactor) elimOwned(local *LocalBTA, j int) error {
 		},
 		Kind: "rank", ID: f.rank,
 		L: dp.l, GNext: dp.gNext, GTop: dp.gTop, GArr: dp.gArr,
-		Prec: f.opts.Precision, Shadow: dp.shadow,
 	}
 	if f.a > 0 {
 		pe.Arrow = local.Arrow[off : off+size]

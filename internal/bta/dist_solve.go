@@ -2,7 +2,6 @@ package bta
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -215,107 +214,6 @@ func PPOBTAS(c *comm.Comm, f *DistFactor, rhsLocal, rhsTip []float64) (xOut, xTi
 		})
 	})
 	return y, xTip, nil
-}
-
-// PPOBTASRefined is PPOBTAS with fp64 iterative refinement against the
-// replicated global matrix — the solve companion of a PrecMixed
-// factorization. Every rank passes the same full global matrix g (the
-// pristine input PPOBTAF consumed a local slice of) and the same
-// full-length right-hand side (nGlobal·b + a values); the call is
-// collective and returns the full solution vector, replicated on all
-// ranks, plus the number of corrections performed.
-//
-// Each round costs one PPOBTAS plus one AllReduceSum of the full vector:
-// every rank scatters its owned span (rank 0 adds the tip) into a zeroed
-// full-length buffer, and the sum assembles the replicated solution — the
-// spans are disjoint, so the reduction is exact. The residual
-// r = rhs − g·x is then computed identically on every rank, which makes
-// the convergence decision collectively consistent with no extra
-// communication. On a pure-fp64 factor the refinement loop is skipped
-// (iters = 0). The returned slice aliases the factor's solve scratch and
-// stays valid until the next PPOBTASRefined call.
-func PPOBTASRefined(c *comm.Comm, f *DistFactor, g *Matrix, rhsFull []float64) (x []float64, iters int, err error) {
-	b, a := f.b, f.a
-	d := f.nGlobal*b + a
-	if g.N != f.nGlobal || g.B != b || g.A != a {
-		return nil, 0, fmt.Errorf("bta: refined solve matrix BTA(n=%d,b=%d,a=%d), factor (n=%d,b=%d,a=%d)",
-			g.N, g.B, g.A, f.nGlobal, b, a)
-	}
-	if len(rhsFull) < d {
-		return nil, 0, fmt.Errorf("bta: refined solve rhs length %d < %d", len(rhsFull), d)
-	}
-	ss := f.solveScratch()
-	ss.xFull = growF(ss.xFull, d)
-	ss.rFull = growF(ss.rFull, d)
-	ss.dxFull = growF(ss.dxFull, d)
-	ss.rhsSpan = growF(ss.rhsSpan, f.span.Size()*b)
-	x = ss.xFull
-
-	// solveFull runs one distributed solve of the full-length vector v and
-	// assembles the replicated full solution into out.
-	lo, size := f.span.Lo, f.span.Size()
-	solveFull := func(v, out []float64) error {
-		copy(ss.rhsSpan, v[lo*b:(lo+size)*b])
-		var tip []float64
-		if a > 0 {
-			tip = v[f.nGlobal*b : f.nGlobal*b+a]
-		}
-		y, xTip, err := PPOBTAS(c, f, ss.rhsSpan, tip)
-		if err != nil {
-			return err
-		}
-		for i := range out[:d] {
-			out[i] = 0
-		}
-		copy(out[lo*b:(lo+size)*b], y)
-		if a > 0 && f.rank == 0 {
-			// The tip solution is replicated; only rank 0 contributes it to
-			// the sum.
-			copy(out[f.nGlobal*b:], xTip)
-		}
-		copy(out[:d], c.AllReduceSum(out[:d]))
-		return nil
-	}
-
-	if err := solveFull(rhsFull, x); err != nil {
-		f.lastRefine = 0
-		return nil, 0, err
-	}
-	if !f.low {
-		f.lastRefine = 0
-		return x, 0, nil
-	}
-	maxR := f.opts.MaxRefine
-	if maxR <= 0 {
-		maxR = DefaultMaxRefine
-	}
-	r, dx := ss.rFull, ss.dxFull
-	for iters < maxR {
-		g.MulVec(x, r)
-		for i := range r[:d] {
-			r[i] = rhsFull[i] - r[i]
-		}
-		if err := solveFull(r, dx); err != nil {
-			f.lastRefine = iters
-			return nil, iters, err
-		}
-		iters++
-		var ndx, nx float64
-		for i := range dx[:d] {
-			x[i] += dx[i]
-			if v := math.Abs(dx[i]); v > ndx {
-				ndx = v
-			}
-			if v := math.Abs(x[i]); v > nx {
-				nx = v
-			}
-		}
-		if ndx <= refineTol*nx {
-			break
-		}
-	}
-	f.lastRefine = iters
-	return x, iters, nil
 }
 
 // LocalSigma is one rank's slice of the selected inverse Σ on the BTA

@@ -47,25 +47,10 @@ type partitionElim struct {
 	// partitions (nil otherwise). On a failed elimination it parks the
 	// in-flight fill block so recycled scratch is never leaked.
 	Fill *dense.Matrix
-
-	// Prec selects the sweep precision; with PrecMixed and a Shadow arena the
-	// sweep first runs in fp32 (precision.go) and only falls back to the fp64
-	// body below when single precision loses positive definiteness.
-	Prec   Precision
-	Shadow *elimShadow32
 }
 
 // run executes the sweep.
 func (pe *partitionElim) run() error {
-	if pe.Prec == PrecMixed && pe.Shadow != nil {
-		if err := pe.run32(); err == nil {
-			return nil
-		}
-		// fp32 lost definiteness: the fp64 blocks are untouched and no fill
-		// blocks were drawn, so re-run the whole sweep in double precision.
-		// A genuinely non-SPD configuration is decided by the fp64 sweep —
-		// non-SPD recovery stays double precision.
-	}
 	hasArrow := pe.TipDelta != nil
 
 	// Working fill coupling M(lo, k): starts as the transpose of the

@@ -98,9 +98,6 @@ func (w *MultiSolve) checkDims(n, b, a int) {
 // allocation.
 func (f *Factor) ForwardSolveMultiInto(w *MultiSolve) {
 	w.checkShape(f)
-	// Half-solve norms feed predictive variances; a mixed factor is promoted
-	// to full fp64 first (there is no residual to refine against).
-	f.promote()
 	n := f.N
 	for i := 0; i < n; i++ {
 		yi := w.blocks[i]
@@ -121,7 +118,6 @@ func (f *Factor) ForwardSolveMultiInto(w *MultiSolve) {
 // for all k columns. Performs no heap allocation.
 func (f *Factor) BackwardSolveMultiInto(w *MultiSolve) {
 	w.checkShape(f)
-	f.promote()
 	n := f.N
 	if f.A > 0 {
 		dense.Trsm(dense.Left, dense.Trans, f.Tip, w.arrow)

@@ -23,18 +23,14 @@ var (
 )
 
 // phaseLabelCtx maps a gang phase to its pprof label context: interior
-// eliminations are "elim", forward/backward substitutions "sweep", and the
-// selected-inversion recursions "sigma" ("reduced" is applied around the
+// eliminations are "elim", forward/backward substitutions "sweep" ("sigma"
+// and "reduced" are applied around the selected-inversion DAG and the
 // boundary-system work directly).
 func phaseLabelCtx(ph int) context.Context {
-	switch ph {
-	case phaseElim:
+	if ph == phaseElim {
 		return labelElim
-	case phaseSweep:
-		return labelSigma
-	default:
-		return labelSweep
 	}
+	return labelSweep
 }
 
 // relabel swaps the calling goroutine's pprof label set (alloc-free).
@@ -81,7 +77,6 @@ const (
 	phaseBwd
 	phaseFwdMS
 	phaseBwdMS
-	phaseSweep
 )
 
 // partState is one partition's persistent slice of the parallel factor:
@@ -114,9 +109,6 @@ type partState struct {
 	gA           *dense.Matrix    // a×b
 	loBuf        [2]*dense.Matrix // b×b ping-pong for the rolling Σ(lo,·)
 
-	// fp32 shadow arena of the interior sweep (nil under PrecFloat64)
-	shadow *elimShadow32
-
 	err error
 }
 
@@ -132,9 +124,9 @@ type partState struct {
 // Unlike the comm-based DistFactor there are no ranks and no message
 // copies: all partitions share the factor's block storage, boundary Schur
 // contributions land in per-partition accumulators, and the reduced system
-// is assembled by plain block copies. All storage — including the gang of
-// worker closures — is created at construction, so every operation of the
-// Solver surface is allocation-free after warmup.
+// is assembled by plain block copies. All storage — including the task
+// nodes and their bodies — is created at construction, so every operation of
+// the Solver surface is allocation-free after warmup.
 //
 // A ParallelFactor is not safe for concurrent use of the same instance
 // (exactly like Factor); different instances may run concurrently.
@@ -156,11 +148,10 @@ type ParallelFactor struct {
 	redGlobal []int       // reduced block index → global block index
 	redMS     *MultiSolve // lazily sized multi-RHS reduced workspace
 
-	// Task-DAG scheduling state: the executor the factor's phases run on
-	// (nil = legacy phase-barrier goroutine gang), the join group, and the
-	// caller-owned task nodes reused across cycles — phase tasks for
-	// partitions 1..P−1, pipelined-elimination tasks for all partitions,
-	// and the Σ-scatter DAG's install→sweep pairs.
+	// Task-DAG scheduling state: the executor the factor's phases run on,
+	// the join group, and the caller-owned task nodes reused across cycles —
+	// phase tasks for partitions 1..P−1, pipelined-elimination tasks for all
+	// partitions, and the Σ-scatter DAG's install→sweep pairs.
 	ex          *sched.Executor
 	g           sched.Group
 	tasks       []sched.Task
@@ -171,17 +162,14 @@ type ParallelFactor struct {
 	fnInstall   []func()
 	fnSweep     []func()
 
-	// gang state
-	work  []func() // prebuilt workers for partitions 1..P−1
-	done  chan struct{}
-	phase int
-	// per-call inputs for the phase workers
+	// current phase and its per-call inputs for the phase tasks
+	phase  int
 	curM   *Matrix
 	curRhs []float64
 	curMS  *MultiSolve
 	curSig *Matrix
 
-	// pipelined-handoff state: one prebuilt worker per partition signalling
+	// pipelined-handoff state: one prebuilt task body per partition signalling
 	// its elimination completion, the delivery bitmap, the incremental
 	// reduced-factorization frontier, and the per-partition tip deltas in
 	// the frontier's fold order.
@@ -190,15 +178,6 @@ type ParallelFactor struct {
 	delivered []bool
 	frontier  redFrontier
 	tipDeltas []*dense.Matrix
-
-	// Mixed-precision state (precision.go): the retained input matrix of the
-	// last Refactorize (fp64 residual corrections), the low flag, and the
-	// refinement scratch. Same single-instance concurrency contract as the
-	// rest of the struct.
-	ref        *Matrix
-	low        bool
-	lastRefine int
-	refB, refR []float64
 
 	// wall-clock split of the last Refactorize (FactorPhaseSeconds).
 	elimSeconds  float64
@@ -217,30 +196,14 @@ type ParallelOptions struct {
 	// nesting depth, recursion crossover, and the pipelined boundary
 	// handoff.
 	Reduced ReducedOptions
-	// Precision selects the per-stage precision policy: under PrecMixed the
-	// partition interior sweeps run fp32 (with per-partition fp64 fallback on
-	// lost definiteness) while the reduced boundary system stays fp64, and
-	// solves run fp64 iterative refinement. See the Precision doc.
-	Precision Precision
-	// MaxRefine caps the fp64 residual corrections per refined solve
-	// (0 = DefaultMaxRefine).
-	MaxRefine int
-	// PhaseBarrier forces the legacy per-phase goroutine gang (spawn P−1
-	// goroutines, barrier, next phase) instead of scheduling the phases as
-	// tasks on the shared work-stealing executor. The default (false) runs
-	// the task-DAG path, which interleaves this factor's partition work
-	// with tasks from other concurrent operations — bit-identical results,
-	// better core occupancy. The barrier mode exists for the scheduler
-	// benchmark and the determinism suite.
-	PhaseBarrier bool
-	// Executor overrides the task executor the DAG path runs on
-	// (nil = sched.Shared()). Ignored under PhaseBarrier.
+	// Executor overrides the task executor the factor's phases (and its
+	// nested reduced gangs) run on (nil = sched.Shared()).
 	Executor *sched.Executor
 }
 
 // NewParallelFactor allocates a parallel-in-time factor for the BTA shape
 // (n, b, a) over p partitions with the default options (sequential reduced
-// solve, no pipelining — the historical behaviour). p = 1 degenerates to
+// solve, no pipelining). p = 1 degenerates to
 // the sequential POBTAF chain behind the same interface. Partition counts
 // the time dimension cannot support (n < 2p−2) are an error; MaxPartitions
 // gives the bound.
@@ -263,8 +226,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 		f.parts = []Partition{{0, n - 1}}
 		f.seq = &Factor{N: n, B: b, A: a,
 			Diag: f.store.Diag, Lower: f.store.Lower, Arrow: f.store.Arrow, Tip: f.store.Tip}
-		f.seq.SetPrecision(o.Precision)
-		f.seq.SetMaxRefine(o.MaxRefine)
 		return f, nil
 	}
 	lb := o.LoadBalance
@@ -284,7 +245,7 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 
 	nr := reducedSize(p)
 	f.red = NewMatrix(nr, b, a)
-	f.eng, err = newReducedEngine(f.red, o.Reduced, o.PhaseBarrier)
+	f.eng, err = newReducedEngine(f.red, o.Reduced, o.Executor)
 	if err != nil {
 		return nil, err
 	}
@@ -332,35 +293,13 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 			ps.loBuf[1] = dense.New(b, b)
 		}
 		ps.tipMSViews = map[int]*dense.Matrix{}
-		if o.Precision == PrecMixed {
-			size := parts[r].Hi - parts[r].Lo + 1
-			nChain := 0
-			if r > 0 {
-				nChain = nInt + 1
-			}
-			ps.shadow = newElimShadow32(size, nChain, b, a)
-		}
 		f.ps[r] = ps
 	}
 
-	// The worker gang: one prebuilt closure per non-first partition,
-	// spawned per phase with `go f.work[r]()` — goroutine launches of
-	// preallocated funcvals perform no heap allocation, which keeps the
-	// whole operation surface AllocsPerRun-clean without pinning
-	// long-lived worker goroutines to the factor's lifetime.
-	f.done = make(chan struct{}, p-1)
-	f.work = make([]func(), p)
-	for r := 1; r < p; r++ {
-		r := r
-		f.work[r] = func() {
-			f.partitionPhase(r)
-			f.done <- struct{}{}
-		}
-	}
-	// Pipelined-handoff gang: every partition (0 included) runs on its own
-	// goroutine and signals its identity on completion, so the calling
-	// goroutine can stream boundary contributions into the reduced assembly
-	// while later partitions are still eliminating.
+	// Pipelined-handoff gang: every partition (0 included) is its own task
+	// and signals its identity on completion, so the calling goroutine can
+	// stream boundary contributions into the reduced assembly while later
+	// partitions are still eliminating.
 	f.elimDone = make(chan int, p)
 	f.workPipe = make([]func(), p)
 	for r := 0; r < p; r++ {
@@ -375,29 +314,26 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 	for r, ps := range f.ps {
 		f.tipDeltas[r] = ps.tipDelta
 	}
-	// Task-DAG mode (the default): phases are spawned as caller-owned task
-	// nodes on the shared work-stealing executor instead of fresh goroutine
-	// gangs. Bodies are prebuilt once here so steady-state spawning stays
+	// Phases are spawned as caller-owned task nodes on the work-stealing
+	// executor. Bodies are prebuilt once here so steady-state spawning stays
 	// allocation-free.
-	if !o.PhaseBarrier {
-		f.ex = o.Executor
-		if f.ex == nil {
-			f.ex = sched.Shared()
-		}
-		f.g.Init(f.ex)
-		f.tasks = make([]sched.Task, p)
-		f.tasksPipe = make([]sched.Task, p)
-		f.taskInstall = make([]sched.Task, p)
-		f.taskSweep = make([]sched.Task, p)
-		f.fnPhase = make([]func(), p)
-		f.fnInstall = make([]func(), p)
-		f.fnSweep = make([]func(), p)
-		for r := 1; r < p; r++ {
-			r := r
-			f.fnPhase[r] = func() { f.partitionPhase(r) }
-			f.fnInstall[r] = func() { f.installSigmaPart(r) }
-			f.fnSweep[r] = func() { f.ps[r].err = f.sweepPartition(r, f.curSig) }
-		}
+	f.ex = o.Executor
+	if f.ex == nil {
+		f.ex = sched.Shared()
+	}
+	f.g.Init(f.ex)
+	f.tasks = make([]sched.Task, p)
+	f.tasksPipe = make([]sched.Task, p)
+	f.taskInstall = make([]sched.Task, p)
+	f.taskSweep = make([]sched.Task, p)
+	f.fnPhase = make([]func(), p)
+	f.fnInstall = make([]func(), p)
+	f.fnSweep = make([]func(), p)
+	for r := 1; r < p; r++ {
+		r := r
+		f.fnPhase[r] = func() { f.partitionPhase(r) }
+		f.fnInstall[r] = func() { f.installSigmaPart(r) }
+		f.fnSweep[r] = func() { f.ps[r].err = f.sweepPartition(r, f.curSig) }
 	}
 	return f, nil
 }
@@ -428,26 +364,14 @@ func (f *ParallelFactor) Parts() []Partition { return f.parts }
 // Dim returns the full system dimension.
 func (f *ParallelFactor) Dim() int { return f.N*f.B + f.A }
 
-// runPhase fans the current phase out to the partition gang. In task-DAG
-// mode (f.ex != nil) partitions 1..P−1 become tasks on a pooled lane of
-// the shared executor — runnable by any worker or helping joiner, and
-// interleaved with tasks from other concurrent operations — while
-// partition 0 runs on the calling goroutine, which then help-joins. In
-// phase-barrier mode the legacy goroutine gang runs instead. Either way
-// every partition's work has completed when runPhase returns, and the
-// arithmetic performed is identical.
+// runPhase fans the current phase out to the partition gang: partitions
+// 1..P−1 become tasks on a pooled lane of the executor — runnable by any
+// worker or helping joiner, and interleaved with tasks from other
+// concurrent operations — while partition 0 runs on the calling goroutine,
+// which then help-joins. Every partition's work has completed when runPhase
+// returns.
 func (f *ParallelFactor) runPhase(ph int) {
 	f.phase = ph
-	if f.ex == nil {
-		for r := 1; r < f.P; r++ {
-			go f.work[r]()
-		}
-		f.partitionPhase(0)
-		for r := 1; r < f.P; r++ {
-			<-f.done
-		}
-		return
-	}
 	lbl := phaseLabelCtx(ph)
 	l := f.ex.AcquireLane()
 	f.g.Add(f.P - 1)
@@ -474,8 +398,6 @@ func (f *ParallelFactor) partitionPhase(r int) {
 		f.forwardPartitionMS(r, f.curMS)
 	case phaseBwdMS:
 		f.backwardPartitionMS(r, f.curMS)
-	case phaseSweep:
-		f.ps[r].err = f.sweepPartition(r, f.curSig)
 	}
 }
 
@@ -492,10 +414,6 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	if f.P == 1 {
 		return f.seq.Refactorize(m)
 	}
-	// Retained for the fp64 residual corrections of refined solves; m must
-	// stay unchanged until the next Refactorize (see Factor.Refactorize).
-	f.ref = m
-	f.low = false
 	t0 := time.Now()
 	if f.A > 0 {
 		f.store.Tip.CopyFrom(m.Tip)
@@ -520,15 +438,11 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	}
 	f.curM = nil
 	f.totalSeconds = time.Since(t0).Seconds()
-	// Partitions whose fp32 sweep fell back to fp64 only tighten the factor;
-	// the refinement loop converges faster there, so the whole factor is
-	// treated as low whenever the policy is mixed.
-	f.low = err == nil && f.opts.Precision == PrecMixed
 	return err
 }
 
 // refactorizePipelined is the pipelined-boundary-handoff elimination: every
-// partition runs on its own goroutine and reports completion, while this
+// partition runs as its own task and reports completion, while this
 // (the calling) goroutine streams finished partitions' boundary blocks into
 // the reduced assembly in partition order. With the sequential reduced
 // engine the assembly feeds the incremental factorization frontier, so
@@ -540,26 +454,18 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 		f.delivered[i] = false
 	}
 	f.phase = phaseElim
-	var lane *sched.Lane
-	if f.ex == nil {
-		for r := 0; r < f.P; r++ {
-			go f.workPipe[r]()
-		}
-	} else {
-		// Every partition (0 included) becomes an elimination task that
-		// signals its identity on completion; the calling goroutine streams
-		// the reduced assembly below and runs pending tasks between
-		// completion signals (recvElim), so it is a full gang member too.
-		// The tasks are also counted into the join group: the channel send
-		// happens inside the task body, so the group join below is what
-		// guarantees the node epilogues finished before the nodes are
-		// reused by the next Refactorize.
-		lane = f.ex.AcquireLane()
-		f.g.Add(f.P)
-		for r := 0; r < f.P; r++ {
-			f.tasksPipe[r].Reset(f.ex, &f.g, f.workPipe[r], labelElim)
-			lane.Spawn(&f.tasksPipe[r])
-		}
+	// Every partition (0 included) becomes an elimination task that signals
+	// its identity on completion; the calling goroutine streams the reduced
+	// assembly below and runs pending tasks between completion signals
+	// (recvElim), so it is a full gang member too. The tasks are also
+	// counted into the join group: the channel send happens inside the task
+	// body, so the group join below is what guarantees the node epilogues
+	// finished before the nodes are reused by the next Refactorize.
+	lane := f.ex.AcquireLane()
+	f.g.Add(f.P)
+	for r := 0; r < f.P; r++ {
+		f.tasksPipe[r].Reset(f.ex, &f.g, f.workPipe[r], labelElim)
+		lane.Spawn(&f.tasksPipe[r])
 	}
 	red := f.red
 	if f.A > 0 {
@@ -596,10 +502,8 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 		}
 		relabel(labelNone)
 	}
-	if lane != nil {
-		f.g.Wait(lane)
-		f.ex.ReleaseLane(lane)
-	}
+	f.g.Wait(lane)
+	f.ex.ReleaseLane(lane)
 	// Surface elimination failures deterministically (partition order).
 	for _, ps := range f.ps {
 		if ps.err != nil {
@@ -625,15 +529,11 @@ func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
 	return nil
 }
 
-// recvElim receives one partition-completion signal. In task-DAG mode the
-// calling goroutine runs pending light tasks between polls — it is both
-// the reduced-assembly streamer and a gang member — and blocks on the
-// channel only when nothing is runnable (its own tasks are then in flight
-// on other goroutines).
+// recvElim receives one partition-completion signal. The calling goroutine
+// runs pending light tasks between polls — it is both the reduced-assembly
+// streamer and a gang member — and blocks on the channel only when nothing
+// is runnable (its own tasks are then in flight on other goroutines).
 func (f *ParallelFactor) recvElim(lane *sched.Lane) int {
-	if lane == nil {
-		return <-f.elimDone
-	}
 	for {
 		select {
 		case r := <-f.elimDone:
@@ -679,8 +579,6 @@ func (f *ParallelFactor) elimPartition(r int) error {
 		GNext:     ps.gNext[:0],
 		GTop:      ps.gTop[:0],
 		GArr:      ps.gArr[:0],
-		Prec:      f.opts.Precision,
-		Shadow:    ps.shadow,
 	}
 	if f.A > 0 {
 		pe.Arrow = f.store.Arrow[lo : hi+1]
@@ -777,15 +675,6 @@ func (f *ParallelFactor) Solve(rhs []float64) {
 		f.seq.Solve(rhs)
 		return
 	}
-	if f.low {
-		f.solveRefined(rhs)
-		return
-	}
-	f.solveOnce(rhs)
-}
-
-// solveOnce is the unrefined PPOBTAS sweep.
-func (f *ParallelFactor) solveOnce(rhs []float64) {
 	f.curRhs = rhs
 	f.runPhase(phaseFwd)
 	f.gatherRhs(rhs, true)
@@ -793,81 +682,6 @@ func (f *ParallelFactor) solveOnce(rhs []float64) {
 	f.scatterRhs(rhs)
 	f.runPhase(phaseBwd)
 	f.curRhs = nil
-}
-
-// solveRefined is Solve against a mixed-precision factor: fp64 residual
-// corrections against the retained input matrix, exactly as in
-// Factor.solveRefined but with the parallel sweep as the inner solver.
-func (f *ParallelFactor) solveRefined(rhs []float64) {
-	d := f.Dim()
-	f.refB = growF(f.refB, d)
-	f.refR = growF(f.refR, d)
-	b0, r := f.refB, f.refR
-	x := rhs[:d]
-	copy(b0, x)
-	f.solveOnce(x)
-	maxR := f.opts.MaxRefine
-	if maxR <= 0 {
-		maxR = DefaultMaxRefine
-	}
-	iters := 0
-	for iters < maxR {
-		f.ref.MulVec(x, r)
-		for i := range r {
-			r[i] = b0[i] - r[i]
-		}
-		f.solveOnce(r)
-		iters++
-		var ndx, nx float64
-		for i := range r {
-			x[i] += r[i]
-			if v := math.Abs(r[i]); v > ndx {
-				ndx = v
-			}
-			if v := math.Abs(x[i]); v > nx {
-				nx = v
-			}
-		}
-		if ndx <= refineTol*nx {
-			break
-		}
-	}
-	f.lastRefine = iters
-}
-
-// LastRefineIters reports the fp64 residual corrections of the most recent
-// refined solve (0 after a pure-fp64 solve).
-func (f *ParallelFactor) LastRefineIters() int {
-	if f.P == 1 {
-		return f.seq.LastRefineIters()
-	}
-	return f.lastRefine
-}
-
-// Low reports whether the current factor blocks came from the fp32 sweeps.
-func (f *ParallelFactor) Low() bool {
-	if f.P == 1 {
-		return f.seq.Low()
-	}
-	return f.low
-}
-
-// promote replaces a mixed factor with a full fp64 refactorization of the
-// retained matrix — for operations with no residual to refine against
-// (sampling half-solves, multi-RHS half solves, selected inversion). Cannot
-// lose definiteness: fp64 is strictly more robust than the fp32 sweep that
-// already succeeded. No-op on fp64 factors.
-func (f *ParallelFactor) promote() {
-	if !f.low || f.ref == nil {
-		return
-	}
-	saved := f.opts.Precision
-	f.opts.Precision = PrecFloat64
-	err := f.Refactorize(f.ref)
-	f.opts.Precision = saved
-	if err != nil {
-		panic(fmt.Sprintf("bta: fp64 promotion of an fp32-feasible parallel factor failed: %v", err))
-	}
 }
 
 // SolveLT solves L̃ᵀ·x = x in place for the parallel factor's own Cholesky
@@ -883,7 +697,6 @@ func (f *ParallelFactor) SolveLT(x []float64) {
 		f.seq.SolveLT(x)
 		return
 	}
-	f.promote() // half-solves have no residual to refine against
 	f.gatherRhs(x, false)
 	f.eng.solveLT(f.redRhs)
 	f.scatterRhs(x)
@@ -1022,7 +835,6 @@ func (f *ParallelFactor) ForwardSolveMultiInto(w *MultiSolve) {
 		f.seq.ForwardSolveMultiInto(w)
 		return
 	}
-	f.promote() // half-solve norms feed predictive variances; keep them fp64
 	w.checkDims(f.N, f.B, f.A)
 	f.curMS = w
 	f.runPhase(phaseFwdMS)
@@ -1039,7 +851,6 @@ func (f *ParallelFactor) BackwardSolveMultiInto(w *MultiSolve) {
 		f.seq.BackwardSolveMultiInto(w)
 		return
 	}
-	f.promote()
 	w.checkDims(f.N, f.B, f.A)
 	red := f.reducedMS(w.K)
 	f.gatherMS(w, red, false)
@@ -1101,7 +912,6 @@ func (f *ParallelFactor) SelectedInversionInto(sig *Matrix) error {
 		return fmt.Errorf("bta: selinv output BTA(n=%d,b=%d,a=%d), factor (n=%d,b=%d,a=%d)",
 			sig.N, sig.B, sig.A, f.N, f.B, f.A)
 	}
-	f.promote() // posterior covariances stay fp64 (per-stage policy)
 	relabel(labelReduced)
 	err := f.eng.selinvInto(f.redSig)
 	relabel(labelNone)
@@ -1114,37 +924,27 @@ func (f *ParallelFactor) SelectedInversionInto(sig *Matrix) error {
 		sig.Tip.CopyFrom(f.redSig.Tip)
 	}
 	f.curSig = sig
-	if f.ex == nil {
-		// Phase-barrier mode: install every boundary block, then run the
-		// interior sweeps as one gang.
-		for r := 0; r < f.P; r++ {
-			f.installSigmaPart(r)
-		}
-		f.runPhase(phaseSweep)
-	} else {
-		// Σ-scatter DAG: each partition's boundary install is a task whose
-		// dependent interior sweep starts as soon as its own boundary
-		// blocks land — no barrier on the full scatter. A partition's sweep
-		// reads only blocks written by its own install (plus the tip,
-		// copied above, and redSig, finalized above), so install(r)→sweep(r)
-		// are the only edges.
-		l := f.ex.AcquireLane()
-		f.g.Add(2 * (f.P - 1))
-		for r := 1; r < f.P; r++ {
-			f.taskInstall[r].Reset(f.ex, &f.g, f.fnInstall[r], labelSigma)
-			f.taskSweep[r].Reset(f.ex, &f.g, f.fnSweep[r], labelSigma)
-			f.taskSweep[r].After(&f.taskInstall[r])
-			// Dependents spawn before predecessors (sched.Lane.Spawn).
-			l.Spawn(&f.taskSweep[r])
-			l.Spawn(&f.taskInstall[r])
-		}
-		relabel(labelSigma)
-		f.installSigmaPart(0)
-		f.ps[0].err = f.sweepPartition(0, sig)
-		f.g.Wait(l)
-		relabel(labelNone)
-		f.ex.ReleaseLane(l)
+	// Σ-scatter DAG: each partition's boundary install is a task whose
+	// dependent interior sweep starts as soon as its own boundary blocks
+	// land — no barrier on the full scatter. A partition's sweep reads only
+	// blocks written by its own install (plus the tip, copied above, and
+	// redSig, finalized above), so install(r)→sweep(r) are the only edges.
+	l := f.ex.AcquireLane()
+	f.g.Add(2 * (f.P - 1))
+	for r := 1; r < f.P; r++ {
+		f.taskInstall[r].Reset(f.ex, &f.g, f.fnInstall[r], labelSigma)
+		f.taskSweep[r].Reset(f.ex, &f.g, f.fnSweep[r], labelSigma)
+		f.taskSweep[r].After(&f.taskInstall[r])
+		// Dependents spawn before predecessors (sched.Lane.Spawn).
+		l.Spawn(&f.taskSweep[r])
+		l.Spawn(&f.taskInstall[r])
 	}
+	relabel(labelSigma)
+	f.installSigmaPart(0)
+	f.ps[0].err = f.sweepPartition(0, sig)
+	f.g.Wait(l)
+	relabel(labelNone)
+	f.ex.ReleaseLane(l)
 	f.curSig = nil
 	for _, ps := range f.ps {
 		if ps.err != nil {

@@ -1,6 +1,9 @@
 package bta
 
-import "github.com/dalia-hpc/dalia/internal/dense"
+import (
+	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/sched"
+)
 
 // DefaultReducedCrossover is the smallest reduced-system block count worth
 // re-entering the partition machinery on. Below it (P < 5 partitions, so a
@@ -93,8 +96,10 @@ func nestedReducedWidth(nr, crossover int) int {
 // red. The sequential mode factorizes red's blocks in place (seqF is a
 // factor view over that same storage); the nested mode copies red into the
 // nested factor's own storage on every Refactorize, leaving red intact as
-// the assembly staging area.
-func newReducedEngine(red *Matrix, opts ReducedOptions, barrier bool) (*reducedEngine, error) {
+// the assembly staging area. The nested gang runs on ex, the parent's
+// executor (nil = sched.Shared()), so a factor pinned to a private executor
+// stays on it at every recursion level.
+func newReducedEngine(red *Matrix, opts ReducedOptions, ex *sched.Executor) (*reducedEngine, error) {
 	opts = opts.normalize()
 	e := &reducedEngine{nr: red.N, b: red.B, a: red.A, opts: opts}
 	e.seqF = &Factor{N: red.N, B: red.B, A: red.A,
@@ -108,7 +113,7 @@ func newReducedEngine(red *Matrix, opts ReducedOptions, barrier bool) (*reducedE
 					Crossover: opts.Crossover,
 					Pipeline:  opts.Pipeline,
 				},
-				PhaseBarrier: barrier,
+				Executor: ex,
 			})
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/sched"
 )
 
 // TestReducedEngineGrid sweeps the recursive/pipelined reduced-system
@@ -95,6 +96,61 @@ func TestReducedRecursionActuallyNests(t *testing.T) {
 	}
 	if !mk(4, 1, 4).ReducedRecursing() {
 		t.Fatal("a lowered crossover must let P=4 nest")
+	}
+}
+
+// TestNestedReducedEngineInheritsExecutor: a factor pinned to a private
+// executor keeps its recursive reduced gang on that executor instead of
+// leaking it onto sched.Shared(), and — the executor having no workers — the
+// caller alone completes every DAG of both levels.
+func TestNestedReducedEngineInheritsExecutor(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const n, b, a = 25, 2, 1
+	m := randBTA(rng, n, b, a)
+	seq, err := Factorize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := sched.New(0)
+	defer ex.Close()
+	for _, pipe := range []bool{false, true} {
+		pf, err := NewParallelFactorOpts(n, b, a, ParallelOptions{
+			Partitions: 5,
+			Reduced:    ReducedOptions{Depth: 1, Pipeline: pipe},
+			Executor:   ex,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pf.ReducedRecursing() {
+			t.Fatal("P=5 depth=1 must nest")
+		}
+		if pf.ex != ex || pf.eng.nested.ex != ex {
+			t.Fatalf("pipe=%v: nested gang runs on a different executor than its parent", pipe)
+		}
+		if err := pf.Refactorize(m); err != nil {
+			t.Fatal(err)
+		}
+		want := randVec(rng, m.Dim())
+		got := append([]float64(nil), want...)
+		seq.Solve(want)
+		pf.Solve(got)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > equivTol {
+				t.Fatalf("pipe=%v: Solve[%d] = %v want %v", pipe, i, got[i], want[i])
+			}
+		}
+		wantSig, err := seq.SelectedInversion()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotSig := NewMatrix(n, b, a)
+		if err := pf.SelectedInversionInto(gotSig); err != nil {
+			t.Fatal(err)
+		}
+		if !gotSig.ToDense().Equal(wantSig.ToDense(), equivTol) {
+			t.Fatalf("pipe=%v: selected inverse mismatch", pipe)
+		}
 	}
 }
 

@@ -25,24 +25,6 @@ type Factor struct {
 	// the scratch reuse keeps that contract by serializing the sweep.
 	selinvMu sync.Mutex
 	selinv   *selinvScratch
-
-	// Mixed-precision state (precision.go / seq_mixed.go). ref retains the
-	// matrix passed to the last Refactorize: under PrecMixed the factor
-	// blocks carry fp32-accurate values and every Solve runs fp64 iterative
-	// refinement against ref to recover double-precision accuracy.
-	prec       Precision
-	low        bool    // factor blocks came from the fp32 sweep
-	ref        *Matrix // matrix of the last Refactorize (refinement residuals)
-	shadow     *elimShadow32
-	maxRefine  int
-	lastRefine int
-
-	// refineMu guards the refinement scratch and the low→fp64 promotion,
-	// preserving the concurrent-solve contract of a shared mode factor.
-	refineMu   sync.Mutex
-	refB, refR []float64
-	refBM      *dense.Matrix
-	refRM      *dense.Matrix
 }
 
 // selinvScratch is the reusable workspace of the alloc-free selected
@@ -96,26 +78,11 @@ func FactorizeInto(f *Factor, m *Matrix) error { return f.Refactorize(m) }
 // contents are undefined and must not be used until the next successful
 // Refactorize; callers in the INLA loop treat this as an infeasible point
 // and back off.
-//
-// Under SetPrecision(PrecMixed) the factor retains m for the fp64 residual
-// corrections of later solves: m must stay unchanged until the next
-// Refactorize (the INLA loop rebuilds the precision matrix in place and then
-// refactorizes, so this holds by construction).
 func (f *Factor) Refactorize(m *Matrix) error {
 	if f.N != m.N || f.B != m.B || f.A != m.A {
 		return fmt.Errorf("bta: refactorize shape mismatch: factor (n=%d,b=%d,a=%d), matrix (n=%d,b=%d,a=%d)",
 			f.N, f.B, f.A, m.N, m.B, m.A)
 	}
-	f.ref = m
-	if f.prec == PrecMixed {
-		if err := f.refactorize32(m); err == nil {
-			f.low = true
-			return nil
-		}
-		// fp32 lost positive definiteness: re-run in fp64 on the pristine
-		// input — the double-precision sweep decides feasibility.
-	}
-	f.low = false
 	w := Matrix{N: f.N, B: f.B, A: f.A, Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow, Tip: f.Tip}
 	w.CopyFrom(m)
 	return factorizeInPlace(&w)
@@ -201,10 +168,6 @@ func (f *Factor) Solve(rhs []float64) {
 	if len(rhs) < f.Dim() {
 		panic(fmt.Sprintf("bta: solve rhs length %d < %d", len(rhs), f.Dim()))
 	}
-	if f.isLow() {
-		f.solveRefined(rhs)
-		return
-	}
 	f.forward(rhs)
 	f.backward(rhs)
 }
@@ -254,9 +217,6 @@ func (f *Factor) SolveLT(x []float64) {
 	if len(x) < f.Dim() {
 		panic(fmt.Sprintf("bta: SolveLT length %d < %d", len(x), f.Dim()))
 	}
-	// Half-solves have no residual to refine against, so sampling promotes a
-	// mixed factor to a full fp64 refactorization first.
-	f.promote()
 	f.backward(x)
 }
 
@@ -266,15 +226,6 @@ func (f *Factor) SolveMulti(b *dense.Matrix) {
 	if b.Rows != f.Dim() {
 		panic(fmt.Sprintf("bta: SolveMulti rhs rows %d != %d", b.Rows, f.Dim()))
 	}
-	if f.isLow() {
-		f.solveMultiRefined(b)
-		return
-	}
-	f.solveMultiOnce(b)
-}
-
-// solveMultiOnce is the unrefined block forward/backward substitution.
-func (f *Factor) solveMultiOnce(b *dense.Matrix) {
 	n, bb := f.N, f.B
 	// forward
 	for i := 0; i < n; i++ {
@@ -361,10 +312,6 @@ func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 		return fmt.Errorf("bta: selinv output BTA(n=%d,b=%d,a=%d), factor (n=%d,b=%d,a=%d)",
 			sig.N, sig.B, sig.A, n, b, a)
 	}
-	// The selected-inversion recursion has no residual-correction analogue,
-	// so a mixed factor is promoted to full fp64 first (per-stage policy:
-	// posterior covariances stay double precision).
-	f.promote()
 	f.selinvMu.Lock()
 	defer f.selinvMu.Unlock()
 	if f.selinv == nil {

@@ -45,15 +45,6 @@ type Plan struct {
 	ReduceDepth     int
 	ReduceCrossover int
 	PipelineReduced bool
-	// Precision is the per-stage precision policy the evaluations run at:
-	// under bta.PrecMixed each rank's interior elimination sweeps run in
-	// fp32 while the reduced boundary system, log-det accumulation and
-	// non-SPD recovery stay fp64, and the conditional-mean solve is
-	// recovered to fp64 accuracy by iterative refinement (PPOBTASRefined).
-	// MakePlan grants a requested mixed policy only where the stage
-	// structure allows it: with a single global partition there are no
-	// interior sweeps and the policy degenerates to pure fp64.
-	Precision bta.Precision
 }
 
 // StreamLayout returns the per-rank stream counts the plan's smallest S1
@@ -138,17 +129,14 @@ func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 // the per-device memory model (0 = unlimited), ntBlocks/blockSize/arrowSize
 // the BTA shape (ntBlocks bounds the useful S3 width; blockSize 0 disables
 // the fill-chain term, reproducing the flat slice-only model), perRank the
-// requested per-node stream width (≤ 1 = flat), prec the requested
-// factorization precision policy — granted as-is except where no stage can
-// run reduced precision (solver width 1 has no interior sweeps, so a mixed
-// request degenerates to pure fp64 and the plan records that).
+// requested per-node stream width (≤ 1 = flat).
 //
 // The memory policy is hybrid-aware: the per-node working set is the matrix
 // slice plus the fill-chain storage the partitioned elimination adds, so
 // P3Min grows accordingly, and when even the widest partitionable rank
 // count cannot fit the cap the planner sheds streams (PartitionsPerRank)
 // before giving up — trading ranks against streams under the cap.
-func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arrowSize, perRank int, prec bta.Precision) Plan {
+func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arrowSize, perRank int) Plan {
 	if perRank < 1 {
 		perRank = 1
 	}
@@ -187,14 +175,8 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 	sizes := spread(world, groups)
 	minSize := sizes[len(sizes)-1]
 	useS2 := minSize >= 2*p3min && minSize >= 2
-	p := Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes,
-		UseS2: useS2, P3Min: p3min, PartitionsPerRank: perRank, Precision: prec}
-	if prec == bta.PrecMixed && p.SolverWidthAt(ntBlocks) < 2 {
-		// A width-1 solver factorizes in place with no interior sweeps —
-		// nothing can run fp32, so record the degenerate fp64 policy.
-		p.Precision = bta.PrecFloat64
-	}
-	return p
+	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes,
+		UseS2: useS2, P3Min: p3min, PartitionsPerRank: perRank}
 }
 
 // maxPartitions is the largest useful S3 width for n time blocks
@@ -335,15 +317,6 @@ type DistConfig struct {
 	// assembly as they arrive, interleaving reduced elimination with later
 	// ranks' interior sweeps instead of idling until the last one lands.
 	PipelineReduced bool
-	// Precision requests the per-stage factorization precision policy
-	// (bta.PrecMixed = fp32 interior sweeps, fp64 reduced system and
-	// refinement-corrected solves; the zero value = pure fp64). The planner
-	// grants it wherever the solver width leaves interior sweeps to
-	// accelerate and records the decision on the Plan.
-	Precision bta.Precision
-	// MaxRefine bounds the fp64 refinement iterations per mixed-precision
-	// solve (0 = bta.DefaultMaxRefine).
-	MaxRefine int
 	// MemCapBytes models per-device memory (0 = unlimited).
 	MemCapBytes int64
 	// Iterations of the quasi-Newton loop to execute.
@@ -409,7 +382,7 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 
 	_, bBlk, aBlk := m.Dims.BTAShape()
 	planFor := func(world int) Plan {
-		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk, cfg.PartitionsPerRank, cfg.Precision)
+		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk, cfg.PartitionsPerRank)
 		p.ReduceDepth = cfg.ReduceDepth
 		p.ReduceCrossover = cfg.ReduceCrossover
 		p.PipelineReduced = cfg.PipelineReduced
@@ -648,16 +621,10 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 	// tagMu carries μ from the Q_c pipeline root to the Q_p pipeline root.
 	const tagMu = 700
 
-	// Reduced-system engine and precision-policy configuration shared by
-	// both pipelines (the plan already degenerated an unusable mixed
-	// request to fp64).
-	dopts := bta.DistOptions{
-		Precision: plan.Precision,
-		MaxRefine: cfg.MaxRefine,
-		Reduced: bta.ReducedOptions{
-			Depth: cfg.ReduceDepth, Crossover: cfg.ReduceCrossover, Pipeline: cfg.PipelineReduced,
-		},
-	}
+	// Reduced-system engine configuration shared by both pipelines.
+	dopts := bta.DistOptions{Reduced: bta.ReducedOptions{
+		Depth: cfg.ReduceDepth, Crossover: cfg.ReduceCrossover, Pipeline: cfg.PipelineReduced,
+	}}
 
 	runQc := func() error {
 		pipe.Barrier()
@@ -678,44 +645,28 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			if err != nil {
 				return err
 			}
-			var muFull []float64 // solver root only
-			if f.Low() {
-				// Mixed-precision factor: the fp64 iterative refinement
-				// recovers full solve accuracy and leaves the assembled
-				// solution replicated on every rank — no gather needed.
-				xFull, _, err := bta.PPOBTASRefined(solver, f, cell.qc, cell.rhs)
-				if err != nil {
-					return err
-				}
-				if solver.Rank() == 0 {
-					muFull = append([]float64(nil), xFull[:m.Dims.Total()]...)
-				}
-			} else {
-				span := local.Part
-				rhsLocal := append([]float64(nil), cell.rhs[span.Lo*b:(span.Hi+1)*b]...)
-				var rhsTip []float64
-				if a > 0 {
-					rhsTip = cell.rhs[m.Dims.Nt*b:]
-				}
-				xLocal, xTip, err := bta.PPOBTAS(solver, f, rhsLocal, rhsTip)
-				if err != nil {
-					return err
-				}
-				// Gather μ on the solver root.
-				gathered := solver.Gather(0, xLocal)
-				if solver.Rank() == 0 {
-					muFull = make([]float64, m.Dims.Total())
-					off := 0
-					for _, part := range gathered {
-						copy(muFull[off:], part)
-						off += len(part)
-					}
-					if a > 0 {
-						copy(muFull[m.Dims.Nt*b:], xTip)
-					}
-				}
+			span := local.Part
+			rhsLocal := append([]float64(nil), cell.rhs[span.Lo*b:(span.Hi+1)*b]...)
+			var rhsTip []float64
+			if a > 0 {
+				rhsTip = cell.rhs[m.Dims.Nt*b:]
 			}
+			xLocal, xTip, err := bta.PPOBTAS(solver, f, rhsLocal, rhsTip)
+			if err != nil {
+				return err
+			}
+			// Gather μ on the solver root.
+			gathered := solver.Gather(0, xLocal)
 			if solver.Rank() == 0 {
+				muFull := make([]float64, m.Dims.Total())
+				off := 0
+				for _, part := range gathered {
+					copy(muFull[off:], part)
+					off += len(part)
+				}
+				if a > 0 {
+					copy(muFull[m.Dims.Nt*b:], xTip)
+				}
 				t, _ := m.DecodeTheta(theta)
 				var ll float64
 				solver.Compute(func() { ll = m.LogLik(t, muFull) })

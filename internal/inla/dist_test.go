@@ -4,14 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
 func TestMakePlanFillsS1First(t *testing.T) {
 	// 31 evals (trivariate), 8 workers, no memory pressure: 8 S1 groups of 1.
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 1, bta.PrecFloat64)
+	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 1)
 	if p.Groups != 8 {
 		t.Fatalf("groups = %d, want 8", p.Groups)
 	}
@@ -19,12 +18,12 @@ func TestMakePlanFillsS1First(t *testing.T) {
 		t.Fatal("size-1 groups cannot use S2")
 	}
 	// 62 workers: 31 groups of 2 → S2 on.
-	p = MakePlan(62, 31, 1<<20, 0, 16, 0, 0, 1, bta.PrecFloat64)
+	p = MakePlan(62, 31, 1<<20, 0, 16, 0, 0, 1)
 	if p.Groups != 31 || !p.UseS2 {
 		t.Fatalf("plan %+v, want 31 groups with S2", p)
 	}
 	// 124 workers: 31 groups of 4 → S2 + S3 of width 2.
-	p = MakePlan(124, 31, 1<<20, 0, 16, 0, 0, 1, bta.PrecFloat64)
+	p = MakePlan(124, 31, 1<<20, 0, 16, 0, 0, 1)
 	if p.Groups != 31 || !p.UseS2 {
 		t.Fatalf("plan %+v", p)
 	}
@@ -32,7 +31,7 @@ func TestMakePlanFillsS1First(t *testing.T) {
 
 func TestMakePlanMemoryCapForcesS3(t *testing.T) {
 	// Matrix of 1 MiB with a 256 KiB cap: S3 width ≥ 4 before S1 widens.
-	p := MakePlan(8, 31, 1<<20, 1<<18, 64, 0, 0, 1, bta.PrecFloat64)
+	p := MakePlan(8, 31, 1<<20, 1<<18, 64, 0, 0, 1)
 	if p.P3Min != 4 {
 		t.Fatalf("P3Min = %d, want 4", p.P3Min)
 	}
@@ -48,26 +47,26 @@ func TestMakePlanMemoryCapForcesS3(t *testing.T) {
 // sheds streams before giving up (ranks traded against streams).
 func TestMakePlanHybridMemoryModel(t *testing.T) {
 	// Slice-only model: 1 MiB at a 256 KiB cap forces width 4.
-	flat := MakePlan(16, 31, 1<<20, 1<<18, 64, 0, 0, 1, bta.PrecFloat64)
+	flat := MakePlan(16, 31, 1<<20, 1<<18, 64, 0, 0, 1)
 	if flat.P3Min != 4 {
 		t.Fatalf("flat model P3Min = %d, want 4", flat.P3Min)
 	}
 	// Fill-chain-aware model (b=8, a=0: chains add b/(2b+a) = 50%).
-	aware := MakePlan(16, 31, 1<<20, 1<<18, 64, 8, 0, 1, bta.PrecFloat64)
+	aware := MakePlan(16, 31, 1<<20, 1<<18, 64, 8, 0, 1)
 	if aware.P3Min <= flat.P3Min {
 		t.Fatalf("fill-chain model must force a wider S3: %d vs flat %d", aware.P3Min, flat.P3Min)
 	}
 	// The same footprint with streams: the per-node working set cannot be
 	// relaxed by streams (they share the node's memory), so P3Min stays put
 	// while the requested stream width survives under no pressure...
-	roomy := MakePlan(16, 31, 1<<20, 0, 64, 8, 0, 4, bta.PrecFloat64)
+	roomy := MakePlan(16, 31, 1<<20, 0, 64, 8, 0, 4)
 	if roomy.PartitionsPerRank != 4 {
 		t.Fatalf("uncapped plan must keep the requested streams, got %d", roomy.PartitionsPerRank)
 	}
 	// ...but under a cap no rank width can absorb, streams are shed.
 	// nt=64 bounds ranks at 33; make the per-stream scratch the binding
 	// term with a tiny cap.
-	tight := MakePlan(64, 31, 1<<20, 40<<10, 64, 16, 0, 8, bta.PrecFloat64)
+	tight := MakePlan(64, 31, 1<<20, 40<<10, 64, 16, 0, 8)
 	if tight.PartitionsPerRank >= 8 {
 		t.Fatalf("capped plan must shed streams, kept %d", tight.PartitionsPerRank)
 	}
@@ -75,7 +74,7 @@ func TestMakePlanHybridMemoryModel(t *testing.T) {
 
 func TestMakePlanClampsToPartitionability(t *testing.T) {
 	// nt = 4 supports at most 3 partitions; a huge memory demand must clamp.
-	p := MakePlan(16, 9, 1<<30, 1<<10, 4, 0, 0, 1, bta.PrecFloat64)
+	p := MakePlan(16, 9, 1<<30, 1<<10, 4, 0, 0, 1)
 	if p.P3Min > 3 {
 		t.Fatalf("P3Min = %d exceeds partitionability of nt=4", p.P3Min)
 	}
@@ -260,16 +259,16 @@ func TestRunDistributedReducedEngine(t *testing.T) {
 // TestMakePlanPerRank: the per-node stream width is recorded, defaulted,
 // and clamped to what the time dimension can absorb.
 func TestMakePlanPerRank(t *testing.T) {
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 0, bta.PrecFloat64)
+	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 0)
 	if p.PartitionsPerRank != 1 {
 		t.Fatalf("default per-rank width %d, want 1", p.PartitionsPerRank)
 	}
-	p = MakePlan(8, 31, 1<<20, 0, 64, 0, 0, 4, bta.PrecFloat64)
+	p = MakePlan(8, 31, 1<<20, 0, 64, 0, 0, 4)
 	if p.PartitionsPerRank != 4 {
 		t.Fatalf("per-rank width %d, want 4", p.PartitionsPerRank)
 	}
 	// nt = 4 supports at most 3 partitions in total.
-	p = MakePlan(8, 31, 1<<20, 0, 4, 0, 0, 16, bta.PrecFloat64)
+	p = MakePlan(8, 31, 1<<20, 0, 4, 0, 0, 16)
 	if p.PartitionsPerRank > 3 {
 		t.Fatalf("per-rank width %d exceeds partitionability of nt=4", p.PartitionsPerRank)
 	}
@@ -347,24 +346,6 @@ func TestPlanStreamLayoutSpreads(t *testing.T) {
 	}
 }
 
-// TestMakePlanPrecision: a requested mixed policy is granted where the
-// solver width leaves interior sweeps to accelerate, and degenerates to
-// pure fp64 (recorded on the plan) at solver width 1.
-func TestMakePlanPrecision(t *testing.T) {
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 2, bta.PrecMixed)
-	if p.Precision != bta.PrecMixed {
-		t.Fatalf("width-%d plan must grant the mixed request, got %v", p.SolverWidthAt(16), p.Precision)
-	}
-	p = MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 1, bta.PrecMixed)
-	if p.Precision != bta.PrecFloat64 {
-		t.Fatalf("width-1 plan has no interior sweeps; policy must degenerate to fp64, got %v", p.Precision)
-	}
-	p = MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 2, bta.PrecFloat64)
-	if p.Precision != bta.PrecFloat64 {
-		t.Fatalf("fp64 request must stay fp64, got %v", p.Precision)
-	}
-}
-
 // TestRunDistributedSpreadStreams drives the unequal stream layout end to
 // end: 12 workers over 9 evals leave S1 groups of 2 ranks, whose 2 ranks ×
 // 4 streams exceed what nt=10 absorbs — the evaluation runs the [3,3]
@@ -393,41 +374,5 @@ func TestRunDistributedSpreadStreams(t *testing.T) {
 	want := e.EvalBatch([][]float64{ds.Theta0})[0]
 	if math.Abs(rep.FTrace[0]-want) > 1e-6*(1+math.Abs(want)) {
 		t.Fatalf("spread layout: distributed F = %v, sequential F = %v", rep.FTrace[0], want)
-	}
-}
-
-// TestRunDistributedMixedPrecision runs the full distributed driver under
-// the mixed per-stage policy: fp32 interior sweeps, fp64 reduced system,
-// and the refined conditional-mean solve. The objective carries the fp32
-// log-det accumulation (~1e-5 relative), so the cross-check tolerance is
-// wider than the fp64 one.
-func TestRunDistributedMixedPrecision(t *testing.T) {
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 8, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := WeakPrior(ds.Theta0, 5)
-	rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
-		World:             4,
-		Machine:           comm.DefaultMachine(),
-		Iterations:        1,
-		PartitionsPerRank: 2,
-		Precision:         bta.PrecMixed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Plan.Precision != bta.PrecMixed {
-		t.Fatalf("plan must record the granted mixed policy, got %v", rep.Plan.Precision)
-	}
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
-	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-3*(1+math.Abs(want)) {
-		t.Fatalf("mixed: distributed F = %v, sequential fp64 F = %v", rep.FTrace[0], want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 )
@@ -41,21 +40,6 @@ type FitOptions struct {
 	// NoPipeline disables the pipelined boundary handoff of the reduced
 	// assembly.
 	NoPipeline bool
-	// Precision selects the per-stage factorization precision policy:
-	// bta.PrecMixed runs interior elimination sweeps in fp32 (twice the
-	// AVX2 vector width) while the reduced boundary system, log-det
-	// accumulation and non-SPD recovery stay fp64, with fp64 iterative
-	// refinement restoring solve accuracy to fp64 level. The zero value
-	// keeps pure fp64 everywhere.
-	Precision bta.Precision
-	// MaxRefine bounds the fp64 refinement iterations per mixed-precision
-	// solve (0 = bta.DefaultMaxRefine).
-	MaxRefine int
-	// PhaseBarrier forces the legacy phase-synchronized concurrency (fresh
-	// per-batch goroutines, per-phase solver gangs) instead of the shared
-	// work-stealing task-DAG executor. Results are identical; the knob
-	// exists for the scheduler benchmark and the determinism suite.
-	PhaseBarrier bool
 	// IntegrateHyperGrid additionally integrates the latent posterior over
 	// the eigenvector grid of the mode Hessian (§III-4) instead of the
 	// plug-in at θ* only; requires the Hessian stage.
@@ -112,8 +96,7 @@ func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Resul
 	e := &BTAEvaluator{Model: m, Prior: prior, Workers: opts.Workers,
 		S2: !opts.DisableS2, Partitions: opts.SolverPartitions,
 		Recursion: opts.SolverRecursion, ReducedCrossover: opts.ReducedCrossover,
-		NoPipeline: opts.NoPipeline, Precision: opts.Precision, MaxRefine: opts.MaxRefine,
-		PhaseBarrier: opts.PhaseBarrier}
+		NoPipeline: opts.NoPipeline}
 	return fitWith(e, theta0, opts)
 }
 

@@ -121,20 +121,15 @@ type solverSpec struct {
 	depth     int
 	crossover int
 	pipeline  bool
-	prec      bta.Precision
-	maxRefine int
-	// barrier forces the solvers' legacy phase-barrier goroutine gangs;
-	// exec overrides the task executor of the default DAG mode (nil =
-	// sched.Shared()). Both participate in the spec comparison that gates
-	// cachedParallel rebuilds.
-	barrier bool
-	exec    *sched.Executor
+	// exec overrides the solvers' task executor (nil = sched.Shared()). It
+	// participates in the spec comparison that gates cachedParallel
+	// rebuilds.
+	exec *sched.Executor
 }
 
 // specOf converts a batch plan into the factorization spec.
 func specOf(plan SharedPlan) solverSpec {
-	return solverSpec{parts: plan.Partitions, depth: plan.Recursion,
-		pipeline: plan.PipelineReduced, prec: plan.Precision}
+	return solverSpec{parts: plan.Partitions, depth: plan.Recursion, pipeline: plan.PipelineReduced}
 }
 
 // cachedParallel lazily builds and caches one parallel-in-time factor per
@@ -153,20 +148,15 @@ func (c *cachedParallel) solver(seq *bta.Factor, n, b, a int, spec solverSpec) (
 		spec.parts = mx
 	}
 	if spec.parts <= 1 {
-		seq.SetPrecision(spec.prec)
-		seq.SetMaxRefine(spec.maxRefine)
 		return seq, nil
 	}
 	if c.pf == nil || c.spec != spec {
 		pf, err := bta.NewParallelFactorOpts(n, b, a, bta.ParallelOptions{
 			Partitions: spec.parts,
-			Precision:  spec.prec,
-			MaxRefine:  spec.maxRefine,
 			Reduced: bta.ReducedOptions{
 				Depth: spec.depth, Crossover: spec.crossover, Pipeline: spec.pipeline,
 			},
-			PhaseBarrier: spec.barrier,
-			Executor:     spec.exec,
+			Executor: spec.exec,
 		})
 		if err != nil {
 			return nil, err
@@ -327,21 +317,6 @@ type BTAEvaluator struct {
 	// NoPipeline forces the eager (non-streamed) reduced assembly even
 	// where the batch plan would pipeline the boundary handoff.
 	NoPipeline bool
-	// Precision selects the per-stage factorization precision policy:
-	// bta.PrecMixed runs interior elimination sweeps in fp32 with the
-	// reduced system, log-dets and non-SPD recovery in fp64, and fp64
-	// iterative refinement on the conditional-mean solves. The zero value
-	// keeps pure fp64 everywhere.
-	Precision bta.Precision
-	// MaxRefine bounds the fp64 refinement iterations per mixed-precision
-	// solve (0 = bta.DefaultMaxRefine).
-	MaxRefine int
-	// PhaseBarrier forces the legacy phase-synchronized concurrency — fresh
-	// per-batch goroutines (runBounded) and per-phase solver gangs —
-	// instead of routing batch bodies and solver phases through the shared
-	// work-stealing executor. Results are identical; the knob exists for
-	// the scheduler benchmark and the cross-evaluation determinism suite.
-	PhaseBarrier bool
 	// Exec overrides the task executor batches and solvers run on
 	// (nil = sched.Shared()). Tests use private executors so shutdown/leak
 	// behaviour can be asserted in isolation.
@@ -427,7 +402,6 @@ func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 	if e.NoPipeline {
 		plan.PipelineReduced = false
 	}
-	plan.Precision = e.Precision
 	return plan
 }
 
@@ -435,8 +409,6 @@ func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 func (e *BTAEvaluator) specFor(width int, s2 bool) solverSpec {
 	spec := specOf(e.planFor(width, s2))
 	spec.crossover = e.ReducedCrossover
-	spec.maxRefine = e.MaxRefine
-	spec.barrier = e.PhaseBarrier
 	spec.exec = e.Exec
 	return spec
 }
@@ -462,11 +434,10 @@ func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
 // evaluations pulling points off a shared counter (dynamic load balance:
 // line-search-adjacent batches mix cheap and infeasible points), and
 // narrow batches route their spare cores into parallel-in-time
-// factorization partitions per the batch plan. By default the point
-// bodies are heavy tasks on the shared work-stealing executor — warm
-// workers reused across gradient/Hessian/line-search batches, and tasks
-// from concurrently running batches interleaved on the same cores; under
-// PhaseBarrier they run on fresh per-batch goroutines (runBounded).
+// factorization partitions per the batch plan. The point bodies are heavy
+// tasks on the shared work-stealing executor — warm workers reused across
+// gradient/Hessian/line-search batches, and tasks from concurrently running
+// batches interleaved on the same cores.
 func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	out := make([]float64, len(points))
 	w := e.cores()
@@ -500,11 +471,7 @@ func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 			e.scratch.Put(ws) // parts.Mu is dead past this point
 		}
 	}
-	if e.PhaseBarrier {
-		runBounded(len(points), w, body)
-	} else {
-		e.runOnExecutor(len(points), w, body)
-	}
+	e.runOnExecutor(len(points), w, body)
 	return out
 }
 
@@ -549,42 +516,6 @@ func (e *BTAEvaluator) runOnExecutor(n, workers int, body func(i int)) {
 	}
 	runner()
 	g.WaitHeavy(nil)
-}
-
-// runBounded executes body(i) for i in [0, n) on at most workers fresh
-// goroutines pulling indices from a shared atomic counter. This is the
-// legacy phase-barrier batch path (BTAEvaluator.PhaseBarrier); the default
-// path is runOnExecutor, which reuses the shared executor's warm workers
-// instead of spawning per batch.
-func runBounded(n, workers int, body func(i int)) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				body(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Posterior computes μ(θ) and the latent marginal variances via selected

@@ -36,14 +36,6 @@ type SharedPlan struct {
 	// reduced assembly as each interior elimination finishes, overlapping
 	// the reduced phase with the interior-sweep tail.
 	PipelineReduced bool
-	// Precision is the per-stage factorization precision policy the batch's
-	// solvers run at: bta.PrecMixed runs the interior elimination sweeps in
-	// fp32 (packed f32 BLAS-3) while the reduced boundary system, log-det
-	// accumulation and non-SPD recovery stay fp64, with fp64 iterative
-	// refinement on solves. The zero value is pure fp64. PlanBatch leaves it
-	// at fp64; the evaluator's override (BTAEvaluator.Precision /
-	// FitOptions.Precision) stamps the requested policy onto every batch.
-	Precision bta.Precision
 }
 
 // recursionWorthwhileWidth is the partition count from which the reduced

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -112,16 +113,19 @@ func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
 	}
 }
 
-// TestRunBoundedCapsConcurrency: the worker pool must never exceed its
-// bound, must cover every index exactly once, and must not deadlock on
-// degenerate bounds.
-func TestRunBoundedCapsConcurrency(t *testing.T) {
+// TestRunOnExecutorCapsConcurrency: the batch runners must never exceed
+// their bound, must cover every index exactly once, and must not deadlock
+// on degenerate bounds.
+func TestRunOnExecutorCapsConcurrency(t *testing.T) {
+	ex := sched.New(4)
+	defer ex.Close()
+	e := &BTAEvaluator{Exec: ex}
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 64
 		var active, peak, calls atomic.Int64
 		var mu sync.Mutex
 		seen := make(map[int]int)
-		runBounded(n, workers, func(i int) {
+		e.runOnExecutor(n, workers, func(i int) {
 			cur := active.Add(1)
 			for {
 				p := peak.Load()

@@ -10,15 +10,20 @@ import (
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
-// TestDAGFitMatchesPhaseBarrier is the cross-evaluation determinism suite:
-// the full INLA fit scheduled on the work-stealing task-DAG executor must
-// reproduce the legacy phase-barrier fit — mode θ, objective, optimizer
-// trajectory, latent mean and variances — to 1e-10 across the partition ×
-// arrow-width × reduced-recursion grid. The DAG re-expression reorders
-// nothing that matters: frontier installs stay in partition order, tip
-// folds at fixed positions, and every other write set is disjoint, so the
-// two schedules perform identical arithmetic.
-func TestDAGFitMatchesPhaseBarrier(t *testing.T) {
+// TestFitDeterministicAcrossExecutorWidths is the cross-evaluation
+// determinism suite: the full INLA fit on an 8-worker executor, where
+// solver tasks from different θ points interleave and steal, must
+// reproduce the fit on a zero-worker executor, where the caller alone
+// completes every DAG — mode θ, objective, optimizer trajectory, latent
+// mean and variances — to 1e-10 across the partition × arrow-width ×
+// reduced-recursion grid. Scheduling reorders nothing that matters:
+// frontier installs stay in partition order, tip folds at fixed positions,
+// and every other write set is disjoint, so the arithmetic is identical
+// whichever goroutine runs a task.
+func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
+	serial, wide := sched.New(0), sched.New(8)
+	defer serial.Close()
+	defer wide.Close()
 	for _, nr := range []int{1, 2} { // arrow width: nv*nr fixed effects
 		ds, err := synth.Generate(synth.GenConfig{
 			Nv: 1, Nt: 8, Nr: nr,
@@ -32,40 +37,39 @@ func TestDAGFitMatchesPhaseBarrier(t *testing.T) {
 		prior := WeakPrior(ds.Theta0, 5)
 		for _, parts := range []int{1, 3} {
 			for _, rec := range []int{-1, 1} {
-				fit := func(barrier bool) *Result {
+				fit := func(ex *sched.Executor) *Result {
 					opts := DefaultFitOptions()
 					opts.Opt.MaxIter = 3
 					opts.SkipHyperUncertainty = true
-					opts.SolverPartitions = parts
-					opts.SolverRecursion = rec
-					opts.PhaseBarrier = barrier
-					res, err := Fit(ds.Model, prior, ds.Theta0, opts)
+					e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
+						Partitions: parts, Recursion: rec, Exec: ex}
+					res, err := fitWith(e, ds.Theta0, opts)
 					if err != nil {
-						t.Fatalf("nr=%d parts=%d rec=%d barrier=%v: %v", nr, parts, rec, barrier, err)
+						t.Fatalf("nr=%d parts=%d rec=%d workers=%d: %v", nr, parts, rec, ex.Workers(), err)
 					}
 					return res
 				}
-				want := fit(true)
-				got := fit(false)
+				want := fit(serial)
+				got := fit(wide)
 				const tol = 1e-10
 				if math.Abs(got.Opt.F-want.Opt.F) > tol*(1+math.Abs(want.Opt.F)) {
-					t.Fatalf("nr=%d parts=%d rec=%d: dag F=%v, barrier F=%v", nr, parts, rec, got.Opt.F, want.Opt.F)
+					t.Fatalf("nr=%d parts=%d rec=%d: 8-worker F=%v, zero-worker F=%v", nr, parts, rec, got.Opt.F, want.Opt.F)
 				}
 				if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
-					t.Fatalf("nr=%d parts=%d rec=%d: dag trajectory (%d it, %d evals) vs barrier (%d it, %d evals)",
+					t.Fatalf("nr=%d parts=%d rec=%d: 8-worker trajectory (%d it, %d evals) vs zero-worker (%d it, %d evals)",
 						nr, parts, rec, got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
 				}
 				for i := range want.Theta {
 					if math.Abs(got.Theta[i]-want.Theta[i]) > tol*(1+math.Abs(want.Theta[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: θ[%d] dag %v, barrier %v", nr, parts, rec, i, got.Theta[i], want.Theta[i])
+						t.Fatalf("nr=%d parts=%d rec=%d: θ[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.Theta[i], want.Theta[i])
 					}
 				}
 				for i := range want.Mu {
 					if math.Abs(got.Mu[i]-want.Mu[i]) > tol*(1+math.Abs(want.Mu[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: μ[%d] dag %v, barrier %v", nr, parts, rec, i, got.Mu[i], want.Mu[i])
+						t.Fatalf("nr=%d parts=%d rec=%d: μ[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.Mu[i], want.Mu[i])
 					}
 					if math.Abs(got.LatentVar[i]-want.LatentVar[i]) > tol*(1+math.Abs(want.LatentVar[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: var[%d] dag %v, barrier %v", nr, parts, rec, i, got.LatentVar[i], want.LatentVar[i])
+						t.Fatalf("nr=%d parts=%d rec=%d: var[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.LatentVar[i], want.LatentVar[i])
 					}
 				}
 			}
@@ -73,11 +77,14 @@ func TestDAGFitMatchesPhaseBarrier(t *testing.T) {
 	}
 }
 
-// TestDAGEvalBatchMatchesBarrier pins the batch layer itself on a wider
-// stencil than the fits above exercise: the same 2d+1 gradient batch
-// through both schedules, where the DAG path interleaves solver tasks from
-// different θ points on one worker pool.
-func TestDAGEvalBatchMatchesBarrier(t *testing.T) {
+// TestEvalBatchDeterministicAcrossExecutorWidths pins the batch layer
+// itself on a wider stencil than the fits above exercise: the same 2d+1
+// gradient batch on the zero-worker and the 8-worker executor, where the
+// wide one interleaves solver tasks from different θ points on one pool.
+func TestEvalBatchDeterministicAcrossExecutorWidths(t *testing.T) {
+	serial, wide := sched.New(0), sched.New(8)
+	defer serial.Close()
+	defer wide.Close()
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 2, Nt: 6, Nr: 1,
 		MeshNx: 3, MeshNy: 3,
@@ -89,21 +96,20 @@ func TestDAGEvalBatchMatchesBarrier(t *testing.T) {
 	}
 	prior := WeakPrior(ds.Theta0, 5)
 	pts := gradientPoints(ds.Theta0, 1e-3)
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, PhaseBarrier: true, Partitions: 2}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: serial}
 	want := ref.EvalBatch(pts)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: wide}
 	got := e.EvalBatch(pts)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-			t.Fatalf("point %d: dag F=%v, barrier F=%v", i, got[i], want[i])
+			t.Fatalf("point %d: 8-worker F=%v, zero-worker F=%v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestEvaluatorPrivateExecutorShutdown: an evaluator pinned to a private
 // executor (BTAEvaluator.Exec) runs its batches and posterior there, and
-// closing the executor leaves no goroutines behind — the leak assertion of
-// the DAG port.
+// closing the executor leaves no goroutines behind.
 func TestEvaluatorPrivateExecutorShutdown(t *testing.T) {
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 1, Nt: 6, Nr: 1,
@@ -117,21 +123,22 @@ func TestEvaluatorPrivateExecutorShutdown(t *testing.T) {
 	prior := WeakPrior(ds.Theta0, 5)
 	before := runtime.NumGoroutine()
 
-	ex := sched.New(3)
+	ex, serial := sched.New(3), sched.New(0)
 	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: ex}
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, PhaseBarrier: true, Partitions: 2}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: serial}
 	pts := gradientPoints(ds.Theta0, 1e-3)
 	want := ref.EvalBatch(pts)
 	got := e.EvalBatch(pts)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-			t.Fatalf("point %d: private-executor F=%v, barrier F=%v", i, got[i], want[i])
+			t.Fatalf("point %d: private-executor F=%v, zero-worker F=%v", i, got[i], want[i])
 		}
 	}
 	if _, _, err := e.Posterior(ds.Theta0); err != nil {
 		t.Fatal(err)
 	}
 	ex.Close()
+	serial.Close()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

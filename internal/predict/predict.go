@@ -254,13 +254,6 @@ func (e *engine) checkOut(qs []Query, means, vars []float64) error {
 // PredictInto out across their own worker goroutines, the contract this
 // engine has always had.
 //
-// Prediction always runs the factorization in pure fp64, regardless of any
-// mixed-precision policy the fit ran under: predictive variances are
-// triangular half-solve norms, which have no residual to refine against, so
-// a reduced-precision factor would have to be promoted back to full fp64
-// before the first batch anyway — the per-stage policy assigns this stage
-// fp64 outright.
-//
 // WithSolverPartitions switches to the parallel-in-time backend: the mode
 // factorization and every solve run across goroutine partitions, which is
 // what a single-flight caller wants for latency. The parallel backend

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/coreg"
 	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/mesh"
@@ -101,18 +100,6 @@ type Options struct {
 	// CheckpointEvery is the BFGS iteration stride of in-flight fit-state
 	// persistence (≤ 0 = every iteration). Only meaningful with Store.
 	CheckpointEvery int
-	// Precision is the factorization precision policy fits and refits run
-	// at (bta.PrecMixed = fp32 interior sweeps + fp64 iterative refinement;
-	// zero value = pure fp64). Prediction solves always read a promoted
-	// fp64 factor, so the policy only affects fit latency, not serving
-	// accuracy.
-	Precision bta.Precision
-	// PhaseBarrier forces fits and refits onto the legacy phase-synchronized
-	// concurrency instead of the shared work-stealing task-DAG executor
-	// (inla.FitOptions.PhaseBarrier). Default off: concurrent fits'
-	// solver phases and evaluation batches interleave on the executor's
-	// warm workers, which is what keeps a multi-model server's cores busy.
-	PhaseBarrier bool
 	// Logf, when set, receives operational log lines (recovery, persistence,
 	// flush summaries). nil = silent.
 	Logf func(format string, args ...any)
@@ -860,8 +847,6 @@ func (s *Server) fitResolved(req FitRequest, gen synth.GenConfig, specID string,
 	// Serving needs the mode and the latent posterior; the θ-uncertainty
 	// Hessian stage is skipped to keep registration fast.
 	opts.SkipHyperUncertainty = true
-	opts.Precision = s.opts.Precision
-	opts.PhaseBarrier = s.opts.PhaseBarrier
 	opts.Ctx = s.fitCtx
 	opts.Resume = resume
 	s.fitStateHooks(req, gen, specID, &opts)
