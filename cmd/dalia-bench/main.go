@@ -15,18 +15,13 @@
 // regression), serving (posterior-prediction throughput; -out writes the
 // serving baseline BENCH_2.json, -compare gates the engine path against
 // one), pintime (parallel-in-time BTA engine: single-evaluation latency
-// and selected-inversion throughput vs partitions; -out writes
-// BENCH_3.json, -compare gates against one), hybrid (two-level
-// ranks × partitions distributed BTA solver cycle times; -out writes
-// BENCH_4.json, -compare gates against one), reduced (parallel recursive
-// reduced-system engine: factorization latency and reduced-phase share
-// across partitions × recursion depth × pipelined handoff; -out writes
-// BENCH_5.json, -compare gates against one), latency (closed-loop clients
-// against the replicated HTTP serving path: p50/p99/p999 request latency
-// and throughput; -out writes BENCH_6.json, -compare gates p99 against
-// one), recovery (crash recovery: restart-from-store vs refit cost for a
-// registry of fitted models, asserting byte-identical predictions; -out
-// writes BENCH_7.json, -compare gates restart cost against one).
+// and selected-inversion throughput vs partitions), hybrid (two-level
+// ranks × partitions distributed BTA solver cycle times), latency
+// (closed-loop clients against the replicated HTTP serving path:
+// p50/p99/p999 request latency and throughput), recovery (crash recovery:
+// restart-from-store vs refit cost for a registry of fitted models, failing
+// unless the recovered predictions are byte-identical). The last four
+// compare against nothing; -out writes their measurements as JSON.
 package main
 
 import (
@@ -60,8 +55,8 @@ func figExp(name, desc string, f func(bool) (*bench.Figure, error)) experiment {
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiments or 'all'")
 	quick := flag.Bool("quick", false, "trim sweeps for fast runs")
-	out := flag.String("out", "", "write the kernels/serving/pintime experiment's JSON baseline to this path")
-	compare := flag.String("compare", "", "kernels/serving/pintime: compare against this stored baseline and exit 1 on a >-maxregress rate regression")
+	out := flag.String("out", "", "write the kernels/serving/pintime/hybrid/latency/recovery experiment's JSON measurements to this path")
+	compare := flag.String("compare", "", "kernels/serving: compare against this stored baseline and exit 1 on a >-maxregress rate regression")
 	maxRegress := flag.Float64("maxregress", 0.25, "maximum tolerated fractional rate regression in -compare mode")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path")
 	flag.Parse()
@@ -170,25 +165,6 @@ func main() {
 				}
 				fmt.Printf("    baseline written to %s\n", *out)
 			}
-			if *compare != "" {
-				stored, err := bench.LoadLatencyBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.LatencyComparable(base, stored) {
-					fmt.Printf("    gate skipped: GOMAXPROCS %d here vs %d in %s (latencies not comparable)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					return nil
-				}
-				regs := bench.CompareLatency(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d p99 regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no p99 regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
 			return nil
 		}},
 		{"recovery", "crash recovery: restart-from-store vs refit (byte-identical predictions)", func(quick bool) error {
@@ -202,25 +178,6 @@ func main() {
 					return err
 				}
 				fmt.Printf("    baseline written to %s\n", *out)
-			}
-			if *compare != "" {
-				stored, err := bench.LoadRecoveryBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.RecoveryComparable(base, stored) {
-					fmt.Printf("    gate skipped: GOMAXPROCS %d here vs %d in %s (restart times not comparable)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					return nil
-				}
-				regs := bench.CompareRecovery(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d recovery regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no recovery regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
 			}
 			return nil
 		}},
@@ -236,58 +193,6 @@ func main() {
 				}
 				fmt.Printf("    baseline written to %s\n", *out)
 			}
-			if *compare != "" {
-				stored, err := bench.LoadHybridBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.HybridComparable(base, stored) {
-					fmt.Printf("    gate skipped: GOMAXPROCS %d here vs %d in %s (virtual times not comparable)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					return nil
-				}
-				regs := bench.CompareHybrid(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d hybrid regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no hybrid regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
-			return nil
-		}},
-		{"reduced", "parallel recursive reduced-system engine (P × depth × pipelined handoff)", func(quick bool) error {
-			base, err := bench.Reduced(quick)
-			if err != nil {
-				return err
-			}
-			bench.PrintReduced(base, os.Stdout)
-			if *out != "" {
-				if err := bench.WriteReducedBaseline(base, *out); err != nil {
-					return err
-				}
-				fmt.Printf("    baseline written to %s\n", *out)
-			}
-			if *compare != "" {
-				stored, err := bench.LoadReducedBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.ReducedComparable(base, stored) {
-					fmt.Printf("    gate skipped: GOMAXPROCS %d here vs %d in %s (latencies not comparable)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					return nil
-				}
-				regs := bench.CompareReduced(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d reduced regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no reduced regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
 			return nil
 		}},
 		{"pintime", "parallel-in-time BTA engine (single-eval latency, selected-inversion throughput)", func(quick bool) error {
@@ -302,25 +207,6 @@ func main() {
 				}
 				fmt.Printf("    baseline written to %s\n", *out)
 			}
-			if *compare != "" {
-				stored, err := bench.LoadPintimeBaseline(*compare)
-				if err != nil {
-					return err
-				}
-				if !bench.PintimeComparable(base, stored) {
-					fmt.Printf("    gate skipped: GOMAXPROCS %d here vs %d in %s (latencies not comparable)\n",
-						base.GoMaxProcs, stored.GoMaxProcs, *compare)
-					return nil
-				}
-				regs := bench.ComparePintime(base, stored, *maxRegress)
-				if len(regs) > 0 {
-					for _, r := range regs {
-						fmt.Fprintf(os.Stderr, "    REGRESSION %s\n", r)
-					}
-					return fmt.Errorf("%d pintime regression(s) beyond %.0f%% vs %s", len(regs), *maxRegress*100, *compare)
-				}
-				fmt.Printf("    no pintime regression beyond %.0f%% vs %s\n", *maxRegress*100, *compare)
-			}
 			return nil
 		}},
 	}
@@ -334,13 +220,13 @@ func main() {
 	// -out is honored by several experiments; refuse a selection where a
 	// later one would silently overwrite an earlier one's file.
 	nOut := 0
-	for _, name := range []string{"kernels", "serving", "pintime", "hybrid", "reduced", "latency", "recovery", "precision", "sched"} {
+	for _, name := range []string{"kernels", "serving", "pintime", "hybrid", "latency", "recovery"} {
 		if runAll || want[name] {
 			nOut++
 		}
 	}
 	if *out != "" && nOut > 1 {
-		fmt.Fprintln(os.Stderr, "-out with several baseline-writing experiments selected would write them to one path; pick one of kernels/serving/pintime/hybrid/reduced/latency/recovery")
+		fmt.Fprintln(os.Stderr, "-out with several baseline-writing experiments selected would write them to one path; pick one of kernels/serving/pintime/hybrid/latency/recovery")
 		os.Exit(2)
 	}
 

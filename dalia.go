@@ -198,6 +198,11 @@ func UnmarshalResult(data []byte) (*Result, error) { return inla.UnmarshalResult
 // single-flight. Concurrent serving wants NewPredictSnapshot instead.
 var ErrConcurrentPredict = predict.ErrConcurrentParallel
 
+// ErrUnsupportedLikelihood is returned by NewPredictor and
+// NewPredictSnapshot for a non-Gaussian (count) model: the prediction
+// engines factorize the Gaussian conditional precision at the fitted mode.
+var ErrUnsupportedLikelihood = predict.ErrUnsupportedLikelihood
+
 // NewPredictor builds a posterior prediction engine from a fit result,
 // factorizing Q_c at the fitted mode once.
 func NewPredictor(m *Model, res *Result, opts ...PredictOption) (*Predictor, error) {
@@ -349,32 +354,11 @@ func NewParallelBTAFactor(n, b, a, partitions int) (*ParallelBTAFactor, error) {
 	return bta.NewParallelFactor(n, b, a, partitions)
 }
 
-// ParallelBTAOptions configures a parallel-in-time factor beyond the
-// partition count: the §V-C load-balance factor and the reduced-system
-// engine (recursive nesting depth/crossover, pipelined boundary handoff).
-type ParallelBTAOptions = bta.ParallelOptions
-
-// ReducedEngineOptions configures the 2P−2 reduced-boundary-system engine.
-type ReducedEngineOptions = bta.ReducedOptions
-
-// Reduced-system engine bounds: the default recursion crossover (smallest
-// reduced block count worth a nested gang) and the nesting-depth cap.
-const (
-	DefaultReducedCrossover  = bta.DefaultReducedCrossover
-	MaxReducedRecursionDepth = bta.MaxRecursionDepth
-)
-
 // SetSchedWorkers overrides the worker count of the process-wide
 // work-stealing task executor that solver phases and evaluation batches
 // run on (0 restores the GOMAXPROCS default). Call at process startup —
 // the -sched-workers surface of the dalia commands.
 func SetSchedWorkers(n int) { sched.SetSharedWorkers(n) }
-
-// NewParallelBTAFactorOpts is NewParallelBTAFactor with the reduced-system
-// engine configured.
-func NewParallelBTAFactorOpts(n, b, a int, o ParallelBTAOptions) (*ParallelBTAFactor, error) {
-	return bta.NewParallelFactorOpts(n, b, a, o)
-}
 
 // PlanEvalBatch computes the shared-memory layer assignment for a batch of
 // the given width on a core budget (0 = GOMAXPROCS): point-level

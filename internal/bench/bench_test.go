@@ -100,8 +100,7 @@ func TestAblationMappingQuick(t *testing.T) {
 
 // TestHybridQuick runs the two-level scheduling experiment in quick mode
 // and checks the baseline invariants: every topology of the sweep yields a
-// finite rate, the 1×1 row anchors the speedups, and the self-comparison
-// gate is clean while a GOMAXPROCS mismatch disarms it.
+// finite rate and the 1×1 row anchors the speedups.
 func TestHybridQuick(t *testing.T) {
 	base, err := Hybrid(true)
 	if err != nil {
@@ -120,16 +119,5 @@ func TestHybridQuick(t *testing.T) {
 	}
 	if base.Results[0].Ranks != 1 || base.Results[0].PartitionsPerRank != 1 || base.Results[0].Speedup != 0 {
 		t.Fatalf("first row must be the 1×1 anchor: %+v", base.Results[0])
-	}
-	if regs := CompareHybrid(base, base, 0.25); len(regs) != 0 {
-		t.Fatalf("self-comparison regressions: %v", regs)
-	}
-	other := *base
-	other.GoMaxProcs++
-	if HybridComparable(base, &other) {
-		t.Fatal("GOMAXPROCS mismatch must be incomparable")
-	}
-	if regs := CompareHybrid(base, &other, 0.25); regs != nil {
-		t.Fatalf("incomparable runs must yield no regressions, got %v", regs)
 	}
 }

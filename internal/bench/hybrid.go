@@ -25,12 +25,11 @@ type HybridResult struct {
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
-// HybridBaseline is the serialized two-level scheduling baseline
-// (BENCH_4.json): virtual cycle times of the hybrid (ranks × partitions)
-// distributed BTA solver across topologies of equal and growing total
-// width. Virtual times derive from measured kernel wall clocks, so — like
-// the pintime baseline — runs are only gate-comparable at matching
-// GOMAXPROCS.
+// HybridBaseline is the serialized two-level scheduling measurement:
+// virtual cycle times of the hybrid (ranks × partitions) distributed BTA
+// solver across topologies of equal and growing total width. Virtual times
+// derive from measured kernel wall clocks, so — like the pintime numbers —
+// runs are only comparable at matching GOMAXPROCS.
 type HybridBaseline struct {
 	GoMaxProcs int            `json:"gomaxprocs"`
 	NumCPU     int            `json:"num_cpu"`
@@ -165,63 +164,6 @@ func WriteHybridBaseline(b *HybridBaseline, path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadHybridBaseline reads a stored two-level baseline back in.
-func LoadHybridBaseline(path string) (*HybridBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b HybridBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parse hybrid baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// HybridComparable reports whether two hybrid runs can be gated against
-// each other: virtual times derive from measured kernel wall clocks whose
-// node-gang concurrency scales with the scheduler width, so a GOMAXPROCS
-// mismatch would flag the host rather than a code regression.
-func HybridComparable(cur, base *HybridBaseline) bool {
-	return cur.GoMaxProcs == base.GoMaxProcs
-}
-
-// CompareHybrid checks the current measurements against a stored baseline
-// and returns one description per regression: a topology whose cycle rate
-// fell below (1−maxRegress) of the baseline. Incomparable runs yield no
-// regressions; points too short to time reliably are skipped.
-func CompareHybrid(cur, base *HybridBaseline, maxRegress float64) []string {
-	if !HybridComparable(cur, base) {
-		return nil
-	}
-	key := func(r HybridResult) string {
-		return fmt.Sprintf("%dx%d", r.Ranks, r.PartitionsPerRank)
-	}
-	baseRate := map[string]float64{}
-	for _, r := range base.Results {
-		if r.PerSec > 0 && r.Seconds >= minCompareSeconds {
-			baseRate[key(r)] = r.PerSec
-		}
-	}
-	var regressions []string
-	for _, r := range cur.Results {
-		if r.PerSec <= 0 || r.Seconds < minCompareSeconds {
-			continue
-		}
-		want, ok := baseRate[key(r)]
-		if !ok {
-			continue
-		}
-		floor := want * (1 - maxRegress)
-		if r.PerSec < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("hybrid %s: %.2f cycles/s vs baseline %.2f (floor %.2f, −%.0f%%)",
-					key(r), r.PerSec, want, floor, 100*(1-r.PerSec/want)))
-		}
-	}
-	return regressions
 }
 
 // PrintHybrid renders the two-level scheduling table.

@@ -39,7 +39,7 @@ type LatencyResult struct {
 	PerSec  float64 `json:"predictions_per_sec"`
 }
 
-// LatencyBaseline is the serialized serving latency baseline (BENCH_6.json):
+// LatencyBaseline is the serialized serving latency measurement:
 // tail latency and throughput of the replicated lock-free serving path under
 // concurrent closed-loop load, for the CI latency gate to compare against.
 type LatencyBaseline struct {
@@ -227,57 +227,6 @@ func WriteLatencyBaseline(b *LatencyBaseline, path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadLatencyBaseline reads a stored latency baseline (BENCH_6.json) back
-// in.
-func LoadLatencyBaseline(path string) (*LatencyBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b LatencyBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parse latency baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// LatencyComparable reports whether two latency baselines were measured on
-// comparable machines: wall-clock latencies from different scheduler widths
-// gate nothing.
-func LatencyComparable(cur, base *LatencyBaseline) bool {
-	return cur.GoMaxProcs == base.GoMaxProcs
-}
-
-// CompareLatency checks current tail latency against a stored baseline and
-// returns one description per regression: a concurrency scenario whose p99
-// exceeds (1+maxRegress) of the baseline p99. p50 and p999 are recorded but
-// never gate (the median moves with batch luck, the extreme tail with
-// scheduler noise); scenarios present in only one set are skipped, as are
-// baseline tails too small for the timer to resolve.
-func CompareLatency(cur, base *LatencyBaseline, maxRegress float64) []string {
-	const minGateMillis = 0.05 // ~timer+scheduler noise floor on CI runners
-	baseP99 := map[int]float64{}
-	for _, r := range base.Results {
-		if r.P99Millis > 0 {
-			baseP99[r.Concurrency] = r.P99Millis
-		}
-	}
-	var regressions []string
-	for _, r := range cur.Results {
-		want, ok := baseP99[r.Concurrency]
-		if !ok || r.P99Millis <= 0 || want < minGateMillis {
-			continue
-		}
-		ceil := want * (1 + maxRegress)
-		if r.P99Millis > ceil {
-			regressions = append(regressions,
-				fmt.Sprintf("conc=%d: p99 %.3fms vs baseline %.3fms (ceiling %.3fms, +%.0f%%)",
-					r.Concurrency, r.P99Millis, want, ceil, 100*(r.P99Millis/want-1)))
-		}
-	}
-	return regressions
 }
 
 // PrintLatency renders the serving latency table.

@@ -26,9 +26,8 @@ type PintimeResult struct {
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
-// PintimeBaseline is the serialized parallel-in-time baseline
-// (BENCH_3.json): single-evaluation latency and selected-inversion
-// throughput of the shared-memory PPOBTAF engine versus the sequential
+// PintimeBaseline is the serialized parallel-in-time measurement:
+// single-evaluation latency and selected-inversion throughput of the shared-memory PPOBTAF engine versus the sequential
 // chain. NumCPU records the hardware parallelism the numbers were taken
 // at — speedups are only meaningful when it matches or exceeds the
 // partition width (a 1-core host measures scheduling overhead, not
@@ -169,63 +168,6 @@ func WritePintimeBaseline(b *PintimeBaseline, path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadPintimeBaseline reads a stored parallel-in-time baseline back in.
-func LoadPintimeBaseline(path string) (*PintimeBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b PintimeBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parse pintime baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// PintimeComparable reports whether two pintime runs can be gated against
-// each other: these are latency measurements whose goroutine fan-out
-// scales with the scheduler width, so a GOMAXPROCS mismatch would flag the
-// host configuration rather than a code regression. Callers should check
-// it (and tell the user the gate was skipped) before ComparePintime.
-func PintimeComparable(cur, base *PintimeBaseline) bool {
-	return cur.GoMaxProcs == base.GoMaxProcs
-}
-
-// ComparePintime checks the current measurements against a stored baseline
-// and returns one description per regression: a (kind, partitions) point
-// whose rate fell below (1−maxRegress) of the baseline. Points present in
-// only one set are skipped, as are points too short to time reliably.
-// Incomparable runs (PintimeComparable false) yield no regressions.
-func ComparePintime(cur, base *PintimeBaseline, maxRegress float64) []string {
-	if !PintimeComparable(cur, base) {
-		return nil
-	}
-	key := func(r PintimeResult) string { return fmt.Sprintf("%s/p=%d", r.Kind, r.Partitions) }
-	baseRate := map[string]float64{}
-	for _, r := range base.Results {
-		if r.PerSec > 0 && r.Seconds >= minCompareSeconds {
-			baseRate[key(r)] = r.PerSec
-		}
-	}
-	var regressions []string
-	for _, r := range cur.Results {
-		if r.PerSec <= 0 || r.Seconds < minCompareSeconds {
-			continue
-		}
-		want, ok := baseRate[key(r)]
-		if !ok {
-			continue
-		}
-		floor := want * (1 - maxRegress)
-		if r.PerSec < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.2f ops/s vs baseline %.2f (floor %.2f, −%.0f%%)",
-					key(r), r.PerSec, want, floor, 100*(1-r.PerSec/want)))
-		}
-	}
-	return regressions
 }
 
 // PrintPintime renders the parallel-in-time table.

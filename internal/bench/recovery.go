@@ -40,7 +40,7 @@ type RecoveryResult struct {
 	Identical bool `json:"identical"`
 }
 
-// RecoveryBaseline is the serialized crash-recovery baseline (BENCH_7.json):
+// RecoveryBaseline is the serialized crash-recovery measurement:
 // restart-vs-refit cost for a registry of fitted models, for the CI chaos
 // gate to compare against.
 type RecoveryBaseline struct {
@@ -214,61 +214,6 @@ func WriteRecoveryBaseline(b *RecoveryBaseline, path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadRecoveryBaseline reads a stored recovery baseline (BENCH_7.json) back
-// in.
-func LoadRecoveryBaseline(path string) (*RecoveryBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b RecoveryBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("bench: parse recovery baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// RecoveryComparable reports whether two recovery baselines were measured on
-// comparable machines.
-func RecoveryComparable(cur, base *RecoveryBaseline) bool {
-	return cur.GoMaxProcs == base.GoMaxProcs
-}
-
-// CompareRecovery checks the current restart cost against a stored baseline
-// and returns one description per regression: a model whose recovery time
-// exceeds (1+maxRegress) of the baseline, or any model whose recovered
-// predictions were not byte-identical (always a failure, never tolerance-
-// gated). Models present in only one set are skipped, as are baseline times
-// too small for the timer to resolve.
-func CompareRecovery(cur, base *RecoveryBaseline, maxRegress float64) []string {
-	const minGateSeconds = 0.005
-	baseRec := map[string]float64{}
-	for _, r := range base.Results {
-		if r.RecoverSeconds > 0 {
-			baseRec[r.Name] = r.RecoverSeconds
-		}
-	}
-	var regressions []string
-	for _, r := range cur.Results {
-		if !r.Identical {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: recovered predictions are not byte-identical", r.Name))
-			continue
-		}
-		want, ok := baseRec[r.Name]
-		if !ok || r.RecoverSeconds <= 0 || want < minGateSeconds {
-			continue
-		}
-		ceil := want * (1 + maxRegress)
-		if r.RecoverSeconds > ceil {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: recover %.3fs vs baseline %.3fs (ceiling %.3fs, +%.0f%%)",
-					r.Name, r.RecoverSeconds, want, ceil, 100*(r.RecoverSeconds/want-1)))
-		}
-	}
-	return regressions
 }
 
 // PrintRecovery renders the restart-vs-refit table.

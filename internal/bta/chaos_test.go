@@ -40,7 +40,7 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 	st, runErr := comm.RunPlan(3, comm.DefaultMachine(), plan, func(c *comm.Comm) error {
 		scr := &DistScratch{}
 		local := LocalSliceNode(g, parts, c.Rank(), 1)
-		f, ferr := PPOBTAFOpts(c, local, scr, DistOptions{})
+		f, ferr := PPOBTAFScratch(c, local, scr)
 		if ferr == nil {
 			// The killed rank can fail a survivor only through communication;
 			// a rank whose factorization never needed the dead peer fails at
@@ -68,7 +68,7 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 			return perr
 		}
 		local2 := LocalSliceNode(g, parts2, nc.Rank(), 1)
-		f2, ferr2 := PPOBTAFOpts(nc, local2, scr, DistOptions{})
+		f2, ferr2 := PPOBTAFScratch(nc, local2, scr)
 		if ferr2 != nil {
 			return ferr2
 		}

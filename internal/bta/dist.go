@@ -228,16 +228,14 @@ type DistFactor struct {
 	p           int   // total partitions = Σ counts
 	nGlobal     int
 	b, a        int
-	opts        DistOptions
 
 	parts []*distPart
 
 	localTip *dense.Matrix // original tip (rank 0)
 
-	redM     *Matrix        // assembled reduced system storage (rank 0, p > 1)
-	red      *reducedEngine // rank 0 only (also the p == 1 full-system factor)
-	frontier redFrontier    // pipelined incremental reduced factorization (rank 0)
-	logDet   float64        // full log-determinant, replicated on all ranks
+	redM   *Matrix // assembled reduced system storage (rank 0, p > 1)
+	red    *Factor // rank 0 only: factor view over redM (the full-system factor when p == 1)
+	logDet float64 // full log-determinant, replicated on all ranks
 
 	// Multi-stream gang state: prebuilt task nodes and per-stream bodies,
 	// built on first runOwned and reused every call so the per-step
@@ -249,17 +247,6 @@ type DistFactor struct {
 	gangBody  func(j int)
 
 	scr *DistScratch // optional recycled storage (PPOBTAFScratch)
-}
-
-// DistOptions configures the distributed factorization beyond the topology
-// carried by the local slice.
-type DistOptions struct {
-	// Reduced configures rank 0's reduced boundary system: recursive
-	// nesting (a nested shared-memory gang factorizes the 2P−2 system when
-	// it is wide enough) and the pipelined boundary handoff (rank 0
-	// interleaves reduced elimination with the arrival of later ranks'
-	// boundary contributions instead of idling until the last one lands).
-	Reduced ReducedOptions
 }
 
 // sweepScratch is one owned partition's preallocated selected-inversion
@@ -299,7 +286,7 @@ type DistScratch struct {
 	sweep  []*sweepScratch // per owned partition
 	sigma  *LocalSigma     // recycled Σ output storage (PPOBTASI)
 	redSig *Matrix         // rank 0: recycled reduced selected inverse
-	redEng *reducedEngine  // rank 0: recycled reduced engine (nested gang incl.)
+	redF   *Factor         // rank 0: recycled reduced factor view (keeps its selinv workspace)
 }
 
 func (s *DistScratch) popBB() *dense.Matrix {
@@ -504,13 +491,6 @@ func PPOBTAF(c *comm.Comm, local *LocalBTA) (*DistFactor, error) {
 // caller refills via DistScratch.Reclaim on the previous iteration's
 // factor) instead of freshly allocated, and the factor's solve and
 // selected-inversion paths reuse scr's workspaces. scr may be nil.
-func PPOBTAFScratch(c *comm.Comm, local *LocalBTA, scr *DistScratch) (*DistFactor, error) {
-	return PPOBTAFOpts(c, local, scr, DistOptions{})
-}
-
-// PPOBTAFOpts is PPOBTAFScratch with the reduced-system engine configured:
-// recursion depth/crossover for rank 0's reduced factorization and the
-// pipelined boundary handoff. All ranks must pass identical options.
 //
 // A communication fault mid-factorization (a dead peer, a revoked
 // communicator, a receive timeout) aborts the evaluation cleanly: the
@@ -518,7 +498,7 @@ func PPOBTAFScratch(c *comm.Comm, local *LocalBTA, scr *DistScratch) (*DistFacto
 // gang goroutines are left running (the compute gangs complete before any
 // communication call), and the fault is returned as a wrapped error the
 // driver can test with comm.Retryable.
-func PPOBTAFOpts(c *comm.Comm, local *LocalBTA, scr *DistScratch, opts DistOptions) (f *DistFactor, err error) {
+func PPOBTAFScratch(c *comm.Comm, local *LocalBTA, scr *DistScratch) (f *DistFactor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fe := comm.FaultOf(r)
@@ -532,7 +512,6 @@ func PPOBTAFOpts(c *comm.Comm, local *LocalBTA, scr *DistScratch, opts DistOptio
 			err = fmt.Errorf("bta: distributed factorization aborted: %w", fe)
 		}
 	}()
-	opts.Reduced = opts.Reduced.normalize()
 	ranks := c.Size()
 	rank := c.Rank()
 	sub := local.Sub
@@ -565,8 +544,7 @@ func PPOBTAFOpts(c *comm.Comm, local *LocalBTA, scr *DistScratch, opts DistOptio
 		span: local.Part, rank: rank, ranks: ranks, perRank: q,
 		counts: counts, base: base, p: p,
 		nGlobal: local.NGlobal, b: local.B, a: local.A,
-		opts: opts,
-		scr:  scr,
+		scr: scr,
 	}
 	f.parts = make([]*distPart, q)
 	for j, part := range sub {
@@ -636,28 +614,29 @@ func ppobtafSingle(c *comm.Comm, local *LocalBTA, f *DistFactor) (*DistFactor, e
 	if err != nil {
 		return nil, err
 	}
-	f.red = seqReducedEngine(seq)
+	f.red = seq
 	f.parts[0].interior = nil
 	f.logDet = seq.LogDet()
 	return f, nil
 }
 
-// reducedEngineFor returns rank 0's reduced-system engine, recycled from
-// the scratch when it matches the topology and options (the nested gang of
-// a recursive engine is construction-time storage, exactly like the fill
-// chains).
-func (f *DistFactor) reducedEngineFor(red *Matrix, nr int) (*reducedEngine, error) {
-	if f.scr != nil && f.scr.redEng.matches(nr, f.b, f.a, f.opts.Reduced) {
-		return f.scr.redEng, nil
-	}
-	eng, err := newReducedEngine(red, f.opts.Reduced, nil)
-	if err != nil {
-		return nil, err
-	}
+// reducedFactor returns the sequential factor view over the factorized
+// reduced storage, recycled from the scratch when the shape matches so its
+// selected-inversion workspace survives across cycles (the storage identity
+// changes between factorizations, the view does not).
+func (f *DistFactor) reducedFactor(red *Matrix) *Factor {
+	var rf *Factor
 	if f.scr != nil {
-		f.scr.redEng = eng
+		rf = f.scr.redF
 	}
-	return eng, nil
+	if rf == nil || rf.N != red.N || rf.B != red.B || rf.A != red.A {
+		rf = &Factor{N: red.N, B: red.B, A: red.A}
+		if f.scr != nil {
+			f.scr.redF = rf
+		}
+	}
+	rf.Diag, rf.Lower, rf.Arrow, rf.Tip = red.Diag, red.Lower, red.Arrow, red.Tip
+	return rf
 }
 
 // eliminateInteriors runs the rank-local phase of PPOBTAF: every owned
@@ -745,20 +724,15 @@ func (f *DistFactor) elimOwned(local *LocalBTA, j int) error {
 }
 
 // assembleAndFactorReduced gathers every partition's boundary contributions
-// on rank 0, assembles the 2P−2-block reduced BTA system, and hands it to
-// the reduced engine. With the pipelined handoff rank 0 interleaves reduced
-// elimination with the arrival of later ranks' contributions; otherwise it
-// assembles eagerly and factorizes once everything landed (the historical
-// path, bit for bit).
+// on rank 0, assembles the 2P−2-block reduced BTA system, and factorizes it
+// sequentially in place once everything landed.
 func (f *DistFactor) assembleAndFactorReduced(c *comm.Comm, local *LocalBTA) error {
 	nr := reducedSize(f.p)
 	hasArrow := f.a > 0
 
 	if f.rank != 0 {
 		// Ship boundary contributions to rank 0, one partition at a time in
-		// owned order (the receiver walks the same order). The sends are
-		// eager, so each partition's contribution is in flight the moment
-		// the node gang produced it — the streaming half of the handoff.
+		// owned order (the receiver walks the same order).
 		for _, dp := range f.parts {
 			for i, d := range dp.bndDiag {
 				c.SendMatrix(0, tagDiag+i, d)
@@ -780,21 +754,9 @@ func (f *DistFactor) assembleAndFactorReduced(c *comm.Comm, local *LocalBTA) err
 	}
 
 	red := f.newReduced(nr)
-	eng, err := f.reducedEngineFor(red, nr)
-	if err != nil {
-		return err
-	}
-
-	pipeline := f.opts.Reduced.Pipeline && !eng.recursing()
-	var rf *redFrontier
-	if pipeline {
-		rf = &f.frontier
-		rf.reset(red, f.p, nil)
-	}
 
 	// Rank 0's own partitions. The tip deltas of ALL owned partitions fold
-	// here (eager path keeps its historical summation order; the frontier
-	// path folds before any elimination step, which is equally fixed).
+	// here, in owned order.
 	dp0 := f.parts[0]
 	red.Diag[0].CopyFrom(dp0.bndDiag[0])
 	if hasArrow {
@@ -807,15 +769,8 @@ func (f *DistFactor) assembleAndFactorReduced(c *comm.Comm, local *LocalBTA) err
 	for _, dp := range f.parts[1:] {
 		f.installReducedLocal(red, dp)
 	}
-	if pipeline {
-		// Rank 0's own blocks are complete: start the reduced elimination
-		// while remote ranks are still eliminating/sending.
-		c.Compute(func() { rf.advance(f.base[0] + f.counts[0] - 1) })
-	}
 
-	// Remote ranks: receive each rank's partitions in its send order,
-	// advancing the elimination frontier past each rank's blocks as they
-	// land when pipelining.
+	// Remote ranks: receive each rank's partitions in its send order.
 	for r := 1; r < f.ranks; r++ {
 		for jj := 0; jj < f.counts[r]; jj++ {
 			g := f.base[r] + jj
@@ -837,20 +792,13 @@ func (f *DistFactor) assembleAndFactorReduced(c *comm.Comm, local *LocalBTA) err
 		if hasArrow {
 			red.Tip.Add(1, c.RecvMatrix(r, tagTip))
 		}
-		if pipeline {
-			c.Compute(func() { rf.advance(f.base[r] + f.counts[r] - 1) })
-		}
 	}
+	var err error
 	c.Compute(func() {
-		if pipeline {
-			eng.rebind(red)
-			err = rf.finish()
-		} else {
-			err = eng.factorize(red)
-		}
+		err = factorizeInPlace(red)
 		if err == nil {
 			f.redM = red
-			f.red = eng
+			f.red = f.reducedFactor(red)
 		} else if f.scr != nil {
 			// Failed reduced factorization: hand the (recycled) storage
 			// straight back rather than dropping it with the dead factor.
@@ -892,7 +840,7 @@ func (f *DistFactor) shareLogDet(c *comm.Comm) {
 	}
 	localSum *= 2
 	if f.rank == 0 && f.red != nil {
-		localSum += f.red.logDet()
+		localSum += f.red.LogDet()
 	}
 	total := c.AllReduceSum([]float64{localSum})
 	f.logDet = total[0]

@@ -46,7 +46,7 @@ func PPOBTAS(c *comm.Comm, f *DistFactor, rhsLocal, rhsTip []float64) (xOut, xTi
 		ss.full = growF(ss.full, f.nGlobal*b+a)
 		copy(ss.full, rhsLocal)
 		copy(ss.full[f.nGlobal*b:], rhsTip)
-		c.Compute(func() { f.red.solve(ss.full) })
+		c.Compute(func() { f.red.Solve(ss.full) })
 		var xt []float64
 		if a > 0 {
 			ss.xTip = growF(ss.xTip, a)
@@ -163,7 +163,7 @@ func PPOBTAS(c *comm.Comm, f *DistFactor, rhsLocal, rhsTip []float64) (xOut, xTi
 				dense.Axpy(1, pl[off:off+a], rhsRed[nr*b:])
 			}
 		}
-		c.Compute(func() { f.red.solve(rhsRed) })
+		c.Compute(func() { f.red.Solve(rhsRed) })
 		if a > 0 {
 			ss.xTip = growF(ss.xTip, a)
 			copy(ss.xTip, rhsRed[nr*b:])
@@ -327,7 +327,7 @@ func PPOBTASI(c *comm.Comm, f *DistFactor) (sig *LocalSigma, err error) {
 		sig := Matrix{N: f.nGlobal, B: f.b, A: a,
 			Diag: out.Diag, Lower: out.Lower, Arrow: out.Arrow, Tip: out.Tip}
 		var err error
-		c.Compute(func() { err = f.red.selinvInto(&sig) })
+		c.Compute(func() { err = f.red.SelectedInversionInto(&sig) })
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +342,7 @@ func PPOBTASI(c *comm.Comm, f *DistFactor) (sig *LocalSigma, err error) {
 	if f.rank == 0 {
 		redSig := f.redSigStorage()
 		var err error
-		c.Compute(func() { err = f.red.selinvInto(redSig) })
+		c.Compute(func() { err = f.red.SelectedInversionInto(redSig) })
 		if err != nil {
 			return nil, err
 		}

@@ -23,11 +23,6 @@ type hybridResult struct {
 // runHybrid factorizes, solves, and selected-inverts g over world ranks ×
 // perRank partitions each, optionally with per-rank recycled scratch.
 func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, scrs []*DistScratch) hybridResult {
-	return runHybridOpts(t, g, world, perRank, rhs, scrs, DistOptions{})
-}
-
-// runHybridOpts is runHybrid with the reduced-system engine configured.
-func runHybridOpts(t *testing.T, g *Matrix, world, perRank int, rhs []float64, scrs []*DistScratch, opts DistOptions) hybridResult {
 	t.Helper()
 	parts, err := PartitionBlocks(g.N, world*perRank, 1)
 	if err != nil {
@@ -46,7 +41,7 @@ func runHybridOpts(t *testing.T, g *Matrix, world, perRank int, rhs []float64, s
 		if scrs != nil {
 			scr = scrs[c.Rank()]
 		}
-		f, err := PPOBTAFOpts(c, local, scr, opts)
+		f, err := PPOBTAFScratch(c, local, scr)
 		if err != nil {
 			mu.Lock()
 			res.err = err
@@ -97,13 +92,12 @@ func runHybridOpts(t *testing.T, g *Matrix, world, perRank int, rhs []float64, s
 	return res
 }
 
-// TestHybridEquivalenceGrid is the acceptance grid of the reduced-system
-// engine: dist (hybrid ranks × partitions, recursion depth {0,1,2} ×
-// pipelined handoff on/off) vs sequential vs shared-memory parallel
+// TestHybridEquivalenceGrid is the backend acceptance grid: dist (hybrid
+// ranks × partitions) vs sequential vs shared-memory parallel
 // selected-inversion diagonals, couplings and solves agree to 1e-10 across
 // world sizes {1,2,4} × partitions-per-rank {1,2,3} × arrowhead {0,1,4} at
-// an odd time dimension. A lowered recursion crossover makes the wide grid
-// points genuinely exercise the nested gang.
+// an odd time dimension. The shared-memory twins at total width ≥ 5 (6, 8,
+// 12) run their reduced system on the nested gang.
 func TestHybridEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const nt = 23 // odd, and ≥ 2·(4·3)−2 so every grid point partitions
@@ -126,61 +120,51 @@ func TestHybridEquivalenceGrid(t *testing.T) {
 
 		for _, world := range []int{1, 2, 4} {
 			for _, perRank := range []int{1, 2, 3} {
-				for _, depth := range []int{0, 1, 2} {
-					for _, pipe := range []bool{false, true} {
-						opts := DistOptions{Reduced: ReducedOptions{
-							Depth: depth, Crossover: 4, Pipeline: pipe,
-						}}
-						label := fmt.Sprintf("a=%d world=%d q=%d depth=%d pipe=%v", a, world, perRank, depth, pipe)
-						res := runHybridOpts(t, g, world, perRank, rhs, nil, opts)
-						if res.err != nil {
-							t.Fatalf("%s: %v", label, res.err)
-						}
-						if d := math.Abs(res.logDet - wantLd); d > equivTol*(1+math.Abs(wantLd)) {
-							t.Fatalf("%s: logdet %v want %v", label, res.logDet, wantLd)
-						}
-						for i := range want {
-							if math.Abs(res.x[i]-want[i]) > equivTol {
-								t.Fatalf("%s: solve[%d] = %v want %v", label, i, res.x[i], want[i])
-							}
-						}
-						for i := range wantDiag {
-							if math.Abs(res.sigDiag[i]-wantDiag[i]) > equivTol*(1+math.Abs(wantDiag[i])) {
-								t.Fatalf("%s: selinv diag[%d] = %v want %v", label, i, res.sigDiag[i], wantDiag[i])
-							}
-						}
-						for k := 0; k < g.N-1; k++ {
-							if res.sigLows[k] == nil {
-								t.Fatalf("%s: missing Σ lower block %d", label, k)
-							}
-							if !res.sigLows[k].Equal(wantSig.Lower[k], equivTol) {
-								t.Fatalf("%s: Σ lower block %d mismatch", label, k)
-							}
-						}
-						if a > 0 && !res.sigTip.Equal(wantSig.Tip, equivTol) {
-							t.Fatalf("%s: Σ tip mismatch", label)
-						}
+				label := fmt.Sprintf("a=%d world=%d q=%d", a, world, perRank)
+				res := runHybrid(t, g, world, perRank, rhs, nil)
+				if res.err != nil {
+					t.Fatalf("%s: %v", label, res.err)
+				}
+				if d := math.Abs(res.logDet - wantLd); d > equivTol*(1+math.Abs(wantLd)) {
+					t.Fatalf("%s: logdet %v want %v", label, res.logDet, wantLd)
+				}
+				for i := range want {
+					if math.Abs(res.x[i]-want[i]) > equivTol {
+						t.Fatalf("%s: solve[%d] = %v want %v", label, i, res.x[i], want[i])
+					}
+				}
+				for i := range wantDiag {
+					if math.Abs(res.sigDiag[i]-wantDiag[i]) > equivTol*(1+math.Abs(wantDiag[i])) {
+						t.Fatalf("%s: selinv diag[%d] = %v want %v", label, i, res.sigDiag[i], wantDiag[i])
+					}
+				}
+				for k := 0; k < g.N-1; k++ {
+					if res.sigLows[k] == nil {
+						t.Fatalf("%s: missing Σ lower block %d", label, k)
+					}
+					if !res.sigLows[k].Equal(wantSig.Lower[k], equivTol) {
+						t.Fatalf("%s: Σ lower block %d mismatch", label, k)
+					}
+				}
+				if a > 0 && !res.sigTip.Equal(wantSig.Tip, equivTol) {
+					t.Fatalf("%s: Σ tip mismatch", label)
+				}
 
-						// The shared-memory parallel backend over the same
-						// total width and reduced options must agree too —
-						// all backends drive the same partition cores and
-						// reduced engine.
-						pf, err := NewParallelFactorOpts(nt, 2, a, ParallelOptions{
-							Partitions: world * perRank, Reduced: opts.Reduced,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := pf.Refactorize(g); err != nil {
-							t.Fatal(err)
-						}
-						got := append([]float64(nil), rhs...)
-						pf.Solve(got)
-						for i := range want {
-							if math.Abs(got[i]-want[i]) > equivTol {
-								t.Fatalf("%s: parallel solve[%d] mismatch", label, i)
-							}
-						}
+				// The shared-memory parallel backend over the same
+				// total width must agree too — all backends drive the
+				// same partition cores.
+				pf, err := NewParallelFactor(nt, 2, a, world*perRank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pf.Refactorize(g); err != nil {
+					t.Fatal(err)
+				}
+				got := append([]float64(nil), rhs...)
+				pf.Solve(got)
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > equivTol {
+						t.Fatalf("%s: parallel solve[%d] mismatch", label, i)
 					}
 				}
 			}
@@ -353,8 +337,8 @@ func TestHybridScratchReuseStable(t *testing.T) {
 
 // distCycleAllocs measures the steady-state allocations of one full
 // scratch-backed distributed cycle (refill + PPOBTAF + PPOBTAS + PPOBTASI +
-// Reclaim) over 2 ranks with the given reduced-engine options.
-func distCycleAllocs(t *testing.T, nt int, opts DistOptions) float64 {
+// Reclaim) over 2 ranks.
+func distCycleAllocs(t *testing.T, nt int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(74 + nt)))
 	g := randBTA(rng, nt, 3, 2)
@@ -376,7 +360,7 @@ func distCycleAllocs(t *testing.T, nt int, opts DistOptions) float64 {
 		comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
 			r := c.Rank()
 			locals[r].FillFrom(g)
-			f, err := PPOBTAFOpts(c, locals[r], scrs[r], opts)
+			f, err := PPOBTAFScratch(c, locals[r], scrs[r])
 			if err != nil {
 				panic(err)
 			}
@@ -410,33 +394,11 @@ func TestDistPerStepAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode alloc counts are meaningless")
 	}
-	small := distCycleAllocs(t, 10, DistOptions{})
-	large := distCycleAllocs(t, 34, DistOptions{})
+	small := distCycleAllocs(t, 10)
+	large := distCycleAllocs(t, 34)
 	// 24 extra interior blocks under the old code cost ≥ 4 allocations each
 	// (G clones and fresh Σ blocks per step); scratch-backed sweeps cost 0.
 	if large > small+6 {
 		t.Fatalf("allocations grow with nt: %.1f at nt=10 vs %.1f at nt=34", small, large)
-	}
-}
-
-// TestDistPipelinedAllocFree pins the pipelined handoff's allocation
-// behaviour the same way: the interleaved receive/factorStep assembly and
-// the frontier state add zero per-step allocations (the frontier is a value
-// field of the factor and the reduced engine is recycled through
-// DistScratch), so the count must neither grow with nt nor exceed the eager
-// path's by more than a constant.
-func TestDistPipelinedAllocFree(t *testing.T) {
-	if dense.RaceEnabled {
-		t.Skip("race-mode alloc counts are meaningless")
-	}
-	opts := DistOptions{Reduced: ReducedOptions{Pipeline: true}}
-	small := distCycleAllocs(t, 10, opts)
-	large := distCycleAllocs(t, 34, opts)
-	if large > small+6 {
-		t.Fatalf("pipelined allocations grow with nt: %.1f at nt=10 vs %.1f at nt=34", small, large)
-	}
-	eager := distCycleAllocs(t, 34, DistOptions{})
-	if large > eager+4 {
-		t.Fatalf("pipelined cycle allocates %.1f vs eager %.1f", large, eager)
 	}
 }

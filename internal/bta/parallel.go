@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"time"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/sched"
@@ -117,9 +116,10 @@ type partState struct {
 // communicator ranks. The nt diagonal blocks are split into P contiguous
 // partitions (PartitionBlocks); Refactorize eliminates every partition's
 // interior blocks concurrently (two-sided for non-first partitions), then
-// factorizes the 2P−2-block reduced boundary system sequentially. Solves
-// and the selected inversion follow the same interior-parallel /
-// reduced-sequential structure.
+// factorizes the 2P−2-block reduced boundary system — sequentially, or on
+// one nested partition gang once it reaches reducedCrossover blocks. Solves
+// and the selected inversion follow the same interior-parallel / reduced
+// structure.
 //
 // Unlike the comm-based DistFactor there are no ranks and no message
 // copies: all partitions share the factor's block storage, boundary Schur
@@ -134,7 +134,6 @@ type ParallelFactor struct {
 	N, B, A int
 	P       int
 
-	opts  ParallelOptions
 	parts []Partition
 	store *Matrix // factor block storage, Matrix layout
 
@@ -142,7 +141,7 @@ type ParallelFactor struct {
 
 	ps        []*partState
 	red       *Matrix        // reduced boundary system, 2P−2 blocks
-	eng       *reducedEngine // sequential or recursively nested reduced solver
+	eng       *reducedEngine // sequential or nested reduced solver
 	redSig    *Matrix        // reduced selected inverse
 	redRhs    []float64
 	redGlobal []int       // reduced block index → global block index
@@ -150,12 +149,11 @@ type ParallelFactor struct {
 
 	// Task-DAG scheduling state: the executor the factor's phases run on,
 	// the join group, and the caller-owned task nodes reused across cycles —
-	// phase tasks for partitions 1..P−1, pipelined-elimination tasks for all
-	// partitions, and the Σ-scatter DAG's install→sweep pairs.
+	// phase tasks for partitions 1..P−1 and the Σ-scatter DAG's install→sweep
+	// pairs.
 	ex          *sched.Executor
 	g           sched.Group
 	tasks       []sched.Task
-	tasksPipe   []sched.Task
 	taskInstall []sched.Task
 	taskSweep   []sched.Task
 	fnPhase     []func()
@@ -168,20 +166,6 @@ type ParallelFactor struct {
 	curRhs []float64
 	curMS  *MultiSolve
 	curSig *Matrix
-
-	// pipelined-handoff state: one prebuilt task body per partition signalling
-	// its elimination completion, the delivery bitmap, the incremental
-	// reduced-factorization frontier, and the per-partition tip deltas in
-	// the frontier's fold order.
-	workPipe  []func()
-	elimDone  chan int
-	delivered []bool
-	frontier  redFrontier
-	tipDeltas []*dense.Matrix
-
-	// wall-clock split of the last Refactorize (FactorPhaseSeconds).
-	elimSeconds  float64
-	totalSeconds float64
 }
 
 // ParallelOptions configures a shared-memory parallel-in-time factor beyond
@@ -189,21 +173,13 @@ type ParallelFactor struct {
 type ParallelOptions struct {
 	// Partitions is the parallel-in-time width P (< 1 is treated as 1).
 	Partitions int
-	// LoadBalance is the §V-C first-partition factor handed to
-	// PartitionBlocks (0 = DefaultLoadBalance).
-	LoadBalance float64
-	// Reduced configures the 2P−2 reduced boundary system: recursive
-	// nesting depth, recursion crossover, and the pipelined boundary
-	// handoff.
-	Reduced ReducedOptions
 	// Executor overrides the task executor the factor's phases (and its
-	// nested reduced gangs) run on (nil = sched.Shared()).
+	// nested reduced gang) run on (nil = sched.Shared()).
 	Executor *sched.Executor
 }
 
 // NewParallelFactor allocates a parallel-in-time factor for the BTA shape
-// (n, b, a) over p partitions with the default options (sequential reduced
-// solve, no pipelining). p = 1 degenerates to
+// (n, b, a) over p partitions on the shared executor. p = 1 degenerates to
 // the sequential POBTAF chain behind the same interface. Partition counts
 // the time dimension cannot support (n < 2p−2) are an error; MaxPartitions
 // gives the bound.
@@ -211,28 +187,27 @@ func NewParallelFactor(n, b, a, p int) (*ParallelFactor, error) {
 	return NewParallelFactorOpts(n, b, a, ParallelOptions{Partitions: p})
 }
 
-// NewParallelFactorOpts is NewParallelFactor with the reduced-system engine
-// configured: recursion depth/crossover for the nested reduced
-// factorization and the pipelined boundary handoff.
+// NewParallelFactorOpts is NewParallelFactor on a caller-chosen executor.
 func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, error) {
+	return newParallelFactor(n, b, a, o, true)
+}
+
+// newParallelFactor builds the factor; nest = false is the nested reduced
+// gang's own constructor, whose reduced system is always solved
+// sequentially (nesting is one level deep).
+func newParallelFactor(n, b, a int, o ParallelOptions, nest bool) (*ParallelFactor, error) {
 	p := o.Partitions
 	if p < 1 {
 		p = 1
 	}
-	o.Partitions = p
-	o.Reduced = o.Reduced.normalize()
-	f := &ParallelFactor{N: n, B: b, A: a, P: p, opts: o, store: NewMatrix(n, b, a)}
+	f := &ParallelFactor{N: n, B: b, A: a, P: p, store: NewMatrix(n, b, a)}
 	if p == 1 {
 		f.parts = []Partition{{0, n - 1}}
 		f.seq = &Factor{N: n, B: b, A: a,
 			Diag: f.store.Diag, Lower: f.store.Lower, Arrow: f.store.Arrow, Tip: f.store.Tip}
 		return f, nil
 	}
-	lb := o.LoadBalance
-	if lb <= 0 {
-		lb = DefaultLoadBalance
-	}
-	parts, err := PartitionBlocks(n, p, lb)
+	parts, err := PartitionBlocks(n, p, DefaultLoadBalance)
 	if err != nil {
 		// The load-balanced split can fail on tiny block counts where the
 		// even split still fits.
@@ -245,7 +220,7 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 
 	nr := reducedSize(p)
 	f.red = NewMatrix(nr, b, a)
-	f.eng, err = newReducedEngine(f.red, o.Reduced, o.Executor)
+	f.eng, err = newReducedEngine(f.red, o.Executor, nest)
 	if err != nil {
 		return nil, err
 	}
@@ -296,24 +271,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 		f.ps[r] = ps
 	}
 
-	// Pipelined-handoff gang: every partition (0 included) is its own task
-	// and signals its identity on completion, so the calling goroutine can
-	// stream boundary contributions into the reduced assembly while later
-	// partitions are still eliminating.
-	f.elimDone = make(chan int, p)
-	f.workPipe = make([]func(), p)
-	for r := 0; r < p; r++ {
-		r := r
-		f.workPipe[r] = func() {
-			f.partitionPhase(r)
-			f.elimDone <- r
-		}
-	}
-	f.delivered = make([]bool, p)
-	f.tipDeltas = make([]*dense.Matrix, p)
-	for r, ps := range f.ps {
-		f.tipDeltas[r] = ps.tipDelta
-	}
 	// Phases are spawned as caller-owned task nodes on the work-stealing
 	// executor. Bodies are prebuilt once here so steady-state spawning stays
 	// allocation-free.
@@ -323,7 +280,6 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 	}
 	f.g.Init(f.ex)
 	f.tasks = make([]sched.Task, p)
-	f.tasksPipe = make([]sched.Task, p)
 	f.taskInstall = make([]sched.Task, p)
 	f.taskSweep = make([]sched.Task, p)
 	f.fnPhase = make([]func(), p)
@@ -338,25 +294,10 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 	return f, nil
 }
 
-// Options returns the options the factor was built with (normalized).
-func (f *ParallelFactor) Options() ParallelOptions { return f.opts }
-
 // ReducedRecursing reports whether the reduced boundary system is
-// factorized by a recursively nested partition gang (depth and crossover
-// permitting) rather than the sequential kernel.
-func (f *ParallelFactor) ReducedRecursing() bool { return f.P > 1 && f.eng.recursing() }
-
-// FactorPhaseSeconds returns the wall-clock split of the last Refactorize:
-// elim is the time until the last partition finished its interior
-// elimination, tail the remainder — the reduced-system work that did not
-// overlap the interior sweeps. tail/(elim+tail) is the serial fraction the
-// reduced-system engine attacks; both are 0 for P = 1 (no reduced system).
-func (f *ParallelFactor) FactorPhaseSeconds() (elim, tail float64) {
-	if f.P == 1 {
-		return 0, 0
-	}
-	return f.elimSeconds, f.totalSeconds - f.elimSeconds
-}
+// factorized by a nested partition gang (2P−2 ≥ reducedCrossover) rather
+// than the sequential kernel.
+func (f *ParallelFactor) ReducedRecursing() bool { return f.P > 1 && f.eng.nested != nil }
 
 // Parts returns the time-domain partitioning.
 func (f *ParallelFactor) Parts() []Partition { return f.parts }
@@ -414,136 +355,18 @@ func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	if f.P == 1 {
 		return f.seq.Refactorize(m)
 	}
-	t0 := time.Now()
 	if f.A > 0 {
 		f.store.Tip.CopyFrom(m.Tip)
 	}
 	f.curM = m
-	var err error
-	if f.opts.Reduced.Pipeline {
-		err = f.refactorizePipelined(t0)
-	} else {
-		f.runPhase(phaseElim)
-		f.elimSeconds = time.Since(t0).Seconds()
-		err = nil
-		for _, ps := range f.ps {
-			if ps.err != nil {
-				err = ps.err
-				break
-			}
-		}
-		if err == nil {
-			err = f.factorReduced()
-		}
-	}
+	f.runPhase(phaseElim)
 	f.curM = nil
-	f.totalSeconds = time.Since(t0).Seconds()
-	return err
-}
-
-// refactorizePipelined is the pipelined-boundary-handoff elimination: every
-// partition runs as its own task and reports completion, while this
-// (the calling) goroutine streams finished partitions' boundary blocks into
-// the reduced assembly in partition order. With the sequential reduced
-// engine the assembly feeds the incremental factorization frontier, so
-// reduced-phase work overlaps the tail of the interior sweeps; with a
-// nested (recursive) engine the streaming covers the assembly copies and
-// the nested gang launches once the last contribution lands.
-func (f *ParallelFactor) refactorizePipelined(t0 time.Time) error {
-	for i := range f.delivered {
-		f.delivered[i] = false
-	}
-	f.phase = phaseElim
-	// Every partition (0 included) becomes an elimination task that signals
-	// its identity on completion; the calling goroutine streams the reduced
-	// assembly below and runs pending tasks between completion signals
-	// (recvElim), so it is a full gang member too. The tasks are also
-	// counted into the join group: the channel send happens inside the task
-	// body, so the group join below is what guarantees the node epilogues
-	// finished before the nodes are reused by the next Refactorize.
-	lane := f.ex.AcquireLane()
-	f.g.Add(f.P)
-	for r := 0; r < f.P; r++ {
-		f.tasksPipe[r].Reset(f.ex, &f.g, f.workPipe[r], labelElim)
-		lane.Spawn(&f.tasksPipe[r])
-	}
-	red := f.red
-	if f.A > 0 {
-		red.Tip.CopyFrom(f.store.Tip)
-	}
-	stream := !f.eng.recursing()
-	if stream {
-		f.frontier.reset(red, f.P, f.tipDeltas)
-	}
-	installed := -1
-	failed := false
-	for done := 0; done < f.P; done++ {
-		r := f.recvElim(lane)
-		if done == f.P-1 {
-			// The interior phase ends here — before the trailing installs
-			// and frontier steps below, which are exactly the reduced work
-			// that did NOT overlap the sweeps and must land in the tail.
-			f.elimSeconds = time.Since(t0).Seconds()
-		}
-		f.delivered[r] = true
-		if f.ps[r].err != nil {
-			failed = true
-		}
-		if failed {
-			continue
-		}
-		relabel(labelReduced)
-		for installed+1 < f.P && f.delivered[installed+1] {
-			installed++
-			f.installReducedPart(installed)
-			if stream {
-				f.frontier.advance(installed)
-			}
-		}
-		relabel(labelNone)
-	}
-	f.g.Wait(lane)
-	f.ex.ReleaseLane(lane)
-	// Surface elimination failures deterministically (partition order).
 	for _, ps := range f.ps {
 		if ps.err != nil {
 			return ps.err
 		}
 	}
-	relabel(labelReduced)
-	defer relabel(labelNone)
-	if stream {
-		if err := f.frontier.finish(); err != nil {
-			return fmt.Errorf("bta: reduced boundary system: %w", err)
-		}
-		return nil
-	}
-	if f.A > 0 {
-		for _, ps := range f.ps {
-			red.Tip.Add(1, ps.tipDelta)
-		}
-	}
-	if err := f.eng.factorize(red); err != nil {
-		return fmt.Errorf("bta: reduced boundary system: %w", err)
-	}
-	return nil
-}
-
-// recvElim receives one partition-completion signal. The calling goroutine
-// runs pending light tasks between polls — it is both the reduced-assembly
-// streamer and a gang member — and blocks on the channel only when nothing
-// is runnable (its own tasks are then in flight on other goroutines).
-func (f *ParallelFactor) recvElim(lane *sched.Lane) int {
-	for {
-		select {
-		case r := <-f.elimDone:
-			return r
-		default:
-		}
-		if !lane.Help() {
-			return <-f.elimDone
-		}
-	}
+	return f.factorReduced()
 }
 
 // elimPartition copies the partition's slice of the input matrix into the
@@ -592,7 +415,7 @@ func (f *ParallelFactor) elimPartition(r int) error {
 
 // factorReduced assembles the 2P−2-block reduced boundary system from the
 // post-elimination boundary blocks and hands it to the reduced engine
-// (sequential in-place factorization, or the nested gang when recursing).
+// (sequential in-place factorization, or the nested gang).
 func (f *ParallelFactor) factorReduced() error {
 	relabel(labelReduced)
 	defer relabel(labelNone)
@@ -615,10 +438,8 @@ func (f *ParallelFactor) factorReduced() error {
 // installReducedPart copies partition r's boundary contribution into the
 // reduced system: its post-elimination boundary Diag/Arrow blocks, the
 // untouched coupling to the previous partition, and the remaining
-// boundary-boundary fill of middle partitions. Safe to call as soon as
-// partition r's elimination finished — every destination block belongs to r
-// alone. Tip deltas are deliberately excluded (the caller folds them at
-// fixed points of the operation sequence).
+// boundary-boundary fill of middle partitions. Tip deltas are excluded
+// (factorReduced folds them in partition order).
 func (f *ParallelFactor) installReducedPart(r int) {
 	red, parts := f.red, f.parts
 	hasArrow := f.A > 0

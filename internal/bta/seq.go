@@ -101,8 +101,7 @@ func factorizeInPlace(w *Matrix) error {
 // factorStep eliminates diagonal block i of w in place: Cholesky of the
 // block, scaling of its couplings, and the Schur updates onto block i+1 and
 // the arrow tip. Blocks 0..i−1 must already be eliminated; blocks > i+1 are
-// untouched, which is what lets the reduced-system frontier interleave steps
-// with the arrival of later blocks (pipelined boundary handoff).
+// untouched.
 func factorStep(w *Matrix, i int) error {
 	n := w.N
 	hasArrow := w.A > 0

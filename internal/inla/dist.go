@@ -36,15 +36,6 @@ type Plan struct {
 	// node's streams share that node's device memory, so streams trade
 	// against ranks.
 	PartitionsPerRank int
-	// ReduceDepth is the recursive-nesting budget of rank 0's reduced
-	// boundary system (bta.ReducedOptions.Depth), ReduceCrossover its
-	// recursion threshold (0 = bta.DefaultReducedCrossover);
-	// PipelineReduced streams boundary contributions into the reduced
-	// assembly as partitions finish. Copied from DistConfig for the record,
-	// so a run can be reproduced from its reported Plan.
-	ReduceDepth     int
-	ReduceCrossover int
-	PipelineReduced bool
 }
 
 // StreamLayout returns the per-rank stream counts the plan's smallest S1
@@ -67,21 +58,6 @@ func (p Plan) StreamLayout(ntBlocks int) []int {
 	return effectiveStreams(ntBlocks, p3, p.PartitionsPerRank)
 }
 
-// SolverWidthAt returns the total S3 solver width (ranks × streams) one
-// evaluation actually runs at for the plan's smallest S1 group — the width
-// that determines whether a reduced boundary system exists (≥ 2) and
-// whether recursion can engage (2·width−2 ≥ crossover). It applies the
-// same policy as the evaluation: the rank count capped by ntBlocks'
-// partitionability, then the stream grid spread unevenly across ranks when
-// the time dimension cannot absorb the full uniform layout.
-func (p Plan) SolverWidthAt(ntBlocks int) int {
-	total := 0
-	for _, q := range p.StreamLayout(ntBlocks) {
-		total += q
-	}
-	return total
-}
-
 // effectiveStreams lays a hybrid S3 topology's streams over ntBlocks time
 // blocks: uniform perRank streams on each of the p3 ranks when the time
 // dimension can absorb the full grid, otherwise a SpreadStreams layout over
@@ -96,7 +72,7 @@ func effectiveStreams(ntBlocks, p3, perRank int) []int {
 	if perRank < 1 {
 		perRank = 1
 	}
-	mx := maxPartitions(ntBlocks)
+	mx := bta.MaxPartitions(ntBlocks)
 	if p3 > mx {
 		p3 = mx
 	}
@@ -140,10 +116,10 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 	if perRank < 1 {
 		perRank = 1
 	}
-	if mx := maxPartitions(ntBlocks); perRank > mx {
+	if mx := bta.MaxPartitions(ntBlocks); perRank > mx {
 		perRank = mx
 	}
-	mx := maxPartitions(ntBlocks)
+	mx := bta.MaxPartitions(ntBlocks)
 	p3min := 1
 	if memCap > 0 {
 		fits := func(p3, q int) bool {
@@ -177,16 +153,6 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 	useS2 := minSize >= 2*p3min && minSize >= 2
 	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes,
 		UseS2: useS2, P3Min: p3min, PartitionsPerRank: perRank}
-}
-
-// maxPartitions is the largest useful S3 width for n time blocks
-// (PartitionBlocks needs n ≥ 2p−2).
-func maxPartitions(n int) int {
-	p := (n + 2) / 2
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // spread splits total into n near-equal descending parts.
@@ -283,12 +249,11 @@ func (s *groupScratch) slice(g *bta.Matrix, parts []bta.Partition, counts []int,
 }
 
 // factorize reclaims the previous factor's recycled blocks and runs the
-// distributed factorization against the scratch with the configured
-// reduced-system engine.
-func (s *groupScratch) factorize(solver *comm.Comm, local *bta.LocalBTA, opts bta.DistOptions) (*bta.DistFactor, error) {
+// distributed factorization against the scratch.
+func (s *groupScratch) factorize(solver *comm.Comm, local *bta.LocalBTA) (*bta.DistFactor, error) {
 	s.dist.Reclaim(s.prev)
 	s.prev = nil
-	f, err := bta.PPOBTAFOpts(solver, local, &s.dist, opts)
+	f, err := bta.PPOBTAFScratch(solver, local, &s.dist)
 	if err == nil {
 		s.prev = f
 	}
@@ -306,17 +271,6 @@ type DistConfig struct {
 	// partitions (0/1 = the flat one-partition-per-rank configuration,
 	// which PartitionsPerRank = 1 reproduces bit-for-bit).
 	PartitionsPerRank int
-	// ReduceDepth lets rank 0 factorize the 2P−2 reduced boundary system
-	// with a recursively nested partition gang when it is wide enough
-	// (bta.ReducedOptions.Depth; 0 = sequential reduced solve).
-	ReduceDepth int
-	// ReduceCrossover overrides the smallest reduced block count worth
-	// recursing on (0 = bta.DefaultReducedCrossover).
-	ReduceCrossover int
-	// PipelineReduced streams boundary contributions into rank 0's reduced
-	// assembly as they arrive, interleaving reduced elimination with later
-	// ranks' interior sweeps instead of idling until the last one lands.
-	PipelineReduced bool
 	// MemCapBytes models per-device memory (0 = unlimited).
 	MemCapBytes int64
 	// Iterations of the quasi-Newton loop to execute.
@@ -383,9 +337,6 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 	_, bBlk, aBlk := m.Dims.BTAShape()
 	planFor := func(world int) Plan {
 		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk, cfg.PartitionsPerRank)
-		p.ReduceDepth = cfg.ReduceDepth
-		p.ReduceCrossover = cfg.ReduceCrossover
-		p.PipelineReduced = cfg.PipelineReduced
 		if cfg.DisableS2 {
 			p.UseS2 = false
 		}
@@ -556,7 +507,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 	if cfg.DisableS3 {
 		p3, perRank = 1, 1
 	}
-	if mx := maxPartitions(m.Dims.Nt); p3 > mx {
+	if mx := bta.MaxPartitions(m.Dims.Nt); p3 > mx {
 		p3 = mx
 	}
 	counts := effectiveStreams(m.Dims.Nt, p3, perRank)
@@ -621,11 +572,6 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 	// tagMu carries μ from the Q_c pipeline root to the Q_p pipeline root.
 	const tagMu = 700
 
-	// Reduced-system engine configuration shared by both pipelines.
-	dopts := bta.DistOptions{Reduced: bta.ReducedOptions{
-		Depth: cfg.ReduceDepth, Crossover: cfg.ReduceCrossover, Pipeline: cfg.PipelineReduced,
-	}}
-
 	runQc := func() error {
 		pipe.Barrier()
 		if !active {
@@ -641,7 +587,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			if err != nil {
 				return err
 			}
-			f, err := scr.factorize(solver, local, dopts)
+			f, err := scr.factorize(solver, local)
 			if err != nil {
 				return err
 			}
@@ -705,7 +651,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			if err != nil {
 				return err
 			}
-			f, err := scr.factorize(solver, local, dopts)
+			f, err := scr.factorize(solver, local)
 			if err != nil {
 				return err
 			}

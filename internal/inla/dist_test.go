@@ -216,46 +216,6 @@ func TestRunDistributedHybridFlatBitForBit(t *testing.T) {
 	}
 }
 
-// TestRunDistributedReducedEngine: the recursive/pipelined reduced-system
-// knobs must flow through the driver and reproduce the sequential
-// evaluator's objective — wide enough (6 ranks × 2 streams = 12 partitions
-// with a lowered crossover) that rank 0's reduced factorization genuinely
-// recurses and streams.
-func TestRunDistributedReducedEngine(t *testing.T) {
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 26, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := WeakPrior(ds.Theta0, 5)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
-	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	for _, tc := range []struct {
-		depth    int
-		pipeline bool
-	}{{0, true}, {1, false}, {2, true}} {
-		rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
-			World: 6, Machine: comm.DefaultMachine(), Iterations: 1,
-			PartitionsPerRank: 2,
-			ReduceDepth:       tc.depth, ReduceCrossover: 4, PipelineReduced: tc.pipeline,
-		})
-		if err != nil {
-			t.Fatalf("depth=%d pipe=%v: %v", tc.depth, tc.pipeline, err)
-		}
-		if rep.Plan.ReduceDepth != tc.depth || rep.Plan.PipelineReduced != tc.pipeline {
-			t.Fatalf("plan does not record the reduced-engine knobs: %+v", rep.Plan)
-		}
-		if math.Abs(rep.FTrace[0]-want) > 1e-6*(1+math.Abs(want)) {
-			t.Fatalf("depth=%d pipe=%v: distributed F = %v, sequential F = %v",
-				tc.depth, tc.pipeline, rep.FTrace[0], want)
-		}
-	}
-}
-
 // TestMakePlanPerRank: the per-node stream width is recorded, defaulted,
 // and clamped to what the time dimension can absorb.
 func TestMakePlanPerRank(t *testing.T) {
@@ -333,9 +293,6 @@ func TestPlanStreamLayoutSpreads(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("layout %v, want %v", got, want)
 		}
-	}
-	if w := p.SolverWidthAt(10); w != 6 {
-		t.Fatalf("solver width %d, want 6 (the old uniform clamp kept only 4)", w)
 	}
 	// A grid the time dimension absorbs stays uniform.
 	got = Plan{GroupSizes: []int{4}, PartitionsPerRank: 2}.StreamLayout(16)

@@ -29,17 +29,6 @@ type FitOptions struct {
 	// spare cores inside the factorization), 1 forces the sequential
 	// solver everywhere, ≥ 2 forces that partition count.
 	SolverPartitions int
-	// SolverRecursion pins the reduced-system nesting depth of the
-	// parallel-in-time factorizations: 0 follows the batch plan (one level
-	// once the partition gang is wide enough), -1 forces the sequential
-	// reduced solve, ≥ 1 forces that depth.
-	SolverRecursion int
-	// ReducedCrossover overrides the smallest reduced block count worth
-	// recursing on (0 = bta.DefaultReducedCrossover).
-	ReducedCrossover int
-	// NoPipeline disables the pipelined boundary handoff of the reduced
-	// assembly.
-	NoPipeline bool
 	// IntegrateHyperGrid additionally integrates the latent posterior over
 	// the eigenvector grid of the mode Hessian (§III-4) instead of the
 	// plug-in at θ* only; requires the Hessian stage.
@@ -94,9 +83,7 @@ type Result struct {
 // inversion of Q_c at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	e := &BTAEvaluator{Model: m, Prior: prior, Workers: opts.Workers,
-		S2: !opts.DisableS2, Partitions: opts.SolverPartitions,
-		Recursion: opts.SolverRecursion, ReducedCrossover: opts.ReducedCrossover,
-		NoPipeline: opts.NoPipeline}
+		S2: !opts.DisableS2, Partitions: opts.SolverPartitions}
 	return fitWith(e, theta0, opts)
 }
 

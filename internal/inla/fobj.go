@@ -114,22 +114,13 @@ func newSolverScratch(m *model.Model) *solverScratch {
 }
 
 // solverSpec pins the per-factorization solver configuration one batch runs
-// at: the parallel-in-time width plus the reduced-system engine knobs
-// (recursion depth/crossover and the pipelined boundary handoff).
+// at: the parallel-in-time width and the task executor.
 type solverSpec struct {
-	parts     int
-	depth     int
-	crossover int
-	pipeline  bool
+	parts int
 	// exec overrides the solvers' task executor (nil = sched.Shared()). It
 	// participates in the spec comparison that gates cachedParallel
 	// rebuilds.
 	exec *sched.Executor
-}
-
-// specOf converts a batch plan into the factorization spec.
-func specOf(plan SharedPlan) solverSpec {
-	return solverSpec{parts: plan.Partitions, depth: plan.Recursion, pipeline: plan.PipelineReduced}
 }
 
 // cachedParallel lazily builds and caches one parallel-in-time factor per
@@ -153,10 +144,7 @@ func (c *cachedParallel) solver(seq *bta.Factor, n, b, a int, spec solverSpec) (
 	if c.pf == nil || c.spec != spec {
 		pf, err := bta.NewParallelFactorOpts(n, b, a, bta.ParallelOptions{
 			Partitions: spec.parts,
-			Reduced: bta.ReducedOptions{
-				Depth: spec.depth, Crossover: spec.crossover, Pipeline: spec.pipeline,
-			},
-			Executor: spec.exec,
+			Executor:   spec.exec,
 		})
 		if err != nil {
 			return nil, err
@@ -306,17 +294,6 @@ type BTAEvaluator struct {
 	// (PlanBatch: wide batches sequential, narrow batches partitioned),
 	// 1 forces the sequential factorization chain, ≥ 2 forces that width.
 	Partitions int
-	// Recursion pins the reduced-system nesting depth: 0 follows the batch
-	// plan (one level once the gang is wide enough), -1 forces the
-	// sequential reduced solve, ≥ 1 forces that depth.
-	Recursion int
-	// ReducedCrossover overrides the smallest reduced block count worth
-	// recursing on (0 = bta.DefaultReducedCrossover) — the threshold knob
-	// of the reduced-system engine.
-	ReducedCrossover int
-	// NoPipeline forces the eager (non-streamed) reduced assembly even
-	// where the batch plan would pipeline the boundary handoff.
-	NoPipeline bool
 	// Exec overrides the task executor batches and solvers run on
 	// (nil = sched.Shared()). Tests use private executors so shutdown/leak
 	// behaviour can be asserted in isolation.
@@ -384,33 +361,20 @@ func (e *BTAEvaluator) cores() int {
 }
 
 // planFor resolves the batch plan for the given width with the evaluator's
-// pinned knobs applied (Partitions/Recursion/ReducedCrossover/NoPipeline).
-// s2 tells the plan whether the evaluation actually runs two concurrent
-// pipelines (Posterior runs only the Q_c one, so its full spare budget
-// flows into that single factorization).
+// pinned Partitions applied. s2 tells the plan whether the evaluation
+// actually runs two concurrent pipelines (Posterior runs only the Q_c one,
+// so its full spare budget flows into that single factorization).
 func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, s2)
 	if e.Partitions > 0 {
 		plan.Partitions = e.Partitions
-		plan.applyReducedDefaults() // re-derive for the pinned width
-	}
-	if e.Recursion > 0 {
-		plan.Recursion = e.Recursion
-	} else if e.Recursion < 0 {
-		plan.Recursion = 0
-	}
-	if e.NoPipeline {
-		plan.PipelineReduced = false
 	}
 	return plan
 }
 
 // specFor is planFor reduced to the factorization spec.
 func (e *BTAEvaluator) specFor(width int, s2 bool) solverSpec {
-	spec := specOf(e.planFor(width, s2))
-	spec.crossover = e.ReducedCrossover
-	spec.exec = e.Exec
-	return spec
+	return solverSpec{parts: e.planFor(width, s2).Partitions, exec: e.Exec}
 }
 
 // executor resolves the task executor the evaluator's batches run on.

@@ -27,25 +27,7 @@ type SharedPlan struct {
 	// Partitions is the within-factorization parallel-in-time width each
 	// pipeline runs at (1 = sequential POBTAF).
 	Partitions int
-	// Recursion is the reduced-system nesting depth the factorizations run
-	// at: at wide Partitions the 2P−2 reduced boundary system is itself
-	// factorized by a nested partition gang instead of a sequential sweep
-	// (bta.ReducedOptions.Depth). 0 = sequential reduced solve.
-	Recursion int
-	// PipelineReduced streams partitions' boundary contributions into the
-	// reduced assembly as each interior elimination finishes, overlapping
-	// the reduced phase with the interior-sweep tail.
-	PipelineReduced bool
 }
-
-// recursionWorthwhileWidth is the partition count from which the reduced
-// system reaches bta.DefaultReducedCrossover blocks (2P−2 ≥ crossover), so
-// the plan turns recursive nesting on.
-const recursionWorthwhileWidth = bta.DefaultReducedCrossover/2 + 1
-
-// maxUsefulPartitions is bta.MaxUsefulPartitions: the diminishing-returns
-// bound on the parallel-in-time width (§V-B's strong-scaling knee).
-func maxUsefulPartitions(n int) int { return bta.MaxUsefulPartitions(n) }
 
 // PlanBatch computes the shared-memory layer assignment for one batch of
 // width points on a budget of cores (0 = GOMAXPROCS) over a model with
@@ -70,30 +52,17 @@ func PlanBatch(width, cores, ntBlocks int, s2 bool) SharedPlan {
 		perPipeline = spare / 2
 	}
 	parts := perPipeline
-	if mx := maxUsefulPartitions(ntBlocks); parts > mx {
+	if mx := bta.MaxUsefulPartitions(ntBlocks); parts > mx {
 		parts = mx
 	}
 	if parts < 1 {
 		parts = 1
 	}
-	plan := SharedPlan{
+	return SharedPlan{
 		Width:        width,
 		Cores:        cores,
 		PointWorkers: pw,
 		S2:           s2,
 		Partitions:   parts,
-	}
-	plan.applyReducedDefaults()
-	return plan
-}
-
-// applyReducedDefaults sets the reduced-engine policy for the plan's
-// partition width: wide gangs hit the §V-B reduced-system knee, so one
-// level of recursive nesting and the pipelined handoff turn on once the
-// reduced system is big enough for either to pay.
-func (p *SharedPlan) applyReducedDefaults() {
-	p.Recursion, p.PipelineReduced = 0, false
-	if p.Partitions >= recursionWorthwhileWidth {
-		p.Recursion, p.PipelineReduced = 1, true
 	}
 }

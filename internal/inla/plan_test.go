@@ -53,47 +53,6 @@ func TestPlanBatchFillsPointsFirst(t *testing.T) {
 	}
 }
 
-// TestPlanBatchReducedEngineDefaults: narrow batches with wide partition
-// gangs turn on one level of reduced-system recursion and the pipelined
-// handoff; narrow gangs (below the crossover width) stay sequential.
-func TestPlanBatchReducedEngineDefaults(t *testing.T) {
-	// 40 cores, width 1, no S2 → 5 partitions ≥ the crossover width.
-	p := PlanBatch(1, 5, 64, false)
-	if p.Partitions < recursionWorthwhileWidth {
-		t.Fatalf("plan %+v: expected a gang at least %d wide", p, recursionWorthwhileWidth)
-	}
-	if p.Recursion != 1 || !p.PipelineReduced {
-		t.Fatalf("wide gang must schedule recursion + pipelining, got %+v", p)
-	}
-	// 2 partitions: reduced system of 2 blocks — nothing to nest or stream.
-	p = PlanBatch(1, 2, 64, false)
-	if p.Recursion != 0 || p.PipelineReduced {
-		t.Fatalf("narrow gang must stay sequential, got %+v", p)
-	}
-}
-
-// TestEvaluatorReducedKnobs: the pinned knobs override the plan the same
-// way Partitions does.
-func TestEvaluatorReducedKnobs(t *testing.T) {
-	ds := genPintime(t)
-	e := &BTAEvaluator{Model: ds.Model, Workers: 20, Partitions: 6, Recursion: 2, ReducedCrossover: 4}
-	spec := e.specFor(1, false)
-	if spec.parts != 6 { // the pin; the per-scratch solver clamp applies later
-		t.Fatalf("spec parts = %d, want the pinned 6", spec.parts)
-	}
-	if spec.depth != 2 || spec.crossover != 4 {
-		t.Fatalf("spec %+v: pinned depth/crossover not honored", spec)
-	}
-	e.Recursion = -1
-	if s := e.specFor(1, false); s.depth != 0 {
-		t.Fatalf("Recursion=-1 must force the sequential reduced solve, got depth %d", s.depth)
-	}
-	e.NoPipeline = true
-	if s := e.specFor(1, false); s.pipeline {
-		t.Fatal("NoPipeline must force the eager assembly")
-	}
-}
-
 func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
 	// nt = 8 supports at most 8/4 = 2 useful partitions regardless of the
 	// core budget.

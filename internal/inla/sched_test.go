@@ -15,18 +15,19 @@ import (
 // solver tasks from different θ points interleave and steal, must
 // reproduce the fit on a zero-worker executor, where the caller alone
 // completes every DAG — mode θ, objective, optimizer trajectory, latent
-// mean and variances — to 1e-10 across the partition × arrow-width ×
-// reduced-recursion grid. Scheduling reorders nothing that matters:
-// frontier installs stay in partition order, tip folds at fixed positions,
-// and every other write set is disjoint, so the arithmetic is identical
-// whichever goroutine runs a task.
+// mean and variances — to 1e-10 across the partition × arrow-width grid;
+// nt = 20 lets the pinned widths {1, 3, 5} run unclamped, so the last one
+// solves its reduced system on the nested gang. Scheduling reorders nothing
+// that matters: tip deltas fold in partition order and every other write
+// set is disjoint, so the arithmetic is identical whichever goroutine runs
+// a task.
 func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 	serial, wide := sched.New(0), sched.New(8)
 	defer serial.Close()
 	defer wide.Close()
 	for _, nr := range []int{1, 2} { // arrow width: nv*nr fixed effects
 		ds, err := synth.Generate(synth.GenConfig{
-			Nv: 1, Nt: 8, Nr: nr,
+			Nv: 1, Nt: 20, Nr: nr,
 			MeshNx: 3, MeshNy: 3,
 			ObsPerStep: 10,
 			Seed:       31,
@@ -35,42 +36,40 @@ func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		prior := WeakPrior(ds.Theta0, 5)
-		for _, parts := range []int{1, 3} {
-			for _, rec := range []int{-1, 1} {
-				fit := func(ex *sched.Executor) *Result {
-					opts := DefaultFitOptions()
-					opts.Opt.MaxIter = 3
-					opts.SkipHyperUncertainty = true
-					e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
-						Partitions: parts, Recursion: rec, Exec: ex}
-					res, err := fitWith(e, ds.Theta0, opts)
-					if err != nil {
-						t.Fatalf("nr=%d parts=%d rec=%d workers=%d: %v", nr, parts, rec, ex.Workers(), err)
-					}
-					return res
+		for _, parts := range []int{1, 3, 5} {
+			fit := func(ex *sched.Executor) *Result {
+				opts := DefaultFitOptions()
+				opts.Opt.MaxIter = 3
+				opts.SkipHyperUncertainty = true
+				e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
+					Partitions: parts, Exec: ex}
+				res, err := fitWith(e, ds.Theta0, opts)
+				if err != nil {
+					t.Fatalf("nr=%d parts=%d workers=%d: %v", nr, parts, ex.Workers(), err)
 				}
-				want := fit(serial)
-				got := fit(wide)
-				const tol = 1e-10
-				if math.Abs(got.Opt.F-want.Opt.F) > tol*(1+math.Abs(want.Opt.F)) {
-					t.Fatalf("nr=%d parts=%d rec=%d: 8-worker F=%v, zero-worker F=%v", nr, parts, rec, got.Opt.F, want.Opt.F)
+				return res
+			}
+			want := fit(serial)
+			got := fit(wide)
+			const tol = 1e-10
+			if math.Abs(got.Opt.F-want.Opt.F) > tol*(1+math.Abs(want.Opt.F)) {
+				t.Fatalf("nr=%d parts=%d: 8-worker F=%v, zero-worker F=%v", nr, parts, got.Opt.F, want.Opt.F)
+			}
+			if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
+				t.Fatalf("nr=%d parts=%d: 8-worker trajectory (%d it, %d evals) vs zero-worker (%d it, %d evals)",
+					nr, parts, got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
+			}
+			for i := range want.Theta {
+				if math.Abs(got.Theta[i]-want.Theta[i]) > tol*(1+math.Abs(want.Theta[i])) {
+					t.Fatalf("nr=%d parts=%d: θ[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.Theta[i], want.Theta[i])
 				}
-				if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
-					t.Fatalf("nr=%d parts=%d rec=%d: 8-worker trajectory (%d it, %d evals) vs zero-worker (%d it, %d evals)",
-						nr, parts, rec, got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
+			}
+			for i := range want.Mu {
+				if math.Abs(got.Mu[i]-want.Mu[i]) > tol*(1+math.Abs(want.Mu[i])) {
+					t.Fatalf("nr=%d parts=%d: μ[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.Mu[i], want.Mu[i])
 				}
-				for i := range want.Theta {
-					if math.Abs(got.Theta[i]-want.Theta[i]) > tol*(1+math.Abs(want.Theta[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: θ[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.Theta[i], want.Theta[i])
-					}
-				}
-				for i := range want.Mu {
-					if math.Abs(got.Mu[i]-want.Mu[i]) > tol*(1+math.Abs(want.Mu[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: μ[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.Mu[i], want.Mu[i])
-					}
-					if math.Abs(got.LatentVar[i]-want.LatentVar[i]) > tol*(1+math.Abs(want.LatentVar[i])) {
-						t.Fatalf("nr=%d parts=%d rec=%d: var[%d] 8-worker %v, zero-worker %v", nr, parts, rec, i, got.LatentVar[i], want.LatentVar[i])
-					}
+				if math.Abs(got.LatentVar[i]-want.LatentVar[i]) > tol*(1+math.Abs(want.LatentVar[i])) {
+					t.Fatalf("nr=%d parts=%d: var[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.LatentVar[i], want.LatentVar[i])
 				}
 			}
 		}

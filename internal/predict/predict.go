@@ -56,6 +56,12 @@ import (
 var ErrConcurrentParallel = errors.New(
 	"predict: concurrent PredictInto on the parallel-in-time backend (single-flight only); serve replicated reads from a Snapshot")
 
+// ErrUnsupportedLikelihood reports a model whose likelihood the prediction
+// engines cannot serve: the mode factorization they are built on weights the
+// observations by the Gaussian noise precisions τ_y, which count models do
+// not have.
+var ErrUnsupportedLikelihood = errors.New("predict: only Gaussian-likelihood models can be served")
+
 // Query asks for the posterior predictive law of one response at one
 // space-time location.
 type Query struct {
@@ -141,8 +147,8 @@ func newEngine(m *model.Model, res *inla.Result, c *config) (engine, error) {
 	if c.maxBatch < 1 {
 		return engine{}, fmt.Errorf("predict: max batch %d < 1", c.maxBatch)
 	}
-	if c.includeNoise && m.Lik != model.LikGaussian {
-		return engine{}, fmt.Errorf("predict: observation noise is only defined for Gaussian likelihoods")
+	if m.Lik != model.LikGaussian {
+		return engine{}, fmt.Errorf("%w (got %v)", ErrUnsupportedLikelihood, m.Lik)
 	}
 	return engine{
 		m:            m,

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/mesh"
+	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -302,6 +304,31 @@ func TestQueryValidation(t *testing.T) {
 	for i, q := range bad {
 		if _, _, err := f.pr.Predict([]Query{q}); err == nil {
 			t.Errorf("bad query %d accepted", i)
+		}
+	}
+}
+
+// TestCountModelRejected: both constructors refuse a Poisson model with the
+// typed ErrUnsupportedLikelihood (count models carry no τ_y for the mode
+// factorization's observation weights to index).
+func TestCountModelRejected(t *testing.T) {
+	ds, err := synth.Generate(synth.GenConfig{
+		Nv: 2, Nt: 3, Nr: 1,
+		MeshNx: 3, MeshNy: 3,
+		ObsPerStep: 10,
+		Seed:       5,
+		Family:     model.LikPoisson,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &inla.Result{Theta: ds.Theta0, Mu: make([]float64, ds.Model.Dims.Total())}
+	for name, build := range map[string]func() error{
+		"New":         func() error { _, err := New(ds.Model, res); return err },
+		"NewSnapshot": func() error { _, err := NewSnapshot(ds.Model, res); return err },
+	} {
+		if err := build(); !errors.Is(err, ErrUnsupportedLikelihood) {
+			t.Errorf("%s on a Poisson model: %v, want ErrUnsupportedLikelihood", name, err)
 		}
 	}
 }
