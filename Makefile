@@ -7,6 +7,8 @@
 #                     GOMAXPROCS race matrix, the chaos suite and the arm64
 #                     cross-build — what a green run of
 #                     .github/workflows/ci.yml proves, runnable offline
+#   make chaos      — the fault-injection suite under -race -count=2; the
+#                     test-name regex lives here only (CI calls this target)
 #   make bench      — microbenchmarks (testing.B, 1 iteration, with allocs)
 #   make baseline   — write BENCH_$(PR).json from experiment EXP (PR 1 wrote
 #                     the kernels baseline, PR 2 the serving baseline — the
@@ -28,7 +30,7 @@ PR ?= 1
 BENCH ?= BENCH_$(PR).json
 EXP ?= kernels
 
-.PHONY: all test vet fmt-check race purego bench baseline bench-smoke ci ci-local
+.PHONY: all test vet fmt-check race purego chaos bench baseline bench-smoke ci ci-local
 
 all: test bench baseline
 
@@ -52,6 +54,14 @@ race:
 purego:
 	$(GO) test -tags purego ./...
 
+# Fault-injection tests, selected by name across the packages that have
+# them (`go test -list '<regex>' <pkg>` shows what a package contributes).
+CHAOS_RUN = Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dropped|Dead|Abort|Death|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Resilience|Torture|Restart|Interrupted
+
+chaos:
+	$(GO) test -race -count=2 -run '$(CHAOS_RUN)' \
+		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
@@ -73,9 +83,7 @@ ci: fmt-check test race purego
 ci-local: fmt-check test race
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
-	$(GO) test -race -count=2 \
-		-run 'Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dropped|Dead|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Resilience|Torture|Restart|Interrupted' \
-		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
+	$(MAKE) chaos
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...

@@ -168,11 +168,17 @@ func Fig5(quick bool) (*Figure, error) {
 			}
 			var tFac, tSol, tInv float64
 			comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
-				local := bta.LocalSlice(g, parts, c.Rank())
+				local, err := bta.LocalSlice(g, parts, bta.UniformStreams(p, 1), c.Rank())
+				if err != nil {
+					return
+				}
+				f, err := bta.NewDistFactor(local)
+				if err != nil {
+					return
+				}
 				c.Barrier()
 				t0 := c.Clock()
-				f, err := bta.PPOBTAF(c, local)
-				if err != nil {
+				if err := bta.PPOBTAF(c, f, local); err != nil {
 					return
 				}
 				c.Barrier()

@@ -104,8 +104,9 @@ func Hybrid(quick bool) (*HybridBaseline, error) {
 	return out, nil
 }
 
-// hybridCycleSeconds runs reps scratch-backed factor/solve/selinv cycles
-// over the given topology and returns the virtual seconds per cycle.
+// hybridCycleSeconds runs reps refill/factor/solve/selinv cycles on one
+// persistent factor per rank over the given topology and returns the virtual
+// seconds per cycle.
 func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) (float64, error) {
 	parts, err := bta.PartitionBlocks(g.N, ranks*perRank, 1)
 	if err != nil {
@@ -121,9 +122,16 @@ func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) 
 		mu.Unlock()
 	}
 	st := comm.Run(ranks, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := bta.NewLocalBTANode(parts, c.Rank(), perRank, g.N, g.B, g.A)
-		scr := &bta.DistScratch{}
-		var prev *bta.DistFactor
+		local, err := bta.NewLocalBTA(parts, bta.UniformStreams(ranks, perRank), c.Rank(), g.N, g.B, g.A)
+		if err != nil {
+			fail(err)
+			return
+		}
+		f, err := bta.NewDistFactor(local)
+		if err != nil {
+			fail(err)
+			return
+		}
 		span := local.Part
 		rhsLocal := make([]float64, span.Size()*g.B)
 		var rhsTip []float64
@@ -132,14 +140,10 @@ func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) 
 		}
 		for rep := 0; rep < reps; rep++ {
 			local.FillFrom(g)
-			scr.Reclaim(prev)
-			prev = nil
-			f, err := bta.PPOBTAFScratch(c, local, scr)
-			if err != nil {
+			if err := bta.PPOBTAF(c, f, local); err != nil {
 				fail(err)
 				return
 			}
-			prev = f
 			copy(rhsLocal, rhs[span.Lo*g.B:(span.Hi+1)*g.B])
 			if _, _, err := bta.PPOBTAS(c, f, rhsLocal, rhsTip); err != nil {
 				fail(err)

@@ -6,11 +6,17 @@
 // A BTA matrix has n diagonal blocks of size b (one per time step of the
 // spatio-temporal model, b = n_v·n_s), sub-diagonal coupling blocks between
 // consecutive time steps, and an arrowhead row/tip of size a (the fixed
-// effects). The three core operations of the INLA methodology are provided
-// in sequential form — Factorize (POBTAF), Factor.Solve (POBTAS),
-// Factor.SelectedInversion (POBTASI) — and in distributed-memory form over a
-// time-domain partitioning (PPOBTAF, PPOBTAS, PPOBTASI) following the
-// nested-dissection Schur-complement scheme of §IV-C–E of the paper.
+// effects). The three core operations of the INLA methodology — Cholesky
+// factorization, triangular solve, selected inversion — exist in two
+// solvers:
+//
+//   - Factor, the sequential chain (POBTAF, POBTAS, POBTASI);
+//   - one partitioned driver over a time-domain partitioning (PPOBTAF,
+//     PPOBTAS, PPOBTASI, the nested-dissection Schur-complement scheme of
+//     §IV-C–E), with two ways to own partitions: ParallelFactor owns all of
+//     them and runs them as goroutine tasks in shared memory; DistFactor
+//     owns one rank's share and exchanges boundary blocks with its peers
+//     over a comm communicator.
 package bta
 
 import (

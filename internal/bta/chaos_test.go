@@ -10,10 +10,10 @@ import (
 )
 
 // A scheduled rank death mid-PPOBTAF must abort the evaluation cleanly on
-// every survivor: a typed retryable error (no panic, no deadlock), scratch
-// reclamation safe on the nil factor, and the run itself error-free so the
-// driver can shrink the world and redo the factorization — which must then
-// match the sequential reference.
+// every survivor: a typed retryable error (no panic, no deadlock), and the
+// run itself error-free so the driver can shrink the world and redo the
+// factorization on a fresh factor over the shrunk communicator — which must
+// then match the sequential reference.
 func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const nt, b, a = 12, 3, 2
@@ -38,14 +38,12 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 	got := make([]float64, g.Dim())
 	plan := &comm.FaultPlan{Kill: map[int]int{1: 2}}
 	st, runErr := comm.RunPlan(3, comm.DefaultMachine(), plan, func(c *comm.Comm) error {
-		scr := &DistScratch{}
-		local := LocalSliceNode(g, parts, c.Rank(), 1)
-		f, ferr := PPOBTAFScratch(c, local, scr)
+		f, ferr := distFactorize(c, g, parts, UniformStreams(3, 1))
 		if ferr == nil {
 			// The killed rank can fail a survivor only through communication;
 			// a rank whose factorization never needed the dead peer fails at
 			// the next protocol step instead. Force one.
-			_, _, ferr = PPOBTAS(c, f, rhs[local.Part.Lo*b:(local.Part.Hi+1)*b], rhs[nt*b:])
+			_, _, ferr = PPOBTAS(c, f, rhs[f.span.Lo*b:(f.span.Hi+1)*b], rhs[nt*b:])
 		}
 		mu.Lock()
 		faults[c.Rank()] = ferr
@@ -53,9 +51,6 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 		if ferr == nil {
 			return nil // unreachable if the abort semantics hold; asserted below
 		}
-		// Clean abort: reclaiming against the nil factor must be a no-op.
-		scr.Reclaim(nil)
-
 		// Shrink-and-retry at the solver level: survivors redo the cycle over
 		// the two-rank topology and must reproduce the sequential solve.
 		nc := c.Shrink()
@@ -67,12 +62,11 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 		if perr != nil {
 			return perr
 		}
-		local2 := LocalSliceNode(g, parts2, nc.Rank(), 1)
-		f2, ferr2 := PPOBTAFScratch(nc, local2, scr)
+		f2, ferr2 := distFactorize(nc, g, parts2, UniformStreams(2, 1))
 		if ferr2 != nil {
 			return ferr2
 		}
-		span := local2.Part
+		span := f2.span
 		rhsLocal := append([]float64(nil), rhs[span.Lo*b:(span.Hi+1)*b]...)
 		xLocal, xTip, serr := PPOBTAS(nc, f2, rhsLocal, rhs[nt*b:])
 		if serr != nil {
@@ -84,7 +78,6 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 			copy(got[nt*b:], xTip)
 		}
 		mu.Unlock()
-		scr.Reclaim(f2)
 		return nil
 	})
 	if runErr != nil {

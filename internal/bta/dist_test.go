@@ -203,8 +203,7 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 	}
 	var mu chanMutex = make(chan struct{}, 1)
 	comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := LocalSlice(g, parts, c.Rank())
-		f, err := PPOBTAF(c, local)
+		f, err := distFactorize(c, g, parts, UniformStreams(p, 1))
 		if err != nil {
 			mu.Lock()
 			res.err = err
@@ -254,6 +253,20 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 		mu.Unlock()
 	})
 	return res
+}
+
+// distFactorize builds the calling rank's slice of g and its factor over
+// the (parts, streams) topology and runs PPOBTAF.
+func distFactorize(c *comm.Comm, g *Matrix, parts []Partition, streams []int) (*DistFactor, error) {
+	local, err := LocalSlice(g, parts, streams, c.Rank())
+	if err != nil {
+		return nil, err
+	}
+	f, err := NewDistFactor(local)
+	if err != nil {
+		return nil, err
+	}
+	return f, PPOBTAF(c, f, local)
 }
 
 type chanMutex chan struct{}
@@ -360,8 +373,7 @@ func TestDistributedMinimalMiddlePartitions(t *testing.T) {
 	sigDiag := make([]float64, g.Dim())
 	var mu chanMutex = make(chan struct{}, 1)
 	comm.Run(4, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := LocalSlice(g, parts, c.Rank())
-		df, err := PPOBTAF(c, local)
+		df, err := distFactorize(c, g, parts, UniformStreams(4, 1))
 		if err != nil {
 			mu.Lock()
 			firstErr = err
@@ -429,8 +441,7 @@ func TestDistributedRejectsBadRhs(t *testing.T) {
 	var gotErr error
 	var mu chanMutex = make(chan struct{}, 1)
 	comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := LocalSlice(g, parts, c.Rank())
-		f, err := PPOBTAF(c, local)
+		f, err := distFactorize(c, g, parts, UniformStreams(2, 1))
 		if err != nil {
 			return
 		}
@@ -456,8 +467,7 @@ func TestDistributedIndefiniteFails(t *testing.T) {
 	sawError := false
 	var mu chanMutex = make(chan struct{}, 1)
 	comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := LocalSlice(g, parts, c.Rank())
-		_, err := PPOBTAF(c, local)
+		_, err := distFactorize(c, g, parts, UniformStreams(2, 1))
 		mu.Lock()
 		if err != nil {
 			sawError = true

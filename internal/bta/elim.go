@@ -8,10 +8,9 @@ import (
 
 // partitionElim is the single shared implementation of one partition's
 // interior elimination phase of PPOBTAF — the two-sided (or, for the first
-// partition, one-sided) block Cholesky sweep of §IV-C. Both distributed
-// backends drive it: the comm-based DistFactor feeds it rank-local slices,
-// the shared-memory ParallelFactor feeds it sub-slices of the global block
-// storage. All indices are partition-relative.
+// partition, one-sided) block Cholesky sweep of §IV-C, which the partitioned
+// driver runs on each owned partition's sub-slices of the block storage. All
+// indices are partition-relative.
 //
 // The sweep consumes Diag/Lower/Arrow as workspace: on return Diag[k] of an
 // eliminated block holds L_kk, Lower[k] holds the scaled next-coupling
@@ -27,13 +26,10 @@ type partitionElim struct {
 	Base      int   // global index of the partition's first block
 	TwoSided  bool  // non-first partitions also update their top boundary
 
-	// Kind and ID identify the partition in error messages ("rank" for the
-	// comm backend, "partition" for the shared-memory one) — static values,
-	// so the success path never formats a label.
-	Kind string
-	ID   int
+	// ID is the global partition index, for error messages.
+	ID int
 
-	// NewBB supplies b×b fill-chain blocks (recycled scratch or fresh).
+	// NewBB supplies b×b fill-chain blocks from the partition's chain.
 	NewBB func() *dense.Matrix
 	// TipDelta is the zeroed a×a Schur accumulator for the arrow tip
 	// (nil when no arrowhead).
@@ -44,8 +40,7 @@ type partitionElim struct {
 	// entries are nil where the corresponding coupling does not exist.
 	L, GNext, GTop, GArr []*dense.Matrix
 	// Fill is the remaining boundary-boundary coupling M(lo, hi) of middle
-	// partitions (nil otherwise). On a failed elimination it parks the
-	// in-flight fill block so recycled scratch is never leaked.
+	// partitions (nil otherwise).
 	Fill *dense.Matrix
 }
 
@@ -65,11 +60,7 @@ func (pe *partitionElim) run() error {
 		rel := k - pe.Base
 		lk := pe.Diag[rel]
 		if err := dense.Potrf(lk); err != nil {
-			// Park the in-flight fill block where reclamation looks for it,
-			// so a failed (infeasible-θ) factorization returns every
-			// recycled block to the scratch.
-			pe.Fill = tCur
-			return fmt.Errorf("bta: %s %d interior block %d: %w", pe.Kind, pe.ID, k, err)
+			return fmt.Errorf("bta: partition %d interior block %d: %w", pe.ID, k, err)
 		}
 		lk.ZeroUpper()
 		pe.L = append(pe.L, lk)

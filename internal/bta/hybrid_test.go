@@ -20,13 +20,24 @@ type hybridResult struct {
 	err     error
 }
 
+// hybridRank is one rank's persistent slice and factor, reusable across
+// runHybrid cycles.
+type hybridRank struct {
+	local *LocalBTA
+	f     *DistFactor
+}
+
 // runHybrid factorizes, solves, and selected-inverts g over world ranks ×
-// perRank partitions each, optionally with per-rank recycled scratch.
-func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, scrs []*DistScratch) hybridResult {
+// perRank partitions each. ranks, when non-nil, carries every rank's slice
+// and factor across calls (built on first use) instead of fresh ones.
+func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, ranks []hybridRank) hybridResult {
 	t.Helper()
 	parts, err := PartitionBlocks(g.N, world*perRank, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ranks == nil {
+		ranks = make([]hybridRank, world)
 	}
 	n, b, a := g.N, g.B, g.A
 	res := hybridResult{
@@ -35,17 +46,28 @@ func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, scrs 
 		sigLows: make([]*dense.Matrix, n-1),
 	}
 	var mu chanMutex = make(chan struct{}, 1)
+	fail := func(err error) {
+		mu.Lock()
+		res.err = err
+		mu.Unlock()
+	}
 	comm.Run(world, comm.DefaultMachine(), func(c *comm.Comm) {
-		local := LocalSliceNode(g, parts, c.Rank(), perRank)
-		var scr *DistScratch
-		if scrs != nil {
-			scr = scrs[c.Rank()]
+		hr := &ranks[c.Rank()]
+		if hr.f == nil {
+			var err error
+			if hr.local, err = NewLocalBTA(parts, UniformStreams(world, perRank), c.Rank(), n, b, a); err != nil {
+				fail(err)
+				return
+			}
+			if hr.f, err = NewDistFactor(hr.local); err != nil {
+				fail(err)
+				return
+			}
 		}
-		f, err := PPOBTAFScratch(c, local, scr)
-		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+		local, f := hr.local, hr.f
+		local.FillFrom(g)
+		if err := PPOBTAF(c, f, local); err != nil {
+			fail(err)
 			return
 		}
 		span := local.Part
@@ -56,16 +78,12 @@ func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, scrs 
 		}
 		xLocal, xTip, err := PPOBTAS(c, f, rhsLocal, rhsTip)
 		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+			fail(err)
 			return
 		}
 		sig, err := PPOBTASI(c, f)
 		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+			fail(err)
 			return
 		}
 		mu.Lock()
@@ -194,7 +212,7 @@ func TestHybridUnequalStreams(t *testing.T) {
 		wantDiag := wantSig.DiagVec()
 
 		counts := []int{2, 1}
-		parts, err := HybridPartition(g.N, counts, DefaultLoadBalance)
+		parts, err := HybridPartition(g.N, counts, defaultLoadBalance)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,21 +222,14 @@ func TestHybridUnequalStreams(t *testing.T) {
 		var mu chanMutex = make(chan struct{}, 1)
 		var runErr error
 		comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
-			local, err := LocalSliceHybrid(g, parts, counts, c.Rank())
+			f, err := distFactorize(c, g, parts, counts)
 			if err != nil {
 				mu.Lock()
 				runErr = err
 				mu.Unlock()
 				return
 			}
-			f, err := PPOBTAF(c, local)
-			if err != nil {
-				mu.Lock()
-				runErr = err
-				mu.Unlock()
-				return
-			}
-			span := local.Part
+			span := f.span
 			rhsLocal := append([]float64(nil), rhs[span.Lo*b:(span.Hi+1)*b]...)
 			var rhsTip []float64
 			if a > 0 {
@@ -226,7 +237,7 @@ func TestHybridUnequalStreams(t *testing.T) {
 			}
 			xLocal, xTip, err := PPOBTAS(c, f, rhsLocal, rhsTip)
 			if err == nil {
-				var sig *LocalSigma
+				var sig *LocalBTA
 				sig, err = PPOBTASI(c, f)
 				if err == nil {
 					mu.Lock()
@@ -302,19 +313,19 @@ func TestHybridTopologyBitForBit(t *testing.T) {
 	}
 }
 
-// TestHybridScratchReuseStable: repeated factorize/solve/selinv cycles on
-// the same recycled scratch must reproduce the first cycle's results
-// exactly — the recycled chains, solve buffers and Σ storage carry no state
-// between iterations.
+// TestHybridScratchReuseStable: repeated refill/factorize/solve/selinv
+// cycles on the same persistent factors must reproduce the first cycle's
+// results exactly — the fill chains, accumulators, solve buffers and Σ
+// storage carry no state between iterations.
 func TestHybridScratchReuseStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	g := randBTA(rng, 11, 3, 2)
 	rhs := randVec(rng, g.Dim())
-	scrs := []*DistScratch{{}, {}}
+	ranks := make([]hybridRank, 2)
 
 	var first hybridResult
 	for cycle := 0; cycle < 4; cycle++ {
-		res := runHybrid(t, g, 2, 2, rhs, scrs)
+		res := runHybrid(t, g, 2, 2, rhs, ranks)
 		if res.err != nil {
 			t.Fatalf("cycle %d: %v", cycle, res.err)
 		}
@@ -336,8 +347,8 @@ func TestHybridScratchReuseStable(t *testing.T) {
 }
 
 // distCycleAllocs measures the steady-state allocations of one full
-// scratch-backed distributed cycle (refill + PPOBTAF + PPOBTAS + PPOBTASI +
-// Reclaim) over 2 ranks.
+// distributed cycle on persistent factors (refill + PPOBTAF + PPOBTAS +
+// PPOBTASI) over 2 ranks.
 func distCycleAllocs(t *testing.T, nt int) float64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(74 + nt)))
@@ -347,21 +358,23 @@ func distCycleAllocs(t *testing.T, nt int) float64 {
 		t.Fatal(err)
 	}
 	rhs := randVec(rng, g.Dim())
-	scrs := []*DistScratch{{}, {}}
-	locals := []*LocalBTA{
-		NewLocalBTA(parts[0], g.N, g.B, g.A, 0),
-		NewLocalBTA(parts[1], g.N, g.B, g.A, 1),
-	}
+	locals := make([]*LocalBTA, 2)
+	facs := make([]*DistFactor, 2)
 	rhsLocals := make([][]float64, 2)
 	for r, p := range parts {
+		if locals[r], err = NewLocalBTA(parts, UniformStreams(2, 1), r, g.N, g.B, g.A); err != nil {
+			t.Fatal(err)
+		}
+		if facs[r], err = NewDistFactor(locals[r]); err != nil {
+			t.Fatal(err)
+		}
 		rhsLocals[r] = append([]float64(nil), rhs[p.Lo*g.B:(p.Hi+1)*g.B]...)
 	}
 	cycle := func() {
 		comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
 			r := c.Rank()
 			locals[r].FillFrom(g)
-			f, err := PPOBTAFScratch(c, locals[r], scrs[r])
-			if err != nil {
+			if err := PPOBTAF(c, facs[r], locals[r]); err != nil {
 				panic(err)
 			}
 			rl := rhsLocals[r]
@@ -370,34 +383,30 @@ func distCycleAllocs(t *testing.T, nt int) float64 {
 			if g.A > 0 {
 				rhsTip = rhs[g.N*g.B:]
 			}
-			if _, _, err := PPOBTAS(c, f, rl, rhsTip); err != nil {
+			if _, _, err := PPOBTAS(c, facs[r], rl, rhsTip); err != nil {
 				panic(err)
 			}
-			if _, err := PPOBTASI(c, f); err != nil {
+			if _, err := PPOBTASI(c, facs[r]); err != nil {
 				panic(err)
 			}
-			scrs[r].Reclaim(f)
 		})
 	}
-	// Warm the scratch pools (chains, solve buffers, Σ storage).
+	// Warm the lazily sized storage (message staging, Σ output).
 	cycle()
 	cycle()
 	return testing.AllocsPerRun(5, cycle)
 }
 
-// TestDistPerStepAllocFree pins the scratch-backed distributed path's
-// allocation behaviour: the remaining allocations per cycle belong to the
-// message layer and the simulator (O(ranks) per cycle), so the count must
-// not grow with the number of interior blocks — the per-step Clone /
-// dense.New churn of the solve and selected-inversion sweeps is gone.
+// TestDistPerStepAllocFree pins the distributed path's allocation
+// behaviour: the remaining allocations per cycle belong to the message
+// layer and the simulator (O(ranks) per cycle), so the count must not grow
+// with the number of interior blocks.
 func TestDistPerStepAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode alloc counts are meaningless")
 	}
 	small := distCycleAllocs(t, 10)
 	large := distCycleAllocs(t, 34)
-	// 24 extra interior blocks under the old code cost ≥ 4 allocations each
-	// (G clones and fresh Σ blocks per step); scratch-backed sweeps cost 0.
 	if large > small+6 {
 		t.Fatalf("allocations grow with nt: %.1f at nt=10 vs %.1f at nt=34", small, large)
 	}

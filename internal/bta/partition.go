@@ -273,8 +273,8 @@ func UniformStreams(ranks, perRank int) []int {
 
 // SpreadStreams splits a total stream budget across ranks as evenly as
 // possible (earlier ranks take the remainder) — a helper for building the
-// unequal-stream-count layouts HybridPartition and NewLocalBTAHybrid
-// accept when the time dimension cannot absorb a full ranks × perRank
+// unequal-stream-count layouts HybridPartition and NewLocalBTA accept
+// when the time dimension cannot absorb a full ranks × perRank
 // grid.
 func SpreadStreams(ranks, total int) []int {
 	if ranks < 1 {

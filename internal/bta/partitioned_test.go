@@ -1,0 +1,169 @@
+package bta
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/dalia-hpc/dalia/internal/comm"
+	"github.com/dalia-hpc/dalia/internal/dense"
+)
+
+// TestNewLocalBTARejectsBadLayouts: a stream layout that does not match the
+// partition list, or a rank outside it, errors instead of slicing out of
+// range — for every caller, since this is the only constructor.
+func TestNewLocalBTARejectsBadLayouts(t *testing.T) {
+	parts, err := PartitionBlocks(12, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		streams []int
+		rank    int
+	}{
+		{"layout wider than the partition list", UniformStreams(3, 2), 2},
+		{"layout narrower than the partition list", UniformStreams(2, 1), 0},
+		{"stream count < 1", []int{3, 0, 1}, 0},
+		{"negative rank", UniformStreams(2, 2), -1},
+		{"rank past the layout", UniformStreams(2, 2), 2},
+	} {
+		if l, err := NewLocalBTA(parts, tc.streams, tc.rank, 12, 2, 1); err == nil {
+			t.Errorf("%s: got slice over %+v, want an error", tc.name, l.Part)
+		}
+		if _, err := LocalSlice(NewMatrix(12, 2, 1), parts, tc.streams, tc.rank); err == nil {
+			t.Errorf("%s: LocalSlice accepted the layout", tc.name)
+		}
+	}
+	l, err := NewLocalBTA(parts, UniformStreams(2, 2), 1, 12, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Partition{Lo: parts[2].Lo, Hi: parts[3].Hi}); l.Part != want || len(l.Sub) != 2 {
+		t.Fatalf("rank 1 of 2×2 owns %+v %+v, want span %+v", l.Part, l.Sub, want)
+	}
+	// A hand-built slice whose layout disagrees with itself cannot seed a factor.
+	l.Streams = []int{3, 1}
+	if _, err := NewDistFactor(l); err == nil {
+		t.Fatal("NewDistFactor accepted a rank owning 2 partitions under a layout recording 1")
+	}
+}
+
+// sameBlocks reports the first of two equally shaped block lists that
+// differs in any bit.
+func sameBlocks(name string, got, want []*dense.Matrix) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d blocks, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i], 0) {
+			return fmt.Errorf("%s[%d] differs", name, i)
+		}
+	}
+	return nil
+}
+
+// TestOneDriverBitForBit is the contract of "one driver": the shared-memory
+// factor and a one-rank distributed factor over the same partition list are
+// the same code with and without a communicator, so log-determinant, solve
+// and every Σ block agree bit for bit — below the nesting crossover (the
+// distributed factor never nests), with and without an arrowhead, with a
+// size-2 middle partition, and after a failed (non-SPD) factorization.
+func TestOneDriverBitForBit(t *testing.T) {
+	const n, b = 13, 3
+	rng := rand.New(rand.NewSource(77))
+	lists := map[string][]Partition{
+		"size-2 middle": {{0, 3}, {4, 5}, {6, 12}},
+	}
+	for _, p := range []int{2, 3, 4} {
+		parts, err := PartitionBlocks(n, p, defaultLoadBalance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[fmt.Sprintf("P=%d", p)] = parts
+	}
+	for name, parts := range lists {
+		for _, a := range []int{0, 2} {
+			label := fmt.Sprintf("%s a=%d", name, a)
+			good := randBTA(rng, n, b, a)
+			bad := good.Clone()
+			bad.Diag[parts[1].Lo+1].Set(0, 0, -50) // inside partition 1, interior or boundary
+			rhs := randVec(rng, good.Dim())
+			streams := []int{len(parts)}
+
+			pf := &ParallelFactor{}
+			if err := pf.init(n, b, a, parts, streams, 0, nil, true); err != nil {
+				t.Fatal(err)
+			}
+			if pf.ReducedRecursing() {
+				t.Fatalf("%s: grid must stay below the nesting crossover", label)
+			}
+			pf.mem = wholeSlice(NewMatrix(n, b, a))
+			if err := pf.Refactorize(bad); err == nil {
+				t.Fatalf("%s: shared-memory factor accepted a non-SPD matrix", label)
+			}
+			if err := pf.Refactorize(good); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want := append([]float64(nil), rhs...)
+			pf.Solve(want)
+			wantSig, err := pf.SelectedInversion()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+
+			comm.Run(1, comm.DefaultMachine(), func(c *comm.Comm) {
+				local, err := LocalSlice(bad, parts, streams, 0)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				df, err := NewDistFactor(local)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				if err := PPOBTAF(c, df, local); err == nil {
+					t.Errorf("%s: distributed factor accepted a non-SPD matrix", label)
+					return
+				}
+				local.FillFrom(good)
+				if err := PPOBTAF(c, df, local); err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				if got := df.LogDet(); got != pf.LogDet() {
+					t.Errorf("%s: logdet %v, shared-memory %v", label, got, pf.LogDet())
+				}
+				x, xTip, err := PPOBTAS(c, df, rhs[:n*b], rhs[n*b:])
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				for i, v := range append(append([]float64(nil), x...), xTip...) {
+					if v != want[i] {
+						t.Errorf("%s: solve[%d] = %v, shared-memory %v", label, i, v, want[i])
+						return
+					}
+				}
+				sig, err := PPOBTASI(c, df)
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					return
+				}
+				for _, err := range []error{
+					sameBlocks("Σ diag", sig.Diag, wantSig.Diag),
+					sameBlocks("Σ lower", sig.Lower, wantSig.Lower),
+					sameBlocks("Σ arrow", sig.Arrow, wantSig.Arrow),
+				} {
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+				}
+				if a > 0 && !sig.Tip.Equal(wantSig.Tip, 0) {
+					t.Errorf("%s: Σ tip differs", label)
+				}
+			})
+		}
+	}
+}

@@ -55,8 +55,7 @@ func TestQuickDistributedEqualsSequential(t *testing.T) {
 		done := make(chan struct{}, p)
 		comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
 			defer func() { done <- struct{}{} }()
-			local := LocalSlice(g, parts, c.Rank())
-			df, err := PPOBTAF(c, local)
+			df, err := distFactorize(c, g, parts, UniformStreams(p, 1))
 			if err != nil {
 				failed.Store(true)
 				return

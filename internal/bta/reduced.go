@@ -27,8 +27,8 @@ func nestedReducedWidth(nr int) int {
 	return p
 }
 
-// reducedEngine factorizes and solves one reduced boundary system of a
-// ParallelFactor, either sequentially in place of the assembled storage or
+// reducedEngine factorizes and solves the reduced boundary system of the
+// partitioned driver, either sequentially in place of the assembled storage or
 // through one nested ParallelFactor when the system is wide enough
 // (reducedCrossover) to deserve its own partition gang. All storage —
 // including the nested factor — is built once at construction, so repeated

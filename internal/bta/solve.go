@@ -6,10 +6,8 @@ import "github.com/dalia-hpc/dalia/internal/dense"
 // interior triangular-solve sweeps of PPOBTAS (§IV-E): the forward
 // elimination over the partition's interior blocks and the matching backward
 // substitution against already-final boundary and tip solutions. Like
-// partitionElim it is partition-relative and backend-agnostic — the
-// shared-memory ParallelFactor drives it with sub-slices of the global
-// right-hand side, the comm-based DistFactor with each rank's local slice —
-// so the two distributed backends execute the exact same solve loops.
+// partitionElim it is partition-relative: the partitioned driver runs it on
+// each owned partition's sub-slice of the right-hand side.
 //
 // The factor inputs are the partitionElim outputs in elimination order:
 // L[idx] is the Cholesky of interior block Interiors[idx], GNext/GTop/GArr

@@ -9,10 +9,8 @@ import (
 // partitionSweep is the single shared implementation of one partition's
 // interior selected-inversion recursion of PPOBTASI (§IV-E): the backward
 // sweep that rolls Σ over the elimination neighbours {k+1, lo, tip} of each
-// interior block. Both distributed backends drive it — the shared-memory
-// ParallelFactor with sub-slices of the global Σ storage, the comm-based
-// DistFactor with each rank's LocalSigma blocks — so the recursion exists
-// exactly once.
+// interior block, which the partitioned driver runs on each owned
+// partition's sub-slices of the Σ output.
 //
 // All indices are partition-relative: Diag/Lower/Arrow are the partition's
 // slice of the Σ pattern (Diag[rel] = Σ(Base+rel, Base+rel), Lower[rel] =
@@ -48,10 +46,8 @@ type partitionSweep struct {
 	GN, GT, GA, TmpB *dense.Matrix
 	LoBuf            [2]*dense.Matrix
 
-	// Kind and ID identify the partition in error messages ("rank" for the
-	// comm backend, "partition" for the shared-memory one).
-	Kind string
-	ID   int
+	// ID is the global partition index, for error messages.
+	ID int
 }
 
 // run executes the backward recursion over the partition's interiors.
@@ -133,7 +129,7 @@ func (pw *partitionSweep) run() error {
 		}
 		// Σ_{k,k}
 		if err := dense.PotriInto(pw.Diag[rel], pw.TmpB, pw.L[idx]); err != nil {
-			return fmt.Errorf("bta: selinv %s %d block %d: %w", pw.Kind, pw.ID, ints[idx], err)
+			return fmt.Errorf("bta: selinv partition %d block %d: %w", pw.ID, ints[idx], err)
 		}
 		if gN != nil {
 			dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Lower[rel], gN, 1, pw.Diag[rel])

@@ -219,45 +219,37 @@ func thetaKey(theta []float64) string {
 	return fmt.Sprintf("%x", theta)
 }
 
-// groupScratch is one rank's reusable distributed-solver arena: the local
-// BTA slice refilled per evaluation, the recycled PPOBTAF block storage,
-// and the small quadratic-form vectors. Both pipelines of a rank share it —
-// they run sequentially on the same goroutine and use the same partitioning.
+// groupScratch is one rank's reusable distributed-solver arena for one
+// topology: the local BTA slice refilled per evaluation, the persistent
+// distributed factor, and the small quadratic-form vectors. Both pipelines
+// of a rank share it — they run sequentially on the same goroutine and use
+// the same partitioning. A shrunk world starts a fresh one.
 type groupScratch struct {
 	local    *bta.LocalBTA
-	dist     bta.DistScratch
-	prev     *bta.DistFactor // dead factor awaiting reclamation
+	fac      *bta.DistFactor
 	quadTmp  []float64
 	quadTmpA []float64
 }
 
-// slice refills (allocating only on first use) the rank-local slice of g
-// over the two-level topology: the rank owns counts[rank] consecutive
-// partitions of the global list (unequal per-rank stream counts carry the
-// SpreadStreams layouts the planner chooses when nt cannot absorb the
-// uniform grid).
-func (s *groupScratch) slice(g *bta.Matrix, parts []bta.Partition, counts []int, rank int) (*bta.LocalBTA, error) {
-	if s.local == nil {
-		l, err := bta.NewLocalBTAHybrid(parts, counts, rank, g.N, g.B, g.A)
+// factorize refills the rank-local slice of g (allocating it and the factor
+// only on first use) and runs the distributed factorization. The rank owns
+// counts[rank] consecutive partitions of the global list (unequal per-rank
+// stream counts carry the SpreadStreams layouts the planner chooses when nt
+// cannot absorb the uniform grid).
+func (s *groupScratch) factorize(solver *comm.Comm, g *bta.Matrix, parts []bta.Partition, counts []int) (*bta.DistFactor, error) {
+	if s.fac == nil {
+		l, err := bta.NewLocalBTA(parts, counts, solver.Rank(), g.N, g.B, g.A)
 		if err != nil {
 			return nil, err
 		}
-		s.local = l
+		f, err := bta.NewDistFactor(l)
+		if err != nil {
+			return nil, err
+		}
+		s.local, s.fac = l, f
 	}
 	s.local.FillFrom(g)
-	return s.local, nil
-}
-
-// factorize reclaims the previous factor's recycled blocks and runs the
-// distributed factorization against the scratch.
-func (s *groupScratch) factorize(solver *comm.Comm, local *bta.LocalBTA) (*bta.DistFactor, error) {
-	s.dist.Reclaim(s.prev)
-	s.prev = nil
-	f, err := bta.PPOBTAFScratch(solver, local, &s.dist)
-	if err == nil {
-		s.prev = f
-	}
-	return f, err
+	return s.fac, bta.PPOBTAF(solver, s.fac, s.local)
 }
 
 // DistConfig configures a simulated distributed INLA run.
@@ -583,16 +575,12 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			if err != nil {
 				return err
 			}
-			local, err := scr.slice(cell.qc, parts, counts, solver.Rank())
+			f, err := scr.factorize(solver, cell.qc, parts, counts)
 			if err != nil {
 				return err
 			}
-			f, err := scr.factorize(solver, local)
-			if err != nil {
-				return err
-			}
-			span := local.Part
-			rhsLocal := append([]float64(nil), cell.rhs[span.Lo*b:(span.Hi+1)*b]...)
+			span := scr.local.Part
+			rhsLocal := cell.rhs[span.Lo*b : (span.Hi+1)*b]
 			var rhsTip []float64
 			if a > 0 {
 				rhsTip = cell.rhs[m.Dims.Nt*b:]
@@ -647,11 +635,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			if err != nil {
 				return err
 			}
-			local, err := scr.slice(cell.qp, parts, counts, solver.Rank())
-			if err != nil {
-				return err
-			}
-			f, err := scr.factorize(solver, local)
+			f, err := scr.factorize(solver, cell.qp, parts, counts)
 			if err != nil {
 				return err
 			}
@@ -672,7 +656,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			muFull = solver.Bcast(0, muFull)
 			var quadLocal float64
 			solver.Compute(func() {
-				quadLocal = localQuad(cell.qp, local.Part, solver.Rank(), muFull, scr)
+				quadLocal = localQuad(cell.qp, scr.local.Part, solver.Rank(), muFull, scr)
 			})
 			total := solver.AllReduceSum([]float64{quadLocal})
 			if solver.Rank() == 0 {
