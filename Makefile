@@ -20,6 +20,10 @@
 #                     as plain quick runs with nothing stored to compare
 #                     against (recovery fails by itself unless restored
 #                     predictions are byte-identical)
+#   make e2e        — the end-to-end benchmark's traced run (≈ 10 s per
+#                     workload) on all four workloads at seed 1; it replays
+#                     every request along the ‖L⁻¹φ‖² solve route beside
+#                     PredictInto and exits non-zero on any failed check
 #   make all        — everything above
 
 GO ?= go
@@ -30,7 +34,9 @@ PR ?= 1
 BENCH ?= BENCH_$(PR).json
 EXP ?= kernels
 
-.PHONY: all test vet fmt-check race purego chaos bench baseline bench-smoke ci ci-local
+E2E_WORKLOADS = fit_uni_gauss fit_tri_gauss fit_bi_poisson serve_predict
+
+.PHONY: all test vet fmt-check race purego chaos bench baseline bench-smoke e2e ci ci-local
 
 all: test bench baseline
 
@@ -73,13 +79,20 @@ bench-smoke:
 	$(GO) run ./cmd/dalia-bench -exp=serving -quick -compare BENCH_2.json -maxregress 0.4
 	$(GO) run ./cmd/dalia-bench -exp=pintime,hybrid,latency,recovery -quick
 
+e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		echo "== $$w"; \
+		out=$$($(GO) run ./benchmark --workload $$w --seed 1 --trace 1) || { echo "$$out" | grep -v '^{'; exit 1; }; \
+		echo "$$out" | grep '^checks:'; \
+	done
+
 ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1, race, the race-pintime
 # GOMAXPROCS matrix over the partition/replica packages, the chaos
 # fault-injection suite, the purego fallback with the arm64 cross-build,
-# then the non-blocking perf smoke.
+# the end-to-end parity run, then the non-blocking perf smoke.
 ci-local: fmt-check test race
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
@@ -87,4 +100,5 @@ ci-local: fmt-check test race
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	$(MAKE) e2e
 	-$(MAKE) bench-smoke

@@ -1,8 +1,8 @@
 // dalia-serve is the long-lived batch inference server: it holds a registry
 // of fitted spatio-temporal multivariate GP models and answers posterior
 // prediction queries over HTTP JSON, coalescing concurrent point queries
-// into single multi-RHS solves against the mode-factorized conditional
-// precision.
+// into single passes over the selected inverse of the conditional precision
+// at the fitted mode.
 //
 // Usage:
 //

@@ -94,8 +94,8 @@ type (
 	// BTAFactor is its sequential Cholesky factorization.
 	BTAFactor = bta.Factor
 	// BTASolver is the common solver surface of the sequential and
-	// parallel-in-time backends (Refactorize, Solve, multi-RHS solves,
-	// LogDet, selected inversion).
+	// parallel-in-time backends (Refactorize, Solve, LogDet, selected
+	// inversion).
 	BTASolver = bta.Solver
 	// ParallelBTAFactor is the shared-memory parallel-in-time factorization
 	// (PPOBTAF/PPOBTAS/PPOBTASI over goroutine partitions).
@@ -128,16 +128,16 @@ type (
 
 // Posterior-prediction and serving types (the fit-once/serve-many layer).
 type (
-	// Predictor is a goroutine-safe posterior prediction engine bound to a
-	// fitted model: batched predictive means and variances at arbitrary new
-	// space-time locations through the mode-factorized Q_c.
-	Predictor = predict.Predictor
 	// PredictQuery asks for one response at one space-time location.
 	PredictQuery = predict.Query
-	// PredictOption customizes a Predictor (batch width, observation noise).
+	// PredictOption customizes a PredictSnapshot (queueing batch width,
+	// observation noise).
 	PredictOption = predict.Option
-	// PredictSnapshot is an immutable read-only prediction engine: any
-	// number of goroutines query it concurrently with zero locking.
+	// PredictSnapshot is an immutable read-only prediction engine bound to a
+	// fitted model: predictive means and variances at arbitrary new
+	// space-time locations, read from the selected inverse of Q_c at the
+	// fitted mode. Any number of goroutines query it concurrently with zero
+	// locking.
 	PredictSnapshot = predict.Snapshot
 	// PredictHandle is an atomically swappable reference to the current
 	// snapshot of a model — refits publish without blocking readers.
@@ -192,24 +192,14 @@ func MarshalResult(r *Result) []byte { return inla.MarshalResult(r) }
 // corrupt input.
 func UnmarshalResult(data []byte) (*Result, error) { return inla.UnmarshalResult(data) }
 
-// ErrConcurrentPredict is returned by a Predictor backed by the parallel
-// (partitioned) factorization when two goroutines call it at once: the
-// parallel backend shares per-partition scratch and is strictly
-// single-flight. Concurrent serving wants NewPredictSnapshot instead.
-var ErrConcurrentPredict = predict.ErrConcurrentParallel
-
-// ErrUnsupportedLikelihood is returned by NewPredictor and
-// NewPredictSnapshot for a non-Gaussian (count) model: the prediction
-// engines factorize the Gaussian conditional precision at the fitted mode.
+// ErrUnsupportedLikelihood is returned by NewPredictSnapshot when
+// WithObservationNoise is asked of a count model, which has no Gaussian
+// noise precisions to add. Count models are otherwise served like Gaussian
+// ones, on the linear-predictor scale.
 var ErrUnsupportedLikelihood = predict.ErrUnsupportedLikelihood
 
-// NewPredictor builds a posterior prediction engine from a fit result,
-// factorizing Q_c at the fitted mode once.
-func NewPredictor(m *Model, res *Result, opts ...PredictOption) (*Predictor, error) {
-	return predict.New(m, res, opts...)
-}
-
-// WithPredictMaxBatch sets the predictor's multi-RHS coalescing width.
+// WithPredictMaxBatch sets how many queries a queueing caller (the
+// server's batcher) hands a snapshot per call.
 func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }
 
 // WithObservationNoise folds Gaussian observation noise into predictive
@@ -218,10 +208,12 @@ func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }
 func WithObservationNoise() PredictOption { return predict.WithObservationNoise() }
 
 // NewPredictSnapshot freezes a fit result into an immutable read-only
-// prediction engine whose read path is lock-free: N goroutines may call
-// PredictInto concurrently with zero allocations after warmup. Publish it
-// through a PredictHandle to let refits swap in new snapshots without
-// blocking in-flight readers.
+// prediction engine: Q_c at the fitted mode is factorized and selectively
+// inverted once, and every prediction afterwards is a small quadratic form
+// over the kept blocks of Σ. The read path is lock-free and allocation-free:
+// N goroutines may call PredictInto concurrently. Publish it through a
+// PredictHandle to let refits swap in new snapshots without blocking
+// in-flight readers.
 func NewPredictSnapshot(m *Model, res *Result, opts ...PredictOption) (*PredictSnapshot, error) {
 	return predict.NewSnapshot(m, res, opts...)
 }

@@ -115,7 +115,7 @@ func call(client *http.Client, base, method, path string, payload any) ([]byte, 
 
 func main() {
 	// A server with a 1 ms batching window: concurrent queries arriving
-	// within the window coalesce into one multi-RHS solve.
+	// within the window coalesce into one pass over the model's snapshot.
 	srv := dalia.NewServer(dalia.ServeOptions{BatchWindow: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -128,7 +128,7 @@ func main() {
 	// 2. Fit-once: register a bivariate spatio-temporal model fitted from a
 	// synthetic dataset (two correlated pollutant-like fields, intercept +
 	// elevation covariates). Registration runs the full INLA fit and
-	// factorizes Q_c at the mode; every later query reuses that factor.
+	// selectively inverts Q_c at the mode; every later query reads that Σ.
 	fit := map[string]any{
 		"name": "demo",
 		"gen": map[string]any{

@@ -63,8 +63,8 @@ const latencySLO = 10 * time.Millisecond
 
 // latencyWindow is the batch collection window: long enough that the
 // closed-loop clients refill the queue and batches reach the full
-// coalescing width (where the multi-RHS engine rate peaks), short enough
-// that a lone client pays little for it. The SLO policy cuts it when the
+// coalescing width (amortizing the queue handoff), short enough that a
+// lone client pays little for it. The SLO policy cuts it when the
 // queue-wait has already eaten the latency budget.
 const latencyWindow = time.Millisecond
 
@@ -90,7 +90,7 @@ func Latency(quick bool) (*LatencyBaseline, error) {
 		},
 		MaxIter: 8,
 		// Wide coalescing: at high concurrency a whole closed-loop round
-		// lands in one multi-RHS sweep, where the engine rate peaks.
+		// lands in one snapshot pass.
 		MaxBatch: 256,
 	})
 	if err != nil {

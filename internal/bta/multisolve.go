@@ -79,14 +79,10 @@ func (w *MultiSolve) Narrow(k int) *MultiSolve {
 }
 
 // checkShape verifies the workspace matches the factor.
-func (w *MultiSolve) checkShape(f *Factor) { w.checkDims(f.N, f.B, f.A) }
-
-// checkDims verifies the workspace matches a BTA shape (shared by the
-// sequential and parallel solver backends).
-func (w *MultiSolve) checkDims(n, b, a int) {
-	if w.N != n || w.B != b || w.A != a {
+func (w *MultiSolve) checkShape(f *Factor) {
+	if w.N != f.N || w.B != f.B || w.A != f.A {
 		panic(fmt.Sprintf("bta: multi-solve workspace (n=%d,b=%d,a=%d) does not match factor (n=%d,b=%d,a=%d)",
-			w.N, w.B, w.A, n, b, a))
+			w.N, w.B, w.A, f.N, f.B, f.A))
 	}
 }
 

@@ -22,9 +22,8 @@ import (
 // (exactly like Factor); different instances may run concurrently.
 type ParallelFactor struct {
 	partFactor
-	mem     LocalBTA    // factor block storage: the whole matrix as one slice
-	sigView LocalBTA    // the caller's Σ output viewed as one slice
-	redMS   *MultiSolve // lazily sized multi-RHS reduced workspace
+	mem     LocalBTA // factor block storage: the whole matrix as one slice
+	sigView LocalBTA // the caller's Σ output viewed as one slice
 }
 
 // ParallelOptions configures a shared-memory parallel-in-time factor beyond
@@ -138,90 +137,6 @@ func (f *ParallelFactor) SolveLT(x []float64) {
 	f.x = x
 	f.runPhase(nil, phaseBwd)
 	f.x = nil
-}
-
-// ForwardSolveMultiInto computes the half solve Y = L̃⁻¹·B in place of the
-// workspace RHS for all columns, with the interiors swept in parallel.
-// Column squared norms equal φᵀ·A⁻¹·φ exactly as for the sequential factor
-// (the parallel elimination ordering is a symmetric permutation, which
-// leaves the half-solve norms invariant) — the batched-predictive-variance
-// contract of the serving path.
-func (f *ParallelFactor) ForwardSolveMultiInto(w *MultiSolve) {
-	if f.P == 1 {
-		f.seq.ForwardSolveMultiInto(w)
-		return
-	}
-	w.checkDims(f.N, f.B, f.A)
-	f.ms = w
-	f.runPhase(nil, phaseFwdMS)
-	red := f.reducedMS(w.K)
-	f.gatherMS(w, red, true)
-	f.eng.forwardMS(red)
-	f.scatterMS(w, red)
-	f.ms = nil
-}
-
-// BackwardSolveMultiInto computes X = L̃⁻ᵀ·Y in place of the workspace RHS.
-func (f *ParallelFactor) BackwardSolveMultiInto(w *MultiSolve) {
-	if f.P == 1 {
-		f.seq.BackwardSolveMultiInto(w)
-		return
-	}
-	w.checkDims(f.N, f.B, f.A)
-	red := f.reducedMS(w.K)
-	f.gatherMS(w, red, false)
-	f.eng.backwardMS(red)
-	f.scatterMS(w, red)
-	f.ms = w
-	f.runPhase(nil, phaseBwdMS)
-	f.ms = nil
-}
-
-// reducedMS returns the reduced multi-RHS workspace narrowed to k columns,
-// growing the backing on first use (or a wider batch than ever seen).
-func (f *ParallelFactor) reducedMS(k int) *MultiSolve {
-	if f.redMS == nil || f.redMS.K < k {
-		f.redMS = NewMultiSolve(reducedSize(f.P), f.B, f.A, k)
-	}
-	return f.redMS.Narrow(k)
-}
-
-// gatherMS copies the boundary block rows of the workspace into the
-// reduced multi-RHS workspace. withAcc folds the partitions' forward arrow
-// accumulators in — only correct right after a forward phase.
-func (f *ParallelFactor) gatherMS(w, red *MultiSolve, withAcc bool) {
-	for _, ps := range f.ps {
-		for i, rel := range ps.bndRel {
-			red.blocks[ps.bndRed[i]].CopyFrom(w.blocks[rel])
-		}
-	}
-	if f.A > 0 {
-		red.arrow.CopyFrom(w.arrow)
-		if withAcc {
-			for _, ps := range f.ps {
-				red.arrow.Add(1, ps.tipMSViews[w.K])
-			}
-		}
-	}
-}
-
-// scatterMS copies the reduced solution rows back into the workspace.
-func (f *ParallelFactor) scatterMS(w, red *MultiSolve) {
-	for _, ps := range f.ps {
-		for i, rel := range ps.bndRel {
-			w.blocks[rel].CopyFrom(red.blocks[ps.bndRed[i]])
-		}
-	}
-	if f.A > 0 {
-		w.arrow.CopyFrom(red.arrow)
-	}
-}
-
-// SolveMultiInto solves A·X = B in place of the workspace RHS for all
-// columns.
-func (f *ParallelFactor) SolveMultiInto(w *MultiSolve) {
-	f.ForwardSolveMultiInto(w)
-	f.BackwardSolveMultiInto(w)
 }
 
 // SelectedInversion computes Σ = A⁻¹ on the BTA pattern into fresh storage.

@@ -119,68 +119,6 @@ func TestParallelFactorTinyShapes(t *testing.T) {
 	}
 }
 
-// TestParallelSolveMultiMatchesSequential checks the multi-RHS full solve
-// and the half-solve column-norm contract (predictive variances) against
-// the sequential backend.
-func TestParallelSolveMultiMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	m := randBTA(rng, 9, 3, 2)
-	seq, pf := seqParallelPair(t, m, 3)
-	const k = 5
-	b0 := dense.New(m.Dim(), k)
-	for i := range b0.Data {
-		b0.Data[i] = rng.NormFloat64()
-	}
-
-	wantW := NewMultiSolve(m.N, m.B, m.A, k)
-	wantW.RHS.CopyFrom(b0)
-	seq.SolveMultiInto(wantW)
-	gotW := NewMultiSolve(m.N, m.B, m.A, k)
-	gotW.RHS.CopyFrom(b0)
-	pf.SolveMultiInto(gotW)
-	if !gotW.RHS.Equal(wantW.RHS, equivTol) {
-		t.Fatal("SolveMultiInto mismatch between backends")
-	}
-
-	// Half solve: entries differ (different elimination ordering) but the
-	// column squared norms must agree — they are φᵀA⁻¹φ.
-	wantW.RHS.CopyFrom(b0)
-	seq.ForwardSolveMultiInto(wantW)
-	gotW.RHS.CopyFrom(b0)
-	pf.ForwardSolveMultiInto(gotW)
-	for j := 0; j < k; j++ {
-		var wantN, gotN float64
-		for i := 0; i < m.Dim(); i++ {
-			wantN += wantW.RHS.At(i, j) * wantW.RHS.At(i, j)
-			gotN += gotW.RHS.At(i, j) * gotW.RHS.At(i, j)
-		}
-		if math.Abs(wantN-gotN) > equivTol*(1+wantN) {
-			t.Fatalf("column %d half-solve norm %v vs %v", j, gotN, wantN)
-		}
-	}
-
-	// Forward then backward must equal the full solve.
-	pf.BackwardSolveMultiInto(gotW)
-	wantW.RHS.CopyFrom(b0)
-	seq.SolveMultiInto(wantW)
-	if !gotW.RHS.Equal(wantW.RHS, equivTol) {
-		t.Fatal("Forward+Backward does not reproduce the full solve")
-	}
-
-	// Narrowed workspaces (partial batches) through the parallel backend.
-	nw := gotW.Narrow(2)
-	nw.RHS.CopyFrom(b0.View(0, 0, m.Dim(), 2))
-	pf.SolveMultiInto(nw)
-	wide := wantW.RHS
-	for j := 0; j < 2; j++ {
-		for i := 0; i < m.Dim(); i++ {
-			if math.Abs(nw.RHS.At(i, j)-wide.At(i, j)) > equivTol {
-				t.Fatalf("narrowed solve col %d row %d mismatch", j, i)
-			}
-		}
-	}
-}
-
 // TestParallelSolveLTCovariance verifies the sampling contract: applying
 // SolveLT to every unit vector and summing the outer products must
 // reproduce A⁻¹ for any elimination ordering, since Σ_i (L̃⁻ᵀe_i)(L̃⁻ᵀe_i)ᵀ
@@ -325,8 +263,7 @@ func TestParallelFactorAllocFree(t *testing.T) {
 	sig := NewMatrix(12, 16, 3)
 	rhs0 := randVec(rng, m.Dim())
 	rhs := make([]float64, m.Dim())
-	ms := NewMultiSolve(12, 16, 3, 4)
-	// Warm-up: factor, solve, selected inversion, multi-RHS.
+	// Warm-up: factor, solve, selected inversion.
 	if err := pf.Refactorize(m); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +272,6 @@ func TestParallelFactorAllocFree(t *testing.T) {
 	if err := pf.SelectedInversionInto(sig); err != nil {
 		t.Fatal(err)
 	}
-	pf.SolveMultiInto(ms)
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := pf.Refactorize(m); err != nil {
 			t.Fatal(err)
@@ -346,7 +282,6 @@ func TestParallelFactorAllocFree(t *testing.T) {
 		if err := pf.SelectedInversionInto(sig); err != nil {
 			t.Fatal(err)
 		}
-		pf.SolveMultiInto(ms)
 	})
 	if allocs != 0 {
 		t.Fatalf("parallel solver cycle allocates %.1f objects per run in steady state, want 0", allocs)

@@ -71,13 +71,11 @@ func MaxUsefulPartitions(n int) int {
 }
 
 // Gang phases dispatched to the owned partitions. Per-call inputs travel
-// through the src/store/x/ms/sig fields, set before the gang launches.
+// through the src/store/x/sig fields, set before the gang launches.
 const (
 	phaseElim = iota
 	phaseFwd
 	phaseBwd
-	phaseFwdMS
-	phaseBwdMS
 	phaseSigma
 )
 
@@ -124,11 +122,6 @@ type partState struct {
 	fill                 *dense.Matrix
 	tipDelta             *dense.Matrix // a×a Schur accumulator
 	tipVec               []float64     // a-vector forward-solve accumulator
-
-	// multi-RHS forward accumulator: backing grown to the widest batch
-	// seen, plus memoized width views (cleared when the backing regrows).
-	tipMS      *dense.Matrix
-	tipMSViews map[int]*dense.Matrix
 
 	// selected-inversion sweep scratch and the Σ boundary blocks handed to
 	// the phaseSigma body
@@ -187,11 +180,10 @@ type partFactor struct {
 
 	// current phase and its per-call inputs
 	phase int
-	src   *Matrix     // elimination reads its blocks from here (nil: the caller refilled store)
-	store *LocalBTA   // block storage the elimination consumes as workspace
-	x     []float64   // [owned blocks; tip] solve vector
-	ms    *MultiSolve // multi-RHS workspace
-	sig   *LocalBTA   // selected-inversion output
+	src   *Matrix   // elimination reads its blocks from here (nil: the caller refilled store)
+	store *LocalBTA // block storage the elimination consumes as workspace
+	x     []float64 // [owned blocks; tip] solve vector
+	sig   *LocalBTA // selected-inversion output
 }
 
 // init builds the driver for the owner of the consecutive partitions sub of
@@ -261,7 +253,6 @@ func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int,
 		}
 		ps.gN = dense.New(b, b)
 		ps.tmpB = dense.New(b, b)
-		ps.tipMSViews = map[int]*dense.Matrix{}
 		f.ps[j] = ps
 	}
 
@@ -350,16 +341,6 @@ func (f *partFactor) partitionPhase(ps *partState) {
 		nb := f.span.Size() * f.B
 		pv := f.solveCore(ps)
 		pv.backward(f.x[ps.off*f.B:(ps.off+size)*f.B], f.x[nb:nb+f.A])
-	case phaseFwdMS:
-		var acc *dense.Matrix
-		if f.A > 0 {
-			acc = f.tipAcc(ps, f.ms.K)
-		}
-		pv := f.solveCore(ps)
-		pv.forwardMS(f.ms.blocks[ps.off:ps.off+size], acc)
-	case phaseBwdMS:
-		pv := f.solveCore(ps)
-		pv.backwardMS(f.ms.blocks[ps.off:ps.off+size], f.ms.arrow)
 	case phaseSigma:
 		f.installSigma(ps)
 		ps.err = f.sweepPartition(ps)
@@ -740,23 +721,6 @@ func (f *partFactor) solve(c *comm.Comm, x []float64) {
 	}
 	f.runPhase(c, phaseBwd)
 	f.x = nil
-}
-
-// tipAcc returns an owned partition's a×k forward accumulator view, zeroed.
-func (f *partFactor) tipAcc(ps *partState, k int) *dense.Matrix {
-	if ps.tipMS == nil || ps.tipMS.Cols < k {
-		ps.tipMS = dense.New(f.A, k)
-		for w := range ps.tipMSViews {
-			delete(ps.tipMSViews, w)
-		}
-	}
-	v, ok := ps.tipMSViews[k]
-	if !ok {
-		v = ps.tipMS.View(0, 0, f.A, k)
-		ps.tipMSViews[k] = v
-	}
-	v.Zero()
-	return v
 }
 
 // selinv is PPOBTASI into out, a slice over the owner's span: selected

@@ -97,24 +97,6 @@ func (e *reducedEngine) solveLT(x []float64) {
 	e.seqF.backward(x)
 }
 
-// forwardMS / backwardMS are the multi-RHS half solves over the reduced
-// workspace.
-func (e *reducedEngine) forwardMS(w *MultiSolve) {
-	if e.nested != nil {
-		e.nested.ForwardSolveMultiInto(w)
-		return
-	}
-	e.seqF.ForwardSolveMultiInto(w)
-}
-
-func (e *reducedEngine) backwardMS(w *MultiSolve) {
-	if e.nested != nil {
-		e.nested.BackwardSolveMultiInto(w)
-		return
-	}
-	e.seqF.BackwardSolveMultiInto(w)
-}
-
 // selinvInto computes the reduced selected inverse on the BTA pattern.
 func (e *reducedEngine) selinvInto(sig *Matrix) error {
 	if e.nested != nil {

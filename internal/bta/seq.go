@@ -33,7 +33,7 @@ type Factor struct {
 type selinvScratch struct {
 	g    *dense.Matrix // b×b
 	h    *dense.Matrix // a×b (nil when A == 0)
-	tmpB *dense.Matrix // b×b Trtri workspace
+	tmpB *dense.Matrix // b×b L_ii⁻¹ of the current block
 	tmpA *dense.Matrix // a×a Trtri workspace (nil when A == 0)
 }
 
@@ -323,16 +323,19 @@ func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
+		// (L_ii·L_iiᵀ)⁻¹ first: it leaves L_ii⁻¹ in tmpB, which turns the
+		// two coupling scalings into GEMMs.
+		if err := dense.PotriInto(sig.Diag[i], ws.tmpB, f.Diag[i]); err != nil {
+			return fmt.Errorf("bta: selinv block %d: %w", i, err)
+		}
 		var g, h *dense.Matrix
 		if i < n-1 {
 			g = ws.g
-			g.CopyFrom(f.Lower[i])
-			dense.Trsm(dense.Right, dense.NoTrans, f.Diag[i], g) // G = L_{i+1,i}·L_ii⁻¹
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, f.Lower[i], ws.tmpB, 0, g) // G = L_{i+1,i}·L_ii⁻¹
 		}
 		if a > 0 {
 			h = ws.h
-			h.CopyFrom(f.Arrow[i])
-			dense.Trsm(dense.Right, dense.NoTrans, f.Diag[i], h) // H = L_{a,i}·L_ii⁻¹
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, f.Arrow[i], ws.tmpB, 0, h) // H = L_{a,i}·L_ii⁻¹
 		}
 		if i < n-1 {
 			// Σ_{i+1,i}
@@ -351,9 +354,6 @@ func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 			}
 		}
 		// Σ_ii = (L_ii·L_iiᵀ)⁻¹ − Σ_{i+1,i}ᵀ·G − Σ_{a,i}ᵀ·H
-		if err := dense.PotriInto(sig.Diag[i], ws.tmpB, f.Diag[i]); err != nil {
-			return fmt.Errorf("bta: selinv block %d: %w", i, err)
-		}
 		if i < n-1 {
 			dense.Gemm(dense.Trans, dense.NoTrans, -1, sig.Lower[i], g, 1, sig.Diag[i])
 		}

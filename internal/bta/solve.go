@@ -68,43 +68,3 @@ func (pv *partitionSolve) backward(rhs, xTip []float64) {
 		solveLowerTransVec(pv.L[idx], xk)
 	}
 }
-
-// forwardMS is forward over all columns of a multi-RHS workspace at once
-// (BLAS-3 throughout). blocks is the partition-relative slice of the
-// workspace's row-block views; arrowAcc the partition's a×k forward
-// accumulator (nil when the matrix has no arrowhead).
-func (pv *partitionSolve) forwardMS(blocks []*dense.Matrix, arrowAcc *dense.Matrix) {
-	for idx, k := range pv.Interiors {
-		rel := k - pv.Base
-		yk := blocks[rel]
-		dense.Trsm(dense.Left, dense.NoTrans, pv.L[idx], yk)
-		if g := pv.GNext[idx]; g != nil {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, g, yk, 1, blocks[rel+1])
-		}
-		if g := pv.GTop[idx]; g != nil {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, g, yk, 1, blocks[0])
-		}
-		if g := pv.GArr[idx]; g != nil {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, g, yk, 1, arrowAcc)
-		}
-	}
-}
-
-// backwardMS is backward over all workspace columns, against the solved
-// arrow rows (nil when the matrix has no arrowhead).
-func (pv *partitionSolve) backwardMS(blocks []*dense.Matrix, arrow *dense.Matrix) {
-	for idx := len(pv.Interiors) - 1; idx >= 0; idx-- {
-		rel := pv.Interiors[idx] - pv.Base
-		xk := blocks[rel]
-		if g := pv.GNext[idx]; g != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, g, blocks[rel+1], 1, xk)
-		}
-		if g := pv.GTop[idx]; g != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, g, blocks[0], 1, xk)
-		}
-		if g := pv.GArr[idx]; g != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, g, arrow, 1, xk)
-		}
-		dense.Trsm(dense.Left, dense.Trans, pv.L[idx], xk)
-	}
-}

@@ -5,15 +5,15 @@ package bta
 // and the shared-memory parallel-in-time ParallelFactor (PPOBTAF/PPOBTAS/
 // PPOBTASI over a time-domain partitioning run on goroutines). Everything
 // the INLA pipeline needs from a factorization — refilling it per
-// θ-evaluation, triangular solves (vector and multi-RHS), log-determinant,
-// and selected inversion — goes through this interface, so the evaluation
-// scheduler can pick the backend per batch shape without the callers
-// knowing which one they got.
+// θ-evaluation, triangular solves, log-determinant, and selected
+// inversion — goes through this interface, so the evaluation scheduler can
+// pick the backend per batch shape without the callers knowing which one
+// they got. (Multi-RHS solves exist on the sequential Factor only.)
 //
 // All implementations are alloc-free after warmup on the Refactorize /
-// Solve / SolveMultiInto / LogDet / SelectedInversionInto cycle, and none
-// is safe for concurrent use of the *same* instance (use one Solver per
-// worker, exactly like Factor).
+// Solve / LogDet / SelectedInversionInto cycle, and none is safe for
+// concurrent use of the *same* instance (use one Solver per worker, exactly
+// like Factor).
 type Solver interface {
 	// Refactorize recomputes the factorization of m in the solver's
 	// existing storage. On error (non-SPD input) the factor contents are
@@ -30,14 +30,6 @@ type Solver interface {
 	// factor L̃ (GMRF sampling: x = L̃⁻ᵀz has covariance A⁻¹ for z ~ N(0,I),
 	// whichever elimination ordering the backend uses).
 	SolveLT(x []float64)
-	// SolveMultiInto solves A·X = B in place of the workspace RHS for all
-	// columns.
-	SolveMultiInto(w *MultiSolve)
-	// ForwardSolveMultiInto computes the half solve Y = L̃⁻¹·B in place of
-	// the workspace RHS. Column squared norms equal φᵀA⁻¹φ for every
-	// backend (the quantity batched prediction variances need), though the
-	// entries themselves depend on the backend's elimination ordering.
-	ForwardSolveMultiInto(w *MultiSolve)
 	// SelectedInversionInto computes the blocks of Σ = A⁻¹ on the BTA
 	// pattern into caller-owned storage, without allocating after warmup.
 	SelectedInversionInto(sig *Matrix) error

@@ -77,23 +77,24 @@ func (pw *partitionSweep) run() error {
 
 	for idx := last; idx >= 0; idx-- {
 		rel := ints[idx] - pw.Base
-		// The factor stores L_{S,k} = A'_{S,k}·L_kk⁻ᵀ; the recursion needs
-		// G_{S,k} = L_{S,k}·L_kk⁻¹ (as in the sequential POBTASI).
+		// (L_kk·L_kkᵀ)⁻¹ first: it leaves L_kk⁻¹ in TmpB. The factor stores
+		// L_{S,k} = A'_{S,k}·L_kk⁻ᵀ; the recursion needs G_{S,k} =
+		// L_{S,k}·L_kk⁻¹ (as in the sequential POBTASI), a GEMM against TmpB.
+		if err := dense.PotriInto(pw.Diag[rel], pw.TmpB, pw.L[idx]); err != nil {
+			return fmt.Errorf("bta: selinv partition %d block %d: %w", pw.ID, ints[idx], err)
+		}
 		var gN, gT, gA *dense.Matrix
 		if g := pw.GNext[idx]; g != nil {
 			gN = pw.GN
-			gN.CopyFrom(g)
-			dense.Trsm(dense.Right, dense.NoTrans, pw.L[idx], gN)
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gN)
 		}
 		if g := pw.GTop[idx]; g != nil {
 			gT = pw.GT
-			gT.CopyFrom(g)
-			dense.Trsm(dense.Right, dense.NoTrans, pw.L[idx], gT)
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gT)
 		}
 		if g := pw.GArr[idx]; g != nil {
 			gA = pw.GA
-			gA.CopyFrom(g)
-			dense.Trsm(dense.Right, dense.NoTrans, pw.L[idx], gA)
+			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gA)
 		}
 		// Σ_{k+1,k}
 		if gN != nil {
@@ -127,10 +128,7 @@ func (pw *partitionSweep) run() error {
 				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.Arrow[0], gT, 1, pw.Arrow[rel])
 			}
 		}
-		// Σ_{k,k}
-		if err := dense.PotriInto(pw.Diag[rel], pw.TmpB, pw.L[idx]); err != nil {
-			return fmt.Errorf("bta: selinv partition %d block %d: %w", pw.ID, ints[idx], err)
-		}
+		// Σ_{k,k} = (L_kk·L_kkᵀ)⁻¹ − Σ_{S,k}ᵀ·G_{S,k} over the neighbours S
 		if gN != nil {
 			dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Lower[rel], gN, 1, pw.Diag[rel])
 		}

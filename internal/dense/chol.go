@@ -153,7 +153,9 @@ func Potri(l *Matrix) (*Matrix, error) {
 }
 
 // PotriInto computes A⁻¹ = L⁻ᵀ·L⁻¹ into dst without allocating, using tmp
-// as triangular-inverse workspace. dst and tmp must both be n×n and distinct
+// as triangular-inverse workspace: on return tmp holds L⁻¹ (lower
+// triangular, zero upper), which the selected-inversion sweeps reuse to
+// scale their coupling blocks. dst and tmp must both be n×n and distinct
 // from each other and from l. This is the hot-path twin of Potri for the
 // selected-inversion sweeps that run once per INLA θ-evaluation.
 func PotriInto(dst, tmp, l *Matrix) error {

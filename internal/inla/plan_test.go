@@ -224,31 +224,3 @@ func TestPosteriorParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestModeSolverBackends: both widths factorize the same Q_c.
-func TestModeSolverBackends(t *testing.T) {
-	ds := genPintime(t)
-	_, seq, err := ModeSolver(ds.Model, ds.Theta0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, par, err := ModeSolver(ds.Model, ds.Theta0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(seq.LogDet() - par.LogDet()); d > 1e-9*(1+math.Abs(seq.LogDet())) {
-		t.Fatalf("mode factor log-determinants differ: %v vs %v", seq.LogDet(), par.LogDet())
-	}
-	rhs := make([]float64, seq.Dim())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i))
-	}
-	got := append([]float64(nil), rhs...)
-	par.Solve(got)
-	seq.Solve(rhs)
-	for i := range rhs {
-		if math.Abs(rhs[i]-got[i]) > 1e-9*(1+math.Abs(rhs[i])) {
-			t.Fatalf("mode solve[%d]: %v vs %v", i, got[i], rhs[i])
-		}
-	}
-}

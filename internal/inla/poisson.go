@@ -38,17 +38,9 @@ func btaFactorizer(m *model.Model) func(*sparse.CSR) (func([]float64) []float64,
 func evalFobjPoisson(m *model.Model, prior Prior, t *model.Theta, theta []float64) (FobjParts, error) {
 	parts := FobjParts{LogPrior: prior.LogDensity(theta)}
 
-	mode, err := m.ConditionalModePoisson(t, btaFactorizer(m))
+	mode, _, fc, err := laplaceFactor(m, t)
 	if err != nil {
 		return FobjParts{}, err
-	}
-	qcB, err := m.QcFromCSR(mode.QcCSR)
-	if err != nil {
-		return FobjParts{}, err
-	}
-	fc, err := bta.Factorize(qcB)
-	if err != nil {
-		return FobjParts{}, fmt.Errorf("inla: Q_c at the Poisson mode: %w", err)
 	}
 	qp, err := m.Qp(t)
 	if err != nil {
@@ -70,6 +62,26 @@ func evalFobjPoisson(m *model.Model, prior Prior, t *model.Theta, theta []float6
 	return parts, nil
 }
 
+// laplaceFactor finds the conditional mode of a count model's latent field
+// at t by damped Newton and factorizes Q_c there. The assembled Q_c comes
+// back too: the factor does not need it, so callers after the selected
+// inverse write Σ over it.
+func laplaceFactor(m *model.Model, t *model.Theta) (*model.PoissonMode, *bta.Matrix, *bta.Factor, error) {
+	mode, err := m.ConditionalModePoisson(t, btaFactorizer(m))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	qc, err := m.QcFromCSR(mode.QcCSR)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	f, err := bta.Factorize(qc)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("inla: Q_c at the Poisson mode: %w", err)
+	}
+	return mode, qc, f, nil
+}
+
 // posteriorPoisson computes the latent posterior at theta for a Poisson
 // model: the conditional mode and the marginal variances from the selected
 // inversion of Q_c at the mode.
@@ -78,20 +90,11 @@ func posteriorPoisson(m *model.Model, theta []float64) ([]float64, []float64, er
 	if err != nil {
 		return nil, nil, err
 	}
-	mode, err := m.ConditionalModePoisson(t, btaFactorizer(m))
+	mode, sig, f, err := laplaceFactor(m, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	qcB, err := m.QcFromCSR(mode.QcCSR)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := bta.Factorize(qcB)
-	if err != nil {
-		return nil, nil, err
-	}
-	sig, err := f.SelectedInversion()
-	if err != nil {
+	if err := f.SelectedInversionInto(sig); err != nil {
 		return nil, nil, err
 	}
 	return mode.XPerm, sig.DiagVec(), nil

@@ -28,18 +28,11 @@ func SamplePosterior(m *model.Model, theta []float64, n int, rng *rand.Rand) (mu
 	var f *bta.Factor
 	switch m.Lik {
 	case model.LikPoisson:
-		mode, err := m.ConditionalModePoisson(t, btaFactorizer(m))
+		mode, _, fc, err := laplaceFactor(m, t)
 		if err != nil {
 			return nil, nil, err
 		}
-		qcB, err := m.QcFromCSR(mode.QcCSR)
-		if err != nil {
-			return nil, nil, err
-		}
-		if f, err = bta.Factorize(qcB); err != nil {
-			return nil, nil, err
-		}
-		mu = mode.XPerm
+		f, mu = fc, mode.XPerm
 	default:
 		qc, err := m.Qc(t)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/mesh"
 	"github.com/dalia-hpc/dalia/internal/model"
+	"github.com/dalia-hpc/dalia/internal/sparse"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -19,7 +20,7 @@ import (
 type fitted struct {
 	ds  *synth.Dataset
 	res *inla.Result
-	pr  *Predictor
+	pr  *Snapshot
 }
 
 var (
@@ -50,7 +51,7 @@ func getFitted(t *testing.T) fitted {
 			fitErr = err
 			return
 		}
-		pr, err := New(ds.Model, res)
+		pr, err := NewSnapshot(ds.Model, res)
 		if err != nil {
 			fitErr = err
 			return
@@ -84,30 +85,62 @@ func randomQueries(rng *rand.Rand, f fitted, n int) []Query {
 	return qs
 }
 
-// Predictive variances are nonnegative everywhere, and adding observation
-// noise strictly increases them.
+// The variance is a quadratic form in the selected inverse, not a sum of
+// squares, so nothing makes it positive but Σ being right: assert it on
+// every grid, with no clamp anywhere on the path. Adding observation noise
+// strictly increases it.
 func TestPredictiveVarianceNonnegative(t *testing.T) {
-	f := getFitted(t)
-	rng := rand.New(rand.NewSource(1))
-	qs := randomQueries(rng, f, 150)
-	_, vars, err := f.pr.Predict(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, err := New(f.ds.Model, f.res, WithObservationNoise())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, nvars, err := noisy.Predict(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vars {
-		if v < 0 || math.IsNaN(v) {
-			t.Fatalf("query %d: predictive variance %v", i, v)
+	for _, g := range allGrids(t) {
+		qs := gridQueries(rand.New(rand.NewSource(1)), g.m)
+		s, err := NewSnapshot(g.m, g.res)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if nvars[i] <= v {
-			t.Fatalf("query %d: noise did not increase variance (%v vs %v)", i, nvars[i], v)
+		_, vars, err := s.Predict(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noisy, err := NewSnapshot(g.m, g.res, WithObservationNoise())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, nvars, err := noisy.Predict(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vars {
+			if !(v > 0) {
+				t.Fatalf("%s query %d: predictive variance %v", g.name, i, v)
+			}
+			if nvars[i] <= v {
+				t.Fatalf("%s query %d: noise did not increase variance (%v vs %v)", g.name, i, nvars[i], v)
+			}
+		}
+	}
+}
+
+// φᵀΣφ over the frozen Σ blocks equals ‖L⁻¹φ‖² through the factor to 1e-10
+// relative, and the means are the same bits, on every grid and every shape
+// of projection row.
+func TestVarianceMatchesSolveOracle(t *testing.T) {
+	for _, g := range allGrids(t) {
+		qs := gridQueries(rand.New(rand.NewSource(6)), g.m)
+		s, err := NewSnapshot(g.m, g.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		means, vars, err := s.Predict(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, wantV := solveOracle(t, g.m, g.res, qs)
+		for i := range qs {
+			if means[i] != wantM[i] {
+				t.Errorf("%s query %d: mean %v, oracle %v", g.name, i, means[i], wantM[i])
+			}
+			if math.Abs(vars[i]-wantV[i]) > 1e-10*wantV[i] {
+				t.Errorf("%s query %d: var %v, oracle %v (rel %.2e)", g.name, i, vars[i], wantV[i], (vars[i]-wantV[i])/wantV[i])
+			}
 		}
 	}
 }
@@ -191,28 +224,9 @@ func TestVariancesMatchDenseReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := f.ds.Model.Dims
-	lc := f.pr.Theta().Lambda.CoregView()
-	msh := f.ds.Model.Builder.Mesh
-	per := d.PerProcess()
-	dim := d.Total()
+	dim := f.ds.Model.Dims.Total()
 	for i, q := range qs {
-		// Independent φ assembly in BTA coordinates.
-		phi := make([]float64, dim)
-		ti, bc, err := msh.Locate(q.Point)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tri := msh.Tri[ti]
-		for j := 0; j <= q.Response; j++ {
-			fw := lc.At(q.Response, j)
-			for v := 0; v < 3; v++ {
-				phi[f.ds.Model.BTAIndex(j*per+q.T*d.Ns+tri[v])] += fw * bc[v]
-			}
-			for r := 0; r < d.Nr; r++ {
-				phi[f.ds.Model.BTAIndex(j*per+d.Ns*d.Nt+r)] += fw * q.Covariates[r]
-			}
-		}
+		phi := densePhi(t, f.ds.Model, f.pr.Theta(), q)
 		var wantVar, wantMean float64
 		for a := 0; a < dim; a++ {
 			wantMean += phi[a] * f.res.Mu[a]
@@ -230,47 +244,28 @@ func TestVariancesMatchDenseReference(t *testing.T) {
 	}
 }
 
-// The batched prediction path performs zero heap allocations after the
-// pooled scratch warms up.
+// The prediction path performs zero heap allocations, from the first call
+// on and at any request size: there is no scratch to warm.
 func TestPredictIntoAllocs(t *testing.T) {
-	if dense.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Put items; zero-alloc assertion only holds without -race")
-	}
 	f := getFitted(t)
 	rng := rand.New(rand.NewSource(4))
 	qs := randomQueries(rng, f, f.pr.MaxBatch())
 	means := make([]float64, len(qs))
 	vars := make([]float64, len(qs))
-	// Warm the pool.
-	if err := f.pr.PredictInto(qs, means, vars); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := f.pr.PredictInto(qs, means, vars); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{len(qs), 5} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.pr.PredictInto(qs[:n], means, vars); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("PredictInto of %d queries allocates %.1f objects per run, want 0", n, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("PredictInto allocates %.1f objects per run, want 0", allocs)
-	}
-	// Partial batches go through narrowed (memoized) workspaces and stay
-	// allocation-free too once their width has been seen.
-	part := qs[:5]
-	if err := f.pr.PredictInto(part, means[:5], vars[:5]); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(10, func() {
-		if err := f.pr.PredictInto(part, means[:5], vars[:5]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("partial-batch PredictInto allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
-// Chunking across several batches gives identical answers to one query at
-// a time.
+// A request of any length gives exactly the answers of one query at a
+// time: queries share no state.
 func TestBatchChunkingConsistent(t *testing.T) {
 	f := getFitted(t)
 	rng := rand.New(rand.NewSource(5))
@@ -284,7 +279,7 @@ func TestBatchChunkingConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(m1[0]-means[i]) > 1e-12*(1+math.Abs(means[i])) || math.Abs(v1[0]-vars[i]) > 1e-12*(1+vars[i]) {
+		if m1[0] != means[i] || v1[0] != vars[i] {
 			t.Fatalf("query %d: batched (%v,%v) vs single (%v,%v)", i, means[i], vars[i], m1[0], v1[0])
 		}
 	}
@@ -308,10 +303,8 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-// TestCountModelRejected: both constructors refuse a Poisson model with the
-// typed ErrUnsupportedLikelihood (count models carry no τ_y for the mode
-// factorization's observation weights to index).
-func TestCountModelRejected(t *testing.T) {
+func genCounts(t *testing.T) *synth.Dataset {
+	t.Helper()
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 2, Nt: 3, Nr: 1,
 		MeshNx: 3, MeshNy: 3,
@@ -322,13 +315,77 @@ func TestCountModelRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ds
+}
+
+// TestCountModelRejected: a count model has no noise precisions τ_y, so
+// asking for observation noise on one fails with the typed
+// ErrUnsupportedLikelihood — the only thing a count model is refused.
+func TestCountModelRejected(t *testing.T) {
+	ds := genCounts(t)
 	res := &inla.Result{Theta: ds.Theta0, Mu: make([]float64, ds.Model.Dims.Total())}
-	for name, build := range map[string]func() error{
-		"New":         func() error { _, err := New(ds.Model, res); return err },
-		"NewSnapshot": func() error { _, err := NewSnapshot(ds.Model, res); return err },
-	} {
-		if err := build(); !errors.Is(err, ErrUnsupportedLikelihood) {
-			t.Errorf("%s on a Poisson model: %v, want ErrUnsupportedLikelihood", name, err)
+	if _, err := NewSnapshot(ds.Model, res, WithObservationNoise()); !errors.Is(err, ErrUnsupportedLikelihood) {
+		t.Errorf("WithObservationNoise on a Poisson model: %v, want ErrUnsupportedLikelihood", err)
+	}
+}
+
+// TestCountModelServed: a snapshot over a count model answers on the
+// linear-predictor scale with Σ the dense inverse of Q_c at the Laplace
+// mode — assembled here from the inner Newton loop's own output, with φ
+// built independently in BTA coordinates.
+func TestCountModelServed(t *testing.T) {
+	ds := genCounts(t)
+	m := ds.Model
+	th, err := m.DecodeTheta(ds.Theta0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, err := m.ConditionalModePoisson(th, func(qc *sparse.CSR) (func([]float64) []float64, error) {
+		l, err := dense.Chol(qc.ToDense())
+		if err != nil {
+			return nil, err
+		}
+		return func(rhs []float64) []float64 {
+			x := append([]float64(nil), rhs...)
+			dense.PotrsVec(l, x)
+			return x
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := mode.XPerm
+	s, err := NewSnapshot(m, &inla.Result{Theta: ds.Theta0, Mu: post})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := gridQueries(rand.New(rand.NewSource(8)), m)
+	means, vars, err := s.Predict(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc, err := m.QcFromCSR(mode.QcCSR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma, err := dense.Inverse(qc.ToDense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		phi := densePhi(t, m, th, q)
+		var wantVar, wantMean float64
+		for a, pa := range phi {
+			wantMean += pa * post[a]
+			for b, pb := range phi {
+				wantVar += pa * sigma.At(a, b) * pb
+			}
+		}
+		if math.Abs(vars[i]-wantVar) > 1e-8*wantVar {
+			t.Errorf("query %d: var %v, dense reference %v", i, vars[i], wantVar)
+		}
+		if math.Abs(means[i]-wantMean) > 1e-10*(1+math.Abs(wantMean)) {
+			t.Errorf("query %d: mean %v, dense reference %v", i, means[i], wantMean)
 		}
 	}
 }

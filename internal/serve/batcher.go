@@ -23,14 +23,15 @@ type pending struct {
 }
 
 // batcher coalesces concurrent prediction requests against one registered
-// model into multi-RHS solves. A pool of worker replicas drains the request
+// model into single PredictInto calls. A pool of worker replicas drains the request
 // channel; each worker that picks up a first arrival opens a collection
 // window, packs further requests into the same batch until the predictor's
 // coalescing width is reached (immediate flush, no waiting), the window
 // elapses, or the SLO flush policy fires, then runs the whole batch through
 // one Snapshot.PredictInto — the snapshot read path is lock-free, so
-// replicas solve concurrently without contending on anything but the
-// request channel.
+// replicas answer concurrently without contending on anything but the
+// request channel. A query costs well under a microsecond there, so what a
+// wider batch amortizes is the queue handoff, not the arithmetic.
 //
 // The SLO flush policy bounds tail latency: the batcher keeps a decaying
 // estimate of batch-solve time (solveEWMA), and flushes as soon as the

@@ -22,8 +22,9 @@ import (
 // A recovered model serves bitwise-identical predictions to the pre-crash
 // process: the checkpoint carries the fit recipe (the seeded synthetic
 // dataset is regenerated deterministically) plus the serialized inla.Result
-// with the exact float64 bits of the latent mean, and the snapshot
-// factorization from those inputs is deterministic.
+// with the exact float64 bits of the latent mean, and the snapshot's
+// factorization and selected inversion from those inputs are the
+// sequential, deterministic routines.
 
 // specRecord is the JSON spec stored alongside each checkpoint payload:
 // everything needed to rebuild the servedModel shell and regenerate the

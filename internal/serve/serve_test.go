@@ -346,3 +346,41 @@ func TestServerRegistryAndErrors(t *testing.T) {
 		t.Errorf("stats fits=%d models=%d, want 1/0", st.Fits, st.Models)
 	}
 }
+
+// A model without fixed effects (nr omitted from the gen config) answers a
+// query whose body carries "covariates": [] — a non-nil empty slice after
+// decoding — with the law it gives the same query without the field. The
+// prediction runs on the batcher's worker goroutine, outside the handler's
+// recover, so a panic there would take the process down.
+func TestPredictEmptyCovariatesWithoutFixedEffects(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}).Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	gen := tinyGen()
+	gen.Nr = 0
+	if resp, body := postJSON(t, client, ts.URL+"/v1/models", FitRequest{Name: "nofx", Gen: gen, MaxIter: 3}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("fit status %d: %s", resp.StatusCode, body)
+	}
+	var got [2]PredictResponse
+	for i, body := range []string{
+		`{"queries":[{"x":120,"y":80,"t":1,"response":0,"covariates":[]}]}`,
+		`{"queries":[{"x":120,"y":80,"t":1,"response":0}]}`,
+	} {
+		resp, err := client.Post(ts.URL+"/v1/models/nofx/predict", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status %d", i, resp.StatusCode)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got[i])
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got[0].Mean[0] != got[1].Mean[0] || got[0].Variance[0] != got[1].Variance[0] || !(got[0].Variance[0] > 0) {
+		t.Fatalf("empty covariates %+v, none %+v", got[0], got[1])
+	}
+}

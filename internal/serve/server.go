@@ -2,13 +2,12 @@
 // long-lived HTTP JSON service holding a sharded registry of fitted
 // spatio-temporal models (fit once, serve many) and answering posterior
 // prediction queries through the internal/predict engine. Each model's
-// factorization is frozen into an immutable predict.Snapshot that a pool of
-// worker replicas queries concurrently with zero locking; concurrent point
-// queries are coalesced by a per-model batcher into single multi-RHS
-// solves, with an SLO-driven flush policy bounding tail latency, so serving
-// throughput scales with the BLAS-3 triangular sweep rather than with
-// per-request vector solves. Refits publish a new snapshot through an
-// atomic handle swap without blocking in-flight reads.
+// posterior (latent mean and the selected inverse of Q_c at the mode) is
+// frozen into an immutable predict.Snapshot that a pool of worker replicas
+// queries concurrently with zero locking; concurrent point queries are
+// coalesced by a per-model batcher into single snapshot passes, with an
+// SLO-driven flush policy bounding tail latency. Refits publish a new
+// snapshot through an atomic handle swap without blocking in-flight reads.
 //
 // Endpoints:
 //
@@ -306,7 +305,8 @@ type FitRequest struct {
 	// IncludeNoise folds Gaussian observation noise into every predictive
 	// variance served by this model.
 	IncludeNoise bool `json:"include_noise,omitempty"`
-	// MaxBatch overrides the multi-RHS coalescing width (default 64).
+	// MaxBatch overrides the batcher's coalescing width, in queries per
+	// snapshot pass (default 64).
 	MaxBatch int `json:"max_batch,omitempty"`
 }
 
