@@ -15,8 +15,11 @@
 //   - structured block-dense solvers (Cholesky, triangular solve, selected
 //     inversion) in sequential and distributed-memory form, the latter over
 //     a time-domain partitioning with nested dissection;
-//   - a three-layer nested parallel scheme (S1 gradient evaluations, S2
-//     prior/conditional pipelines, S3 distributed solver).
+//   - the paper's nested parallel scheme: S1 gradient evaluations and S3
+//     partitioned solvers everywhere; S2, the concurrent prior/conditional
+//     factorization pipelines, in the distributed evaluator only (RunCluster)
+//     — on shared memory the prior's log-determinant and quadratic form are
+//     closed forms and an evaluation factorizes Q_c alone.
 //
 // # Quick start
 //
@@ -105,7 +108,7 @@ type (
 // Simulated distributed-machine types.
 type (
 	// SharedPlan is the shared-memory scheduling plan of one evaluation
-	// batch (point workers × S2 pipelines × parallel-in-time partitions).
+	// batch (point workers × parallel-in-time partitions).
 	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run. Its
 	// PartitionsPerRank field selects the hybrid two-level S3 topology:

@@ -49,6 +49,30 @@ func TestAllThreePathsAgree(t *testing.T) {
 	}
 }
 
+// TestBenchmarkShapesAgreeWithSparseOracle: on the three Gaussian shapes
+// the benchmark times, the DALIA evaluator — one BTA factorization, the
+// prior's log-determinant and quadratic form in closed form — must
+// reproduce the general sparse route, which assembles and factorizes the
+// joint Q_p, to rounding.
+func TestBenchmarkShapesAgreeWithSparseOracle(t *testing.T) {
+	for name, gen := range map[string]synth.GenConfig{
+		"fit_uni_gauss": {Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 1},
+		"fit_tri_gauss": {Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 1},
+		"serve_predict": {Nv: 3, Nt: 4, Nr: 2, MeshNx: 6, MeshNy: 5, ObsPerStep: 20, Seed: 1},
+	} {
+		ds, err := synth.Generate(gen)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prior := inla.WeakPrior(ds.Theta0, 5)
+		fD := (&inla.BTAEvaluator{Model: ds.Model, Prior: prior}).EvalBatch([][]float64{ds.Theta0})[0]
+		fR := (&RINLAEvaluator{Model: ds.Model, Prior: prior}).EvalOne(ds.Theta0)
+		if !(math.Abs(fD-fR) <= 1e-10*math.Abs(fR)) {
+			t.Errorf("%s: DALIA F = %v, sparse oracle %v", name, fD, fR)
+		}
+	}
+}
+
 func TestRefactorizationPathAcrossPoints(t *testing.T) {
 	// Repeated evaluations at different θ exercise the symbolic-reuse path.
 	ds := genSmall(t, 2)

@@ -14,8 +14,8 @@ import (
 
 // PintimeResult is one measured point of the parallel-in-time experiment.
 type PintimeResult struct {
-	// Kind is "evalbatch1" (a full width-1 EvalBatch: assembly + S2
-	// pipelines + factorization + solve), "factor" (Refactorize + Solve +
+	// Kind is "evalbatch1" (a full width-1 EvalBatch: assembly + closed-form
+	// prior + Q_c factorization + solve), "factor" (Refactorize + Solve +
 	// LogDet on Q_c), or "selinv" (SelectedInversionInto on the factor).
 	Kind string `json:"kind"`
 	// Partitions is the parallel-in-time width the point ran at.

@@ -32,7 +32,9 @@ type Lambda struct {
 	// couplings as in the paper's trivariate convention.
 	P *dense.Matrix
 
-	coreg *dense.Matrix // cached Λ_c = P·diag(σ), computed at construction
+	// cached at construction
+	coreg *dense.Matrix // Λ_c = P·diag(σ)
+	minv  *dense.Matrix // M = Λ_c⁻¹
 }
 
 // NumLambdas returns the number of coupling parameters for nv processes.
@@ -81,6 +83,10 @@ func NewLambda(sigmas, lambdas []float64) (*Lambda, error) {
 		}
 	}
 	l.coreg = lc
+	l.minv = lc.Clone()
+	if err := dense.Trtri(l.minv); err != nil {
+		return nil, fmt.Errorf("coreg: inverting Λ_c: %w", err)
+	}
 	return l, nil
 }
 
@@ -102,15 +108,14 @@ func (l *Lambda) Coreg() *dense.Matrix {
 // treated as read-only.
 func (l *Lambda) CoregView() *dense.Matrix { return l.coreg }
 
-// MInv returns M = Λ_c⁻¹ (lower triangular).
-func (l *Lambda) MInv() *dense.Matrix {
-	m := l.Coreg()
-	if err := dense.Trtri(m); err != nil {
-		// Λ_c has positive diagonal σ_i by construction; Trtri cannot fail.
-		panic(fmt.Sprintf("coreg: %v", err))
-	}
-	return m
-}
+// MInv returns M = Λ_c⁻¹ (lower triangular) as a fresh copy the caller may
+// modify.
+func (l *Lambda) MInv() *dense.Matrix { return l.minv.Clone() }
+
+// MInvView returns the cached M without copying; like CoregView it is
+// shared and read-only. The prior's quadratic form reads it at every
+// objective evaluation.
+func (l *Lambda) MInvView() *dense.Matrix { return l.minv }
 
 // ImpliedCovariance returns Λ_c·Λ_cᵀ — the cross-process covariance implied
 // for unit-variance latent processes (used for the §VI correlation report).
@@ -145,7 +150,7 @@ func (l *Lambda) JointPrecision(qs []*sparse.CSR) (*sparse.CSR, error) {
 			return nil, fmt.Errorf("coreg: process %d precision is %d×%d, want %d×%d", i, q.Rows(), q.Cols(), n, n)
 		}
 	}
-	m := l.MInv()
+	m := l.minv
 	// Block (i,j) = Σ_k M[k,i]·M[k,j]·Q_k; M lower triangular means k ≥
 	// max(i,j) contributes. Zero coefficients (e.g. λ = 0) still emit
 	// structural entries: the INLA loop caches index mappings against this

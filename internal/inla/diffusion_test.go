@@ -61,7 +61,7 @@ func TestDiffusionModelEndToEnd(t *testing.T) {
 	prior := WeakPrior(theta0, 3)
 
 	// Objective is finite and the pattern stays stable across θ values.
-	parts, err := EvalFobj(m, prior, theta0, false)
+	parts, err := EvalFobj(m, prior, theta0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDiffusionModelEndToEnd(t *testing.T) {
 	for i := range shifted {
 		shifted[i] += 0.2
 	}
-	if _, err := EvalFobj(m, prior, shifted, false); err != nil {
+	if _, err := EvalFobj(m, prior, shifted); err != nil {
 		t.Fatalf("pattern drift across θ for the diffusion model: %v", err)
 	}
 

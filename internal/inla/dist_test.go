@@ -130,7 +130,7 @@ func distCase(t *testing.T, world int, disableS2, disableS3 bool) {
 	// The distributed center-point objective must match the sequential one.
 	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
 	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-6*(1+math.Abs(want)) {
+	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
 		t.Fatalf("world=%d: distributed F = %v, sequential F = %v", world, rep.FTrace[0], want)
 	}
 }
@@ -166,7 +166,7 @@ func hybridCase(t *testing.T, world, perRank int) {
 	}
 	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
 	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-6*(1+math.Abs(want)) {
+	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
 		t.Fatalf("world=%d q=%d: distributed F = %v, sequential F = %v", world, perRank, rep.FTrace[0], want)
 	}
 }
@@ -330,7 +330,7 @@ func TestRunDistributedSpreadStreams(t *testing.T) {
 	}
 	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
 	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-6*(1+math.Abs(want)) {
+	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
 		t.Fatalf("spread layout: distributed F = %v, sequential F = %v", rep.FTrace[0], want)
 	}
 }

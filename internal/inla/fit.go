@@ -21,8 +21,6 @@ type FitOptions struct {
 	// across point-level parallelism and parallel-in-time factorization
 	// partitions; 0 = GOMAXPROCS.
 	Workers int
-	// DisableS2 turns off the concurrent Q_p/Q_c pipelines.
-	DisableS2 bool
 	// SolverPartitions pins the parallel-in-time solver width: 0 schedules
 	// it per batch (wide gradient/Hessian batches stay on point-level
 	// parallelism, narrow line-search and posterior evaluations spend the
@@ -83,7 +81,7 @@ type Result struct {
 // inversion of Q_c at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	e := &BTAEvaluator{Model: m, Prior: prior, Workers: opts.Workers,
-		S2: !opts.DisableS2, Partitions: opts.SolverPartitions}
+		S2: true, Partitions: opts.SolverPartitions}
 	return fitWith(e, theta0, opts)
 }
 

@@ -1,10 +1,18 @@
 // Package inla implements the integrated nested Laplace approximation
 // engine of the paper (§III): the objective function fobj(θ) of Eq. 8, its
 // BFGS optimization with parallel central-difference gradients (layer S1),
-// the concurrent prior/conditional factorization pipelines (layer S2), the
-// distributed solver integration (layer S3, package bta), posterior
-// extraction for the hyperparameters (Hessian at the mode) and for the
-// latent field (selected inversion of Q_c).
+// the solver integration (layer S3, package bta), posterior extraction for
+// the hyperparameters (Hessian at the mode) and for the latent field
+// (selected inversion of Q_c).
+//
+// One evaluation of fobj factorizes one BTA matrix, Q_c. The prior's two
+// scalars — log det Q_p and μᵀQ_pμ — are closed forms of the LMC ⊗ temporal
+// ⊗ SPDE structure (model.PriorLogDet, model.PriorQuad; microseconds), so
+// the shared-memory evaluator has no prior pipeline. The paper's layer S2 —
+// Q_p and Q_c factorized concurrently on two halves of a rank group — lives
+// in the distributed evaluator only (dist.go), which still assembles and
+// factorizes the joint Q_p and is thereby the parity oracle of the closed
+// forms.
 package inla
 
 import (
@@ -17,7 +25,6 @@ import (
 	"sync/atomic"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
-	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/sched"
 )
@@ -73,27 +80,32 @@ func (p FobjParts) F() float64 {
 	return p.LogPrior + p.LogLik + 0.5*p.LogDetQp - 0.5*p.QuadQp - 0.5*p.LogDetQc
 }
 
-// solverScratch is the reusable arena of one fobj evaluation pipeline pair:
-// the two BTA workspaces and solver backends (prior and conditional
-// precision), the conditional-mean vector, and the assembly/permutation
-// scratch vectors. After warm-up, repeated Refactorize+Solve cycles on the
+// solverScratch is the reusable arena of one fobj evaluation: the BTA
+// workspace and solver backend of the conditional precision, the
+// conditional-mean vector, and the assembly/permutation scratch vectors.
+// The prior needs no solver state — its two scalars come in closed form
+// from model.PriorLogDet / PriorQuad — so the arena holds one BTA matrix
+// and one factor. After warm-up, repeated Refactorize+Solve cycles on the
 // same scratch perform zero heap allocations — the fixed-memory-footprint
 // property the INLA mode search needs across its hundreds of θ-evaluations.
 //
-// The arena holds the sequential factors always and builds the
-// parallel-in-time pair lazily the first time a batch plan asks for
+// The arena holds the sequential factor always and builds the
+// parallel-in-time one lazily the first time a batch plan asks for
 // within-factorization partitions, so purely wide workloads never pay for
 // the second set of factor storage.
 type solverScratch struct {
-	qp, qc *bta.Matrix
-	fp, fc *bta.Factor // sequential backends (partitions = 1)
+	qc *bta.Matrix
+	fc *bta.Factor // sequential backend (partitions = 1)
 
-	pfp, pfc cachedParallel // parallel-in-time backends, built on demand
+	// parallel-in-time backend, built on demand and rebuilt only when the
+	// requested spec changes
+	pfc     *bta.ParallelFactor
+	pfcSpec solverSpec
 
 	sigC *bta.Matrix // selected-inversion output (posterior extraction)
 
 	mu  []float64 // conditional mean (solution of Q_c·μ = rhs)
-	tmp []float64 // Q_p·μ product for the quadratic form
+	z   []float64 // one process of (Λ_c⁻¹⊗I)·μ for the prior quadratic form
 	pm  []float64 // process-major rhs before permutation
 	obs []float64 // weighted response combination
 }
@@ -102,12 +114,10 @@ func newSolverScratch(m *model.Model) *solverScratch {
 	n, b, a := m.Dims.BTAShape()
 	tot := m.Dims.Total()
 	return &solverScratch{
-		qp:  bta.NewMatrix(n, b, a),
 		qc:  bta.NewMatrix(n, b, a),
-		fp:  bta.NewFactor(n, b, a),
 		fc:  bta.NewFactor(n, b, a),
 		mu:  make([]float64, tot),
-		tmp: make([]float64, tot),
+		z:   make([]float64, m.Dims.PerProcess()),
 		pm:  make([]float64, tot),
 		obs: make([]float64, m.Obs.M()),
 	}
@@ -117,31 +127,24 @@ func newSolverScratch(m *model.Model) *solverScratch {
 // at: the parallel-in-time width and the task executor.
 type solverSpec struct {
 	parts int
-	// exec overrides the solvers' task executor (nil = sched.Shared()). It
-	// participates in the spec comparison that gates cachedParallel
-	// rebuilds.
+	// exec overrides the solver's task executor (nil = sched.Shared()). It
+	// participates in the spec comparison that gates rebuilding the cached
+	// parallel factor.
 	exec *sched.Executor
 }
 
-// cachedParallel lazily builds and caches one parallel-in-time factor per
-// spec, so the Q_p and Q_c pipelines share a single caching policy while
-// staying independent (a posterior-only workload never builds the Q_p
-// one).
-type cachedParallel struct {
-	pf   *bta.ParallelFactor
-	spec solverSpec
-}
-
-// solver returns seq for widths the clamp reduces to 1, otherwise the
-// cached parallel factor for the spec (rebuilding only when it changes).
-func (c *cachedParallel) solver(seq *bta.Factor, n, b, a int, spec solverSpec) (bta.Solver, error) {
+// condSolver returns the Q_c solver for the requested factorization spec:
+// the sequential factor for widths the clamp reduces to 1, otherwise the
+// cached parallel factor.
+func (ws *solverScratch) condSolver(m *model.Model, spec solverSpec) (bta.Solver, error) {
+	n, b, a := m.Dims.BTAShape()
 	if mx := bta.MaxUsefulPartitions(n); spec.parts > mx {
 		spec.parts = mx
 	}
 	if spec.parts <= 1 {
-		return seq, nil
+		return ws.fc, nil
 	}
-	if c.pf == nil || c.spec != spec {
+	if ws.pfc == nil || ws.pfcSpec != spec {
 		pf, err := bta.NewParallelFactorOpts(n, b, a, bta.ParallelOptions{
 			Partitions: spec.parts,
 			Executor:   spec.exec,
@@ -149,49 +152,25 @@ func (c *cachedParallel) solver(seq *bta.Factor, n, b, a int, spec solverSpec) (
 		if err != nil {
 			return nil, err
 		}
-		c.pf, c.spec = pf, spec
+		ws.pfc, ws.pfcSpec = pf, spec
 	}
-	return c.pf, nil
-}
-
-// priorSolver returns the Q_p solver for the requested factorization spec;
-// condSolver the Q_c one.
-func (ws *solverScratch) priorSolver(m *model.Model, spec solverSpec) (bta.Solver, error) {
-	n, b, a := m.Dims.BTAShape()
-	return ws.pfp.solver(ws.fp, n, b, a, spec)
-}
-
-func (ws *solverScratch) condSolver(m *model.Model, spec solverSpec) (bta.Solver, error) {
-	n, b, a := m.Dims.BTAShape()
-	return ws.pfc.solver(ws.fc, n, b, a, spec)
-}
-
-// solvers returns the (Q_p, Q_c) solver pair for the requested spec.
-func (ws *solverScratch) solvers(m *model.Model, spec solverSpec) (sp, sc bta.Solver, err error) {
-	if sp, err = ws.priorSolver(m, spec); err != nil {
-		return nil, nil, err
-	}
-	if sc, err = ws.condSolver(m, spec); err != nil {
-		return nil, nil, err
-	}
-	return sp, sc, nil
+	return ws.pfc, nil
 }
 
 // EvalFobj evaluates the objective at theta using the sequential BTA solver
-// (the single-device DALIA path). The two factorizations of Q_p and Q_c are
-// independent (§III-A); runS2 runs them concurrently when true — the S2
-// layer in shared-memory form. Non-Gaussian likelihoods route through the
-// inner Newton loop for the conditional mode.
-func EvalFobj(m *model.Model, prior Prior, theta []float64, runS2 bool) (FobjParts, error) {
-	return evalFobjScratch(m, prior, theta, runS2, solverSpec{parts: 1}, nil)
+// (the single-device DALIA path): one factorization, of Q_c; the prior's
+// log-determinant and quadratic form are closed forms. Non-Gaussian
+// likelihoods route through the inner Newton loop for the conditional mode.
+func EvalFobj(m *model.Model, prior Prior, theta []float64) (FobjParts, error) {
+	return evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, nil)
 }
 
 // evalFobjScratch is EvalFobj against a caller-owned arena (nil allocates a
-// fresh one), with the factorizations run at the given parallel-in-time
+// fresh one), with the factorization run at the given parallel-in-time
 // width (1 = sequential POBTAF, >1 = bta.ParallelFactor over that many
 // partitions). The returned FobjParts.Mu aliases the arena's μ buffer and
 // is only valid until the arena's next evaluation.
-func evalFobjScratch(m *model.Model, prior Prior, theta []float64, runS2 bool, spec solverSpec, ws *solverScratch) (FobjParts, error) {
+func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSpec, ws *solverScratch) (FobjParts, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
 		return FobjParts{}, err
@@ -202,63 +181,26 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, runS2 bool, s
 	if ws == nil {
 		ws = newSolverScratch(m)
 	}
-	fp, fc, err := ws.solvers(m, spec)
+	fc, err := ws.condSolver(m, spec)
 	if err != nil {
 		return FobjParts{}, err
 	}
 	parts := FobjParts{LogPrior: prior.LogDensity(theta)}
-
-	var qpErr, qcErr error
-	var ldQp, ldQc float64
-	qpPipeline := func() {
-		if qpErr = m.QpInto(t, ws.qp); qpErr != nil {
-			return
-		}
-		if qpErr = fp.Refactorize(ws.qp); qpErr != nil {
-			qpErr = fmt.Errorf("inla: Q_p factorization: %w", qpErr)
-			return
-		}
-		ldQp = fp.LogDet()
+	if parts.LogDetQp, err = m.PriorLogDet(t); err != nil {
+		return FobjParts{}, err
 	}
-	qcPipeline := func() {
-		if qcErr = m.QcInto(t, ws.qc); qcErr != nil {
-			return
-		}
-		if qcErr = fc.Refactorize(ws.qc); qcErr != nil {
-			qcErr = fmt.Errorf("inla: Q_c factorization: %w", qcErr)
-			return
-		}
-		m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
-		fc.Solve(ws.mu)
-		ldQc = fc.LogDet()
+	if err := m.QcInto(t, ws.qc); err != nil {
+		return FobjParts{}, err
 	}
-	if runS2 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qpPipeline()
-		}()
-		qcPipeline()
-		wg.Wait()
-	} else {
-		qpPipeline()
-		qcPipeline()
+	if err := fc.Refactorize(ws.qc); err != nil {
+		return FobjParts{}, fmt.Errorf("inla: Q_c factorization: %w", err)
 	}
-	if qpErr != nil {
-		return FobjParts{}, qpErr
-	}
-	if qcErr != nil {
-		return FobjParts{}, qcErr
-	}
-
-	parts.LogDetQp = ldQp
-	parts.LogDetQc = ldQc
+	m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
+	fc.Solve(ws.mu)
+	parts.LogDetQc = fc.LogDet()
 	parts.Mu = ws.mu
 	parts.LatentDim = len(ws.mu)
-	// μᵀ·Q_p·μ via the block structure.
-	ws.qp.MulVec(ws.mu, ws.tmp)
-	parts.QuadQp = dense.Dot(ws.mu, ws.tmp)
+	parts.QuadQp = m.PriorQuad(t, ws.mu, ws.z)
 	parts.LogLik = m.LogLik(t, ws.mu)
 	return parts, nil
 }
@@ -275,20 +217,24 @@ type Evaluator interface {
 }
 
 // BTAEvaluator runs fobj on the structured BTA solvers with goroutine
-// parallelism across points (S1), across the two pipelines (S2), and —
-// when the batch is too narrow to fill the cores — across parallel-in-time
-// partitions inside each factorization (S3, bta.ParallelFactor), following
-// the per-batch SharedPlan. Every worker draws a solverScratch arena from
-// an internal pool, so steady-state batches re-use precision workspaces,
-// factors and vectors instead of re-allocating them at each of the
-// 2·dim(θ)+1 evaluations per iteration.
+// parallelism across points (S1) and — when the batch is too narrow to fill
+// the cores — across parallel-in-time partitions inside the Q_c
+// factorization (S3, bta.ParallelFactor), following the per-batch
+// SharedPlan. Every worker draws a solverScratch arena from an internal
+// pool, so steady-state batches re-use the precision workspace, factor and
+// vectors instead of re-allocating them at each of the 2·dim(θ)+1
+// evaluations per iteration.
 type BTAEvaluator struct {
 	Model *model.Model
 	Prior Prior
 	// Workers is the core budget the batch plan distributes across the
 	// layers (and the bound on concurrent point evaluations); 0 = GOMAXPROCS.
 	Workers int
-	// S2 toggles the concurrent Q_p/Q_c pipelines.
+	// S2 is a planning input only: an evaluation here has one pipeline (S2
+	// is a layer of the distributed evaluator). When set, PlanBatch turns
+	// half of a point's spare cores into partitions instead of all of them;
+	// Fit and the benchmark set it, so dropping it changes partition widths
+	// and belongs with the solver-configuration work (ROADMAP item 7).
 	S2 bool
 	// Partitions pins the parallel-in-time width: 0 schedules it per batch
 	// (PlanBatch: wide batches sequential, narrow batches partitioned),
@@ -361,9 +307,9 @@ func (e *BTAEvaluator) cores() int {
 }
 
 // planFor resolves the batch plan for the given width with the evaluator's
-// pinned Partitions applied. s2 tells the plan whether the evaluation
-// actually runs two concurrent pipelines (Posterior runs only the Q_c one,
-// so its full spare budget flows into that single factorization).
+// pinned Partitions applied. s2 is PlanBatch's halving switch: e.S2 for
+// objective batches, false for Posterior, whose full spare budget flows
+// into its one factorization.
 func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
 	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, s2)
 	if e.Partitions > 0 {
@@ -422,7 +368,7 @@ func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 					err = fmt.Errorf("inla: evaluation panicked: %v", r)
 				}
 			}()
-			parts, err = evalFobjScratch(e.Model, e.Prior, points[i], e.S2, spec, ws)
+			parts, err = evalFobjScratch(e.Model, e.Prior, points[i], spec, ws)
 			panicked = false
 		}()
 		if err != nil {
@@ -496,8 +442,7 @@ func (e *BTAEvaluator) Posterior(theta []float64) ([]float64, []float64, error) 
 	}
 	ws := e.getScratch()
 	defer e.scratch.Put(ws)
-	// Posterior runs the Q_c pipeline alone: no S2 split, so the whole
-	// width-1 spare budget goes into this one factorization.
+	// The whole width-1 spare budget goes into this one factorization.
 	fc, err := ws.condSolver(e.Model, e.specFor(1, false))
 	if err != nil {
 		return nil, nil, err

@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -159,25 +161,46 @@ func genSmall(t *testing.T, nv int) *synth.Dataset {
 	return ds
 }
 
-func TestEvalFobjFiniteAndS2Consistent(t *testing.T) {
+// jointPrior evaluates log det Q_p and xᵀQ_p·x the way the objective did
+// before the prior left the solver — assemble the joint Q_p, factorize it,
+// multiply — and is the oracle the closed forms are held to.
+func jointPrior(t *testing.T, m *model.Model, theta, x []float64) (logDet, quad float64) {
+	t.Helper()
+	th, err := m.DecodeTheta(theta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := m.Qp(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := bta.Factorize(qp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qx := make([]float64, len(x))
+	qp.MulVec(x, qx)
+	return f.LogDet(), dense.Dot(x, qx)
+}
+
+func TestEvalFobjFiniteAndMatchesJointPrior(t *testing.T) {
 	ds := genSmall(t, 2)
 	prior := WeakPrior(ds.Theta0, 5)
-	p1, err := EvalFobj(ds.Model, prior, ds.Theta0, false)
+	p, err := EvalFobj(ds.Model, prior, ds.Theta0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := EvalFobj(ds.Model, prior, ds.Theta0, true)
-	if err != nil {
-		t.Fatal(err)
+	if math.IsNaN(p.F()) || math.IsInf(p.F(), 0) {
+		t.Fatalf("fobj = %v", p.F())
 	}
-	if math.IsNaN(p1.F()) || math.IsInf(p1.F(), 0) {
-		t.Fatalf("fobj = %v", p1.F())
+	ld, quad := jointPrior(t, ds.Model, ds.Theta0, p.Mu)
+	joint := p
+	joint.LogDetQp, joint.QuadQp = ld, quad
+	if math.Abs(p.F()-joint.F()) > 1e-12*math.Abs(joint.F()) {
+		t.Fatalf("closed-form prior F = %v, joint Q_p route F = %v", p.F(), joint.F())
 	}
-	if math.Abs(p1.F()-p2.F()) > 1e-9*(1+math.Abs(p1.F())) {
-		t.Fatalf("S2 on/off disagree: %v vs %v", p1.F(), p2.F())
-	}
-	if p1.LatentDim != ds.Model.Dims.Total() {
-		t.Fatalf("latent dim %d", p1.LatentDim)
+	if p.LatentDim != ds.Model.Dims.Total() {
+		t.Fatalf("latent dim %d", p.LatentDim)
 	}
 }
 
@@ -186,7 +209,7 @@ func TestEvalFobjPrefersTruthOverJunk(t *testing.T) {
 	ds := genSmall(t, 2)
 	truth := ds.Model.EncodeTheta(ds.TrueTheta)
 	prior := WeakPrior(truth, 10)
-	at, err := EvalFobj(ds.Model, prior, truth, false)
+	at, err := EvalFobj(ds.Model, prior, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +217,7 @@ func TestEvalFobjPrefersTruthOverJunk(t *testing.T) {
 	for i := range junk {
 		junk[i] += 3 // e^3 ≈ 20× off on every scale parameter
 	}
-	atJunk, err := EvalFobj(ds.Model, prior, junk, false)
+	atJunk, err := EvalFobj(ds.Model, prior, junk)
 	if err == nil && atJunk.F() > at.F() {
 		t.Fatalf("fobj prefers junk (%v) over truth (%v)", atJunk.F(), at.F())
 	}

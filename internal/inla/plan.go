@@ -21,20 +21,19 @@ type SharedPlan struct {
 	Cores int
 	// PointWorkers is the S1 width: concurrently evaluated θ-points.
 	PointWorkers int
-	// S2 splits each point's evaluation into the concurrent Q_p and Q_c
-	// pipelines.
+	// S2 records that the plan halved each point's spare cores before
+	// turning them into partitions (BTAEvaluator.S2).
 	S2 bool
-	// Partitions is the within-factorization parallel-in-time width each
-	// pipeline runs at (1 = sequential POBTAF).
+	// Partitions is the within-factorization parallel-in-time width
+	// (1 = sequential POBTAF).
 	Partitions int
 }
 
 // PlanBatch computes the shared-memory layer assignment for one batch of
 // width points on a budget of cores (0 = GOMAXPROCS) over a model with
 // ntBlocks time steps. Policy, mirroring §V-D: fill S1 first — one worker
-// per point up to the core budget; give each point's S2 pipelines their
-// own core when the budget allows; spend whatever is left inside the
-// factorizations as parallel-in-time partitions.
+// per point up to the core budget; spend what is left (half of it under
+// s2) inside the factorization as parallel-in-time partitions.
 func PlanBatch(width, cores, ntBlocks int, s2 bool) SharedPlan {
 	if cores <= 0 {
 		cores = runtime.GOMAXPROCS(0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
-	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 )
@@ -42,22 +41,13 @@ func evalFobjPoisson(m *model.Model, prior Prior, t *model.Theta, theta []float6
 	if err != nil {
 		return FobjParts{}, err
 	}
-	qp, err := m.Qp(t)
-	if err != nil {
+	if parts.LogDetQp, err = m.PriorLogDet(t); err != nil {
 		return FobjParts{}, err
 	}
-	fp, err := bta.Factorize(qp)
-	if err != nil {
-		return FobjParts{}, fmt.Errorf("inla: Q_p factorization: %w", err)
-	}
-
-	parts.LogDetQp = fp.LogDet()
 	parts.LogDetQc = fc.LogDet()
 	parts.Mu = mode.XPerm
 	parts.LatentDim = len(mode.XPerm)
-	tmp := make([]float64, len(mode.XPerm))
-	qp.MulVec(mode.XPerm, tmp)
-	parts.QuadQp = dense.Dot(mode.XPerm, tmp)
+	parts.QuadQp = m.PriorQuad(t, mode.XPerm, make([]float64, m.Dims.PerProcess()))
 	parts.LogLik = mode.LogLik
 	return parts, nil
 }

@@ -91,7 +91,7 @@ func scoreRHSForTest(m *model.Model, th *model.Theta, mode *model.PoissonMode) [
 func TestPoissonFobjFinite(t *testing.T) {
 	ds := genPoisson(t, 2)
 	prior := WeakPrior(ds.Theta0, 5)
-	parts, err := EvalFobj(ds.Model, prior, ds.Theta0, false)
+	parts, err := EvalFobj(ds.Model, prior, ds.Theta0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,142 @@
+package inla
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/dalia-hpc/dalia/internal/bta"
+	"github.com/dalia-hpc/dalia/internal/comm"
+	"github.com/dalia-hpc/dalia/internal/coreg"
+	"github.com/dalia-hpc/dalia/internal/model"
+	"github.com/dalia-hpc/dalia/internal/synth"
+)
+
+// benchmarkShapes returns the dataset recipes of the four BENCHMARK.json
+// workloads (benchmark/spec.go: workloads and genConfig), at seed 1.
+func benchmarkShapes(t *testing.T) map[string]synth.GenConfig {
+	t.Helper()
+	// The count workload's tamer ground truth, without which the inner
+	// Newton loop diverges on some seeds.
+	truth := synth.DefaultTruth(2, 400)
+	l, err := coreg.NewLambda([]float64{0.5, 0.6}, []float64{0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth.Lambda = l
+	return map[string]synth.GenConfig{
+		"fit_uni_gauss": {Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 1},
+		"fit_tri_gauss": {Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 1},
+		"fit_bi_poisson": {Nv: 2, Nt: 4, Nr: 2, MeshNx: 6, MeshNy: 5, ObsPerStep: 40, Seed: 1,
+			Family: model.LikPoisson, Truth: truth, FixedEffects: [][]float64{{0.6, -0.2}, {0.9, 0.2}}},
+		"serve_predict": {Nv: 3, Nt: 4, Nr: 2, MeshNx: 6, MeshNy: 5, ObsPerStep: 20, Seed: 1},
+	}
+}
+
+// jointPriorEvaluator is the evaluation this package ran before the prior
+// left the solver: the same Q_c pipeline, with log det Q_p and μᵀQ_pμ taken
+// from the assembled and factorized joint Q_p.
+type jointPriorEvaluator struct {
+	BTAEvaluator
+	t *testing.T
+}
+
+func (e *jointPriorEvaluator) EvalBatch(points [][]float64) []float64 {
+	out := make([]float64, len(points))
+	for i, p := range points {
+		parts, err := EvalFobj(e.Model, e.Prior, p)
+		if err != nil {
+			out[i] = math.Inf(1)
+			continue
+		}
+		parts.LogDetQp, parts.QuadQp = jointPrior(e.t, e.Model, p, parts.Mu)
+		out[i] = -parts.F()
+	}
+	return out
+}
+
+// TestFobjMatchesJointRouteOnBenchmarkShapes holds F with the closed-form
+// prior to the two evaluations that still factorize the joint Q_p — the
+// oracle above and the distributed evaluator's S2 pipeline (Gaussian
+// likelihood only) — on the shapes the benchmark times.
+func TestFobjMatchesJointRouteOnBenchmarkShapes(t *testing.T) {
+	for name, gen := range benchmarkShapes(t) {
+		ds, err := synth.Generate(gen)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prior := WeakPrior(ds.Theta0, 5)
+		e := &BTAEvaluator{Model: ds.Model, Prior: prior}
+		got := e.EvalBatch([][]float64{ds.Theta0})[0]
+		want := (&jointPriorEvaluator{BTAEvaluator: BTAEvaluator{Model: ds.Model, Prior: prior}, t: t}).
+			EvalBatch([][]float64{ds.Theta0})[0]
+		if !(math.Abs(got-want) <= 1e-10*math.Abs(want)) {
+			t.Errorf("%s: F = %v, joint Q_p route %v", name, got, want)
+		}
+		if ds.Model.Lik != model.LikGaussian {
+			continue
+		}
+		rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
+			World: 2, Machine: comm.DefaultMachine(), Iterations: 1,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !(math.Abs(got-rep.FTrace[0]) <= 1e-10*math.Abs(got)) {
+			t.Errorf("%s: F = %v, distributed evaluator %v", name, got, rep.FTrace[0])
+		}
+	}
+}
+
+// TestFitMatchesJointPriorRoute: the closed forms agree with the joint
+// route to rounding, so a complete fit must walk the same path — same
+// iteration and evaluation counts — to the same mode.
+func TestFitMatchesJointPriorRoute(t *testing.T) {
+	for _, nv := range []int{1, 2} {
+		ds := genSmall(t, nv)
+		prior := WeakPrior(ds.Theta0, 5)
+		opts := DefaultFitOptions()
+		opts.Opt.MaxIter = 15
+		got, err := Fit(ds.Model, prior, ds.Theta0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fitWith(&jointPriorEvaluator{BTAEvaluator: BTAEvaluator{Model: ds.Model, Prior: prior}, t: t},
+			ds.Theta0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
+			t.Errorf("nv=%d: %d iterations / %d evaluations, joint route %d / %d", nv,
+				got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
+		}
+		for i := range want.Theta {
+			if math.Abs(got.Theta[i]-want.Theta[i]) > 1e-8 {
+				t.Errorf("nv=%d: θ*[%d] = %v, joint route %v", nv, i, got.Theta[i], want.Theta[i])
+			}
+		}
+	}
+}
+
+// TestSolverScratchHoldsOneMatrixOneFactor pins the arena's size: a fresh
+// arena allocates the Q_c workspace and its sequential factor and no other
+// BTA storage — the prior owns none.
+func TestSolverScratchHoldsOneMatrixOneFactor(t *testing.T) {
+	rv := reflect.ValueOf(newSolverScratch(genSmall(t, 2).Model)).Elem()
+	var mats, facs int
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Field(i)
+		if f.Kind() != reflect.Ptr || f.IsNil() {
+			continue
+		}
+		switch f.Type() {
+		case reflect.TypeOf((*bta.Matrix)(nil)):
+			mats++
+		case reflect.TypeOf((*bta.Factor)(nil)), reflect.TypeOf((*bta.ParallelFactor)(nil)):
+			facs++
+		}
+	}
+	if mats != 1 || facs != 1 {
+		t.Fatalf("fresh arena holds %d BTA matrices and %d factors, want 1 and 1", mats, facs)
+	}
+}

@@ -21,11 +21,11 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 	theta1[len(theta1)-1] -= 0.2
 
 	for _, theta := range [][]float64{ds.Theta0, theta1, ds.Theta0} {
-		want, err := EvalFobj(ds.Model, prior, theta, false)
+		want, err := EvalFobj(ds.Model, prior, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evalFobjScratch(ds.Model, prior, theta, false, solverSpec{parts: 1}, ws)
+		got, err := evalFobjScratch(ds.Model, prior, theta, solverSpec{parts: 1}, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -195,21 +195,14 @@ func (m *Model) DecodeTheta(theta []float64) (*Theta, error) {
 	}
 	nv := m.Dims.Nv
 	out := &Theta{}
-	idx := 0
-	for k := 0; k < nv; k++ {
-		out.Process = append(out.Process, spde.Hyper{
-			RangeS: math.Exp(theta[idx]),
-			RangeT: math.Exp(theta[idx+1]),
-			Sigma:  1, // LMC latent processes have unit variance (§II-B);
-			// process scale lives in Λ's σ.
-		})
-		idx += 3
-		// σ_k of Λ comes from the same triple's third entry:
-		_ = k
-	}
-	// Re-read the σ entries (third of each triple) for Λ's scales.
 	sig := make([]float64, nv)
 	for k := 0; k < nv; k++ {
+		out.Process = append(out.Process, spde.Hyper{
+			RangeS: math.Exp(theta[3*k]),
+			RangeT: math.Exp(theta[3*k+1]),
+			Sigma:  1, // LMC latent processes have unit variance (§II-B);
+			// the triple's third entry is the process scale σ_k of Λ.
+		})
 		sig[k] = math.Exp(theta[3*k+2])
 	}
 	lam := make([]float64, coreg.NumLambdas(nv))
@@ -294,6 +287,65 @@ func (m *Model) processPrecision(h spde.Hyper) *sparse.CSR {
 		coo.Add(qst.Rows()+r, qst.Rows()+r, FixedEffectPriorPrecision)
 	}
 	return coo.ToCSR()
+}
+
+// PriorLogDet returns log det Q_p(θ) without assembling or factorizing Q_p.
+// The joint prior is (Λ_c⁻¹⊗I)ᵀ·blockdiag(Q_k)·(Λ_c⁻¹⊗I) with det Λ_c = Πσ_k
+// and Q_k = blockdiag(Q_st,k, FixedEffectPriorPrecision·I_nr), so
+//
+//	log det Q_p = Σ_k [log det Q_st,k − 2·(ns·nt+nr)·log σ_k] + nv·nr·log(fixed-effect precision)
+//
+// with log det Q_st,k in closed form from package spde. Allocation-free and
+// safe for concurrent use.
+func (m *Model) PriorLogDet(t *Theta) (float64, error) {
+	d := m.Dims
+	ld := float64(d.Nv*d.Nr) * math.Log(FixedEffectPriorPrecision)
+	for k, h := range t.Process {
+		var ldk float64
+		var err error
+		if m.ST == STDiffusion {
+			ldk, err = m.Builder.DiffusionLogDet(h)
+		} else {
+			ldk, err = m.Builder.LogDet(h)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("model: prior of process %d: %w", k, err)
+		}
+		ld += ldk - 2*float64(d.PerProcess())*math.Log(t.Lambda.Sigmas[k])
+	}
+	return ld, nil
+}
+
+// PriorQuad returns xᵀ·Q_p(θ)·x for a latent state in the permuted (BTA)
+// ordering: Σ_k z_kᵀQ_k z_k with z = (Λ_c⁻¹⊗I)·x taken one process at a
+// time into scratch (length ≥ Dims.PerProcess()). Allocation-free and safe
+// for concurrent use with distinct scratch.
+func (m *Model) PriorQuad(t *Theta, xPermuted, scratch []float64) float64 {
+	d := m.Dims
+	n, nst := d.PerProcess(), d.Ns*d.Nt
+	mi := t.Lambda.MInvView()
+	z := scratch[:n]
+	var q float64
+	for k, h := range t.Process {
+		for i := range z {
+			z[i] = 0
+		}
+		for j := 0; j <= k; j++ { // M is lower triangular
+			c := mi.At(k, j)
+			for i, bi := range m.permInv[j*n : (j+1)*n] {
+				z[i] += c * xPermuted[bi]
+			}
+		}
+		if m.ST == STDiffusion {
+			q += m.Builder.DiffusionQuad(h, z[:nst])
+		} else {
+			q += m.Builder.Quad(h, z[:nst])
+		}
+		for _, v := range z[nst:] {
+			q += FixedEffectPriorPrecision * v * v
+		}
+	}
+	return q
 }
 
 // QpCSR assembles the joint prior precision in process-major ordering (the

@@ -12,12 +12,20 @@ import (
 	"github.com/dalia-hpc/dalia/internal/spde"
 )
 
-// testModel builds a small trivariate model with synthetic observations.
+// testModel builds a small model with synthetic observations and two fixed
+// effects per process.
 func testModel(t *testing.T, nv, nt int) (*Model, *Theta) {
+	t.Helper()
+	return testModelWith(t, nv, nt, 2)
+}
+
+// testModelWith is testModel with nr ∈ {0, 1, 2} fixed effects (intercept,
+// then one covariate) and model options.
+func testModelWith(t *testing.T, nv, nt, nr int, opts ...Option) (*Model, *Theta) {
 	t.Helper()
 	msh := mesh.Uniform(4, 4, 100, 100)
 	b := spde.NewBuilder(msh, nt)
-	d := coreg.Dims{Nv: nv, Ns: b.Ns(), Nt: nt, Nr: 2}
+	d := coreg.Dims{Nv: nv, Ns: b.Ns(), Nt: nt, Nr: nr}
 	rng := rand.New(rand.NewSource(11))
 
 	// Observations at random interior locations, every time step.
@@ -31,12 +39,19 @@ func testModel(t *testing.T, nv, nt int) (*Model, *Theta) {
 		}
 	}
 	mObs := len(pts)
-	cov := dense.New(mObs, 2)
-	for i := 0; i < mObs; i++ {
-		cov.Set(i, 0, 1) // intercept
-		cov.Set(i, 1, rng.NormFloat64())
+	obs := &Obs{Points: pts, TimeIdx: tidx}
+	if nr > 0 {
+		obs.Covariates = dense.New(mObs, nr)
 	}
-	obs := &Obs{Points: pts, TimeIdx: tidx, Covariates: cov}
+	for i := 0; i < mObs; i++ {
+		z := rng.NormFloat64() // drawn even when unused: same stream for every nr
+		if nr > 0 {
+			obs.Covariates.Set(i, 0, 1) // intercept
+		}
+		if nr > 1 {
+			obs.Covariates.Set(i, 1, z)
+		}
+	}
 	for k := 0; k < nv; k++ {
 		y := make([]float64, mObs)
 		for i := range y {
@@ -44,7 +59,7 @@ func testModel(t *testing.T, nv, nt int) (*Model, *Theta) {
 		}
 		obs.Y = append(obs.Y, y)
 	}
-	mod, err := New(b, d, obs)
+	mod, err := New(b, d, obs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

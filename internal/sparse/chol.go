@@ -68,6 +68,26 @@ func (f *CholFactor) Refactorize(a *CSR) error {
 	return f.numeric(a.PermuteSym(f.Perm))
 }
 
+// RefactorizePermuted is Refactorize for a matrix already in the factor's
+// ordering (P·A·Pᵀ, same pattern as at construction). It builds nothing: a
+// caller that keeps the permuted pattern and rewrites only its values
+// refactorizes without allocating.
+func (f *CholFactor) RefactorizePermuted(ap *CSR) error {
+	return f.numeric(ap)
+}
+
+// Fork returns a factor that shares f's symbolic analysis (ordering,
+// elimination tree, column pointers — all read-only after construction) and
+// owns its numeric storage and scratch, so goroutines that refactorize one
+// pattern concurrently each take a fork instead of repeating the analysis.
+func (f *CholFactor) Fork() *CholFactor {
+	n := f.N
+	return &CholFactor{N: n, Perm: f.Perm, inv: f.inv, parent: f.parent, ColPtr: f.ColPtr,
+		RowIdx: make([]int, len(f.RowIdx)), Val: make([]float64, len(f.Val)),
+		x: make([]float64, n), w: make([]int, n), s: make([]int, n),
+		path: make([]int, n), next: make([]int, n)}
+}
+
 // symbolic computes the elimination tree and column pointers of L for the
 // (already permuted) matrix ap.
 func (f *CholFactor) symbolic(ap *CSR) {

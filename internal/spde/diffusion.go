@@ -30,33 +30,23 @@ import (
 // Unlike the separable model, covariance here transports through space and
 // time jointly (a disturbance diffuses outward as time advances).
 func (b *Builder) DiffusionPrecision(h Hyper) *sparse.CSR {
-	kappa := KappaFromRange(h.RangeS)
-	// Diffusion speed from the temporal range: the spatial mode at wave
-	// number κ relaxes with e-folding time 1/(γκ²); place it at ρ_t.
-	gamma := 1 / (h.RangeT * kappa * kappa)
-	const dt = 1.0
-	// Noise precision calibrated like the separable innovation: a Matérn
-	// slice with sd ≈ σ (approximate — non-separable marginals have no
-	// closed form; tests verify the order of magnitude numerically).
-	tauW := TauFromKappaSigma(kappa, h.Sigma)
-	tau := tauW * tauW * 2 * gamma
+	kappa, gdt, f, tau0 := diffusionParams(h)
 
 	ns := b.Ns()
 	nt := b.Nt
 	// K = κ²C̃ + G;  A = C̃ + γΔt·K.
 	k := sparse.Add(kappa*kappa, b.c, 1, b.g)
-	a := sparse.Add(1, b.c, gamma*dt, k)
+	a := sparse.Add(1, b.c, gdt, k)
 	// AᵀC̃⁻¹A (sparse; C̃ diagonal).
 	cInv := sparse.Diag(b.cInvD)
 	ata := sparse.MatMul(a.Transpose(), sparse.MatMul(cInv, a))
 
-	f := tau / dt
 	// A is symmetric (C̃ diagonal, G symmetric), so the coupling block and
 	// its transpose coincide.
 	coupling := a.Clone().Scale(-f)
 
 	// Initial-state prior: the stationary Matérn field with sd σ.
-	q0 := b.SpatialPrecision(kappa, TauFromKappaSigma(kappa, h.Sigma))
+	q0 := b.SpatialPrecision(kappa, tau0)
 
 	coo := sparse.NewCOO(nt*ns, nt*ns)
 	addBlock := func(bi, bj int, m *sparse.CSR) {
@@ -79,6 +69,22 @@ func (b *Builder) DiffusionPrecision(h Hyper) *sparse.CSR {
 		}
 	}
 	return coo.ToCSR()
+}
+
+// diffusionParams maps h to the diffusion model's (κ, γΔt, f, τ_0): the
+// implicit-Euler weight of K in A, the innovation precision scale f = τ/Δt,
+// and the τ of the stationary Matérn prior on the initial state.
+func diffusionParams(h Hyper) (kappa, gdt, f, tau0 float64) {
+	const dt = 1.0 // one time index per step
+	kappa = KappaFromRange(h.RangeS)
+	// Diffusion speed from the temporal range: the spatial mode at wave
+	// number κ relaxes with e-folding time 1/(γκ²); place it at ρ_t.
+	gamma := 1 / (h.RangeT * kappa * kappa)
+	// Noise precision calibrated like the separable innovation: a Matérn
+	// slice with sd ≈ σ (approximate — non-separable marginals have no
+	// closed form; tests verify the order of magnitude numerically).
+	tau0 = TauFromKappaSigma(kappa, h.Sigma)
+	return kappa, gamma * dt, tau0 * tau0 * 2 * gamma / dt, tau0
 }
 
 // boolF returns 1 when the condition holds, else 0 (block scaling helper).

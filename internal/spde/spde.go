@@ -16,6 +16,7 @@ package spde
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/mesh"
 	"github.com/dalia-hpc/dalia/internal/sparse"
@@ -61,7 +62,14 @@ type Builder struct {
 	c     *sparse.CSR // lumped mass (diagonal)
 	g     *sparse.CSR // stiffness
 	gcg   *sparse.CSR // G·C̃⁻¹·G
+	cD    []float64   // diag C̃
 	cInvD []float64
+
+	// closed-form prior operations (prior.go)
+	logDetC      float64
+	kChol        *sparse.CholFactor // symbolic analysis of G + s·C̃
+	gPerm, cPerm *sparse.CSR        // G and C̃ on kChol's permuted pattern
+	work         sync.Pool          // *priorWork
 }
 
 // NewBuilder precomputes the FEM matrices for the given mesh and number of
@@ -74,12 +82,15 @@ func NewBuilder(m *mesh.Mesh, nt int) *Builder {
 	b.c = m.MassMatrix()
 	b.g = m.StiffnessMatrix()
 	n := m.NumNodes()
+	b.cD = make([]float64, n)
 	b.cInvD = make([]float64, n)
 	for i := 0; i < n; i++ {
-		b.cInvD[i] = 1 / b.c.At(i, i)
+		b.cD[i] = b.c.At(i, i)
+		b.cInvD[i] = 1 / b.cD[i]
 	}
 	cg := sparse.MatMul(sparse.Diag(b.cInvD), b.g)
 	b.gcg = sparse.MatMul(b.g, cg)
+	b.initPrior()
 	return b
 }
 
@@ -100,14 +111,7 @@ func (b *Builder) SpatialPrecision(kappa, tau float64) *sparse.CSR {
 func TemporalPrecision(nt int, a float64) *sparse.CSR {
 	coo := sparse.NewCOO(nt, nt)
 	for t := 0; t < nt; t++ {
-		d := 1.0
-		if t > 0 && t < nt-1 {
-			d = 1 + a*a
-		}
-		if nt == 1 {
-			d = 1 - a*a // marginal precision of the stationary state
-		}
-		coo.Add(t, t, d)
+		coo.Add(t, t, temporalDiag(nt, t, a))
 		if t < nt-1 {
 			coo.Add(t, t+1, -a)
 			coo.Add(t+1, t, -a)
@@ -116,19 +120,32 @@ func TemporalPrecision(nt int, a float64) *sparse.CSR {
 	return coo.ToCSR()
 }
 
+// temporalDiag returns entry (t,t) of TemporalPrecision(nt, a).
+func temporalDiag(nt, t int, a float64) float64 {
+	switch {
+	case nt == 1:
+		return 1 - a*a // marginal precision of the stationary state
+	case t > 0 && t < nt-1:
+		return 1 + a*a
+	}
+	return 1
+}
+
+// separableParams maps h to the (κ, a, τ) of the separable model. The
+// innovation variance is scaled so the stationary marginal standard
+// deviation of the composed process is h.Sigma: σ_w² = σ²·(1−a²).
+func separableParams(h Hyper) (kappa, a, tau float64) {
+	kappa = KappaFromRange(h.RangeS)
+	a = ARCoeff(h.RangeT)
+	return kappa, a, TauFromKappaSigma(kappa, h.Sigma*math.Sqrt(1-a*a))
+}
+
 // Precision assembles the spatio-temporal prior precision
 // Q_st = T(a) ⊗ Q_s(κ, τ_w) in time-major ordering (variable (t,s) at index
 // t·ns + s), which is block-tridiagonal with nt blocks of size ns.
-// The innovation variance is scaled so the stationary marginal standard
-// deviation of the composed process is h.Sigma.
 func (b *Builder) Precision(h Hyper) *sparse.CSR {
-	kappa := KappaFromRange(h.RangeS)
-	a := ARCoeff(h.RangeT)
-	// Innovation sd: σ_w² = σ²·(1−a²) for a stationary AR(1).
-	sigmaW := h.Sigma * math.Sqrt(1-a*a)
-	tau := TauFromKappaSigma(kappa, sigmaW)
-	qs := b.SpatialPrecision(kappa, tau)
-	return sparse.Kron(TemporalPrecision(b.Nt, a), qs)
+	kappa, a, tau := separableParams(h)
+	return b.PrecisionST(kappa, a, tau)
 }
 
 // PrecisionST is a convenience returning the same matrix for explicit
