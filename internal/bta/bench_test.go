@@ -50,11 +50,16 @@ func TestRefactorizeShapeMismatch(t *testing.T) {
 	}
 }
 
+// allocShapes are the (n, b, a) shapes the zero-allocation pins run at: a
+// generic one and the two benchmark block sizes, b=60 with a 3-row arrow
+// (fit_tri_gauss) and b=144 with a 2-row arrow (fit_uni_gauss). All of them
+// route every block operation through the packed kernels and their pools.
+var allocShapes = [][3]int{{4, 96, 4}, {8, 60, 3}, {4, 144, 2}}
+
 // TestRefactorizeSolveZeroAlloc is the acceptance gate of the
 // zero-allocation hot path: after warm-up, a full Refactorize + Solve +
 // LogDet cycle — one INLA θ-evaluation's worth of solver work — touches no
-// fresh heap. b is chosen large enough that the blocked kernels route
-// through the packed GEMM engine and its buffer pools.
+// fresh heap.
 func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -62,27 +67,60 @@ func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	prev := dense.SetMaxWorkers(1)
 	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(13))
-	n, b, a := 4, 96, 4
-	m := randBTA(rng, n, b, a)
-	f := NewFactor(n, b, a)
-	rhs0 := randVec(rng, m.Dim())
-	rhs := make([]float64, m.Dim())
-	// Warm-up: fills the factor storage and the dense packing pools.
-	if err := f.Refactorize(m); err != nil {
-		t.Fatal(err)
-	}
-	copy(rhs, rhs0)
-	f.Solve(rhs)
-	allocs := testing.AllocsPerRun(10, func() {
+	for _, sh := range allocShapes {
+		n, b, a := sh[0], sh[1], sh[2]
+		m := randBTA(rng, n, b, a)
+		f := NewFactor(n, b, a)
+		rhs0 := randVec(rng, m.Dim())
+		rhs := make([]float64, m.Dim())
+		// Warm-up: fills the factor storage and the dense packing pools.
 		if err := f.Refactorize(m); err != nil {
 			t.Fatal(err)
 		}
 		copy(rhs, rhs0)
 		f.Solve(rhs)
-		_ = f.LogDet()
-	})
-	if allocs != 0 {
-		t.Fatalf("Refactorize+Solve cycle allocates %.1f objects per run in steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.Refactorize(m); err != nil {
+				t.Fatal(err)
+			}
+			copy(rhs, rhs0)
+			f.Solve(rhs)
+			_ = f.LogDet()
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d b=%d a=%d: Refactorize+Solve cycle allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
+		}
+	}
+}
+
+// TestSelectedInversionIntoZeroAlloc: the sequential selected inversion —
+// a recursive Trtri and a Syrk per diagonal block, Gemm for the rest —
+// allocates nothing once the pools are warm.
+func TestSelectedInversionIntoZeroAlloc(t *testing.T) {
+	if dense.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
+	}
+	prev := dense.SetMaxWorkers(1)
+	defer dense.SetMaxWorkers(prev)
+	rng := rand.New(rand.NewSource(15))
+	for _, sh := range allocShapes {
+		n, b, a := sh[0], sh[1], sh[2]
+		f, err := Factorize(randBTA(rng, n, b, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := NewMatrix(n, b, a)
+		if err := f.SelectedInversionInto(sig); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := f.SelectedInversionInto(sig); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d b=%d a=%d: SelectedInversionInto allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
+		}
 	}
 }
 

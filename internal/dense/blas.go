@@ -21,10 +21,12 @@ const (
 	Right
 )
 
-// gemmPackFlops is the dispatch threshold between the naive small-size
-// loops and the packed micro-kernel engine: below ~24³ multiply-adds the
-// O(m·k + k·n) packing traffic is not amortized.
-const gemmPackFlops = 24 * 24 * 24
+// packFlops is the dispatch threshold, in multiply-adds, between the naive
+// small-size loops (ref.go) and the packed micro-kernel engine for Gemm and
+// Syrk: below ~8³ the O(m·k + k·n) packing traffic is not amortized
+// (measurements in README.md: the packed Gemm wins from n ≈ 7, at n = 16
+// by 4×; the packed Syrk from n = 8).
+const packFlops = 8 * 8 * 8
 
 // opShape returns the rows/cols of op(M).
 func opShape(t Transpose, m *Matrix) (int, int) {
@@ -70,8 +72,8 @@ func Gemm(transA, transB Transpose, alpha float64, a, b *Matrix, beta float64, c
 	if alpha == 0 || am == 0 || bn == 0 || ak == 0 {
 		return
 	}
-	if am*bn*ak >= gemmPackFlops {
-		gemmPacked(transA, transB, alpha, a, b, c)
+	if am*bn*ak >= packFlops {
+		gemmPacked(transA, transB, alpha, a, b, c, false)
 		return
 	}
 	switch {
@@ -96,15 +98,13 @@ func MatMul(transA, transB Transpose, a, b *Matrix) *Matrix {
 	return c
 }
 
-// syrkBlock is the panel width of the blocked Syrk: off-diagonal panels
-// become Gemm calls on the packed engine, diagonal blocks stay on the
-// naive triangular loops.
-const syrkBlock = 64
-
 // Syrk computes the lower triangle of C = alpha*op(A)*op(A)ᵀ + beta*C.
 // With trans == NoTrans, op(A) = A (C is a.Rows×a.Rows); with Trans,
 // op(A) = Aᵀ (C is a.Cols×a.Cols). Only the lower triangle of C is
-// referenced and written.
+// referenced and written. The product is one packed micro-kernel sweep
+// over the register tiles on and below the diagonal of C (tiles the
+// diagonal crosses accumulate only their lower entries; tiles above it are
+// never run), parallel over macro-tiles of rows like Gemm.
 func Syrk(trans Transpose, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	n, k := opShape(trans, a)
 	if c.Rows != n || c.Cols != n {
@@ -125,293 +125,14 @@ func Syrk(trans Transpose, alpha float64, a *Matrix, beta float64, c *Matrix) {
 	if alpha == 0 || n == 0 || k == 0 {
 		return
 	}
-	if n <= syrkBlock {
+	if n*n*k < packFlops {
 		syrkRef(trans, alpha, a, c)
 		return
 	}
-	for i0 := 0; i0 < n; i0 += syrkBlock {
-		ib := min(syrkBlock, n-i0)
-		if i0 > 0 {
-			// Off-diagonal panel C[i0:i0+ib, 0:i0] += alpha·op(A)_I·op(A)_Jᵀ.
-			cPanel := c.View(i0, 0, ib, i0)
-			if trans == NoTrans {
-				Gemm(NoTrans, Trans, alpha, a.View(i0, 0, ib, k), a.View(0, 0, i0, k), 1, cPanel)
-			} else {
-				Gemm(Trans, NoTrans, alpha, a.View(0, i0, k, ib), a.View(0, 0, k, i0), 1, cPanel)
-			}
-		}
-		// Diagonal block: naive triangular accumulation.
-		var slab *Matrix
-		if trans == NoTrans {
-			slab = a.View(i0, 0, ib, k)
-		} else {
-			slab = a.View(0, i0, k, ib)
-		}
-		syrkRef(trans, alpha, slab, c.View(i0, i0, ib, ib))
-	}
-}
-
-// trsmBlock is the diagonal-block size of the blocked Trsm; the
-// off-diagonal updates become Gemm calls.
-const trsmBlock = 64
-
-// Trsm solves a triangular system with a lower-triangular L in place of B:
-//
-//	Left,  NoTrans: B ← L⁻¹ B
-//	Left,  Trans:   B ← L⁻ᵀ B
-//	Right, NoTrans: B ← B L⁻¹
-//	Right, Trans:   B ← B L⁻ᵀ
-//
-// Only the lower triangle of L is referenced. Unit-diagonal systems are not
-// needed by the BTA solvers and are not supported. Systems larger than
-// trsmBlock are solved blocked: small triangular solves on the diagonal
-// blocks, level-3 Gemm updates for everything else.
-func Trsm(side Side, trans Transpose, l, b *Matrix) {
-	if l.Rows != l.Cols {
-		panic("dense: trsm with non-square triangular factor")
-	}
-	n := l.Rows
-	if side == Left && b.Rows != n || side == Right && b.Cols != n {
-		panic(fmt.Sprintf("dense: trsm shape mismatch L=%d×%d B=%d×%d side=%d", l.Rows, l.Cols, b.Rows, b.Cols, side))
-	}
-	if n == 0 || b.Rows == 0 || b.Cols == 0 {
-		return
-	}
-	if n <= trsmBlock {
-		trsmUnb(side, trans, l, b)
-		return
-	}
-	switch {
-	case side == Left && trans == NoTrans:
-		// Forward over row blocks: solve diag, then eliminate below.
-		for k0 := 0; k0 < n; k0 += trsmBlock {
-			kb := min(trsmBlock, n-k0)
-			bk := b.View(k0, 0, kb, b.Cols)
-			trsmUnb(Left, NoTrans, l.View(k0, k0, kb, kb), bk)
-			if rem := n - k0 - kb; rem > 0 {
-				Gemm(NoTrans, NoTrans, -1, l.View(k0+kb, k0, rem, kb), bk, 1, b.View(k0+kb, 0, rem, b.Cols))
-			}
-		}
-	case side == Left && trans == Trans:
-		// Backward over row blocks: eliminate from below, then solve diag.
-		k0 := ((n - 1) / trsmBlock) * trsmBlock
-		for ; k0 >= 0; k0 -= trsmBlock {
-			kb := min(trsmBlock, n-k0)
-			bk := b.View(k0, 0, kb, b.Cols)
-			if rem := n - k0 - kb; rem > 0 {
-				Gemm(Trans, NoTrans, -1, l.View(k0+kb, k0, rem, kb), b.View(k0+kb, 0, rem, b.Cols), 1, bk)
-			}
-			trsmUnb(Left, Trans, l.View(k0, k0, kb, kb), bk)
-		}
-	case side == Right && trans == Trans:
-		// Forward over column blocks of X·Lᵀ = B.
-		for j0 := 0; j0 < n; j0 += trsmBlock {
-			jb := min(trsmBlock, n-j0)
-			bj := b.View(0, j0, b.Rows, jb)
-			if j0 > 0 {
-				Gemm(NoTrans, Trans, -1, b.View(0, 0, b.Rows, j0), l.View(j0, 0, jb, j0), 1, bj)
-			}
-			trsmUnb(Right, Trans, l.View(j0, j0, jb, jb), bj)
-		}
-	default: // Right, NoTrans
-		// Backward over column blocks of X·L = B.
-		j0 := ((n - 1) / trsmBlock) * trsmBlock
-		for ; j0 >= 0; j0 -= trsmBlock {
-			jb := min(trsmBlock, n-j0)
-			bj := b.View(0, j0, b.Rows, jb)
-			if rem := n - j0 - jb; rem > 0 {
-				Gemm(NoTrans, NoTrans, -1, b.View(0, j0+jb, b.Rows, rem), l.View(j0+jb, j0, rem, jb), 1, bj)
-			}
-			trsmUnb(Right, NoTrans, l.View(j0, j0, jb, jb), bj)
-		}
-	}
-}
-
-// trsmUnb is the unblocked triangular solve used on diagonal blocks.
-func trsmUnb(side Side, trans Transpose, l, b *Matrix) {
-	n := l.Rows
-	switch {
-	case side == Left && trans == NoTrans:
-		// Forward substitution over rows; columns are independent.
-		for i := 0; i < n; i++ {
-			li := l.Row(i)
-			bi := b.Row(i)
-			for k := 0; k < i; k++ {
-				f := li[k]
-				if f == 0 {
-					continue
-				}
-				bk := b.Row(k)
-				for j := range bi {
-					bi[j] -= f * bk[j]
-				}
-			}
-			inv := 1 / li[i]
-			for j := range bi {
-				bi[j] *= inv
-			}
-		}
-	case side == Left && trans == Trans:
-		// Backward substitution with Lᵀ (upper triangular).
-		for i := n - 1; i >= 0; i-- {
-			bi := b.Row(i)
-			for k := i + 1; k < n; k++ {
-				f := l.Data[k*l.Stride+i] // Lᵀ[i,k] = L[k,i]
-				if f == 0 {
-					continue
-				}
-				bk := b.Row(k)
-				for j := range bi {
-					bi[j] -= f * bk[j]
-				}
-			}
-			inv := 1 / l.Data[i*l.Stride+i]
-			for j := range bi {
-				bi[j] *= inv
-			}
-		}
-	case side == Right && trans == Trans:
-		trsmUnbRT(n, l.Data, l.Stride, b.Data, b.Stride, b.Rows, b.Cols)
-	default: // Right, NoTrans
-		trsmUnbRN(n, l.Data, l.Stride, b.Data, b.Stride, b.Rows, b.Cols)
-	}
-}
-
-// trsmUnbRT solves x·Lᵀ = b row-wise: x[j] = (b[j] − Σ_{k<j} x[k]·L[j,k]) / L[j,j].
-// Operands arrive as raw (data, stride) so the parallel closure captures no
-// *Matrix (keeps caller Views stack-allocated); the serial branch avoids
-// even the closure allocation.
-func trsmUnbRT(n int, lData []float64, lStride int, bData []float64, bStride, bRows, bCols int) {
-	if MaxWorkers() <= 1 || bRows < parallelRows {
-		trsmUnbRTRange(0, bRows, n, lData, lStride, bData, bStride, bCols)
-		return
-	}
-	parFor(bRows, func(lo, hi int) {
-		trsmUnbRTRange(lo, hi, n, lData, lStride, bData, bStride, bCols)
-	})
-}
-
-func trsmUnbRTRange(lo, hi, n int, lData []float64, lStride int, bData []float64, bStride, bCols int) {
-	for i := lo; i < hi; i++ {
-		x := bData[i*bStride : i*bStride+bCols]
-		for j := 0; j < n; j++ {
-			lj := lData[j*lStride : j*lStride+j+1]
-			s := x[j]
-			for k := 0; k < j; k++ {
-				s -= x[k] * lj[k]
-			}
-			x[j] = s / lj[j]
-		}
-	}
-}
-
-// trsmUnbRN solves x·L = b row-wise, backward over j using column j of L
-// below the diagonal.
-func trsmUnbRN(n int, lData []float64, lStride int, bData []float64, bStride, bRows, bCols int) {
-	if MaxWorkers() <= 1 || bRows < parallelRows {
-		trsmUnbRNRange(0, bRows, n, lData, lStride, bData, bStride, bCols)
-		return
-	}
-	parFor(bRows, func(lo, hi int) {
-		trsmUnbRNRange(lo, hi, n, lData, lStride, bData, bStride, bCols)
-	})
-}
-
-func trsmUnbRNRange(lo, hi, n int, lData []float64, lStride int, bData []float64, bStride, bCols int) {
-	for i := lo; i < hi; i++ {
-		x := bData[i*bStride : i*bStride+bCols]
-		for j := n - 1; j >= 0; j-- {
-			s := x[j]
-			for k := j + 1; k < n; k++ {
-				s -= x[k] * lData[k*lStride+j]
-			}
-			x[j] = s / lData[j*lStride+j]
-		}
-	}
-}
-
-// Trmm computes B ← op(L)·B (side Left) or B ← B·op(L) (side Right) for a
-// lower-triangular L, in place.
-func Trmm(side Side, trans Transpose, l, b *Matrix) {
-	n := l.Rows
-	if l.Rows != l.Cols {
-		panic("dense: trmm with non-square triangular factor")
-	}
-	switch {
-	case side == Left && trans == NoTrans:
-		if b.Rows != n {
-			panic("dense: trmm shape mismatch")
-		}
-		for i := n - 1; i >= 0; i-- {
-			li := l.Row(i)
-			bi := b.Row(i)
-			for j := range bi {
-				bi[j] *= li[i]
-			}
-			for k := 0; k < i; k++ {
-				f := li[k]
-				if f == 0 {
-					continue
-				}
-				bk := b.Row(k)
-				for j := range bi {
-					bi[j] += f * bk[j]
-				}
-			}
-		}
-	case side == Left && trans == Trans:
-		if b.Rows != n {
-			panic("dense: trmm shape mismatch")
-		}
-		for i := 0; i < n; i++ {
-			bi := b.Row(i)
-			for j := range bi {
-				bi[j] *= l.Data[i*l.Stride+i]
-			}
-			for k := i + 1; k < n; k++ {
-				f := l.Data[k*l.Stride+i]
-				if f == 0 {
-					continue
-				}
-				bk := b.Row(k)
-				for j := range bi {
-					bi[j] += f * bk[j]
-				}
-			}
-		}
-	case side == Right && trans == NoTrans:
-		if b.Cols != n {
-			panic("dense: trmm shape mismatch")
-		}
-		parFor(b.Rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := b.Row(i)
-				for j := 0; j < n; j++ {
-					var s float64
-					for k := j; k < n; k++ {
-						s += x[k] * l.Data[k*l.Stride+j]
-					}
-					x[j] = s
-				}
-			}
-		})
-	default: // Right, Trans: B ← B·Lᵀ
-		if b.Cols != n {
-			panic("dense: trmm shape mismatch")
-		}
-		parFor(b.Rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := b.Row(i)
-				for j := n - 1; j >= 0; j-- {
-					lj := l.Row(j)
-					var s float64
-					for k := 0; k <= j; k++ {
-						s += x[k] * lj[k]
-					}
-					x[j] = s
-				}
-			}
-		})
+	if trans == NoTrans {
+		gemmPacked(NoTrans, Trans, alpha, a, a, c, true)
+	} else {
+		gemmPacked(Trans, NoTrans, alpha, a, a, c, true)
 	}
 }
 

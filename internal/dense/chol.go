@@ -11,72 +11,43 @@ import (
 // hyperparameter configuration; callers back off rather than abort.
 var ErrNotPositiveDefinite = errors.New("dense: matrix is not positive definite")
 
-// potrfBlock is the panel width of the blocked Cholesky. 64 balances
-// level-3 content against cache residency for float64 on commodity CPUs.
-const potrfBlock = 64
+// potrfLeaf and trtriLeaf are the orders at and below which the recursive
+// Potrf and Trtri run their unblocked leaves (potf2, trtriUnb); above them
+// every flop is a Trsm or Syrk through the packed micro-kernel
+// (BenchmarkBlock, README.md).
+const (
+	potrfLeaf = 16
+	trtriLeaf = 16
+)
 
 // Potrf overwrites the lower triangle of a with its Cholesky factor L such
 // that A = L·Lᵀ. The strict upper triangle is left untouched (callers that
 // need a clean factor use ZeroUpper). Returns ErrNotPositiveDefinite when a
-// pivot is ≤ 0 or NaN.
+// pivot is ≤ 0 or NaN. The factorization is recursive: L11 of the leading
+// half, L21 = A21·L11⁻ᵀ (Trsm), A22 − L21·L21ᵀ (Syrk), L22 of the trailing
+// half; potf2 factors the leaves and is where pivots are checked.
 func Potrf(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("dense: potrf of non-square %d×%d matrix", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	for j := 0; j < n; j += potrfBlock {
-		bw := potrfBlock
-		if j+bw > n {
-			bw = n - j
-		}
-		d := a.View(j, j, bw, bw)
-		if j > 0 {
-			// Trailing update of the panel from already-factored columns:
-			// D ← D − P·Pᵀ, R ← R − Q·Pᵀ.
-			p := a.View(j, 0, bw, j)
-			Syrk(NoTrans, -1, p, 1, d)
-			if rem := n - j - bw; rem > 0 {
-				q := a.View(j+bw, 0, rem, j)
-				r := a.View(j+bw, j, rem, bw)
-				Gemm(NoTrans, Trans, -1, q, p, 1, r)
-			}
-		}
-		if err := potf2(d); err != nil {
-			return err
-		}
-		if rem := n - j - bw; rem > 0 {
-			r := a.View(j+bw, j, rem, bw)
-			Trsm(Right, Trans, d, r)
-		}
-	}
-	return nil
+	return potrfRec(a)
 }
 
-// potf2 is the unblocked lower Cholesky used on diagonal panels.
-func potf2(a *Matrix) error {
+func potrfRec(a *Matrix) error {
 	n := a.Rows
-	for j := 0; j < n; j++ {
-		row := a.Row(j)
-		s := row[j]
-		for k := 0; k < j; k++ {
-			s -= row[k] * row[k]
-		}
-		if s <= 0 || math.IsNaN(s) {
-			return ErrNotPositiveDefinite
-		}
-		d := math.Sqrt(s)
-		row[j] = d
-		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			ri := a.Row(i)
-			s := ri[j]
-			for k := 0; k < j; k++ {
-				s -= ri[k] * row[k]
-			}
-			ri[j] = s * inv
-		}
+	if n <= potrfLeaf {
+		return potf2(a)
 	}
-	return nil
+	n1 := recSplit(n)
+	a11 := a.View(0, 0, n1, n1)
+	if err := potrfRec(a11); err != nil {
+		return err
+	}
+	a21 := a.View(n1, 0, n-n1, n1)
+	Trsm(Right, Trans, a11, a21)
+	a22 := a.View(n1, n1, n-n1, n-n1)
+	Syrk(NoTrans, -1, a21, 1, a22)
+	return potrfRec(a22)
 }
 
 // Chol computes and returns the Cholesky factor of a as a fresh matrix with
@@ -112,43 +83,48 @@ func LogDetFromChol(l *Matrix) float64 {
 	return 2 * s
 }
 
-// Trtri inverts a lower-triangular matrix in place (unblocked; used on the
-// small reduced systems and arrow tips only).
+// Trtri inverts a lower-triangular matrix in place; the strict upper
+// triangle is not referenced. It runs on every diagonal block of every
+// selected inversion (through PotriInto), so it is recursive like Potrf:
+// L21 ← −L22⁻¹·L21·L11⁻¹ by two Trsm calls, then the two diagonal halves;
+// trtriUnb inverts the leaves.
 func Trtri(l *Matrix) error {
 	n := l.Rows
 	if n != l.Cols {
 		return fmt.Errorf("dense: trtri of non-square %d×%d matrix", n, l.Cols)
 	}
 	for j := 0; j < n; j++ {
-		d := l.Data[j*l.Stride+j]
-		if d == 0 {
+		if l.Data[j*l.Stride+j] == 0 {
 			return errors.New("dense: trtri singular diagonal")
 		}
-		l.Data[j*l.Stride+j] = 1 / d
-		for i := j + 1; i < n; i++ {
-			ri := l.Row(i)
-			var s float64
-			for k := j; k < i; k++ {
-				s += ri[k] * l.Data[k*l.Stride+j]
-			}
-			ri[j] = -s / ri[i]
-		}
 	}
+	trtriRec(l)
 	return nil
+}
+
+func trtriRec(l *Matrix) {
+	n := l.Rows
+	if n <= trtriLeaf {
+		trtriUnb(l)
+		return
+	}
+	n1 := recSplit(n)
+	l11, l21, l22 := l.View(0, 0, n1, n1), l.View(n1, 0, n-n1, n1), l.View(n1, n1, n-n1, n-n1)
+	Trsm(Right, NoTrans, l11, l21)
+	Trsm(Left, NoTrans, l22, l21)
+	l21.Scale(-1)
+	trtriRec(l11)
+	trtriRec(l22)
 }
 
 // Potri computes the full inverse A⁻¹ (symmetric, both triangles filled)
 // from the Cholesky factor L: A⁻¹ = L⁻ᵀ·L⁻¹.
 func Potri(l *Matrix) (*Matrix, error) {
-	li := l.Clone()
-	li.ZeroUpper()
-	if err := Trtri(li); err != nil {
-		return nil, err
-	}
 	n := l.Rows
 	inv := New(n, n)
-	Gemm(Trans, NoTrans, 1, li, li, 0, inv)
-	inv.Symmetrize()
+	if err := PotriInto(inv, New(n, n), l); err != nil {
+		return nil, err
+	}
 	return inv, nil
 }
 
@@ -157,15 +133,17 @@ func Potri(l *Matrix) (*Matrix, error) {
 // triangular, zero upper), which the selected-inversion sweeps reuse to
 // scale their coupling blocks. dst and tmp must both be n×n and distinct
 // from each other and from l. This is the hot-path twin of Potri for the
-// selected-inversion sweeps that run once per INLA θ-evaluation.
+// selected-inversion sweeps that run once per INLA θ-evaluation. The
+// product is a Syrk (lower triangle) mirrored to the upper one, so dst is
+// exactly symmetric.
 func PotriInto(dst, tmp, l *Matrix) error {
 	tmp.CopyFrom(l)
 	tmp.ZeroUpper()
 	if err := Trtri(tmp); err != nil {
 		return err
 	}
-	Gemm(Trans, NoTrans, 1, tmp, tmp, 0, dst)
-	dst.Symmetrize()
+	Syrk(Trans, 1, tmp, 0, dst)
+	dst.MirrorLowerToUpper()
 	return nil
 }
 

@@ -52,7 +52,8 @@ func TestGemmAllPathsVsReference(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1}, {2, 3, 4}, {5, 1, 7}, {1, 9, 1},
 		{MR, NR, 8}, {MR + 1, NR + 1, 9}, {MR - 1, NR - 1, 3},
-		{31, 33, 35},                // below pack threshold
+		{7, 7, 7}, {8, 8, 8}, // straddling packFlops
+		{31, 33, 35},
 		{63, 65, 67}, {129, 67, 31}, // straddling mcBlock/NR edges
 		{130, 129, 257}, // above kcBlock with ragged edges
 		{1, 200, 300}, {300, 1, 200}, {200, 300, 1},
@@ -148,14 +149,14 @@ func TestGemmAlphaBetaFastPaths(t *testing.T) {
 	}
 }
 
-// TestSyrkBlockedVsReference exercises the blocked Syrk (off-diagonal
-// panels via Gemm) against the plain triangular reference, on sizes
-// straddling syrkBlock, for both transposes, with strided views, and with
-// the beta=0 fast path on a garbage-filled C.
+// TestSyrkBlockedVsReference exercises the packed lower-tile Syrk against
+// the plain triangular reference, on sizes straddling the syrkRef
+// switch-over and the macro-tile height mcBlock, for both transposes, with
+// strided views, and with the beta=0 fast path on a garbage-filled C.
 func TestSyrkBlockedVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, trans := range []Transpose{NoTrans, Trans} {
-		for _, n := range []int{1, 5, syrkBlock - 1, syrkBlock, syrkBlock + 1, 2*syrkBlock + 17} {
+		for _, n := range []int{1, 2, 3, 5, mcBlock - 1, mcBlock, mcBlock + 1, 2*mcBlock + 17} {
 			k := 37
 			var a *Matrix
 			if trans == NoTrans {
@@ -195,11 +196,12 @@ func TestSyrkBlockedVsReference(t *testing.T) {
 	}
 }
 
-// TestTrsmBlockedRoundTrip: blocked Trsm (sizes above trsmBlock) must
-// invert Trmm for every side/transpose combination, including on views.
+// TestTrsmBlockedRoundTrip: Trsm at orders around trsmPackMax (one packed
+// sweep, then the split into halves) must undo the triangular multiply for
+// every side/transpose combination.
 func TestTrsmBlockedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, n := range []int{trsmBlock + 1, 2*trsmBlock + 13} {
+	for _, n := range []int{trsmPackMax - 1, trsmPackMax, trsmPackMax + 1, 2*trsmPackMax + 13} {
 		l := New(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
@@ -218,21 +220,20 @@ func TestTrsmBlockedRoundTrip(t *testing.T) {
 				fillRand(rng, b)
 				orig := b.Clone()
 				Trsm(side, trans, l, b)
-				Trmm(side, trans, l, b)
-				if !b.Equal(orig, 1e-7) {
-					t.Fatalf("trsm/trmm round trip failed side=%d trans=%v n=%d", side, trans, n)
+				if !triMul(side, trans, l, b).Equal(orig, 1e-7) {
+					t.Fatalf("trsm round trip failed side=%d trans=%v n=%d", side, trans, n)
 				}
 			}
 		}
 	}
 }
 
-// TestPotrfLargeReconstruction: the blocked Cholesky at a size that
-// engages every level (panel potf2, blocked Trsm, blocked Syrk, packed
-// Gemm) must reproduce L·Lᵀ = A.
+// TestPotrfLargeReconstruction: the recursive Cholesky at a size that
+// engages every level (potf2 leaves, packed and split Trsm, packed Syrk
+// over several macro-tiles) must reproduce L·Lᵀ = A.
 func TestPotrfLargeReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	n := 2*potrfBlock + 29
+	n := 2*trsmPackMax + 29
 	g := New(n, n)
 	fillRand(rng, g)
 	a := New(n, n)

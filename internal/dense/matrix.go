@@ -3,7 +3,8 @@
 // cuBLAS/cuSOLVER play in the DALIA paper: all block operations of the
 // BTA (block-tridiagonal-with-arrowhead) factorization, triangular solve
 // and selected inversion reduce to the Level-3 kernels implemented here
-// (GEMM, SYRK, TRSM) plus a blocked Cholesky (POTRF).
+// (GEMM, SYRK, TRSM) plus a recursive Cholesky (POTRF) and triangular
+// inverse (TRTRI), all running on one packed register-tile micro-kernel.
 //
 // Matrices are stored row-major with an explicit stride, so cheap
 // rectangular views into larger buffers are possible without copying.
@@ -69,12 +70,13 @@ func (m *Matrix) AtChecked(i, j int) (float64, error) {
 
 // View returns an r×c view starting at (i,j) sharing storage with m.
 // View is kept small enough to inline so that short-lived views inside the
-// blocked kernels (Potrf/Syrk/Trsm panels) stay on the caller's stack.
+// recursive kernels (the Potrf, Trtri and Trsm halves) stay on the caller's
+// stack.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		// Constant-string panic keeps View within the inlining budget
-		// (fmt.Sprintf here would push it over and force every panel view
-		// of the blocked kernels onto the heap).
+		// (fmt.Sprintf here would push it over and force every view of the
+		// recursive kernels onto the heap).
 		panic("dense: view out of range")
 	}
 	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
@@ -185,8 +187,8 @@ func (m *Matrix) MirrorLowerToUpper() {
 		panic("dense: mirror of non-square matrix")
 	}
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < i; j++ {
-			m.Set(j, i, m.At(i, j))
+		for j, v := range m.Row(i)[:i] {
+			m.Data[j*m.Stride+i] = v
 		}
 	}
 }
@@ -194,9 +196,8 @@ func (m *Matrix) MirrorLowerToUpper() {
 // ZeroUpper clears the strict upper triangle (canonicalizing a lower factor).
 func (m *Matrix) ZeroUpper() {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := i + 1; j < m.Cols; j++ {
-			row[j] = 0
+		if row := m.Row(i); i+1 < len(row) {
+			clear(row[i+1:])
 		}
 	}
 }

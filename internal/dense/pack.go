@@ -39,7 +39,17 @@ func packPanelsA(dst []float64, trans Transpose, aData []float64, aStride, i0, p
 			h = mcb - ip
 		}
 		panel := dst[(ip/MR)*MR*kcb:]
-		if trans == NoTrans {
+		if trans == NoTrans && h == MR {
+			// Four rows at once: one contiguous MR-store per k step.
+			// Rows resliced to length kcb exactly, so the loop runs free of
+			// per-element bounds checks.
+			a := aData[(i0+ip)*aStride+p0:]
+			a0, a1, a2, a3 := a[:kcb], a[aStride:][:kcb], a[2*aStride:][:kcb], a[3*aStride:][:kcb]
+			for p := range a0 {
+				d := (*[MR]float64)(panel[p*MR:])
+				d[0], d[1], d[2], d[3] = alpha*a0[p], alpha*a1[p], alpha*a2[p], alpha*a3[p]
+			}
+		} else if trans == NoTrans {
 			for r := 0; r < h; r++ {
 				src := aData[(i0+ip+r)*aStride+p0 : (i0+ip+r)*aStride+p0+kcb]
 				for p, v := range src {
@@ -85,14 +95,11 @@ func packPanelsB(dst []float64, trans Transpose, bData []float64, bStride, p0, j
 					d[j] = 0
 				}
 			}
+		} else if w == NR {
+			transposeRows8(panel, bData[(j0+jp)*bStride+p0:], bStride, kcb, false)
 		} else {
-			if w < NR {
-				for p := 0; p < kcb; p++ {
-					d := panel[p*NR+w : p*NR+NR]
-					for j := range d {
-						d[j] = 0
-					}
-				}
+			for p := 0; p < kcb; p++ {
+				clear(panel[p*NR+w : p*NR+NR])
 			}
 			for j := 0; j < w; j++ {
 				src := bData[(j0+jp+j)*bStride+p0 : (j0+jp+j)*bStride+p0+kcb]
@@ -104,11 +111,37 @@ func packPanelsB(dst []float64, trans Transpose, bData []float64, bStride, p0, j
 	}
 }
 
+// transposeRows8 moves n columns of the NR = 8 rows of b (row stride
+// bStride) to or from their k-major packed form yp[p·NR + r] = b[r, p]:
+// into yp, or back into b when unpack is set. One p step moves a whole
+// packed row, and the rows are resliced to length n exactly, so neither
+// side pays a bounds check per element.
+func transposeRows8(yp, b []float64, bStride, n int, unpack bool) {
+	b0, b1, b2, b3 := b[:n], b[bStride:][:n], b[2*bStride:][:n], b[3*bStride:][:n]
+	b4, b5, b6, b7 := b[4*bStride:][:n], b[5*bStride:][:n], b[6*bStride:][:n], b[7*bStride:][:n]
+	for p := range b0 {
+		d := (*[NR]float64)(yp[p*NR:])
+		if unpack {
+			b0[p], b1[p], b2[p], b3[p], b4[p], b5[p], b6[p], b7[p] = d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		} else {
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = b0[p], b1[p], b2[p], b3[p], b4[p], b5[p], b6[p], b7[p]
+		}
+	}
+}
+
+// noMask is the diagonal offset of a full (unmasked) product: every tile of
+// C lies on or below the "diagonal" row − col = −noMask.
+const noMask = 1 << 40
+
 // macroKernel sweeps the register tiles of one (mcb×ncb) block of C over
 // the packed panels. cData points at the (0,0) element of the C block, with
-// row stride ldc. Full MR×NR tiles hit C directly; edge tiles go through
-// the zero-padded scratch tile and only the valid region is accumulated.
-func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) {
+// row stride ldc. Only elements (i, j) of the block with j ≤ i + diag are
+// accumulated: diag is the block's row origin minus its column origin in a
+// lower-triangular Syrk, noMask for a full Gemm. Tiles entirely above that
+// line are skipped; full MR×NR tiles entirely below it hit C directly; edge
+// tiles and tiles the line crosses go through the zero-padded scratch tile,
+// of which only the valid lower region is accumulated.
+func macroKernel(mcb, ncb, kcb, diag int, aPan, bPan, tile, cData []float64, ldc int) {
 	for jp := 0; jp < ncb; jp += NR {
 		w := NR
 		if jp+w > ncb {
@@ -120,19 +153,23 @@ func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) 
 			if ip+h > mcb {
 				h = mcb - ip
 			}
+			if jp > ip+h-1+diag {
+				continue // strictly upper
+			}
 			ap := aPan[(ip/MR)*MR*kcb:]
-			if h == MR && w == NR {
+			if h == MR && w == NR && jp+NR-1 <= ip+diag {
 				ukernel(kcb, ap, bp, cData[ip*ldc+jp:], ldc)
 				continue
 			}
-			for i := range tile[:MR*NR] {
-				tile[i] = 0
-			}
+			clear(tile[:MR*NR])
 			ukernel(kcb, ap, bp, tile, NR)
 			for r := 0; r < h; r++ {
-				crow := cData[(ip+r)*ldc+jp : (ip+r)*ldc+jp+w]
-				trow := tile[r*NR : r*NR+w]
-				for j, v := range trow {
+				lim := min(w, ip+r+diag-jp+1)
+				if lim <= 0 {
+					continue
+				}
+				crow := cData[(ip+r)*ldc+jp : (ip+r)*ldc+jp+lim]
+				for j, v := range tile[r*NR : r*NR+lim] {
 					crow[j] += v
 				}
 			}
@@ -141,12 +178,16 @@ func macroKernel(mcb, ncb, kcb int, aPan, bPan, tile, cData []float64, ldc int) 
 }
 
 // gemmPacked computes C += alpha·op(A)·op(B) through the packed micro-kernel
-// engine. Parallelism is over mc-sized macro-tiles of C rows: the packed B
-// panel is shared read-only, each worker packs its own A panel. Matrix
-// operands are unwrapped to (data, stride) immediately: the goroutine
-// closures below must never capture a *Matrix, or escape analysis would
-// heap-allocate every View the blocked Potrf/Trsm/Syrk callers pass in.
-func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix) {
+// engine; with lower set, C is square and only its lower triangle is
+// computed and touched (the Syrk sweep: tiles above the diagonal are never
+// run). Parallelism is over macro-tiles of C rows: the packed B panel is
+// shared read-only, each worker packs its own A panel. Every element of C
+// is accumulated in the same order whatever the tiling, so results are
+// bitwise independent of the worker count. Matrix operands are unwrapped to
+// (data, stride) immediately: the goroutine closures below must never
+// capture a *Matrix, or escape analysis would heap-allocate every View the
+// recursive Potrf/Trtri callers pass in.
+func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix, lower bool) {
 	m, n := c.Rows, c.Cols
 	k := a.Cols
 	if transA == Trans {
@@ -157,17 +198,24 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix) {
 	cData, cStride := c.Data, c.Stride
 	bBufP := packBPool.Get().(*[]float64)
 	bBuf := *bBufP
+	// Macro-tiles of at most mcBlock rows, balanced so a two-tile product
+	// does not split 128 + 16.
+	nTiles := (m + mcBlock - 1) / mcBlock
+	mc := ((m+nTiles-1)/nTiles + MR - 1) / MR * MR
 	for jc := 0; jc < n; jc += ncBlock {
 		ncb := min(ncBlock, n-jc)
+		diag := noMask
+		if lower {
+			diag = -jc
+		}
 		for pc := 0; pc < k; pc += kcBlock {
 			kcb := min(kcBlock, k-pc)
 			packPanelsB(bBuf, transB, bData, bStride, pc, jc, kcb, ncb)
-			nTiles := (m + mcBlock - 1) / mcBlock
 			if MaxWorkers() <= 1 || nTiles < 2 {
 				// Serial fast path: no closure, zero per-call allocations.
-				gemmTileRange(0, nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+				gemmTileRange(0, nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
 			} else {
-				gemmTilesParallel(nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+				gemmTilesParallel(nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
 			}
 		}
 	}
@@ -178,23 +226,27 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix) {
 // in its own function so the closure (and the heap moves of its captures)
 // only exists when parallelism is actually used — the serial path in
 // gemmPacked must stay allocation-free.
-func gemmTilesParallel(nTiles int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, pc, jc, kcb, ncb int) {
+func gemmTilesParallel(nTiles int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, mc, pc, jc, kcb, ncb, diag int) {
 	parForTiles(nTiles, func(t0, t1 int) {
-		gemmTileRange(t0, t1, transA, alpha, aData, aStride, cData, cStride, bBuf, m, pc, jc, kcb, ncb)
+		gemmTileRange(t0, t1, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
 	})
 }
 
-// gemmTileRange processes macro-tiles [t0,t1) of C rows against the shared
-// packed B panel: pack the worker-private A panel, run the macro-kernel.
-func gemmTileRange(t0, t1 int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, pc, jc, kcb, ncb int) {
+// gemmTileRange processes macro-tiles [t0,t1) of mc rows of C against the
+// shared packed B panel: pack the worker-private A panel, run the
+// macro-kernel. Tiles wholly above the diagonal line are not even packed.
+func gemmTileRange(t0, t1 int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, mc, pc, jc, kcb, ncb, diag int) {
 	aBufP := packAPool.Get().(*[]float64)
 	aBuf := *aBufP
 	tile := aBuf[mcBlock*kcBlock:]
 	for t := t0; t < t1; t++ {
-		ic := t * mcBlock
-		mcb := min(mcBlock, m-ic)
+		ic := t * mc
+		mcb := min(mc, m-ic)
+		if mcb <= 0 || ic+mcb-1+diag < 0 {
+			continue
+		}
 		packPanelsA(aBuf, transA, aData, aStride, ic, pc, mcb, kcb, alpha)
-		macroKernel(mcb, ncb, kcb, aBuf, bBuf, tile, cData[ic*cStride+jc:], cStride)
+		macroKernel(mcb, ncb, kcb, ic+diag, aBuf, bBuf, tile, cData[ic*cStride+jc:], cStride)
 	}
 	packAPool.Put(aBufP)
 }
