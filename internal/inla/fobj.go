@@ -106,8 +106,10 @@ type solverScratch struct {
 
 	mu  []float64 // conditional mean (solution of Q_c·μ = rhs)
 	z   []float64 // one process of (Λ_c⁻¹⊗I)·μ for the prior quadratic form
-	pm  []float64 // process-major rhs before permutation
-	obs []float64 // weighted response combination
+	pm  []float64 // process-major rhs before permutation, then μ unpermuted
+	obs []float64 // (nv+1)·M: response combinations, projections, residual
+
+	newton *model.NewtonWork // count models' inner loop, built on first use
 }
 
 func newSolverScratch(m *model.Model) *solverScratch {
@@ -119,7 +121,7 @@ func newSolverScratch(m *model.Model) *solverScratch {
 		mu:  make([]float64, tot),
 		z:   make([]float64, m.Dims.PerProcess()),
 		pm:  make([]float64, tot),
-		obs: make([]float64, m.Obs.M()),
+		obs: make([]float64, (m.Dims.Nv+1)*m.Obs.M()),
 	}
 }
 
@@ -175,11 +177,11 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 	if err != nil {
 		return FobjParts{}, err
 	}
-	if m.Lik == model.LikPoisson {
-		return evalFobjPoisson(m, prior, t, theta)
-	}
 	if ws == nil {
 		ws = newSolverScratch(m)
+	}
+	if m.Lik == model.LikPoisson {
+		return evalFobjPoisson(m, prior, t, theta, ws)
 	}
 	fc, err := ws.condSolver(m, spec)
 	if err != nil {
@@ -201,7 +203,7 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 	parts.Mu = ws.mu
 	parts.LatentDim = len(ws.mu)
 	parts.QuadQp = m.PriorQuad(t, ws.mu, ws.z)
-	parts.LogLik = m.LogLik(t, ws.mu)
+	parts.LogLik = m.LogLikInto(t, ws.mu, ws.pm, ws.obs)
 	return parts, nil
 }
 

@@ -4,10 +4,33 @@ import (
 	"math"
 	"testing"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/model"
+	"github.com/dalia-hpc/dalia/internal/sparse"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
+
+// btaFactorizer is the solver hook of model.ConditionalModePoisson, the
+// general-sparse route: map a process-major Q_c with the model's pattern
+// into BTA form, factorize, and solve on process-major vectors.
+func btaFactorizer(m *model.Model) func(*sparse.CSR) (func([]float64) []float64, error) {
+	return func(qc *sparse.CSR) (func([]float64) []float64, error) {
+		qb, err := m.QcFromCSR(qc)
+		if err != nil {
+			return nil, err
+		}
+		f, err := bta.Factorize(qb)
+		if err != nil {
+			return nil, err
+		}
+		return func(rhsPM []float64) []float64 {
+			x := m.ApplyPerm(rhsPM)
+			f.Solve(x)
+			return m.UnPerm(x)
+		}, nil
+	}
+}
 
 func genPoisson(t *testing.T, nv int) *synth.Dataset {
 	t.Helper()

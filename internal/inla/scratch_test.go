@@ -41,11 +41,12 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 }
 
 // TestEvaluatorRefactorizeSolveZeroAlloc pins the acceptance criterion at
-// the evaluator level: with a warm arena, the per-θ solver cycle
-// (Refactorize of Q_c + conditional-mean solve + log-determinant) performs
-// zero heap allocations — on the small fixture and at the benchmark's two
-// block shapes, b=144 with a=2 (fit_uni_gauss) and b=60 with a=3
-// (fit_tri_gauss).
+// the evaluator level: with a warm arena, the per-θ cycle of a Gaussian
+// evaluation (Q_c assembly from the coefficient tables, Refactorize,
+// conditional-mean right-hand side and solve, log-determinant, the prior's
+// quadratic form and the log-likelihood) performs zero heap allocations —
+// on the small fixture and at the benchmark's two block shapes, b=144 with
+// a=2 (fit_uni_gauss) and b=60 with a=3 (fit_tri_gauss).
 func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -77,12 +78,17 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 		ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
 		ws.fc.Solve(ws.mu)
 		allocs := testing.AllocsPerRun(10, func() {
+			if err := ds.Model.QcInto(th, ws.qc); err != nil {
+				t.Fatal(err)
+			}
 			if err := ws.fc.Refactorize(ws.qc); err != nil {
 				t.Fatal(err)
 			}
 			ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
 			ws.fc.Solve(ws.mu)
 			_ = ws.fc.LogDet()
+			_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
+			_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
 		})
 		e.scratch.Put(ws)
 		_, b, a := ds.Model.Dims.BTAShape()

@@ -4,14 +4,88 @@ import (
 	"math"
 	"testing"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 )
+
+// fobjAt evaluates the θ-dependent part of the Gaussian objective with the
+// given assembled Q_c: log ℓ(y|μ) + ½log det Q_p − ½μᵀQ_pμ − ½log det Q_c.
+func fobjAt(t *testing.T, m *Model, th *Theta, qc *bta.Matrix) float64 {
+	t.Helper()
+	f, err := bta.Factorize(qc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu := m.CondRHS(th)
+	f.Solve(mu)
+	ld, err := m.PriorLogDet(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.LogLik(th, mu) + 0.5*ld - 0.5*m.PriorQuad(th, mu, make([]float64, m.Dims.PerProcess())) - 0.5*f.LogDet()
+}
+
+// TestTableFillMatchesCSRRoute is the parity grid of the numeric-only
+// assembly against the CSR route it replaced (per-process precisions,
+// JointPrecision, W-weighted Gram blocks, BTAMap): the same pattern, every
+// BTA entry of Q_c within 1e-13 relative to its block row, also when
+// refilled over another θ's values (so λ = 0 still writes its structural
+// zeros), F within 1e-12·|F|, and Q_p and the CSR forms within 1e-13 — on
+// the four benchmark shapes and the tables' structural corners.
+func TestTableFillMatchesCSRRoute(t *testing.T) {
+	for _, s := range append(append([]shape(nil), benchmarkShapes...), cornerShapes...) {
+		s.lik = LikGaussian // the assembly does not depend on it; F does
+		t.Run(s.name, func(t *testing.T) {
+			m, th := s.build(t)
+			oracle := m.oracleQcCSR(th)
+			want := m.oracleBTA(t, oracle)
+			got, err := m.Qc(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := compareBTA(got, want, 1e-13); err != nil {
+				t.Fatalf("Q_c: %v", err)
+			}
+			// A workspace holding another θ's values is fully rewritten.
+			ws, err := m.Qc(shapeTheta(t, s.nv, 250, 0.3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.QcInto(th, ws); err != nil {
+				t.Fatal(err)
+			}
+			if err := compareBTA(ws, want, 1e-13); err != nil {
+				t.Fatalf("refill: %v", err)
+			}
+
+			fGot, fWant := fobjAt(t, m, th, got), fobjAt(t, m, th, want)
+			if math.Abs(fGot-fWant) > 1e-12*math.Abs(fWant) {
+				t.Fatalf("F = %v, CSR route %v", fGot, fWant)
+			}
+
+			if err := closeDense(m.QcCSR(th).ToDense(), oracle.ToDense(), 1e-13); err != nil {
+				t.Fatalf("QcCSR: %v", err)
+			}
+			qp, err := m.Qp(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracleP := m.oracleQpCSR(th)
+			if err := closeDense(qp.ToDense(), oracleP.PermuteSym(m.perm).ToDense(), 1e-13); err != nil {
+				t.Fatalf("Q_p: %v", err)
+			}
+			if err := closeDense(m.QpCSR(th).ToDense(), oracleP.ToDense(), 1e-13); err != nil {
+				t.Fatalf("QpCSR: %v", err)
+			}
+		})
+	}
+}
 
 // TestExpandGramBlocksMatchesTriplets pins the fast sorted-CSR expansion
 // against the straightforward triplet assembly it replaced.
 func TestExpandGramBlocksMatchesTriplets(t *testing.T) {
 	m, th := testModel(t, 3, 2)
-	w := NoiseW(th)
+	w := noiseW(th)
 	fast := m.expandGramBlocks(func(i, j int) float64 { return w.At(i, j) }, m.gram)
 
 	n := m.Dims.PerProcess()

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 )
@@ -40,39 +43,38 @@ func (k LikelihoodKind) String() string {
 // mode of a non-Gaussian model (usually an infeasible θ).
 var ErrInnerLoopDiverged = errors.New("model: inner Newton loop for the conditional mode diverged")
 
-// linPred computes the linear predictors η_k = Σ_j Λ[k,j]·A·x_j for every
-// response from a process-major latent state.
-func (m *Model) linPred(t *Theta, xPM []float64) [][]float64 {
-	nv := m.Dims.Nv
-	n := m.Dims.PerProcess()
-	mObs := m.Obs.M()
+// linPredInto computes the linear predictors η_k = Σ_j Λ[k,j]·A·x_j of
+// every response from a process-major latent state: u (nv·M) receives the
+// projections A·x_j, eta (nv·M) the predictors, response k at [k·M, (k+1)·M).
+func (m *Model) linPredInto(t *Theta, xPM, u, eta []float64) {
+	nv, n, mObs := m.Dims.Nv, m.Dims.PerProcess(), m.Obs.M()
 	lc := t.Lambda.CoregView()
-	u := make([][]float64, nv)
 	for j := 0; j < nv; j++ {
-		u[j] = make([]float64, mObs)
-		m.aDesign.MulVec(xPM[j*n:(j+1)*n], u[j])
+		m.aDesign.MulVec(xPM[j*n:(j+1)*n], u[j*mObs:(j+1)*mObs])
 	}
-	eta := make([][]float64, nv)
 	for k := 0; k < nv; k++ {
-		eta[k] = make([]float64, mObs)
+		ek := eta[k*mObs : (k+1)*mObs]
+		clear(ek)
 		for j := 0; j <= k; j++ {
 			if f := lc.At(k, j); f != 0 {
-				dense.Axpy(f, u[j], eta[k])
+				dense.Axpy(f, u[j*mObs:(j+1)*mObs], ek)
 			}
 		}
 	}
-	return eta
 }
 
-// logLikPoissonAt evaluates Σ [y·η − exp(η) − log y!] at the given
-// process-major state.
-func (m *Model) logLikPoissonAt(t *Theta, xPM []float64) float64 {
-	eta := m.linPred(t, xPM)
+// poissonLogLik evaluates Σ [y·η − exp(η) − log y!] over the stacked linear
+// predictors; without norm it drops the constant log y!.
+func (m *Model) poissonLogLik(eta []float64, norm bool) float64 {
+	mObs := m.Obs.M()
 	var ll float64
-	for k := range eta {
-		y := m.Obs.Y[k]
-		for i, e := range eta[k] {
-			ll += y[i]*e - math.Exp(e) - lgammaPlus1(y[i])
+	for k, y := range m.Obs.Y {
+		for i, e := range eta[k*mObs : (k+1)*mObs] {
+			if norm {
+				ll += y[i]*e - math.Exp(e) - lgammaPlus1(y[i])
+			} else {
+				ll += y[i]*e - math.Exp(e)
+			}
 		}
 	}
 	return ll
@@ -84,8 +86,8 @@ func lgammaPlus1(y float64) float64 {
 }
 
 // weightedGram computes Aᵀ·diag(w)·A with the same structural pattern as
-// the cached Gram kernel (w > 0 elementwise), enabling reuse of the §IV-F
-// mapping for non-Gaussian conditional precisions.
+// the cached Gram kernel (w > 0 elementwise) — the general-sparse data term
+// of ConditionalModePoisson.
 func (m *Model) weightedGram(w []float64) *sparse.CSR {
 	scaled := m.aDesign.Clone()
 	for i := 0; i < scaled.RowsN; i++ {
@@ -98,32 +100,27 @@ func (m *Model) weightedGram(w []float64) *sparse.CSR {
 }
 
 // dataTermPoisson expands the second-order data term AᵀD(x)A for the
-// Poisson model: block (i,j) = Aᵀ·diag(Σ_k Λ[k,i]Λ[k,j]·exp(η_k))·A.
-func (m *Model) dataTermPoisson(t *Theta, eta [][]float64) *sparse.CSR {
+// Poisson model as a CSR: block (i,j) = Aᵀ·diag(Σ_k Λ[k,i]Λ[k,j]·exp(η_k))·A.
+func (m *Model) dataTermPoisson(t *Theta, eta []float64) *sparse.CSR {
 	nv := m.Dims.Nv
 	n := m.Dims.PerProcess()
 	mObs := m.Obs.M()
 	lc := t.Lambda.CoregView()
-	mu := make([][]float64, nv)
-	for k := 0; k < nv; k++ {
-		mu[k] = make([]float64, mObs)
-		for i, e := range eta[k] {
-			mu[k][i] = math.Exp(e)
-		}
+	mu := make([]float64, len(eta))
+	for i, e := range eta {
+		mu[i] = math.Exp(e)
 	}
 	coo := sparse.NewCOO(nv*n, nv*n)
 	w := make([]float64, mObs)
 	for i := 0; i < nv; i++ {
 		for j := 0; j < nv; j++ {
-			for o := range w {
-				w[o] = 0
-			}
+			clear(w)
 			for k := 0; k < nv; k++ {
 				f := lc.At(k, i) * lc.At(k, j)
 				if f == 0 {
 					continue
 				}
-				dense.Axpy(f, mu[k], w)
+				dense.Axpy(f, mu[k*mObs:(k+1)*mObs], w)
 			}
 			g := m.weightedGram(w)
 			for r := 0; r < n; r++ {
@@ -136,47 +133,122 @@ func (m *Model) dataTermPoisson(t *Theta, eta [][]float64) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// scoreRHSPoisson builds the Newton right-hand side
-// Aᵀ_eff·(D·η + y − exp(η)) in process-major ordering.
-func (m *Model) scoreRHSPoisson(t *Theta, eta [][]float64) []float64 {
-	nv := m.Dims.Nv
-	n := m.Dims.PerProcess()
-	mObs := m.Obs.M()
-	lc := t.Lambda.CoregView()
-	rhs := make([]float64, m.Dims.Total())
-	buf := make([]float64, mObs)
-	col := make([]float64, n)
-	for i := 0; i < nv; i++ {
-		for o := range buf {
-			buf[o] = 0
+// countTables hold the θ-invariant part of the count model's data term:
+// for every AᵀA entry g = (r,c), the observations o with A_or·A_oc ≠ 0 and
+// that product, so Aᵀ·diag(w)·A on the Gram pattern is
+// Σ_o w[o]·A_or·A_oc. Built on first use.
+type countTables struct {
+	once  sync.Once
+	start []int32 // entry g's terms are terms[start[g]:start[g+1]]
+	terms []gramTerm
+}
+
+type gramTerm struct {
+	o int32   // observation
+	v float64 // A_or·A_oc
+}
+
+func (m *Model) countGram() *countTables {
+	ct := &m.count
+	ct.once.Do(func() {
+		a, g := m.aDesign, m.gram
+		pos := func(r, c int) int {
+			lo, hi := g.RowPtr[r], g.RowPtr[r+1]
+			return lo + sort.SearchInts(g.ColIdx[lo:hi], c)
 		}
+		ct.start = make([]int32, g.NNZ()+1)
+		for o := 0; o < a.RowsN; o++ {
+			lo, hi := a.RowPtr[o], a.RowPtr[o+1]
+			for p := lo; p < hi; p++ {
+				for q := lo; q < hi; q++ {
+					ct.start[pos(a.ColIdx[p], a.ColIdx[q])+1]++
+				}
+			}
+		}
+		for i := 1; i < len(ct.start); i++ {
+			ct.start[i] += ct.start[i-1]
+		}
+		ct.terms = make([]gramTerm, ct.start[len(ct.start)-1])
+		next := append([]int32(nil), ct.start...)
+		for o := 0; o < a.RowsN; o++ {
+			lo, hi := a.RowPtr[o], a.RowPtr[o+1]
+			for p := lo; p < hi; p++ {
+				for q := lo; q < hi; q++ {
+					k := pos(a.ColIdx[p], a.ColIdx[q])
+					ct.terms[next[k]] = gramTerm{o: int32(o), v: a.Val[p] * a.Val[q]}
+					next[k]++
+				}
+			}
+		}
+	})
+	return ct
+}
+
+// countData writes the count data term onto the Gram pattern: for each
+// process pair i ≤ j, Aᵀ·diag(w_ij)·A with w_ij = Σ_k Λ_ki·Λ_kj·μ_k goes to
+// data[symPair(i,j)·(nnz(AᵀA)+1) + g], the last slot of each pair staying
+// zero. mu holds exp(η) (nv·M); w is M-long scratch.
+func (m *Model) countData(t *Theta, mu, w, data []float64) {
+	ct := m.countGram()
+	nv, mObs := m.Dims.Nv, m.Obs.M()
+	stride := len(ct.start)
+	lc := t.Lambda.CoregView()
+	for i := 0; i < nv; i++ {
+		for j := i; j < nv; j++ {
+			clear(w)
+			for k := j; k < nv; k++ { // Λ is lower triangular
+				if f := lc.At(k, i) * lc.At(k, j); f != 0 {
+					dense.Axpy(f, mu[k*mObs:(k+1)*mObs], w)
+				}
+			}
+			base := symPair(i, j, nv) * stride
+			dt := data[base : base+stride]
+			for g := range dt[:stride-1] {
+				var s float64
+				for _, tm := range ct.terms[ct.start[g]:ct.start[g+1]] {
+					s += w[tm.o] * tm.v
+				}
+				dt[g] = s
+			}
+			dt[stride-1] = 0
+		}
+	}
+}
+
+// scoreRHSInto builds the Newton right-hand side Aᵀ_eff·(D·η + y − exp(η))
+// in process-major ordering; buf is M-long scratch.
+func (m *Model) scoreRHSInto(t *Theta, eta, rhs, buf []float64) {
+	nv, n, mObs := m.Dims.Nv, m.Dims.PerProcess(), m.Obs.M()
+	lc := t.Lambda.CoregView()
+	for i := 0; i < nv; i++ {
+		clear(buf)
 		for k := 0; k < nv; k++ {
 			f := lc.At(k, i)
 			if f == 0 {
 				continue
 			}
 			y := m.Obs.Y[k]
-			for o, e := range eta[k] {
+			for o, e := range eta[k*mObs : (k+1)*mObs] {
 				mu := math.Exp(e)
 				buf[o] += f * (mu*e + y[o] - mu)
 			}
 		}
-		m.aDesign.MulVecT(buf, col)
-		copy(rhs[i*n:(i+1)*n], col)
+		m.aDesign.MulVecT(buf, rhs[i*n:(i+1)*n])
 	}
-	return rhs
 }
 
 // PoissonMode holds the converged inner-Newton state of a non-Gaussian fit:
-// the conditional mode x* (both orderings), the conditional precision at
-// the mode in CSR and BTA form, and the iteration count.
+// the conditional mode x* (both orderings), the iteration count and
+// log ℓ(y|x*). QcCSR, the conditional precision at the mode, is set by the
+// general-sparse route (ConditionalModePoisson) only.
 type PoissonMode struct {
 	XPM    []float64
 	XPerm  []float64
 	QcCSR  *sparse.CSR
-	Eta    [][]float64
 	Inner  int
 	LogLik float64
+
+	eta []float64 // linear predictors at x*, response k at [k·M, (k+1)·M)
 }
 
 // innerNewtonOptions bounds the conditional-mode search.
@@ -189,95 +261,211 @@ const (
 // ScoreRHSForTest exposes the Newton right-hand side at a converged mode
 // for fixed-point verification in tests.
 func (m *Model) ScoreRHSForTest(t *Theta, mode *PoissonMode) []float64 {
-	return m.scoreRHSPoisson(t, mode.Eta)
+	rhs := make([]float64, m.Dims.Total())
+	m.scoreRHSInto(t, mode.eta, rhs, make([]float64, m.Obs.M()))
+	return rhs
 }
 
-// ConditionalModePoisson runs the damped Newton iteration for the mode of
-// p(x|θ,y) under the Poisson likelihood: solve
-// (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) repeatedly with the structured
-// solver until the latent state stabilizes.
-func (m *Model) ConditionalModePoisson(t *Theta, factorize func(*sparse.CSR) (func([]float64) []float64, error)) (*PoissonMode, error) {
-	qp := m.QpCSR(t)
-	x := make([]float64, m.Dims.Total())
+// NewtonWork is the reusable state of the count model's inner Newton loop:
+// latent iterates, linear predictors, the data-term values and the solve
+// buffer. One per concurrent caller; once built, ConditionalModeInto
+// allocates nothing.
+type NewtonWork struct {
+	x, xFull, xNew []float64 // process-major latent states
+	xPerm          []float64 // x in BTA ordering
+	rhs, sol       []float64 // Newton score (process-major); BTA-ordered solve buffer
+	u, mu          []float64 // nv·M: A·x_j per process; exp(η)
+	eta, etaNew    []float64 // nv·M linear predictors
+	obs            []float64 // M: one weighting over the observations
+	data           []float64 // count data term per process pair on the Gram pattern
+	z              []float64 // prior quadratic-form scratch
+	sys            btaNewton
+	mode           PoissonMode
+}
 
-	// Penalized objective g(x) = −½xᵀQ_px + log ℓ(y|η(x)); the Newton step
-	// is damped by backtracking on g (counts with large means make the full
-	// step overshoot through the exp link).
-	penalized := func(x []float64, eta [][]float64) float64 {
-		tmp := make([]float64, len(x))
-		qp.MulVec(x, tmp)
-		quad := 0.0
-		for i := range x {
-			quad += x[i] * tmp[i]
-		}
-		var ll float64
-		for k := range eta {
-			y := m.Obs.Y[k]
-			for i, e := range eta[k] {
-				ll += y[i]*e - math.Exp(e)
-			}
-		}
-		return -0.5*quad + ll
+// NewNewtonWork allocates the inner Newton loop's state for this model.
+func (m *Model) NewNewtonWork() *NewtonWork {
+	d := m.Dims
+	tot, nm := d.Total(), d.Nv*m.Obs.M()
+	return &NewtonWork{
+		x: make([]float64, tot), xFull: make([]float64, tot), xNew: make([]float64, tot),
+		xPerm: make([]float64, tot), rhs: make([]float64, tot), sol: make([]float64, tot),
+		u: make([]float64, nm), mu: make([]float64, nm),
+		eta: make([]float64, nm), etaNew: make([]float64, nm),
+		obs:  make([]float64, m.Obs.M()),
+		data: make([]float64, d.Nv*(d.Nv+1)/2*(m.gram.NNZ()+1)),
+		z:    make([]float64, d.PerProcess()),
 	}
-	etaOK := func(eta [][]float64) bool {
-		for k := range eta {
-			for _, e := range eta[k] {
-				if e > etaCap || math.IsNaN(e) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+}
 
-	eta := m.linPred(t, x)
-	gCur := penalized(x, eta)
+// newtonSystem is what the inner Newton loop needs of a solver: factor
+// assembles the Newton matrix Q_p + AᵀD(η)A at η and factorizes it, solve
+// then computes x = Q_c⁻¹·rhs (both process-major).
+type newtonSystem interface {
+	factor(eta []float64) error
+	solve(rhs, x []float64)
+}
+
+// btaNewton is the Newton system on the assembly tables and a BTA solver:
+// each factor refills qc's values and refactorizes f in place.
+type btaNewton struct {
+	m  *Model
+	t  *Theta
+	qc *bta.Matrix
+	f  bta.Solver
+	w  *NewtonWork
+}
+
+func (s *btaNewton) factor(eta []float64) error {
+	m, w := s.m, s.w
+	for i, e := range eta {
+		w.mu[i] = math.Exp(e)
+	}
+	m.countData(s.t, w.mu, w.obs, w.data)
+	fw := m.getFill()
+	defer m.fillPool.Put(fw)
+	m.priorWeights(s.t, fw)
+	for i := range fw.w {
+		fw.w[i] = 1
+	}
+	if err := m.fill(fw, w.data, len(m.count.start), s.qc, nil); err != nil {
+		return err
+	}
+	return s.f.Refactorize(s.qc)
+}
+
+func (s *btaNewton) solve(rhs, x []float64) {
+	s.m.ApplyPermInto(rhs, s.w.sol)
+	s.f.Solve(s.w.sol)
+	for newI, oldI := range s.m.perm {
+		x[oldI] = s.w.sol[newI]
+	}
+}
+
+// csrNewton is the general-sparse Newton system of ConditionalModePoisson:
+// Q_p + AᵀD(η)A assembled as a CSR and handed to the caller's
+// factorization.
+type csrNewton struct {
+	m         *Model
+	t         *Theta
+	qp        *sparse.CSR
+	factorize func(*sparse.CSR) (func([]float64) []float64, error)
+	solveFn   func([]float64) []float64
+}
+
+func (s *csrNewton) factor(eta []float64) (err error) {
+	s.solveFn, err = s.factorize(sparse.Add(1, s.qp, 1, s.m.dataTermPoisson(s.t, eta)))
+	return err
+}
+
+func (s *csrNewton) solve(rhs, x []float64) { copy(x, s.solveFn(rhs)) }
+
+// newtonMode runs the damped Newton iteration for the mode of p(x|θ,y)
+// under the Poisson likelihood from x = 0: solve
+// (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) and backtrack on the penalized
+// objective g(x) = −½xᵀQ_px + log ℓ(y|η(x)) (counts with large means make
+// the full step overshoot through the exp link). On success w.x and w.eta
+// hold the mode; it returns the number of steps.
+func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork) (int, error) {
+	penalized := func(x, eta []float64) float64 {
+		m.ApplyPermInto(x, w.xPerm)
+		return -0.5*m.PriorQuad(t, w.xPerm, w.z) + m.poissonLogLik(eta, false)
+	}
+	clear(w.x)
+	m.linPredInto(t, w.x, w.u, w.eta)
+	gCur := penalized(w.x, w.eta)
 	for iter := 0; iter < innerMaxIter; iter++ {
-		qc := sparse.Add(1, qp, 1, m.dataTermPoisson(t, eta))
-		solve, err := factorize(qc)
-		if err != nil {
-			return nil, fmt.Errorf("model: inner iteration %d: %w", iter, err)
+		if err := sys.factor(w.eta); err != nil {
+			return 0, fmt.Errorf("model: inner iteration %d: %w", iter, err)
 		}
-		rhs := m.scoreRHSPoisson(t, eta)
-		xFull := solve(rhs)
+		m.scoreRHSInto(t, w.eta, w.rhs, w.obs)
+		sys.solve(w.rhs, w.xFull)
 
 		// Backtracking along the Newton direction.
-		var xNew []float64
-		var etaNew [][]float64
 		var gNew float64
 		accepted := false
 		for step := 1.0; step >= 1.0/64; step /= 2 {
-			xNew = make([]float64, len(x))
-			for i := range x {
-				xNew[i] = x[i] + step*(xFull[i]-x[i])
+			for i, xi := range w.x {
+				w.xNew[i] = xi + step*(w.xFull[i]-xi)
 			}
-			etaNew = m.linPred(t, xNew)
-			if !etaOK(etaNew) {
+			m.linPredInto(t, w.xNew, w.u, w.etaNew)
+			if !etaOK(w.etaNew) {
 				continue
 			}
-			gNew = penalized(xNew, etaNew)
+			gNew = penalized(w.xNew, w.etaNew)
 			if gNew >= gCur-1e-12 {
 				accepted = true
 				break
 			}
 		}
 		if !accepted {
-			return nil, ErrInnerLoopDiverged
+			return 0, ErrInnerLoopDiverged
 		}
 		var diff, norm float64
-		for i := range x {
-			d := xNew[i] - x[i]
+		for i, xi := range w.xNew {
+			d := xi - w.x[i]
 			diff += d * d
-			norm += xNew[i] * xNew[i]
+			norm += xi * xi
 		}
-		x, eta, gCur = xNew, etaNew, gNew
+		w.x, w.xNew = w.xNew, w.x
+		w.eta, w.etaNew = w.etaNew, w.eta
+		gCur = gNew
 		if diff <= innerTol*(1+norm) {
-			qcStar := sparse.Add(1, qp, 1, m.dataTermPoisson(t, eta))
-			return &PoissonMode{
-				XPM: x, XPerm: m.ApplyPerm(x), QcCSR: qcStar, Eta: eta,
-				Inner: iter + 1, LogLik: m.logLikPoissonAt(t, x),
-			}, nil
+			return iter + 1, nil
 		}
 	}
-	return nil, ErrInnerLoopDiverged
+	return 0, ErrInnerLoopDiverged
+}
+
+func etaOK(eta []float64) bool {
+	for _, e := range eta {
+		if e > etaCap || math.IsNaN(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// modeOf packages the converged state of w as w.mode.
+func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
+	m.ApplyPermInto(w.x, w.xPerm)
+	w.mode = PoissonMode{
+		XPM: w.x, XPerm: w.xPerm, eta: w.eta,
+		Inner: inner, LogLik: m.poissonLogLik(w.eta, true),
+	}
+	return &w.mode
+}
+
+// ConditionalModeInto finds the conditional mode of a count model's latent
+// field at t by damped Newton on the assembly tables: every step computes
+// the data term Σ_o w_ij[o]·A_or·A_oc on the Gram pattern, refills qc's
+// values and refactorizes f in place. On success f holds the factorization
+// of Q_c at the mode and qc its values. The returned mode aliases w (its
+// QcCSR is nil) and is valid until w's next use.
+func (m *Model) ConditionalModeInto(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork) (*PoissonMode, error) {
+	w.sys = btaNewton{m: m, t: t, qc: qc, f: f, w: w}
+	inner, err := m.newtonMode(t, &w.sys, w)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.sys.factor(w.eta); err != nil {
+		return nil, fmt.Errorf("model: Q_c at the Poisson mode: %w", err)
+	}
+	return m.modeOf(w, inner), nil
+}
+
+// ConditionalModePoisson is the general-sparse route to the conditional
+// mode: the same Newton iteration, with every step's Q_c = Q_p + AᵀD(x)A
+// assembled as a CSR (nv² weighted Gram products) and solved through the
+// caller's factorize. The mode carries Q_c at x* as QcCSR.
+func (m *Model) ConditionalModePoisson(t *Theta, factorize func(*sparse.CSR) (func([]float64) []float64, error)) (*PoissonMode, error) {
+	sys := &csrNewton{m: m, t: t, qp: m.QpCSR(t), factorize: factorize}
+	w := m.NewNewtonWork()
+	inner, err := m.newtonMode(t, sys, w)
+	if err != nil {
+		return nil, err
+	}
+	mode := m.modeOf(w, inner)
+	mode.QcCSR = sparse.Add(1, sys.qp, 1, m.dataTermPoisson(t, w.eta))
+	return mode, nil
 }

@@ -4,23 +4,17 @@ import (
 	"fmt"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
-	"github.com/dalia-hpc/dalia/internal/coreg"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/sparse"
-	"github.com/dalia-hpc/dalia/internal/spde"
 )
-
-// prototypeHyper is any valid hyperparameter value; only the induced
-// sparsity pattern matters during mapping construction.
-func prototypeHyper() spde.Hyper { return spde.Hyper{RangeS: 1, RangeT: 2, Sigma: 1} }
-
-func newLambda(sig, lam []float64) (*coreg.Lambda, error) { return coreg.NewLambda(sig, lam) }
 
 // BTAMap is the cached sparse→block-dense mapping of §IV-F: for every
 // stored entry of a process-major CSR matrix with a θ-invariant pattern, it
 // precomputes the destination (block, offset) in the permuted BTA layout.
 // Applying the map is O(nnz) — the paper's replacement for the O(n·b²)
-// naive densification — and runs every fobj evaluation.
+// naive densification. The numeric-only assembly (assemble.go) writes
+// through the same destinations; ApplyInto itself serves callers that hold
+// Q_c's values as a CSR (QcFromCSR).
 type BTAMap struct {
 	N, B, A  int
 	nnz      int
@@ -37,7 +31,7 @@ func newBTAMap(pattern *sparse.CSR, permInv []int, n, b, a int) (*BTAMap, error)
 		return nil, fmt.Errorf("model: pattern is %d×%d, BTA(n=%d,b=%d,a=%d) needs %d",
 			pattern.Rows(), pattern.Cols(), n, b, a, dim)
 	}
-	m := &BTAMap{N: n, B: b, A: a, nnz: pattern.NNZ()}
+	m := &BTAMap{N: n, B: b, A: a, nnz: len(pattern.ColIdx)}
 	m.blockIdx = make([]int32, m.nnz)
 	m.off = make([]int32, m.nnz)
 	// Unified block index space: [0,n) Diag, [n,2n−1) Lower, [2n−1,3n−1)
@@ -136,85 +130,8 @@ func (m *BTAMap) ApplyInto(vals []float64, out *bta.Matrix) error {
 	return nil
 }
 
-// buildMappings constructs the θ-invariant Q_p and Q_c patterns from a
-// prototype hyperparameter configuration and caches their BTA mappings.
-func (m *Model) buildMappings() error {
-	proto, err := m.prototypeTheta()
-	if err != nil {
-		return err
-	}
-	m.qpPattern = m.QpCSR(proto)
-	m.qcPattern = sparse.Add(1, m.qpPattern, 1, m.dataTermCSR(proto))
-	n, b, a := m.Dims.BTAShape()
-	if m.qpMap, err = newBTAMap(m.qpPattern, m.permInv, n, b, a); err != nil {
-		return fmt.Errorf("model: Q_p mapping: %w", err)
-	}
-	if m.qcMap, err = newBTAMap(m.qcPattern, m.permInv, n, b, a); err != nil {
-		return fmt.Errorf("model: Q_c mapping: %w", err)
-	}
-	return nil
-}
-
-// prototypeTheta returns an arbitrary valid configuration used only for
-// pattern discovery.
-func (m *Model) prototypeTheta() (*Theta, error) {
-	nv := m.Dims.Nv
-	t := &Theta{}
-	for k := 0; k < nv; k++ {
-		t.Process = append(t.Process, prototypeHyper())
-		t.TauY = append(t.TauY, 1)
-	}
-	sig := make([]float64, nv)
-	lam := make([]float64, 0, nv*(nv-1)/2)
-	for k := 0; k < nv; k++ {
-		sig[k] = 1
-	}
-	for i := 0; i < cap(lam); i++ {
-		lam = append(lam, 0.1)
-	}
-	l, err := newLambda(sig, lam)
-	if err != nil {
-		return nil, err
-	}
-	t.Lambda = l
-	return t, nil
-}
-
-// Qp assembles the prior precision as a BTA matrix (BT blocks plus a
-// decoupled fixed-effects tip) for the given configuration.
-func (m *Model) Qp(t *Theta) (*bta.Matrix, error) {
-	out := bta.NewMatrix(m.qpMap.N, m.qpMap.B, m.qpMap.A)
-	if err := m.QpInto(t, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// QpInto assembles the prior precision into an existing BTA workspace
-// (zero solver-side allocations; the sparse assembly itself still builds
-// its CSR scaffolding).
-func (m *Model) QpInto(t *Theta, out *bta.Matrix) error {
-	csr := m.QpCSR(t)
-	if csr.NNZ() != m.qpPattern.NNZ() {
-		return fmt.Errorf("model: Q_p pattern drifted (%d vs %d nonzeros)", csr.NNZ(), m.qpPattern.NNZ())
-	}
-	return m.qpMap.ApplyInto(csr.Val, out)
-}
-
-// Qc assembles the conditional precision Q_c = Q_p + AᵀDA as a BTA matrix.
-func (m *Model) Qc(t *Theta) (*bta.Matrix, error) {
-	return m.QcFromCSR(m.QcCSR(t))
-}
-
-// QcInto assembles the conditional precision into an existing workspace.
-func (m *Model) QcInto(t *Theta, out *bta.Matrix) error {
-	return m.QcFromCSRInto(m.QcCSR(t), out)
-}
-
-// QcFromCSR maps any process-major CSR with the model's Q_c pattern into
-// BTA form through the cached mapping — the entry point for non-Gaussian
-// conditional precisions whose values change every inner Newton iteration
-// while the pattern stays fixed.
+// QcFromCSR maps any process-major CSR with the model's Q_c pattern (QcCSR,
+// PoissonMode.QcCSR) into BTA form through the cached mapping.
 func (m *Model) QcFromCSR(csr *sparse.CSR) (*bta.Matrix, error) {
 	out := bta.NewMatrix(m.qcMap.N, m.qcMap.B, m.qcMap.A)
 	if err := m.QcFromCSRInto(csr, out); err != nil {
@@ -225,8 +142,8 @@ func (m *Model) QcFromCSR(csr *sparse.CSR) (*bta.Matrix, error) {
 
 // QcFromCSRInto is QcFromCSR into an existing workspace.
 func (m *Model) QcFromCSRInto(csr *sparse.CSR, out *bta.Matrix) error {
-	if csr.NNZ() != m.qcPattern.NNZ() {
-		return fmt.Errorf("model: Q_c pattern drifted (%d vs %d nonzeros)", csr.NNZ(), m.qcPattern.NNZ())
+	if csr.NNZ() != m.qcMap.nnz {
+		return fmt.Errorf("model: Q_c pattern drifted (%d vs %d nonzeros)", csr.NNZ(), m.qcMap.nnz)
 	}
 	return m.qcMap.ApplyInto(csr.Val, out)
 }

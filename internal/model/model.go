@@ -1,20 +1,25 @@
 // Package model assembles the Bayesian observation model of the paper: the
 // multivariate linear model y = Λ·A·x + ε (Eq. 5) over the coregionalized
-// spatio-temporal latent field, the Gaussian likelihood, and the prior and
-// conditional precision matrices Q_p and Q_c = Q_p + AᵀDA (Eq. 4) in both
-// general-sparse (baseline) and block-dense BTA (DALIA) form.
+// spatio-temporal latent field, the Gaussian and Poisson likelihoods, and
+// the prior and conditional precision matrices Q_p and Q_c = Q_p + AᵀDA
+// (Eq. 4).
 //
-// The coregionalization structure is exploited the way §IV-B advocates:
-// because every response shares the observation operator A = [A_st | A_cov],
-// the data term factorizes as AᵀDA|_(i,j) = W[i,j]·(AᵀA) with the small
-// dense matrix W = Λᵀ·diag(τ_y)·Λ, so the expensive sparse product AᵀA is
-// computed once at setup and every hyperparameter configuration only
-// rescales it.
+// Q_c is assembled numerically only (assemble.go): its pattern, its sparse
+// → BTA map and the θ-invariant values of its entries are laid out once in
+// New, and a hyperparameter configuration only computes a small vector of
+// weights c(θ) and writes Σ_j c_j(θ)·B_j straight into the BTA blocks. The
+// coregionalization structure is exploited the way §IV-B advocates: every
+// response shares the observation operator A = [A_st | A_cov], so the data
+// term factorizes as AᵀDA|_(i,j) = W[i,j]·(AᵀA) with the small dense matrix
+// W = Λᵀ·diag(τ_y)·Λ, and the Gram kernel AᵀA is computed once. The
+// general-sparse forms (QcCSR, QpCSR) are the same values over the cached
+// pattern, for the baselines and the distributed reproduction.
 package model
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/coreg"
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -61,11 +66,17 @@ type Model struct {
 	perm    []int       // process-major → time-major (BTA) permutation
 	permInv []int
 
-	// prototype patterns + cached dense-block mappings (§IV-F)
-	qpPattern *sparse.CSR
+	// Q_c's pattern (index arrays only), its BTA map (§IV-F) and the
+	// θ-invariant assembly tables (assemble.go)
 	qcPattern *sparse.CSR
-	qpMap     *BTAMap
 	qcMap     *BTAMap
+	locRowPtr []int     // row pointers of the per-process-pair block pattern
+	locKeep   []int     // per row: end of the entries BTA stores untransposed
+	tab       []qcEntry // one per entry of that pattern
+	gramVals  []float64 // AᵀA values and a trailing zero
+	fillPool  sync.Pool // *fillWork
+
+	count countTables // Poisson data-term tables (likelihood.go)
 }
 
 // STKind selects the spatio-temporal prior family of the latent processes.
@@ -90,7 +101,8 @@ func WithSTKind(k STKind) Option { return func(m *Model) { m.ST = k } }
 func WithLikelihood(k LikelihoodKind) Option { return func(m *Model) { m.Lik = k } }
 
 // New constructs a model, precomputing the design matrix, the Gram kernel
-// AᵀA, the time-major permutation, and the cached sparse→BTA mappings.
+// AᵀA, the time-major permutation, Q_c's pattern with its sparse→BTA map,
+// and the assembly tables.
 func New(b *spde.Builder, d coreg.Dims, obs *Obs, opts ...Option) (*Model, error) {
 	if d.Ns != b.Ns() || d.Nt != b.Nt {
 		return nil, fmt.Errorf("model: dims (ns=%d,nt=%d) disagree with builder (ns=%d,nt=%d)",
@@ -129,7 +141,7 @@ func New(b *spde.Builder, d coreg.Dims, obs *Obs, opts ...Option) (*Model, error
 	mod.gram = sparse.MatMul(at, mod.aDesign)
 	mod.perm = coreg.TimeMajorPermutation(d)
 	mod.permInv = sparse.InvertPerm(mod.perm)
-	if err := mod.buildMappings(); err != nil {
+	if err := mod.buildTables(); err != nil {
 		return nil, err
 	}
 	return mod, nil
@@ -264,31 +276,6 @@ func lambdaParams(l *coreg.Lambda) []float64 {
 	return out
 }
 
-// processPrecision returns process k's prior precision (fixed effects
-// appended with a vague prior), process-major local ordering.
-func (m *Model) processPrecision(h spde.Hyper) *sparse.CSR {
-	var qst *sparse.CSR
-	if m.ST == STDiffusion {
-		qst = m.Builder.DiffusionPrecision(h)
-	} else {
-		qst = m.Builder.Precision(h)
-	}
-	if m.Dims.Nr == 0 {
-		return qst
-	}
-	n := m.Dims.PerProcess()
-	coo := sparse.NewCOO(n, n)
-	for i := 0; i < qst.Rows(); i++ {
-		for p := qst.RowPtr[i]; p < qst.RowPtr[i+1]; p++ {
-			coo.Add(i, qst.ColIdx[p], qst.Val[p])
-		}
-	}
-	for r := 0; r < m.Dims.Nr; r++ {
-		coo.Add(qst.Rows()+r, qst.Rows()+r, FixedEffectPriorPrecision)
-	}
-	return coo.ToCSR()
-}
-
 // PriorLogDet returns log det Q_p(θ) without assembling or factorizing Q_p.
 // The joint prior is (Λ_c⁻¹⊗I)ᵀ·blockdiag(Q_k)·(Λ_c⁻¹⊗I) with det Λ_c = Πσ_k
 // and Q_k = blockdiag(Q_st,k, FixedEffectPriorPrecision·I_nr), so
@@ -346,87 +333,6 @@ func (m *Model) PriorQuad(t *Theta, xPermuted, scratch []float64) float64 {
 		}
 	}
 	return q
-}
-
-// QpCSR assembles the joint prior precision in process-major ordering (the
-// R-INLA-like baseline path operates directly on this).
-func (m *Model) QpCSR(t *Theta) *sparse.CSR {
-	qs := make([]*sparse.CSR, m.Dims.Nv)
-	for k := 0; k < m.Dims.Nv; k++ {
-		qs[k] = m.processPrecision(t.Process[k])
-	}
-	joint, err := t.Lambda.JointPrecision(qs)
-	if err != nil {
-		// dimensions are construction-guaranteed equal
-		panic(fmt.Sprintf("model: %v", err))
-	}
-	return joint
-}
-
-// NoiseW returns W = Λᵀ·diag(τ_y)·Λ, the nv×nv data-term mixing matrix.
-func NoiseW(t *Theta) *dense.Matrix {
-	lc := t.Lambda.CoregView()
-	nv := lc.Rows
-	w := dense.New(nv, nv)
-	for i := 0; i < nv; i++ {
-		for j := 0; j < nv; j++ {
-			var s float64
-			for k := 0; k < nv; k++ {
-				s += t.TauY[k] * lc.At(k, i) * lc.At(k, j)
-			}
-			w.Set(i, j, s)
-		}
-	}
-	return w
-}
-
-// QcCSR assembles the conditional precision Q_c = Q_p + AᵀDA in
-// process-major ordering.
-func (m *Model) QcCSR(t *Theta) *sparse.CSR {
-	qp := m.QpCSR(t)
-	return sparse.Add(1, qp, 1, m.dataTermCSR(t))
-}
-
-// dataTermCSR expands Σ_{ij} W[i,j]·G into the joint process-major layout.
-// All blocks are emitted regardless of value so the pattern is θ-invariant.
-// Assembled directly in sorted CSR order (every block shares the Gram
-// pattern), avoiding triplet sorting on the hot path.
-func (m *Model) dataTermCSR(t *Theta) *sparse.CSR {
-	w := NoiseW(t)
-	return m.expandGramBlocks(func(i, j int) float64 { return w.At(i, j) }, m.gram)
-}
-
-// expandGramBlocks builds the nv×nv block matrix with block (i,j) =
-// coef(i,j)·g, in canonical CSR order.
-func (m *Model) expandGramBlocks(coef func(i, j int) float64, g *sparse.CSR) *sparse.CSR {
-	n := m.Dims.PerProcess()
-	nv := m.Dims.Nv
-	total := nv * nv * g.NNZ()
-	rowPtr := make([]int, nv*n+1)
-	colIdx := make([]int, total)
-	val := make([]float64, total)
-	wp := 0
-	for i := 0; i < nv; i++ {
-		cs := make([]float64, nv)
-		for j := 0; j < nv; j++ {
-			cs[j] = coef(i, j)
-		}
-		for r := 0; r < n; r++ {
-			rowPtr[i*n+r] = wp
-			lo, hi := g.RowPtr[r], g.RowPtr[r+1]
-			for j := 0; j < nv; j++ {
-				c := cs[j]
-				off := j * n
-				for p := lo; p < hi; p++ {
-					colIdx[wp] = off + g.ColIdx[p]
-					val[wp] = c * g.Val[p]
-					wp++
-				}
-			}
-		}
-	}
-	rowPtr[nv*n] = wp
-	return sparse.NewCSR(nv*n, nv*n, rowPtr, colIdx, val)
 }
 
 // CondRHS returns Aᵀ_eff·D·y in the permuted (BTA) ordering: the right-hand
@@ -499,27 +405,43 @@ func (m *Model) UnPerm(x []float64) []float64 {
 // LogLik evaluates log ℓ(y|θ,x) under the model's likelihood at a latent
 // state given in the permuted (BTA) ordering.
 func (m *Model) LogLik(t *Theta, xPermuted []float64) float64 {
-	x := m.UnPerm(xPermuted)
-	if m.Lik == LikPoisson {
-		return m.logLikPoissonAt(t, x)
+	return m.LogLikInto(t, xPermuted, make([]float64, m.Dims.Total()), make([]float64, (m.Dims.Nv+1)*m.Obs.M()))
+}
+
+// LogLikInto is LogLik on caller scratch: xScratch (length ≥ Dims.Total)
+// receives the process-major state, obsScratch (length ≥ (nv+1)·Obs.M) the
+// projections A·x_j and one response's residual or linear predictor.
+// Allocation-free.
+func (m *Model) LogLikInto(t *Theta, xPermuted, xScratch, obsScratch []float64) float64 {
+	nv, n, mObs := m.Dims.Nv, m.Dims.PerProcess(), m.Obs.M()
+	x := xScratch[:m.Dims.Total()]
+	for newI, oldI := range m.perm {
+		x[oldI] = xPermuted[newI]
 	}
-	nv := m.Dims.Nv
-	n := m.Dims.PerProcess()
-	mObs := m.Obs.M()
-	lc := t.Lambda.CoregView()
-	// u_j = A·x_j per process
-	u := make([][]float64, nv)
+	u := obsScratch[:nv*mObs]
 	for j := 0; j < nv; j++ {
-		u[j] = make([]float64, mObs)
-		m.aDesign.MulVec(x[j*n:(j+1)*n], u[j])
+		m.aDesign.MulVec(x[j*n:(j+1)*n], u[j*mObs:(j+1)*mObs])
 	}
+	lc := t.Lambda.CoregView()
+	r := obsScratch[nv*mObs : (nv+1)*mObs]
 	var ll float64
-	r := make([]float64, mObs)
-	for k := 0; k < nv; k++ {
-		copy(r, m.Obs.Y[k])
+	for k, y := range m.Obs.Y {
+		if m.Lik == LikPoisson { // r = η_k
+			clear(r)
+			for j := 0; j <= k; j++ {
+				if f := lc.At(k, j); f != 0 {
+					dense.Axpy(f, u[j*mObs:(j+1)*mObs], r)
+				}
+			}
+			for i, e := range r {
+				ll += y[i]*e - math.Exp(e) - lgammaPlus1(y[i])
+			}
+			continue
+		}
+		copy(r, y) // r = y_k − η_k
 		for j := 0; j <= k; j++ {
 			if f := lc.At(k, j); f != 0 {
-				dense.Axpy(-f, u[j], r)
+				dense.Axpy(-f, u[j*mObs:(j+1)*mObs], r)
 			}
 		}
 		var ss float64

@@ -317,48 +317,3 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal("dims mismatch must error")
 	}
 }
-
-func BenchmarkQcAssembly(b *testing.B) {
-	msh := mesh.Uniform(6, 6, 100, 100)
-	sb := spde.NewBuilder(msh, 8)
-	d := coreg.Dims{Nv: 3, Ns: sb.Ns(), Nt: 8, Nr: 2}
-	rng := rand.New(rand.NewSource(3))
-	var pts []mesh.Point
-	var tidx []int
-	for tt := 0; tt < 8; tt++ {
-		for i := 0; i < 20; i++ {
-			pts = append(pts, mesh.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
-			tidx = append(tidx, tt)
-		}
-	}
-	cov := dense.New(len(pts), 2)
-	for i := 0; i < len(pts); i++ {
-		cov.Set(i, 0, 1)
-		cov.Set(i, 1, rng.NormFloat64())
-	}
-	obs := &Obs{Points: pts, TimeIdx: tidx, Covariates: cov}
-	for k := 0; k < 3; k++ {
-		y := make([]float64, len(pts))
-		for i := range y {
-			y[i] = rng.NormFloat64()
-		}
-		obs.Y = append(obs.Y, y)
-	}
-	mod, err := New(sb, d, obs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, _ := coreg.NewLambda([]float64{1, 1, 1}, []float64{0.3, 0.2, 0.1})
-	th := &Theta{
-		Process: []spde.Hyper{{RangeS: 40, RangeT: 2, Sigma: 1}, {RangeS: 50, RangeT: 3, Sigma: 1}, {RangeS: 30, RangeT: 2, Sigma: 1}},
-		Lambda:  l,
-		TauY:    []float64{2, 2, 2},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mod.Qc(th); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -126,3 +126,44 @@ func TestDiffusionMarginalOrder(t *testing.T) {
 		t.Fatalf("median marginal variance %v an order off σ² = %v", med, want)
 	}
 }
+
+// TestBlockCoeffsReproducePrecisions: the block weights of both families
+// reassemble Precision and DiffusionPrecision block by block from C̃, G and
+// G·C̃⁻¹·G — for nt = 1, 2 and 4, so every block class (and the nt = 1
+// special cases) is hit.
+func TestBlockCoeffsReproducePrecisions(t *testing.T) {
+	h := Hyper{RangeS: 30, RangeT: 2.5, Sigma: 1.2}
+	for _, nt := range []int{1, 2, 4} {
+		b := NewBuilder(mesh.Uniform(5, 4, 100, 80), nt)
+		c, g, gcg := b.FEM()
+		ns := b.Ns()
+		for _, fam := range []struct {
+			name string
+			q    *sparse.CSR
+			w    BlockCoeffs
+		}{
+			{"separable", b.Precision(h), b.SeparableCoeffs(h)},
+			{"diffusion", b.DiffusionPrecision(h), b.DiffusionCoeffs(h)},
+		} {
+			qd := fam.q.ToDense()
+			for r := 0; r < nt*ns; r++ {
+				var scale float64
+				for _, v := range qd.Row(r) {
+					scale = math.Max(scale, math.Abs(v))
+				}
+				for col := 0; col < nt*ns; col++ {
+					tr, tc := r/ns, col/ns
+					var want float64
+					if tr-tc <= 1 && tc-tr <= 1 {
+						w := fam.w[BlockClass(tr, tc, nt)]
+						sr, sc := r%ns, col%ns
+						want = w[0]*c.At(sr, sc) + w[1]*g.At(sr, sc) + w[2]*gcg.At(sr, sc)
+					}
+					if got := qd.At(r, col); math.Abs(got-want) > 1e-13*scale {
+						t.Fatalf("%s nt=%d entry (%d,%d): precision %v, weights give %v", fam.name, nt, r, col, got, want)
+					}
+				}
+			}
+		}
+	}
+}

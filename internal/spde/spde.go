@@ -140,6 +140,82 @@ func separableParams(h Hyper) (kappa, a, tau float64) {
 	return kappa, a, TauFromKappaSigma(kappa, h.Sigma*math.Sqrt(1-a*a))
 }
 
+// Block classes of a block-tridiagonal process precision. Both prior
+// families write every spatial block (t, t′), |t − t′| ≤ 1, as
+//
+//	c_C̃·C̃ + c_G·G + c_GCG·G·C̃⁻¹·G
+//
+// with weights that depend on the block only through its class, so an
+// assembler can keep the three FEM matrices fixed and recompute only the
+// weights when θ changes.
+const (
+	BlockFirst      = iota // (0, 0); the only block when nt = 1
+	BlockInterior          // (t, t) with 0 < t < nt − 1
+	BlockLast              // (nt − 1, nt − 1) when nt > 1
+	BlockOff               // (t, t ± 1)
+	NumBlockClasses        // number of classes
+)
+
+// BlockClass returns the class of spatial block (t, tp) for nt time steps
+// (|t − tp| ≤ 1).
+func BlockClass(t, tp, nt int) int {
+	switch {
+	case t != tp:
+		return BlockOff
+	case t == 0:
+		return BlockFirst
+	case t == nt-1:
+		return BlockLast
+	}
+	return BlockInterior
+}
+
+// BlockCoeffs holds the (C̃, G, G·C̃⁻¹·G) weights of each block class.
+type BlockCoeffs [NumBlockClasses][3]float64
+
+// FEM returns the lumped mass C̃, the stiffness G and G·C̃⁻¹·G. They are
+// shared with the Builder and must be treated as read-only.
+func (b *Builder) FEM() (c, g, gcg *sparse.CSR) { return b.c, b.g, b.gcg }
+
+// SeparableCoeffs returns the block weights of Precision(h):
+// T_tt′(a)·τ²·(κ⁴, 2κ², 1).
+func (b *Builder) SeparableCoeffs(h Hyper) BlockCoeffs {
+	kappa, a, tau := separableParams(h)
+	t2, k2 := tau*tau, kappa*kappa
+	s := [3]float64{t2 * k2 * k2, 2 * t2 * k2, t2}
+	tt := [NumBlockClasses]float64{
+		BlockFirst:    temporalDiag(b.Nt, 0, a),
+		BlockInterior: 1 + a*a,
+		BlockLast:     1,
+		BlockOff:      -a,
+	}
+	var out BlockCoeffs
+	for c, f := range tt {
+		out[c] = [3]float64{f * s[0], f * s[1], f * s[2]}
+	}
+	return out
+}
+
+// DiffusionCoeffs returns the block weights of DiffusionPrecision(h). With
+// A = αC̃ + βG (α = 1 + γΔt·κ², β = γΔt) and C̃ diagonal,
+// AᵀC̃⁻¹A = α²C̃ + 2αβG + β²G·C̃⁻¹·G, so the recursion's blocks stay on the
+// same three matrices: f·(AᵀC̃⁻¹A + C̃) inside, f·AᵀC̃⁻¹A last, −f·A off the
+// diagonal, and the Matérn Q_0 (plus f·C̃ when nt > 1) first.
+func (b *Builder) DiffusionCoeffs(h Hyper) BlockCoeffs {
+	kappa, gdt, f, tau0 := diffusionParams(h)
+	k2, t2 := kappa*kappa, tau0*tau0
+	al, be := 1+gdt*k2, gdt
+	var out BlockCoeffs
+	out[BlockFirst] = [3]float64{t2 * k2 * k2, 2 * t2 * k2, t2}
+	if b.Nt > 1 {
+		out[BlockFirst][0] += f
+	}
+	out[BlockInterior] = [3]float64{f * (al*al + 1), f * 2 * al * be, f * be * be}
+	out[BlockLast] = [3]float64{f * al * al, f * 2 * al * be, f * be * be}
+	out[BlockOff] = [3]float64{-f * al, -f * be, 0}
+	return out
+}
+
 // Precision assembles the spatio-temporal prior precision
 // Q_st = T(a) ⊗ Q_s(κ, τ_w) in time-major ordering (variable (t,s) at index
 // t·ns + s), which is block-tridiagonal with nt blocks of size ns.

@@ -44,9 +44,11 @@ type GenConfig struct {
 	// datasets draw counts y ~ Poisson(exp(η)).
 	Family model.LikelihoodKind
 
-	// Truth; zero values are replaced by defaults from DefaultTruth.
+	// Truth; nil selects DefaultTruth, or defaultCountTruth for Poisson
+	// data.
 	Truth *model.Theta
-	// FixedEffects[v][r] are the true fixed-effect coefficients.
+	// FixedEffects[v][r] are the true fixed-effect coefficients; nil
+	// selects pollutant-like defaults, or count-scale ones for Poisson data.
 	FixedEffects [][]float64
 	// Theta0Jitter perturbs the encoded truth to form the starting point.
 	Theta0Jitter float64
@@ -86,6 +88,29 @@ func DefaultTruth(nv int, width float64) *model.Theta {
 	return &model.Theta{Process: hyp, Lambda: l, TauY: tau}
 }
 
+// defaultCountTruth is DefaultTruth on the count scale. A Poisson
+// response's linear predictor is log E[y], so unit-scale processes with the
+// pollutant couplings put site counts in the thousands, where the inner
+// Newton loop's damped steps from x = 0 stall; scales σ_k = 0.7 and
+// couplings 0.4/(i+1) keep exp(η) in the tens to hundreds.
+func defaultCountTruth(nv int, width float64) *model.Theta {
+	t := DefaultTruth(nv, width)
+	sig := make([]float64, nv)
+	for k := range sig {
+		sig[k] = 0.7
+	}
+	lam := make([]float64, coreg.NumLambdas(nv))
+	for i := range lam {
+		lam[i] = 0.4 / float64(i+1)
+	}
+	l, err := coreg.NewLambda(sig, lam)
+	if err != nil {
+		panic(fmt.Sprintf("synth: default count truth: %v", err))
+	}
+	t.Lambda = l
+	return t
+}
+
 // Elevation is the synthetic elevation field (km) over the domain — a
 // smooth ridge along the north edge standing in for the Alps.
 func Elevation(p mesh.Point, width, height float64) float64 {
@@ -118,7 +143,11 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 	d := coreg.Dims{Nv: cfg.Nv, Ns: b.Ns(), Nt: cfg.Nt, Nr: cfg.Nr}
 
 	truth := cfg.Truth
-	if truth == nil {
+	switch {
+	case truth != nil:
+	case cfg.Family == model.LikPoisson:
+		truth = defaultCountTruth(cfg.Nv, cfg.Width)
+	default:
 		truth = DefaultTruth(cfg.Nv, cfg.Width)
 	}
 
@@ -182,6 +211,9 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		// Fixed effects: explicit true values.
 		for r := 0; r < cfg.Nr; r++ {
 			v := defaultBeta(k, r)
+			if cfg.Family == model.LikPoisson {
+				v = countBeta(k, r)
+			}
 			if cfg.FixedEffects != nil {
 				v = cfg.FixedEffects[k][r]
 			}
@@ -254,5 +286,18 @@ func defaultBeta(process, r int) float64 {
 		return []float64{-0.45, -0.55, 1.27}[process%3]
 	default:
 		return 0.1
+	}
+}
+
+// countBeta gives count-scale true fixed effects: log-rate intercepts of
+// 0.6–1.2 and small elevation effects of either sign.
+func countBeta(process, r int) float64 {
+	switch r {
+	case 0:
+		return 0.6 + 0.3*float64(process%3)
+	case 1:
+		return []float64{-0.2, 0.2, 0.3}[process%3]
+	default:
+		return 0.05
 	}
 }
