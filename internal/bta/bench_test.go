@@ -58,8 +58,8 @@ var allocShapes = [][3]int{{4, 96, 4}, {8, 60, 3}, {4, 144, 2}}
 
 // TestRefactorizeSolveZeroAlloc is the acceptance gate of the
 // zero-allocation hot path: after warm-up, a full Refactorize + Solve +
-// LogDet cycle — one INLA θ-evaluation's worth of solver work — touches no
-// fresh heap.
+// SolveLT + LogDet cycle — one INLA θ-evaluation's worth of solver work —
+// touches no fresh heap.
 func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -85,10 +85,11 @@ func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 			}
 			copy(rhs, rhs0)
 			f.Solve(rhs)
+			f.SolveLT(rhs)
 			_ = f.LogDet()
 		})
 		if allocs != 0 {
-			t.Fatalf("n=%d b=%d a=%d: Refactorize+Solve cycle allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
+			t.Fatalf("n=%d b=%d a=%d: Refactorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
 		}
 	}
 }

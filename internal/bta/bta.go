@@ -7,10 +7,13 @@
 // spatio-temporal model, b = n_v·n_s), sub-diagonal coupling blocks between
 // consecutive time steps, and an arrowhead row/tip of size a (the fixed
 // effects). The three core operations of the INLA methodology — Cholesky
-// factorization, triangular solve, selected inversion — exist in two
-// solvers:
+// factorization, triangular solve, selected inversion — are written once,
+// as three partition-relative cores (partitionElim, partitionSolve,
+// partitionSweep), and run by two solvers:
 //
-//   - Factor, the sequential chain (POBTAF, POBTAS, POBTASI);
+//   - Factor, the sequential chain (POBTAF, POBTAS, POBTASI): the
+//     one-partition run of the cores, every block an interior of one
+//     one-sided partition and the arrow tip its only boundary;
 //   - one partitioned driver over a time-domain partitioning (PPOBTAF,
 //     PPOBTAS, PPOBTASI, the nested-dissection Schur-complement scheme of
 //     §IV-C–E), with two ways to own partitions: ParallelFactor owns all of

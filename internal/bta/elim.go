@@ -16,7 +16,11 @@ import (
 // eliminated block holds L_kk, Lower[k] holds the scaled next-coupling
 // L_{k+1,k}, Arrow[k] the scaled arrow coupling L_{a,k}, the partition's
 // boundary Diag/Arrow blocks hold their accumulated Schur updates, and the
-// fill-coupling chain M(lo,·) lives in blocks drawn from NewBB.
+// fill-coupling chain M(lo,·) lives in blocks drawn from NewBB. The
+// symmetric blocks Diag and TipDelta are lower-only: Syrk updates their lower
+// triangle, every consumer (Potrf) reads only that, and their strict upper
+// triangle is stale. The sequential Factor is the run of one one-sided
+// partition over every block, with its tip as TipDelta.
 type partitionElim struct {
 	Diag  []*dense.Matrix // the partition's diagonal blocks
 	Lower []*dense.Matrix // within-partition sub-diagonal couplings (len size−1)
@@ -85,11 +89,9 @@ func (pe *partitionElim) run() error {
 		// Schur updates onto the remaining neighbours {k+1, lo, arrow}.
 		if gNext != nil {
 			dense.Syrk(dense.NoTrans, -1, gNext, 1, pe.Diag[rel+1])
-			pe.Diag[rel+1].MirrorLowerToUpper()
 		}
 		if pe.TwoSided && gTop != nil {
 			dense.Syrk(dense.NoTrans, -1, gTop, 1, pe.Diag[0])
-			pe.Diag[0].MirrorLowerToUpper()
 			if gNext != nil {
 				tNext := pe.NewBB()
 				dense.Gemm(dense.NoTrans, dense.Trans, -1, gTop, gNext, 0, tNext)
@@ -106,7 +108,6 @@ func (pe *partitionElim) run() error {
 				dense.Gemm(dense.NoTrans, dense.Trans, -1, gArr, gTop, 1, pe.Arrow[0])
 			}
 			dense.Syrk(dense.NoTrans, -1, gArr, 1, pe.TipDelta)
-			pe.TipDelta.MirrorLowerToUpper()
 		}
 	}
 

@@ -8,10 +8,9 @@ import (
 
 // MultiSolve is the caller-owned workspace of a zero-allocation multi-RHS
 // triangular solve: a dim×k right-hand-side matrix plus the per-block row
-// views the factor sweeps over. SolveMulti builds those views on every call,
-// which costs O(n) small allocations; a prediction service solving the same
-// shape thousands of times per second keeps one MultiSolve per worker
-// instead and stays allocation-free after warmup.
+// views the factor sweeps over, built once. A prediction service solving the
+// same shape thousands of times per second keeps one MultiSolve per worker
+// and stays allocation-free after warmup.
 type MultiSolve struct {
 	N, B, A, K int
 	// RHS is the dim×k right-hand-side/solution storage. Callers fill its
@@ -131,7 +130,7 @@ func (f *Factor) BackwardSolveMultiInto(w *MultiSolve) {
 }
 
 // SolveMultiInto solves A·X = B in place of the workspace RHS for all k
-// columns — the allocation-free counterpart of SolveMulti.
+// columns. Performs no heap allocation.
 func (f *Factor) SolveMultiInto(w *MultiSolve) {
 	f.ForwardSolveMultiInto(w)
 	f.BackwardSolveMultiInto(w)

@@ -39,35 +39,39 @@ func randSPD(t *testing.T, rng *rand.Rand, n, b, a int) (*Matrix, *Factor) {
 	return m, f
 }
 
-// SolveMultiInto must agree with the allocating SolveMulti and with
-// column-by-column vector solves.
+// solveColumns solves A·X = B column by column through the vector Solve —
+// the reference of the multi-RHS sweeps.
+func solveColumns(f *Factor, b *dense.Matrix) *dense.Matrix {
+	x := b.Clone()
+	col := make([]float64, b.Rows)
+	for j := 0; j < b.Cols; j++ {
+		for r := range col {
+			col[r] = b.At(r, j)
+		}
+		f.Solve(col)
+		for r, v := range col {
+			x.Set(r, j, v)
+		}
+	}
+	return x
+}
+
+// SolveMultiInto must agree with column-by-column vector solves.
 func TestSolveMultiIntoMatchesSolveMulti(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range [][3]int{{4, 5, 3}, {6, 4, 0}, {1, 3, 2}} {
 		n, b, a := shape[0], shape[1], shape[2]
 		_, f := randSPD(t, rng, n, b, a)
 		k := 6
-		dim := f.Dim()
-		ref := dense.New(dim, k)
+		ref := dense.New(f.Dim(), k)
 		for i := range ref.Data {
 			ref.Data[i] = rng.NormFloat64()
 		}
 		w := NewMultiSolve(n, b, a, k)
 		w.RHS.CopyFrom(ref)
 		f.SolveMultiInto(w)
-		f.SolveMulti(ref)
-		if !w.RHS.Equal(ref, 1e-12) {
-			t.Errorf("shape (%d,%d,%d): SolveMultiInto disagrees with SolveMulti", n, b, a)
-		}
-		// Vector solve cross-check on one column.
-		col := make([]float64, dim)
-		for r := 0; r < dim; r++ {
-			col[r] = ref.At(r, 2)
-		}
-		for r := 0; r < dim; r++ {
-			if math.Abs(w.RHS.At(r, 2)-col[r]) > 1e-12 {
-				t.Fatalf("shape (%d,%d,%d): column 2 row %d: %g vs %g", n, b, a, r, w.RHS.At(r, 2), col[r])
-			}
+		if !w.RHS.Equal(solveColumns(f, ref), 1e-12) {
+			t.Errorf("shape (%d,%d,%d): SolveMultiInto disagrees with the vector Solve", n, b, a)
 		}
 	}
 }
@@ -146,15 +150,14 @@ func TestNarrowSolvesPrefixColumnsOnly(t *testing.T) {
 			w.Narrow(bad)
 		}()
 	}
-	orig := ref.Clone()
+	solved := solveColumns(f, ref)
 	f.SolveMultiInto(nw)
-	f.SolveMulti(ref)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < k; c++ {
 			got := w.RHS.At(r, c)
-			want := ref.At(r, c) // solved value
+			want := solved.At(r, c)
 			if c >= narrowK {
-				want = orig.At(r, c) // beyond the narrow width: untouched fill
+				want = ref.At(r, c) // beyond the narrow width: untouched fill
 			}
 			if math.Abs(got-want) > 1e-12 {
 				t.Fatalf("(%d,%d): %g vs %g", r, c, got, want)

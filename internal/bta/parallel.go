@@ -71,7 +71,9 @@ func newParallelFactor(n, b, a int, o ParallelOptions, nest bool) (*ParallelFact
 	if err := f.init(n, b, a, parts, []int{p}, 0, o.Executor, nest); err != nil {
 		return nil, err
 	}
-	f.mem = wholeSlice(NewMatrix(n, b, a))
+	if f.P > 1 { // P == 1 factorizes in the sequential factor's own storage
+		f.mem = wholeSlice(NewMatrix(n, b, a))
+	}
 	return f, nil
 }
 
@@ -80,11 +82,6 @@ func wholeSlice(m *Matrix) LocalBTA {
 	return LocalBTA{Part: Partition{Lo: 0, Hi: m.N - 1}, NGlobal: m.N, B: m.B, A: m.A,
 		Diag: m.Diag, Lower: m.Lower, Arrow: m.Arrow, Tip: m.Tip}
 }
-
-// ReducedRecursing reports whether the reduced boundary system is
-// factorized by a nested partition gang (2P−2 ≥ reducedCrossover) rather
-// than the sequential kernel.
-func (f *ParallelFactor) ReducedRecursing() bool { return f.P > 1 && f.eng.nested != nil }
 
 // Dim returns the full system dimension.
 func (f *ParallelFactor) Dim() int { return f.N*f.B + f.A }

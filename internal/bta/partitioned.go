@@ -158,7 +158,7 @@ type partFactor struct {
 	base    []int // first global partition index per rank
 	ps      []*partState
 
-	seq *Factor // P == 1: sequential factor view over the storage last factorized
+	seq *Factor // P == 1: the factor, with its own storage (store is copied in)
 
 	// Reduced boundary system (rank 0 only).
 	red    *Matrix
@@ -199,7 +199,7 @@ func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int,
 	}
 	f.span = Partition{Lo: sub[0].Lo, Hi: sub[len(sub)-1].Hi}
 	if f.P == 1 {
-		f.seq = &Factor{N: n, B: b, A: a}
+		f.seq = NewFactor(n, b, a)
 		return nil
 	}
 	p := f.P
@@ -460,15 +460,13 @@ func (f *partFactor) recvBoundary(c *comm.Comm, src int, tags *[6]int, g int) bo
 func (f *partFactor) refactorize(c *comm.Comm, store *LocalBTA) error {
 	f.store = store
 	if f.P == 1 {
-		w := store.whole()
-		f.seq.Diag, f.seq.Lower, f.seq.Arrow, f.seq.Tip = w.Diag, w.Lower, w.Arrow, w.Tip
+		src := f.src
+		if src == nil {
+			w := store.whole()
+			src = &w
+		}
 		var err error
-		compute(c, func() {
-			if f.src != nil {
-				w.CopyFrom(f.src)
-			}
-			err = factorizeInPlace(&w)
-		})
+		compute(c, func() { err = f.seq.Refactorize(src) })
 		if err == nil {
 			f.logDet = f.seq.LogDet()
 		}

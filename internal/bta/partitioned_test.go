@@ -63,17 +63,37 @@ func sameBlocks(name string, got, want []*dense.Matrix) error {
 	return nil
 }
 
+// sameSigma reports the first Σ block of got that differs from want in any
+// bit.
+func sameSigma(got, want *Matrix) error {
+	for _, err := range []error{
+		sameBlocks("Σ diag", got.Diag, want.Diag),
+		sameBlocks("Σ lower", got.Lower, want.Lower),
+		sameBlocks("Σ arrow", got.Arrow, want.Arrow),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if want.A > 0 && !got.Tip.Equal(want.Tip, 0) {
+		return fmt.Errorf("Σ tip differs")
+	}
+	return nil
+}
+
 // TestOneDriverBitForBit is the contract of "one driver": the shared-memory
 // factor and a one-rank distributed factor over the same partition list are
 // the same code with and without a communicator, so log-determinant, solve
 // and every Σ block agree bit for bit — below the nesting crossover (the
 // distributed factor never nests), with and without an arrowhead, with a
-// size-2 middle partition, and after a failed (non-SPD) factorization.
+// size-2 middle partition, and after a failed (non-SPD) factorization. Over
+// the single partition {0, n−1} both are the sequential Factor, bit for bit.
 func TestOneDriverBitForBit(t *testing.T) {
 	const n, b = 13, 3
 	rng := rand.New(rand.NewSource(77))
 	lists := map[string][]Partition{
 		"size-2 middle": {{0, 3}, {4, 5}, {6, 12}},
+		"one partition": {{0, n - 1}},
 	}
 	for _, p := range []int{2, 3, 4} {
 		parts, err := PartitionBlocks(n, p, defaultLoadBalance)
@@ -87,7 +107,8 @@ func TestOneDriverBitForBit(t *testing.T) {
 			label := fmt.Sprintf("%s a=%d", name, a)
 			good := randBTA(rng, n, b, a)
 			bad := good.Clone()
-			bad.Diag[parts[1].Lo+1].Set(0, 0, -50) // inside partition 1, interior or boundary
+			// inside partition 1 (interior or boundary), or the one partition
+			bad.Diag[parts[min(1, len(parts)-1)].Lo+1].Set(0, 0, -50)
 			rhs := randVec(rng, good.Dim())
 			streams := []int{len(parts)}
 
@@ -95,7 +116,7 @@ func TestOneDriverBitForBit(t *testing.T) {
 			if err := pf.init(n, b, a, parts, streams, 0, nil, true); err != nil {
 				t.Fatal(err)
 			}
-			if pf.ReducedRecursing() {
+			if pf.eng != nil && pf.eng.nested != nil {
 				t.Fatalf("%s: grid must stay below the nesting crossover", label)
 			}
 			pf.mem = wholeSlice(NewMatrix(n, b, a))
@@ -110,6 +131,36 @@ func TestOneDriverBitForBit(t *testing.T) {
 			wantSig, err := pf.SelectedInversion()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
+			}
+			if len(parts) == 1 {
+				sf := NewFactor(n, b, a)
+				if err := sf.Refactorize(bad); err == nil {
+					t.Fatalf("%s: sequential factor accepted a non-SPD matrix", label)
+				}
+				if err := sf.Refactorize(good); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if sf.LogDet() != pf.LogDet() {
+					t.Errorf("%s: logdet %v, sequential %v", label, pf.LogDet(), sf.LogDet())
+				}
+				x := append([]float64(nil), rhs...)
+				sf.Solve(x)
+				lt, sflt := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
+				pf.SolveLT(lt)
+				sf.SolveLT(sflt)
+				for i := range x {
+					if x[i] != want[i] || lt[i] != sflt[i] {
+						t.Fatalf("%s: entry %d: solve %v / %v, SolveLT %v / %v (sequential / shared-memory)",
+							label, i, x[i], want[i], sflt[i], lt[i])
+					}
+				}
+				sig, err := sf.SelectedInversion()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := sameSigma(wantSig, sig); err != nil {
+					t.Errorf("%s: sequential vs shared-memory: %v", label, err)
+				}
 			}
 
 			comm.Run(1, comm.DefaultMachine(), func(c *comm.Comm) {
@@ -151,17 +202,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 					t.Errorf("%s: %v", label, err)
 					return
 				}
-				for _, err := range []error{
-					sameBlocks("Σ diag", sig.Diag, wantSig.Diag),
-					sameBlocks("Σ lower", sig.Lower, wantSig.Lower),
-					sameBlocks("Σ arrow", sig.Arrow, wantSig.Arrow),
-				} {
-					if err != nil {
-						t.Errorf("%s: %v", label, err)
-					}
-				}
-				if a > 0 && !sig.Tip.Equal(wantSig.Tip, 0) {
-					t.Errorf("%s: Σ tip differs", label)
+				got := sig.whole()
+				if err := sameSigma(&got, wantSig); err != nil {
+					t.Errorf("%s: %v", label, err)
 				}
 			})
 		}

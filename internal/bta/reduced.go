@@ -47,8 +47,7 @@ type reducedEngine struct {
 // stays on it one level down. nest = false (the nested factor's own engine)
 // keeps the engine sequential whatever its size: nesting is one level deep.
 func newReducedEngine(red *Matrix, ex *sched.Executor, nest bool) (*reducedEngine, error) {
-	e := &reducedEngine{seqF: &Factor{N: red.N, B: red.B, A: red.A,
-		Diag: red.Diag, Lower: red.Lower, Arrow: red.Arrow, Tip: red.Tip}}
+	e := &reducedEngine{seqF: newFactor(red)}
 	if p := nestedReducedWidth(red.N); nest && p > 0 {
 		nested, err := newParallelFactor(red.N, red.B, red.A, ParallelOptions{Partitions: p, Executor: ex}, false)
 		if err != nil {
@@ -66,7 +65,7 @@ func (e *reducedEngine) factorize(red *Matrix) error {
 	if e.nested != nil {
 		return e.nested.Refactorize(red)
 	}
-	return factorizeInPlace(red)
+	return e.seqF.factorize()
 }
 
 // logDet returns the reduced factor's log-determinant contribution.
@@ -94,7 +93,7 @@ func (e *reducedEngine) solveLT(x []float64) {
 		e.nested.SolveLT(x)
 		return
 	}
-	e.seqF.backward(x)
+	e.seqF.SolveLT(x)
 }
 
 // selinvInto computes the reduced selected inverse on the BTA pattern.

@@ -69,7 +69,7 @@ func TestReducedRecursionActuallyNests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := pf.ReducedRecursing(), 2*p-2 >= reducedCrossover; got != want {
+		if got, want := pf.eng != nil && pf.eng.nested != nil, 2*p-2 >= reducedCrossover; got != want {
 			t.Fatalf("P=%d (reduced size %d): nesting = %v, want %v", p, 2*p-2, got, want)
 		}
 	}
@@ -79,9 +79,9 @@ func TestReducedRecursionActuallyNests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nested := pf.eng.nested; nested.P != 5 || nested.ReducedRecursing() {
+	if nested := pf.eng.nested; nested.P != 5 || nested.eng.nested != nil {
 		t.Fatalf("nested gang: P=%d nesting=%v, want P=5 solving its reduced system sequentially",
-			nested.P, nested.ReducedRecursing())
+			nested.P, nested.eng.nested != nil)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestNestedReducedEngineInheritsExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pf.ReducedRecursing() {
+	if pf.eng.nested == nil {
 		t.Fatal("P=5 must nest")
 	}
 	if pf.ex != ex || pf.eng.nested.ex != ex {

@@ -12,6 +12,11 @@ import (
 // Factorize (the POBTAF routine). The factor reuses the BTA block layout:
 // Diag[i] holds L_ii (lower triangular), Lower[i] holds L_{i+1,i}, Arrow[i]
 // holds L_{a,i} and Tip holds L_aa.
+//
+// The sequential chain is the one-partition run of the partitioned cores:
+// blocks 0…n−1 are the interiors of a single one-sided partition, which
+// partitionElim eliminates and partitionSolve / partitionSweep sweep, and
+// the arrow tip is its only boundary — factorized, solved and inverted here.
 type Factor struct {
 	N, B, A int
 	Diag    []*dense.Matrix
@@ -19,31 +24,17 @@ type Factor struct {
 	Arrow   []*dense.Matrix
 	Tip     *dense.Matrix
 
-	// selinvMu guards the lazily allocated selected-inversion scratch:
-	// SelectedInversion used to build all temporaries fresh and was safe to
-	// call concurrently on a shared factor (the mode-factor usage pattern);
-	// the scratch reuse keeps that contract by serializing the sweep.
+	// core views the blocks as the partition's elimination outputs: L =
+	// Diag, GNext = Lower with a nil last entry, GTop all nil, GArr = Arrow
+	// (all nil without an arrowhead).
+	core partitionSolve
+
+	// selinvMu guards the lazily built selected-inversion scratch: concurrent
+	// SelectedInversionInto calls on a shared factor (the mode-factor usage
+	// pattern) serialize on it.
 	selinvMu sync.Mutex
-	selinv   *selinvScratch
-}
-
-// selinvScratch is the reusable workspace of the alloc-free selected
-// inversion: the scaled couplings G = L_{i+1,i}·L_ii⁻¹ and H = L_{a,i}·L_ii⁻¹
-// of the current block, plus the triangular-inverse temporaries.
-type selinvScratch struct {
-	g    *dense.Matrix // b×b
-	h    *dense.Matrix // a×b (nil when A == 0)
-	tmpB *dense.Matrix // b×b L_ii⁻¹ of the current block
-	tmpA *dense.Matrix // a×a Trtri workspace (nil when A == 0)
-}
-
-func newSelinvScratch(b, a int) *selinvScratch {
-	s := &selinvScratch{g: dense.New(b, b), tmpB: dense.New(b, b)}
-	if a > 0 {
-		s.h = dense.New(a, b)
-		s.tmpA = dense.New(a, a)
-	}
-	return s
+	sweep    *partitionSweep // sweep template over core, scratch included
+	tipTmp   *dense.Matrix   // a×a Potri workspace of the tip
 }
 
 // Factorize computes the block Cholesky factorization A = L·Lᵀ of a BTA
@@ -63,14 +54,27 @@ func Factorize(m *Matrix) (*Factor, error) {
 
 // NewFactor allocates zeroed factor storage for a BTA shape. The factor is
 // not usable until a successful Refactorize.
-func NewFactor(n, b, a int) *Factor {
-	w := NewMatrix(n, b, a)
-	return &Factor{N: n, B: b, A: a, Diag: w.Diag, Lower: w.Lower, Arrow: w.Arrow, Tip: w.Tip}
-}
+func NewFactor(n, b, a int) *Factor { return newFactor(NewMatrix(n, b, a)) }
 
-// FactorizeInto factorizes m into the caller-owned factor storage f,
-// performing no heap allocation. Equivalent to f.Refactorize(m).
-func FactorizeInto(f *Factor, m *Matrix) error { return f.Refactorize(m) }
+// newFactor views w's blocks as the storage of a factor, which factorize
+// overwrites in place.
+func newFactor(w *Matrix) *Factor {
+	n := w.N
+	f := &Factor{N: n, B: w.B, A: w.A, Diag: w.Diag, Lower: w.Lower, Arrow: w.Arrow, Tip: w.Tip}
+	f.core = partitionSolve{
+		L:     make([]*dense.Matrix, n),
+		GNext: make([]*dense.Matrix, n),
+		GTop:  make([]*dense.Matrix, n),
+		GArr:  make([]*dense.Matrix, n),
+		// One partition over every block: all of them are interiors.
+		Interiors: interiors(Partition{Lo: 0, Hi: n - 1}, 0, 1),
+		B:         w.B,
+	}
+	copy(f.core.L, w.Diag)
+	copy(f.core.GNext, w.Lower)
+	copy(f.core.GArr, w.Arrow)
+	return f
+}
 
 // Refactorize recomputes the factorization of m in place of f's existing
 // block storage — the zero-allocation hot path of repeated INLA
@@ -85,58 +89,30 @@ func (f *Factor) Refactorize(m *Matrix) error {
 	}
 	w := Matrix{N: f.N, B: f.B, A: f.A, Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow, Tip: f.Tip}
 	w.CopyFrom(m)
-	return factorizeInPlace(&w)
+	return f.factorize()
 }
 
-// factorizeInPlace overwrites the blocks of w with the factor blocks.
-func factorizeInPlace(w *Matrix) error {
-	for i := 0; i < w.N; i++ {
-		if err := factorStep(w, i); err != nil {
-			return err
-		}
+// factorize overwrites the blocks, holding the matrix, with the factor: the
+// interior elimination accumulates the arrow Schur updates straight into the
+// tip, whose Cholesky completes the factor.
+func (f *Factor) factorize() error {
+	c := &f.core
+	pe := partitionElim{
+		Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow,
+		Interiors: c.Interiors,
+		L:         c.L[:0], GNext: c.GNext[:0], GTop: c.GTop[:0], GArr: c.GArr[:0],
 	}
-	return factorFinishTip(w)
-}
-
-// factorStep eliminates diagonal block i of w in place: Cholesky of the
-// block, scaling of its couplings, and the Schur updates onto block i+1 and
-// the arrow tip. Blocks 0..i−1 must already be eliminated; blocks > i+1 are
-// untouched.
-func factorStep(w *Matrix, i int) error {
-	n := w.N
-	hasArrow := w.A > 0
-	if err := dense.Potrf(w.Diag[i]); err != nil {
-		return fmt.Errorf("bta: diagonal block %d: %w", i, err)
+	if f.A > 0 {
+		pe.TipDelta = f.Tip
 	}
-	w.Diag[i].ZeroUpper()
-	li := w.Diag[i]
-	if i < n-1 {
-		dense.Trsm(dense.Right, dense.Trans, li, w.Lower[i]) // L_{i+1,i} = A_{i+1,i}·L_ii⁻ᵀ
+	if err := pe.run(); err != nil {
+		return err
 	}
-	if hasArrow {
-		dense.Trsm(dense.Right, dense.Trans, li, w.Arrow[i]) // L_{a,i} = A_{a,i}·L_ii⁻ᵀ
-	}
-	if i < n-1 {
-		dense.Syrk(dense.NoTrans, -1, w.Lower[i], 1, w.Diag[i+1])
-		w.Diag[i+1].MirrorLowerToUpper()
-		if hasArrow {
-			dense.Gemm(dense.NoTrans, dense.Trans, -1, w.Arrow[i], w.Lower[i], 1, w.Arrow[i+1])
-		}
-	}
-	if hasArrow {
-		dense.Syrk(dense.NoTrans, -1, w.Arrow[i], 1, w.Tip)
-	}
-	return nil
-}
-
-// factorFinishTip factorizes the fully-updated arrow tip, completing an
-// in-place factorization whose diagonal steps all ran through factorStep.
-func factorFinishTip(w *Matrix) error {
-	if w.A > 0 {
-		if err := dense.Potrf(w.Tip); err != nil {
+	if f.A > 0 {
+		if err := dense.Potrf(f.Tip); err != nil {
 			return fmt.Errorf("bta: arrow tip: %w", err)
 		}
-		w.Tip.ZeroUpper()
+		f.Tip.ZeroUpper()
 	}
 	return nil
 }
@@ -150,10 +126,8 @@ func (f *Factor) LogDet() float64 {
 			s += math.Log(d.At(k, k))
 		}
 	}
-	if f.A > 0 {
-		for k := 0; k < f.A; k++ {
-			s += math.Log(f.Tip.At(k, k))
-		}
+	for k := 0; k < f.A; k++ {
+		s += math.Log(f.Tip.At(k, k))
 	}
 	return 2 * s
 }
@@ -162,51 +136,18 @@ func (f *Factor) LogDet() float64 {
 func (f *Factor) Dim() int { return f.N*f.B + f.A }
 
 // Solve solves A·x = rhs in place of rhs (the POBTAS routine: block forward
-// substitution, then block backward substitution).
+// substitution, then block backward substitution). The tip slot of rhs is
+// the forward sweep's arrow accumulator.
 func (f *Factor) Solve(rhs []float64) {
 	if len(rhs) < f.Dim() {
 		panic(fmt.Sprintf("bta: solve rhs length %d < %d", len(rhs), f.Dim()))
 	}
-	f.forward(rhs)
-	f.backward(rhs)
-}
-
-// forward computes y = L⁻¹·rhs in place.
-func (f *Factor) forward(rhs []float64) {
-	n, b := f.N, f.B
-	for i := 0; i < n; i++ {
-		yi := rhs[i*b : (i+1)*b]
-		solveLowerVec(f.Diag[i], yi)
-		if i < n-1 {
-			dense.Gemv(dense.NoTrans, -1, f.Lower[i], yi, 1, rhs[(i+1)*b:(i+2)*b])
-		}
-		if f.A > 0 {
-			dense.Gemv(dense.NoTrans, -1, f.Arrow[i], yi, 1, rhs[n*b:n*b+f.A])
-		}
-	}
+	tip := rhs[f.N*f.B : f.Dim()]
+	f.core.forward(rhs, tip)
 	if f.A > 0 {
-		solveLowerVec(f.Tip, rhs[n*b:n*b+f.A])
+		solveLowerVec(f.Tip, tip)
 	}
-}
-
-// backward computes x = L⁻ᵀ·y in place.
-func (f *Factor) backward(rhs []float64) {
-	n, b := f.N, f.B
-	var xa []float64
-	if f.A > 0 {
-		xa = rhs[n*b : n*b+f.A]
-		solveLowerTransVec(f.Tip, xa)
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := rhs[i*b : (i+1)*b]
-		if i < n-1 {
-			dense.Gemv(dense.Trans, -1, f.Lower[i], rhs[(i+1)*b:(i+2)*b], 1, xi)
-		}
-		if f.A > 0 {
-			dense.Gemv(dense.Trans, -1, f.Arrow[i], xa, 1, xi)
-		}
-		solveLowerTransVec(f.Diag[i], xi)
-	}
+	f.SolveLT(rhs)
 }
 
 // SolveLT solves Lᵀ·x = x in place. Drawing z ~ N(0, I) and solving
@@ -216,44 +157,11 @@ func (f *Factor) SolveLT(x []float64) {
 	if len(x) < f.Dim() {
 		panic(fmt.Sprintf("bta: SolveLT length %d < %d", len(x), f.Dim()))
 	}
-	f.backward(x)
-}
-
-// SolveMulti solves A·X = B for a block of right-hand sides stored as the
-// columns of b (in place).
-func (f *Factor) SolveMulti(b *dense.Matrix) {
-	if b.Rows != f.Dim() {
-		panic(fmt.Sprintf("bta: SolveMulti rhs rows %d != %d", b.Rows, f.Dim()))
-	}
-	n, bb := f.N, f.B
-	// forward
-	for i := 0; i < n; i++ {
-		yi := b.View(i*bb, 0, bb, b.Cols)
-		dense.Trsm(dense.Left, dense.NoTrans, f.Diag[i], yi)
-		if i < n-1 {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, f.Lower[i], yi, 1, b.View((i+1)*bb, 0, bb, b.Cols))
-		}
-		if f.A > 0 {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, f.Arrow[i], yi, 1, b.View(n*bb, 0, f.A, b.Cols))
-		}
-	}
+	tip := x[f.N*f.B : f.Dim()]
 	if f.A > 0 {
-		dense.Trsm(dense.Left, dense.NoTrans, f.Tip, b.View(n*bb, 0, f.A, b.Cols))
+		solveLowerTransVec(f.Tip, tip)
 	}
-	// backward
-	if f.A > 0 {
-		dense.Trsm(dense.Left, dense.Trans, f.Tip, b.View(n*bb, 0, f.A, b.Cols))
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := b.View(i*bb, 0, bb, b.Cols)
-		if i < n-1 {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, f.Lower[i], b.View((i+1)*bb, 0, bb, b.Cols), 1, xi)
-		}
-		if f.A > 0 {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, f.Arrow[i], b.View(n*bb, 0, f.A, b.Cols), 1, xi)
-		}
-		dense.Trsm(dense.Left, dense.Trans, f.Diag[i], xi)
-	}
+	f.core.backward(x, tip)
 }
 
 // solveLowerVec solves L·x = x in place for lower-triangular L.
@@ -301,10 +209,11 @@ func (f *Factor) SelectedInversion() (*Matrix, error) {
 }
 
 // SelectedInversionInto computes the selected inverse into caller-owned
-// storage, drawing all temporaries from a scratch arena allocated on first
-// use — the alloc-free counterpart of SelectedInversion for the per-θ
-// posterior extraction loop. Concurrent calls on the same factor serialize
-// on the shared scratch (each still needs its own sig).
+// storage: Σ_aa from the tip, then the interior sweep, drawing all
+// temporaries from scratch allocated on first use — the alloc-free
+// counterpart of SelectedInversion for the per-θ posterior extraction loop.
+// Concurrent calls on the same factor serialize on the shared scratch (each
+// still needs its own sig).
 func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 	n, b, a := f.N, f.B, f.A
 	if sig.N != n || sig.B != b || sig.A != a {
@@ -313,56 +222,24 @@ func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 	}
 	f.selinvMu.Lock()
 	defer f.selinvMu.Unlock()
-	if f.selinv == nil {
-		f.selinv = newSelinvScratch(b, a)
+	if f.sweep == nil {
+		c := &f.core
+		f.sweep = &partitionSweep{L: c.L, GNext: c.GNext, GTop: c.GTop, GArr: c.GArr,
+			Interiors: c.Interiors, GN: dense.New(b, b), TmpB: dense.New(b, b)}
+		if a > 0 {
+			f.sweep.GA = dense.New(a, b)
+			f.tipTmp = dense.New(a, a)
+		}
 	}
-	ws := f.selinv
+	pw := *f.sweep
+	pw.Diag, pw.Lower = sig.Diag, sig.Lower
 	if a > 0 {
-		if err := dense.PotriInto(sig.Tip, ws.tmpA, f.Tip); err != nil {
+		if err := dense.PotriInto(sig.Tip, f.tipTmp, f.Tip); err != nil {
 			return fmt.Errorf("bta: selinv tip: %w", err)
 		}
+		pw.Arrow, pw.SigTip = sig.Arrow, sig.Tip
 	}
-	for i := n - 1; i >= 0; i-- {
-		// (L_ii·L_iiᵀ)⁻¹ first: it leaves L_ii⁻¹ in tmpB, which turns the
-		// two coupling scalings into GEMMs.
-		if err := dense.PotriInto(sig.Diag[i], ws.tmpB, f.Diag[i]); err != nil {
-			return fmt.Errorf("bta: selinv block %d: %w", i, err)
-		}
-		var g, h *dense.Matrix
-		if i < n-1 {
-			g = ws.g
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, f.Lower[i], ws.tmpB, 0, g) // G = L_{i+1,i}·L_ii⁻¹
-		}
-		if a > 0 {
-			h = ws.h
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, f.Arrow[i], ws.tmpB, 0, h) // H = L_{a,i}·L_ii⁻¹
-		}
-		if i < n-1 {
-			// Σ_{i+1,i}
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sig.Diag[i+1], g, 0, sig.Lower[i])
-			if a > 0 {
-				dense.Gemm(dense.Trans, dense.NoTrans, -1, sig.Arrow[i+1], h, 1, sig.Lower[i])
-			}
-		}
-		if a > 0 {
-			// Σ_{a,i}
-			if i < n-1 {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sig.Arrow[i+1], g, 0, sig.Arrow[i])
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sig.Tip, h, 1, sig.Arrow[i])
-			} else {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sig.Tip, h, 0, sig.Arrow[i])
-			}
-		}
-		// Σ_ii = (L_ii·L_iiᵀ)⁻¹ − Σ_{i+1,i}ᵀ·G − Σ_{a,i}ᵀ·H
-		if i < n-1 {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, sig.Lower[i], g, 1, sig.Diag[i])
-		}
-		if a > 0 {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, sig.Arrow[i], h, 1, sig.Diag[i])
-		}
-		sig.Diag[i].Symmetrize()
-	}
-	return nil
+	return pw.run()
 }
 
 // DiagVec extracts the full main diagonal of the BTA matrix as a vector of
@@ -374,10 +251,8 @@ func (m *Matrix) DiagVec() []float64 {
 			out[i*m.B+k] = m.Diag[i].At(k, k)
 		}
 	}
-	if m.A > 0 {
-		for k := 0; k < m.A; k++ {
-			out[m.N*m.B+k] = m.Tip.At(k, k)
-		}
+	for k := 0; k < m.A; k++ {
+		out[m.N*m.B+k] = m.Tip.At(k, k)
 	}
 	return out
 }

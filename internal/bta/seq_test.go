@@ -214,8 +214,9 @@ func TestSolveMultiMatchesVector(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	multi := b.Clone()
-	f.SolveMulti(multi)
+	w := NewMultiSolve(3, 3, 2, nrhs)
+	w.RHS.CopyFrom(b)
+	f.SolveMultiInto(w)
 	for j := 0; j < nrhs; j++ {
 		col := make([]float64, m.Dim())
 		for i := 0; i < m.Dim(); i++ {
@@ -223,8 +224,8 @@ func TestSolveMultiMatchesVector(t *testing.T) {
 		}
 		f.Solve(col)
 		for i := 0; i < m.Dim(); i++ {
-			if math.Abs(multi.At(i, j)-col[i]) > 1e-10 {
-				t.Fatalf("SolveMulti col %d row %d mismatch", j, i)
+			if math.Abs(w.RHS.At(i, j)-col[i]) > 1e-10 {
+				t.Fatalf("SolveMultiInto col %d row %d mismatch", j, i)
 			}
 		}
 	}

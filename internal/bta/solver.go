@@ -1,9 +1,10 @@
 package bta
 
 // Solver is the common surface of the structured BTA solver backends: the
-// strictly sequential Factor (POBTAF/POBTAS/POBTASI over all n time blocks)
-// and the shared-memory parallel-in-time ParallelFactor (PPOBTAF/PPOBTAS/
-// PPOBTASI over a time-domain partitioning run on goroutines). Everything
+// strictly sequential Factor (POBTAF/POBTAS/POBTASI over all n time blocks,
+// the one-partition run of the partition cores) and the shared-memory
+// parallel-in-time ParallelFactor (PPOBTAF/PPOBTAS/PPOBTASI over a
+// time-domain partitioning run on goroutines). Everything
 // the INLA pipeline needs from a factorization — refilling it per
 // θ-evaluation, triangular solves, log-determinant, and selected
 // inversion — goes through this interface, so the evaluation scheduler can

@@ -21,7 +21,9 @@ import (
 // Every temporary is drawn from the caller-provided scratch (GN/GT/GA/TmpB
 // and the LoBuf ping-pong pair for the rolling Σ(lo,·)), so the sweep
 // performs no heap allocation; virtual-time charging (the comm simulator's
-// Compute hook) wraps the call from the outside.
+// Compute hook) wraps the call from the outside. The sequential
+// SelectedInversionInto is the sweep of one one-sided partition over every
+// block.
 type partitionSweep struct {
 	// partitionElim outputs in elimination order: the interior Cholesky
 	// blocks and the scaled couplings (nil where absent).
@@ -79,7 +81,7 @@ func (pw *partitionSweep) run() error {
 		rel := ints[idx] - pw.Base
 		// (L_kk·L_kkᵀ)⁻¹ first: it leaves L_kk⁻¹ in TmpB. The factor stores
 		// L_{S,k} = A'_{S,k}·L_kk⁻ᵀ; the recursion needs G_{S,k} =
-		// L_{S,k}·L_kk⁻¹ (as in the sequential POBTASI), a GEMM against TmpB.
+		// L_{S,k}·L_kk⁻¹, a GEMM against TmpB.
 		if err := dense.PotriInto(pw.Diag[rel], pw.TmpB, pw.L[idx]); err != nil {
 			return fmt.Errorf("bta: selinv partition %d block %d: %w", pw.ID, ints[idx], err)
 		}
@@ -118,12 +120,15 @@ func (pw *partitionSweep) run() error {
 				dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Arrow[0], gA, 1, sigLoK)
 			}
 		}
-		// Σ_{a,k}
+		// Σ_{a,k} = −Σ_{a,k+1}·G_{k+1,k} − Σ_aa·G_{a,k} − Σ_{a,lo}·G_{lo,k},
+		// summed in that order
 		if gA != nil {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.SigTip, gA, 0, pw.Arrow[rel])
+			beta := 0.0
 			if gN != nil {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sigArrN, gN, 1, pw.Arrow[rel])
+				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sigArrN, gN, 0, pw.Arrow[rel])
+				beta = 1
 			}
+			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.SigTip, gA, beta, pw.Arrow[rel])
 			if gT != nil {
 				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.Arrow[0], gT, 1, pw.Arrow[rel])
 			}

@@ -236,7 +236,7 @@ type BTAEvaluator struct {
 	// is a layer of the distributed evaluator). When set, PlanBatch turns
 	// half of a point's spare cores into partitions instead of all of them;
 	// Fit and the benchmark set it, so dropping it changes partition widths
-	// and belongs with the solver-configuration work (ROADMAP item 7).
+	// and belongs with the solver-configuration work (ROADMAP item 6).
 	S2 bool
 	// Partitions pins the parallel-in-time width: 0 schedules it per batch
 	// (PlanBatch: wide batches sequential, narrow batches partitioned),

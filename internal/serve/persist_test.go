@@ -300,7 +300,12 @@ func TestInterruptedFitResumesOnRestart(t *testing.T) {
 			t.Fatalf("resumed θ[%d]=%v, uninterrupted %v", i, info.Theta[i], ref.Theta[i])
 		}
 	}
-	// The fit state was consumed: no stale resume on the next restart.
+	// The fit state was consumed: no stale resume on the next restart. The
+	// resumed fit's checkpoint is published (and its fit state cleared) by the
+	// async persister, so flush it first — as a real restart's shutdown would.
+	if err := srv2.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
 	states, err := st2.FitStates()
 	if err != nil {
 		t.Fatal(err)
