@@ -56,9 +56,13 @@ type OptResult struct {
 	Theta      []float64
 	F          float64
 	Iterations int
-	FEvals     int
-	Trace      []float64 // F value per iteration
-	Converged  bool
+	// FEvals counts every objective evaluation, including the speculative
+	// line-search candidates past the accepted step (at most k−1 per line
+	// search, k set by the evaluator's core budget — see Minimize), so it
+	// depends on that budget while θ, F and the trace do not.
+	FEvals    int
+	Trace     []float64 // F value per iteration
+	Converged bool
 }
 
 // ErrLineSearchFailed signals that no decreasing step could be found; the
@@ -133,47 +137,75 @@ func gradientFromBatchInto(g, vals []float64, h float64) float64 {
 // (everything but the Evaluator calls and the trace append) is
 // allocation-free (pinned by TestBFGSIterationAllocFree).
 type bfgsState struct {
-	x, p, xNew, s, yv, hy, g, gNew []float64
-	pts                            [][]float64 // 2d+1 gradient stencil
-	probe                          [][]float64 // 1-point line-search batch
+	x, p, s, yv, hy, g, gNew []float64
+	pts                      [][]float64 // 2d+1 gradient stencil, centre first
+	vals                     []float64   // the stencil's values, centre first
+	cands                    [][]float64 // one line-search round's candidates
 }
 
-func newBFGSState(theta0 []float64) *bfgsState {
+// newBFGSState allocates the state for a search from theta0 whose line
+// search evaluates k candidates per round.
+func newBFGSState(theta0 []float64, k int) *bfgsState {
 	d := len(theta0)
 	st := &bfgsState{
-		x:    append([]float64(nil), theta0...),
-		p:    make([]float64, d),
-		xNew: make([]float64, d),
-		s:    make([]float64, d),
-		yv:   make([]float64, d),
-		hy:   make([]float64, d),
-		g:    make([]float64, d),
-		gNew: make([]float64, d),
-		pts:  make([][]float64, 2*d+1),
+		x:     append([]float64(nil), theta0...),
+		p:     make([]float64, d),
+		s:     make([]float64, d),
+		yv:    make([]float64, d),
+		hy:    make([]float64, d),
+		g:     make([]float64, d),
+		gNew:  make([]float64, d),
+		pts:   make([][]float64, 2*d+1),
+		vals:  make([]float64, 2*d+1),
+		cands: make([][]float64, k),
 	}
 	for i := range st.pts {
 		st.pts[i] = make([]float64, d)
 	}
-	st.probe = [][]float64{st.xNew}
+	for i := range st.cands {
+		st.cands[i] = make([]float64, d)
+	}
 	return st
+}
+
+// lineSearchWidth is the number of candidate steps one line-search round
+// evaluates: as many width-1 evaluations as the evaluator's own plan fits
+// on its cores (StencilPlan(1): Cores / Partitions), and 1 for evaluators
+// without a plan.
+func lineSearchWidth(e Evaluator) int {
+	p, ok := e.(StencilPlanner)
+	if !ok {
+		return 1
+	}
+	plan := p.StencilPlan(1)
+	return max(1, plan.Cores/max(1, plan.Partitions))
 }
 
 // evalGradient evaluates the central-difference gradient at x into g via
 // the evaluator, shrinking the stencil step and retrying when an arm lands
 // on an infeasible (quarantined) point, per the OptOptions retry policy.
-// It returns the batched center value F(x), the number of evaluations
-// spent, and whether the resulting gradient is finite.
-func evalGradient(e Evaluator, st *bfgsState, x, g []float64, opt OptOptions) (f float64, nevals int, ok bool) {
+// f is F(x) when the caller already knows it (the accepted line-search
+// candidate): then only the 2d arms are evaluated. NaN means unknown; the
+// first attempt then evaluates the centre with the arms, and retries reuse
+// it. It returns F(x), the number of evaluations spent, and whether the
+// resulting gradient is finite.
+func evalGradient(e Evaluator, st *bfgsState, x, g []float64, f float64, opt OptOptions) (float64, int, bool) {
 	h := opt.GradStep
 	backoff := opt.RetryBackoff
 	if backoff <= 0 || backoff >= 1 {
 		backoff = 0.5
 	}
+	from := 1 // first stencil point to evaluate: 0 includes the centre
+	if math.IsNaN(f) {
+		from = 0
+	}
+	nevals := 0
 	for attempt := 0; ; attempt++ {
 		fillGradientPoints(st.pts, x, h)
-		vals := e.EvalBatch(st.pts)
-		nevals += len(vals)
-		f = gradientFromBatchInto(g, vals, h)
+		st.vals[0] = f
+		copy(st.vals[from:], e.EvalBatch(st.pts[from:]))
+		nevals += len(st.pts) - from
+		f, from = gradientFromBatchInto(g, st.vals, h), 1
 		if finiteVec(g) {
 			return f, nevals, true
 		}
@@ -189,6 +221,32 @@ func searchPoint(xNew, x, p []float64, step float64) {
 	for i := range xNew {
 		xNew[i] = x[i] + step*p[i]
 	}
+}
+
+// lineSearch is the backtracking Armijo search from st.x along st.p, k =
+// len(st.cands) candidates per round: one batch evaluates step, step/2, …,
+// step/2^(k−1) (none below stepTol), and the first to pass the Armijo test
+// in halving order is accepted — the step one-at-a-time backtracking
+// accepts. It returns the accepted candidate's index in st.cands (−1 when no
+// step ≥ stepTol passes), its value, and the evaluations spent.
+func lineSearch(e Evaluator, st *bfgsState, f, stepTol float64) (acc int, fNew float64, nevals int) {
+	slope := dense.Dot(st.g, st.p)
+	step := 1.0
+	for step >= stepTol {
+		n := 0
+		for s := step; n < len(st.cands) && s >= stepTol; s *= 0.5 {
+			searchPoint(st.cands[n], st.x, st.p, s)
+			n++
+		}
+		nevals += n
+		for j, v := range e.EvalBatch(st.cands[:n]) {
+			if v < f+1e-4*step*slope {
+				return j, v, nevals
+			}
+			step *= 0.5
+		}
+	}
+	return -1, 0, nevals
 }
 
 // setEye resets a square matrix to the identity in place.
@@ -232,9 +290,15 @@ func snapshotOpt(st *bfgsState, hInv *dense.Matrix, f float64, iter int, res *Op
 }
 
 // Minimize runs BFGS on F(θ) = −fobj(θ) with gradients from parallel
-// central differences evaluated through the Evaluator. All iteration state
-// lives in buffers allocated once up front; the per-iteration cost is the
-// Evaluator batches.
+// central differences evaluated through the Evaluator. Each iteration is an
+// Armijo backtracking line search whose batches hold k halving candidate
+// steps — k = StencilPlan(1).Cores / Partitions, the width-1 evaluations
+// the evaluator's plan fits on its cores (1 without a StencilPlanner) — and
+// which accepts the step one-at-a-time backtracking accepts, so θ, F and the
+// trace do not depend on k. The accepted candidate's value is F at the new
+// iterate, so the gradient batch that follows evaluates only the 2d arms.
+// All iteration state lives in buffers allocated once up front; the
+// per-iteration cost is the Evaluator batches.
 //
 // With opt.Resume set the search continues from the checkpointed iterate
 // instead of theta0; with opt.Checkpoint set a resumable snapshot is emitted
@@ -245,7 +309,7 @@ func Minimize(e Evaluator, theta0 []float64, opt OptOptions) (*OptResult, error)
 	if opt.Resume != nil && len(opt.Resume.Theta) != d {
 		return nil, fmt.Errorf("inla: resume checkpoint dimension %d, want %d", len(opt.Resume.Theta), d)
 	}
-	st := newBFGSState(theta0)
+	st := newBFGSState(theta0, lineSearchWidth(e))
 	hInv := dense.Eye(d) // inverse Hessian approximation
 	ckEvery := opt.CheckpointEvery
 	if ckEvery <= 0 {
@@ -282,7 +346,7 @@ func Minimize(e Evaluator, theta0 []float64, opt OptOptions) (*OptResult, error)
 			Trace: append([]float64(nil), ck.Trace...)}
 	} else {
 		var nevals int
-		f, nevals, gradOK = evalGradient(e, st, st.x, st.g, opt)
+		f, nevals, gradOK = evalGradient(e, st, st.x, st.g, math.NaN(), opt)
 		if math.IsInf(f, 1) {
 			return nil, fmt.Errorf("inla: objective is infeasible at the initial point")
 		}
@@ -324,40 +388,25 @@ func Minimize(e Evaluator, theta0 []float64, opt OptOptions) (*OptResult, error)
 				st.p[i] = -st.g[i]
 			}
 		}
-		// Backtracking Armijo line search (st.probe aliases st.xNew, so the
-		// width-1 batch needs no per-step slice construction).
-		step := 1.0
-		var fNew float64
-		accepted := false
-		for step >= opt.StepTol {
-			searchPoint(st.xNew, st.x, st.p, step)
-			fNew = e.EvalBatch(st.probe)[0]
-			res.FEvals++
-			if fNew < f+1e-4*step*dense.Dot(st.g, st.p) {
-				accepted = true
-				break
-			}
-			step *= 0.5
-		}
-		if !accepted {
+		acc, fNew, n := lineSearch(e, st, f, opt.StepTol)
+		res.FEvals += n
+		if acc < 0 {
 			return finish(res, f), ErrLineSearchFailed
 		}
-		// New gradient (parallel batch). Prefer the batched center value
-		// (identical point) for consistency.
-		var nevals int
-		fNew, nevals, gradOK = evalGradient(e, st, st.xNew, st.gNew, opt)
-		res.FEvals += nevals
+		// New gradient at the accepted candidate, whose value is F there:
+		// the parallel batch evaluates the 2d arms only.
+		xNew := st.cands[acc]
+		_, n, gradOK = evalGradient(e, st, xNew, st.gNew, fNew, opt)
+		res.FEvals += n
 
 		for i := range st.s {
-			st.s[i] = st.xNew[i] - st.x[i]
+			st.s[i] = xNew[i] - st.x[i]
 			st.yv[i] = st.gNew[i] - st.g[i]
 		}
 		bfgsUpdate(hInv, st.s, st.yv, st.hy)
-		// Roll the iterate by swapping buffers; the probe batch must keep
-		// aliasing the trial-point buffer.
-		st.x, st.xNew = st.xNew, st.x
+		// Roll the iterate by swapping buffers.
+		st.x, st.cands[acc] = xNew, st.x
 		st.g, st.gNew = st.gNew, st.g
-		st.probe[0] = st.xNew
 		f = fNew
 		res.Trace = append(res.Trace, f)
 		if opt.Checkpoint != nil && (iter+1)%ckEvery == 0 {
@@ -383,7 +432,8 @@ func infNorm(v []float64) float64 {
 // against a core budget (BTAEvaluator): StencilPlan reports how a batch of
 // the given width would spend the machine. The Hessian stage uses it to
 // split its wide stencil at plan boundaries instead of leaving cores idle
-// in the batch's tail.
+// in the batch's tail, and Minimize reads the width-1 plan to set how many
+// line-search candidates one batch evaluates.
 type StencilPlanner interface {
 	StencilPlan(width int) SharedPlan
 }
@@ -421,8 +471,8 @@ func evalStencil(e Evaluator, pts [][]float64) []float64 {
 	return append(vals, e.EvalBatch(pts[cut:])...)
 }
 
-// hessianStencil builds the 2d² + 2d + 1 evaluation points of the
-// second-order central-difference scheme at theta.
+// hessianStencil builds the 1 + 2d + 4·d(d−1)/2 = 2d² + 1 evaluation points
+// of the second-order central-difference scheme at theta.
 func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]int) {
 	d := len(theta)
 	shift := func(i, j int, si, sj float64) []float64 {
@@ -449,7 +499,7 @@ func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]in
 }
 
 // HessianAtMode estimates ∇²F(θ*) by second-order central differences
-// (§III-3). The 2d² + 2d + 1 evaluations form one parallel batch, split at
+// (§III-3). The 2d² + 1 evaluations form one parallel batch, split at
 // plan boundaries when the evaluator exposes its scheduling plan (so a
 // small-d stencil's trailing chunk spends idle cores inside the
 // factorizations instead of leaving them dark).

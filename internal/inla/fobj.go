@@ -1,7 +1,8 @@
 // Package inla implements the integrated nested Laplace approximation
 // engine of the paper (§III): the objective function fobj(θ) of Eq. 8, its
-// BFGS optimization with parallel central-difference gradients (layer S1),
-// the solver integration (layer S3, package bta), posterior extraction for
+// BFGS optimization with parallel central-difference gradients and batched
+// line-search candidates (layer S1: independent θ-points evaluated
+// concurrently), the solver integration (layer S3, package bta), posterior extraction for
 // the hyperparameters (Hessian at the mode) and for the latent field
 // (selected inversion of Q_c).
 //
@@ -282,7 +283,10 @@ func (e *BTAEvaluator) quarantine(theta []float64, err error) {
 	e.evalErrMu.Unlock()
 }
 
-// EvalFailures returns how many evaluations have been quarantined.
+// EvalFailures returns how many evaluations have been quarantined. It
+// counts the speculative line-search candidates too: a candidate past the
+// accepted step is evaluated, and may fail, although the search never moves
+// there.
 func (e *BTAEvaluator) EvalFailures() int64 { return e.failures.Load() }
 
 // LastEvalError returns the most recently quarantined evaluation (nil when
@@ -334,9 +338,10 @@ func (e *BTAEvaluator) executor() *sched.Executor {
 }
 
 // StencilPlan reports how a batch of the given width would spend the
-// evaluator's core budget (the StencilPlanner hook of HessianAtMode): the
-// per-batch SharedPlan, with the pinned knobs taking precedence exactly as
-// they do inside EvalBatch.
+// evaluator's core budget (the StencilPlanner hook of HessianAtMode and of
+// Minimize, whose line search evaluates StencilPlan(1).Cores / Partitions
+// candidates per batch): the per-batch SharedPlan, with the pinned knobs
+// taking precedence exactly as they do inside EvalBatch.
 func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
 	return e.planFor(width, e.S2)
 }

@@ -1,0 +1,295 @@
+package inla
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/dalia-hpc/dalia/internal/sched"
+	"github.com/dalia-hpc/dalia/internal/synth"
+)
+
+// lineEvaluator wraps an evaluator with a synthetic plan whose width-1
+// batch leaves room for k concurrent evaluations (so Minimize's line search
+// evaluates k candidates per round), and records a copy of every batch.
+type lineEvaluator struct {
+	Evaluator
+	k       int
+	batches [][][]float64
+}
+
+func (e *lineEvaluator) StencilPlan(width int) SharedPlan {
+	return SharedPlan{Width: width, Cores: e.k, PointWorkers: min(width, e.k), Partitions: 1}
+}
+
+func (e *lineEvaluator) EvalBatch(points [][]float64) []float64 {
+	cp := make([][]float64, len(points))
+	for i, p := range points {
+		cp[i] = append([]float64(nil), p...)
+	}
+	e.batches = append(e.batches, cp)
+	return e.Evaluator.EvalBatch(points)
+}
+
+// halvingEvaluator is F(θ) = −θ on a line, where the first line search from
+// θ = 0 (direction +1) needs exactly m halvings: every candidate step 2^−j
+// with j < m fails the Armijo test (+Inf for j < 2, F(0) + 1 after), and the
+// candidate 2^−(m+1) past the accepted one is +Inf. The gradient stencils
+// never land on a power of two, so they see the plain line.
+type halvingEvaluator struct{ m int }
+
+func (e *halvingEvaluator) value(x float64) float64 {
+	frac, exp := math.Frexp(x)
+	if frac != 0.5 {
+		return -x
+	}
+	switch j := 1 - exp; { // x = 2^−j
+	case j == e.m+1 || j < min(e.m, 2):
+		return math.Inf(1)
+	case j < e.m:
+		return 1
+	}
+	return -x
+}
+
+func (e *halvingEvaluator) EvalBatch(points [][]float64) []float64 {
+	out := make([]float64, len(points))
+	for i, p := range points {
+		out[i] = e.value(p[0])
+	}
+	return out
+}
+
+func (e *halvingEvaluator) Posterior([]float64) ([]float64, []float64, error) {
+	return nil, nil, nil
+}
+
+// TestBatchedLineSearchAcceptsSequentialStep: whatever the round width k,
+// the batched line search accepts the step one-at-a-time backtracking
+// accepts, steps over a +Inf candidate before it, discards one after it,
+// and spends ⌈(m+1)/k⌉·k evaluations.
+func TestBatchedLineSearchAcceptsSequentialStep(t *testing.T) {
+	opt := DefaultOptOptions()
+	opt.MaxIter = 1
+	opt.GradTol = 0
+	for _, m := range []int{0, 1, 6, 7} {
+		for _, k := range []int{1, 2, 3, 8} {
+			e := &lineEvaluator{Evaluator: &halvingEvaluator{m: m}, k: k}
+			res, err := Minimize(e, []float64{0}, opt)
+			if err != nil {
+				t.Fatalf("m=%d k=%d: %v", m, k, err)
+			}
+			step := math.Ldexp(1, -m)
+			if res.Theta[0] != step || res.F != -step {
+				t.Fatalf("m=%d k=%d: accepted θ = %v with F = %v, want step %v", m, k, res.Theta[0], res.F, step)
+			}
+			rounds := e.batches[1 : len(e.batches)-1]
+			cands := 0
+			for _, b := range rounds {
+				if len(b) > k {
+					t.Fatalf("m=%d k=%d: a line-search round of %d candidates", m, k, len(b))
+				}
+				cands += len(b)
+			}
+			if want := (m + k) / k * k; cands != want {
+				t.Fatalf("m=%d k=%d: %d candidates evaluated, want ⌈(m+1)/k⌉·k = %d", m, k, cands, want)
+			}
+			if res.FEvals != 3+cands+2 {
+				t.Fatalf("m=%d k=%d: FEvals = %d, want 3 + %d + 2", m, k, res.FEvals, cands)
+			}
+		}
+	}
+}
+
+// TestBatchedLineSearchStopsAtStepTol: no candidate below StepTol is
+// generated, so a failing search evaluates the same steps at every k.
+func TestBatchedLineSearchStopsAtStepTol(t *testing.T) {
+	opt := DefaultOptOptions()
+	opt.StepTol = math.Ldexp(1, -5)
+	for _, k := range []int{1, 2, 3, 8} {
+		e := &lineEvaluator{Evaluator: &halvingEvaluator{m: 40}, k: k}
+		res, err := Minimize(e, []float64{0}, opt)
+		if !errors.Is(err, ErrLineSearchFailed) {
+			t.Fatalf("k=%d: want ErrLineSearchFailed, got %v", k, err)
+		}
+		cands := 0
+		for _, b := range e.batches[1:] {
+			for _, p := range b {
+				if p[0] < opt.StepTol {
+					t.Fatalf("k=%d: candidate %v below StepTol %v", k, p[0], opt.StepTol)
+				}
+			}
+			cands += len(b)
+		}
+		if cands != 6 || res.FEvals != 3+6 || res.Theta[0] != 0 {
+			t.Fatalf("k=%d: %d candidates, FEvals %d, θ %v; want steps 1 … 1/32 and θ = 0", k, cands, res.FEvals, res.Theta[0])
+		}
+	}
+}
+
+// TestMinimizeNeverReevaluatesAPoint: the accepted candidate's value is F
+// at the new iterate, so a search run to convergence evaluates no θ twice
+// and spends (2d+1) + Σ candidates + 2d per later gradient.
+func TestMinimizeNeverReevaluatesAPoint(t *testing.T) {
+	q, c := quadProblem(3)
+	const d = 3
+	for _, k := range []int{1, 3} {
+		e := &lineEvaluator{Evaluator: &quadEvaluator{q: q, c: c}, k: k}
+		res, err := Minimize(e, make([]float64, d), DefaultOptOptions())
+		if err != nil || !res.Converged {
+			t.Fatalf("k=%d: converged %v, err %v", k, res.Converged, err)
+		}
+		seen := make(map[string]bool)
+		cands, grads := 0, 0
+		for i, b := range e.batches {
+			for _, p := range b {
+				key := fmt.Sprint(p)
+				if seen[key] {
+					t.Fatalf("k=%d: θ = %s evaluated twice", k, key)
+				}
+				seen[key] = true
+			}
+			switch {
+			case i == 0:
+				if len(b) != 2*d+1 {
+					t.Fatalf("k=%d: first gradient batch of %d points, want 2d+1", k, len(b))
+				}
+			case len(b) == 2*d:
+				grads++
+			case len(b) <= k:
+				cands += len(b)
+			default:
+				t.Fatalf("k=%d: unexpected batch of %d points", k, len(b))
+			}
+		}
+		if lines := len(res.Trace) - 1; grads != lines {
+			t.Fatalf("k=%d: %d gradients of 2d arms after %d line searches", k, grads, lines)
+		}
+		if want := 2*d + 1 + cands + 2*d*grads; res.FEvals != want {
+			t.Fatalf("k=%d: FEvals = %d, want (2d+1) + %d + 2d·%d = %d", k, res.FEvals, cands, grads, want)
+		}
+	}
+}
+
+// planless hides an evaluator's StencilPlan, so Minimize's line search
+// falls back to one candidate per round.
+type planless struct{ Evaluator }
+
+// TestBatchedLineSearchBitIdenticalOnBenchmarkShapes: on a 2-core budget
+// the candidates run at the width-1 probe's partition count, so the batched
+// line search walks the one-at-a-time path exactly — θ, F, the trace and
+// the iteration count bit for bit, after one iteration and after 15.
+func TestBatchedLineSearchBitIdenticalOnBenchmarkShapes(t *testing.T) {
+	ex := sched.New(2)
+	defer ex.Close()
+	for name, gen := range benchmarkShapes(t) {
+		ds, err := synth.Generate(gen)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 2, S2: true, Exec: ex}
+		if lineSearchWidth(e) != 2 {
+			t.Fatalf("%s: line-search width %d on 2 cores, want 2", name, lineSearchWidth(e))
+		}
+		for _, k := range []int{1, 15} {
+			opt := DefaultOptOptions()
+			opt.MaxIter = k
+			opt.GradTol = 0
+			got, gotErr := Minimize(e, ds.Theta0, opt)
+			want, wantErr := Minimize(planless{e}, ds.Theta0, opt)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s K=%d: error %v, one-at-a-time %v", name, k, gotErr, wantErr)
+			}
+			if !reflect.DeepEqual(got.Theta, want.Theta) || got.F != want.F ||
+				!reflect.DeepEqual(got.Trace, want.Trace) || got.Iterations != want.Iterations {
+				t.Fatalf("%s K=%d: θ %v F %v trace %v (%d it), one-at-a-time θ %v F %v trace %v (%d it)",
+					name, k, got.Theta, got.F, got.Trace, got.Iterations, want.Theta, want.F, want.Trace, want.Iterations)
+			}
+			if got.FEvals > want.FEvals+got.Iterations {
+				t.Fatalf("%s K=%d: %d evaluations, one-at-a-time %d: more than one speculative candidate per line search",
+					name, k, got.FEvals, want.FEvals)
+			}
+		}
+	}
+}
+
+// TestBatchedLineSearchPartitionedCandidates: at 8 cores and nt = 20 the
+// width-1 probe runs 4 partitions but a round of 2 candidates runs 2 each,
+// so values agree to rounding rather than bit for bit; the search must
+// still reach the same mode in the same number of iterations.
+func TestBatchedLineSearchPartitionedCandidates(t *testing.T) {
+	ex := sched.New(8)
+	defer ex.Close()
+	ds, err := synth.Generate(synth.GenConfig{
+		Nv: 1, Nt: 20, Nr: 1,
+		MeshNx: 3, MeshNy: 3,
+		ObsPerStep: 10,
+		Seed:       31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 8, S2: true, Exec: ex}
+	k := lineSearchWidth(e)
+	if probe, round := e.StencilPlan(1).Partitions, e.StencilPlan(k).Partitions; k != 2 || round >= probe {
+		t.Fatalf("k = %d, candidates at %d partitions vs the probe's %d: want 2 and fewer", k, round, probe)
+	}
+	got, err := Minimize(e, ds.Theta0, DefaultOptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Minimize(planless{e}, ds.Theta0, DefaultOptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%d iterations, one-at-a-time %d", got.Iterations, want.Iterations)
+	}
+	for i := range want.Theta {
+		if math.Abs(got.Theta[i]-want.Theta[i]) > 1e-8 {
+			t.Fatalf("θ*[%d] = %v, one-at-a-time %v", i, got.Theta[i], want.Theta[i])
+		}
+	}
+}
+
+// batchCounter counts the batches a BTAEvaluator runs; embedding forwards
+// StencilPlan, so Minimize sizes its line search as it does for Fit.
+type batchCounter struct {
+	*BTAEvaluator
+	batches int
+}
+
+func (e *batchCounter) EvalBatch(points [][]float64) []float64 {
+	e.batches++
+	return e.BTAEvaluator.EvalBatch(points)
+}
+
+// BenchmarkMinimizeOneIteration times one BFGS iteration (K = 1 with the
+// gradient test disabled, the end-to-end benchmark's recipe) on the
+// evaluator Fit builds at the fit_uni_gauss shape, and reports the
+// evaluations and line-search rounds it spends.
+func BenchmarkMinimizeOneIteration(b *testing.B) {
+	ds, err := synth.Generate(benchmarkShapes(b)["fit_uni_gauss"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
+	opt := DefaultOptOptions()
+	opt.MaxIter = 1
+	opt.GradTol = 0
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Minimize(e, ds.Theta0, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += res.FEvals
+	}
+	// Every batch but the two gradient stencils (θ₀ and θ₁; the stencils
+	// are finite at this shape, so none is retried) is a line-search round.
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
+}

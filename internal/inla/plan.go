@@ -10,10 +10,13 @@ import (
 // one evaluation batch spends the machine's cores across the nested
 // parallelization layers. It generalizes MakePlan's fill-S1-first policy to
 // goroutine scheduling: wide gradient/Hessian batches keep all cores on
-// point-level parallelism (S1), while narrow batches — the line-search
-// probes of the BFGS loop, posterior extraction, mode factorization —
-// spend the spare cores inside each factorization as parallel-in-time
-// partitions (S3 in shared-memory form, bta.ParallelFactor).
+// point-level parallelism (S1), while narrow batches — posterior
+// extraction, a Hessian stencil's tail — spend the spare cores inside each
+// factorization as parallel-in-time partitions (S3 in shared-memory form,
+// bta.ParallelFactor). A width-1 batch gets at most nt/4 partitions and,
+// under S2, half the cores, so on few cores or short time series it runs
+// sequentially; the BFGS line search therefore batches as many candidate
+// steps as the width-1 plan leaves cores for (Minimize).
 type SharedPlan struct {
 	// Width is the batch width the plan was computed for.
 	Width int

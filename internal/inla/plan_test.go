@@ -131,9 +131,19 @@ func TestEvalBatchBoundedWorkersMatchesSequential(t *testing.T) {
 	}
 }
 
+// fixedEvaluator answers every batch with a prefix of one preallocated
+// value slice, so the optimizer code driving it is all that can allocate.
+type fixedEvaluator struct{ out []float64 }
+
+func (e *fixedEvaluator) EvalBatch(points [][]float64) []float64 { return e.out[:len(points)] }
+func (e *fixedEvaluator) Posterior([]float64) ([]float64, []float64, error) {
+	return nil, nil, nil
+}
+
 // TestBFGSIterationAllocFree pins the satellite fix: with the state
 // allocated once, one iteration's bookkeeping — stencil refill, gradient
-// extraction, direction, trial point, curvature update, Hessian reset —
+// extraction, direction, a round of k = 4 line-search candidates, the arms
+// of a gradient with a known centre, curvature update, Hessian reset —
 // performs zero heap allocations.
 func TestBFGSIterationAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
@@ -141,24 +151,34 @@ func TestBFGSIterationAllocFree(t *testing.T) {
 	}
 	d := 5
 	theta := make([]float64, d)
-	st := newBFGSState(theta)
+	st := newBFGSState(theta, 4)
 	hInv := dense.Eye(d)
 	vals := make([]float64, 2*d+1)
 	for i := range vals {
 		vals[i] = float64(i%3) - 1
 	}
+	ev := &fixedEvaluator{out: vals}
+	opt := DefaultOptOptions()
 	for i := range st.s {
 		st.s[i] = 0.1 * float64(i+1)
 		st.yv[i] = 0.2 * float64(d-i)
 	}
+	var acc, nLine, nGrad int
+	var gradOK bool
 	allocs := testing.AllocsPerRun(50, func() {
 		fillGradientPoints(st.pts, st.x, 1e-3)
 		_ = gradientFromBatchInto(st.g, vals, 1e-3)
 		dense.Gemv(dense.NoTrans, -1, hInv, st.g, 0, st.p)
-		searchPoint(st.xNew, st.x, st.p, 0.5)
+		// Every candidate fails against F = −10; steps 1 … 1/8 ≥ 0.1.
+		acc, _, nLine = lineSearch(ev, st, -10, 0.1)
+		_, nGrad, gradOK = evalGradient(ev, st, st.cands[0], st.gNew, 0.5, opt)
 		bfgsUpdate(hInv, st.s, st.yv, st.hy)
 		setEye(hInv)
 	})
+	if acc != -1 || nLine != 4 || nGrad != 2*d || !gradOK {
+		t.Fatalf("line search accepted %d after %d evaluations, gradient spent %d (ok %v); want −1, 4, %d, true",
+			acc, nLine, nGrad, gradOK, 2*d)
+	}
 	if allocs != 0 {
 		t.Fatalf("BFGS iteration bookkeeping allocates %.1f objects per run, want 0", allocs)
 	}

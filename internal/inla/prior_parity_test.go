@@ -14,7 +14,7 @@ import (
 
 // benchmarkShapes returns the dataset recipes of the four BENCHMARK.json
 // workloads (benchmark/spec.go: workloads and genConfig), at seed 1.
-func benchmarkShapes(t *testing.T) map[string]synth.GenConfig {
+func benchmarkShapes(t testing.TB) map[string]synth.GenConfig {
 	t.Helper()
 	// The count workload's tamer ground truth, without which the inner
 	// Newton loop diverges on some seeds.
