@@ -211,9 +211,11 @@ func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }
 func WithObservationNoise() PredictOption { return predict.WithObservationNoise() }
 
 // NewPredictSnapshot freezes a fit result into an immutable read-only
-// prediction engine: Q_c at the fitted mode is factorized and selectively
-// inverted once, and every prediction afterwards is a small quadratic form
-// over the kept blocks of Σ. The read path is lock-free and allocation-free:
+// prediction engine: it copies the blocks of Σ = Q_c⁻¹ at the fitted mode
+// that Fit left on the result (a result decoded from a checkpoint carries
+// none, and Q_c is factorized and selectively inverted once, by the same
+// routine), and every prediction afterwards is a small quadratic form over
+// the kept blocks of Σ. The read path is lock-free and allocation-free:
 // N goroutines may call PredictInto concurrently. Publish it through a
 // PredictHandle to let refits swap in new snapshots without blocking
 // in-flight readers.

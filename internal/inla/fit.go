@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 )
@@ -17,16 +18,6 @@ type FitOptions struct {
 	HessStep float64
 	// SkipHyperUncertainty disables the Hessian stage (scaling benches).
 	SkipHyperUncertainty bool
-	// Workers is the core budget the per-batch scheduling plan distributes
-	// across point-level parallelism and parallel-in-time factorization
-	// partitions; 0 = GOMAXPROCS.
-	Workers int
-	// SolverPartitions pins the parallel-in-time solver width: 0 schedules
-	// it per batch (wide gradient/Hessian batches stay on point-level
-	// parallelism, narrow line-search and posterior evaluations spend the
-	// spare cores inside the factorization), 1 forces the sequential
-	// solver everywhere, ≥ 2 forces that partition count.
-	SolverPartitions int
 	// IntegrateHyperGrid additionally integrates the latent posterior over
 	// the eigenvector grid of the mode Hessian (§III-4) instead of the
 	// plug-in at θ* only; requires the Hessian stage.
@@ -70,6 +61,11 @@ type Result struct {
 	Opt       *OptResult
 	Mu        []float64
 	LatentVar []float64
+	// Sigma holds the blocks of Σ = Q_c(θ*)⁻¹ on the BTA pattern, the
+	// selected inversion LatentVar is the diagonal of. It lives in memory
+	// only: MarshalResult does not encode it, so a decoded Result has none,
+	// and predict.NewSnapshot recomputes it (ModeSigma, the same routine).
+	Sigma *bta.Matrix
 	// Integrated holds the grid-integrated latent posterior when
 	// FitOptions.IntegrateHyperGrid was set and the Hessian stage succeeded.
 	Integrated *IntegratedPosterior
@@ -80,13 +76,13 @@ type Result struct {
 // mode), and latent posterior extraction (conditional mean and selected
 // inversion of Q_c at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
-	e := &BTAEvaluator{Model: m, Prior: prior, Workers: opts.Workers,
-		S2: true, Partitions: opts.SolverPartitions}
-	return fitWith(e, theta0, opts)
+	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior, S2: true}, theta0, opts)
 }
 
-// fitWith runs the INLA stages on any Evaluator backend.
-func fitWith(e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
+// fitWith runs the mode search and the Hessian stage on any Evaluator
+// backend, then extracts the latent posterior of m at the mode with the
+// sequential latentPosterior, whatever the backend.
+func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
 	if opts.MaxEvalRetries > 0 {
 		opts.Opt.MaxEvalRetries = opts.MaxEvalRetries
 	}
@@ -147,12 +143,11 @@ func fitWith(e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
 		}
 	}
 
-	mu, va, perr := e.Posterior(opt.Theta)
+	_, mu, _, sig, perr := latentPosterior(m, opt.Theta, true)
 	if perr != nil {
 		return nil, fmt.Errorf("inla: posterior extraction at the mode: %w", perr)
 	}
-	res.Mu = mu
-	res.LatentVar = va
+	res.Mu, res.LatentVar, res.Sigma = mu, sig.DiagVec(), sig
 	return res, nil
 }
 

@@ -14,6 +14,13 @@
 // in the distributed evaluator only (dist.go), which still assembles and
 // factorizes the joint Q_p and is thereby the parity oracle of the closed
 // forms.
+//
+// The latent posterior at a θ — μ and, on request, the blocks of
+// Σ = Q_c⁻¹ — has one routine, latentPosterior (mode.go): the sequential
+// factorization and selected inversion, whatever the core budget, so it
+// returns the same bits for the same θ. Fit, BTAEvaluator.Posterior,
+// ModeFactor, ModeSigma and SamplePosterior all call it, and Fit keeps the
+// Σ it computed at θ* on Result.Sigma for the prediction layer to freeze.
 package inla
 
 import (
@@ -102,8 +109,6 @@ type solverScratch struct {
 	// requested spec changes
 	pfc     *bta.ParallelFactor
 	pfcSpec solverSpec
-
-	sigC *bta.Matrix // selected-inversion output (posterior extraction)
 
 	mu  []float64 // conditional mean (solution of Q_c·μ = rhs)
 	z   []float64 // one process of (Λ_c⁻¹⊗I)·μ for the prior quadratic form
@@ -313,20 +318,13 @@ func (e *BTAEvaluator) cores() int {
 }
 
 // planFor resolves the batch plan for the given width with the evaluator's
-// pinned Partitions applied. s2 is PlanBatch's halving switch: e.S2 for
-// objective batches, false for Posterior, whose full spare budget flows
-// into its one factorization.
-func (e *BTAEvaluator) planFor(width int, s2 bool) SharedPlan {
-	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, s2)
+// pinned Partitions applied.
+func (e *BTAEvaluator) planFor(width int) SharedPlan {
+	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, e.S2)
 	if e.Partitions > 0 {
 		plan.Partitions = e.Partitions
 	}
 	return plan
-}
-
-// specFor is planFor reduced to the factorization spec.
-func (e *BTAEvaluator) specFor(width int, s2 bool) solverSpec {
-	return solverSpec{parts: e.planFor(width, s2).Partitions, exec: e.Exec}
 }
 
 // executor resolves the task executor the evaluator's batches run on.
@@ -343,7 +341,7 @@ func (e *BTAEvaluator) executor() *sched.Executor {
 // candidates per batch): the per-batch SharedPlan, with the pinned knobs
 // taking precedence exactly as they do inside EvalBatch.
 func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
-	return e.planFor(width, e.S2)
+	return e.planFor(width)
 }
 
 // EvalBatch evaluates −fobj at every point, +Inf for infeasible ones. The
@@ -361,7 +359,7 @@ func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	if w > len(points) {
 		w = len(points)
 	}
-	spec := e.specFor(len(points), e.S2)
+	spec := solverSpec{parts: e.planFor(len(points)).Partitions, exec: e.Exec}
 	body := func(i int) {
 		ws := e.getScratch()
 		var parts FobjParts
@@ -435,40 +433,13 @@ func (e *BTAEvaluator) runOnExecutor(n, workers int, body func(i int)) {
 	g.WaitHeavy(nil)
 }
 
-// Posterior computes μ(θ) and the latent marginal variances via selected
-// inversion at the width-1 plan — the spare cores run inside the single
-// factorization and the PPOBTASI sweeps. Poisson models center the
-// Gaussian approximation at the conditional mode.
+// Posterior computes μ(θ) and the latent marginal variances, the diagonal
+// of the sequential selected inversion of Q_c (latentPosterior). Count
+// models center the Gaussian approximation at the conditional mode.
 func (e *BTAEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
-	if e.Model.Lik == model.LikPoisson {
-		return posteriorPoisson(e.Model, theta)
-	}
-	t, err := e.Model.DecodeTheta(theta)
+	_, mu, _, sig, err := latentPosterior(e.Model, theta, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	ws := e.getScratch()
-	defer e.scratch.Put(ws)
-	// The whole width-1 spare budget goes into this one factorization.
-	fc, err := ws.condSolver(e.Model, e.specFor(1, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e.Model.QcInto(t, ws.qc); err != nil {
-		return nil, nil, err
-	}
-	if err := fc.Refactorize(ws.qc); err != nil {
-		return nil, nil, err
-	}
-	e.Model.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
-	fc.Solve(ws.mu)
-	if ws.sigC == nil {
-		n, b, a := e.Model.Dims.BTAShape()
-		ws.sigC = bta.NewMatrix(n, b, a)
-	}
-	if err := fc.SelectedInversionInto(ws.sigC); err != nil {
-		return nil, nil, err
-	}
-	mu := append([]float64(nil), ws.mu...) // detach from the pooled arena
-	return mu, ws.sigC.DiagVec(), nil
+	return mu, sig.DiagVec(), nil
 }

@@ -19,52 +19,56 @@ import (
 // The returned factor is freshly allocated and exclusively owned by the
 // caller, while the evaluator pools keep recycling their own.
 func ModeFactor(m *model.Model, theta []float64) (*model.Theta, *bta.Factor, error) {
-	t, _, f, err := modeFactor(m, theta)
+	t, _, f, _, err := latentPosterior(m, theta, false)
 	return t, f, err
 }
 
 // ModeSigma returns the blocks of Σ = Q_c(θ)⁻¹ on the BTA pattern — the
-// sequential selected inversion of ModeFactor's factor, so the same θ gives
-// the same bits on every call. This is what the prediction layer freezes:
-// a projection row is supported on one time block and the arrow, so
-// Diag[t], Arrow[t] and Tip hold every entry a predictive variance reads.
-// Σ is written over the assembled Q_c: two BTA-sized allocations in all,
-// one of which (the factor) is garbage on return.
+// selected inversion Fit stores as Result.Sigma, so the same θ gives the
+// same bits on every call. The prediction layer calls it for a result that
+// carries no Σ (one decoded from a checkpoint, or built by hand).
 func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, error) {
-	t, qc, f, err := modeFactor(m, theta)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f.SelectedInversionInto(qc); err != nil {
-		return nil, nil, fmt.Errorf("inla: selected inversion at the mode: %w", err)
-	}
-	return t, qc, nil
+	t, _, _, sig, err := latentPosterior(m, theta, true)
+	return t, sig, err
 }
 
-// modeFactor is ModeFactor that also hands back the assembled Q_c, whose
-// storage the factor no longer needs.
-func modeFactor(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, *bta.Factor, error) {
-	t, err := m.DecodeTheta(theta)
-	if err != nil {
-		return nil, nil, nil, err
+// latentPosterior is the one computation of the Gaussian approximation of
+// the latent posterior at θ (§III): decode θ, assemble Q_c — for a count
+// model at the conditional mode of the latent field, found by the inner
+// Newton loop — factorize it with the sequential POBTAF, solve for the mean
+// μ and, when withSigma is set, run the sequential POBTASI for the blocks of
+// Σ = Q_c⁻¹, written over the assembled Q_c. Everything it returns is
+// freshly allocated and owned by the caller, and being sequential it gives
+// the same bits for the same θ whatever the core budget.
+func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
+	if t, err = m.DecodeTheta(theta); err != nil {
+		return nil, nil, nil, nil, err
 	}
+	ws := newSolverScratch(m)
 	if m.Lik == model.LikPoisson {
-		_, qc, f, err := laplaceFactor(m, t)
+		mode, err := m.ConditionalModeInto(t, ws.qc, ws.fc, m.NewNewtonWork())
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		return t, qc, f, nil
+		mu = mode.XPerm
+	} else {
+		if err := m.QcInto(t, ws.qc); err != nil {
+			return nil, nil, nil, nil, err
+		}
+		if err := ws.fc.Refactorize(ws.qc); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("inla: Q_c factorization: %w", err)
+		}
+		m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
+		ws.fc.Solve(ws.mu)
+		mu = ws.mu
 	}
-	n, b, a := m.Dims.BTAShape()
-	qc := bta.NewMatrix(n, b, a)
-	if err := m.QcInto(t, qc); err != nil {
-		return nil, nil, nil, err
+	if withSigma {
+		if err := ws.fc.SelectedInversionInto(ws.qc); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("inla: selected inversion: %w", err)
+		}
+		sigma = ws.qc
 	}
-	f := bta.NewFactor(n, b, a)
-	if err := f.Refactorize(qc); err != nil {
-		return nil, nil, nil, fmt.Errorf("inla: Q_c factorization at the mode: %w", err)
-	}
-	return t, qc, f, nil
+	return t, mu, ws.fc, sigma, nil
 }
 
 // LatentMarginal returns the posterior marginal (mean, sd) of latent

@@ -10,13 +10,13 @@ import (
 // one evaluation batch spends the machine's cores across the nested
 // parallelization layers. It generalizes MakePlan's fill-S1-first policy to
 // goroutine scheduling: wide gradient/Hessian batches keep all cores on
-// point-level parallelism (S1), while narrow batches — posterior
-// extraction, a Hessian stencil's tail — spend the spare cores inside each
-// factorization as parallel-in-time partitions (S3 in shared-memory form,
-// bta.ParallelFactor). A width-1 batch gets at most nt/4 partitions and,
-// under S2, half the cores, so on few cores or short time series it runs
-// sequentially; the BFGS line search therefore batches as many candidate
-// steps as the width-1 plan leaves cores for (Minimize).
+// point-level parallelism (S1), while narrow batches — a Hessian stencil's
+// tail — spend the spare cores inside each factorization as parallel-in-time
+// partitions (S3 in shared-memory form, bta.ParallelFactor). A width-1
+// batch gets at most nt/4 partitions and, under S2, half the cores, so on
+// few cores or short time series it runs sequentially; the BFGS line search
+// therefore batches as many candidate steps as the width-1 plan leaves
+// cores for (Minimize).
 type SharedPlan struct {
 	// Width is the batch width the plan was computed for.
 	Width int
@@ -24,9 +24,6 @@ type SharedPlan struct {
 	Cores int
 	// PointWorkers is the S1 width: concurrently evaluated θ-points.
 	PointWorkers int
-	// S2 records that the plan halved each point's spare cores before
-	// turning them into partitions (BTAEvaluator.S2).
-	S2 bool
 	// Partitions is the within-factorization parallel-in-time width
 	// (1 = sequential POBTAF).
 	Partitions int
@@ -64,7 +61,6 @@ func PlanBatch(width, cores, ntBlocks int, s2 bool) SharedPlan {
 		Width:        width,
 		Cores:        cores,
 		PointWorkers: pw,
-		S2:           s2,
 		Partitions:   parts,
 	}
 }

@@ -184,10 +184,11 @@ func TestBFGSIterationAllocFree(t *testing.T) {
 	}
 }
 
-// TestFitParallelSolverMatchesSequential: a fit forced onto the
-// parallel-in-time solver must reproduce the sequential fit's mode to
-// optimizer tolerance (the backends agree to 1e-10 per evaluation, so the
-// whole BFGS trajectory coincides).
+// TestFitParallelSolverMatchesSequential: a fit whose evaluations are forced
+// onto the parallel-in-time solver must reproduce the sequential fit's mode
+// to optimizer tolerance (the backends agree to 1e-10 per evaluation, so the
+// whole BFGS trajectory coincides), and the latent posterior at that mode,
+// which both extract with the one sequential routine.
 func TestFitParallelSolverMatchesSequential(t *testing.T) {
 	ds := genPintime(t)
 	prior := WeakPrior(ds.Theta0, 5)
@@ -195,13 +196,11 @@ func TestFitParallelSolverMatchesSequential(t *testing.T) {
 	opts.Opt.MaxIter = 4
 	opts.SkipHyperUncertainty = true
 
-	opts.SolverPartitions = 1
-	seq, err := Fit(ds.Model, prior, ds.Theta0, opts)
+	seq, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 1}, ds.Theta0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.SolverPartitions = 3
-	par, err := Fit(ds.Model, prior, ds.Theta0, opts)
+	par, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 3}, ds.Theta0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,31 +215,6 @@ func TestFitParallelSolverMatchesSequential(t *testing.T) {
 	for i := range seq.LatentVar {
 		if math.Abs(seq.LatentVar[i]-par.LatentVar[i]) > 1e-8*(1+seq.LatentVar[i]) {
 			t.Fatalf("latent variance %d: %v vs %v", i, seq.LatentVar[i], par.LatentVar[i])
-		}
-	}
-}
-
-// TestPosteriorParallelMatchesSequential: selected inversion through the
-// parallel backend must reproduce the sequential latent posterior.
-func TestPosteriorParallelMatchesSequential(t *testing.T) {
-	ds := genPintime(t)
-	prior := WeakPrior(ds.Theta0, 5)
-	seqE := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 1}
-	parE := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 3}
-	muS, vaS, err := seqE.Posterior(ds.Theta0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	muP, vaP, err := parE.Posterior(ds.Theta0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range muS {
-		if math.Abs(muS[i]-muP[i]) > 1e-9*(1+math.Abs(muS[i])) {
-			t.Fatalf("μ[%d]: %v vs %v", i, muS[i], muP[i])
-		}
-		if math.Abs(vaS[i]-vaP[i]) > 1e-9*(1+vaS[i]) {
-			t.Fatalf("var[%d]: %v vs %v", i, vaS[i], vaP[i])
 		}
 	}
 }

@@ -101,7 +101,7 @@ func TestFitMatchesJointPriorRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fitWith(&jointPriorEvaluator{BTAEvaluator: BTAEvaluator{Model: ds.Model, Prior: prior}, t: t},
+		want, err := fitWith(ds.Model, &jointPriorEvaluator{BTAEvaluator: BTAEvaluator{Model: ds.Model, Prior: prior}, t: t},
 			ds.Theta0, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/mesh"
 	"github.com/dalia-hpc/dalia/internal/model"
@@ -21,30 +20,10 @@ import (
 // quantities such as exceedance probabilities over regulatory thresholds
 // (the motivating use case of the paper's introduction).
 func SamplePosterior(m *model.Model, theta []float64, n int, rng *rand.Rand) (mu []float64, samples [][]float64, err error) {
-	t, err := m.DecodeTheta(theta)
+	_, mu, f, _, err := latentPosterior(m, theta, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	var f *bta.Factor
-	switch m.Lik {
-	case model.LikPoisson:
-		mode, _, fc, err := laplaceFactor(m, t)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, mu = fc, mode.XPerm
-	default:
-		qc, err := m.Qc(t)
-		if err != nil {
-			return nil, nil, err
-		}
-		if f, err = bta.Factorize(qc); err != nil {
-			return nil, nil, err
-		}
-		mu = m.CondRHS(t)
-		f.Solve(mu)
-	}
-
 	dim := m.Dims.Total()
 	samples = make([][]float64, n)
 	for s := 0; s < n; s++ {

@@ -43,7 +43,7 @@ func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 				opts.SkipHyperUncertainty = true
 				e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
 					Partitions: parts, Exec: ex}
-				res, err := fitWith(e, ds.Theta0, opts)
+				res, err := fitWith(ds.Model, e, ds.Theta0, opts)
 				if err != nil {
 					t.Fatalf("nr=%d parts=%d workers=%d: %v", nr, parts, ex.Workers(), err)
 				}

@@ -20,13 +20,15 @@
 //	φᵀΣφ = φ_tᵀΣ_tt φ_t + 2 φ_aᵀΣ_at φ_t + φ_aᵀΣ_aa φ_a
 //
 // reads only the diagonal, arrow and tip blocks of Σ — what the solver's
-// selected inversion (POBTASI) delivers. A Snapshot runs that inversion once
-// at construction and keeps those blocks; a prediction is then a quadratic
-// form over the ≤ 3(k+1) mesh-node and ≤ nr(k+1) fixed-effect nonzeros of φ:
-// no solve, no workspace, no allocation, at a cost independent of the number
-// of time steps and of the mesh size. The Snapshot is immutable, so any
-// number of goroutines read it without locking, and a Handle swaps refitted
-// Snapshots in atomically without blocking in-flight reads.
+// selected inversion (POBTASI) delivers. A Snapshot keeps a copy of those
+// blocks of the Σ the fit computed (or, for a result decoded from a
+// checkpoint, runs that inversion once at construction); a prediction is
+// then a quadratic form over the ≤ 3(k+1) mesh-node and ≤ nr(k+1)
+// fixed-effect nonzeros of φ: no solve, no workspace, no allocation, at a
+// cost independent of the number of time steps and of the mesh size. The
+// Snapshot is immutable, so any number of goroutines read it without
+// locking, and a Handle swaps refitted Snapshots in atomically without
+// blocking in-flight reads.
 //
 // Count models are served on the linear-predictor (log-intensity) scale, as
 // Model.PredictMean does, with Σ taken at the Laplace mode.

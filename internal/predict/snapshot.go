@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/model"
@@ -42,11 +43,13 @@ type Snapshot struct {
 }
 
 // NewSnapshot freezes a fitted result into an immutable read-only
-// predictor: the mode θ* is re-decoded, Q_c(θ*) is assembled, factorized and
-// selectively inverted (inla.ModeSigma — always the sequential routine, so a
-// snapshot rebuilt from a stored result answers with the same bits), and the
-// latent mean is copied out so the snapshot stays valid however the result
-// is used afterwards. The factor is dropped before NewSnapshot returns.
+// predictor: the mode θ* is re-decoded, and the latent mean and the blocks
+// of Σ a projection row reads are copied out of the result, so the snapshot
+// stays valid however the result is used afterwards. A result without Σ —
+// decoded from a checkpoint, or built by hand — gets it from
+// inla.ModeSigma, the sequential selected inversion Fit itself ran, so a
+// snapshot rebuilt from a stored result answers with the same bits as the
+// one frozen at fit time.
 func NewSnapshot(m *model.Model, res *inla.Result, opts ...Option) (*Snapshot, error) {
 	c := config{maxBatch: 64}
 	for _, o := range opts {
@@ -55,13 +58,19 @@ func NewSnapshot(m *model.Model, res *inla.Result, opts ...Option) (*Snapshot, e
 	if len(res.Mu) != m.Dims.Total() {
 		return nil, fmt.Errorf("predict: latent mean length %d, want %d", len(res.Mu), m.Dims.Total())
 	}
+	n, b, a := m.Dims.BTAShape()
+	if sig := res.Sigma; sig != nil && (sig.N != n || sig.B != b || sig.A != a ||
+		len(sig.Diag) != n || a > 0 && (len(sig.Arrow) != n || sig.Tip == nil)) {
+		return nil, fmt.Errorf("predict: Σ of BTA shape (%d, %d, %d) with %d diagonal blocks, want (%d, %d, %d)",
+			sig.N, sig.B, sig.A, len(sig.Diag), n, b, a)
+	}
 	if c.maxBatch < 1 {
 		return nil, fmt.Errorf("predict: max batch %d < 1", c.maxBatch)
 	}
 	if c.includeNoise && m.Lik != model.LikGaussian {
 		return nil, fmt.Errorf("%w (got %v)", ErrUnsupportedLikelihood, m.Lik)
 	}
-	t, sig, err := inla.ModeSigma(m, res.Theta)
+	t, sig, err := frozenSigma(m, res)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +80,6 @@ func NewSnapshot(m *model.Model, res *inla.Result, opts ...Option) (*Snapshot, e
 		nodeOff: make([]int, m.Dims.Nv), fixedOff: make([]int, m.Dims.Nv),
 		maxBatch: c.maxBatch, includeNoise: c.includeNoise,
 	}
-	n, b, _ := m.Dims.BTAShape()
 	for j := range s.nodeOff {
 		s.nodeOff[j] = m.BTAIndex(j * m.Dims.PerProcess())
 		if m.Dims.Nr > 0 {
@@ -79,6 +87,32 @@ func NewSnapshot(m *model.Model, res *inla.Result, opts ...Option) (*Snapshot, e
 		}
 	}
 	return s, nil
+}
+
+// frozenSigma decodes θ* and returns the blocks of Σ a snapshot keeps, in
+// storage nothing else holds: a copy of the result's Σ, or inla.ModeSigma's
+// fresh one when the result carries none.
+func frozenSigma(m *model.Model, res *inla.Result) (*model.Theta, *bta.Matrix, error) {
+	src := res.Sigma
+	if src == nil {
+		return inla.ModeSigma(m, res.Theta)
+	}
+	t, err := m.DecodeTheta(res.Theta)
+	if err != nil {
+		return nil, nil, err
+	}
+	sig := &bta.Matrix{N: src.N, B: src.B, A: src.A,
+		Diag: make([]*dense.Matrix, len(src.Diag)), Arrow: make([]*dense.Matrix, len(src.Arrow))}
+	for i, blk := range src.Diag {
+		sig.Diag[i] = blk.Clone()
+	}
+	for i, blk := range src.Arrow {
+		sig.Arrow[i] = blk.Clone()
+	}
+	if src.Tip != nil {
+		sig.Tip = src.Tip.Clone()
+	}
+	return t, sig, nil
 }
 
 // Theta returns the decoded hyperparameter configuration the snapshot is

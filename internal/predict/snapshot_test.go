@@ -2,6 +2,7 @@ package predict
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -9,6 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
+	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -218,5 +222,103 @@ func TestSnapshotSwapLeaksNoGoroutines(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("goroutines grew %d → %d across snapshot generations", before, now)
+	}
+}
+
+// TestSnapshotFromFitMatchesDecodedResult: a snapshot frozen from a fitted
+// Result reuses the fit's Σ, one built from the decoded checkpoint payload
+// recomputes it; both must answer with the same bits, for a Gaussian and a
+// count model. Overwriting the result's Σ and μ afterwards must not change
+// either snapshot's answers.
+func TestSnapshotFromFitMatchesDecodedResult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ds   *synth.Dataset
+	}{
+		{"gaussian", getFitted(t).ds},
+		{"count", genCounts(t)},
+	} {
+		m := tc.ds.Model
+		opts := inla.DefaultFitOptions()
+		opts.Opt.MaxIter = 3
+		opts.SkipHyperUncertainty = true
+		res, err := inla.Fit(m, inla.WeakPrior(tc.ds.Theta0, 5), tc.ds.Theta0, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Sigma == nil {
+			t.Fatalf("%s: the fit kept no Σ", tc.name)
+		}
+		decoded, err := inla.UnmarshalResult(inla.MarshalResult(res))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if decoded.Sigma != nil {
+			t.Fatalf("%s: a decoded result carries a Σ", tc.name)
+		}
+		fromFit, err := NewSnapshot(m, res)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fromCkpt, err := NewSnapshot(m, decoded)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		qs := gridQueries(rand.New(rand.NewSource(21)), m)
+		wantM, wantV, err := fromFit.Predict(qs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		same := func(what string, s *Snapshot) {
+			t.Helper()
+			gotM, gotV, err := s.Predict(qs)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i := range qs {
+				if gotM[i] != wantM[i] || gotV[i] != wantV[i] {
+					t.Fatalf("%s: %s: query %d answers (%v, %v), the fit-time snapshot (%v, %v)",
+						tc.name, what, i, gotM[i], gotV[i], wantM[i], wantV[i])
+				}
+			}
+		}
+		same("snapshot of the decoded result", fromCkpt)
+
+		for _, blk := range append(append([]*dense.Matrix{res.Sigma.Tip}, res.Sigma.Diag...), res.Sigma.Arrow...) {
+			for i := range blk.Data {
+				blk.Data[i] = math.NaN()
+			}
+		}
+		for i := range res.Mu {
+			res.Mu[i] = math.NaN()
+		}
+		same("fit-time snapshot after the result's Σ and μ were overwritten", fromFit)
+		same("decoded snapshot after the result's Σ and μ were overwritten", fromCkpt)
+	}
+}
+
+// TestNewSnapshotRejectsMismatchedResult: a result that does not describe
+// the model is an error, not a panic at the first query.
+func TestNewSnapshotRejectsMismatchedResult(t *testing.T) {
+	f := getFitted(t)
+	m := f.ds.Model
+	n, b, a := m.Dims.BTAShape()
+	noTip := bta.NewMatrix(n, b, a)
+	noTip.Tip = nil
+	for _, tc := range []struct {
+		name string
+		res  inla.Result
+		opts []Option
+	}{
+		{"μ of the wrong length", inla.Result{Theta: f.res.Theta, Mu: f.res.Mu[1:]}, nil},
+		{"Σ with one time block too few", inla.Result{Theta: f.res.Theta, Mu: f.res.Mu, Sigma: bta.NewMatrix(n-1, b, a)}, nil},
+		{"Σ of the wrong block size", inla.Result{Theta: f.res.Theta, Mu: f.res.Mu, Sigma: bta.NewMatrix(n, b+1, a)}, nil},
+		{"Σ without an arrow", inla.Result{Theta: f.res.Theta, Mu: f.res.Mu, Sigma: bta.NewMatrix(n, b, 0)}, nil},
+		{"Σ without a tip", inla.Result{Theta: f.res.Theta, Mu: f.res.Mu, Sigma: noTip}, nil},
+		{"max batch 0", *f.res, []Option{WithMaxBatch(0)}},
+	} {
+		if _, err := NewSnapshot(m, &tc.res, tc.opts...); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

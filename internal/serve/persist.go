@@ -24,7 +24,8 @@ import (
 // dataset is regenerated deterministically) plus the serialized inla.Result
 // with the exact float64 bits of the latent mean, and the snapshot's
 // factorization and selected inversion from those inputs are the
-// sequential, deterministic routines.
+// sequential, deterministic routine the fit itself ran for the Σ its
+// snapshot froze.
 
 // specRecord is the JSON spec stored alongside each checkpoint payload:
 // everything needed to rebuild the servedModel shell and regenerate the
