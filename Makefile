@@ -10,35 +10,23 @@
 #   make chaos      — the fault-injection suite under -race -count=2; the
 #                     test-name regex lives here only (CI calls this target)
 #   make bench      — microbenchmarks (testing.B, 1 iteration, with allocs)
-#   make baseline   — write BENCH_$(PR).json from experiment EXP (PR 1 wrote
-#                     the kernels baseline, PR 2 the serving baseline — the
-#                     two the smoke compares against)
-#   make bench-smoke— regression gates: kernels GEMM rate vs BENCH_1.json
-#                     (25% floor) and serving engine path vs BENCH_2.json
-#                     (40% floor — the quick-mode run is shorter and
-#                     noisier); then pintime, hybrid, latency and recovery
-#                     as plain quick runs with nothing stored to compare
-#                     against (recovery fails by itself unless restored
-#                     predictions are byte-identical)
+#   make bench-smoke— quick runs of the pintime, hybrid, latency and recovery
+#                     experiments; nothing is stored or compared (recovery
+#                     fails by itself unless restored predictions are
+#                     byte-identical)
 #   make e2e        — the end-to-end benchmark's traced run (≈ 10 s per
 #                     workload) on all four workloads at seed 1; it replays
 #                     every request along the ‖L⁻¹φ‖² solve route beside
 #                     PredictInto and exits non-zero on any failed check
-#   make all        — everything above
+#   make all        — test, bench, bench-smoke and e2e
 
 GO ?= go
-# PR/BENCH parameterize the baseline artifact so a rewritten baseline never
-# clobbers the other one (BENCH_1.json is the kernels reference, BENCH_2.json
-# the serving reference).
-PR ?= 1
-BENCH ?= BENCH_$(PR).json
-EXP ?= kernels
 
 E2E_WORKLOADS = fit_uni_gauss fit_tri_gauss fit_bi_poisson serve_predict
 
-.PHONY: all test vet fmt-check race purego chaos bench baseline bench-smoke e2e ci ci-local
+.PHONY: all test vet fmt-check race purego chaos bench bench-smoke e2e ci ci-local
 
-all: test bench baseline
+all: test bench bench-smoke e2e
 
 fmt-check:
 	@files=$$(gofmt -l .); \
@@ -71,12 +59,7 @@ chaos:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
-baseline:
-	$(GO) run ./cmd/dalia-bench -exp=$(EXP) -out $(BENCH)
-
 bench-smoke:
-	$(GO) run ./cmd/dalia-bench -exp=kernels -compare BENCH_1.json
-	$(GO) run ./cmd/dalia-bench -exp=serving -quick -compare BENCH_2.json -maxregress 0.4
 	$(GO) run ./cmd/dalia-bench -exp=pintime,hybrid,latency,recovery -quick
 
 e2e:

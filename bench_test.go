@@ -1,8 +1,10 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation section plus the ablation studies (X1–X5). Each
-// benchmark runs its experiment driver in quick mode (trimmed sweeps) and
-// reports the headline quantities via b.ReportMetric; cmd/dalia-bench runs
-// the full sweeps and prints the complete series.
+// paper's evaluation section plus the ablation studies (X1–X5) and the
+// headline GEMM rate. Each benchmark runs its experiment driver in quick
+// mode (trimmed sweeps) and reports the headline quantities via
+// b.ReportMetric; cmd/dalia-bench runs the full sweeps and prints the
+// complete series. The recorded end-to-end benchmark is `go run
+// ./benchmark`.
 //
 // Run with:
 //
@@ -29,8 +31,8 @@ func reportLast(b *testing.B, fig *bench.Figure, series, unit string) {
 
 // BenchmarkKernelGemm1024 reports the headline dense-engine number: packed
 // register-tiled GEMM GFLOP/s at n=1024, single-threaded. The packed-vs-
-// naive comparison sweep lives in internal/dense/kernel_test.go and in
-// `dalia-bench -exp=kernels` (which also writes the JSON baseline).
+// naive comparison sweep is BenchmarkGemm*/BenchmarkGemmNaive* in
+// internal/dense/kernel_test.go.
 func BenchmarkKernelGemm1024(b *testing.B) {
 	prev := dense.SetMaxWorkers(1)
 	defer dense.SetMaxWorkers(prev)

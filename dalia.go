@@ -168,12 +168,13 @@ type (
 	// rolled back, torn WAL tails truncated.
 	StoreRecoveryStats = store.RecoveryStats
 	// FitCheckpoint is the resumable BFGS optimizer state emitted by
-	// FitOptions.Checkpoint: a killed fit resumes from its last iterate via
-	// FitOptions.Resume instead of restarting at θ₀.
+	// FitOptions.Checkpoint (or Opt.Checkpoint) every Opt.CheckpointEvery
+	// iterations: a killed fit resumes from its last iterate via
+	// FitOptions.Opt.Resume instead of restarting at θ₀.
 	FitCheckpoint = inla.OptCheckpoint
 )
 
-// ErrFitCanceled is returned (wrapped) by Fit when FitOptions.Ctx is
+// ErrFitCanceled is returned (wrapped) by Fit when FitOptions.Opt.Ctx is
 // canceled: the mode search stops at an iteration boundary after emitting a
 // final checkpoint.
 var ErrFitCanceled = inla.ErrFitCanceled

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -178,7 +179,7 @@ func covariatesFor(pts []mesh.Point, w, h float64) *dense.Matrix {
 }
 
 // PrintApp renders the application report.
-func PrintApp(rep *AppReport, w interface{ Write(p []byte) (int, error) }) {
+func PrintApp(rep *AppReport, w io.Writer) {
 	rep.Fig.Fprint(w)
 	fmt.Fprintf(w, "  elevation effects (mean [q025, q975]):\n")
 	names := []string{"PM2.5", "PM10", "O3"}

@@ -99,7 +99,7 @@ func TestAblationMappingQuick(t *testing.T) {
 }
 
 // TestHybridQuick runs the two-level scheduling experiment in quick mode
-// and checks the baseline invariants: every topology of the sweep yields a
+// and checks the report invariants: every topology of the sweep yields a
 // finite rate and the 1×1 row anchors the speedups.
 func TestHybridQuick(t *testing.T) {
 	base, err := Hybrid(true)

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"sync"
 
@@ -16,27 +15,27 @@ import (
 // experiment: a (ranks × partitions-per-rank) topology's virtual time for
 // one full distributed solver cycle (PPOBTAF + PPOBTAS + PPOBTASI).
 type HybridResult struct {
-	Ranks             int     `json:"ranks"`
-	PartitionsPerRank int     `json:"partitions_per_rank"`
-	Width             int     `json:"width"` // total partitions = ranks × per-rank
-	Seconds           float64 `json:"seconds"`
-	PerSec            float64 `json:"per_sec"`
+	Ranks             int
+	PartitionsPerRank int
+	Width             int // total partitions = ranks × per-rank
+	Seconds           float64
+	PerSec            float64
 	// Speedup is relative to the 1×1 topology.
-	Speedup float64 `json:"speedup,omitempty"`
+	Speedup float64
 }
 
-// HybridBaseline is the serialized two-level scheduling measurement:
+// HybridReport is the two-level scheduling measurement:
 // virtual cycle times of the hybrid (ranks × partitions) distributed BTA
 // solver across topologies of equal and growing total width. Virtual times
 // derive from measured kernel wall clocks, so — like the pintime numbers —
 // runs are only comparable at matching GOMAXPROCS.
-type HybridBaseline struct {
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Nt         int            `json:"nt"`
-	BlockSize  int            `json:"block_size"`
-	ArrowSize  int            `json:"arrow_size"`
-	Results    []HybridResult `json:"results"`
+type HybridReport struct {
+	GoMaxProcs int
+	NumCPU     int
+	Nt         int
+	BlockSize  int
+	ArrowSize  int
+	Results    []HybridResult
 }
 
 // hybridConfigs is the (ranks, partitions-per-rank) sweep: flat rank-only
@@ -52,7 +51,7 @@ var hybridConfigs = []struct{ ranks, perRank int }{
 // cycle on the simulated machine, with each rank running its owned
 // partitions as a concurrent node-local gang over the shared partition
 // cores. quick trims repetitions, not the topology grid.
-func Hybrid(quick bool) (*HybridBaseline, error) {
+func Hybrid(quick bool) (*HybridReport, error) {
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 2, Nt: 32, Nr: 1,
 		MeshNx: 5, MeshNy: 4,
@@ -75,7 +74,7 @@ func Hybrid(quick bool) (*HybridBaseline, error) {
 	for i := range rhs {
 		rhs[i] = float64(i%5) - 2
 	}
-	out := &HybridBaseline{
+	out := &HybridReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Nt:         qc.N, BlockSize: qc.B, ArrowSize: qc.A,
@@ -161,17 +160,8 @@ func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) 
 	return st.Makespan() / float64(reps), nil
 }
 
-// WriteHybridBaseline serializes the two-level scheduling baseline.
-func WriteHybridBaseline(b *HybridBaseline, path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintHybrid renders the two-level scheduling table.
-func PrintHybrid(b *HybridBaseline, w *os.File) {
+func PrintHybrid(b *HybridReport, w io.Writer) {
 	fmt.Fprintf(w, "  hybrid two-level distributed BTA solver (nt=%d, b=%d, a=%d, GOMAXPROCS=%d, %d hardware CPUs)\n",
 		b.Nt, b.BlockSize, b.ArrowSize, b.GoMaxProcs, b.NumCPU)
 	fmt.Fprintf(w, "  virtual seconds per factor+solve+selinv cycle; speedup vs the 1×1 topology\n")

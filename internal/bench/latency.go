@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,35 +24,35 @@ import (
 // tail percentiles.
 type LatencyResult struct {
 	// Concurrency is the number of closed-loop clients.
-	Concurrency int `json:"concurrency"`
+	Concurrency int
 	// Requests is the total number of timed round trips.
-	Requests int `json:"requests"`
+	Requests int
 	// PerRequest is queries per request.
-	PerRequest int `json:"per_request"`
+	PerRequest int
 	// P50/P99/P999 are request-latency percentiles in milliseconds.
-	P50Millis  float64 `json:"p50_ms"`
-	P99Millis  float64 `json:"p99_ms"`
-	P999Millis float64 `json:"p999_ms"`
+	P50Millis  float64
+	P99Millis  float64
+	P999Millis float64
 	// Seconds is the scenario wall time; PerSec the prediction throughput.
-	Seconds float64 `json:"seconds"`
-	PerSec  float64 `json:"predictions_per_sec"`
+	Seconds float64
+	PerSec  float64
 }
 
-// LatencyBaseline is the serialized serving latency measurement:
-// tail latency and throughput of the replicated lock-free serving path under
-// concurrent closed-loop load, for the CI latency gate to compare against.
-type LatencyBaseline struct {
-	GoMaxProcs int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	LatentDim  int     `json:"latent_dim"`
-	Nv         int     `json:"nv"`
-	Replicas   int     `json:"replicas_per_model"`
-	SLOMillis  float64 `json:"slo_ms"`
-	FitSeconds float64 `json:"fit_seconds"`
+// LatencyReport is the serving latency measurement: tail latency and
+// throughput of the replicated lock-free serving path under concurrent
+// closed-loop load.
+type LatencyReport struct {
+	GoMaxProcs int
+	NumCPU     int
+	LatentDim  int
+	Nv         int
+	Replicas   int
+	SLOMillis  float64
+	FitSeconds float64
 	// SLOFlushes counts batches the SLO policy (not width or window) cut
 	// short across the whole run — evidence the flush policy engaged.
-	SLOFlushes int64           `json:"slo_flushes"`
-	Results    []LatencyResult `json:"results"`
+	SLOFlushes int64
+	Results    []LatencyResult
 }
 
 // latencySLO is the per-request latency target the benchmark server runs
@@ -69,13 +68,13 @@ const latencySLO = 10 * time.Millisecond
 const latencyWindow = time.Millisecond
 
 // Latency measures end-to-end serving latency under concurrent closed-loop
-// load: the same trivariate bench model as Serving, served through the
+// load: a trivariate bench model (nv=3, nt=8), served through the
 // replicated lock-free snapshot path with the SLO flush policy enabled, and
 // hit by {1, 8, 32, 64} concurrent clients posting 8-query requests. Each
 // scenario records the full per-request latency distribution (p50/p99/p999)
 // and the aggregate prediction throughput. quick trims the request counts,
 // not the concurrency grid.
-func Latency(quick bool) (*LatencyBaseline, error) {
+func Latency(quick bool) (*LatencyReport, error) {
 	// Queue depth must exceed the widest client grid so closed-loop load
 	// never sheds (a 429 would abort the scenario).
 	srv := serve.New(serve.Options{BatchWindow: latencyWindow, SLO: latencySLO, QueueDepth: 128})
@@ -102,7 +101,7 @@ func Latency(quick bool) (*LatencyBaseline, error) {
 	fitSecs := time.Since(t0).Seconds()
 
 	dims := m.Dims()
-	out := &LatencyBaseline{
+	out := &LatencyReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		LatentDim:  dims.Total(),
@@ -220,17 +219,8 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// WriteLatencyBaseline serializes the latency baseline as indented JSON.
-func WriteLatencyBaseline(b *LatencyBaseline, path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintLatency renders the serving latency table.
-func PrintLatency(b *LatencyBaseline, w *os.File) {
+func PrintLatency(b *LatencyReport, w io.Writer) {
 	fmt.Fprintf(w, "  serving latency under closed-loop load (latent dim %d, nv=%d, slo %.0fms, %d replicas, GOMAXPROCS=%d, %d CPUs)\n",
 		b.LatentDim, b.Nv, b.SLOMillis, b.Replicas, b.GoMaxProcs, b.NumCPU)
 	fmt.Fprintf(w, "  %6s %9s %10s %10s %10s %14s\n", "conc", "requests", "p50 ms", "p99 ms", "p999 ms", "pred/s")

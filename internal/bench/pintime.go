@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"time"
 
@@ -17,28 +16,28 @@ type PintimeResult struct {
 	// Kind is "evalbatch1" (a full width-1 EvalBatch: assembly + closed-form
 	// prior + Q_c factorization + solve), "factor" (Refactorize + Solve +
 	// LogDet on Q_c), or "selinv" (SelectedInversionInto on the factor).
-	Kind string `json:"kind"`
+	Kind string
 	// Partitions is the parallel-in-time width the point ran at.
-	Partitions int     `json:"partitions"`
-	Seconds    float64 `json:"seconds"` // latency per operation
-	PerSec     float64 `json:"per_sec"`
+	Partitions int
+	Seconds    float64 // latency per operation
+	PerSec     float64
 	// Speedup is relative to the same kind's partitions=1 row.
-	Speedup float64 `json:"speedup,omitempty"`
+	Speedup float64
 }
 
-// PintimeBaseline is the serialized parallel-in-time measurement:
-// single-evaluation latency and selected-inversion throughput of the shared-memory PPOBTAF engine versus the sequential
-// chain. NumCPU records the hardware parallelism the numbers were taken
-// at — speedups are only meaningful when it matches or exceeds the
-// partition width (a 1-core host measures scheduling overhead, not
-// parallel speedup).
-type PintimeBaseline struct {
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Nt         int             `json:"nt"`
-	BlockSize  int             `json:"block_size"`
-	ArrowSize  int             `json:"arrow_size"`
-	Results    []PintimeResult `json:"results"`
+// PintimeReport is the parallel-in-time measurement: single-evaluation
+// latency and selected-inversion throughput of the shared-memory PPOBTAF
+// engine versus the sequential chain. NumCPU records the hardware
+// parallelism the numbers were taken at — speedups are only meaningful
+// when it matches or exceeds the partition width (a 1-core host measures
+// scheduling overhead, not parallel speedup).
+type PintimeReport struct {
+	GoMaxProcs int
+	NumCPU     int
+	Nt         int
+	BlockSize  int
+	ArrowSize  int
+	Results    []PintimeResult
 }
 
 // pintimeParts is the fixed partition sweep of the factor-level rows.
@@ -49,7 +48,7 @@ var pintimeParts = []int{1, 2, 4}
 // sequential path versus the width-1 scheduling plan, then the raw
 // factorization and selected-inversion rates across partition counts.
 // quick trims repetitions, not the grid.
-func Pintime(quick bool) (*PintimeBaseline, error) {
+func Pintime(quick bool) (*PintimeReport, error) {
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 3, Nt: 64, Nr: 2,
 		MeshNx: 6, MeshNy: 5,
@@ -61,7 +60,7 @@ func Pintime(quick bool) (*PintimeBaseline, error) {
 	}
 	m := ds.Model
 	n, b, a := m.Dims.BTAShape()
-	out := &PintimeBaseline{
+	out := &PintimeReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Nt:         n, BlockSize: b, ArrowSize: a,
@@ -115,7 +114,7 @@ func Pintime(quick bool) (*PintimeBaseline, error) {
 	var seqFactor, seqSelinv float64
 	for _, p := range pintimeParts {
 		// Mirror NewSolver's clamp: a width it would silently reduce must
-		// not be reported (and baseline-gated) under the requested label.
+		// not be reported under the requested label.
 		if p > bta.MaxUsefulPartitions(n) {
 			continue
 		}
@@ -161,17 +160,8 @@ func Pintime(quick bool) (*PintimeBaseline, error) {
 	return out, nil
 }
 
-// WritePintimeBaseline serializes the parallel-in-time baseline.
-func WritePintimeBaseline(b *PintimeBaseline, path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintPintime renders the parallel-in-time table.
-func PrintPintime(b *PintimeBaseline, w *os.File) {
+func PrintPintime(b *PintimeReport, w io.Writer) {
 	fmt.Fprintf(w, "  parallel-in-time BTA engine (nt=%d, b=%d, a=%d, GOMAXPROCS=%d, %d hardware CPUs)\n",
 		b.Nt, b.BlockSize, b.ArrowSize, b.GoMaxProcs, b.NumCPU)
 	if b.NumCPU < 2 {
@@ -186,6 +176,21 @@ func PrintPintime(b *PintimeBaseline, w *os.File) {
 		fmt.Fprintf(w, "  %-12s %10d %12s %10.1f %8s\n",
 			r.Kind, r.Partitions, fmtDuration(r.Seconds), r.PerSec, sp)
 	}
+}
+
+// timeIt runs fn reps times and returns the best wall time in seconds
+// (min-of-reps suppresses scheduler noise).
+func timeIt(reps int, fn func()) float64 {
+	best := 0.0
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		fn()
+		dt := time.Since(t0).Seconds()
+		if r == 0 || dt < best {
+			best = dt
+		}
+	}
+	return best
 }
 
 // fmtDuration renders a latency in adaptive units.

@@ -22,36 +22,35 @@ import (
 // recovery path (decode checkpoint, regenerate dataset, refactorize), and
 // whether the two paths answer a fixed query set with identical bytes.
 type RecoveryResult struct {
-	Name      string `json:"name"`
-	LatentDim int    `json:"latent_dim"`
-	Nv        int    `json:"nv"`
+	Name      string
+	LatentDim int
+	Nv        int
 	// FitSeconds is the cold path: BFGS mode search + posterior + publish.
-	FitSeconds float64 `json:"fit_seconds"`
+	FitSeconds float64
 	// RecoverSeconds is the restart path for this model, amortized from the
 	// whole-registry recovery wall time.
-	RecoverSeconds float64 `json:"recover_seconds"`
+	RecoverSeconds float64
 	// Speedup is FitSeconds / RecoverSeconds: how much faster a restart is
 	// than refitting.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 	// CheckpointBytes is the on-disk size of the current generation.
-	CheckpointBytes int `json:"checkpoint_bytes"`
+	CheckpointBytes int
 	// Identical reports whether pre-crash and post-restart predictions were
 	// byte-for-byte equal.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
-// RecoveryBaseline is the serialized crash-recovery measurement:
-// restart-vs-refit cost for a registry of fitted models, for the CI chaos
-// gate to compare against.
-type RecoveryBaseline struct {
-	GoMaxProcs int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
+// RecoveryReport is the crash-recovery measurement: restart-vs-refit cost
+// for a registry of fitted models.
+type RecoveryReport struct {
+	GoMaxProcs int
+	NumCPU     int
 	// TotalFitSeconds / TotalRecoverSeconds are whole-registry wall times:
 	// every model fitted and published vs the same registry rebuilt from the
 	// store on a fresh server.
-	TotalFitSeconds     float64          `json:"total_fit_seconds"`
-	TotalRecoverSeconds float64          `json:"total_recover_seconds"`
-	Results             []RecoveryResult `json:"results"`
+	TotalFitSeconds     float64
+	TotalRecoverSeconds float64
+	Results             []RecoveryResult
 }
 
 // Recovery measures what the persistence layer buys on restart: fit a small
@@ -60,7 +59,7 @@ type RecoveryBaseline struct {
 // from durable checkpoints — asserting along the way that the recovered
 // models answer the same queries with byte-identical responses and that no
 // fit re-ran. quick trims the registry, not the assertions.
-func Recovery(quick bool) (*RecoveryBaseline, error) {
+func Recovery(quick bool) (*RecoveryReport, error) {
 	dir, err := os.MkdirTemp("", "dalia-bench-recovery-")
 	if err != nil {
 		return nil, err
@@ -106,7 +105,7 @@ func Recovery(quick bool) (*RecoveryBaseline, error) {
 		return nil, err
 	}
 	srv := serve.New(serve.Options{BatchWindow: 0, Store: st})
-	out := &RecoveryBaseline{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	out := &RecoveryReport{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	fitSecs := map[string]float64{}
 	dims := map[string][2]int{} // latent dim, nv
 	t0 := time.Now()
@@ -207,17 +206,8 @@ func Recovery(quick bool) (*RecoveryBaseline, error) {
 	return out, nil
 }
 
-// WriteRecoveryBaseline serializes the recovery baseline as indented JSON.
-func WriteRecoveryBaseline(b *RecoveryBaseline, path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // PrintRecovery renders the restart-vs-refit table.
-func PrintRecovery(b *RecoveryBaseline, w *os.File) {
+func PrintRecovery(b *RecoveryReport, w io.Writer) {
 	fmt.Fprintf(w, "  crash recovery: restart-from-store vs refit (GOMAXPROCS=%d, %d CPUs)\n",
 		b.GoMaxProcs, b.NumCPU)
 	fmt.Fprintf(w, "  %6s %10s %4s %10s %12s %9s %10s %10s\n",

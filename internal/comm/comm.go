@@ -22,6 +22,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,11 +57,17 @@ func (m Machine) collCost(p, words int) float64 {
 	if p <= 1 {
 		return 0
 	}
-	hops := math.Ceil(math.Log2(float64(p)))
+	hops := float64(treeHops(p))
 	return m.CollectiveTreeFactor * hops * (m.Latency + float64(8*words)/m.BytesPerSecond)
 }
 
-// RankStats aggregates a rank's virtual-time breakdown.
+// treeHops is ⌈log₂ p⌉, the depth of the tree a collective over p ranks
+// runs on.
+func treeHops(p int) int { return bits.Len(uint(p - 1)) }
+
+// RankStats aggregates a rank's virtual-time breakdown. BytesSent and
+// MessagesSent count point-to-point sends plus, for every collective over
+// n > 1 ranks, ⌈log₂ n⌉ messages of the collective's widest payload.
 type RankStats struct {
 	ComputeSeconds float64
 	BytesSent      int64
@@ -235,6 +242,8 @@ type commShared struct {
 	collClk    []float64
 	collOut    [][]float64
 	collT      float64
+	collMaxW   int   // widest deposit of the pending generation
+	collWords  int   // payload words of the completed generation
 	collErr    error // fault raised by a reduce, published to the generation
 	collErrGen int64
 
@@ -468,6 +477,7 @@ func (c *Comm) collective(contrib []float64, words int, reduce func(bufs [][]flo
 	myGen := cs.collGen
 	cs.collBuf[c.rank] = contrib
 	cs.collClk[c.rank] = clk
+	cs.collMaxW = max(cs.collMaxW, words)
 	cs.collCnt++
 	if cs.collCnt == n {
 		var tmax float64
@@ -477,6 +487,7 @@ func (c *Comm) collective(contrib []float64, words int, reduce func(bufs [][]flo
 			}
 		}
 		cs.collT = tmax + w.mach.collCost(n, words)
+		cs.collWords, cs.collMaxW = cs.collMaxW, 0
 		func() {
 			defer func() {
 				if rec := recover(); rec != nil {
@@ -527,8 +538,16 @@ func (c *Comm) collective(contrib []float64, words int, reduce func(bufs [][]flo
 	}
 	out := cs.collOut[c.rank]
 	t := cs.collT
+	words = cs.collWords
 	cs.collMu.Unlock()
 	c.setClock(t)
+	// Each member is charged ⌈log₂ n⌉ messages of the widest payload: the
+	// tree collCost prices.
+	hops := int64(treeHops(n))
+	w.clockMu.Lock()
+	w.stats[c.worldRank].MessagesSent += hops
+	w.stats[c.worldRank].BytesSent += 8 * int64(words) * hops
+	w.clockMu.Unlock()
 	w.wakeTimed()
 	return out
 }

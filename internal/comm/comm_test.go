@@ -294,6 +294,32 @@ func TestBytesSentAccounting(t *testing.T) {
 	}
 }
 
+// TestCollectiveAccounting: every member of a collective over n ranks is
+// charged ⌈log₂ n⌉ messages and 8·words·⌈log₂ n⌉ bytes; Bcast charges the
+// root's payload on every rank; one rank charges nothing.
+func TestCollectiveAccounting(t *testing.T) {
+	body := func(c *Comm) {
+		c.AllReduceSum(make([]float64, 10))
+		var data []float64
+		if c.Rank() == 0 {
+			data = make([]float64, 5)
+		}
+		c.Bcast(0, data)
+		c.Barrier()
+	}
+	st := Run(4, DefaultMachine(), body)
+	for r, rs := range st.Ranks {
+		// ⌈log₂ 4⌉ = 2 hops each: AllReduceSum 10 words, Bcast 5, Barrier 0.
+		if rs.MessagesSent != 3*2 || rs.BytesSent != 8*(10+5+0)*2 {
+			t.Fatalf("rank %d: %d messages, %d bytes; want 6 and 240", r, rs.MessagesSent, rs.BytesSent)
+		}
+	}
+	st = Run(1, DefaultMachine(), body)
+	if rs := st.Ranks[0]; rs.MessagesSent != 0 || rs.BytesSent != 0 {
+		t.Fatalf("one-rank collectives charged %+v", rs)
+	}
+}
+
 func TestMachineCostModel(t *testing.T) {
 	m := DefaultMachine()
 	if c := m.p2pCost(0); c != m.Latency {

@@ -310,7 +310,7 @@ func (d *decoder) vec() []float64 {
 	if d.err != nil {
 		return nil
 	}
-	if d.remaining() < 8*n {
+	if n > d.remaining()/8 {
 		d.fail("vector of %d floats exceeds remaining %d bytes", n, d.remaining())
 		return nil
 	}
@@ -330,10 +330,14 @@ func (d *decoder) mat() *dense.Matrix {
 	if d.err != nil {
 		return nil
 	}
-	if r == 0 && c == 0 {
+	if r == 0 || c == 0 {
+		if r != c {
+			d.fail("matrix %dx%d has an empty dimension", r, c)
+		}
 		return nil
 	}
-	if d.remaining() < 8*r*c {
+	// Bound by division: 8·r·c overflows for dimensions near 2³¹.
+	if r > d.remaining()/8/c {
 		d.fail("matrix %dx%d exceeds remaining %d bytes", r, c, d.remaining())
 		return nil
 	}

@@ -1,7 +1,6 @@
 package inla
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -22,28 +21,11 @@ type FitOptions struct {
 	// the eigenvector grid of the mode Hessian (§III-4) instead of the
 	// plug-in at θ* only; requires the Hessian stage.
 	IntegrateHyperGrid bool
-	// MaxEvalRetries / RetryBackoff override the mode search's
-	// quarantined-evaluation retry policy (OptOptions.MaxEvalRetries /
-	// OptOptions.RetryBackoff) when set (> 0); zero keeps whatever Opt
-	// carries.
-	MaxEvalRetries int
-	RetryBackoff   float64
-	// Ctx, when non-nil, propagates cancellation into the mode search: a
-	// canceled context aborts the BFGS loop at the next iteration boundary
-	// (a checkpoint boundary) and Fit returns ErrFitCanceled. The posterior
-	// stages are skipped on an aborted search.
-	Ctx context.Context
-	// Checkpoint, when set, receives a deep-copied resumable snapshot of
-	// the optimizer state every CheckpointEvery completed mode-search
-	// iterations — the hook the persistence layer uses so a killed fit
-	// resumes from the last BFGS iterate instead of θ₀.
+	// Checkpoint, when set, replaces Opt.Checkpoint: it receives a
+	// deep-copied resumable snapshot of the optimizer state every
+	// Opt.CheckpointEvery completed mode-search iterations. Cancellation
+	// (Opt.Ctx) and resumption (Opt.Resume) are set on Opt as well.
 	Checkpoint func(*OptCheckpoint) error
-	// CheckpointEvery is the iteration stride of Checkpoint (≤ 0 = every
-	// iteration).
-	CheckpointEvery int
-	// Resume restarts the mode search from a previously captured optimizer
-	// checkpoint instead of theta0.
-	Resume *OptCheckpoint
 }
 
 // DefaultFitOptions returns the standard configuration.
@@ -83,21 +65,8 @@ func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Resul
 // backend, then extracts the latent posterior of m at the mode with the
 // sequential latentPosterior, whatever the backend.
 func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
-	if opts.MaxEvalRetries > 0 {
-		opts.Opt.MaxEvalRetries = opts.MaxEvalRetries
-	}
-	if opts.RetryBackoff > 0 {
-		opts.Opt.RetryBackoff = opts.RetryBackoff
-	}
-	if opts.Ctx != nil {
-		opts.Opt.Ctx = opts.Ctx
-	}
 	if opts.Checkpoint != nil {
 		opts.Opt.Checkpoint = opts.Checkpoint
-		opts.Opt.CheckpointEvery = opts.CheckpointEvery
-	}
-	if opts.Resume != nil {
-		opts.Opt.Resume = opts.Resume
 	}
 	opt, err := Minimize(e, theta0, opts.Opt)
 	if err != nil && opt == nil {

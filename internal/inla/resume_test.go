@@ -160,7 +160,7 @@ func TestMinimizeCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestFitCanceledPropagates: FitOptions.Ctx reaches the mode search and a
+// TestFitCanceledPropagates: Opt.Ctx reaches the mode search and a
 // canceled fit returns ErrFitCanceled without running the posterior stages.
 func TestFitCanceledPropagates(t *testing.T) {
 	ds := genSmall(t, 1)
@@ -168,7 +168,7 @@ func TestFitCanceledPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := DefaultFitOptions()
 	opts.Opt.MaxIter = 10
-	opts.Ctx = ctx
+	opts.Opt.Ctx = ctx
 	opts.Checkpoint = func(ck *OptCheckpoint) error {
 		if ck.Iter >= 1 {
 			cancel()
@@ -217,6 +217,30 @@ func TestCheckpointEveryStride(t *testing.T) {
 	}
 }
 
+// TestFitCheckpointKeepsOptStride: FitOptions.Checkpoint is forwarded to
+// the mode search without touching Opt.CheckpointEvery, so a fit with
+// stride 2 emits at even iterations only.
+func TestFitCheckpointKeepsOptStride(t *testing.T) {
+	ds := genSmall(t, 1)
+	opts := DefaultFitOptions()
+	opts.Opt.MaxIter = 6
+	opts.Opt.CheckpointEvery = 2
+	opts.SkipHyperUncertainty = true
+	var iters []int
+	opts.Checkpoint = func(ck *OptCheckpoint) error { iters = append(iters, ck.Iter); return nil }
+	if _, err := Fit(ds.Model, WeakPrior(ds.Theta0, 5), ds.Theta0, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(iters) == 0 {
+		t.Fatal("no checkpoints emitted")
+	}
+	for _, it := range iters {
+		if it%2 != 0 {
+			t.Fatalf("checkpoint at odd iteration %d with stride 2 (all: %v)", it, iters)
+		}
+	}
+}
+
 // TestCheckpointErrorStopsSearch: a failing Checkpoint callback aborts the
 // search with the callback's error attached.
 func TestCheckpointErrorStopsSearch(t *testing.T) {
@@ -233,9 +257,10 @@ func TestCheckpointErrorStopsSearch(t *testing.T) {
 	}
 }
 
-// TestResultCodecRoundTrip: MarshalResult/UnmarshalResult preserve every
-// field bit-for-bit, including the optional sections.
-func TestResultCodecRoundTrip(t *testing.T) {
+// codecResultFixtures are the Result codec's round-trip fixtures: one with
+// every optional section, one with none, and one with only the optimizer
+// section.
+func codecResultFixtures() []*Result {
 	cov := dense.New(2, 2)
 	cov.Set(0, 0, 1.25)
 	cov.Set(0, 1, -0.5)
@@ -260,9 +285,21 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			Var:     []float64{1, 1, 2, 2},
 		},
 	}
-	minimal := &Result{Theta: []float64{42}, Mu: []float64{1}, LatentVar: []float64{2}}
+	return []*Result{
+		full,
+		{Theta: []float64{42}, Mu: []float64{1}, LatentVar: []float64{2}},
+		{
+			Theta: []float64{1, 2}, Mu: []float64{3, 4, 5}, LatentVar: []float64{6, 7, 8},
+			Opt: &OptResult{Theta: []float64{1, 2}, F: -1, Iterations: 2, FEvals: 10,
+				Trace: []float64{-0.5, -1}, Converged: true},
+		},
+	}
+}
 
-	for _, r := range []*Result{full, minimal} {
+// TestResultCodecRoundTrip: MarshalResult/UnmarshalResult preserve every
+// field bit-for-bit, including the optional sections.
+func TestResultCodecRoundTrip(t *testing.T) {
+	for _, r := range codecResultFixtures() {
 		got, err := UnmarshalResult(MarshalResult(r))
 		if err != nil {
 			t.Fatal(err)
@@ -321,11 +358,7 @@ func assertVecEq(t *testing.T, name string, got, want []float64) {
 // TestResultCodecRejectsCorruption: every truncation of a valid encoding and
 // a bad version byte are rejected, never silently misdecoded.
 func TestResultCodecRejectsCorruption(t *testing.T) {
-	r := &Result{
-		Theta: []float64{1, 2}, Mu: []float64{3, 4, 5}, LatentVar: []float64{6, 7, 8},
-		Opt: &OptResult{Theta: []float64{1, 2}, F: -1, Iterations: 2, FEvals: 10,
-			Trace: []float64{-0.5, -1}, Converged: true},
-	}
+	r := codecResultFixtures()[2]
 	enc := MarshalResult(r)
 	for n := 0; n < len(enc); n++ {
 		if _, err := UnmarshalResult(enc[:n]); err == nil {
@@ -342,19 +375,24 @@ func TestResultCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestOptCheckpointCodecRoundTrip: checkpoints round-trip bit-for-bit,
-// including the inverse Hessian, and reject truncations.
-func TestOptCheckpointCodecRoundTrip(t *testing.T) {
+// codecCheckpointFixture is the OptCheckpoint codec's round-trip fixture.
+func codecCheckpointFixture() *OptCheckpoint {
 	h := dense.New(2, 2)
 	h.Set(0, 0, 1.5)
 	h.Set(0, 1, 0.25)
 	h.Set(1, 0, 0.25)
 	h.Set(1, 1, 0.75)
-	ck := &OptCheckpoint{
+	return &OptCheckpoint{
 		Theta: []float64{0.5, -0.5}, Grad: []float64{1e-3, -2e-3},
 		F: -42.42, HInv: h, Iter: 5, FEvals: 37,
 		Trace: []float64{-40, -41, -42.42},
 	}
+}
+
+// TestOptCheckpointCodecRoundTrip: checkpoints round-trip bit-for-bit,
+// including the inverse Hessian, and reject truncations.
+func TestOptCheckpointCodecRoundTrip(t *testing.T) {
+	ck := codecCheckpointFixture()
 	enc := MarshalOptCheckpoint(ck)
 	got, err := UnmarshalOptCheckpoint(enc)
 	if err != nil {

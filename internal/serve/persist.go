@@ -347,7 +347,7 @@ func (s *Server) fitStateHooks(req FitRequest, gen synth.GenConfig, specID strin
 		return
 	}
 	st := s.opts.Store
-	opts.Checkpoint = func(ck *inla.OptCheckpoint) error {
+	opts.Opt.Checkpoint = func(ck *inla.OptCheckpoint) error {
 		rec := &store.Checkpoint{
 			Name:       req.Name,
 			Generation: uint64(ck.Iter),
@@ -360,7 +360,7 @@ func (s *Server) fitStateHooks(req FitRequest, gen synth.GenConfig, specID strin
 		}
 		return nil
 	}
-	opts.CheckpointEvery = s.opts.CheckpointEvery
+	opts.Opt.CheckpointEvery = s.opts.CheckpointEvery
 }
 
 // logf forwards to Options.Logf when configured.

@@ -847,8 +847,8 @@ func (s *Server) fitResolved(req FitRequest, gen synth.GenConfig, specID string,
 	// Serving needs the mode and the latent posterior; the θ-uncertainty
 	// Hessian stage is skipped to keep registration fast.
 	opts.SkipHyperUncertainty = true
-	opts.Ctx = s.fitCtx
-	opts.Resume = resume
+	opts.Opt.Ctx = s.fitCtx
+	opts.Opt.Resume = resume
 	s.fitStateHooks(req, gen, specID, &opts)
 	t0 := time.Now()
 	prior := inla.WeakPrior(ds.Theta0, 5)
