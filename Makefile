@@ -75,7 +75,8 @@ ci: fmt-check test race purego
 # Mirror of the GitHub workflow, job by job: tier1 (with its one pass of the
 # dense kernel, Q_c assembly, BTA solver, mode-search and snapshot
 # prediction benchmarks), race,
-# the race-pintime GOMAXPROCS matrix over the partition/replica packages,
+# the race-pintime GOMAXPROCS matrix over the partition/replica/kernel
+# fan-out packages,
 # the chaos fault-injection suite, the purego fallback with the arm64
 # cross-build, the end-to-end parity run, then the non-blocking perf smoke.
 ci-local: fmt-check test race
@@ -84,8 +85,8 @@ ci-local: fmt-check test race
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bta
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/inla
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/predict
-	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
-	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/sched/ ./internal/dense/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
+	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/sched/ ./internal/dense/ ./internal/bta/ ./internal/comm/ ./internal/inla/ ./internal/predict/ ./internal/serve/
 	$(MAKE) chaos
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...

@@ -56,71 +56,79 @@ func TestRefactorizeShapeMismatch(t *testing.T) {
 // route every block operation through the packed kernels and their pools.
 var allocShapes = [][3]int{{4, 96, 4}, {8, 60, 3}, {4, 144, 2}}
 
+// allocWidths are the kernel widths the pins run at: serial, and fanned
+// out as fits run at GOMAXPROCS (every Trsm and Gemm of ≥ 128 rows splits).
+var allocWidths = []int{1, 4}
+
 // TestRefactorizeSolveZeroAlloc is the acceptance gate of the
 // zero-allocation hot path: after warm-up, a full Refactorize + Solve +
 // SolveLT + LogDet cycle — one INLA θ-evaluation's worth of solver work —
-// touches no fresh heap.
+// touches no fresh heap, at every kernel width.
 func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(13))
-	for _, sh := range allocShapes {
-		n, b, a := sh[0], sh[1], sh[2]
-		m := randBTA(rng, n, b, a)
-		f := NewFactor(n, b, a)
-		rhs0 := randVec(rng, m.Dim())
-		rhs := make([]float64, m.Dim())
-		// Warm-up: fills the factor storage and the dense packing pools.
-		if err := f.Refactorize(m); err != nil {
-			t.Fatal(err)
-		}
-		copy(rhs, rhs0)
-		f.Solve(rhs)
-		allocs := testing.AllocsPerRun(10, func() {
+	for _, w := range allocWidths {
+		for _, sh := range allocShapes {
+			n, b, a := sh[0], sh[1], sh[2]
+			m := randBTA(rng, n, b, a)
+			f := NewFactor(n, b, a)
+			rhs0 := randVec(rng, m.Dim())
+			rhs := make([]float64, m.Dim())
+			prev := dense.SetMaxWorkers(w)
+			// Warm-up: fills the factor storage and the dense packing pools.
 			if err := f.Refactorize(m); err != nil {
 				t.Fatal(err)
 			}
 			copy(rhs, rhs0)
 			f.Solve(rhs)
-			f.SolveLT(rhs)
-			_ = f.LogDet()
-		})
-		if allocs != 0 {
-			t.Fatalf("n=%d b=%d a=%d: Refactorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := f.Refactorize(m); err != nil {
+					t.Fatal(err)
+				}
+				copy(rhs, rhs0)
+				f.Solve(rhs)
+				f.SolveLT(rhs)
+				_ = f.LogDet()
+			})
+			dense.SetMaxWorkers(prev)
+			if allocs != 0 {
+				t.Fatalf("width %d n=%d b=%d a=%d: Refactorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0", w, n, b, a, allocs)
+			}
 		}
 	}
 }
 
 // TestSelectedInversionIntoZeroAlloc: the sequential selected inversion —
 // a recursive Trtri and a Syrk per diagonal block, Gemm for the rest —
-// allocates nothing once the pools are warm.
+// allocates nothing once the pools are warm, at every kernel width.
 func TestSelectedInversionIntoZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(15))
-	for _, sh := range allocShapes {
-		n, b, a := sh[0], sh[1], sh[2]
-		f, err := Factorize(randBTA(rng, n, b, a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sig := NewMatrix(n, b, a)
-		if err := f.SelectedInversionInto(sig); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
+	for _, w := range allocWidths {
+		for _, sh := range allocShapes {
+			n, b, a := sh[0], sh[1], sh[2]
+			f, err := Factorize(randBTA(rng, n, b, a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := NewMatrix(n, b, a)
+			prev := dense.SetMaxWorkers(w)
 			if err := f.SelectedInversionInto(sig); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("n=%d b=%d a=%d: SelectedInversionInto allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := f.SelectedInversionInto(sig); err != nil {
+					t.Fatal(err)
+				}
+			})
+			dense.SetMaxWorkers(prev)
+			if allocs != 0 {
+				t.Fatalf("width %d n=%d b=%d a=%d: SelectedInversionInto allocates %.1f objects per run in steady state, want 0", w, n, b, a, allocs)
+			}
 		}
 	}
 }

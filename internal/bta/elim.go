@@ -21,6 +21,12 @@ import (
 // triangle, every consumer (Potrf) reads only that, and their strict upper
 // triangle is stale. The sequential Factor is the run of one one-sided
 // partition over every block, with its tip as TipDelta.
+//
+// Each elimination step is one dense.Eliminate call, which packs every
+// operand once: Potrf leaves L_kk in the packed form that all the step's
+// coupling solves (next, top boundary, arrow) read, and each solve hands its
+// packed rows to the Syrk and Gemm updates that take that coupling as their
+// right operand. Every output is bitwise that of the unfused calls.
 type partitionElim struct {
 	Diag  []*dense.Matrix // the partition's diagonal blocks
 	Lower []*dense.Matrix // within-partition sub-diagonal couplings (len size−1)
@@ -63,52 +69,40 @@ func (pe *partitionElim) run() error {
 	for _, k := range pe.Interiors {
 		rel := k - pe.Base
 		lk := pe.Diag[rel]
-		if err := dense.Potrf(lk); err != nil {
+		// The step's couplings — to the next block, the top boundary and
+		// the arrowhead — and the blocks their Schur complement lands on,
+		// in dense.Eliminate's index order.
+		var g [3]*dense.Matrix
+		var s [3][3]*dense.Matrix
+		if rel < len(pe.Lower) { // a next block exists within the partition
+			g[0], s[0][0] = pe.Lower[rel], pe.Diag[rel+1]
+		}
+		if pe.TwoSided {
+			g[1], s[1][1] = tCur, pe.Diag[0]
+			tCur = nil
+			if g[0] != nil {
+				tCur = pe.NewBB()
+				tCur.Zero()
+				s[1][0] = tCur
+			}
+		}
+		if hasArrow {
+			g[2], s[2][2] = pe.Arrow[rel], pe.TipDelta
+			if g[0] != nil {
+				s[2][0] = pe.Arrow[rel+1]
+			}
+			if g[1] != nil {
+				s[2][1] = pe.Arrow[0]
+			}
+		}
+		if err := dense.Eliminate(lk, g, s); err != nil {
 			return fmt.Errorf("bta: partition %d interior block %d: %w", pe.ID, k, err)
 		}
 		lk.ZeroUpper()
 		pe.L = append(pe.L, lk)
-
-		var gNext, gTop, gArr *dense.Matrix
-		if rel < len(pe.Lower) { // a next block exists within the partition
-			gNext = pe.Lower[rel]
-			dense.Trsm(dense.Right, dense.Trans, lk, gNext)
-		}
-		if pe.TwoSided {
-			gTop = tCur
-			dense.Trsm(dense.Right, dense.Trans, lk, gTop)
-		}
-		if hasArrow {
-			gArr = pe.Arrow[rel]
-			dense.Trsm(dense.Right, dense.Trans, lk, gArr)
-		}
-		pe.GNext = append(pe.GNext, gNext)
-		pe.GTop = append(pe.GTop, gTop)
-		pe.GArr = append(pe.GArr, gArr)
-
-		// Schur updates onto the remaining neighbours {k+1, lo, arrow}.
-		if gNext != nil {
-			dense.Syrk(dense.NoTrans, -1, gNext, 1, pe.Diag[rel+1])
-		}
-		if pe.TwoSided && gTop != nil {
-			dense.Syrk(dense.NoTrans, -1, gTop, 1, pe.Diag[0])
-			if gNext != nil {
-				tNext := pe.NewBB()
-				dense.Gemm(dense.NoTrans, dense.Trans, -1, gTop, gNext, 0, tNext)
-				tCur = tNext
-			} else {
-				tCur = nil
-			}
-		}
-		if hasArrow {
-			if gNext != nil {
-				dense.Gemm(dense.NoTrans, dense.Trans, -1, gArr, gNext, 1, pe.Arrow[rel+1])
-			}
-			if pe.TwoSided && gTop != nil {
-				dense.Gemm(dense.NoTrans, dense.Trans, -1, gArr, gTop, 1, pe.Arrow[0])
-			}
-			dense.Syrk(dense.NoTrans, -1, gArr, 1, pe.TipDelta)
-		}
+		pe.GNext = append(pe.GNext, g[0])
+		pe.GTop = append(pe.GTop, g[1])
+		pe.GArr = append(pe.GArr, g[2])
 	}
 
 	// The remaining coupling between the partition's two boundaries. With

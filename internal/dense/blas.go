@@ -3,6 +3,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Transpose flags for Gemm/Syrk.
@@ -155,14 +156,12 @@ func Gemv(trans Transpose, alpha float64, a *Matrix, x []float64, beta float64, 
 		return
 	}
 	if trans == NoTrans {
-		aData, aStride, aCols := a.Data, a.Stride, a.Cols
+		j := gemvJob{alpha, a.Data, a.Stride, a.Cols, x, y}
 		if MaxWorkers() <= 1 || m < parallelRows {
-			gemvRows(0, m, alpha, aData, aStride, aCols, x, y)
+			j.run(0, m)
 			return
 		}
-		parFor(m, func(lo, hi int) {
-			gemvRows(lo, hi, alpha, aData, aStride, aCols, x, y)
-		})
+		fanOut(&gemvJobs, m, parallelRows, j)
 		return
 	}
 	for k := 0; k < a.Rows; k++ {
@@ -177,15 +176,25 @@ func Gemv(trans Transpose, alpha float64, a *Matrix, x []float64, beta float64, 
 	}
 }
 
-// gemvRows accumulates y[i] += alpha·(A row i · x) over the row range.
-func gemvRows(lo, hi int, alpha float64, aData []float64, aStride, aCols int, x, y []float64) {
+// gemvJob accumulates y[i] += alpha·(A row i · x) over a range of rows.
+type gemvJob struct {
+	alpha          float64
+	aData          []float64
+	aStride, aCols int
+	x, y           []float64
+}
+
+var gemvJobs = sync.Pool{New: func() any { return new(gemvJob) }}
+
+func (j *gemvJob) run(lo, hi int) {
+	aData, aStride, aCols, x, y := j.aData, j.aStride, j.aCols, j.x, j.y
 	for i := lo; i < hi; i++ {
 		row := aData[i*aStride : i*aStride+aCols]
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		for k, v := range row {
+			s += v * x[k]
 		}
-		y[i] += alpha * s
+		y[i] += j.alpha * s
 	}
 }
 

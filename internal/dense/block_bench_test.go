@@ -59,24 +59,68 @@ var blockKernels = []blockKernel{
 	}},
 }
 
+// stepShapes are the (b, a) shapes of the step kernel: the two benchmark
+// block shapes, fit_tri_gauss and fit_uni_gauss.
+var stepShapes = [][2]int{{60, 3}, {144, 2}}
+
+// stepFlops counts one elimination step of a one-sided partition with a
+// next block and an arrowhead, at the kernels' rates above: Potrf, the two
+// coupling Trsm, the Syrk onto the next diagonal block, the arrow Gemm and
+// the Syrk onto the tip.
+func stepFlops(b, a float64) float64 {
+	return b*b*b/3 + b*b*b + a*b*b + b*b*b + 2*a*b*b + a*a*b
+}
+
+// setupStep returns one elimination step at (b, a) as Eliminate runs it in
+// the sequential factorization, restoring its operands first.
+func setupStep(rng *rand.Rand, b, a int) func() {
+	src := newStepCase(rng, b, a, false, true)
+	sc := src.clone()
+	return func() {
+		sc.a.CopyFrom(src.a)
+		for i := range sc.g {
+			if sc.g[i] != nil {
+				sc.g[i].CopyFrom(src.g[i])
+			}
+			for j := range sc.s[i] {
+				if sc.s[i][j] != nil {
+					sc.s[i][j].CopyFrom(src.s[i][j])
+				}
+			}
+		}
+		if err := Eliminate(sc.a, sc.g, sc.s); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // BenchmarkBlock reports the single-worker GFLOP/s of Gemm, Syrk,
-// Trsm(Right, Trans), Potrf and Trtri at the BTA block sizes:
+// Trsm(Right, Trans), Potrf and Trtri at the BTA block sizes, and of one
+// elimination step (Eliminate) at the benchmark block shapes:
 //
 //	go test ./internal/dense -run '^$' -bench Block -benchtime 2000x
 func BenchmarkBlock(b *testing.B) {
+	bench := func(name string, flops float64, setup func(*rand.Rand) func(), seed int64) {
+		b.Run(name, func(b *testing.B) {
+			prev := SetMaxWorkers(1)
+			defer SetMaxWorkers(prev)
+			run := setup(rand.New(rand.NewSource(seed)))
+			run() // warm the packing pools
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 	for _, k := range blockKernels {
 		for _, n := range blockSizes {
-			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
-				prev := SetMaxWorkers(1)
-				defer SetMaxWorkers(prev)
-				run := k.setup(rand.New(rand.NewSource(int64(n))), n)
-				run() // warm the packing pools
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run()
-				}
-				b.ReportMetric(k.flops(float64(n))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+			bench(fmt.Sprintf("%s/n=%d", k.name, n), k.flops(float64(n)),
+				func(rng *rand.Rand) func() { return k.setup(rng, n) }, int64(n))
 		}
+	}
+	for _, sh := range stepShapes {
+		bench(fmt.Sprintf("step/n=%d/a=%d", sh[0], sh[1]), stepFlops(float64(sh[0]), float64(sh[1])),
+			func(rng *rand.Rand) func() { return setupStep(rng, sh[0], sh[1]) }, int64(sh[0]))
 	}
 }

@@ -11,43 +11,176 @@ import (
 // hyperparameter configuration; callers back off rather than abort.
 var ErrNotPositiveDefinite = errors.New("dense: matrix is not positive definite")
 
-// potrfLeaf and trtriLeaf are the orders at and below which the recursive
-// Potrf and Trtri run their unblocked leaves (potf2, trtriUnb); above them
-// every flop is a Trsm or Syrk through the packed micro-kernel
-// (BenchmarkBlock, README.md).
-const (
-	potrfLeaf = 16
-	trtriLeaf = 16
-)
+// trtriLeaf is the order at and below which the recursive Trtri runs its
+// unblocked leaf (trtriUnb); above it every flop is a Trsm through the
+// packed micro-kernel (BenchmarkBlock, README.md).
+const trtriLeaf = 16
 
 // Potrf overwrites the lower triangle of a with its Cholesky factor L such
-// that A = L·Lᵀ. The strict upper triangle is left untouched (callers that
-// need a clean factor use ZeroUpper). Returns ErrNotPositiveDefinite when a
-// pivot is ≤ 0 or NaN. The factorization is recursive: L11 of the leading
-// half, L21 = A21·L11⁻ᵀ (Trsm), A22 − L21·L21ᵀ (Syrk), L22 of the trailing
-// half; potf2 factors the leaves and is where pivots are checked.
+// that A = L·Lᵀ. The strict upper triangle is never written, and what it
+// holds never reaches the factor (callers that need a clean factor use
+// ZeroUpper). Returns
+// ErrNotPositiveDefinite when a pivot is ≤ 0 or NaN. Up to order
+// trsmPackMax it is one packed left-looking sweep (potrfPacked); above it
+// splits like Trsm: L11 of the leading half, L21 = A21·L11⁻ᵀ (Trsm),
+// A22 − L21·L21ᵀ (Syrk), L22 of the trailing half.
 func Potrf(a *Matrix) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("dense: potrf of non-square %d×%d matrix", a.Rows, a.Cols)
+	n := a.Rows
+	if n != a.Cols {
+		return fmt.Errorf("dense: potrf of non-square %d×%d matrix", n, a.Cols)
 	}
-	return potrfRec(a)
+	if n > trsmPackMax {
+		n1 := recSplit(n)
+		a11 := a.View(0, 0, n1, n1)
+		if err := Potrf(a11); err != nil {
+			return err
+		}
+		a21 := a.View(n1, 0, n-n1, n1)
+		Trsm(Right, Trans, a11, a21)
+		a22 := a.View(n1, n1, n-n1, n-n1)
+		Syrk(NoTrans, -1, a21, 1, a22)
+		return Potrf(a22)
+	}
+	lpP := packBPool.Get().(*[]float64)
+	err := potrfPacked(*lpP, a.Data, a.Stride, n)
+	packBPool.Put(lpP)
+	return err
 }
 
-func potrfRec(a *Matrix) error {
-	n := a.Rows
-	if n <= potrfLeaf {
-		return potf2(a)
+// potrfPacked factors the lower triangle of the n×n (n ≤ trsmPackMax)
+// matrix A in place and leaves L in lp in the forward slot layout that
+// packTrsmL builds from it, bit for bit, so the solves against L that
+// follow need not pack it again (Eliminate).
+//
+// It is the packed Right/Trans Trsm of trsmJob with a factor that grows as
+// it goes. NR rows of A's lower triangle at a time are packed k-major, and
+// their MR-wide column tiles are updated from left to right by the
+// micro-kernel against the slots already packed. A tile left of the rows'
+// diagonal is a plain solve tile. A tile on it first packs its slot's
+// coupling from its own rows, already solved; the micro-kernel update then
+// leaves the Schur complement of its MR×MR diagonal block, which cholTile
+// factors (checking every pivot) and whose inverse completes the slot and
+// solves the rows below the block.
+func potrfPacked(lp, aData []float64, aStride, n int) error {
+	ypP := packAPool.Get().(*[]float64)
+	defer packAPool.Put(ypP)
+	nt := (n + MR - 1) / MR
+	pl := nt * MR * NR
+	yp := (*ypP)[:pl]
+	tile := (*ypP)[pl : pl+MR*NR]
+	var ltt [MR * MR]float64
+	for i0 := 0; i0 < n; i0 += NR {
+		h := min(NR, n-i0)
+		te := (i0 + h + MR - 1) / MR // column tiles that reach these rows
+		// Pack yp[p·NR + r] = A[i0+r, p] for p < i0 + NR, zero past row
+		// n. Entries above the diagonal only meet the columns of the
+		// second diagonal tile's rows above it, which are discarded.
+		if h == NR {
+			transposeRows8(yp, aData[i0*aStride:], aStride, i0+NR, false)
+		} else {
+			clear(yp[:te*MR*NR])
+			for r := 0; r < h; r++ {
+				for p, v := range aData[(i0+r)*aStride : (i0+r)*aStride+i0+r+1] {
+					yp[p*NR+r] = v
+				}
+			}
+		}
+		for s := 0; s < te; s++ {
+			c0 := s * MR
+			slot := lp[trsmSlot(s):]
+			yt := yp[s*MR*NR : (s+1)*MR*NR]
+			if c0 < i0 {
+				solveTile(c0, slot, s, yp, yt, tile)
+				continue
+			}
+			off, w := c0-i0, min(MR, n-c0)
+			packCoupling(slot[:c0*MR], yp[off:], w)
+			ukernel(c0, slot, yp, yt, NR)
+			if err := cholTile(&ltt, yt, off, w); err != nil {
+				return err
+			}
+			d := slot[s*MR*MR : (s+1)*MR*MR]
+			packInverse(d, true, ltt[:], MR, 0, w)
+			*(*[MR * NR]float64)(tile) = *(*[MR * NR]float64)(yt)
+			*(*[MR * NR]float64)(yt) = [MR * NR]float64{}
+			ukernel(MR, d, tile, yt, NR)
+			// The block's own rows take the factor as cholTile computed
+			// it. What the tile holds above the diagonal is never
+			// unpacked and only meets discarded columns.
+			for j := 0; j < MR; j++ {
+				for r := j; r < MR; r++ {
+					yt[j*NR+off+r] = ltt[r*MR+j]
+				}
+			}
+		}
+		// Unpack the rows' lower triangle.
+		lo := 0
+		if h == NR {
+			transposeRows8(yp, aData[i0*aStride:], aStride, i0, true)
+			lo = i0
+		}
+		for r := 0; r < h; r++ {
+			row := aData[(i0+r)*aStride+lo : (i0+r)*aStride+i0+r+1]
+			for q := range row {
+				row[q] = yp[(lo+q)*NR+r]
+			}
+		}
 	}
-	n1 := recSplit(n)
-	a11 := a.View(0, 0, n1, n1)
-	if err := potrfRec(a11); err != nil {
-		return err
+	return nil
+}
+
+// packCoupling writes the k-major coupling of a potrfPacked diagonal tile,
+// d[p·MR + j] = −y[p·NR + j] for the tile's w rows (zero for j ≥ w), where
+// y starts at the tile's first row in the packed rows.
+func packCoupling(d, y []float64, w int) {
+	if w < MR {
+		for p := range len(d) / MR {
+			dp := (*[MR]float64)(d[p*MR:])
+			*dp = [MR]float64{}
+			for j, v := range y[p*NR : p*NR+w] {
+				dp[j] = -v
+			}
+		}
+		return
 	}
-	a21 := a.View(n1, 0, n-n1, n1)
-	Trsm(Right, Trans, a11, a21)
-	a22 := a.View(n1, n1, n-n1, n-n1)
-	Syrk(NoTrans, -1, a21, 1, a22)
-	return potrfRec(a22)
+	// Four k steps per iteration (len(d) is a multiple of MR·MR, and y
+	// runs at least an MR×NR tile past the coupling).
+	for ; len(d) >= MR*MR; d, y = d[MR*MR:], y[MR*NR:] {
+		dp, yr := (*[MR * MR]float64)(d), (*[3*NR + MR]float64)(y)
+		dp[0], dp[1], dp[2], dp[3] = -yr[0], -yr[1], -yr[2], -yr[3]
+		dp[4], dp[5], dp[6], dp[7] = -yr[8], -yr[9], -yr[10], -yr[11]
+		dp[8], dp[9], dp[10], dp[11] = -yr[16], -yr[17], -yr[18], -yr[19]
+		dp[12], dp[13], dp[14], dp[15] = -yr[24], -yr[25], -yr[26], -yr[27]
+	}
+}
+
+// cholTile factors the w×w diagonal block S of a potrfPacked tile into ltt
+// (row-major MR×MR, zero outside its lower triangle). The tile holds S
+// transposed from column off on, t[j·NR + off + i] = S[i, j], and only its
+// lower triangle i ≥ j is read. A pivot ≤ 0 or NaN is
+// ErrNotPositiveDefinite.
+func cholTile(ltt *[MR * MR]float64, t []float64, off, w int) error {
+	*ltt = [MR * MR]float64{}
+	for j := 0; j < w; j++ {
+		s := t[j*NR+off+j]
+		for k := 0; k < j; k++ {
+			s -= ltt[j*MR+k] * ltt[j*MR+k]
+		}
+		if !(s > 0) {
+			return ErrNotPositiveDefinite
+		}
+		d := math.Sqrt(s)
+		ltt[j*MR+j] = d
+		inv := 1 / d
+		for i := j + 1; i < w; i++ {
+			s := t[j*NR+off+i]
+			for k := 0; k < j; k++ {
+				s -= ltt[i*MR+k] * ltt[j*MR+k]
+			}
+			ltt[i*MR+j] = s * inv
+		}
+	}
+	return nil
 }
 
 // Chol computes and returns the Cholesky factor of a as a fresh matrix with

@@ -10,14 +10,14 @@ import (
 )
 
 // equivSizes is the kernel equivalence grid: every order 1…20, the
-// recursion leaves and register-tile multiples ±1, the block sizes the
-// solvers run at ±1, and one order past a single packed Trsm sweep.
+// recursion leaf and register-tile multiples ±1, the block sizes the
+// solvers run at ±1, and one order past a single packed sweep.
 func equivSizes() []int {
 	var out []int
 	for n := 1; n <= 20; n++ {
 		out = append(out, n)
 	}
-	for _, c := range []int{potrfLeaf, trtriLeaf, 3 * MR, 3 * NR, 4 * NR, 8 * NR, 60, 128, 144, 192} {
+	for _, c := range []int{trtriLeaf, 3 * MR, 3 * NR, 4 * NR, 8 * NR, 60, 128, 144, 192} {
 		out = append(out, c-1, c, c+1)
 	}
 	out = append(out, trsmPackMax+1)
@@ -179,7 +179,7 @@ func TestTrsmEquivalence(t *testing.T) {
 	}
 }
 
-// TestPotrfEquivalence: the recursive Potrf against the unblocked potf2
+// TestPotrfEquivalence: the packed Potrf against the unblocked potf2
 // over the size grid, on strided views; the strict upper triangle holds
 // sentinels that must neither leak into the factor nor be overwritten.
 func TestPotrfEquivalence(t *testing.T) {
@@ -234,15 +234,17 @@ func TestTrtriEquivalence(t *testing.T) {
 	}
 }
 
-// TestPotrfNotPDInAnyLeaf: a negative or NaN pivot is ErrNotPositiveDefinite
-// wherever the recursion puts it — in the first leaf, a middle one, the
-// last one.
+// TestPotrfNotPDInAnyLeaf: a zero, negative or NaN pivot is
+// ErrNotPositiveDefinite wherever the sweep meets it — in every MR-wide
+// diagonal tile, at a position that cycles through the tile, and on both
+// sides of the split above one packed sweep.
 func TestPotrfNotPDInAnyLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, n := range []int{60, 144, trsmPackMax + 1} {
 		spd := randSPD(rng, n)
-		for _, p := range []int{0, n / 2, n - 1} {
-			for _, bad := range []float64{-1, math.NaN()} {
+		for c0 := 0; c0 < n; c0 += MR {
+			p := c0 + (c0/MR)%min(MR, n-c0)
+			for _, bad := range []float64{0, -1, math.NaN()} {
 				a := spd.Clone()
 				a.Set(p, p, bad)
 				if err := Potrf(a); !errors.Is(err, ErrNotPositiveDefinite) {

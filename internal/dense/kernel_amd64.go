@@ -9,6 +9,20 @@ package dense
 //go:noescape
 func ukernel4x8asm(k int, a, b *float64, c *float64, ldc int)
 
+// transposeRows8asm moves the first n4 (a multiple of 4) columns of the
+// NR = 8 rows at b to or from their packed form at yp (transposeRows8),
+// with two 4×4 register transposes per four columns.
+//
+//go:noescape
+func transposeRows8asm(yp, b *float64, bStride, n4 int, unpack bool)
+
+// packRows4asm packs the first k4 (a multiple of 4) columns of the MR = 4
+// rows at a k-major and scaled by alpha (packPanelsA), with one 4×4
+// register transpose per four columns.
+//
+//go:noescape
+func packRows4asm(dst, a *float64, aStride, k4 int, alpha float64)
+
 // cpuid executes the CPUID instruction for the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -46,5 +60,7 @@ func ukernelAsmWrap(k int, a, b []float64, c []float64, ldc int) {
 func init() {
 	if hasAVX2FMA() {
 		ukernel = ukernelAsmWrap
+		transposeRows8Wide = transposeRows8asm
+		packRows4Wide = packRows4asm
 	}
 }

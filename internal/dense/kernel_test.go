@@ -38,6 +38,53 @@ func TestMicroKernelMatchesGo(t *testing.T) {
 	}
 }
 
+// TestPackedMoves checks the packs against their definitions, bit for bit,
+// at widths that leave 0…3 columns past the vector groups, on strided
+// operands: transposeRows8 both ways, yp[p·NR + r] = b[r, p], and the
+// four-row panel of packPanelsA, panel[p·MR + r] = alpha·a[r, p].
+func TestPackedMoves(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 60, 143, 144} {
+		stride := n + 3
+		b := make([]float64, (NR-1)*stride+n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		yp := make([]float64, n*NR)
+		transposeRows8(yp, b, stride, n, false)
+		for p := 0; p < n; p++ {
+			for r := 0; r < NR; r++ {
+				if yp[p*NR+r] != b[r*stride+p] {
+					t.Fatalf("n=%d: packed (%d,%d) is %v, want %v", n, p, r, yp[p*NR+r], b[r*stride+p])
+				}
+			}
+		}
+		back := make([]float64, len(b))
+		for i := range back {
+			back[i] = -1
+		}
+		transposeRows8(yp, back, stride, n, true)
+		for i, v := range back {
+			want := b[i]
+			if i%stride >= n {
+				want = -1 // the gap between rows is never written
+			}
+			if v != want {
+				t.Fatalf("n=%d: unpacked element %d is %v, want %v", n, i, v, want)
+			}
+		}
+		panel := make([]float64, n*MR)
+		packPanelsA(panel, NoTrans, b, stride, 1, 0, MR, n, -1.5)
+		for p := 0; p < n; p++ {
+			for r := 0; r < MR; r++ {
+				if want := -1.5 * b[(1+r)*stride+p]; panel[p*MR+r] != want {
+					t.Fatalf("n=%d: A panel (%d,%d) is %v, want %v", n, p, r, panel[p*MR+r], want)
+				}
+			}
+		}
+	}
+}
+
 func benchGemm(b *testing.B, n int, naive bool) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
@@ -96,13 +143,12 @@ func BenchmarkPotrf256(b *testing.B)  { benchPotrf(b, 256) }
 func BenchmarkPotrf1024(b *testing.B) { benchPotrf(b, 1024) }
 
 // TestGemmZeroAllocSteadyState: after warm-up, repeated Gemm calls on the
-// packed path recycle all packing buffers through the pools.
+// packed path recycle all packing buffers through the pools, serially and
+// fanned out (kernel widths 1 and 4).
 func TestGemmZeroAllocSteadyState(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
 	n := 192
 	x := New(n, n)
 	y := New(n, n)
@@ -111,11 +157,15 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 		x.Data[i] = float64(i % 13)
 		y.Data[i] = float64(i % 11)
 	}
-	Gemm(NoTrans, NoTrans, 1, x, y, 0, c) // warm the pools
-	allocs := testing.AllocsPerRun(20, func() {
-		Gemm(NoTrans, Trans, 1, x, y, 0.5, c)
-	})
-	if allocs != 0 {
-		t.Fatalf("packed Gemm allocates %.1f objects per call in steady state, want 0", allocs)
+	for _, w := range []int{1, 4} {
+		prev := SetMaxWorkers(w)
+		Gemm(NoTrans, NoTrans, 1, x, y, 0, c) // warm the pools
+		allocs := testing.AllocsPerRun(20, func() {
+			Gemm(NoTrans, Trans, 1, x, y, 0.5, c)
+		})
+		SetMaxWorkers(prev)
+		if allocs != 0 {
+			t.Fatalf("width %d: packed Gemm allocates %.1f objects per call in steady state, want 0", w, allocs)
+		}
 	}
 }

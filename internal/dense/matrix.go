@@ -3,8 +3,10 @@
 // cuBLAS/cuSOLVER play in the DALIA paper: all block operations of the
 // BTA (block-tridiagonal-with-arrowhead) factorization, triangular solve
 // and selected inversion reduce to the Level-3 kernels implemented here
-// (GEMM, SYRK, TRSM) plus a recursive Cholesky (POTRF) and triangular
-// inverse (TRTRI), all running on one packed register-tile micro-kernel.
+// (GEMM, SYRK, TRSM) plus a packed Cholesky (POTRF) and a recursive
+// triangular inverse (TRTRI), all running on one packed register-tile
+// micro-kernel. Eliminate fuses one block elimination step of the BTA
+// factorization so that each of its operands is packed once.
 //
 // Matrices are stored row-major with an explicit stride, so cheap
 // rectangular views into larger buffers are possible without copying.

@@ -40,12 +40,19 @@ func packPanelsA(dst []float64, trans Transpose, aData []float64, aStride, i0, p
 		}
 		panel := dst[(ip/MR)*MR*kcb:]
 		if trans == NoTrans && h == MR {
-			// Four rows at once: one contiguous MR-store per k step.
-			// Rows resliced to length kcb exactly, so the loop runs free of
-			// per-element bounds checks.
+			// Four rows at once: one contiguous MR-store per k step, whole
+			// groups of four k steps in vector registers where
+			// packRows4Wide exists. Rows resliced to length kcb exactly, so
+			// the loop runs free of per-element bounds checks.
 			a := aData[(i0+ip)*aStride+p0:]
 			a0, a1, a2, a3 := a[:kcb], a[aStride:][:kcb], a[2*aStride:][:kcb], a[3*aStride:][:kcb]
-			for p := range a0 {
+			p := 0
+			if k4 := kcb &^ 3; k4 > 0 && packRows4Wide != nil {
+				_ = panel[k4*MR-1]
+				packRows4Wide(&panel[0], &a[0], aStride, k4, alpha)
+				p = k4
+			}
+			for ; p < kcb; p++ {
 				d := (*[MR]float64)(panel[p*MR:])
 				d[0], d[1], d[2], d[3] = alpha*a0[p], alpha*a1[p], alpha*a2[p], alpha*a3[p]
 			}
@@ -111,15 +118,30 @@ func packPanelsB(dst []float64, trans Transpose, bData []float64, bStride, p0, j
 	}
 }
 
+// packRows4Wide, when set (the AVX2 build on a capable CPU), packs whole
+// groups of four k steps of four rows for packPanelsA in vector registers.
+var packRows4Wide func(dst, a *float64, aStride, k4 int, alpha float64)
+
+// transposeRows8Wide, when set (the AVX2 build on a capable CPU), moves
+// whole groups of four columns for transposeRows8 in vector registers.
+var transposeRows8Wide func(yp, b *float64, bStride, n4 int, unpack bool)
+
 // transposeRows8 moves n columns of the NR = 8 rows of b (row stride
 // bStride) to or from their k-major packed form yp[p·NR + r] = b[r, p]:
-// into yp, or back into b when unpack is set. One p step moves a whole
-// packed row, and the rows are resliced to length n exactly, so neither
-// side pays a bounds check per element.
+// into yp, or back into b when unpack is set. transposeRows8Wide moves the
+// columns in groups of four where it exists; the loop below moves the
+// rest, a whole packed row per p step, on rows resliced to length n
+// exactly (which is also the bounds check of the whole move).
 func transposeRows8(yp, b []float64, bStride, n int, unpack bool) {
 	b0, b1, b2, b3 := b[:n], b[bStride:][:n], b[2*bStride:][:n], b[3*bStride:][:n]
 	b4, b5, b6, b7 := b[4*bStride:][:n], b[5*bStride:][:n], b[6*bStride:][:n], b[7*bStride:][:n]
-	for p := range b0 {
+	p0 := 0
+	if n4 := n &^ 3; n4 > 0 && transposeRows8Wide != nil {
+		_ = yp[n4*NR-1]
+		transposeRows8Wide(&yp[0], &b[0], bStride, n4, unpack)
+		p0 = n4
+	}
+	for p := p0; p < n; p++ {
 		d := (*[NR]float64)(yp[p*NR:])
 		if unpack {
 			b0[p], b1[p], b2[p], b3[p], b4[p], b5[p], b6[p], b7[p] = d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
@@ -141,13 +163,13 @@ const noMask = 1 << 40
 // line are skipped; full MR×NR tiles entirely below it hit C directly; edge
 // tiles and tiles the line crosses go through the zero-padded scratch tile,
 // of which only the valid lower region is accumulated.
-func macroKernel(mcb, ncb, kcb, diag int, aPan, bPan, tile, cData []float64, ldc int) {
+func macroKernel(mcb, ncb, kcb, diag int, aPan, bPan []float64, bStep int, tile, cData []float64, ldc int) {
 	for jp := 0; jp < ncb; jp += NR {
 		w := NR
 		if jp+w > ncb {
 			w = ncb - jp
 		}
-		bp := bPan[(jp/NR)*NR*kcb:]
+		bp := bPan[(jp/NR)*bStep:]
 		for ip := 0; ip < mcb; ip += MR {
 			h := MR
 			if ip+h > mcb {
@@ -184,24 +206,16 @@ func macroKernel(mcb, ncb, kcb, diag int, aPan, bPan, tile, cData []float64, ldc
 // shared read-only, each worker packs its own A panel. Every element of C
 // is accumulated in the same order whatever the tiling, so results are
 // bitwise independent of the worker count. Matrix operands are unwrapped to
-// (data, stride) immediately: the goroutine closures below must never
-// capture a *Matrix, or escape analysis would heap-allocate every View the
-// recursive Potrf/Trtri callers pass in.
+// (data, stride) immediately, so callers' Views stay on their stack.
 func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix, lower bool) {
 	m, n := c.Rows, c.Cols
 	k := a.Cols
 	if transA == Trans {
 		k = a.Rows
 	}
-	aData, aStride := a.Data, a.Stride
 	bData, bStride := b.Data, b.Stride
-	cData, cStride := c.Data, c.Stride
 	bBufP := packBPool.Get().(*[]float64)
 	bBuf := *bBufP
-	// Macro-tiles of at most mcBlock rows, balanced so a two-tile product
-	// does not split 128 + 16.
-	nTiles := (m + mcBlock - 1) / mcBlock
-	mc := ((m+nTiles-1)/nTiles + MR - 1) / MR * MR
 	for jc := 0; jc < n; jc += ncBlock {
 		ncb := min(ncBlock, n-jc)
 		diag := noMask
@@ -211,42 +225,61 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix, lower 
 		for pc := 0; pc < k; pc += kcBlock {
 			kcb := min(kcBlock, k-pc)
 			packPanelsB(bBuf, transB, bData, bStride, pc, jc, kcb, ncb)
-			if MaxWorkers() <= 1 || nTiles < 2 {
-				// Serial fast path: no closure, zero per-call allocations.
-				gemmTileRange(0, nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
-			} else {
-				gemmTilesParallel(nTiles, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
-			}
+			gemmSweep(gemmJob{transA: transA, alpha: alpha, aData: a.Data, aStride: a.Stride,
+				cData: c.Data, cStride: c.Stride, bPan: bBuf, bStep: kcb * NR,
+				m: m, pc: pc, jc: jc, kcb: kcb, ncb: ncb, diag: diag})
 		}
 	}
 	packBPool.Put(bBufP)
 }
 
-// gemmTilesParallel fans the macro-tile sweep out across workers. It lives
-// in its own function so the closure (and the heap moves of its captures)
-// only exists when parallelism is actually used — the serial path in
-// gemmPacked must stay allocation-free.
-func gemmTilesParallel(nTiles int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, mc, pc, jc, kcb, ncb, diag int) {
-	parForTiles(nTiles, func(t0, t1 int) {
-		gemmTileRange(t0, t1, transA, alpha, aData, aStride, cData, cStride, bBuf, m, mc, pc, jc, kcb, ncb, diag)
-	})
+// gemmJob is one packed B panel's share of a product: C[:, jc:jc+ncb] +=
+// alpha·op(A)[:, pc:pc+kcb]·B̃ over the m rows of C, in macro-tiles of mc
+// rows, masked to j ≤ i + diag (noMask for a full product). bPan is the
+// packed panel, bStep the length of one of its NR-wide micro-panels.
+type gemmJob struct {
+	transA           Transpose
+	alpha            float64
+	aData, cData     []float64
+	aStride, cStride int
+	bPan             []float64
+	bStep            int
+	m, mc            int
+	pc, jc, kcb, ncb int
+	diag             int
 }
 
-// gemmTileRange processes macro-tiles [t0,t1) of mc rows of C against the
-// shared packed B panel: pack the worker-private A panel, run the
-// macro-kernel. Tiles wholly above the diagonal line are not even packed.
-func gemmTileRange(t0, t1 int, transA Transpose, alpha float64, aData []float64, aStride int, cData []float64, cStride int, bBuf []float64, m, mc, pc, jc, kcb, ncb, diag int) {
+var gemmJobs = sync.Pool{New: func() any { return new(gemmJob) }}
+
+// gemmSweep runs j over its macro-tiles of at most mcBlock rows, balanced
+// so a two-tile product does not split 128 + 16: serially, or fanned out
+// over the workers (any multi-tile product: a tile is up to mcBlock rows of
+// level-3 work, far above the cost of a goroutine).
+func gemmSweep(j gemmJob) {
+	nTiles := (j.m + mcBlock - 1) / mcBlock
+	j.mc = ((j.m+nTiles-1)/nTiles + MR - 1) / MR * MR
+	if MaxWorkers() <= 1 || nTiles < 2 {
+		j.run(0, nTiles)
+		return
+	}
+	fanOut(&gemmJobs, nTiles, 2, j)
+}
+
+// run processes macro-tiles [t0,t1) of mc rows of C against the shared
+// packed B panel: pack the worker-private A panel, run the macro-kernel.
+// Tiles wholly above the diagonal line are not even packed.
+func (j *gemmJob) run(t0, t1 int) {
 	aBufP := packAPool.Get().(*[]float64)
 	aBuf := *aBufP
 	tile := aBuf[mcBlock*kcBlock:]
 	for t := t0; t < t1; t++ {
-		ic := t * mc
-		mcb := min(mc, m-ic)
-		if mcb <= 0 || ic+mcb-1+diag < 0 {
+		ic := t * j.mc
+		mcb := min(j.mc, j.m-ic)
+		if mcb <= 0 || ic+mcb-1+j.diag < 0 {
 			continue
 		}
-		packPanelsA(aBuf, transA, aData, aStride, ic, pc, mcb, kcb, alpha)
-		macroKernel(mcb, ncb, kcb, ic+diag, aBuf, bBuf, tile, cData[ic*cStride+jc:], cStride)
+		packPanelsA(aBuf, j.transA, j.aData, j.aStride, ic, j.pc, mcb, j.kcb, j.alpha)
+		macroKernel(mcb, j.ncb, j.kcb, ic+j.diag, aBuf, j.bPan, j.bStep, tile, j.cData[ic*j.cStride+j.jc:], j.cStride)
 	}
 	packAPool.Put(aBufP)
 }

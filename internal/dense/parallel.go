@@ -28,43 +28,63 @@ func MaxWorkers() int { return int(atomic.LoadInt64(&maxWorkers)) }
 // result rows than this stay serial (goroutine overhead would dominate).
 const parallelRows = 128
 
-// parFor runs body(lo,hi) over [0,n) split into contiguous chunks across at
-// most MaxWorkers goroutines. It runs serially when the bound is 1 or the
-// range is small.
-func parFor(n int, body func(lo, hi int)) {
-	parForMin(n, parallelRows, body)
+// ranger is the body of a parallel loop: run processes [lo, hi). The
+// kernels implement it on pooled job values (gemmJob, trsmJob, gemvJob), so
+// a fan-out captures no closure and allocates nothing.
+type ranger interface{ run(lo, hi int) }
+
+// chunk is one contiguous range of a fan-out, handed to the goroutine that
+// fanOut starts for it.
+type chunk struct {
+	body   ranger
+	lo, hi int
+	done   *sync.WaitGroup
 }
 
-// parForTiles distributes nTiles macro-tiles across workers. Unlike parFor,
-// any multi-tile range fans out: one tile is mcBlock rows of level-3 work,
-// far above goroutine overhead.
-func parForTiles(nTiles int, body func(t0, t1 int)) {
-	parForMin(nTiles, 2, body)
+// chunks carries fanned-out ranges to runChunk. Every send is followed by
+// exactly one `go runChunk()`, so a receiver never blocks and a full buffer
+// only delays the sender until a started goroutine drains it. A call sends
+// at most MaxWorkers − 1 chunks; the buffer holds those of many concurrent
+// calls (partition gangs, batch replicas) so that senders rarely wait.
+var chunks = make(chan chunk, 256)
+
+// runChunk runs one fanned-out range. It takes no arguments, so the go
+// statement that starts it builds no closure, and the runtime recycles the
+// goroutine once it returns: the fan-out is allocation-free in steady
+// state and leaves no goroutine behind.
+func runChunk() {
+	c := <-chunks
+	c.body.run(c.lo, c.hi)
+	c.done.Done()
 }
 
-// parForMin is the shared splitter: serial below the given grain, otherwise
-// contiguous chunks across at most MaxWorkers goroutines.
-func parForMin(n, grain int, body func(lo, hi int)) {
-	w := MaxWorkers()
-	if w <= 1 || n < grain {
-		body(0, n)
-		return
-	}
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
+// fanOut runs job over [0, n) in contiguous chunks across at most
+// MaxWorkers goroutines, the first of which runs on the caller's; below
+// grain, or at one worker, it runs serially. Chunks travel over a channel,
+// so they carry a pooled copy of job, never the caller's stack, and the
+// fan-out allocates nothing in steady state.
+func fanOut[J any, P interface {
+	*J
+	ranger
+}](pool *sync.Pool, n, grain int, job J) {
+	p := pool.Get().(P)
+	*p = job
+	if w := min(MaxWorkers(), n); w <= 1 || n < grain {
+		p.run(0, n)
+	} else {
+		size := (n + w - 1) / w
+		wg := waitGroups.Get().(*sync.WaitGroup)
+		for lo := size; lo < n; lo += size {
+			wg.Add(1)
+			chunks <- chunk{p, lo, min(lo+size, n), wg}
+			go runChunk()
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+		p.run(0, size)
+		wg.Wait()
+		waitGroups.Put(wg)
 	}
-	wg.Wait()
+	*p = *new(J)
+	pool.Put(p)
 }

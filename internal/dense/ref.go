@@ -8,8 +8,9 @@ import "math"
 // speedup of the tiled engine is a reported number rather than an
 // assertion. GemmNaive is the seed implementation's i-k-j loop; it is also
 // the small-size path of Gemm, where packing overhead would dominate. The
-// unblocked syrkRef, trsmUnb, potf2 and trtriUnb are likewise the leaves
-// below the packed engine's switch-over sizes.
+// unblocked syrkRef, trsmUnb and trtriUnb are likewise the leaves below the
+// packed engine's switch-over sizes; potf2 is only the reference of the
+// packed Potrf.
 
 // GemmNaive computes C = alpha*op(A)*op(B) + beta*C with plain triple
 // loops (no packing, no register tiling, no parallelism). Shapes must
@@ -198,8 +199,8 @@ func trsmUnb(side Side, trans Transpose, l, b *Matrix) {
 	}
 }
 
-// potf2 is the unblocked lower Cholesky: Potrf's leaf, where every pivot is
-// checked (≤ 0 or NaN is ErrNotPositiveDefinite), and the test reference.
+// potf2 is the unblocked lower Cholesky (a pivot ≤ 0 or NaN is
+// ErrNotPositiveDefinite): the test reference of the packed Potrf.
 func potf2(a *Matrix) error {
 	n := a.Rows
 	for j := 0; j < n; j++ {

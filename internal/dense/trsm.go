@@ -1,6 +1,9 @@
 package dense
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Packed triangular solve. Each Trsm variant is a set of independent row
 // solves Y·op(L) = C on Y = B (side Right) or Y = Bᵀ (side Left):
@@ -64,15 +67,10 @@ func Trsm(side Side, trans Transpose, l, b *Matrix) {
 		trsmUnb(side, trans, l, b)
 		return
 	}
-	fwd := (side == Right) == (trans == Trans)
-	left := side == Left
 	lpP := packBPool.Get().(*[]float64)
+	fwd := (side == Right) == (trans == Trans)
 	packTrsmL(*lpP, fwd, l.Data, l.Stride, n)
-	if MaxWorkers() <= 1 || m < parallelRows {
-		trsmRowBlocks(0, m, fwd, left, n, *lpP, b.Data, b.Stride)
-	} else {
-		trsmRowBlocksParallel(m, fwd, left, n, *lpP, b.Data, b.Stride)
-	}
+	trsmSweep(trsmJob{fwd: fwd, left: side == Left, n: n, lp: *lpP, bData: b.Data, bStride: b.Stride, m: m})
 	packBPool.Put(lpP)
 }
 
@@ -128,7 +126,6 @@ func trsmSlot(s int) int {
 // (backward, for T·D) at k = q. Columns past n are zero.
 func packTrsmL(dst []float64, fwd bool, lData []float64, lStride, n int) {
 	nt := (n + MR - 1) / MR
-	var inv [MR * MR]float64
 	for s := 0; s < nt; s++ {
 		t := s
 		if !fwd {
@@ -145,15 +142,22 @@ func packTrsmL(dst []float64, fwd bool, lData []float64, lStride, n int) {
 		} else {
 			packPanelsA(dst[off:], Trans, lData, lStride, c0, c0+MR, w, max(0, n-c0-MR), -1)
 		}
-		invLowerTile(&inv, lData, lStride, c0, w)
-		d := dst[off+s*MR*MR : off+(s+1)*MR*MR]
-		for q := 0; q < MR; q++ {
-			for j := 0; j < MR; j++ {
-				if fwd {
-					d[q*MR+j] = inv[j*MR+q]
-				} else {
-					d[q*MR+j] = inv[q*MR+j]
-				}
+		packInverse(dst[off+s*MR*MR:off+(s+1)*MR*MR], fwd, lData, lStride, c0, w)
+	}
+}
+
+// packInverse writes the inverse D of the w×w lower-triangular block of L
+// at (c0, c0) into the slot tail d, as D[j, q] (forward, for T·Dᵀ) or
+// D[q, j] (backward, for T·D) at k = q.
+func packInverse(d []float64, fwd bool, lData []float64, lStride, c0, w int) {
+	var inv [MR * MR]float64
+	invLowerTile(&inv, lData, lStride, c0, w)
+	for q := 0; q < MR; q++ {
+		for j := 0; j < MR; j++ {
+			if fwd {
+				d[q*MR+j] = inv[j*MR+q]
+			} else {
+				d[q*MR+j] = inv[q*MR+j]
 			}
 		}
 	}
@@ -177,24 +181,53 @@ func invLowerTile(inv *[MR * MR]float64, lData []float64, lStride, c0, w int) {
 	}
 }
 
-// trsmRowBlocksParallel fans row blocks of NR out across workers; like
-// gemmTilesParallel it exists so that only the parallel path builds a
-// closure.
-func trsmRowBlocksParallel(m int, fwd, left bool, n int, lp, bData []float64, bStride int) {
-	parForTiles((m+NR-1)/NR, func(t0, t1 int) {
-		trsmRowBlocks(t0*NR, min(t1*NR, m), fwd, left, n, lp, bData, bStride)
-	})
+// trsmJob solves the m rows of Y held in bData (rows of B, or columns for a
+// left-side solve) against the packed factor lp. With keep set, each block
+// of NR rows is solved in its own trsmPanel(n)-long stretch of keep and left
+// there: the k-major form packPanelsB(Trans, Y, …) builds, which the step's
+// products read as their packed B operand (step.go).
+type trsmJob struct {
+	fwd, left bool
+	n, m      int
+	lp, bData []float64
+	bStride   int
+	keep      []float64
 }
 
-// trsmRowBlocks solves rows [r0, r1) of Y, NR at a time, against the packed
-// factor lp. Y row i is B row i (right side) or B column i (left side).
-func trsmRowBlocks(r0, r1 int, fwd, left bool, n int, lp, bData []float64, bStride int) {
+var trsmJobs = sync.Pool{New: func() any { return new(trsmJob) }}
+
+// trsmPanel is the length of one block of NR packed rows of Y at order n:
+// whole column tiles, so the last tile's solve stays inside its block.
+func trsmPanel(n int) int {
+	return (n + MR - 1) / MR * MR * NR
+}
+
+// trsmSweep solves every row block of j: serially, or, for tall Y, fanned
+// out over the workers.
+func trsmSweep(j trsmJob) {
+	nb := (j.m + NR - 1) / NR
+	if MaxWorkers() <= 1 || j.m < parallelRows {
+		j.run(0, nb)
+		return
+	}
+	fanOut(&trsmJobs, nb, 2, j)
+}
+
+// run solves row blocks [b0, b1) of Y, NR rows each. Y row i is B row i
+// (right side) or B column i (left side).
+func (j *trsmJob) run(b0, b1 int) {
+	n, fwd, bData, bStride := j.n, j.fwd, j.bData, j.bStride
 	ypP := packAPool.Get().(*[]float64)
 	nt := (n + MR - 1) / MR
-	yp := (*ypP)[:nt*MR*NR]
-	tile := (*ypP)[nt*MR*NR : nt*MR*NR+MR*NR]
-	for i0 := r0; i0 < r1; i0 += NR {
-		h := min(NR, r1-i0)
+	pl := trsmPanel(n)
+	yp := (*ypP)[:pl]
+	tile := (*ypP)[pl : pl+MR*NR]
+	for blk := b0; blk < b1; blk++ {
+		i0 := blk * NR
+		h := min(NR, j.m-i0)
+		if j.keep != nil {
+			yp = j.keep[blk*pl : (blk+1)*pl]
+		}
 		// Pack: yp[p·NR + r] = Y[i0+r, p], zero-padded to NR rows and to
 		// whole column tiles (the padding meets zero rows of the inverse
 		// tiles, so it must hold finite values: a pooled buffer may not).
@@ -204,7 +237,7 @@ func trsmRowBlocks(r0, r1 int, fwd, left bool, n int, lp, bData []float64, bStri
 			clear(yp[n*NR:])
 		}
 		switch {
-		case left:
+		case j.left:
 			for p := 0; p < n; p++ {
 				d := yp[p*NR : p*NR+h]
 				for r, v := range bData[p*bStride+i0 : p*bStride+i0+h] {
@@ -227,17 +260,10 @@ func trsmRowBlocks(r0, r1 int, fwd, left bool, n int, lp, bData []float64, bStri
 				kOff = (t + 1) * MR
 				k = max(0, n-kOff)
 			}
-			slot := lp[trsmSlot(s):]
-			yt := yp[t*MR*NR : (t+1)*MR*NR]
-			ukernel(k, slot, yp[kOff*NR:], yt, NR)
-			// Array moves, not copy/clear: a 32-element runtime call per
-			// tile is a measured share at b ≈ 60.
-			*(*[MR * NR]float64)(tile) = *(*[MR * NR]float64)(yt)
-			*(*[MR * NR]float64)(yt) = [MR * NR]float64{}
-			ukernel(MR, slot[s*MR*MR:], tile, yt, NR)
+			solveTile(k, j.lp[trsmSlot(s):], s, yp[kOff*NR:], yp[t*MR*NR:(t+1)*MR*NR], tile)
 		}
 		switch {
-		case left:
+		case j.left:
 			for p := 0; p < n; p++ {
 				d := bData[p*bStride+i0 : p*bStride+i0+h]
 				for r, v := range yp[p*NR : p*NR+h] {
@@ -256,4 +282,17 @@ func trsmRowBlocks(r0, r1 int, fwd, left bool, n int, lp, bData []float64, bStri
 		}
 	}
 	packAPool.Put(ypP)
+}
+
+// solveTile is one column tile of a packed row solve, in place on yt: the
+// coupling update T = C_t − Y_done·coupling (k deep, from slot s's
+// coupling and the packed solved columns yDone), then Y_t = T·D through
+// the slot's inverse tile; tile is MR×NR scratch.
+func solveTile(k int, slot []float64, s int, yDone, yt, tile []float64) {
+	ukernel(k, slot, yDone, yt, NR)
+	// Array moves, not copy/clear: a 32-element runtime call per tile is a
+	// measured share at b ≈ 60.
+	*(*[MR * NR]float64)(tile) = *(*[MR * NR]float64)(yt)
+	*(*[MR * NR]float64)(yt) = [MR * NR]float64{}
+	ukernel(MR, slot[s*MR*MR:], tile, yt, NR)
 }

@@ -46,38 +46,31 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 // conditional-mean right-hand side and solve, log-determinant, the prior's
 // quadratic form and the log-likelihood) performs zero heap allocations —
 // on the small fixture and at the benchmark's two block shapes, b=144 with
-// a=2 (fit_uni_gauss) and b=60 with a=3 (fit_tri_gauss).
+// a=2 (fit_uni_gauss) and b=60 with a=3 (fit_tri_gauss), serially and at
+// kernel width 4 (fits run at GOMAXPROCS, where the b = 144 kernels fan
+// out).
 func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
-	for _, cfg := range []synth.GenConfig{
-		{Nv: 2, Nt: 3, Nr: 2, MeshNx: 4, MeshNy: 4, ObsPerStep: 25, Seed: 7},
-		{Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 7},
-		{Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 7},
-	} {
-		ds, err := synth.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}
-		th, err := ds.Model.DecodeTheta(ds.Theta0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := e.getScratch()
-		// Warm-up: assemble once, factorize once, solve once.
-		if err := ds.Model.QcInto(th, ws.qc); err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.fc.Refactorize(ws.qc); err != nil {
-			t.Fatal(err)
-		}
-		ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
-		ws.fc.Solve(ws.mu)
-		allocs := testing.AllocsPerRun(10, func() {
+	for _, w := range []int{1, 4} {
+		for _, cfg := range []synth.GenConfig{
+			{Nv: 2, Nt: 3, Nr: 2, MeshNx: 4, MeshNy: 4, ObsPerStep: 25, Seed: 7},
+			{Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 7},
+			{Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 7},
+		} {
+			ds, err := synth.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}
+			th, err := ds.Model.DecodeTheta(ds.Theta0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := dense.SetMaxWorkers(w)
+			ws := e.getScratch()
+			// Warm-up: assemble once, factorize once, solve once.
 			if err := ds.Model.QcInto(th, ws.qc); err != nil {
 				t.Fatal(err)
 			}
@@ -86,14 +79,25 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 			}
 			ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
 			ws.fc.Solve(ws.mu)
-			_ = ws.fc.LogDet()
-			_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
-			_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
-		})
-		e.scratch.Put(ws)
-		_, b, a := ds.Model.Dims.BTAShape()
-		if allocs != 0 {
-			t.Fatalf("b=%d a=%d: evaluator solver cycle allocates %.1f objects per run in steady state, want 0", b, a, allocs)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := ds.Model.QcInto(th, ws.qc); err != nil {
+					t.Fatal(err)
+				}
+				if err := ws.fc.Refactorize(ws.qc); err != nil {
+					t.Fatal(err)
+				}
+				ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
+				ws.fc.Solve(ws.mu)
+				_ = ws.fc.LogDet()
+				_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
+				_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
+			})
+			dense.SetMaxWorkers(prev)
+			e.scratch.Put(ws)
+			_, b, a := ds.Model.Dims.BTAShape()
+			if allocs != 0 {
+				t.Fatalf("width %d b=%d a=%d: evaluator solver cycle allocates %.1f objects per run in steady state, want 0", w, b, a, allocs)
+			}
 		}
 	}
 }
