@@ -50,11 +50,19 @@ purego:
 
 # Fault-injection tests, selected by name across the packages that have
 # them (`go test -list '<regex>' <pkg>` shows what a package contributes).
-CHAOS_RUN = Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dropped|Dead|Abort|Death|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Resilience|Torture|Restart|Interrupted
+# The target fails before running anything when an alternative of
+# CHAOS_RUN selects no test in any of CHAOS_PKGS, so a renamed or deleted
+# test cannot leave a dead alternative behind.
+CHAOS_RUN = Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dead|Abort|Death|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Torture|Restart|Interrupted
+CHAOS_PKGS = ./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
 
 chaos:
-	$(GO) test -race -count=2 -run '$(CHAOS_RUN)' \
-		./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
+	@names=$$($(GO) test -list . $(CHAOS_PKGS)) || { echo "$$names"; exit 1; }; \
+	for alt in $$(echo '$(CHAOS_RUN)' | tr '|' ' '); do \
+		echo "$$names" | grep -E '^(Test|Fuzz|Example)' | grep -q "$$alt" || \
+			{ echo "chaos: CHAOS_RUN alternative '$$alt' selects no test in $(CHAOS_PKGS)"; exit 1; }; \
+	done
+	$(GO) test -race -count=2 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...

@@ -199,7 +199,7 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 		evaluators[i] = &RINLAEvaluator{Model: m, Prior: prior}
 	}
 	evals := make([]int, world) // each rank writes its own element
-	st := comm.Run(world, mach, func(c *comm.Comm) {
+	st, err := comm.Run(world, mach, nil, func(c *comm.Comm) error {
 		ev := evaluators[c.Rank()]
 		theta := append([]float64(nil), theta0...)
 		for iter := 0; iter < iterations; iter++ {
@@ -223,7 +223,11 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 			}
 			c.Barrier()
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return &SimReport{
 		PerIter:  st.Makespan() / float64(iterations),
 		Makespan: st.Makespan(),

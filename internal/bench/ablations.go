@@ -165,43 +165,10 @@ func AblationLB(quick bool) (*Figure, error) {
 		if err != nil {
 			continue
 		}
-		var tFac, tSol, tInv float64
-		comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
-			local, err := bta.LocalSlice(g, parts, bta.UniformStreams(p, 1), c.Rank())
-			if err != nil {
-				return
-			}
-			f, err := bta.NewDistFactor(local)
-			if err != nil {
-				return
-			}
-			c.Barrier()
-			t0 := c.Clock()
-			if err := bta.PPOBTAF(c, f, local); err != nil {
-				return
-			}
-			c.Barrier()
-			t1 := c.Clock()
-			part := parts[c.Rank()]
-			rl := append([]float64(nil), rhs[part.Lo*g.B:(part.Hi+1)*g.B]...)
-			var rt []float64
-			if g.A > 0 {
-				rt = rhs[g.N*g.B:]
-			}
-			if _, _, err := bta.PPOBTAS(c, f, rl, rt); err != nil {
-				return
-			}
-			c.Barrier()
-			t2 := c.Clock()
-			if _, err := bta.PPOBTASI(c, f); err != nil {
-				return
-			}
-			c.Barrier()
-			t3 := c.Clock()
-			if c.Rank() == 0 {
-				tFac, tSol, tInv = t1-t0, t2-t1, t3-t2
-			}
-		})
+		tFac, tSol, tInv, err := solverPhaseSeconds(g, parts, rhs)
+		if err != nil {
+			return nil, err
+		}
 		sFac.Add(lb, tFac)
 		sSol.Add(lb, tSol)
 		sInv.Add(lb, tInv)

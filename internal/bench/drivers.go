@@ -166,43 +166,10 @@ func Fig5(quick bool) (*Figure, error) {
 			for i := range rhs {
 				rhs[i] = rng.NormFloat64()
 			}
-			var tFac, tSol, tInv float64
-			comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
-				local, err := bta.LocalSlice(g, parts, bta.UniformStreams(p, 1), c.Rank())
-				if err != nil {
-					return
-				}
-				f, err := bta.NewDistFactor(local)
-				if err != nil {
-					return
-				}
-				c.Barrier()
-				t0 := c.Clock()
-				if err := bta.PPOBTAF(c, f, local); err != nil {
-					return
-				}
-				c.Barrier()
-				t1 := c.Clock()
-				part := parts[c.Rank()]
-				rl := append([]float64(nil), rhs[part.Lo*g.B:(part.Hi+1)*g.B]...)
-				var rt []float64
-				if g.A > 0 {
-					rt = rhs[g.N*g.B:]
-				}
-				if _, _, err := bta.PPOBTAS(c, f, rl, rt); err != nil {
-					return
-				}
-				c.Barrier()
-				t2 := c.Clock()
-				if _, err := bta.PPOBTASI(c, f); err != nil {
-					return
-				}
-				c.Barrier()
-				t3 := c.Clock()
-				if c.Rank() == 0 {
-					tFac, tSol, tInv = t1-t0, t2-t1, t3-t2
-				}
-			})
+			tFac, tSol, tInv, err := solverPhaseSeconds(g, parts, rhs)
+			if err != nil {
+				return nil, err
+			}
 			record("factorization", lb, p, tFac)
 			record("triangular solve", lb, p, tSol)
 			record("selected inversion", lb, p, tInv)
@@ -222,6 +189,51 @@ func Fig5(quick bool) (*Figure, error) {
 		}
 	}
 	return fig, nil
+}
+
+// solverPhaseSeconds runs PPOBTAF, PPOBTAS and PPOBTASI on g over one rank
+// per partition and returns rank 0's virtual seconds in each routine, every
+// phase fenced by barriers.
+func solverPhaseSeconds(g *bta.Matrix, parts []bta.Partition, rhs []float64) (tFac, tSol, tInv float64, err error) {
+	p := len(parts)
+	_, err = comm.Run(p, comm.DefaultMachine(), nil, func(c *comm.Comm) error {
+		local, err := bta.LocalSlice(g, parts, bta.UniformStreams(p, 1), c.Rank())
+		if err != nil {
+			return err
+		}
+		f, err := bta.NewDistFactor(local)
+		if err != nil {
+			return err
+		}
+		c.Barrier()
+		t0 := c.Clock()
+		if err := bta.PPOBTAF(c, f, local); err != nil {
+			return err
+		}
+		c.Barrier()
+		t1 := c.Clock()
+		part := parts[c.Rank()]
+		rl := append([]float64(nil), rhs[part.Lo*g.B:(part.Hi+1)*g.B]...)
+		var rt []float64
+		if g.A > 0 {
+			rt = rhs[g.N*g.B:]
+		}
+		if _, _, err := bta.PPOBTAS(c, f, rl, rt); err != nil {
+			return err
+		}
+		c.Barrier()
+		t2 := c.Clock()
+		if _, err := bta.PPOBTASI(c, f); err != nil {
+			return err
+		}
+		c.Barrier()
+		t3 := c.Clock()
+		if c.Rank() == 0 {
+			tFac, tSol, tInv = t1-t0, t2-t1, t3-t2
+		}
+		return nil
+	})
+	return tFac, tSol, tInv, err
 }
 
 // Fig6a reproduces the weak scaling through the time domain (WA1): DALIA

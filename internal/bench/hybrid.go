@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
@@ -111,25 +110,14 @@ func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) 
 	if err != nil {
 		return 0, err
 	}
-	var mu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		mu.Unlock()
-	}
-	st := comm.Run(ranks, comm.DefaultMachine(), func(c *comm.Comm) {
+	st, err := comm.Run(ranks, comm.DefaultMachine(), nil, func(c *comm.Comm) error {
 		local, err := bta.NewLocalBTA(parts, bta.UniformStreams(ranks, perRank), c.Rank(), g.N, g.B, g.A)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		f, err := bta.NewDistFactor(local)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		span := local.Part
 		rhsLocal := make([]float64, span.Size()*g.B)
@@ -140,22 +128,20 @@ func hybridCycleSeconds(g *bta.Matrix, rhs []float64, ranks, perRank, reps int) 
 		for rep := 0; rep < reps; rep++ {
 			local.FillFrom(g)
 			if err := bta.PPOBTAF(c, f, local); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			copy(rhsLocal, rhs[span.Lo*g.B:(span.Hi+1)*g.B])
 			if _, _, err := bta.PPOBTAS(c, f, rhsLocal, rhsTip); err != nil {
-				fail(err)
-				return
+				return err
 			}
 			if _, err := bta.PPOBTASI(c, f); err != nil {
-				fail(err)
-				return
+				return err
 			}
 		}
+		return nil
 	})
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	return st.Makespan() / float64(reps), nil
 }

@@ -220,7 +220,7 @@ func (f *DistFactor) LogDet() float64 { return f.logDet }
 
 // collective guards a collective entry point: the communicator must match
 // the factor's topology, and a communication fault mid-protocol (a dead
-// peer, a revoked communicator, a receive timeout) aborts cleanly — the
+// peer or a revoked communicator) aborts cleanly — the
 // gangs complete inside comm.Compute before any exchange, so no goroutine
 // outlives the abort, all storage stays with the factor, and the fault comes
 // back as a wrapped error the driver can test with comm.Retryable.

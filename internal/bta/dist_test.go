@@ -202,7 +202,7 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 		sigLows: make([]*dense.Matrix, n-1),
 	}
 	var mu chanMutex = make(chan struct{}, 1)
-	comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
+	if err := runWorld(p, func(c *comm.Comm) {
 		f, err := distFactorize(c, g, parts, UniformStreams(p, 1))
 		if err != nil {
 			mu.Lock()
@@ -251,8 +251,20 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 			res.sigLows[part.Lo-1] = sig.TopCoupling
 		}
 		mu.Unlock()
-	})
+	}); err != nil && res.err == nil {
+		res.err = err
+	}
 	return res
+}
+
+// runWorld runs a fault-free SPMD body over p simulated ranks; a rank's
+// escaped panic or comm fault comes back as the error.
+func runWorld(p int, body func(c *comm.Comm)) error {
+	_, err := comm.Run(p, comm.DefaultMachine(), nil, func(c *comm.Comm) error {
+		body(c)
+		return nil
+	})
+	return err
 }
 
 // distFactorize builds the calling rank's slice of g and its factor over
@@ -372,7 +384,7 @@ func TestDistributedMinimalMiddlePartitions(t *testing.T) {
 	got := make([]float64, g.Dim())
 	sigDiag := make([]float64, g.Dim())
 	var mu chanMutex = make(chan struct{}, 1)
-	comm.Run(4, comm.DefaultMachine(), func(c *comm.Comm) {
+	if err := runWorld(4, func(c *comm.Comm) {
 		df, err := distFactorize(c, g, parts, UniformStreams(4, 1))
 		if err != nil {
 			mu.Lock()
@@ -411,7 +423,9 @@ func TestDistributedMinimalMiddlePartitions(t *testing.T) {
 			}
 		}
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
@@ -440,7 +454,7 @@ func TestDistributedRejectsBadRhs(t *testing.T) {
 	parts, _ := PartitionBlocks(6, 2, 1)
 	var gotErr error
 	var mu chanMutex = make(chan struct{}, 1)
-	comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
+	if err := runWorld(2, func(c *comm.Comm) {
 		f, err := distFactorize(c, g, parts, UniformStreams(2, 1))
 		if err != nil {
 			return
@@ -451,7 +465,9 @@ func TestDistributedRejectsBadRhs(t *testing.T) {
 			gotErr = err
 		}
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if gotErr == nil {
 		t.Fatal("bad rhs length must error")
 	}
@@ -466,14 +482,16 @@ func TestDistributedIndefiniteFails(t *testing.T) {
 	parts, _ := PartitionBlocks(6, 2, 1)
 	sawError := false
 	var mu chanMutex = make(chan struct{}, 1)
-	comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
+	if err := runWorld(2, func(c *comm.Comm) {
 		_, err := distFactorize(c, g, parts, UniformStreams(2, 1))
 		mu.Lock()
 		if err != nil {
 			sawError = true
 		}
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if !sawError {
 		t.Fatal("indefinite matrix must fail distributed factorization")
 	}

@@ -51,7 +51,7 @@ func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, ranks
 		res.err = err
 		mu.Unlock()
 	}
-	comm.Run(world, comm.DefaultMachine(), func(c *comm.Comm) {
+	if err := runWorld(world, func(c *comm.Comm) {
 		hr := &ranks[c.Rank()]
 		if hr.f == nil {
 			var err error
@@ -106,7 +106,9 @@ func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, ranks
 			res.sigLows[span.Lo-1] = sig.TopCoupling.Clone()
 		}
 		mu.Unlock()
-	})
+	}); err != nil && res.err == nil {
+		res.err = err
+	}
 	return res
 }
 
@@ -221,7 +223,7 @@ func TestHybridUnequalStreams(t *testing.T) {
 		gotDiag := make([]float64, g.Dim())
 		var mu chanMutex = make(chan struct{}, 1)
 		var runErr error
-		comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
+		if err := runWorld(2, func(c *comm.Comm) {
 			f, err := distFactorize(c, g, parts, counts)
 			if err != nil {
 				mu.Lock()
@@ -257,7 +259,9 @@ func TestHybridUnequalStreams(t *testing.T) {
 				runErr = err
 				mu.Unlock()
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if runErr != nil {
 			t.Fatalf("a=%d: %v", a, runErr)
 		}
@@ -371,7 +375,7 @@ func distCycleAllocs(t *testing.T, nt int) float64 {
 		rhsLocals[r] = append([]float64(nil), rhs[p.Lo*g.B:(p.Hi+1)*g.B]...)
 	}
 	cycle := func() {
-		comm.Run(2, comm.DefaultMachine(), func(c *comm.Comm) {
+		if err := runWorld(2, func(c *comm.Comm) {
 			r := c.Rank()
 			locals[r].FillFrom(g)
 			if err := PPOBTAF(c, facs[r], locals[r]); err != nil {
@@ -389,7 +393,9 @@ func distCycleAllocs(t *testing.T, nt int) float64 {
 			if _, err := PPOBTASI(c, facs[r]); err != nil {
 				panic(err)
 			}
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Warm the lazily sized storage (message staging, Σ output).
 	cycle()

@@ -163,7 +163,7 @@ func TestOneDriverBitForBit(t *testing.T) {
 				}
 			}
 
-			comm.Run(1, comm.DefaultMachine(), func(c *comm.Comm) {
+			if err := runWorld(1, func(c *comm.Comm) {
 				local, err := LocalSlice(bad, parts, streams, 0)
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
@@ -206,7 +206,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 				if err := sameSigma(&got, wantSig); err != nil {
 					t.Errorf("%s: %v", label, err)
 				}
-			})
+			}); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestQuickDistributedEqualsSequential(t *testing.T) {
 		sigDiag := make([]float64, g.Dim())
 		gotLd := math.NaN()
 		done := make(chan struct{}, p)
-		comm.Run(p, comm.DefaultMachine(), func(c *comm.Comm) {
+		if err := runWorld(p, func(c *comm.Comm) {
 			defer func() { done <- struct{}{} }()
 			df, err := distFactorize(c, g, parts, UniformStreams(p, 1))
 			if err != nil {
@@ -93,7 +93,9 @@ func TestQuickDistributedEqualsSequential(t *testing.T) {
 				}
 				gotLd = df.LogDet()
 			}
-		})
+		}); err != nil {
+			return false
+		}
 		for i := 0; i < p; i++ {
 			<-done
 		}

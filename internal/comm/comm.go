@@ -20,8 +20,8 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -79,7 +79,7 @@ type Stats struct {
 	Ranks []RankStats
 	// FinalClocks holds each rank's virtual clock at exit.
 	FinalClocks []float64
-	// Killed lists the world ranks a RunPlan fault plan killed on schedule.
+	// Killed lists the world ranks the run's fault plan killed on schedule.
 	Killed []int
 }
 
@@ -139,11 +139,10 @@ type message struct {
 }
 
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	q     []message
-	sent  int64 // per-route send sequence (fault-plan determinism)
-	timed int   // receivers waiting with a virtual-time deadline
+	mu   sync.Mutex
+	cond *sync.Cond
+	q    []message
+	sent int64 // per-route send sequence (fault-plan determinism)
 }
 
 func newMailbox() *mailbox {
@@ -172,15 +171,14 @@ type World struct {
 	comms      []*commShared // registry for failure wakeups
 
 	// Fault-tolerance state (see fault.go).
-	plan         *FaultPlan
-	ops          []int64 // per-rank comm-op counts (each touched by its own goroutine)
-	deadMu       sync.Mutex
-	dead         []bool
-	anyDead      atomic.Bool
-	epochMu      sync.Mutex
-	revoked      atomic.Int64 // highest revoked shrink epoch (-1 = none)
-	deadSnap     map[int][]bool
-	timedWaiters atomic.Int32
+	plan     *FaultPlan
+	ops      []int64 // per-rank comm-op counts (each touched by its own goroutine)
+	deadMu   sync.Mutex
+	dead     []bool
+	anyDead  atomic.Bool
+	epochMu  sync.Mutex
+	revoked  atomic.Int64 // highest revoked shrink epoch (-1 = none)
+	deadSnap map[int][]bool
 }
 
 func newWorld(p int, mach Machine) *World {
@@ -198,25 +196,56 @@ func newWorld(p int, mach Machine) *World {
 	return w
 }
 
-// Run executes body as an SPMD program over p ranks on the given machine and
-// returns the run's statistics. body must be safe for concurrent execution
-// by p goroutines (each receives its own *Comm).
-func Run(p int, mach Machine, body func(c *Comm)) Stats {
+// Run executes body as an SPMD program over p ranks on the given machine,
+// injecting the faults of plan (nil runs fault-free), and returns the run's
+// statistics. body must be safe for concurrent execution by p goroutines
+// (each receives its own *Comm); Run panics when p < 1.
+//
+// Each rank's panics are recovered: a comm fault or escaped panic marks the
+// rank dead — peers still waiting on it observe a RankFailure instead of
+// hanging, as they do when a rank returns — and is reported in the joined
+// error, while the surviving ranks keep running. A rank dying on the plan's
+// schedule is the experiment, not a program error: it is listed in
+// Stats.Killed and left out of the error, which joins the ranks' own
+// returned errors and any unscheduled failures.
+func Run(p int, mach Machine, plan *FaultPlan, body func(c *Comm) error) (Stats, error) {
 	if p < 1 {
 		panic(&CommError{Op: "run", Rank: -1, Tag: -1, Msg: fmt.Sprintf("world size %d < 1", p)})
 	}
 	w := newWorld(p, mach)
+	w.plan = plan
 	world := w.newComm(identityMembers(p))
+	errs := make([]error, p)
+	var killedMu sync.Mutex
+	var killed []int
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			body(world.forRank(rank))
+			defer func() {
+				if rec := recover(); rec != nil {
+					switch v := rec.(type) {
+					case rankDeath:
+						killedMu.Lock()
+						killed = append(killed, v.rank)
+						killedMu.Unlock()
+					default:
+						if fe := FaultOf(rec); fe != nil {
+							errs[rank] = fmt.Errorf("comm: rank %d: %w", rank, fe)
+						} else {
+							errs[rank] = fmt.Errorf("comm: rank %d panicked: %v", rank, rec)
+						}
+					}
+				}
+				w.markDead(rank)
+			}()
+			errs[rank] = body(world.forRank(rank))
 		}(r)
 	}
 	wg.Wait()
-	return Stats{Ranks: append([]RankStats(nil), w.stats...), FinalClocks: append([]float64(nil), w.clocks...)}
+	st := Stats{Ranks: w.stats, FinalClocks: w.clocks, Killed: killed}
+	return st, errors.Join(errs...)
 }
 
 func identityMembers(p int) []int {
@@ -284,9 +313,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.shared.members) }
 
-// WorldRank returns the global rank index.
-func (c *Comm) WorldRank() int { return c.worldRank }
-
 // Clock returns this rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 {
 	w := c.shared.world
@@ -329,7 +355,6 @@ func (c *Comm) Compute(f func()) {
 	w.clockMu.Lock()
 	w.stats[c.worldRank].ComputeSeconds += dt
 	w.clockMu.Unlock()
-	w.wakeTimed()
 }
 
 // Measure runs f under the world's compute lock and returns its wall time
@@ -356,7 +381,6 @@ func (c *Comm) Elapse(seconds float64) {
 	w.clockMu.Lock()
 	w.stats[c.worldRank].ComputeSeconds += seconds
 	w.clockMu.Unlock()
-	w.wakeTimed()
 }
 
 func (c *Comm) mailbox(src, dst, tag int) *mailbox {
@@ -400,53 +424,44 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	cp := append([]float64(nil), data...)
 	mb.mu.Lock()
 	mb.sent++
-	if p := w.plan; p != nil {
-		drop, delay, corrupt, elem := p.decide(c.worldRank, dstWorld, tag, mb.sent)
-		if drop {
-			mb.mu.Unlock()
-			w.wakeTimed()
-			return
-		}
-		if corrupt && len(cp) > 0 {
-			cp[int(elem%uint64(len(cp)))] = math.NaN()
-		}
-		if delay {
-			sendClock += p.DelaySeconds
-		}
+	if p := w.plan; p != nil && p.delayed(c.worldRank, dstWorld, tag, mb.sent) {
+		sendClock += p.DelaySeconds
 	}
 	mb.q = append(mb.q, message{data: cp, sendClock: sendClock})
 	mb.cond.Broadcast()
 	mb.mu.Unlock()
-	w.wakeTimed()
 }
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. The receiver's clock advances to at least the
 // message's arrival time. When src has died or the communicator was
-// revoked, Recv panics with the typed fault; RecvErr returns it instead.
+// revoked, Recv panics with the typed fault (recover with Catch/FaultOf).
 func (c *Comm) Recv(src, tag int) []float64 {
-	out, err := c.recvCore(src, tag, math.Inf(1))
-	if err != nil {
-		panic(err)
+	if src < 0 || src >= c.Size() {
+		panic(&CommError{Op: "recv", Rank: c.rank, Tag: tag,
+			Msg: fmt.Sprintf("source rank %d outside communicator of size %d", src, c.Size())})
 	}
-	return out
-}
-
-// TryRecv returns (payload, true) when a matching message is already queued
-// and (nil, false) otherwise; it never blocks.
-func (c *Comm) TryRecv(src, tag int) ([]float64, bool) {
+	c.commOp("recv")
+	w := c.shared.world
+	srcWorld := c.shared.members[src]
 	mb := c.mailbox(src, c.rank, tag)
 	mb.mu.Lock()
-	if len(mb.q) == 0 {
-		mb.mu.Unlock()
-		return nil, false
+	for len(mb.q) == 0 {
+		if w.revokedAtLeast(c.shared.epoch) {
+			mb.mu.Unlock()
+			panic(&RevokedError{Epoch: c.shared.epoch})
+		}
+		if w.isDead(srcWorld) {
+			mb.mu.Unlock()
+			panic(&RankFailure{Rank: srcWorld, Op: "recv", Tag: tag})
+		}
+		mb.cond.Wait()
 	}
 	msg := mb.q[0]
 	mb.q = mb.q[1:]
 	mb.mu.Unlock()
 	c.setClock(msg.sendClock)
-	c.shared.world.wakeTimed()
-	return msg.data, true
+	return msg.data
 }
 
 // collective runs one synchronized phase: every member deposits its
@@ -548,7 +563,6 @@ func (c *Comm) collective(contrib []float64, words int, reduce func(bufs [][]flo
 	w.stats[c.worldRank].MessagesSent += hops
 	w.stats[c.worldRank].BytesSent += 8 * int64(words) * hops
 	w.clockMu.Unlock()
-	w.wakeTimed()
 	return out
 }
 
@@ -645,9 +659,9 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	})
 }
 
-// Gather collects every rank's data at root. Root receives the slices
-// concatenated in rank order, prefixed per rank by nothing — use
-// GatherVar for ragged payloads. Non-root ranks receive nil.
+// Gather collects every rank's data at root. Root receives one slice per
+// rank, in rank order; the slices may differ in length. Non-root ranks
+// receive nil.
 func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	n := c.Size()
 	flat := c.collective(data, len(data), func(bufs [][]float64) [][]float64 {
@@ -685,8 +699,8 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 	return out
 }
 
-// AllGather returns every rank's contribution, in rank order, on all ranks.
-func (c *Comm) AllGather(data []float64) [][]float64 {
+// allGather returns every rank's contribution, in rank order, on all ranks.
+func (c *Comm) allGather(data []float64) [][]float64 {
 	n := c.Size()
 	flat := c.collective(data, len(data)*n, func(bufs [][]float64) [][]float64 {
 		var enc []float64
@@ -724,7 +738,7 @@ func (c *Comm) AllGather(data []float64) [][]float64 {
 func (c *Comm) Split(color, key int) *Comm {
 	n := c.Size()
 	enc := []float64{float64(color), float64(key), float64(c.worldRank)}
-	all := c.AllGather(enc)
+	all := c.allGather(enc)
 	type member struct{ color, key, worldRank, commRank int }
 	var mine []member
 	for r := 0; r < n; r++ {

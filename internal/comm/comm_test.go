@@ -9,9 +9,23 @@ import (
 	"github.com/dalia-hpc/dalia/internal/dense"
 )
 
+// run executes a fault-free body over p ranks and fails the test on a run
+// error.
+func run(t *testing.T, p int, body func(c *Comm)) Stats {
+	t.Helper()
+	st, err := Run(p, DefaultMachine(), nil, func(c *Comm) error {
+		body(c)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestRunAllRanksExecute(t *testing.T) {
 	var count int64
-	st := Run(5, DefaultMachine(), func(c *Comm) {
+	st := run(t, 5, func(c *Comm) {
 		atomic.AddInt64(&count, 1)
 		if c.Size() != 5 {
 			t.Errorf("Size = %d", c.Size())
@@ -27,10 +41,10 @@ func TestRunAllRanksExecute(t *testing.T) {
 
 func TestRanksAreDistinct(t *testing.T) {
 	seen := make([]int64, 4)
-	Run(4, DefaultMachine(), func(c *Comm) {
+	run(t, 4, func(c *Comm) {
 		atomic.AddInt64(&seen[c.Rank()], 1)
-		if c.WorldRank() != c.Rank() {
-			t.Errorf("world rank %d != rank %d at top level", c.WorldRank(), c.Rank())
+		if c.worldRank != c.Rank() {
+			t.Errorf("world rank %d != rank %d at top level", c.worldRank, c.Rank())
 		}
 	})
 	for r, n := range seen {
@@ -41,7 +55,7 @@ func TestRanksAreDistinct(t *testing.T) {
 }
 
 func TestSendRecv(t *testing.T) {
-	Run(2, DefaultMachine(), func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
 		} else {
@@ -54,7 +68,7 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendRecvOrderingPerTag(t *testing.T) {
-	Run(2, DefaultMachine(), func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{10})
 			c.Send(1, 1, []float64{20})
@@ -73,27 +87,8 @@ func TestSendRecvOrderingPerTag(t *testing.T) {
 	})
 }
 
-func TestTryRecv(t *testing.T) {
-	Run(2, DefaultMachine(), func(c *Comm) {
-		if c.Rank() == 0 {
-			if _, ok := c.TryRecv(1, 9); ok {
-				t.Error("TryRecv before send must be empty")
-			}
-			c.Barrier()
-			c.Barrier()
-			if v, ok := c.TryRecv(1, 9); !ok || v[0] != 42 {
-				t.Errorf("TryRecv after send: %v %v", v, ok)
-			}
-		} else {
-			c.Barrier()
-			c.Send(0, 9, []float64{42})
-			c.Barrier()
-		}
-	})
-}
-
 func TestRecvAdvancesClockPastSender(t *testing.T) {
-	st := Run(2, DefaultMachine(), func(c *Comm) {
+	st := run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Elapse(1.0) // sender is busy for 1 virtual second first
 			c.Send(1, 0, make([]float64, 1000))
@@ -110,7 +105,7 @@ func TestRecvAdvancesClockPastSender(t *testing.T) {
 }
 
 func TestAllReduceSum(t *testing.T) {
-	Run(4, DefaultMachine(), func(c *Comm) {
+	run(t, 4, func(c *Comm) {
 		v := []float64{float64(c.Rank()), 1}
 		got := c.AllReduceSum(v)
 		if got[0] != 6 || got[1] != 4 { // 0+1+2+3, 1×4
@@ -120,7 +115,7 @@ func TestAllReduceSum(t *testing.T) {
 }
 
 func TestAllReduceMax(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
+	run(t, 3, func(c *Comm) {
 		got := c.AllReduceMax([]float64{float64(c.Rank()), -float64(c.Rank())})
 		if got[0] != 2 || got[1] != 0 {
 			t.Errorf("AllReduceMax = %v", got)
@@ -129,7 +124,7 @@ func TestAllReduceMax(t *testing.T) {
 }
 
 func TestBcast(t *testing.T) {
-	Run(4, DefaultMachine(), func(c *Comm) {
+	run(t, 4, func(c *Comm) {
 		var data []float64
 		if c.Rank() == 2 {
 			data = []float64{3.5, 4.5}
@@ -142,7 +137,7 @@ func TestBcast(t *testing.T) {
 }
 
 func TestGatherRagged(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
+	run(t, 3, func(c *Comm) {
 		data := make([]float64, c.Rank()+1)
 		for i := range data {
 			data[i] = float64(c.Rank()*10 + i)
@@ -165,22 +160,8 @@ func TestGatherRagged(t *testing.T) {
 	})
 }
 
-func TestAllGather(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
-		got := c.AllGather([]float64{float64(c.Rank() * 100)})
-		if len(got) != 3 {
-			t.Fatalf("AllGather returned %d slices", len(got))
-		}
-		for r := 0; r < 3; r++ {
-			if got[r][0] != float64(r*100) {
-				t.Errorf("AllGather[%d] = %v", r, got[r])
-			}
-		}
-	})
-}
-
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
+	run(t, 3, func(c *Comm) {
 		c.Elapse(float64(c.Rank())) // ranks at t = 0, 1, 2
 		c.Barrier()
 		if c.Clock() < 2 {
@@ -190,7 +171,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestSplitColorsAndRanks(t *testing.T) {
-	Run(6, DefaultMachine(), func(c *Comm) {
+	run(t, 6, func(c *Comm) {
 		color := c.Rank() % 2
 		sub := c.Split(color, c.Rank())
 		if sub.Size() != 3 {
@@ -217,7 +198,7 @@ func TestSplitColorsAndRanks(t *testing.T) {
 }
 
 func TestSplitSingleton(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
+	run(t, 3, func(c *Comm) {
 		sub := c.Split(c.Rank(), 0) // every rank its own color
 		if sub.Size() != 1 || sub.Rank() != 0 {
 			t.Errorf("singleton split wrong: size=%d rank=%d", sub.Size(), sub.Rank())
@@ -230,7 +211,7 @@ func TestSplitSingleton(t *testing.T) {
 }
 
 func TestNestedSplit(t *testing.T) {
-	Run(8, DefaultMachine(), func(c *Comm) {
+	run(t, 8, func(c *Comm) {
 		outer := c.Split(c.Rank()/4, c.Rank()) // two groups of 4
 		inner := outer.Split(outer.Rank()/2, outer.Rank())
 		if inner.Size() != 2 {
@@ -244,7 +225,7 @@ func TestNestedSplit(t *testing.T) {
 }
 
 func TestComputeAccountsTime(t *testing.T) {
-	st := Run(2, DefaultMachine(), func(c *Comm) {
+	st := run(t, 2, func(c *Comm) {
 		c.Compute(func() {
 			s := 0.0
 			for i := 0; i < 200000; i++ {
@@ -264,7 +245,7 @@ func TestComputeAccountsTime(t *testing.T) {
 }
 
 func TestStatsAggregates(t *testing.T) {
-	st := Run(3, DefaultMachine(), func(c *Comm) {
+	st := run(t, 3, func(c *Comm) {
 		c.Elapse(float64(c.Rank() + 1)) // 1, 2, 3 seconds
 	})
 	if math.Abs(st.TotalCompute()-6) > 1e-12 {
@@ -279,7 +260,7 @@ func TestStatsAggregates(t *testing.T) {
 }
 
 func TestBytesSentAccounting(t *testing.T) {
-	st := Run(2, DefaultMachine(), func(c *Comm) {
+	st := run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 100))
 		} else {
@@ -307,14 +288,14 @@ func TestCollectiveAccounting(t *testing.T) {
 		c.Bcast(0, data)
 		c.Barrier()
 	}
-	st := Run(4, DefaultMachine(), body)
+	st := run(t, 4, body)
 	for r, rs := range st.Ranks {
 		// ⌈log₂ 4⌉ = 2 hops each: AllReduceSum 10 words, Bcast 5, Barrier 0.
 		if rs.MessagesSent != 3*2 || rs.BytesSent != 8*(10+5+0)*2 {
 			t.Fatalf("rank %d: %d messages, %d bytes; want 6 and 240", r, rs.MessagesSent, rs.BytesSent)
 		}
 	}
-	st = Run(1, DefaultMachine(), body)
+	st = run(t, 1, body)
 	if rs := st.Ranks[0]; rs.MessagesSent != 0 || rs.BytesSent != 0 {
 		t.Fatalf("one-rank collectives charged %+v", rs)
 	}
@@ -337,7 +318,7 @@ func TestMachineCostModel(t *testing.T) {
 }
 
 func TestMatrixSendRecv(t *testing.T) {
-	Run(2, DefaultMachine(), func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
 			m := dense.New(2, 3)
 			m.Set(1, 2, 5.5)
@@ -353,7 +334,7 @@ func TestMatrixSendRecv(t *testing.T) {
 }
 
 func TestBcastMatrix(t *testing.T) {
-	Run(3, DefaultMachine(), func(c *Comm) {
+	run(t, 3, func(c *Comm) {
 		var m *dense.Matrix
 		if c.Rank() == 0 {
 			m = dense.Eye(3)
@@ -372,7 +353,7 @@ func TestQuickAllReduceMatchesSerialSum(t *testing.T) {
 			want += v
 		}
 		ok := true
-		Run(8, DefaultMachine(), func(c *Comm) {
+		run(t, 8, func(c *Comm) {
 			got := c.AllReduceSum([]float64{vals[c.Rank()]})
 			if math.Abs(got[0]-want) > 1e-9*(1+math.Abs(want)) {
 				ok = false
@@ -391,12 +372,12 @@ func TestWorldSizePanics(t *testing.T) {
 			t.Fatal("Run with size 0 must panic")
 		}
 	}()
-	Run(0, DefaultMachine(), func(c *Comm) {})
+	Run(0, DefaultMachine(), nil, func(c *Comm) error { return nil })
 }
 
 func TestSendOutOfRangePanics(t *testing.T) {
 	done := make(chan bool, 1)
-	Run(1, DefaultMachine(), func(c *Comm) {
+	run(t, 1, func(c *Comm) {
 		defer func() { done <- recover() != nil }()
 		c.Send(5, 0, nil)
 	})
@@ -406,7 +387,7 @@ func TestSendOutOfRangePanics(t *testing.T) {
 }
 
 func TestMeasureDoesNotChargeClock(t *testing.T) {
-	Run(2, DefaultMachine(), func(c *Comm) {
+	run(t, 2, func(c *Comm) {
 		before := c.Clock()
 		dt := c.Measure(func() {
 			s := 0.0

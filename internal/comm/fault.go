@@ -1,13 +1,13 @@
-// Fault model: deterministic, seed-driven injection of the failures a real
-// MPI+NCCL deployment sees — dropped, delayed and corrupted messages, and
-// whole-rank death — plus the ULFM-style recovery surface the upper layers
-// build on (typed RankFailure/RevokedError faults, communicator revocation,
-// and Shrink to a survivors-only communicator).
+// Fault model: deterministic, seed-driven injection of the two failures the
+// distributed drivers survive — delayed messages and whole-rank death —
+// plus the ULFM-style recovery surface the upper layers build on (typed
+// RankFailure/RevokedError faults, communicator revocation, and Shrink to a
+// survivors-only communicator).
 //
 // Faults are raised as panics carrying typed error values so the simulated
 // MPI API keeps its panic-on-anomaly signature; Catch/FaultOf convert them
 // to errors at recovery boundaries (the solver entry points and the
-// distributed driver's retry loop). RunErr/RunPlan run an SPMD body with a
+// distributed driver's retry loop). Run executes an SPMD body with a
 // per-rank recover, so a dying rank surfaces as a RankFailure instead of
 // taking the process down.
 package comm
@@ -15,8 +15,6 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sync"
 )
 
 // RankFailure reports that a rank is gone — killed by a fault plan, exited
@@ -45,17 +43,6 @@ type RevokedError struct {
 
 func (e *RevokedError) Error() string {
 	return fmt.Sprintf("comm: communicator revoked (epoch %d)", e.Epoch)
-}
-
-// TimeoutError reports a RecvTimeout whose virtual-time deadline expired
-// before a matching message could have arrived.
-type TimeoutError struct {
-	Src, Tag int
-	Deadline float64 // virtual seconds
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("comm: recv from rank %d (tag %d) timed out at virtual t=%.6gs", e.Src, e.Tag, e.Deadline)
 }
 
 // CommError carries rank/tag context for a communicator misuse — the
@@ -90,8 +77,6 @@ func FaultOf(r any) error {
 		return e
 	case *RevokedError:
 		return e
-	case *TimeoutError:
-		return e
 	case *CommError:
 		return e
 	}
@@ -114,46 +99,24 @@ func Catch(f func()) (err error) {
 	return nil
 }
 
-// IsRankFailure reports whether err (or anything it wraps) is a RankFailure.
-func IsRankFailure(err error) bool {
-	var rf *RankFailure
-	return errors.As(err, &rf)
-}
-
-// IsRevoked reports whether err (or anything it wraps) is a RevokedError.
-func IsRevoked(err error) bool {
-	var re *RevokedError
-	return errors.As(err, &re)
-}
-
-// IsTimeout reports whether err (or anything it wraps) is a TimeoutError.
-func IsTimeout(err error) bool {
-	var te *TimeoutError
-	return errors.As(err, &te)
-}
-
-// Retryable reports whether err is a fault a driver can recover from by
-// revoking, shrinking and retrying: a rank failure, a revocation, or a
-// receive timeout.
+// Retryable reports whether err (or anything it wraps) is a fault a driver
+// can recover from by revoking, shrinking and retrying: a rank failure or a
+// revocation.
 func Retryable(err error) bool {
-	return IsRankFailure(err) || IsRevoked(err) || IsTimeout(err)
+	var rf *RankFailure
+	var re *RevokedError
+	return errors.As(err, &rf) || errors.As(err, &re)
 }
 
-// FaultPlan is a deterministic, seed-driven fault injector. Message
-// decisions hash (Seed, world src, world dst, tag, per-route sequence
-// number), so a plan reproduces the same faults regardless of goroutine
-// scheduling; Kill schedules rank death by that rank's own operation count.
+// FaultPlan is a deterministic, seed-driven fault injector. Delay decisions
+// hash (Seed, world src, world dst, tag, per-route sequence number), so a
+// plan reproduces the same delays regardless of goroutine scheduling; Kill
+// schedules rank death by that rank's own operation count.
 type FaultPlan struct {
 	Seed int64
-	// DropProb is the probability a message is silently discarded (the
-	// sender is still charged; receivers need RecvTimeout to survive drops).
-	DropProb float64
 	// DelayProb/DelaySeconds add virtual latency to a message.
 	DelayProb    float64
 	DelaySeconds float64
-	// CorruptProb poisons one payload element with NaN — the detectable
-	// corruption the numerical layers quarantine via their finite checks.
-	CorruptProb float64
 	// Kill maps a world rank to the 1-based index of the communication
 	// operation (send, recv or collective) before which it dies.
 	Kill map[int]int
@@ -180,19 +143,12 @@ func (p *FaultPlan) routeHash(src, dst, tag int, seq int64) uint64 {
 
 func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// decide returns the injection decisions for one message.
-func (p *FaultPlan) decide(src, dst, tag int, seq int64) (drop, delay, corrupt bool, elem uint64) {
-	h := p.routeHash(src, dst, tag, seq)
-	drop = unit(h) < p.DropProb
-	h = splitmix64(h)
-	delay = unit(h) < p.DelayProb
-	h = splitmix64(h)
-	corrupt = unit(h) < p.CorruptProb
-	elem = splitmix64(h)
-	return
+// delayed reports whether the plan delays one message.
+func (p *FaultPlan) delayed(src, dst, tag int, seq int64) bool {
+	return unit(p.routeHash(src, dst, tag, seq)) < p.DelayProb
 }
 
-// rankDeath is the scheduled-kill panic sentinel; only RunPlan's per-rank
+// rankDeath is the scheduled-kill panic sentinel; only Run's per-rank
 // wrapper recovers it.
 type rankDeath struct{ rank int }
 
@@ -263,28 +219,6 @@ func (w *World) wakeAll() {
 	}
 }
 
-// wakeTimed wakes receivers blocked with a virtual-time deadline; called
-// after any clock advance so a deadline can expire when its sender's clock
-// moves past it. The atomic count keeps the no-waiter fast path to one load.
-func (w *World) wakeTimed() {
-	if w.timedWaiters.Load() == 0 {
-		return
-	}
-	w.mailMu.Lock()
-	mbs := make([]*mailbox, 0, len(w.mailboxes))
-	for _, mb := range w.mailboxes {
-		mbs = append(mbs, mb)
-	}
-	w.mailMu.Unlock()
-	for _, mb := range mbs {
-		mb.mu.Lock()
-		if mb.timed > 0 {
-			mb.cond.Broadcast()
-		}
-		mb.mu.Unlock()
-	}
-}
-
 // revokedAtLeast reports whether epochs ≤ epoch are revoked.
 func (w *World) revokedAtLeast(epoch int) bool {
 	return int(w.revoked.Load()) >= epoch
@@ -345,144 +279,4 @@ func (c *Comm) Shrink() *Comm {
 	key := fmt.Sprintf("%d/shrink:%v", c.shared.id, live)
 	cs := c.shared.world.internComm(key, live, c.shared.epoch+1)
 	return cs.forRank(c.worldRank)
-}
-
-// RunErr executes body as an SPMD program over p ranks, recovering per-rank
-// panics: a comm fault or escaped panic on one rank marks it dead (so peers
-// observe a RankFailure instead of hanging) and is reported in the joined
-// error, while the surviving ranks keep running.
-func RunErr(p int, mach Machine, body func(c *Comm) error) (Stats, error) {
-	return RunPlan(p, mach, nil, body)
-}
-
-// RunPlan is RunErr under a fault plan: scheduled kills, drops, delays and
-// corruption from plan are injected deterministically. A rank dying on
-// schedule is the experiment, not a program error: it is reported in
-// Stats.Killed but excluded from the returned error, which joins the ranks'
-// own returned errors and any unscheduled failures.
-func RunPlan(p int, mach Machine, plan *FaultPlan, body func(c *Comm) error) (Stats, error) {
-	if p < 1 {
-		return Stats{}, &CommError{Op: "run", Rank: -1, Tag: -1, Msg: fmt.Sprintf("world size %d < 1", p)}
-	}
-	w := newWorld(p, mach)
-	w.plan = plan
-	world := w.newComm(identityMembers(p))
-	errs := make([]error, p)
-	var killedMu sync.Mutex
-	var killed []int
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					switch v := rec.(type) {
-					case rankDeath:
-						killedMu.Lock()
-						killed = append(killed, v.rank)
-						killedMu.Unlock()
-					default:
-						if fe := FaultOf(rec); fe != nil {
-							errs[rank] = fmt.Errorf("comm: rank %d: %w", rank, fe)
-						} else {
-							errs[rank] = fmt.Errorf("comm: rank %d panicked: %v", rank, rec)
-						}
-					}
-				}
-				// Exited ranks send nothing more: surface as RankFailure to
-				// peers still waiting on them instead of deadlocking.
-				w.markDead(rank)
-			}()
-			errs[rank] = body(world.forRank(rank))
-		}(r)
-	}
-	wg.Wait()
-	st := Stats{Ranks: append([]RankStats(nil), w.stats...), FinalClocks: append([]float64(nil), w.clocks...)}
-	killedMu.Lock()
-	st.Killed = append([]int(nil), killed...)
-	killedMu.Unlock()
-	return st, errors.Join(errs...)
-}
-
-// RecvErr is Recv with faults returned instead of panicked: a dead sender
-// yields a RankFailure, a revoked communicator a RevokedError.
-func (c *Comm) RecvErr(src, tag int) ([]float64, error) {
-	return c.recvCore(src, tag, math.Inf(1))
-}
-
-// RecvTimeout is RecvErr with a virtual-time deadline of the receiver's
-// current clock plus vtimeout seconds. The call is deterministic in virtual
-// time: a queued message whose send completes by the deadline is delivered;
-// the receive times out — advancing the receiver's clock to the deadline —
-// only once the sender's clock has provably passed it without sending
-// (including a dropped message), never on wall-clock elapsed time.
-func (c *Comm) RecvTimeout(src, tag int, vtimeout float64) ([]float64, error) {
-	return c.recvCore(src, tag, c.Clock()+vtimeout)
-}
-
-// recvCore is the blocking receive with failure detection and an optional
-// virtual-time deadline (+Inf = none). Clock updates happen after the
-// mailbox lock is released (wakeTimed re-acquires mailbox locks).
-func (c *Comm) recvCore(src, tag int, deadline float64) ([]float64, error) {
-	if src < 0 || src >= c.Size() {
-		panic(&CommError{Op: "recv", Rank: c.rank, Tag: tag,
-			Msg: fmt.Sprintf("source rank %d outside communicator of size %d", src, c.Size())})
-	}
-	c.commOp("recv")
-	w := c.shared.world
-	srcWorld := c.shared.members[src]
-	timed := !math.IsInf(deadline, 1)
-	mb := c.mailbox(src, c.rank, tag)
-	mb.mu.Lock()
-	if timed {
-		mb.timed++
-		w.timedWaiters.Add(1)
-	}
-	finish := func() {
-		if timed {
-			mb.timed--
-			w.timedWaiters.Add(-1)
-		}
-		mb.mu.Unlock()
-	}
-	timeout := func() (data []float64, err error) {
-		finish()
-		c.setClock(deadline)
-		w.wakeTimed()
-		return nil, &TimeoutError{Src: src, Tag: tag, Deadline: deadline}
-	}
-	for {
-		if len(mb.q) > 0 {
-			msg := mb.q[0]
-			if msg.sendClock > deadline {
-				return timeout()
-			}
-			mb.q = mb.q[1:]
-			finish()
-			c.setClock(msg.sendClock)
-			w.wakeTimed()
-			return msg.data, nil
-		}
-		if w.revokedAtLeast(c.shared.epoch) {
-			finish()
-			return nil, &RevokedError{Epoch: c.shared.epoch}
-		}
-		if w.isDead(srcWorld) {
-			finish()
-			return nil, &RankFailure{Rank: srcWorld, Op: "recv", Tag: tag}
-		}
-		if timed && c.peerClock(srcWorld) > deadline {
-			return timeout()
-		}
-		mb.cond.Wait()
-	}
-}
-
-// peerClock reads another rank's virtual clock.
-func (c *Comm) peerClock(worldRank int) float64 {
-	w := c.shared.world
-	w.clockMu.Lock()
-	defer w.clockMu.Unlock()
-	return w.clocks[worldRank]
 }

@@ -2,50 +2,83 @@ package comm
 
 import (
 	"errors"
-	"math"
 	"sort"
 	"testing"
 )
 
-// Fault decisions must be a pure function of (seed, route, sequence) — the
-// same plan replayed over any goroutine schedule injects the same faults.
+// Fault decisions must be a pure function of the plan and the run: a delay
+// hashes (seed, route, sequence), so the same plan replayed over any
+// goroutine schedule delays the same messages, and a kill fires before the
+// n-th communication operation of the named rank, counted by that rank
+// alone.
 func TestFaultPlanDeterministic(t *testing.T) {
-	p := &FaultPlan{Seed: 42, DropProb: 0.3, DelayProb: 0.3, CorruptProb: 0.3}
-	type dec struct {
-		drop, delay, corrupt bool
-		elem                 uint64
+	p := &FaultPlan{Seed: 42, DelayProb: 0.3}
+	ref := make([]bool, 64)
+	delayed := 0
+	for seq := range ref {
+		ref[seq] = p.delayed(1, 2, 7, int64(seq))
+		if ref[seq] {
+			delayed++
+		}
 	}
-	ref := make([]dec, 0, 64)
-	for seq := int64(0); seq < 64; seq++ {
-		d1, d2, d3, e := p.decide(1, 2, 7, seq)
-		ref = append(ref, dec{d1, d2, d3, e})
+	if delayed == 0 || delayed == len(ref) {
+		t.Fatalf("%d of %d messages delayed at DelayProb 0.3", delayed, len(ref))
 	}
-	for seq := int64(0); seq < 64; seq++ {
-		d1, d2, d3, e := p.decide(1, 2, 7, seq)
-		if (dec{d1, d2, d3, e}) != ref[seq] {
-			t.Fatalf("decision for seq %d not reproducible", seq)
+	for seq := range ref {
+		if p.delayed(1, 2, 7, int64(seq)) != ref[seq] {
+			t.Fatalf("delay decision for seq %d not reproducible", seq)
 		}
 	}
 	// Distinct routes draw from distinct hash streams.
 	same := 0
-	for seq := int64(0); seq < 64; seq++ {
-		d1, d2, d3, e := p.decide(2, 1, 7, seq)
-		if (dec{d1, d2, d3, e}) == ref[seq] {
+	for seq := range ref {
+		if p.delayed(2, 1, 7, int64(seq)) == ref[seq] {
 			same++
 		}
 	}
-	if same == 64 {
+	if same == len(ref) {
 		t.Fatal("reversed route produced identical decisions — route not hashed")
+	}
+
+	// Rank 1 dies before its 4th operation: it completes three sends (each
+	// to its own tag, so no receive order couples the ranks) on every
+	// schedule, and rank 0 receives exactly those three.
+	for rep := 0; rep < 5; rep++ {
+		var sent int
+		var got []int
+		st, err := Run(2, DefaultMachine(), &FaultPlan{Kill: map[int]int{1: 4}}, func(c *Comm) error {
+			if c.Rank() == 1 {
+				for tag := 0; tag < 6; tag++ {
+					c.Send(0, tag, []float64{float64(tag)})
+					sent++
+				}
+				return nil
+			}
+			for tag := 0; tag < 6; tag++ {
+				if Catch(func() { c.Recv(1, tag) }) != nil {
+					break
+				}
+				got = append(got, tag)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Killed) != 1 || st.Killed[0] != 1 || sent != 3 || len(got) != 3 {
+			t.Fatalf("replay %d: killed %v after %d sends, %d received; want [1], 3, 3",
+				rep, st.Killed, sent, len(got))
+		}
 	}
 }
 
 // A scheduled kill surfaces to every surviving rank as a typed RankFailure
 // at their next collective, is recorded in Stats.Killed, and — being the
-// experiment — is excluded from RunPlan's returned error.
+// experiment — is excluded from Run's returned error.
 func TestRunPlanScheduledKillSurfacesAsRankFailure(t *testing.T) {
 	plan := &FaultPlan{Kill: map[int]int{2: 1}}
 	faults := make([]error, 4)
-	st, err := RunPlan(4, DefaultMachine(), plan, func(c *Comm) error {
+	st, err := Run(4, DefaultMachine(), plan, func(c *Comm) error {
 		faults[c.Rank()] = Catch(func() {
 			c.AllReduceSum([]float64{1})
 		})
@@ -61,13 +94,13 @@ func TestRunPlanScheduledKillSurfacesAsRankFailure(t *testing.T) {
 		if r == 2 {
 			continue
 		}
-		if !IsRankFailure(fe) {
+		var rf *RankFailure
+		if !errors.As(fe, &rf) {
 			t.Fatalf("rank %d: fault = %v, want RankFailure", r, fe)
 		}
 		// The named rank is whichever gone member the waiter observed first:
 		// the killed rank, or a survivor that already failed out and exited.
-		var rf *RankFailure
-		if errors.As(fe, &rf) && rf.Rank == r {
+		if rf.Rank == r {
 			t.Fatalf("rank %d observed itself as failed", r)
 		}
 	}
@@ -83,7 +116,7 @@ func TestShrinkAfterKill(t *testing.T) {
 	for i := range ranks {
 		ranks[i] = -1
 	}
-	_, err := RunPlan(4, DefaultMachine(), plan, func(c *Comm) error {
+	_, err := Run(4, DefaultMachine(), plan, func(c *Comm) error {
 		fe := Catch(func() { c.AllReduceSum([]float64{1}) })
 		if fe == nil {
 			return errors.New("collective with a dead member succeeded")
@@ -117,19 +150,19 @@ func TestShrinkAfterKill(t *testing.T) {
 // Operations on a revoked communicator fail with RevokedError on every
 // member — including members with no route to the failed rank.
 func TestRevokeUnblocksUnrelatedReceiver(t *testing.T) {
-	_, err := RunErr(3, DefaultMachine(), func(c *Comm) error {
+	_, err := Run(3, DefaultMachine(), nil, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			// Waits for a message rank 1 will never send; must be freed by
 			// rank 2's revocation rather than deadlock.
-			_, fe := c.RecvErr(1, 9)
-			if !IsRevoked(fe) && !IsRankFailure(fe) {
+			fe := Catch(func() { c.Recv(1, 9) })
+			if !Retryable(fe) {
 				return errors.New("blocked receiver not released by revoke")
 			}
 		case 1:
 			// Blocks forever on rank 2's never-sent message until revocation.
-			_, fe := c.RecvErr(2, 8)
-			if !IsRevoked(fe) && !IsRankFailure(fe) {
+			fe := Catch(func() { c.Recv(2, 8) })
+			if !Retryable(fe) {
 				return errors.New("blocked receiver not released by revoke")
 			}
 		case 2:
@@ -142,91 +175,10 @@ func TestRevokeUnblocksUnrelatedReceiver(t *testing.T) {
 	}
 }
 
-// RecvTimeout is virtual-time deterministic: it delivers a message whose
-// send clock is within the deadline, and times out — advancing the receiver
-// to the deadline — once the sender's clock passed it without sending.
-func TestRecvTimeoutVirtualTime(t *testing.T) {
-	_, err := RunErr(2, DefaultMachine(), func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []float64{42})
-			c.Elapse(5) // provably past the deadline of the second receive
-			c.Barrier()
-			return nil
-		}
-		data, fe := c.RecvTimeout(0, 1, 1.0)
-		if fe != nil || data[0] != 42 {
-			return errors.New("in-deadline message not delivered")
-		}
-		_, fe = c.RecvTimeout(0, 2, 1.0)
-		if !IsTimeout(fe) {
-			return errors.New("expired deadline did not time out")
-		}
-		var te *TimeoutError
-		errors.As(fe, &te)
-		if c.Clock() < te.Deadline {
-			return errors.New("timeout did not advance the receiver clock to the deadline")
-		}
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A dropped message is survivable through RecvTimeout; the sender is still
-// charged, so the clock model stays consistent.
-func TestDroppedMessageTimesOut(t *testing.T) {
-	plan := &FaultPlan{Seed: 1, DropProb: 1}
-	_, err := RunPlan(2, DefaultMachine(), plan, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{1, 2, 3})
-			c.Elapse(5)
-			c.Barrier()
-			return nil
-		}
-		_, fe := c.RecvTimeout(0, 3, 1.0)
-		if !IsTimeout(fe) {
-			return errors.New("dropped message should time out, not deliver")
-		}
-		c.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Corruption pokes exactly one NaN into the payload — the detectable fault
-// the numerical layers quarantine with their finite checks.
-func TestCorruptionInjectsNaN(t *testing.T) {
-	plan := &FaultPlan{Seed: 2, CorruptProb: 1}
-	_, err := RunPlan(2, DefaultMachine(), plan, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 4, []float64{1, 2, 3, 4})
-			return nil
-		}
-		data := c.Recv(0, 4)
-		nan := 0
-		for _, v := range data {
-			if math.IsNaN(v) {
-				nan++
-			}
-		}
-		if nan != 1 {
-			return errors.New("corrupted payload should carry exactly one NaN")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The collectives' misuse panics now carry typed, contextful CommError
 // values that Catch converts into errors.
 func TestCollectiveMismatchIsTypedError(t *testing.T) {
-	_, err := RunErr(2, DefaultMachine(), func(c *Comm) error {
+	_, err := Run(2, DefaultMachine(), nil, func(c *Comm) error {
 		return Catch(func() {
 			c.AllReduceSum(make([]float64, 1+c.Rank()))
 		})
@@ -243,12 +195,12 @@ func TestCollectiveMismatchIsTypedError(t *testing.T) {
 // A rank that exits its body while peers still wait on it must surface as a
 // RankFailure on the peers, not a deadlock.
 func TestEarlyExitMarksRankDead(t *testing.T) {
-	_, err := RunErr(2, DefaultMachine(), func(c *Comm) error {
+	_, err := Run(2, DefaultMachine(), nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return nil // exits immediately, sends nothing
 		}
-		_, fe := c.RecvErr(0, 6)
-		if !IsRankFailure(fe) {
+		var rf *RankFailure
+		if !errors.As(Catch(func() { c.Recv(0, 6) }), &rf) {
 			return errors.New("receive from an exited rank should fail")
 		}
 		return nil
@@ -259,9 +211,9 @@ func TestEarlyExitMarksRankDead(t *testing.T) {
 }
 
 // A panic inside Compute must not deadlock the world: the compute lock is
-// released on unwind and the fault reaches RunErr's per-rank recovery.
+// released on unwind and the fault reaches Run's per-rank recovery.
 func TestComputePanicDoesNotDeadlock(t *testing.T) {
-	_, err := RunErr(2, DefaultMachine(), func(c *Comm) error {
+	_, err := Run(2, DefaultMachine(), nil, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Compute(func() { panic("boom") })
 		}

@@ -27,56 +27,82 @@ func chaosDataset(t *testing.T) (*synth.Dataset, Prior) {
 	return ds, WeakPrior(ds.Theta0, 5)
 }
 
-// The tentpole end-to-end criterion: with one rank killed mid-evaluation
-// and messages randomly delayed, the distributed fit shrinks onto the
-// survivors, retries the interrupted iteration, and lands on the fault-free
-// θ — collectives are all-or-nothing, so every survivor retries from the
-// same state, and the shrunken replan changes only the schedule, not the
-// arithmetic (beyond reduction-order noise far below the 1e-8 tolerance).
+// With one rank killed mid-exchange and messages randomly delayed, the
+// distributed fit shrinks onto the survivors, retries the interrupted
+// iteration, and lands on the fault-free θ — collectives are
+// all-or-nothing, so every survivor retries from the same state, and the
+// shrunken replan changes only the schedule, not the arithmetic (beyond
+// reduction-order noise far below the 1e-8 tolerance). World 36 is 9 S1
+// groups of 4 with S2 on, so every Q_p and Q_c pipeline runs a two-rank S3
+// solver that exchanges point-to-point messages.
 func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	ds, prior := chaosDataset(t)
-	goroutines := runtime.NumGoroutine()
-	base := DistConfig{World: 6, Machine: comm.DefaultMachine(), Iterations: 3}
+	base := DistConfig{World: 36, Machine: comm.DefaultMachine(), Iterations: 3}
 
 	ref, err := RunDistributed(ds.Model, prior, ds.Theta0, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Shrinks != 0 || ref.Survivors != 6 {
+	// Counted after the fault-free run, which starts the shared executor's
+	// workers: what the faulty runs leave behind on top of them leaked.
+	goroutines := runtime.NumGoroutine()
+	if ref.Shrinks != 0 || ref.Survivors != 36 {
 		t.Fatalf("fault-free run reported shrinks=%d survivors=%d", ref.Shrinks, ref.Survivors)
 	}
-
-	faulty := base
-	faulty.Faults = &comm.FaultPlan{
-		Seed:         11,
-		DelayProb:    0.2,
-		DelaySeconds: 1e-4,
-		// Rank 3 dies at its 5th communication operation: past the setup
-		// Split, inside the first iteration's gradient batch.
-		Kill: map[int]int{3: 5},
+	if ref.Plan.Groups != 9 || !ref.Plan.UseS2 {
+		t.Fatalf("plan %+v, want 9 S1 groups with S2", ref.Plan)
 	}
-	rep, err := RunDistributed(ds.Model, prior, ds.Theta0, faulty)
+	sameTheta := func(label string, rep *DistReport) {
+		t.Helper()
+		for i := range ref.Theta {
+			if d := math.Abs(rep.Theta[i] - ref.Theta[i]); d > 1e-8 {
+				t.Fatalf("%s: theta[%d] = %v vs fault-free %v (|Δ| = %.3g > 1e-8)",
+					label, i, rep.Theta[i], ref.Theta[i], d)
+			}
+		}
+	}
+
+	// Delays move virtual time only: a 1 s delay on a fifth of the messages
+	// holds some receiver up, and the iteration's closing world barrier
+	// passes that on to the makespan.
+	delays := comm.FaultPlan{Seed: 11, DelayProb: 0.2, DelaySeconds: 1}
+	delayed := base
+	delayed.Faults = &delays
+	rep, err := RunDistributed(ds.Model, prior, ds.Theta0, delayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTheta("delayed", rep)
+	if rep.Makespan < ref.Makespan+delays.DelaySeconds/2 {
+		t.Fatalf("delayed makespan %.4gs, fault-free %.4gs: the delays touched no message",
+			rep.Makespan, ref.Makespan)
+	}
+
+	faulty := delayed
+	faulty.Faults = &comm.FaultPlan{
+		Seed: delays.Seed, DelayProb: delays.DelayProb, DelaySeconds: delays.DelaySeconds,
+		// Rank 5 dies at its 6th communication operation: past the setup
+		// Splits, a send of its two-rank S3 solver's PPOBTAF exchange in the
+		// first iteration's gradient batch.
+		Kill: map[int]int{5: 6},
+	}
+	rep, err = RunDistributed(ds.Model, prior, ds.Theta0, faulty)
 	if err != nil {
 		t.Fatalf("faulty run failed instead of recovering: %v", err)
 	}
-	if len(rep.Stats.Killed) != 1 || rep.Stats.Killed[0] != 3 {
-		t.Fatalf("Stats.Killed = %v, want [3]", rep.Stats.Killed)
+	if len(rep.Stats.Killed) != 1 || rep.Stats.Killed[0] != 5 {
+		t.Fatalf("Stats.Killed = %v, want [5]", rep.Stats.Killed)
 	}
 	if rep.Shrinks != 1 {
 		t.Fatalf("Shrinks = %d, want 1", rep.Shrinks)
 	}
-	if rep.Survivors != 5 {
-		t.Fatalf("Survivors = %d, want 5", rep.Survivors)
+	if rep.Survivors != 35 {
+		t.Fatalf("Survivors = %d, want 35", rep.Survivors)
 	}
 	if len(rep.FTrace) != base.Iterations {
 		t.Fatalf("trace length %d, want %d (every iteration must commit)", len(rep.FTrace), base.Iterations)
 	}
-	for i := range ref.Theta {
-		if d := math.Abs(rep.Theta[i] - ref.Theta[i]); d > 1e-8 {
-			t.Fatalf("theta[%d]: faulty %v vs fault-free %v (|Δ| = %.3g > 1e-8)",
-				i, rep.Theta[i], ref.Theta[i], d)
-		}
-	}
+	sameTheta("faulty", rep)
 	// The wounded world must be fully torn down: no rank goroutines survive.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {

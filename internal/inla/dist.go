@@ -276,9 +276,9 @@ type DistConfig struct {
 	// assembly behaviour (ablation X1).
 	NaiveMapping bool
 	// Faults injects a deterministic communication-fault plan (message
-	// drops/delays/corruption, scheduled rank deaths) into the run; nil runs
-	// fault-free. Scheduled deaths are recovered by shrinking the world onto
-	// the survivors and retrying the interrupted iteration.
+	// delays, scheduled rank deaths) into the run; nil runs fault-free.
+	// Scheduled deaths are recovered by shrinking the world onto the
+	// survivors and retrying the interrupted iteration.
 	Faults *comm.FaultPlan
 	// MaxShrinks bounds how many shrink-and-retry recoveries the run
 	// attempts before giving up (0 = World−1, i.e. down to a single rank;
@@ -307,10 +307,14 @@ type DistReport struct {
 // performs the parallel central-difference gradient batch (S1), a
 // fixed-step quasi-Newton update, and one probe evaluation — the
 // gradient-dominated iteration structure whose per-iteration cost the
-// paper's figures report.
+// paper's figures report. A non-finite reduced objective or gradient stops
+// the run with an error wrapping ErrGradientUndefined instead of stepping.
 func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*DistReport, error) {
 	if m.Lik != model.LikGaussian {
 		return nil, fmt.Errorf("inla: the distributed driver supports the Gaussian likelihood (the paper's evaluation case); got %v", m.Lik)
+	}
+	if cfg.World < 1 {
+		return nil, fmt.Errorf("inla: world size %d < 1", cfg.World)
 	}
 	d := len(theta0)
 	nfeval := 2*d + 1
@@ -374,7 +378,7 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 	var trace []float64
 	shrinksDone, survivors := 0, cfg.World
 
-	st, runErr := comm.RunPlan(cfg.World, cfg.Machine, cfg.Faults, func(world *comm.Comm) error {
+	st, runErr := comm.Run(cfg.World, cfg.Machine, cfg.Faults, func(world *comm.Comm) error {
 		wplan := plan
 		g := wplan.GroupOf(world.Rank())
 		group := world.Split(g, world.Rank())
@@ -425,6 +429,15 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 				scr = &groupScratch{}
 				iter--
 				continue
+			}
+			// Every rank holds the same reduced values, so every rank stops
+			// here together: a quarantined stencil arm (+Inf) would make the
+			// step below NaN.
+			if !finiteVec(grad) || math.IsInf(f0, 0) || math.IsNaN(f0) {
+				if world.Rank() != 0 {
+					return nil
+				}
+				return fmt.Errorf("inla: distributed iteration %d at θ = %v: %w", iter, theta, ErrGradientUndefined)
 			}
 			// Damped quasi-Newton step from the reduced gradient. The paper's
 			// iteration cost is the 2·dim(θ)+1 parallel evaluations (§IV-D1);

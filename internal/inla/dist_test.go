@@ -1,6 +1,7 @@
 package inla
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -132,6 +133,29 @@ func distCase(t *testing.T, world int, disableS2, disableS3 bool) {
 	want := e.EvalBatch([][]float64{ds.Theta0})[0]
 	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
 		t.Fatalf("world=%d: distributed F = %v, sequential F = %v", world, rep.FTrace[0], want)
+	}
+}
+
+// A stencil whose arms the model rejects (process scale e^300: both ±h arms
+// of θ[2] are quarantined to +Inf while the centre evaluates) leaves the
+// reduced gradient undefined; the run must stop with ErrGradientUndefined
+// instead of stepping θ to NaN.
+func TestRunDistributedRejectsUndefinedGradient(t *testing.T) {
+	ds, err := synth.Generate(synth.GenConfig{
+		Nv: 1, Nt: 6, Nr: 1, MeshNx: 3, MeshNy: 3, ObsPerStep: 10, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	theta0 := append([]float64(nil), ds.Theta0...)
+	theta0[2] = 300
+	rep, err := RunDistributed(ds.Model, WeakPrior(ds.Theta0, 5), theta0,
+		DistConfig{World: 6, Machine: comm.DefaultMachine(), Iterations: 2})
+	if !errors.Is(err, ErrGradientUndefined) {
+		t.Fatalf("err = %v, want ErrGradientUndefined", err)
+	}
+	if rep != nil {
+		t.Fatalf("failed run returned a report with θ = %v", rep.Theta)
 	}
 }
 
