@@ -10,10 +10,9 @@
 #   make chaos      — the fault-injection suite under -race -count=2; the
 #                     test-name regex lives here only (CI calls this target)
 #   make bench      — microbenchmarks (testing.B, 1 iteration, with allocs)
-#   make bench-smoke— quick runs of the pintime, hybrid, latency and recovery
-#                     experiments; nothing is stored or compared (recovery
-#                     fails by itself unless restored predictions are
-#                     byte-identical)
+#   make bench-smoke— a quick run of the latency experiment (closed-loop
+#                     clients against the serving path); nothing is stored
+#                     or compared
 #   make e2e        — the end-to-end benchmark's traced run (≈ 10 s per
 #                     workload) on all four workloads at seed 1; it replays
 #                     every request along the ‖L⁻¹φ‖² solve route beside
@@ -68,7 +67,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 bench-smoke:
-	$(GO) run ./cmd/dalia-bench -exp=pintime,hybrid,latency,recovery -quick
+	$(GO) run ./cmd/dalia-bench -exp=latency -quick
 
 e2e:
 	@for w in $(E2E_WORKLOADS); do \

@@ -5,7 +5,7 @@
 //
 // The paper fits 48 days of CAMS reanalysis data at 4210 locations; this
 // example fits a scaled synthetic equivalent sampled from the model itself
-// (see DESIGN.md, substitutions), which additionally lets it verify the
+// (see README, Substitutions), which additionally lets it verify the
 // estimates against the generating truth.
 //
 //	go run ./examples/airpollution

@@ -53,5 +53,5 @@ func main() {
 		fmt.Printf("%8d  %10.3f  %9.1fx  %8.1f  %s\n",
 			w, rep.PerIter, t1/rep.PerIter, 100*t1/(float64(w)*rep.PerIter), layers)
 	}
-	fmt.Println("\n(virtual time on the simulated machine; see DESIGN.md for the substitution rationale)")
+	fmt.Println("\n(virtual time on the simulated machine; see README, Substitutions)")
 }

@@ -97,27 +97,3 @@ func TestAblationMappingQuick(t *testing.T) {
 			naive.Y[last], cached.Y[last])
 	}
 }
-
-// TestHybridQuick runs the two-level scheduling experiment in quick mode
-// and checks the report invariants: every topology of the sweep yields a
-// finite rate and the 1×1 row anchors the speedups.
-func TestHybridQuick(t *testing.T) {
-	base, err := Hybrid(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Results) != len(hybridConfigs) {
-		t.Fatalf("%d results, want %d", len(base.Results), len(hybridConfigs))
-	}
-	for _, r := range base.Results {
-		if r.Seconds <= 0 || r.PerSec <= 0 {
-			t.Fatalf("non-positive measurement: %+v", r)
-		}
-		if r.Width != r.Ranks*r.PartitionsPerRank {
-			t.Fatalf("width %d != %d×%d", r.Width, r.Ranks, r.PartitionsPerRank)
-		}
-	}
-	if base.Results[0].Ranks != 1 || base.Results[0].PartitionsPerRank != 1 || base.Results[0].Speedup != 0 {
-		t.Fatalf("first row must be the 1×1 anchor: %+v", base.Results[0])
-	}
-}

@@ -1,8 +1,8 @@
 // Package bench contains the experiment drivers that regenerate every table
-// and figure of the paper's evaluation section (the per-experiment index
-// lives in DESIGN.md). Each driver returns a Figure — named series of
-// (x, y) points plus notes — that cmd/dalia-bench prints and bench_test.go
-// wraps into testing.B benchmarks.
+// and figure of the paper's evaluation section, scaled to one host as
+// README, Substitutions, describes. Each driver returns a Figure — named
+// series of (x, y) points plus notes — that cmd/dalia-bench prints and
+// bench_test.go wraps into testing.B benchmarks.
 package bench
 
 import (

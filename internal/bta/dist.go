@@ -189,8 +189,8 @@ func (l *LocalBTA) DiagVec() []float64 {
 // ParallelFactor — built once for a fixed topology, refactorized per θ by
 // PPOBTAF — and serves the distributed triangular solve (PPOBTAS), selected
 // inversion (PPOBTASI) and the replicated log-determinant. A topology change
-// (a shrunk communicator) needs a fresh factor. The reduced system is
-// always factorized sequentially.
+// (a shrunk communicator) needs a fresh factor. Rank 0 factorizes the
+// reduced system sequentially, as ParallelFactor does.
 type DistFactor struct {
 	partFactor
 	x     []float64 // PPOBTAS solution storage, [owned blocks; tip]
@@ -205,7 +205,7 @@ func NewDistFactor(local *LocalBTA) (*DistFactor, error) {
 		return nil, fmt.Errorf("bta: rank %d owns %d partitions, inconsistent with the stream layout %v", local.Rank, len(local.Sub), local.Streams)
 	}
 	f := &DistFactor{}
-	if err := f.init(local.NGlobal, local.B, local.A, local.Sub, local.Streams, local.Rank, nil, false); err != nil {
+	if err := f.init(local.NGlobal, local.B, local.A, local.Sub, local.Streams, local.Rank, nil); err != nil {
 		return nil, err
 	}
 	f.x = make([]float64, f.span.Size()*f.B+f.A)

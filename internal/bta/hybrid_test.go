@@ -116,8 +116,7 @@ func runHybrid(t *testing.T, g *Matrix, world, perRank int, rhs []float64, ranks
 // ranks × partitions) vs sequential vs shared-memory parallel
 // selected-inversion diagonals, couplings and solves agree to 1e-10 across
 // world sizes {1,2,4} × partitions-per-rank {1,2,3} × arrowhead {0,1,4} at
-// an odd time dimension. The shared-memory twins at total width ≥ 5 (6, 8,
-// 12) run their reduced system on the nested gang.
+// an odd time dimension, the shared-memory twins up to total width 12.
 func TestHybridEquivalenceGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	const nt = 23 // odd, and ≥ 2·(4·3)−2 so every grid point partitions

@@ -11,9 +11,9 @@ import (
 // diagonal blocks are split into P contiguous partitions (PartitionBlocks);
 // Refactorize eliminates every partition's interior blocks concurrently
 // (two-sided for non-first partitions), then factorizes the 2P−2-block
-// reduced boundary system — sequentially, or on one nested partition gang
-// once it reaches reducedCrossover blocks. Solves and the selected inversion
-// follow the same interior-parallel / reduced structure. All partitions
+// reduced boundary system sequentially with the one-partition Factor, as
+// DistFactor does on rank 0. Solves and the selected inversion follow the
+// same interior-parallel / sequential-reduced structure. All partitions
 // share the factor's block storage and the reduced system is assembled by
 // plain block copies; every operation of the Solver surface is
 // allocation-free after warmup.
@@ -31,8 +31,8 @@ type ParallelFactor struct {
 type ParallelOptions struct {
 	// Partitions is the parallel-in-time width P (< 1 is treated as 1).
 	Partitions int
-	// Executor overrides the task executor the factor's phases (and its
-	// nested reduced gang) run on (nil = sched.Shared()).
+	// Executor overrides the task executor the factor's partition phases
+	// run on (nil = sched.Shared()).
 	Executor *sched.Executor
 }
 
@@ -47,13 +47,6 @@ func NewParallelFactor(n, b, a, p int) (*ParallelFactor, error) {
 
 // NewParallelFactorOpts is NewParallelFactor on a caller-chosen executor.
 func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, error) {
-	return newParallelFactor(n, b, a, o, true)
-}
-
-// newParallelFactor builds the factor; nest = false is the nested reduced
-// gang's own constructor, whose reduced system is always solved
-// sequentially (nesting is one level deep).
-func newParallelFactor(n, b, a int, o ParallelOptions, nest bool) (*ParallelFactor, error) {
 	p := o.Partitions
 	if p < 1 {
 		p = 1
@@ -68,7 +61,7 @@ func newParallelFactor(n, b, a int, o ParallelOptions, nest bool) (*ParallelFact
 		}
 	}
 	f := &ParallelFactor{}
-	if err := f.init(n, b, a, parts, []int{p}, 0, o.Executor, nest); err != nil {
+	if err := f.init(n, b, a, parts, []int{p}, 0, o.Executor); err != nil {
 		return nil, err
 	}
 	if f.P > 1 { // P == 1 factorizes in the sequential factor's own storage
@@ -129,7 +122,7 @@ func (f *ParallelFactor) SolveLT(x []float64) {
 		return
 	}
 	f.gatherRhs(x, false)
-	f.eng.solveLT(f.redRhs)
+	f.redF.SolveLT(f.redRhs)
 	f.scatterRhs(x)
 	f.x = x
 	f.runPhase(nil, phaseBwd)

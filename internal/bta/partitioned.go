@@ -160,10 +160,12 @@ type partFactor struct {
 
 	seq *Factor // P == 1: the factor, with its own storage (store is copied in)
 
-	// Reduced boundary system (rank 0 only).
+	// Reduced boundary system (rank 0 only), factorized, solved and
+	// selected-inverted by the one-partition Factor: redF is a factor view
+	// over red, so the assembled blocks are its storage.
 	red    *Matrix
-	eng    *reducedEngine // sequential or nested reduced solver
-	redSig *Matrix        // reduced selected inverse
+	redF   *Factor
+	redSig *Matrix // reduced selected inverse
 	redRhs []float64
 
 	stage  []float64 // message staging for the solve's boundary exchange
@@ -188,8 +190,7 @@ type partFactor struct {
 
 // init builds the driver for the owner of the consecutive partitions sub of
 // a global list laid out over ranks as streams (streams[rank] == len(sub)).
-// nest = false keeps the reduced system sequential whatever its size.
-func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int, ex *sched.Executor, nest bool) error {
+func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int, ex *sched.Executor) error {
 	f.N, f.B, f.A = n, b, a
 	f.rank, f.streams = rank, streams
 	f.base = make([]int, len(streams))
@@ -207,10 +208,7 @@ func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int,
 	if rank == 0 {
 		nr := reducedSize(p)
 		f.red = NewMatrix(nr, b, a)
-		var err error
-		if f.eng, err = newReducedEngine(f.red, ex, nest); err != nil {
-			return err
-		}
+		f.redF = newFactor(f.red)
 		f.redSig = NewMatrix(nr, b, a)
 		f.redRhs = make([]float64, nr*b+a)
 	}
@@ -501,7 +499,7 @@ func (f *partFactor) refactorize(c *comm.Comm, store *LocalBTA) error {
 	}
 	s *= 2
 	if f.rank == 0 {
-		s += f.eng.logDet()
+		s += f.redF.LogDet()
 	}
 	if c != nil {
 		s = c.AllReduceSum([]float64{s})[0]
@@ -544,9 +542,9 @@ func (f *partFactor) elimPartition(ps *partState) error {
 
 // factorReduced gathers every partition's boundary contribution on rank 0 —
 // owned ones straight from the storage, the peers' from their messages, in
-// the order their owners walk them — and hands the assembled system to the
-// reduced engine (sequential in-place factorization, or the nested gang).
-// Tip deltas fold in partition order, a peer's as one node-level sum.
+// the order their owners walk them — and factorizes the assembled system
+// sequentially in place. Tip deltas fold in partition order, a peer's as
+// one node-level sum.
 func (f *partFactor) factorReduced(c *comm.Comm) error {
 	relabel(labelReduced)
 	defer relabel(labelNone)
@@ -585,7 +583,7 @@ func (f *partFactor) factorReduced(c *comm.Comm) error {
 		}
 	}
 	var err error
-	compute(c, func() { err = f.eng.factorize(f.red) })
+	compute(c, func() { err = f.redF.factorize() })
 	return err
 }
 
@@ -710,7 +708,7 @@ func (f *partFactor) solve(c *comm.Comm, x []float64) {
 				dense.Axpy(1, pl[n:n+a], f.redTip())
 			}
 		}
-		compute(c, func() { f.eng.solve(f.redRhs) })
+		compute(c, func() { f.redF.Solve(f.redRhs) })
 		for r := 1; r < len(f.streams); r++ {
 			f.stage = append(append(f.stage[:0], f.peerRhs(r)...), f.redTip()...)
 			c.Send(r, tagSol, f.stage)
@@ -738,7 +736,7 @@ func (f *partFactor) selinv(c *comm.Comm, out *LocalBTA) error {
 	if f.rank == 0 {
 		var err error
 		relabel(labelReduced)
-		compute(c, func() { err = f.eng.selinvInto(f.redSig) })
+		compute(c, func() { err = f.redF.SelectedInversionInto(f.redSig) })
 		relabel(labelNone)
 		if err != nil {
 			return err

@@ -63,31 +63,61 @@ func sameBlocks(name string, got, want []*dense.Matrix) error {
 	return nil
 }
 
-// sameSigma reports the first Σ block of got that differs from want in any
+// sameMatrix reports the first block of got that differs from want in any
 // bit.
-func sameSigma(got, want *Matrix) error {
+func sameMatrix(name string, got, want *Matrix) error {
 	for _, err := range []error{
-		sameBlocks("Σ diag", got.Diag, want.Diag),
-		sameBlocks("Σ lower", got.Lower, want.Lower),
-		sameBlocks("Σ arrow", got.Arrow, want.Arrow),
+		sameBlocks(name+" diag", got.Diag, want.Diag),
+		sameBlocks(name+" lower", got.Lower, want.Lower),
+		sameBlocks(name+" arrow", got.Arrow, want.Arrow),
 	} {
 		if err != nil {
 			return err
 		}
 	}
 	if want.A > 0 && !got.Tip.Equal(want.Tip, 0) {
-		return fmt.Errorf("Σ tip differs")
+		return fmt.Errorf("%s tip differs", name)
+	}
+	return nil
+}
+
+// sameFactor reports the first factor block of the shared-memory driver pf
+// (storage pfStore) that differs in any bit from the distributed driver df
+// (storage dfStore): the consumed block storage, the fill chains and the
+// reduced factor, or over one partition the sequential factor's storage.
+func sameFactor(pf, df *partFactor, pfStore, dfStore *LocalBTA) error {
+	pw, dw := pfStore.whole(), dfStore.whole()
+	if pf.P == 1 {
+		seqStore := func(f *Factor) Matrix {
+			return Matrix{N: f.N, B: f.B, A: f.A, Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow, Tip: f.Tip}
+		}
+		pw, dw = seqStore(pf.seq), seqStore(df.seq)
+	}
+	if err := sameMatrix("factor", &pw, &dw); err != nil {
+		return err
+	}
+	for j, ps := range pf.ps {
+		if err := sameBlocks(fmt.Sprintf("partition %d fill chain", ps.global),
+			ps.chain[:ps.chainUsed], df.ps[j].chain[:df.ps[j].chainUsed]); err != nil {
+			return err
+		}
+	}
+	if pf.P > 1 {
+		if err := sameMatrix("reduced factor", pf.red, df.red); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // TestOneDriverBitForBit is the contract of "one driver": the shared-memory
 // factor and a one-rank distributed factor over the same partition list are
-// the same code with and without a communicator, so log-determinant, solve
-// and every Σ block agree bit for bit — below the nesting crossover (the
-// distributed factor never nests), with and without an arrowhead, with a
-// size-2 middle partition, and after a failed (non-SPD) factorization. Over
-// the single partition {0, n−1} both are the sequential Factor, bit for bit.
+// the same code with and without a communicator, so the factor, the
+// log-determinant, the solve and every Σ block agree bit for bit — at every
+// partition count n = 13 supports (P ≤ 7, reduced systems up to 12 blocks),
+// with and without an arrowhead, with a size-2 middle partition, and after
+// a failed (non-SPD) factorization. Over the single partition {0, n−1} both
+// are the sequential Factor, bit for bit.
 func TestOneDriverBitForBit(t *testing.T) {
 	const n, b = 13, 3
 	rng := rand.New(rand.NewSource(77))
@@ -95,10 +125,13 @@ func TestOneDriverBitForBit(t *testing.T) {
 		"size-2 middle": {{0, 3}, {4, 5}, {6, 12}},
 		"one partition": {{0, n - 1}},
 	}
-	for _, p := range []int{2, 3, 4} {
+	for p := 2; p <= MaxPartitions(n); p++ {
+		// NewParallelFactor's split: load-balanced, else even.
 		parts, err := PartitionBlocks(n, p, defaultLoadBalance)
 		if err != nil {
-			t.Fatal(err)
+			if parts, err = PartitionBlocks(n, p, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
 		lists[fmt.Sprintf("P=%d", p)] = parts
 	}
@@ -113,11 +146,8 @@ func TestOneDriverBitForBit(t *testing.T) {
 			streams := []int{len(parts)}
 
 			pf := &ParallelFactor{}
-			if err := pf.init(n, b, a, parts, streams, 0, nil, true); err != nil {
+			if err := pf.init(n, b, a, parts, streams, 0, nil); err != nil {
 				t.Fatal(err)
-			}
-			if pf.eng != nil && pf.eng.nested != nil {
-				t.Fatalf("%s: grid must stay below the nesting crossover", label)
 			}
 			pf.mem = wholeSlice(NewMatrix(n, b, a))
 			if err := pf.Refactorize(bad); err == nil {
@@ -158,7 +188,7 @@ func TestOneDriverBitForBit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if err := sameSigma(wantSig, sig); err != nil {
+				if err := sameMatrix("Σ", wantSig, sig); err != nil {
 					t.Errorf("%s: sequential vs shared-memory: %v", label, err)
 				}
 			}
@@ -183,6 +213,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 					t.Errorf("%s: %v", label, err)
 					return
 				}
+				if err := sameFactor(&pf.partFactor, &df.partFactor, &pf.mem, local); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
 				if got := df.LogDet(); got != pf.LogDet() {
 					t.Errorf("%s: logdet %v, shared-memory %v", label, got, pf.LogDet())
 				}
@@ -203,7 +236,7 @@ func TestOneDriverBitForBit(t *testing.T) {
 					return
 				}
 				got := sig.whole()
-				if err := sameSigma(&got, wantSig); err != nil {
+				if err := sameMatrix("Σ", &got, wantSig); err != nil {
 					t.Errorf("%s: %v", label, err)
 				}
 			}); err != nil {

@@ -6,15 +6,13 @@ import (
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
-	"github.com/dalia-hpc/dalia/internal/sched"
 )
 
-// TestReducedEngineGrid sweeps the reduced-system engine against the
+// TestReducedEngineGrid sweeps the partitioned factor against the
 // sequential backend: partitions {2,3,4,5,6,11} × arrowhead {0,1,4} at an odd
-// block count, checking LogDet, Solve and SelectedInversion to 1e-10. P ≤ 4
-// solves the reduced system sequentially, P ≥ 5 on the nested gang (reduced
-// size 2P−2 ≥ 8), and P = 11 gives the nested gang five partitions of its
-// own.
+// block count, checking LogDet, Solve and SelectedInversion to 1e-10. The
+// reduced system grows from 2 blocks (P = 2) to 20 (P = 11); every one is
+// factorized by the one-partition Factor over the assembled storage.
 func TestReducedEngineGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	const n, b = 25, 2
@@ -60,82 +58,8 @@ func TestReducedEngineGrid(t *testing.T) {
 	}
 }
 
-// TestReducedRecursionActuallyNests pins the one nesting rule: the reduced
-// system runs on a nested gang iff it has at least reducedCrossover blocks
-// (2P−2 ≥ 8, i.e. P ≥ 5), and the nested factor never nests again.
-func TestReducedRecursionActuallyNests(t *testing.T) {
-	for p := 1; p <= 11; p++ {
-		pf, err := NewParallelFactor(40, 2, 1, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := pf.eng != nil && pf.eng.nested != nil, 2*p-2 >= reducedCrossover; got != want {
-			t.Fatalf("P=%d (reduced size %d): nesting = %v, want %v", p, 2*p-2, got, want)
-		}
-	}
-	// P=11 → 20 reduced blocks → a nested gang of 5, whose own reduced system
-	// has 8 blocks and would nest again if the rule applied recursively.
-	pf, err := NewParallelFactor(40, 2, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nested := pf.eng.nested; nested.P != 5 || nested.eng.nested != nil {
-		t.Fatalf("nested gang: P=%d nesting=%v, want P=5 solving its reduced system sequentially",
-			nested.P, nested.eng.nested != nil)
-	}
-}
-
-// TestNestedReducedEngineInheritsExecutor: a factor pinned to a private
-// executor keeps its nested reduced gang on that executor instead of leaking
-// it onto sched.Shared(), and — the executor having no workers — the caller
-// alone completes every DAG of both levels.
-func TestNestedReducedEngineInheritsExecutor(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	const n, b, a = 25, 2, 1
-	m := randBTA(rng, n, b, a)
-	seq, err := Factorize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := sched.New(0)
-	defer ex.Close()
-	pf, err := NewParallelFactorOpts(n, b, a, ParallelOptions{Partitions: 5, Executor: ex})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.eng.nested == nil {
-		t.Fatal("P=5 must nest")
-	}
-	if pf.ex != ex || pf.eng.nested.ex != ex {
-		t.Fatal("nested gang runs on a different executor than its parent")
-	}
-	if err := pf.Refactorize(m); err != nil {
-		t.Fatal(err)
-	}
-	want := randVec(rng, m.Dim())
-	got := append([]float64(nil), want...)
-	seq.Solve(want)
-	pf.Solve(got)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > equivTol {
-			t.Fatalf("Solve[%d] = %v want %v", i, got[i], want[i])
-		}
-	}
-	wantSig, err := seq.SelectedInversion()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSig := NewMatrix(n, b, a)
-	if err := pf.SelectedInversionInto(gotSig); err != nil {
-		t.Fatal(err)
-	}
-	if !gotSig.ToDense().Equal(wantSig.ToDense(), equivTol) {
-		t.Fatal("selected inverse mismatch")
-	}
-}
-
-// TestReducedEngineNonSPDRecovery: failure/recovery cycles through the
-// sequential (P=4) and nested (P=5) reduced engines — both an interior
+// TestReducedEngineNonSPDRecovery: failure/recovery cycles at P = 4 and
+// P = 5 (reduced systems of 6 and 8 blocks) — both an interior
 // failure (mid-elimination with fill blocks in flight) and a reduced-system
 // failure (all partitions succeed, the reduced factorization hits the
 // indefinite tip) must surface errors, keep the construction-time fill
@@ -192,10 +116,10 @@ func TestReducedEngineNonSPDRecovery(t *testing.T) {
 	}
 }
 
-// TestReducedEngineAllocFree extends the zero-allocation pin to both reduced
-// engines: the sequential one (P=4) and the nested gang (P=5) draw
-// everything from construction-time storage, and a failed factorization in
-// the warm-up cannot poison the scratch into reallocating.
+// TestReducedEngineAllocFree extends the zero-allocation pin to the reduced
+// system at P = 4 and P = 5: its factor draws everything from
+// construction-time storage, and a failed factorization in the warm-up
+// cannot poison the scratch into reallocating.
 func TestReducedEngineAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode alloc counts are meaningless")

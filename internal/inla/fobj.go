@@ -244,14 +244,15 @@ type BTAEvaluator struct {
 	// Fit and the benchmark set it, so dropping it changes partition widths
 	// and belongs with the solver-configuration work (ROADMAP item 6).
 	S2 bool
-	// Partitions pins the parallel-in-time width: 0 schedules it per batch
-	// (PlanBatch: wide batches sequential, narrow batches partitioned),
-	// 1 forces the sequential factorization chain, ≥ 2 forces that width.
-	Partitions int
-	// Exec overrides the task executor batches and solvers run on
-	// (nil = sched.Shared()). Tests use private executors so shutdown/leak
-	// behaviour can be asserted in isolation.
-	Exec *sched.Executor
+	// partitions pins the parallel-in-time width, a test seam: 0 schedules
+	// it per batch (PlanBatch: wide batches sequential, narrow batches
+	// partitioned), 1 forces the sequential factorization chain, ≥ 2 forces
+	// that width.
+	partitions int
+	// exec overrides the task executor batches and solvers run on
+	// (nil = sched.Shared()), a test seam: private executors let tests
+	// assert shutdown/leak behaviour in isolation.
+	exec *sched.Executor
 
 	scratch sync.Pool // *solverScratch, shape-bound to Model
 
@@ -318,19 +319,19 @@ func (e *BTAEvaluator) cores() int {
 }
 
 // planFor resolves the batch plan for the given width with the evaluator's
-// pinned Partitions applied.
+// pinned partitions applied.
 func (e *BTAEvaluator) planFor(width int) SharedPlan {
 	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, e.S2)
-	if e.Partitions > 0 {
-		plan.Partitions = e.Partitions
+	if e.partitions > 0 {
+		plan.Partitions = e.partitions
 	}
 	return plan
 }
 
 // executor resolves the task executor the evaluator's batches run on.
 func (e *BTAEvaluator) executor() *sched.Executor {
-	if e.Exec != nil {
-		return e.Exec
+	if e.exec != nil {
+		return e.exec
 	}
 	return sched.Shared()
 }
@@ -359,7 +360,7 @@ func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	if w > len(points) {
 		w = len(points)
 	}
-	spec := solverSpec{parts: e.planFor(len(points)).Partitions, exec: e.Exec}
+	spec := solverSpec{parts: e.planFor(len(points)).Partitions, exec: e.exec}
 	body := func(i int) {
 		ws := e.getScratch()
 		var parts FobjParts

@@ -129,7 +129,7 @@ func TestHessianStencilNoSplit(t *testing.T) {
 }
 
 // TestBTAEvaluatorStencilPlan: the evaluator's plan hook matches PlanBatch
-// and honors a pinned Partitions knob, and the Hessian stage sees it
+// and honors a pinned partitions seam, and the Hessian stage sees it
 // through the Evaluator interface.
 func TestBTAEvaluatorStencilPlan(t *testing.T) {
 	ds, err := synth.Generate(synth.GenConfig{
@@ -147,7 +147,7 @@ func TestBTAEvaluatorStencilPlan(t *testing.T) {
 	if plan.Cores != 8 || plan.Partitions != wantParts {
 		t.Fatalf("plan %+v, want cores 8 partitions %d", plan, wantParts)
 	}
-	e.Partitions = 2
+	e.partitions = 2
 	if p := e.StencilPlan(3); p.Partitions != 2 {
 		t.Fatalf("pinned partitions not honored: %+v", p)
 	}

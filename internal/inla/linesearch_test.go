@@ -189,7 +189,7 @@ func TestBatchedLineSearchBitIdenticalOnBenchmarkShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 2, S2: true, Exec: ex}
+		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 2, S2: true, exec: ex}
 		if lineSearchWidth(e) != 2 {
 			t.Fatalf("%s: line-search width %d on 2 cores, want 2", name, lineSearchWidth(e))
 		}
@@ -231,7 +231,7 @@ func TestBatchedLineSearchPartitionedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 8, S2: true, Exec: ex}
+	e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 8, S2: true, exec: ex}
 	k := lineSearchWidth(e)
 	if probe, round := e.StencilPlan(1).Partitions, e.StencilPlan(k).Partitions; k != 2 || round >= probe {
 		t.Fatalf("k = %d, candidates at %d partitions vs the probe's %d: want 2 and fewer", k, round, probe)

@@ -31,8 +31,8 @@ func TestModeSigmaMatchesPosterior(t *testing.T) {
 		e    *BTAEvaluator
 		th   []float64
 	}{
-		{"gaussian", &BTAEvaluator{Model: gauss.Model, Prior: WeakPrior(gauss.Theta0, 5), Partitions: 1}, gauss.Theta0},
-		{"poisson", &BTAEvaluator{Model: pois.Model, Prior: WeakPrior(pois.Theta0, 5), Partitions: 1}, pois.Theta0},
+		{"gaussian", &BTAEvaluator{Model: gauss.Model, Prior: WeakPrior(gauss.Theta0, 5), partitions: 1}, gauss.Theta0},
+		{"poisson", &BTAEvaluator{Model: pois.Model, Prior: WeakPrior(pois.Theta0, 5), partitions: 1}, pois.Theta0},
 		{"gaussian nt=8 workers=2", &BTAEvaluator{Model: nt8.Model, Prior: WeakPrior(nt8.Theta0, 5), Workers: 2}, nt8.Theta0},
 	} {
 		_, want, err := tc.e.Posterior(tc.th)

@@ -78,7 +78,7 @@ func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
 func TestRunOnExecutorCapsConcurrency(t *testing.T) {
 	ex := sched.New(4)
 	defer ex.Close()
-	e := &BTAEvaluator{Exec: ex}
+	e := &BTAEvaluator{exec: ex}
 	for _, workers := range []int{1, 3, 8, 100} {
 		const n = 64
 		var active, peak, calls atomic.Int64
@@ -196,11 +196,11 @@ func TestFitParallelSolverMatchesSequential(t *testing.T) {
 	opts.Opt.MaxIter = 4
 	opts.SkipHyperUncertainty = true
 
-	seq, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 1}, ds.Theta0, opts)
+	seq, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 1}, ds.Theta0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 3}, ds.Theta0, opts)
+	par, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 3}, ds.Theta0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

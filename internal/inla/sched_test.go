@@ -17,7 +17,7 @@ import (
 // completes every DAG — mode θ, objective, optimizer trajectory, latent
 // mean and variances — to 1e-10 across the partition × arrow-width grid;
 // nt = 20 lets the pinned widths {1, 3, 5} run unclamped, so the last one
-// solves its reduced system on the nested gang. Scheduling reorders nothing
+// assembles an 8-block reduced system. Scheduling reorders nothing
 // that matters: tip deltas fold in partition order and every other write
 // set is disjoint, so the arithmetic is identical whichever goroutine runs
 // a task.
@@ -42,7 +42,7 @@ func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 				opts.Opt.MaxIter = 3
 				opts.SkipHyperUncertainty = true
 				e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
-					Partitions: parts, Exec: ex}
+					partitions: parts, exec: ex}
 				res, err := fitWith(ds.Model, e, ds.Theta0, opts)
 				if err != nil {
 					t.Fatalf("nr=%d parts=%d workers=%d: %v", nr, parts, ex.Workers(), err)
@@ -95,9 +95,9 @@ func TestEvalBatchDeterministicAcrossExecutorWidths(t *testing.T) {
 	}
 	prior := WeakPrior(ds.Theta0, 5)
 	pts := gradientPoints(ds.Theta0, 1e-3)
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: serial}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: serial}
 	want := ref.EvalBatch(pts)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: wide}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: wide}
 	got := e.EvalBatch(pts)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
@@ -107,7 +107,7 @@ func TestEvalBatchDeterministicAcrossExecutorWidths(t *testing.T) {
 }
 
 // TestEvaluatorPrivateExecutorShutdown: an evaluator pinned to a private
-// executor (BTAEvaluator.Exec) runs its batches and posterior there, and
+// executor (BTAEvaluator.exec) runs its batches and posterior there, and
 // closing the executor leaves no goroutines behind.
 func TestEvaluatorPrivateExecutorShutdown(t *testing.T) {
 	ds, err := synth.Generate(synth.GenConfig{
@@ -123,8 +123,8 @@ func TestEvaluatorPrivateExecutorShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ex, serial := sched.New(3), sched.New(0)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: ex}
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, Partitions: 2, Exec: serial}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: ex}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: serial}
 	pts := gradientPoints(ds.Theta0, 1e-3)
 	want := ref.EvalBatch(pts)
 	got := e.EvalBatch(pts)

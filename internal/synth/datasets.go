@@ -148,7 +148,7 @@ func AP1() Spec {
 			Seed:       106,
 		},
 		Workers:   []int{1},
-		ScaleNote: "ns 4210→48, nt 48→8; synthetic CAMS-like field (see DESIGN.md substitutions)",
+		ScaleNote: "ns 4210→48, nt 48→8; synthetic CAMS-like field (see README, Substitutions)",
 	}
 }
 
