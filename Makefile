@@ -82,7 +82,7 @@ ci: fmt-check test race purego
 # Mirror of the GitHub workflow, job by job: tier1 (with its one pass of the
 # dense kernel, Q_c assembly, BTA solver, mode-search and snapshot
 # prediction benchmarks), race,
-# the race-pintime GOMAXPROCS matrix over the partition/replica/kernel
+# the race-widths GOMAXPROCS matrix over the partition/replica/kernel
 # fan-out packages,
 # the chaos fault-injection suite, the purego fallback with the arm64
 # cross-build, the end-to-end parity run, then the non-blocking perf smoke.

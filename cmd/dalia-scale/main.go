@@ -6,7 +6,8 @@
 //
 //	dalia-scale -workers 1,4,16,31 -nv 3 -nt 8
 //	dalia-scale -workers 8 -memcap 3145728     # force S3 via memory cap
-//	dalia-scale -workers 4 -partitions 2       # hybrid ranks × partitions
+//
+// Speedup and efficiency are relative to the first width of -workers.
 package main
 
 import (
@@ -28,7 +29,6 @@ func main() {
 	meshNy := flag.Int("mesh-ny", 4, "mesh vertices in y")
 	obs := flag.Int("obs", 15, "observations per time step")
 	lb := flag.Float64("lb", 1.6, "S3 load-balance factor")
-	partitions := flag.Int("partitions", 1, "S3 partitions per rank (hybrid two-level topology)")
 	memcap := flag.Int64("memcap", 0, "modeled device memory in bytes (0 = unlimited)")
 	iters := flag.Int("iters", 1, "quasi-Newton iterations to simulate")
 	seed := flag.Int64("seed", 31, "dataset seed")
@@ -48,9 +48,6 @@ func main() {
 	if *lb < 1 {
 		log.Fatalf("-lb %v: the load-balance factor must be ≥ 1 (1 = even partitions)", *lb)
 	}
-	if *partitions < 1 {
-		log.Fatalf("-partitions %d: the per-rank stream width must be ≥ 1", *partitions)
-	}
 
 	ds, err := dalia.Generate(dalia.GenConfig{
 		Nv: *nv, Nt: *nt, Nr: *nr,
@@ -68,21 +65,20 @@ func main() {
 	fmt.Printf("%8s  %10s  %9s  %7s  %-22s %12s\n",
 		"workers", "s/iter", "speedup", "eff %", "plan", "max-imbal")
 
-	var t1 float64
+	var t0 float64
 	for _, w := range workers {
 		rep, err := dalia.RunCluster(m, prior, ds.Theta0, dalia.ClusterConfig{
-			World:             w,
-			Machine:           dalia.DefaultMachine(),
-			Iterations:        *iters,
-			LB:                *lb,
-			MemCapBytes:       *memcap,
-			PartitionsPerRank: *partitions,
+			World:       w,
+			Machine:     dalia.DefaultMachine(),
+			Iterations:  *iters,
+			LB:          *lb,
+			MemCapBytes: *memcap,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if t1 == 0 {
-			t1 = rep.PerIter * float64(workers[0])
+		if t0 == 0 {
+			t0 = rep.PerIter
 		}
 		plan := fmt.Sprintf("S1×%d", rep.Plan.Groups)
 		if rep.Plan.UseS2 {
@@ -91,13 +87,15 @@ func main() {
 		if rep.Plan.P3Min > 1 {
 			plan += fmt.Sprintf("+S3(≥%d)", rep.Plan.P3Min)
 		}
-		if rep.Plan.PartitionsPerRank > 1 {
-			plan += fmt.Sprintf("×%dq", rep.Plan.PartitionsPerRank)
-		}
+		speedup, eff := scaling(t0, workers[0], rep.PerIter, w)
 		fmt.Printf("%8d  %10.4f  %8.1fx  %7.1f  %-22s %11.2fx\n",
-			w, rep.PerIter,
-			t1/(rep.PerIter*float64(workers[0])),
-			100*t1/(float64(w)*rep.PerIter*float64(workers[0])),
-			plan, rep.Stats.Imbalance())
+			w, rep.PerIter, speedup, eff, plan, rep.Stats.Imbalance())
 	}
+}
+
+// scaling returns the speedup t0/t and the parallel efficiency in percent,
+// 100·t0·w0/(t·w), of a run of t seconds per iteration on w workers against
+// the reference run of t0 seconds on w0 workers.
+func scaling(t0 float64, w0 int, t float64, w int) (speedup, effPct float64) {
+	return t0 / t, 100 * t0 * float64(w0) / (t * float64(w))
 }

@@ -110,10 +110,9 @@ type (
 	// SharedPlan is the shared-memory scheduling plan of one evaluation
 	// batch (point workers × parallel-in-time partitions).
 	SharedPlan = inla.SharedPlan
-	// ClusterConfig configures a simulated distributed INLA run. Its
-	// PartitionsPerRank field selects the hybrid two-level S3 topology:
-	// comm ranks across simulated nodes × shared-memory parallel-in-time
-	// partitions within each node (the paper's GPU-node layout).
+	// ClusterConfig configures a simulated distributed INLA run: world
+	// size, machine model, S3 load-balance factor and memory cap, layer
+	// switches and an optional fault plan.
 	ClusterConfig = inla.DistConfig
 	// ClusterReport carries the virtual-time statistics of a run.
 	ClusterReport = inla.DistReport
@@ -295,10 +294,8 @@ func HyperMarginals(m *Model, r *Result) []HyperMarginal {
 
 // RunCluster executes INLA mode-search iterations SPMD on the simulated
 // distributed machine with the full three-layer parallel scheme — the S3
-// solver layer optionally two-level (ranks × partitions-per-rank, see
-// ClusterConfig) — returning virtual-time statistics (the
-// scaling-experiment entry point). At PartitionsPerRank ≤ 1 results are
-// bit-for-bit those of the flat one-partition-per-rank configuration.
+// solver layer one time partition per rank — returning virtual-time
+// statistics (the scaling-experiment entry point).
 func RunCluster(m *Model, prior Prior, theta0 []float64, cfg ClusterConfig) (*ClusterReport, error) {
 	return inla.RunDistributed(m, prior, theta0, cfg)
 }

@@ -197,7 +197,7 @@ func Fig5(quick bool) (*Figure, error) {
 func solverPhaseSeconds(g *bta.Matrix, parts []bta.Partition, rhs []float64) (tFac, tSol, tInv float64, err error) {
 	p := len(parts)
 	_, err = comm.Run(p, comm.DefaultMachine(), nil, func(c *comm.Comm) error {
-		local, err := bta.LocalSlice(g, parts, bta.UniformStreams(p, 1), c.Rank())
+		local, err := bta.LocalSlice(g, parts, c.Rank())
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 	got := make([]float64, g.Dim())
 	plan := &comm.FaultPlan{Kill: map[int]int{1: 2}}
 	st, runErr := comm.Run(3, comm.DefaultMachine(), plan, func(c *comm.Comm) error {
-		f, ferr := distFactorize(c, g, parts, UniformStreams(3, 1))
+		f, ferr := distFactorize(c, g, parts)
 		if ferr == nil {
 			// The killed rank can fail a survivor only through communication;
 			// a rank whose factorization never needed the dead peer fails at
@@ -66,7 +66,7 @@ func TestDistFactorizationAbortsCleanlyOnRankDeath(t *testing.T) {
 		if perr != nil {
 			return perr
 		}
-		f2, ferr2 := distFactorize(nc, g, parts2, UniformStreams(2, 1))
+		f2, ferr2 := distFactorize(nc, g, parts2)
 		if ferr2 != nil {
 			return ferr2
 		}
@@ -138,7 +138,7 @@ func TestDistSelectedInversionAbortsCleanlyOnRankDeath(t *testing.T) {
 	st, runErr := comm.Run(3, comm.DefaultMachine(), plan, func(c *comm.Comm) error {
 		r := c.Rank()
 		phase[r] = "PPOBTAF"
-		f, ferr := distFactorize(c, g, parts, UniformStreams(3, 1))
+		f, ferr := distFactorize(c, g, parts)
 		if ferr == nil {
 			phase[r] = "PPOBTASI"
 			_, ferr = PPOBTASI(c, f)
@@ -152,7 +152,7 @@ func TestDistSelectedInversionAbortsCleanlyOnRankDeath(t *testing.T) {
 		if perr != nil {
 			return perr
 		}
-		f2, ferr := distFactorize(nc, g, parts2, UniformStreams(nc.Size(), 1))
+		f2, ferr := distFactorize(nc, g, parts2)
 		if ferr != nil {
 			return ferr
 		}

@@ -9,10 +9,6 @@ import (
 
 // Message tags used by the distributed routines. Bases are spaced so the
 // tag+i arithmetic of multi-part transfers cannot collide across kinds.
-// A rank owning several partitions (the hybrid two-level topology) reuses
-// the same tags for each of them: both sides walk the owned partitions in
-// the same order and mailboxes deliver per-tag FIFO, so the pairing stays
-// deterministic without widening the tag space.
 const (
 	tagDiag     = 100 // +0, +1: boundary diagonal blocks
 	tagCoupling = 110 // +0: cross-partition coupling, +1: within-partition fill
@@ -33,14 +29,10 @@ var (
 // LocalBTA is one rank's slice of a global matrix on the BTA pattern under
 // the time-domain partitioning — the input of PPOBTAF and, holding Σ, the
 // output of PPOBTASI: the diagonal, sub-diagonal, and arrow blocks of the
-// owned block range plus the coupling to the previous rank. A rank models a
-// multi-stream node and owns Streams[Rank] consecutive partitions of the
-// global partition list (Sub, global block ranges); one stream everywhere is
-// the flat one-partition-per-rank topology.
+// rank's partition (rank r owns partition r of the global list) plus the
+// coupling to the previous rank.
 type LocalBTA struct {
-	Part    Partition   // the rank's whole owned block range
-	Sub     []Partition // owned partitions
-	Streams []int       // per-rank stream counts
+	Part    Partition // the rank's partition
 	Rank    int
 	NGlobal int
 	B, A    int
@@ -53,37 +45,19 @@ type LocalBTA struct {
 	// only (it is globally shared and enters the reduced system exactly
 	// once); as Σ it is replicated on every rank.
 	Tip *dense.Matrix
+
+	ranks int // partitions (= ranks) of the global list
 }
 
 // NewLocalBTA allocates rank's zeroed slice of an (nGlobal, b, a) matrix,
-// refillable with FillFrom: streams[r] is rank r's stream count and the
-// global partition list parts (e.g. from HybridPartition) assigns each rank
-// its streams[r] consecutive partitions. UniformStreams gives the flat and
-// the ranks × perRank layouts. A layout that does not match the partition
-// list, or a rank outside it, is an error.
-func NewLocalBTA(parts []Partition, streams []int, rank, nGlobal, b, a int) (*LocalBTA, error) {
-	if rank < 0 || rank >= len(streams) {
-		return nil, fmt.Errorf("bta: rank %d outside the %d-entry stream layout", rank, len(streams))
+// refillable with FillFrom: rank owns partition parts[rank] of the global
+// partition list (e.g. from PartitionBlocks). A rank outside the list is an
+// error.
+func NewLocalBTA(parts []Partition, rank, nGlobal, b, a int) (*LocalBTA, error) {
+	if rank < 0 || rank >= len(parts) {
+		return nil, fmt.Errorf("bta: rank %d outside the %d-partition list", rank, len(parts))
 	}
-	total, base := 0, 0
-	for r, q := range streams {
-		if q < 1 {
-			return nil, fmt.Errorf("bta: rank %d stream count %d < 1", r, q)
-		}
-		if r < rank {
-			base += q
-		}
-		total += q
-	}
-	if total != len(parts) {
-		return nil, fmt.Errorf("bta: stream layout covers %d partitions, partition list has %d", total, len(parts))
-	}
-	sub := append([]Partition(nil), parts[base:base+streams[rank]]...)
-	l := &LocalBTA{
-		Part: Partition{Lo: sub[0].Lo, Hi: sub[len(sub)-1].Hi},
-		Sub:  sub, Streams: append([]int(nil), streams...), Rank: rank,
-		NGlobal: nGlobal, B: b, A: a,
-	}
+	l := &LocalBTA{Part: parts[rank], Rank: rank, NGlobal: nGlobal, B: b, A: a, ranks: len(parts)}
 	l.alloc(rank == 0)
 	return l, nil
 }
@@ -116,8 +90,8 @@ func (l *LocalBTA) alloc(withTip bool) {
 // LocalSlice extracts rank's slice from a globally assembled matrix (tests
 // and single-host experiment drivers; at paper scale each rank would
 // assemble its slice directly).
-func LocalSlice(g *Matrix, parts []Partition, streams []int, rank int) (*LocalBTA, error) {
-	l, err := NewLocalBTA(parts, streams, rank, g.N, g.B, g.A)
+func LocalSlice(g *Matrix, parts []Partition, rank int) (*LocalBTA, error) {
+	l, err := NewLocalBTA(parts, rank, g.N, g.B, g.A)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +111,7 @@ func (l *LocalBTA) FillFrom(g *Matrix) {
 	}
 }
 
-// fillRange copies blocks lo..hi of g (an owned sub-range) into the slice,
+// fillRange copies blocks lo..hi of g (an owned partition) into the slice,
 // together with the coupling (lo, lo−1) above them.
 func (l *LocalBTA) fillRange(g *Matrix, lo, hi int) {
 	for k := lo; k <= hi; k++ {
@@ -184,8 +158,8 @@ func (l *LocalBTA) DiagVec() []float64 {
 }
 
 // DistFactor is one rank's share of the partitioned BTA factorization over a
-// communicator: the driver over the rank's owned partitions, with the
-// reduced system on rank 0. It is persistent like the shared-memory
+// communicator: the driver over the rank's partition, with the reduced
+// system on rank 0. It is persistent like the shared-memory
 // ParallelFactor — built once for a fixed topology, refactorized per θ by
 // PPOBTAF — and serves the distributed triangular solve (PPOBTAS), selected
 // inversion (PPOBTASI) and the replicated log-determinant. A topology change
@@ -198,19 +172,18 @@ type DistFactor struct {
 }
 
 // NewDistFactor allocates the persistent factor state for the topology
-// local records (owned partitions, per-rank stream layout, rank) on the
+// local records (the rank's partition within the global list) on the
 // shared executor.
 func NewDistFactor(local *LocalBTA) (*DistFactor, error) {
-	if local.Rank < 0 || local.Rank >= len(local.Streams) || local.Streams[local.Rank] != len(local.Sub) || len(local.Sub) == 0 {
-		return nil, fmt.Errorf("bta: rank %d owns %d partitions, inconsistent with the stream layout %v", local.Rank, len(local.Sub), local.Streams)
+	if local.Rank < 0 || local.Rank >= local.ranks {
+		return nil, fmt.Errorf("bta: rank %d outside the %d-partition list of its slice", local.Rank, local.ranks)
 	}
 	f := &DistFactor{}
-	if err := f.init(local.NGlobal, local.B, local.A, local.Sub, local.Streams, local.Rank, nil); err != nil {
+	if err := f.init(local.NGlobal, local.B, local.A, []Partition{local.Part}, local.Rank, local.ranks, nil); err != nil {
 		return nil, err
 	}
 	f.x = make([]float64, f.span.Size()*f.B+f.A)
-	f.sigma = &LocalBTA{Part: f.span, Sub: local.Sub, Streams: local.Streams, Rank: local.Rank,
-		NGlobal: local.NGlobal, B: local.B, A: local.A}
+	f.sigma = &LocalBTA{Part: f.span, Rank: local.Rank, NGlobal: local.NGlobal, B: local.B, A: local.A, ranks: local.ranks}
 	return f, nil
 }
 
@@ -225,9 +198,9 @@ func (f *DistFactor) LogDet() float64 { return f.logDet }
 // outlives the abort, all storage stays with the factor, and the fault comes
 // back as a wrapped error the driver can test with comm.Retryable.
 func (f *DistFactor) collective(c *comm.Comm, op string, body func() error) (err error) {
-	if c.Rank() != f.rank || c.Size() != len(f.streams) {
+	if c.Rank() != f.rank || c.Size() != f.ranks {
 		return fmt.Errorf("bta: distributed %s: rank %d of %d on a factor built for rank %d of %d",
-			op, c.Rank(), c.Size(), f.rank, len(f.streams))
+			op, c.Rank(), c.Size(), f.rank, f.ranks)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -243,9 +216,9 @@ func (f *DistFactor) collective(c *comm.Comm, op string, body func() error) (err
 
 // PPOBTAF recomputes the distributed BTA Cholesky factorization of the
 // matrix whose rank-local slice is local (the Serinv-style nested-dissection
-// scheme): every rank eliminates the interiors of its owned partitions
+// scheme): every rank eliminates the interiors of its partition
 // concurrently, then rank 0 assembles and factorizes the reduced system over
-// the 2P−2 boundary blocks, P = Σ streams. Must be called collectively by
+// the 2P−2 boundary blocks of the P ranks. Must be called collectively by
 // all ranks of c with consistent slices of f's topology. local is consumed
 // (its blocks are the factor's storage until the next call).
 func PPOBTAF(c *comm.Comm, f *DistFactor, local *LocalBTA) error {
@@ -287,9 +260,8 @@ func PPOBTAS(c *comm.Comm, f *DistFactor, rhsLocal, rhsTip []float64) (x, xTip [
 
 // PPOBTASI is the distributed selected inversion: it computes every block
 // of Σ = A⁻¹ on the BTA pattern, with each rank producing the blocks of its
-// owned partitions (rank-internal partition borders included; TopCoupling
-// holds Σ(Lo, Lo−1) and Tip the replicated Σ over the fixed-effects
-// corner). Collective; requires a prior PPOBTAF. The returned slice is the
+// partition (TopCoupling holds Σ(Lo, Lo−1) and Tip the replicated Σ over
+// the fixed-effects corner). Collective; requires a prior PPOBTAF. The returned slice is the
 // factor's own storage and stays valid until the next PPOBTASI call.
 func PPOBTASI(c *comm.Comm, f *DistFactor) (*LocalBTA, error) {
 	if f.sigma.Diag == nil {

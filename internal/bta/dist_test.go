@@ -1,6 +1,7 @@
 package bta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,90 +46,6 @@ func TestPartitionBlocksLoadBalanced(t *testing.T) {
 	}
 	if total != 26 {
 		t.Fatalf("blocks lost: %+v", parts)
-	}
-}
-
-// TestHybridPartitionFlatBitForBit: the one-stream-per-node layout must
-// reproduce the flat splitter exactly — the hybrid code path defers to it.
-func TestHybridPartitionFlatBitForBit(t *testing.T) {
-	for _, tc := range []struct {
-		n, p int
-		lb   float64
-	}{{26, 4, 1.6}, {12, 4, 1}, {23, 3, 1.7}} {
-		flat, err := PartitionBlocks(tc.n, tc.p, tc.lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hyb, err := HybridPartition(tc.n, UniformStreams(tc.p, 1), tc.lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range flat {
-			if flat[i] != hyb[i] {
-				t.Fatalf("%+v: partition %d: flat %+v hybrid %+v", tc, i, flat[i], hyb[i])
-			}
-		}
-	}
-}
-
-// TestHybridPartitionLoadBalance: lb must be honored inside the node gangs
-// (the global-first partition enlarged) and per-node block shares must
-// follow the stream counts even when they are unequal — the node with more
-// streams owns proportionally more blocks, keeping per-stream (and hence
-// per-node-makespan) sizes near-equal.
-func TestHybridPartitionLoadBalance(t *testing.T) {
-	// Two nodes, 3 + 1 streams, lb = 1.6 over 50 blocks.
-	counts := []int{3, 1}
-	parts, err := HybridPartition(50, counts, 1.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 4 {
-		t.Fatalf("got %d partitions", len(parts))
-	}
-	prevHi := -1
-	total := 0
-	for _, p := range parts {
-		if p.Lo != prevHi+1 {
-			t.Fatalf("not contiguous: %+v", parts)
-		}
-		prevHi = p.Hi
-		total += p.Size()
-	}
-	if total != 50 || parts[3].Hi != 49 {
-		t.Fatalf("coverage wrong: %+v", parts)
-	}
-	// lb honored inside node 0's gang: the one-sided first partition is
-	// strictly larger than its two-sided node-mates.
-	if parts[0].Size() <= parts[1].Size() {
-		t.Fatalf("lb must enlarge the global-first partition: %+v", parts)
-	}
-	// Per-node makespan ≈ the largest per-stream cost: every two-sided
-	// partition must be within one block of the others (shares follow the
-	// stream counts, not an even node split).
-	twoSided := []int{parts[1].Size(), parts[2].Size(), parts[3].Size()}
-	for _, s := range twoSided[1:] {
-		if d := s - twoSided[0]; d > 1 || d < -1 {
-			t.Fatalf("two-sided streams unbalanced: %+v", parts)
-		}
-	}
-	// The naive even node split would give node 1 half the blocks; the
-	// stream-weighted split must not.
-	node1 := parts[3].Size()
-	if node1 > 50/2 {
-		t.Fatalf("node 1 (1 stream) owns %d of 50 blocks — even node split, not stream-weighted", node1)
-	}
-}
-
-// TestSpreadStreams covers the unequal fallback layout.
-func TestSpreadStreams(t *testing.T) {
-	got := SpreadStreams(3, 7)
-	if got[0] != 3 || got[1] != 2 || got[2] != 2 {
-		t.Fatalf("SpreadStreams(3,7) = %v", got)
-	}
-	got = SpreadStreams(2, 1)
-	if got[0] != 1 || got[1] != 1 {
-		t.Fatalf("SpreadStreams(2,1) = %v (each rank needs a stream)", got)
 	}
 }
 
@@ -178,8 +95,7 @@ func TestBoundariesAndInteriors(t *testing.T) {
 	}
 }
 
-// runDistributed factorizes, solves, and selected-inverts a BTA matrix over
-// p simulated ranks, returning the results gathered on caller side.
+// distResult gathers one distributed run's outputs on the caller side.
 type distResult struct {
 	logDet  float64
 	x       []float64
@@ -189,11 +105,25 @@ type distResult struct {
 	err     error
 }
 
-func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) distResult {
+// distRank is one rank's persistent slice and factor, reusable across
+// runDistributed cycles.
+type distRank struct {
+	local *LocalBTA
+	f     *DistFactor
+}
+
+// runDistributed factorizes, solves, and selected-inverts g over p
+// simulated ranks, one partition each. ranks, when non-nil, carries every
+// rank's slice and factor across calls (built on first use) instead of
+// fresh ones.
+func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64, ranks []distRank) distResult {
 	t.Helper()
 	parts, err := PartitionBlocks(g.N, p, lb)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ranks == nil {
+		ranks = make([]distRank, p)
 	}
 	n, b, a := g.N, g.B, g.A
 	res := distResult{
@@ -202,15 +132,31 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 		sigLows: make([]*dense.Matrix, n-1),
 	}
 	var mu chanMutex = make(chan struct{}, 1)
+	fail := func(err error) {
+		mu.Lock()
+		res.err = err
+		mu.Unlock()
+	}
 	if err := runWorld(p, func(c *comm.Comm) {
-		f, err := distFactorize(c, g, parts, UniformStreams(p, 1))
-		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+		dr := &ranks[c.Rank()]
+		if dr.f == nil {
+			var err error
+			if dr.local, err = NewLocalBTA(parts, c.Rank(), n, b, a); err != nil {
+				fail(err)
+				return
+			}
+			if dr.f, err = NewDistFactor(dr.local); err != nil {
+				fail(err)
+				return
+			}
+		}
+		local, f := dr.local, dr.f
+		local.FillFrom(g)
+		if err := PPOBTAF(c, f, local); err != nil {
+			fail(err)
 			return
 		}
-		part := parts[c.Rank()]
+		part := local.Part
 		rhsLocal := append([]float64(nil), rhs[part.Lo*b:(part.Hi+1)*b]...)
 		var rhsTip []float64
 		if a > 0 {
@@ -218,16 +164,12 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 		}
 		xLocal, xTip, err := PPOBTAS(c, f, rhsLocal, rhsTip)
 		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+			fail(err)
 			return
 		}
 		sig, err := PPOBTASI(c, f)
 		if err != nil {
-			mu.Lock()
-			res.err = err
-			mu.Unlock()
+			fail(err)
 			return
 		}
 		mu.Lock()
@@ -236,19 +178,18 @@ func runDistributed(t *testing.T, g *Matrix, p int, lb float64, rhs []float64) d
 		if a > 0 && xTip != nil {
 			copy(res.x[n*b:], xTip)
 		}
-		d := sig.DiagVec()
-		copy(res.sigDiag[part.Lo*b:], d)
+		copy(res.sigDiag[part.Lo*b:], sig.DiagVec())
 		if a > 0 && sig.Tip != nil {
-			res.sigTip = sig.Tip
+			res.sigTip = sig.Tip.Clone()
 			for k := 0; k < a; k++ {
 				res.sigDiag[n*b+k] = sig.Tip.At(k, k)
 			}
 		}
 		for i, l := range sig.Lower {
-			res.sigLows[part.Lo+i] = l
+			res.sigLows[part.Lo+i] = l.Clone()
 		}
 		if sig.TopCoupling != nil {
-			res.sigLows[part.Lo-1] = sig.TopCoupling
+			res.sigLows[part.Lo-1] = sig.TopCoupling.Clone()
 		}
 		mu.Unlock()
 	}); err != nil && res.err == nil {
@@ -268,9 +209,9 @@ func runWorld(p int, body func(c *comm.Comm)) error {
 }
 
 // distFactorize builds the calling rank's slice of g and its factor over
-// the (parts, streams) topology and runs PPOBTAF.
-func distFactorize(c *comm.Comm, g *Matrix, parts []Partition, streams []int) (*DistFactor, error) {
-	local, err := LocalSlice(g, parts, streams, c.Rank())
+// the partition list parts and runs PPOBTAF.
+func distFactorize(c *comm.Comm, g *Matrix, parts []Partition) (*DistFactor, error) {
+	local, err := LocalSlice(g, parts, c.Rank())
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +232,7 @@ func checkDistributedMatchesSequential(t *testing.T, g *Matrix, p int, lb float6
 	rng := rand.New(rand.NewSource(1234))
 	rhs := randVec(rng, g.Dim())
 
-	res := runDistributed(t, g, p, lb, rhs)
+	res := runDistributed(t, g, p, lb, rhs, nil)
 	if res.err != nil {
 		t.Fatalf("P=%d: %v", p, res.err)
 	}
@@ -385,7 +326,7 @@ func TestDistributedMinimalMiddlePartitions(t *testing.T) {
 	sigDiag := make([]float64, g.Dim())
 	var mu chanMutex = make(chan struct{}, 1)
 	if err := runWorld(4, func(c *comm.Comm) {
-		df, err := distFactorize(c, g, parts, UniformStreams(4, 1))
+		df, err := distFactorize(c, g, parts)
 		if err != nil {
 			mu.Lock()
 			firstErr = err
@@ -455,7 +396,7 @@ func TestDistributedRejectsBadRhs(t *testing.T) {
 	var gotErr error
 	var mu chanMutex = make(chan struct{}, 1)
 	if err := runWorld(2, func(c *comm.Comm) {
-		f, err := distFactorize(c, g, parts, UniformStreams(2, 1))
+		f, err := distFactorize(c, g, parts)
 		if err != nil {
 			return
 		}
@@ -483,7 +424,7 @@ func TestDistributedIndefiniteFails(t *testing.T) {
 	sawError := false
 	var mu chanMutex = make(chan struct{}, 1)
 	if err := runWorld(2, func(c *comm.Comm) {
-		_, err := distFactorize(c, g, parts, UniformStreams(2, 1))
+		_, err := distFactorize(c, g, parts)
 		mu.Lock()
 		if err != nil {
 			sawError = true
@@ -494,6 +435,186 @@ func TestDistributedIndefiniteFails(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("indefinite matrix must fail distributed factorization")
+	}
+}
+
+// TestHybridEquivalenceGrid is the backend acceptance grid: distributed vs
+// sequential vs shared-memory parallel selected-inversion diagonals,
+// couplings and solves agree to 1e-10 across world sizes
+// {1,2,3,4,6,8,12} × arrowhead {0,1,4} at an odd time dimension, the
+// shared-memory twin at every width.
+func TestHybridEquivalenceGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const nt = 23 // odd, and ≥ 2·12−2 so every grid point partitions
+	for _, a := range []int{0, 1, 4} {
+		g := randBTA(rng, nt, 2, a)
+		rhs := randVec(rng, g.Dim())
+
+		seq, err := Factorize(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]float64(nil), rhs...)
+		seq.Solve(want)
+		wantLd := seq.LogDet()
+		wantSig, err := seq.SelectedInversion()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDiag := wantSig.DiagVec()
+
+		for _, world := range []int{1, 2, 3, 4, 6, 8, 12} {
+			label := fmt.Sprintf("a=%d world=%d", a, world)
+			res := runDistributed(t, g, world, 1, rhs, nil)
+			if res.err != nil {
+				t.Fatalf("%s: %v", label, res.err)
+			}
+			if d := math.Abs(res.logDet - wantLd); d > equivTol*(1+math.Abs(wantLd)) {
+				t.Fatalf("%s: logdet %v want %v", label, res.logDet, wantLd)
+			}
+			for i := range want {
+				if math.Abs(res.x[i]-want[i]) > equivTol {
+					t.Fatalf("%s: solve[%d] = %v want %v", label, i, res.x[i], want[i])
+				}
+			}
+			for i := range wantDiag {
+				if math.Abs(res.sigDiag[i]-wantDiag[i]) > equivTol*(1+math.Abs(wantDiag[i])) {
+					t.Fatalf("%s: selinv diag[%d] = %v want %v", label, i, res.sigDiag[i], wantDiag[i])
+				}
+			}
+			for k := 0; k < g.N-1; k++ {
+				if res.sigLows[k] == nil {
+					t.Fatalf("%s: missing Σ lower block %d", label, k)
+				}
+				if !res.sigLows[k].Equal(wantSig.Lower[k], equivTol) {
+					t.Fatalf("%s: Σ lower block %d mismatch", label, k)
+				}
+			}
+			if a > 0 && !res.sigTip.Equal(wantSig.Tip, equivTol) {
+				t.Fatalf("%s: Σ tip mismatch", label)
+			}
+
+			// The shared-memory parallel backend over the same width must
+			// agree too — both backends drive the same partition cores.
+			pf, err := NewParallelFactor(nt, 2, a, world)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pf.Refactorize(g); err != nil {
+				t.Fatal(err)
+			}
+			got := append([]float64(nil), rhs...)
+			pf.Solve(got)
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > equivTol {
+					t.Fatalf("%s: parallel solve[%d] mismatch", label, i)
+				}
+			}
+		}
+	}
+}
+
+// TestHybridScratchReuseStable: repeated refill/factorize/solve/selinv
+// cycles on the same persistent factors of four ranks must reproduce the
+// first cycle's results exactly — the fill chains, accumulators, solve
+// buffers and Σ storage carry no state between iterations.
+func TestHybridScratchReuseStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	g := randBTA(rng, 11, 3, 2)
+	rhs := randVec(rng, g.Dim())
+	ranks := make([]distRank, 4)
+
+	var first distResult
+	for cycle := 0; cycle < 4; cycle++ {
+		res := runDistributed(t, g, 4, 1, rhs, ranks)
+		if res.err != nil {
+			t.Fatalf("cycle %d: %v", cycle, res.err)
+		}
+		if cycle == 0 {
+			first = res
+			continue
+		}
+		if res.logDet != first.logDet {
+			t.Fatalf("cycle %d: logdet drifted", cycle)
+		}
+		for i := range first.x {
+			if res.x[i] != first.x[i] {
+				t.Fatalf("cycle %d: solve[%d] drifted", cycle, i)
+			}
+		}
+		for i := range first.sigDiag {
+			if res.sigDiag[i] != first.sigDiag[i] {
+				t.Fatalf("cycle %d: selinv diag[%d] drifted", cycle, i)
+			}
+		}
+	}
+}
+
+// distCycleAllocs measures the steady-state allocations of one full
+// distributed cycle on persistent factors (refill + PPOBTAF + PPOBTAS +
+// PPOBTASI) over 2 ranks.
+func distCycleAllocs(t *testing.T, nt int) float64 {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(74 + nt)))
+	g := randBTA(rng, nt, 3, 2)
+	parts, err := PartitionBlocks(nt, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := randVec(rng, g.Dim())
+	locals := make([]*LocalBTA, 2)
+	facs := make([]*DistFactor, 2)
+	rhsLocals := make([][]float64, 2)
+	for r, p := range parts {
+		if locals[r], err = NewLocalBTA(parts, r, g.N, g.B, g.A); err != nil {
+			t.Fatal(err)
+		}
+		if facs[r], err = NewDistFactor(locals[r]); err != nil {
+			t.Fatal(err)
+		}
+		rhsLocals[r] = append([]float64(nil), rhs[p.Lo*g.B:(p.Hi+1)*g.B]...)
+	}
+	cycle := func() {
+		if err := runWorld(2, func(c *comm.Comm) {
+			r := c.Rank()
+			locals[r].FillFrom(g)
+			if err := PPOBTAF(c, facs[r], locals[r]); err != nil {
+				panic(err)
+			}
+			rl := rhsLocals[r]
+			copy(rl, rhs[parts[r].Lo*g.B:(parts[r].Hi+1)*g.B])
+			var rhsTip []float64
+			if g.A > 0 {
+				rhsTip = rhs[g.N*g.B:]
+			}
+			if _, _, err := PPOBTAS(c, facs[r], rl, rhsTip); err != nil {
+				panic(err)
+			}
+			if _, err := PPOBTASI(c, facs[r]); err != nil {
+				panic(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the lazily sized storage (message staging, Σ output).
+	cycle()
+	cycle()
+	return testing.AllocsPerRun(5, cycle)
+}
+
+// TestDistPerStepAllocFree pins the distributed path's allocation
+// behaviour: the remaining allocations per cycle belong to the message
+// layer and the simulator (O(ranks) per cycle), so the count must not grow
+// with the number of interior blocks.
+func TestDistPerStepAllocFree(t *testing.T) {
+	if dense.RaceEnabled {
+		t.Skip("race-mode alloc counts are meaningless")
+	}
+	small := distCycleAllocs(t, 10)
+	large := distCycleAllocs(t, 34)
+	if large > small+6 {
+		t.Fatalf("allocations grow with nt: %.1f at nt=10 vs %.1f at nt=34", small, large)
 	}
 }
 

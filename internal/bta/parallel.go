@@ -61,7 +61,7 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 		}
 	}
 	f := &ParallelFactor{}
-	if err := f.init(n, b, a, parts, []int{p}, 0, o.Executor); err != nil {
+	if err := f.init(n, b, a, parts, 0, p, o.Executor); err != nil {
 		return nil, err
 	}
 	if f.P > 1 { // P == 1 factorizes in the sequential factor's own storage

@@ -137,13 +137,12 @@ type partState struct {
 // §IV-C–E over a time-domain partitioning. An instance owns a run of
 // consecutive partitions of the global list, sweeps them as one gang on one
 // executor, and — when it owns partition 0 — holds the 2P−2-block reduced
-// boundary system. The partitions of other owners are reached through a
-// communicator: their boundary blocks arrive as messages and are installed
-// by the same code that installs the owned ones. With every partition owned
-// there are no peers, the exchange loops run zero times and the
-// communicator may be nil: that is ParallelFactor. DistFactor is the same
-// driver on each rank of a communicator, with comm.Compute charging the
-// gang's wall time to the rank's virtual clock.
+// boundary system. Either one owner holds every partition — there are no
+// peers, the exchange loops run zero times and the communicator may be nil:
+// that is ParallelFactor — or each of P ranks of a communicator owns one,
+// and the peers' boundary blocks arrive as messages installed by the same
+// code that installs the owned ones: that is DistFactor, with comm.Compute
+// charging the partition's wall time to the rank's virtual clock.
 //
 // All storage — including the task nodes and their bodies — is created at
 // construction, so every operation is allocation-free after warmup apart
@@ -152,11 +151,10 @@ type partFactor struct {
 	N, B, A int // global BTA shape
 	P       int // total partition count
 
-	span    Partition // owned block range
-	rank    int
-	streams []int // partitions per rank
-	base    []int // first global partition index per rank
-	ps      []*partState
+	span  Partition // owned block range
+	rank  int       // communicator rank = global index of the first owned partition
+	ranks int       // communicator size: 1 (every partition owned) or P
+	ps    []*partState
 
 	seq *Factor // P == 1: the factor, with its own storage (store is copied in)
 
@@ -188,22 +186,20 @@ type partFactor struct {
 	sig   *LocalBTA // selected-inversion output
 }
 
-// init builds the driver for the owner of the consecutive partitions sub of
-// a global list laid out over ranks as streams (streams[rank] == len(sub)).
-func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int, ex *sched.Executor) error {
-	f.N, f.B, f.A = n, b, a
-	f.rank, f.streams = rank, streams
-	f.base = make([]int, len(streams))
-	for r, q := range streams {
-		f.base[r] = f.P
-		f.P += q
+// init builds the driver for rank, the owner of the consecutive partitions
+// sub of a p-partition global list: all of them (rank 0), or partition rank
+// alone.
+func (f *partFactor) init(n, b, a int, sub []Partition, rank, p int, ex *sched.Executor) error {
+	f.N, f.B, f.A, f.P = n, b, a, p
+	f.rank, f.ranks = rank, 1
+	if len(sub) < p {
+		f.ranks = p
 	}
 	f.span = Partition{Lo: sub[0].Lo, Hi: sub[len(sub)-1].Hi}
-	if f.P == 1 {
+	if p == 1 {
 		f.seq = NewFactor(n, b, a)
 		return nil
 	}
-	p := f.P
 
 	if rank == 0 {
 		nr := reducedSize(p)
@@ -215,7 +211,7 @@ func (f *partFactor) init(n, b, a int, sub []Partition, streams []int, rank int,
 
 	f.ps = make([]*partState, len(sub))
 	for j, part := range sub {
-		g := f.base[rank] + j
+		g := rank + j
 		ps := &partState{part: part, global: g, off: part.Lo - f.span.Lo, interiors: interiors(part, g, p)}
 		if g > 0 {
 			ps.bndRel = append(ps.bndRel, ps.off)
@@ -294,7 +290,7 @@ func anyFailed(c *comm.Comm, err error) bool {
 }
 
 // runPhase fans phase ph out to the owned partitions. Under a communicator
-// the gang's makespan is charged as one node-level compute interval.
+// the gang's makespan is charged as one compute interval of the rank.
 func (f *partFactor) runPhase(c *comm.Comm, ph int) {
 	f.phase = ph
 	compute(c, f.gang)
@@ -353,11 +349,6 @@ func (f *partFactor) firstErr() error {
 		}
 	}
 	return nil
-}
-
-// peerRange returns rank r's run of global partition indices [g0, g1).
-func (f *partFactor) peerRange(r int) (g0, g1 int) {
-	return f.base[r], f.base[r] + f.streams[r]
 }
 
 // hasBlock reports whether partition g's boundary carries block i.
@@ -487,19 +478,23 @@ func (f *partFactor) refactorize(c *comm.Comm, store *LocalBTA) error {
 		return fmt.Errorf("bta: rank %d: reduced-system factorization failed", f.rank)
 	}
 
-	// log|A|: interior Cholesky diagonals of every owner plus the reduced
-	// factor's log-determinant from rank 0.
+	// log|A|, folded per partition in partition order: each contributes
+	// its interior Cholesky diagonals, partition 0 also the reduced
+	// factor's log-determinant. The P ranks' contributions meet in
+	// AllReduceSum's rank-order fold, the same additions in the same order.
 	var s float64
 	for _, ps := range f.ps {
+		var d float64
 		for _, lk := range ps.l {
 			for i := 0; i < f.B; i++ {
-				s += math.Log(lk.At(i, i))
+				d += math.Log(lk.At(i, i))
 			}
 		}
-	}
-	s *= 2
-	if f.rank == 0 {
-		s += f.redF.LogDet()
+		d *= 2
+		if ps.global == 0 {
+			d += f.redF.LogDet()
+		}
+		s += d
 	}
 	if c != nil {
 		s = c.AllReduceSum([]float64{s})[0]
@@ -541,25 +536,19 @@ func (f *partFactor) elimPartition(ps *partState) error {
 }
 
 // factorReduced gathers every partition's boundary contribution on rank 0 —
-// owned ones straight from the storage, the peers' from their messages, in
-// the order their owners walk them — and factorizes the assembled system
-// sequentially in place. Tip deltas fold in partition order, a peer's as
-// one node-level sum.
+// owned ones straight from the storage, the peers' from their messages —
+// and factorizes the assembled system sequentially in place. Tip deltas
+// fold in partition order.
 func (f *partFactor) factorReduced(c *comm.Comm) error {
 	relabel(labelReduced)
 	defer relabel(labelNone)
 	if f.rank != 0 {
-		for _, ps := range f.ps {
-			bd := f.ownBoundary(f.store, ps)
-			bd[bFill] = ps.fill
-			sendBoundary(c, 0, &elimTags, bd)
-		}
+		ps := f.ps[0]
+		bd := f.ownBoundary(f.store, ps)
+		bd[bFill] = ps.fill
+		sendBoundary(c, 0, &elimTags, bd)
 		if f.A > 0 {
-			t := f.ps[0].tipDelta
-			for _, ps := range f.ps[1:] {
-				t.Add(1, ps.tipDelta)
-			}
-			c.SendMatrix(0, tagTip, t)
+			c.SendMatrix(0, tagTip, ps.tipDelta)
 		}
 		return nil
 	}
@@ -574,10 +563,8 @@ func (f *partFactor) factorReduced(c *comm.Comm) error {
 			f.red.Tip.Add(1, ps.tipDelta)
 		}
 	}
-	for r := 1; r < len(f.streams); r++ {
-		for g, g1 := f.peerRange(r); g < g1; g++ {
-			f.installReduced(g, f.recvBoundary(c, r, &elimTags, g))
-		}
+	for r := 1; r < f.ranks; r++ {
+		f.installReduced(r, f.recvBoundary(c, r, &elimTags, r))
 		if f.A > 0 {
 			f.red.Tip.Add(1, c.RecvMatrix(r, tagTip))
 		}
@@ -649,13 +636,12 @@ func (f *partFactor) scatterRhs(x []float64) {
 }
 
 // peerRhs returns the slice of the reduced right-hand side that rank r's
-// boundary blocks occupy — consecutive partitions have consecutive reduced
-// indices, so a peer's payload is one contiguous run.
+// boundary blocks occupy: its top block, and its bottom one unless r is
+// the last rank.
 func (f *partFactor) peerRhs(r int) []float64 {
-	g0, g1 := f.peerRange(r)
-	lo, hi := reducedIndexTop(g0), reducedIndexBot(g1-1)
-	if g1 == f.P {
-		hi = reducedIndexTop(g1 - 1)
+	lo, hi := reducedIndexTop(r), reducedIndexBot(r)
+	if r == f.P-1 {
+		hi = lo
 	}
 	return f.redRhs[lo*f.B : (hi+1)*f.B]
 }
@@ -674,34 +660,25 @@ func (f *partFactor) solve(c *comm.Comm, x []float64) {
 	f.x = x
 	f.runPhase(c, phaseFwd)
 	if f.rank != 0 {
-		// Boundary values in owned order, then the node-level tip
-		// contribution; the solution comes back in the same layout.
+		// Boundary values top first, then the tip contribution; the
+		// solution comes back in the same layout.
+		ps := f.ps[0]
 		pl := f.stage[:0]
-		for _, ps := range f.ps {
-			for _, rel := range ps.bndRel {
-				pl = append(pl, x[rel*b:(rel+1)*b]...)
-			}
+		for _, rel := range ps.bndRel {
+			pl = append(pl, x[rel*b:(rel+1)*b]...)
 		}
-		if a > 0 {
-			at := len(pl)
-			pl = append(pl, f.ps[0].tipVec...)
-			for _, ps := range f.ps[1:] {
-				dense.Axpy(1, ps.tipVec, pl[at:])
-			}
-		}
+		pl = append(pl, ps.tipVec...)
 		f.stage = pl
 		c.Send(0, tagRhs, pl)
 		sol := c.Recv(0, tagSol)
-		for _, ps := range f.ps {
-			for _, rel := range ps.bndRel {
-				copy(x[rel*b:(rel+1)*b], sol)
-				sol = sol[b:]
-			}
+		for _, rel := range ps.bndRel {
+			copy(x[rel*b:(rel+1)*b], sol)
+			sol = sol[b:]
 		}
 		copy(x[nb:nb+a], sol)
 	} else {
 		f.gatherRhs(x, true)
-		for r := 1; r < len(f.streams); r++ {
+		for r := 1; r < f.ranks; r++ {
 			pl := c.Recv(r, tagRhs)
 			n := copy(f.peerRhs(r), pl)
 			if a > 0 {
@@ -709,7 +686,7 @@ func (f *partFactor) solve(c *comm.Comm, x []float64) {
 			}
 		}
 		compute(c, func() { f.redF.Solve(f.redRhs) })
-		for r := 1; r < len(f.streams); r++ {
+		for r := 1; r < f.ranks; r++ {
 			f.stage = append(append(f.stage[:0], f.peerRhs(r)...), f.redTip()...)
 			c.Send(r, tagSol, f.stage)
 		}
@@ -741,19 +718,15 @@ func (f *partFactor) selinv(c *comm.Comm, out *LocalBTA) error {
 		if err != nil {
 			return err
 		}
-		for r := 1; r < len(f.streams); r++ {
-			for g, g1 := f.peerRange(r); g < g1; g++ {
-				sendBoundary(c, r, &sigTags, f.reducedBoundary(f.redSig, g))
-			}
+		for r := 1; r < f.ranks; r++ {
+			sendBoundary(c, r, &sigTags, f.reducedBoundary(f.redSig, r))
 		}
 		for _, ps := range f.ps {
 			ps.sig = f.reducedBoundary(f.redSig, ps.global)
 		}
 		tip = f.redSig.Tip
 	} else {
-		for _, ps := range f.ps {
-			ps.sig = f.recvBoundary(c, 0, &sigTags, ps.global)
-		}
+		f.ps[0].sig = f.recvBoundary(c, 0, &sigTags, f.rank)
 	}
 	if f.A > 0 {
 		if c != nil {

@@ -9,43 +9,32 @@ import (
 	"github.com/dalia-hpc/dalia/internal/dense"
 )
 
-// TestNewLocalBTARejectsBadLayouts: a stream layout that does not match the
-// partition list, or a rank outside it, errors instead of slicing out of
-// range — for every caller, since this is the only constructor.
+// TestNewLocalBTARejectsBadLayouts: a rank outside the partition list
+// errors instead of slicing out of range — for every caller, since this is
+// the only constructor.
 func TestNewLocalBTARejectsBadLayouts(t *testing.T) {
 	parts, err := PartitionBlocks(12, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		streams []int
-		rank    int
-	}{
-		{"layout wider than the partition list", UniformStreams(3, 2), 2},
-		{"layout narrower than the partition list", UniformStreams(2, 1), 0},
-		{"stream count < 1", []int{3, 0, 1}, 0},
-		{"negative rank", UniformStreams(2, 2), -1},
-		{"rank past the layout", UniformStreams(2, 2), 2},
-	} {
-		if l, err := NewLocalBTA(parts, tc.streams, tc.rank, 12, 2, 1); err == nil {
-			t.Errorf("%s: got slice over %+v, want an error", tc.name, l.Part)
+	for _, rank := range []int{-1, 4} {
+		if l, err := NewLocalBTA(parts, rank, 12, 2, 1); err == nil {
+			t.Errorf("rank %d: got slice over %+v, want an error", rank, l.Part)
 		}
-		if _, err := LocalSlice(NewMatrix(12, 2, 1), parts, tc.streams, tc.rank); err == nil {
-			t.Errorf("%s: LocalSlice accepted the layout", tc.name)
+		if _, err := LocalSlice(NewMatrix(12, 2, 1), parts, rank); err == nil {
+			t.Errorf("rank %d: LocalSlice accepted it", rank)
 		}
 	}
-	l, err := NewLocalBTA(parts, UniformStreams(2, 2), 1, 12, 2, 1)
+	l, err := NewLocalBTA(parts, 2, 12, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (Partition{Lo: parts[2].Lo, Hi: parts[3].Hi}); l.Part != want || len(l.Sub) != 2 {
-		t.Fatalf("rank 1 of 2×2 owns %+v %+v, want span %+v", l.Part, l.Sub, want)
+	if l.Part != parts[2] || l.Tip != nil {
+		t.Fatalf("rank 2 of 4 owns %+v (tip %v), want %+v without a tip", l.Part, l.Tip, parts[2])
 	}
-	// A hand-built slice whose layout disagrees with itself cannot seed a factor.
-	l.Streams = []int{3, 1}
-	if _, err := NewDistFactor(l); err == nil {
-		t.Fatal("NewDistFactor accepted a rank owning 2 partitions under a layout recording 1")
+	// A hand-built slice records no partition list and cannot seed a factor.
+	if _, err := NewDistFactor(&LocalBTA{Part: parts[0], NGlobal: 12, B: 2, A: 1}); err == nil {
+		t.Fatal("NewDistFactor accepted a slice built outside NewLocalBTA")
 	}
 }
 
@@ -81,43 +70,67 @@ func sameMatrix(name string, got, want *Matrix) error {
 	return nil
 }
 
-// sameFactor reports the first factor block of the shared-memory driver pf
-// (storage pfStore) that differs in any bit from the distributed driver df
-// (storage dfStore): the consumed block storage, the fill chains and the
-// reduced factor, or over one partition the sequential factor's storage.
+// sameSlice reports the first block of the rank-local slice l that differs
+// in any bit from the block at the same global position of want.
+func sameSlice(name string, l *LocalBTA, want *Matrix) error {
+	lo, hi := l.Part.Lo, l.Part.Hi
+	if err := sameBlocks(name+" diag", l.Diag, want.Diag[lo:hi+1]); err != nil {
+		return err
+	}
+	if err := sameBlocks(name+" lower", l.Lower, want.Lower[lo:hi]); err != nil {
+		return err
+	}
+	if want.A > 0 {
+		if err := sameBlocks(name+" arrow", l.Arrow, want.Arrow[lo:hi+1]); err != nil {
+			return err
+		}
+	}
+	if lo > 0 && !l.TopCoupling.Equal(want.Lower[lo-1], 0) {
+		return fmt.Errorf("%s top coupling differs", name)
+	}
+	if l.Tip != nil && !l.Tip.Equal(want.Tip, 0) {
+		return fmt.Errorf("%s tip differs", name)
+	}
+	return nil
+}
+
+// sameFactor reports the first factor block of rank df.rank of the
+// distributed driver df (storage dfStore) that differs in any bit from the
+// shared-memory driver pf (storage pfStore): the rank's slice of the
+// consumed block storage, its partition's fill chain and, on rank 0, the
+// reduced factor — or over one partition the sequential factor's storage.
 func sameFactor(pf, df *partFactor, pfStore, dfStore *LocalBTA) error {
-	pw, dw := pfStore.whole(), dfStore.whole()
 	if pf.P == 1 {
 		seqStore := func(f *Factor) Matrix {
 			return Matrix{N: f.N, B: f.B, A: f.A, Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow, Tip: f.Tip}
 		}
-		pw, dw = seqStore(pf.seq), seqStore(df.seq)
+		pw, dw := seqStore(pf.seq), seqStore(df.seq)
+		return sameMatrix("factor", &dw, &pw)
 	}
-	if err := sameMatrix("factor", &pw, &dw); err != nil {
+	pw := pfStore.whole()
+	if err := sameSlice("factor", dfStore, &pw); err != nil {
 		return err
 	}
-	for j, ps := range pf.ps {
-		if err := sameBlocks(fmt.Sprintf("partition %d fill chain", ps.global),
-			ps.chain[:ps.chainUsed], df.ps[j].chain[:df.ps[j].chainUsed]); err != nil {
-			return err
-		}
+	ps, dps := pf.ps[df.rank], df.ps[0]
+	if err := sameBlocks(fmt.Sprintf("partition %d fill chain", df.rank),
+		dps.chain[:dps.chainUsed], ps.chain[:ps.chainUsed]); err != nil {
+		return err
 	}
-	if pf.P > 1 {
-		if err := sameMatrix("reduced factor", pf.red, df.red); err != nil {
-			return err
-		}
+	if df.rank == 0 {
+		return sameMatrix("reduced factor", df.red, pf.red)
 	}
 	return nil
 }
 
 // TestOneDriverBitForBit is the contract of "one driver": the shared-memory
-// factor and a one-rank distributed factor over the same partition list are
-// the same code with and without a communicator, so the factor, the
-// log-determinant, the solve and every Σ block agree bit for bit — at every
-// partition count n = 13 supports (P ≤ 7, reduced systems up to 12 blocks),
-// with and without an arrowhead, with a size-2 middle partition, and after
-// a failed (non-SPD) factorization. Over the single partition {0, n−1} both
-// are the sequential Factor, bit for bit.
+// factor and a distributed factor over P ranks, one partition each, run
+// the same code with and without a communicator, so every rank's factor
+// blocks, the log-determinant, the solve and every Σ block agree bit for
+// bit with the shared-memory ones — at every partition count n = 13
+// supports (P ≤ 7, reduced systems up to 12 blocks), with and without an
+// arrowhead, with a size-2 middle partition, and after a failed (non-SPD)
+// factorization. Over the single partition {0, n−1} both are the
+// sequential Factor, bit for bit.
 func TestOneDriverBitForBit(t *testing.T) {
 	const n, b = 13, 3
 	rng := rand.New(rand.NewSource(77))
@@ -143,10 +156,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 			// inside partition 1 (interior or boundary), or the one partition
 			bad.Diag[parts[min(1, len(parts)-1)].Lo+1].Set(0, 0, -50)
 			rhs := randVec(rng, good.Dim())
-			streams := []int{len(parts)}
 
 			pf := &ParallelFactor{}
-			if err := pf.init(n, b, a, parts, streams, 0, nil); err != nil {
+			if err := pf.init(n, b, a, parts, 0, len(parts), nil); err != nil {
 				t.Fatal(err)
 			}
 			pf.mem = wholeSlice(NewMatrix(n, b, a))
@@ -193,8 +205,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 				}
 			}
 
-			if err := runWorld(1, func(c *comm.Comm) {
-				local, err := LocalSlice(bad, parts, streams, 0)
+			if err := runWorld(len(parts), func(c *comm.Comm) {
+				label := fmt.Sprintf("%s rank %d", label, c.Rank())
+				local, err := LocalSlice(bad, parts, c.Rank())
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
 					return
@@ -219,14 +232,17 @@ func TestOneDriverBitForBit(t *testing.T) {
 				if got := df.LogDet(); got != pf.LogDet() {
 					t.Errorf("%s: logdet %v, shared-memory %v", label, got, pf.LogDet())
 				}
-				x, xTip, err := PPOBTAS(c, df, rhs[:n*b], rhs[n*b:])
+				lo, hi := local.Part.Lo*b, (local.Part.Hi+1)*b
+				x, xTip, err := PPOBTAS(c, df, rhs[lo:hi], rhs[n*b:])
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
 					return
 				}
-				for i, v := range append(append([]float64(nil), x...), xTip...) {
-					if v != want[i] {
-						t.Errorf("%s: solve[%d] = %v, shared-memory %v", label, i, v, want[i])
+				got := append(append([]float64(nil), x...), xTip...)
+				wantLocal := append(append([]float64(nil), want[lo:hi]...), want[n*b:]...)
+				for i := range wantLocal {
+					if got[i] != wantLocal[i] {
+						t.Errorf("%s: local solve[%d] = %v, shared-memory %v", label, i, got[i], wantLocal[i])
 						return
 					}
 				}
@@ -235,8 +251,7 @@ func TestOneDriverBitForBit(t *testing.T) {
 					t.Errorf("%s: %v", label, err)
 					return
 				}
-				got := sig.whole()
-				if err := sameMatrix("Σ", &got, wantSig); err != nil {
+				if err := sameSlice("Σ", sig, wantSig); err != nil {
 					t.Errorf("%s: %v", label, err)
 				}
 			}); err != nil {

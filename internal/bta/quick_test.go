@@ -55,7 +55,7 @@ func TestQuickDistributedEqualsSequential(t *testing.T) {
 		done := make(chan struct{}, p)
 		if err := runWorld(p, func(c *comm.Comm) {
 			defer func() { done <- struct{}{} }()
-			df, err := distFactorize(c, g, parts, UniformStreams(p, 1))
+			df, err := distFactorize(c, g, parts)
 			if err != nil {
 				failed.Store(true)
 				return

@@ -14,9 +14,7 @@ import (
 // Plan is the resource assignment across the three nested parallelization
 // layers (§V-D policy: fill S1 first, then S2, then S3 — unless the
 // densified matrix exceeds device memory, which forces S3 width first).
-// The S3 layer is two-level: solver ranks across simulated nodes times
-// PartitionsPerRank shared-memory partitions within each node, matching the
-// paper's GPU-node topology (world size × partitions = total solver width).
+// S3 gives each solver rank one partition of the time domain (§IV-C).
 type Plan struct {
 	World  int
 	NFeval int
@@ -26,74 +24,21 @@ type Plan struct {
 	// UseS2 splits each group into the Q_p and Q_c pipelines.
 	UseS2 bool
 	// P3Min is the S3 rank width forced by the device-memory cap (1 = no
-	// constraint). The per-node stream width does not relax it: all of a
-	// node's partitions share that node's device memory.
+	// constraint).
 	P3Min int
-	// PartitionsPerRank is the second S3 level: the shared-memory
-	// parallel-in-time width each solver rank (node) runs at (1 = flat
-	// one-partition-per-rank configuration). Under a device-memory cap the
-	// planner may have reduced it below the requested width — all of a
-	// node's streams share that node's device memory, so streams trade
-	// against ranks.
-	PartitionsPerRank int
 }
 
-// StreamLayout returns the per-rank stream counts the plan's smallest S1
-// group actually evaluates at over ntBlocks time blocks: the uniform
-// PartitionsPerRank grid when the time dimension can absorb it, otherwise
-// the unequal SpreadStreams layout over the widest partitionable total —
-// earlier ranks carry the extra streams — instead of shedding whole
-// streams from every rank.
-func (p Plan) StreamLayout(ntBlocks int) []int {
-	p3 := 1
-	if len(p.GroupSizes) > 0 {
-		p3 = p.GroupSizes[len(p.GroupSizes)-1]
-		if p.UseS2 {
-			p3 /= 2
-		}
-		if p3 < 1 {
-			p3 = 1
-		}
-	}
-	return effectiveStreams(ntBlocks, p3, p.PartitionsPerRank)
-}
-
-// effectiveStreams lays a hybrid S3 topology's streams over ntBlocks time
-// blocks: uniform perRank streams on each of the p3 ranks when the time
-// dimension can absorb the full grid, otherwise a SpreadStreams layout over
-// the widest partitionable total (earlier ranks run more streams). The old
-// policy shed one stream from every rank until the uniform grid fit, which
-// over-discards width: at nt=10, p3=4, perRank=2 it fell all the way back
-// to 4 partitions where the spread layout [2,2,1,1] keeps 6.
-func effectiveStreams(ntBlocks, p3, perRank int) []int {
-	if p3 < 1 {
-		p3 = 1
-	}
-	if perRank < 1 {
-		perRank = 1
-	}
-	mx := bta.MaxPartitions(ntBlocks)
-	if p3 > mx {
-		p3 = mx
-	}
-	if p3*perRank <= mx {
-		return bta.UniformStreams(p3, perRank)
-	}
-	return bta.SpreadStreams(p3, mx)
-}
-
-// nodeWorkingSetBytes models the steady-state device bytes one node of the
-// hybrid topology holds: its 1/p3 slice of the densified blocks, the
-// fill-coupling chains of its two-sided partitions (one extra b×b block per
-// owned block — the per-node fill-chain working set, which is why streams
-// do not relax the cap), and the per-stream solve/sweep scratch.
-func nodeWorkingSetBytes(qcBytes int64, p3, q, b, a int) int64 {
+// nodeWorkingSetBytes models the steady-state device bytes one solver rank
+// holds: its 1/p3 slice of the densified blocks, the fill-coupling chain of
+// its two-sided partition (one extra b×b block per owned block), and the
+// partition's solve/sweep scratch.
+func nodeWorkingSetBytes(qcBytes int64, p3, b, a int) int64 {
 	slice := ceilDiv(qcBytes, int64(p3))
 	if b > 0 {
 		// fill chains ≈ the b×b-per-block share of the slice: b²/(2b²+ab).
 		slice += ceilDiv(qcBytes, int64(p3)) * int64(b) / int64(2*b+a)
-		// per-stream sweep + solve temporaries (7 b×b, 2 a×b, 1 a×a).
-		slice += int64(q) * 8 * int64(7*b*b+2*a*b+a*a)
+		// sweep + solve temporaries (7 b×b, 2 a×b, 1 a×a).
+		slice += 8 * int64(7*b*b+2*a*b+a*a)
 	}
 	return slice
 }
@@ -104,40 +49,17 @@ func ceilDiv(n, d int64) int64 { return (n + d - 1) / d }
 // qcBytes is the densified Q_c footprint (bta.Matrix.BytesDense), memCap
 // the per-device memory model (0 = unlimited), ntBlocks/blockSize/arrowSize
 // the BTA shape (ntBlocks bounds the useful S3 width; blockSize 0 disables
-// the fill-chain term, reproducing the flat slice-only model), perRank the
-// requested per-node stream width (≤ 1 = flat).
+// the fill-chain term, reproducing the slice-only model).
 //
-// The memory policy is hybrid-aware: the per-node working set is the matrix
-// slice plus the fill-chain storage the partitioned elimination adds, so
-// P3Min grows accordingly, and when even the widest partitionable rank
-// count cannot fit the cap the planner sheds streams (PartitionsPerRank)
-// before giving up — trading ranks against streams under the cap.
-func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arrowSize, perRank int) Plan {
-	if perRank < 1 {
-		perRank = 1
-	}
-	if mx := bta.MaxPartitions(ntBlocks); perRank > mx {
-		perRank = mx
-	}
+// P3Min is the smallest rank width whose per-rank working set — the matrix
+// slice plus the fill-chain storage the partitioned elimination adds —
+// fits the cap, bounded by what the time dimension can partition.
+func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arrowSize int) Plan {
 	mx := bta.MaxPartitions(ntBlocks)
 	p3min := 1
 	if memCap > 0 {
-		fits := func(p3, q int) bool {
-			return nodeWorkingSetBytes(qcBytes, p3, q, blockSize, arrowSize) <= memCap
-		}
-		// Trade streams for ranks: find the smallest rank width that holds
-		// the per-node working set at the requested stream count; if none
-		// does, shed streams (their scratch and boundary duplication) and
-		// search the rank widths again, down to the flat topology.
-		for {
-			p3min = 1
-			for !fits(p3min, perRank) && p3min < mx {
-				p3min++
-			}
-			if fits(p3min, perRank) || perRank == 1 {
-				break
-			}
-			perRank--
+		for nodeWorkingSetBytes(qcBytes, p3min, blockSize, arrowSize) > memCap && p3min < mx {
+			p3min++
 		}
 	}
 	maxGroups := world / p3min
@@ -152,7 +74,7 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 	minSize := sizes[len(sizes)-1]
 	useS2 := minSize >= 2*p3min && minSize >= 2
 	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes,
-		UseS2: useS2, P3Min: p3min, PartitionsPerRank: perRank}
+		UseS2: useS2, P3Min: p3min}
 }
 
 // spread splits total into n near-equal descending parts.
@@ -233,12 +155,10 @@ type groupScratch struct {
 
 // factorize refills the rank-local slice of g (allocating it and the factor
 // only on first use) and runs the distributed factorization. The rank owns
-// counts[rank] consecutive partitions of the global list (unequal per-rank
-// stream counts carry the SpreadStreams layouts the planner chooses when nt
-// cannot absorb the uniform grid).
-func (s *groupScratch) factorize(solver *comm.Comm, g *bta.Matrix, parts []bta.Partition, counts []int) (*bta.DistFactor, error) {
+// partition parts[rank] of the global list.
+func (s *groupScratch) factorize(solver *comm.Comm, g *bta.Matrix, parts []bta.Partition) (*bta.DistFactor, error) {
 	if s.fac == nil {
-		l, err := bta.NewLocalBTA(parts, counts, solver.Rank(), g.N, g.B, g.A)
+		l, err := bta.NewLocalBTA(parts, solver.Rank(), g.N, g.B, g.A)
 		if err != nil {
 			return nil, err
 		}
@@ -258,11 +178,6 @@ type DistConfig struct {
 	Machine comm.Machine
 	// LB is the S3 load-balance factor (1 = even partitions).
 	LB float64
-	// PartitionsPerRank is the second S3 level: each solver rank models a
-	// multi-stream node running that many shared-memory parallel-in-time
-	// partitions (0/1 = the flat one-partition-per-rank configuration,
-	// which PartitionsPerRank = 1 reproduces bit-for-bit).
-	PartitionsPerRank int
 	// MemCapBytes models per-device memory (0 = unlimited).
 	MemCapBytes int64
 	// Iterations of the quasi-Newton loop to execute.
@@ -332,7 +247,7 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 
 	_, bBlk, aBlk := m.Dims.BTAShape()
 	planFor := func(world int) Plan {
-		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk, cfg.PartitionsPerRank)
+		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk)
 		if cfg.DisableS2 {
 			p.UseS2 = false
 		}
@@ -503,22 +418,22 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 		pipe = group
 	}
 
-	// S3 width: solver ranks bounded by partitionability and the DisableS3
-	// switch, times the per-node stream layout of the hybrid second level —
-	// spread unevenly across the ranks when the time dimension cannot
-	// absorb the uniform PartitionsPerRank grid.
+	// S3 width: one time partition per solver rank, bounded by
+	// partitionability and the DisableS3 switch.
 	p3 := pipe.Size()
-	perRank := plan.PartitionsPerRank
 	if cfg.DisableS3 {
-		p3, perRank = 1, 1
+		p3 = 1
 	}
 	if mx := bta.MaxPartitions(m.Dims.Nt); p3 > mx {
 		p3 = mx
 	}
-	counts := effectiveStreams(m.Dims.Nt, p3, perRank)
-	width := 0
-	for _, q := range counts {
-		width += q
+	parts, err := bta.PartitionBlocks(m.Dims.Nt, p3, lb)
+	if err != nil {
+		// The load-balanced split can fail on tiny block counts where the
+		// even split still fits.
+		if parts, err = bta.PartitionBlocks(m.Dims.Nt, p3, 1); err != nil {
+			return math.Inf(1), err
+		}
 	}
 	active := pipe.Rank() < p3
 	var solver *comm.Comm
@@ -583,12 +498,8 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			return nil
 		}
 		err := func() error {
-			solverRankCharge(solver, cell.dtQc, chargeP3(width, cfg))
-			parts, err := bta.HybridPartition(m.Dims.Nt, counts, lb)
-			if err != nil {
-				return err
-			}
-			f, err := scr.factorize(solver, cell.qc, parts, counts)
+			solverRankCharge(solver, cell.dtQc, chargeP3(p3, cfg))
+			f, err := scr.factorize(solver, cell.qc, parts)
 			if err != nil {
 				return err
 			}
@@ -643,12 +554,8 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			return nil
 		}
 		err := func() error {
-			solverRankCharge(solver, cell.dtQp, chargeP3(width, cfg))
-			parts, err := bta.HybridPartition(m.Dims.Nt, counts, lb)
-			if err != nil {
-				return err
-			}
-			f, err := scr.factorize(solver, cell.qp, parts, counts)
+			solverRankCharge(solver, cell.dtQp, chargeP3(p3, cfg))
+			f, err := scr.factorize(solver, cell.qp, parts)
 			if err != nil {
 				return err
 			}

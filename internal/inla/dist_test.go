@@ -2,6 +2,7 @@ package inla
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestMakePlanFillsS1First(t *testing.T) {
 	// 31 evals (trivariate), 8 workers, no memory pressure: 8 S1 groups of 1.
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 1)
+	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0)
 	if p.Groups != 8 {
 		t.Fatalf("groups = %d, want 8", p.Groups)
 	}
@@ -19,12 +20,12 @@ func TestMakePlanFillsS1First(t *testing.T) {
 		t.Fatal("size-1 groups cannot use S2")
 	}
 	// 62 workers: 31 groups of 2 → S2 on.
-	p = MakePlan(62, 31, 1<<20, 0, 16, 0, 0, 1)
+	p = MakePlan(62, 31, 1<<20, 0, 16, 0, 0)
 	if p.Groups != 31 || !p.UseS2 {
 		t.Fatalf("plan %+v, want 31 groups with S2", p)
 	}
 	// 124 workers: 31 groups of 4 → S2 + S3 of width 2.
-	p = MakePlan(124, 31, 1<<20, 0, 16, 0, 0, 1)
+	p = MakePlan(124, 31, 1<<20, 0, 16, 0, 0)
 	if p.Groups != 31 || !p.UseS2 {
 		t.Fatalf("plan %+v", p)
 	}
@@ -32,7 +33,7 @@ func TestMakePlanFillsS1First(t *testing.T) {
 
 func TestMakePlanMemoryCapForcesS3(t *testing.T) {
 	// Matrix of 1 MiB with a 256 KiB cap: S3 width ≥ 4 before S1 widens.
-	p := MakePlan(8, 31, 1<<20, 1<<18, 64, 0, 0, 1)
+	p := MakePlan(8, 31, 1<<20, 1<<18, 64, 0, 0)
 	if p.P3Min != 4 {
 		t.Fatalf("P3Min = %d, want 4", p.P3Min)
 	}
@@ -41,43 +42,98 @@ func TestMakePlanMemoryCapForcesS3(t *testing.T) {
 	}
 }
 
-// TestMakePlanHybridMemoryModel: with the BTA shape known the per-node
+// TestMakePlanHybridMemoryModel: with the BTA shape known the per-rank
 // working set includes the fill-chain storage of the partitioned
 // elimination, so the memory-forced S3 width grows beyond the slice-only
-// model; and when even the widest rank count cannot fit the cap the planner
-// sheds streams before giving up (ranks traded against streams).
+// model.
 func TestMakePlanHybridMemoryModel(t *testing.T) {
 	// Slice-only model: 1 MiB at a 256 KiB cap forces width 4.
-	flat := MakePlan(16, 31, 1<<20, 1<<18, 64, 0, 0, 1)
+	flat := MakePlan(16, 31, 1<<20, 1<<18, 64, 0, 0)
 	if flat.P3Min != 4 {
 		t.Fatalf("flat model P3Min = %d, want 4", flat.P3Min)
 	}
 	// Fill-chain-aware model (b=8, a=0: chains add b/(2b+a) = 50%).
-	aware := MakePlan(16, 31, 1<<20, 1<<18, 64, 8, 0, 1)
+	aware := MakePlan(16, 31, 1<<20, 1<<18, 64, 8, 0)
 	if aware.P3Min <= flat.P3Min {
 		t.Fatalf("fill-chain model must force a wider S3: %d vs flat %d", aware.P3Min, flat.P3Min)
-	}
-	// The same footprint with streams: the per-node working set cannot be
-	// relaxed by streams (they share the node's memory), so P3Min stays put
-	// while the requested stream width survives under no pressure...
-	roomy := MakePlan(16, 31, 1<<20, 0, 64, 8, 0, 4)
-	if roomy.PartitionsPerRank != 4 {
-		t.Fatalf("uncapped plan must keep the requested streams, got %d", roomy.PartitionsPerRank)
-	}
-	// ...but under a cap no rank width can absorb, streams are shed.
-	// nt=64 bounds ranks at 33; make the per-stream scratch the binding
-	// term with a tiny cap.
-	tight := MakePlan(64, 31, 1<<20, 40<<10, 64, 16, 0, 8)
-	if tight.PartitionsPerRank >= 8 {
-		t.Fatalf("capped plan must shed streams, kept %d", tight.PartitionsPerRank)
 	}
 }
 
 func TestMakePlanClampsToPartitionability(t *testing.T) {
 	// nt = 4 supports at most 3 partitions; a huge memory demand must clamp.
-	p := MakePlan(16, 9, 1<<30, 1<<10, 4, 0, 0, 1)
+	p := MakePlan(16, 9, 1<<30, 1<<10, 4, 0, 0)
 	if p.P3Min > 3 {
 		t.Fatalf("P3Min = %d exceeds partitionability of nt=4", p.P3Min)
+	}
+}
+
+// TestMakePlanMatchesFlatPlans pins MakePlan's plan for every (world,
+// nfeval, qcBytes, memCap, nt, b, a) that the tests, the internal/bench
+// figures, dalia-scale's documented runs and the benchmark's 2-rank comm
+// layer plan: the distributed runs' virtual times and message counts follow
+// from these plans.
+func TestMakePlanMatchesFlatPlans(t *testing.T) {
+	for _, tc := range []struct {
+		world, nfeval   int
+		qcBytes, memCap int64
+		nt, b, a        int
+		groups          int
+		sizes           []int
+		useS2           bool
+		p3Min           int
+	}{
+		{1, 9, 7568, 0, 6, 9, 1, 1, []int{1}, false, 1},
+		{1, 9, 4291328, 0, 16, 130, 6, 1, []int{1}, false, 1},
+		{1, 31, 162504, 3145728, 8, 36, 3, 1, []int{1}, false, 1},
+		{1, 31, 198792, 0, 2, 90, 3, 1, []int{1}, false, 1},
+		{1, 31, 443592, 0, 8, 60, 3, 1, []int{1}, false, 1},
+		{1, 31, 2043432, 0, 16, 90, 3, 1, []int{1}, false, 1},
+		{2, 9, 1170464, 0, 4, 144, 2, 2, []int{1, 1}, false, 1},
+		{2, 9, 1170464, 2565772, 4, 144, 2, 1, []int{2}, false, 2},
+		{2, 9, 4291328, 0, 16, 130, 6, 2, []int{1, 1}, false, 1},
+		{2, 31, 443592, 0, 8, 60, 3, 2, []int{1, 1}, false, 1},
+		{2, 31, 462312, 0, 4, 90, 3, 2, []int{1, 1}, false, 1},
+		{2, 31, 471168, 0, 4, 90, 6, 2, []int{1, 1}, false, 1},
+		{2, 31, 2043432, 0, 16, 90, 3, 2, []int{1, 1}, false, 1},
+		{3, 9, 7568, 0, 6, 9, 1, 3, []int{1, 1, 1}, false, 1},
+		{3, 9, 11040, 0, 3, 16, 2, 3, []int{1, 1, 1}, false, 1},
+		{4, 9, 7568, 0, 6, 9, 1, 4, []int{1, 1, 1, 1}, false, 1},
+		{4, 9, 4291328, 0, 16, 130, 6, 4, []int{1, 1, 1, 1}, false, 1},
+		{4, 31, 443592, 0, 8, 60, 3, 4, []int{1, 1, 1, 1}, false, 1},
+		{4, 31, 989352, 0, 8, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
+		{4, 31, 989352, 3145728, 8, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
+		{4, 31, 2043432, 0, 16, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
+		{6, 9, 7568, 0, 6, 9, 1, 6, []int{1, 1, 1, 1, 1, 1}, false, 1},
+		{8, 9, 7568, 0, 6, 9, 1, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{8, 31, 443592, 3145728, 8, 60, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{8, 31, 1048576, 0, 16, 0, 0, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{8, 31, 1048576, 262144, 64, 0, 0, 2, []int{4, 4}, false, 4},
+		{8, 31, 2043432, 0, 16, 90, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{9, 9, 379912, 0, 8, 56, 1, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{9, 9, 4291328, 0, 16, 130, 6, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{16, 9, 1073741824, 1024, 4, 0, 0, 5, []int{4, 3, 3, 3, 3}, false, 3},
+		{16, 31, 443592, 0, 8, 60, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{16, 31, 1048576, 262144, 64, 0, 0, 4, []int{4, 4, 4, 4}, false, 4},
+		{16, 31, 1048576, 262144, 64, 8, 0, 2, []int{8, 8}, false, 7},
+		{16, 31, 2043432, 0, 16, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{16, 31, 4151592, 0, 32, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{16, 31, 5640264, 3145728, 8, 216, 3, 3, []int{6, 5, 5}, false, 5},
+		{18, 9, 2078208, 0, 8, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
+		{18, 9, 4291328, 0, 16, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
+		{31, 31, 2043432, 0, 16, 90, 3, 31, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
+		{35, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, true, 1},
+		{36, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
+		{62, 31, 1048576, 0, 16, 0, 0, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
+		{62, 31, 2043432, 0, 16, 90, 3, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
+		{124, 31, 1048576, 0, 16, 0, 0, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
+		{124, 31, 2043432, 0, 16, 90, 3, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
+	} {
+		p := MakePlan(tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a)
+		if p.World != tc.world || p.NFeval != tc.nfeval || p.Groups != tc.groups || p.UseS2 != tc.useS2 ||
+			p.P3Min != tc.p3Min || fmt.Sprint(p.GroupSizes) != fmt.Sprint(tc.sizes) {
+			t.Errorf("MakePlan(%d, %d, %d, %d, %d, %d, %d) = %+v, want %d groups %v, S2 %v, P3Min %d",
+				tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a, p, tc.groups, tc.sizes, tc.useS2, tc.p3Min)
+		}
 	}
 }
 
@@ -161,103 +217,6 @@ func TestRunDistributedRejectsUndefinedGradient(t *testing.T) {
 
 func TestRunDistributedSingleRank(t *testing.T) { distCase(t, 1, false, false) }
 
-// hybridCase runs RunDistributed with the two-level (ranks × partitions)
-// S3 topology and cross-checks the gradient-batch objective against the
-// sequential evaluator, exactly like distCase.
-func hybridCase(t *testing.T, world, perRank int) {
-	t.Helper()
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 8, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := WeakPrior(ds.Theta0, 5)
-	rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
-		World:             world,
-		Machine:           comm.DefaultMachine(),
-		Iterations:        1,
-		PartitionsPerRank: perRank,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Plan.PartitionsPerRank != perRank {
-		t.Fatalf("plan per-rank width %d, want %d", rep.Plan.PartitionsPerRank, perRank)
-	}
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
-	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
-		t.Fatalf("world=%d q=%d: distributed F = %v, sequential F = %v", world, perRank, rep.FTrace[0], want)
-	}
-}
-
-func TestRunDistributedHybrid2x2(t *testing.T) { hybridCase(t, 2, 2) }
-
-func TestRunDistributedHybrid4x3(t *testing.T) { hybridCase(t, 4, 3) }
-
-func TestRunDistributedHybrid1x4(t *testing.T) { hybridCase(t, 1, 4) }
-
-// TestRunDistributedHybridFlatBitForBit pins the acceptance criterion: the
-// two-level driver at PartitionsPerRank = 1 must reproduce the flat
-// configuration (the zero-value DistConfig) bit for bit — same θ trace,
-// same objective values.
-func TestRunDistributedHybridFlatBitForBit(t *testing.T) {
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 6, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := WeakPrior(ds.Theta0, 5)
-	run := func(perRank int) *DistReport {
-		rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
-			World: 4, Machine: comm.DefaultMachine(), Iterations: 2,
-			PartitionsPerRank: perRank,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	flat := run(0)
-	one := run(1)
-	for i := range flat.FTrace {
-		if one.FTrace[i] != flat.FTrace[i] {
-			t.Fatalf("iteration %d: F %v (partitions=1) != %v (flat)", i, one.FTrace[i], flat.FTrace[i])
-		}
-	}
-	for i := range flat.Theta {
-		if one.Theta[i] != flat.Theta[i] {
-			t.Fatalf("theta[%d]: %v (partitions=1) != %v (flat)", i, one.Theta[i], flat.Theta[i])
-		}
-	}
-}
-
-// TestMakePlanPerRank: the per-node stream width is recorded, defaulted,
-// and clamped to what the time dimension can absorb.
-func TestMakePlanPerRank(t *testing.T) {
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0, 0)
-	if p.PartitionsPerRank != 1 {
-		t.Fatalf("default per-rank width %d, want 1", p.PartitionsPerRank)
-	}
-	p = MakePlan(8, 31, 1<<20, 0, 64, 0, 0, 4)
-	if p.PartitionsPerRank != 4 {
-		t.Fatalf("per-rank width %d, want 4", p.PartitionsPerRank)
-	}
-	// nt = 4 supports at most 3 partitions in total.
-	p = MakePlan(8, 31, 1<<20, 0, 4, 0, 0, 16)
-	if p.PartitionsPerRank > 3 {
-		t.Fatalf("per-rank width %d exceeds partitionability of nt=4", p.PartitionsPerRank)
-	}
-}
-
 func TestRunDistributedS1Only(t *testing.T) { distCase(t, 3, true, true) }
 
 func TestRunDistributedS1S2(t *testing.T) { distCase(t, 4, false, true) }
@@ -299,62 +258,5 @@ func TestRunDistributedScalingImproves(t *testing.T) {
 	}
 	if total := rep.Stats.TotalCompute(); rep.Makespan >= total {
 		t.Fatalf("makespan %v s not below the %v s of compute summed over 9 ranks", rep.Makespan, total)
-	}
-}
-
-// TestPlanStreamLayoutSpreads pins the SpreadStreams planner policy: when
-// the time dimension cannot absorb the uniform ranks × PartitionsPerRank
-// grid, the layout spreads the widest partitionable total unevenly across
-// the ranks instead of shedding a stream from every rank.
-func TestPlanStreamLayoutSpreads(t *testing.T) {
-	// nt=10 absorbs at most 6 partitions; 4 ranks × 2 streams would need 8.
-	p := Plan{GroupSizes: []int{4}, PartitionsPerRank: 2}
-	got := p.StreamLayout(10)
-	want := []int{2, 2, 1, 1}
-	if len(got) != len(want) {
-		t.Fatalf("layout %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("layout %v, want %v", got, want)
-		}
-	}
-	// A grid the time dimension absorbs stays uniform.
-	got = Plan{GroupSizes: []int{4}, PartitionsPerRank: 2}.StreamLayout(16)
-	for _, q := range got {
-		if q != 2 {
-			t.Fatalf("uniform layout %v, want [2 2 2 2]", got)
-		}
-	}
-}
-
-// TestRunDistributedSpreadStreams drives the unequal stream layout end to
-// end: 12 workers over 9 evals leave S1 groups of 2 ranks, whose 2 ranks ×
-// 4 streams exceed what nt=10 absorbs — the evaluation runs the [3,3]
-// spread layout and must still reproduce the sequential objective.
-func TestRunDistributedSpreadStreams(t *testing.T) {
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 10, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prior := WeakPrior(ds.Theta0, 5)
-	rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
-		World:             12,
-		Machine:           comm.DefaultMachine(),
-		Iterations:        1,
-		PartitionsPerRank: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior}
-	want := e.EvalBatch([][]float64{ds.Theta0})[0]
-	if math.Abs(rep.FTrace[0]-want) > 1e-12*(1+math.Abs(want)) {
-		t.Fatalf("spread layout: distributed F = %v, sequential F = %v", rep.FTrace[0], want)
 	}
 }

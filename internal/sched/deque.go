@@ -24,9 +24,9 @@ type deque struct {
 }
 
 // laneCap is the initial ring capacity. The widest producers are the
-// per-partition gangs (≤ MaxUsefulPartitions tasks) and the Σ-scatter DAG
-// (2 tasks per partition), so 64 covers every steady-state operation
-// without growth.
+// per-partition gangs (one task per partition, ≤ MaxUsefulPartitions on
+// the evaluation path), so 64 covers every steady-state operation without
+// growth.
 const laneCap = 64
 
 func (d *deque) init() {
@@ -35,10 +35,7 @@ func (d *deque) init() {
 	}
 }
 
-// push appends t at the bottom of the deque. Unlike the single-owner
-// Chase–Lev discipline, push is legal from any goroutine: dependency edges
-// enqueue a successor from whichever goroutine completed its last
-// predecessor.
+// push appends t at the bottom of the deque.
 func (d *deque) push(t *Task) {
 	d.mu.Lock()
 	n := int64(len(d.ring))
@@ -83,13 +80,4 @@ func (d *deque) steal() *Task {
 	d.top++
 	d.mu.Unlock()
 	return t
-}
-
-// empty reports whether the deque currently holds no tasks. Advisory only:
-// the answer can be stale by the time the caller acts on it.
-func (d *deque) empty() bool {
-	d.mu.Lock()
-	e := d.bot == d.top
-	d.mu.Unlock()
-	return e
 }

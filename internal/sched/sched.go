@@ -1,10 +1,9 @@
-// Package sched is the unified work-stealing task-DAG executor behind every
+// Package sched is the unified work-stealing task executor behind every
 // parallel layer of the solver stack. One process-wide pool of
-// GOMAXPROCS-bounded workers runs partition eliminations, reduced-system
-// steps, back-solve sweeps, selected-inversion scatters and whole θ-point
-// evaluations as tasks with explicit dependency edges, so work from
-// different θ evaluations interleaves on the same cores instead of
-// synchronizing phase-by-phase per evaluation.
+// GOMAXPROCS-bounded workers runs partition eliminations, back-solve
+// sweeps, selected-inversion sweeps and whole θ-point evaluations as tasks,
+// so work from different θ evaluations interleaves on the same cores
+// instead of synchronizing phase-by-phase per evaluation.
 //
 // The design mirrors classic work stealing with two DALIA-specific twists:
 //
@@ -13,7 +12,7 @@
 //     (LIFO for the owner, FIFO steal for everyone else) and joins by
 //     help-first waiting: the joining goroutine drains its own lane, then
 //     steals, and parks only when no light task is runnable anywhere. A
-//     zero-worker executor therefore still completes every DAG — the
+//     zero-worker executor therefore still completes every operation — the
 //     owners run their own lanes — which keeps correctness trivially
 //     independent of pool sizing.
 //
@@ -67,9 +66,9 @@ type Executor struct {
 }
 
 // New builds an executor with the given number of worker goroutines.
-// workers may be 0: every DAG still completes through help-first joins on
-// the submitting goroutines (useful for tests and for running after
-// Close). Use Shared for production paths.
+// workers may be 0: every operation still completes through help-first
+// joins on the submitting goroutines (useful for tests and for running
+// after Close). Use Shared for production paths.
 func New(workers int) *Executor {
 	if workers < 0 {
 		workers = 0
@@ -175,34 +174,19 @@ func (e *Executor) ReleaseLane(l *Lane) {
 	e.laneMu.Unlock()
 }
 
-// Spawn enqueues a Reset task onto the lane (or parks it until its After
-// predecessors complete). When wiring dependency edges, spawn dependents
-// before their predecessors so a fast predecessor cannot release a
-// successor that has not recorded its lane yet.
+// Spawn enqueues a Reset task onto the lane.
 func (l *Lane) Spawn(t *Task) {
-	t.d = &l.d
-	t.release()
+	l.d.push(t)
+	l.ex.signal()
 }
 
-// Help runs at most one pending light task — own lane first, then steal —
-// and reports whether it ran one. Used by pipelined loops that must make
-// scheduling progress between channel receives.
-func (l *Lane) Help() bool {
-	if t := l.ex.poll(l, false); t != nil {
-		t.run()
-		return true
-	}
-	return false
-}
-
-// Executor returns the executor the lane belongs to.
-func (l *Lane) Executor() *Executor { return l.ex }
-
-// Submit enqueues a Reset task onto the heavy injector: run only by
-// executor workers and WaitHeavy joiners.
+// Submit enqueues a Reset task onto the heavy injector: whole θ-point
+// evaluation bodies that may themselves block in nested joins. Only
+// executor workers and WaitHeavy joiners run them; lane helpers skip them
+// so a fine-grained solver join never buries a full evaluation on its
+// stack.
 func (e *Executor) Submit(t *Task) {
-	t.heavy = true
-	t.release()
+	e.inject(t)
 }
 
 func (e *Executor) inject(t *Task) {

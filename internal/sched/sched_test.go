@@ -36,44 +36,6 @@ func TestSpawnJoinRunsEveryTask(t *testing.T) {
 	}
 }
 
-func TestDependencyOrdering(t *testing.T) {
-	// Diamond: a → {b, c} → d. d must observe both b and c, which must
-	// both observe a.
-	ex := New(2)
-	defer ex.Close()
-	for iter := 0; iter < 200; iter++ {
-		var a, b, c, d Task
-		var seq [4]atomic.Int64
-		var clock atomic.Int64
-		stamp := func(i int) func() {
-			return func() { seq[i].Store(clock.Add(1)) }
-		}
-		l := ex.AcquireLane()
-		g := &Group{}
-		g.Init(ex)
-		g.Add(4)
-		a.Reset(ex, g, stamp(0), nil)
-		b.Reset(ex, g, stamp(1), nil)
-		c.Reset(ex, g, stamp(2), nil)
-		d.Reset(ex, g, stamp(3), nil)
-		b.After(&a)
-		c.After(&a)
-		d.After(&b)
-		d.After(&c)
-		// Sinks first: dependents spawn before their predecessors.
-		l.Spawn(&d)
-		l.Spawn(&b)
-		l.Spawn(&c)
-		l.Spawn(&a)
-		g.Wait(l)
-		ex.ReleaseLane(l)
-		ta, tb, tc, td := seq[0].Load(), seq[1].Load(), seq[2].Load(), seq[3].Load()
-		if !(ta < tb && ta < tc && tb < td && tc < td) {
-			t.Fatalf("iter %d: dependency order violated: a=%d b=%d c=%d d=%d", iter, ta, tb, tc, td)
-		}
-	}
-}
-
 func TestHeavyInjectorRunsOnWaitHeavy(t *testing.T) {
 	// Zero workers: heavy tasks can only run through the WaitHeavy helper.
 	ex := New(0)
@@ -135,30 +97,6 @@ func TestSpawnJoinAllocFree(t *testing.T) {
 	cycle() // warmup
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("spawn/join cycle allocates %.1f per run, want 0", allocs)
-	}
-}
-
-func TestDependencyCycleAllocFree(t *testing.T) {
-	ex := New(1)
-	defer ex.Close()
-	var a, b Task
-	l := ex.AcquireLane()
-	defer ex.ReleaseLane(l)
-	g := &Group{}
-	g.Init(ex)
-	fn := func() {}
-	cycle := func() {
-		g.Add(2)
-		a.Reset(ex, g, fn, nil)
-		b.Reset(ex, g, fn, nil)
-		b.After(&a)
-		l.Spawn(&b)
-		l.Spawn(&a)
-		g.Wait(l)
-	}
-	cycle() // warmup: b.succs capacity established on a
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("dependency spawn/join cycle allocates %.1f per run, want 0", allocs)
 	}
 }
 
@@ -271,29 +209,28 @@ func TestLabelSetCaches(t *testing.T) {
 	}
 }
 
+// TestHelpRunsOwnLaneFirst: a help-first join on a zero-worker executor
+// drains its own lane newest first (LIFO), and only then steals from other
+// lanes.
 func TestHelpRunsOwnLaneFirst(t *testing.T) {
 	ex := New(0)
 	defer ex.Close()
-	l := ex.AcquireLane()
+	l, other := ex.AcquireLane(), ex.AcquireLane()
 	defer ex.ReleaseLane(l)
+	defer ex.ReleaseLane(other)
 	g := &Group{}
 	g.Init(ex)
 	var order []int
-	var a, b Task
-	g.Add(2)
-	a.Reset(ex, g, func() { order = append(order, 0) }, nil)
-	b.Reset(ex, g, func() { order = append(order, 1) }, nil)
-	l.Spawn(&a)
-	l.Spawn(&b)
-	if !l.Help() {
-		t.Fatal("Help found no task")
+	var nodes [3]Task
+	g.Add(len(nodes))
+	for i := range nodes {
+		nodes[i].Reset(ex, g, func() { order = append(order, i) }, nil)
 	}
-	// LIFO: the owner pops the newest spawn first.
-	if len(order) != 1 || order[0] != 1 {
-		t.Fatalf("Help ran %v first, want task 1 (LIFO)", order)
-	}
+	other.Spawn(&nodes[2])
+	l.Spawn(&nodes[0])
+	l.Spawn(&nodes[1])
 	g.Wait(l)
-	if len(order) != 2 {
-		t.Fatalf("not all tasks ran: %v", order)
+	if want := []int{1, 0, 2}; len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Fatalf("join ran %v, want %v (own lane LIFO, then steal)", order, want)
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Task is one schedulable node of a computation DAG. Task nodes are
-// caller-owned and pooled: a ParallelFactor preallocates one node per
-// partition per phase and reuses them across Refactorize/Solve cycles, so
-// steady-state submission performs no allocation. A node must be Reset
-// before every (re)use and must not be touched again until the Group it was
-// spawned under has been waited on.
+// Task is one schedulable unit of work. Task nodes are caller-owned and
+// pooled: a ParallelFactor preallocates one node per partition and reuses
+// them across Refactorize/Solve cycles, so steady-state submission performs
+// no allocation. A node must be Reset before every (re)use and must not be
+// touched again until the Group it was spawned under has been waited on.
 type Task struct {
 	// fn is the task body. It runs exactly once per Reset/spawn cycle, on
 	// whichever goroutine (executor worker, lane owner, or helping joiner)
@@ -20,72 +19,27 @@ type Task struct {
 	// g, when non-nil, is decremented on completion; Group.Wait returns
 	// once every task counted into the group has finished.
 	g *Group
-	// deps counts outstanding prerequisites plus a construction hold taken
-	// by Reset. The hold is dropped by the spawn call, so a node with no
-	// edges enqueues immediately while a node wired via After stays parked
-	// until its last predecessor completes.
-	deps atomic.Int32
-	// succs lists dependent nodes to release on completion. The slice's
-	// capacity is retained across Reset, so edge wiring is allocation-free
-	// after the first cycle.
-	succs []*Task
-	// d is the deque the node is (to be) enqueued on, recorded by the spawn
-	// call so predecessor-driven release knows where the node belongs.
-	d *deque
 	// next links the node into the executor's injector FIFO (heavy tasks).
 	next *Task
-	// heavy marks injector tasks: whole θ-point evaluation bodies that may
-	// themselves block in nested joins. Only executor workers and
-	// WaitHeavy joiners run heavy tasks; lane helpers skip them so a
-	// fine-grained solver join never buries a full evaluation on its stack.
-	heavy bool
 	// labels, when non-nil, is a pprof label context applied to the running
 	// goroutine for the duration of fn (phase=elim|reduced|sweep|sigma,
 	// eval=<k>). Precomputed by the caller so applying it is alloc-free.
 	labels context.Context
-	ex     *Executor
 }
 
-// Reset prepares a node for one spawn cycle: body fn, completion group g
-// (may be nil), and an optional precomputed pprof label context. It clears
-// any dependency edges from the previous cycle and takes the construction
-// hold that keeps the node parked until spawned.
-func (t *Task) Reset(ex *Executor, g *Group, fn func(), labels context.Context) {
-	t.ex = ex
+// Reset prepares a node for one spawn cycle on an executor: body fn,
+// completion group g (may be nil), and an optional precomputed pprof label
+// context. The executor is the one of the Lane.Spawn or Executor.Submit
+// call that enqueues the node; Reset itself does not need it.
+func (t *Task) Reset(_ *Executor, g *Group, fn func(), labels context.Context) {
 	t.g = g
 	t.fn = fn
 	t.labels = labels
-	t.succs = t.succs[:0]
 	t.next = nil
-	t.heavy = false
-	t.deps.Store(1)
 }
 
-// After adds a dependency edge: t becomes runnable only once pred's body
-// has completed. Both nodes must have been Reset for the current cycle and
-// neither may have been spawned yet — edges are wired single-threaded
-// during DAG construction, then the whole graph is spawned.
-func (t *Task) After(pred *Task) {
-	pred.succs = append(pred.succs, t)
-	t.deps.Add(1)
-}
-
-// release drops one prerequisite (the construction hold or a completed
-// predecessor) and enqueues the node once none remain.
-func (t *Task) release() {
-	if t.deps.Add(-1) != 0 {
-		return
-	}
-	if t.heavy {
-		t.ex.inject(t)
-		return
-	}
-	t.d.push(t)
-	t.ex.signal()
-}
-
-// run executes the node body and then releases successors and the group.
-// Called by exactly one goroutine per cycle.
+// run executes the node body and then retires it from its group. Called
+// by exactly one goroutine per cycle.
 func (t *Task) run() {
 	if t.labels != nil {
 		pprof.SetGoroutineLabels(t.labels)
@@ -93,9 +47,6 @@ func (t *Task) run() {
 	t.fn()
 	if t.labels != nil {
 		pprof.SetGoroutineLabels(bgCtx)
-	}
-	for _, s := range t.succs {
-		s.release()
 	}
 	if g := t.g; g != nil {
 		g.done()
@@ -105,9 +56,8 @@ func (t *Task) run() {
 // bgCtx restores the default (empty) label set after a labeled task.
 var bgCtx = context.Background()
 
-// Group counts outstanding tasks of one join scope — a solver phase, a
-// Σ-scatter DAG, an evaluation batch. The zero value is unusable; call
-// Init (or Executor.NewGroup) first.
+// Group counts outstanding tasks of one join scope — a solver phase or an
+// evaluation batch. The zero value is unusable; call Init first.
 type Group struct {
 	n  atomic.Int64
 	ex *Executor
