@@ -550,6 +550,60 @@ func TestHybridScratchReuseStable(t *testing.T) {
 	}
 }
 
+// TestHybridTopologyBitForBit: with no arrowhead, 1 rank × 4 partitions
+// (the shared-memory ParallelFactor) and 4 ranks × 1 partition (the
+// distributed factor) over the same even split perform the identical
+// floating-point operations — the per-partition elimination, solve and
+// sweep are the same partition-relative cores either way, and only message
+// boundaries move — so the log-determinant, the solve and Σ agree bit for
+// bit.
+func TestHybridTopologyBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	g := randBTA(rng, 12, 3, 0)
+	rhs := randVec(rng, g.Dim())
+
+	ref := runDistributed(t, g, 4, 1, rhs, nil)
+	if ref.err != nil {
+		t.Fatal(ref.err)
+	}
+	parts, err := PartitionBlocks(g.N, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := &ParallelFactor{}
+	if err := pf.init(g.N, g.B, g.A, parts, 0, len(parts), nil); err != nil {
+		t.Fatal(err)
+	}
+	pf.mem = wholeSlice(NewMatrix(g.N, g.B, g.A))
+	if err := pf.Refactorize(g); err != nil {
+		t.Fatal(err)
+	}
+	if pf.LogDet() != ref.logDet {
+		t.Fatalf("logdet %v != 4 ranks %v", pf.LogDet(), ref.logDet)
+	}
+	x := append([]float64(nil), rhs...)
+	pf.Solve(x)
+	for i := range ref.x {
+		if x[i] != ref.x[i] {
+			t.Fatalf("solve[%d] %v != 4 ranks %v", i, x[i], ref.x[i])
+		}
+	}
+	sig, err := pf.SelectedInversion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range sig.DiagVec() {
+		if d != ref.sigDiag[i] {
+			t.Fatalf("selinv diag[%d] %v != 4 ranks %v", i, d, ref.sigDiag[i])
+		}
+	}
+	for k := 0; k < g.N-1; k++ {
+		if !sig.Lower[k].Equal(ref.sigLows[k], 0) {
+			t.Fatalf("Σ lower block %d differs from 4 ranks", k)
+		}
+	}
+}
+
 // distCycleAllocs measures the steady-state allocations of one full
 // distributed cycle on persistent factors (refill + PPOBTAF + PPOBTAS +
 // PPOBTASI) over 2 ranks.

@@ -358,6 +358,9 @@ func (s *Server) fitStateHooks(req FitRequest, gen synth.GenConfig, specID strin
 			s.persistErrors.Add(1)
 			s.logf("store: fit state %s: %v", req.Name, err)
 		}
+		if s.fitStateSaved != nil {
+			s.fitStateSaved()
+		}
 		return nil
 	}
 	opts.Opt.CheckpointEvery = s.opts.CheckpointEvery

@@ -236,28 +236,12 @@ func TestInterruptedFitResumesOnRestart(t *testing.T) {
 	st, _ := openStore(t, dir)
 	srv := New(Options{Store: st})
 
-	// Run the fit in the background and cancel it at the first checkpoint:
-	// the moral equivalent of SIGKILL after iteration 1's state hit disk.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var fitErr error
-	go func() {
-		defer wg.Done()
-		_, fitErr = srv.FitModel(FitRequest{Name: "m", Gen: tinyGen(), MaxIter: 6})
-	}()
-	// Wait until at least one fit-state checkpoint exists, then cancel.
-	for {
-		states, err := st.FitStates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(states) > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	srv.fitCancel()
-	wg.Wait()
+	// Cancel the fit right after its first checkpoint hit disk: the moral
+	// equivalent of SIGKILL after iteration 1's state was written. The
+	// optimizer sees the cancellation at the next iteration boundary, so the
+	// fit cannot finish first however the goroutines are scheduled.
+	srv.fitStateSaved = srv.fitCancel
+	_, fitErr := srv.FitModel(FitRequest{Name: "m", Gen: tinyGen(), MaxIter: 6})
 	if fitErr == nil {
 		t.Fatal("canceled fit reported success")
 	}

@@ -130,9 +130,12 @@ type Server struct {
 	// and refits abort at their next checkpoint boundary; persist is the
 	// async checkpoint writer (nil without a store). The counters feed
 	// /stats and the /readyz degraded signal.
-	fitCtx           context.Context
-	fitCancel        context.CancelFunc
-	persist          *persister
+	fitCtx    context.Context
+	fitCancel context.CancelFunc
+	persist   *persister
+	// fitStateSaved, when set, runs after every fit-state write; tests
+	// use it to interrupt a fit at an exact iteration.
+	fitStateSaved    func()
 	recoveredModels  atomic.Int64
 	resumedFits      atomic.Int64
 	recoveryFailures atomic.Int64
