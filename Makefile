@@ -79,14 +79,15 @@ e2e:
 ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
-# Mirror of the GitHub workflow, job by job: tier1 (with its one pass of the
-# dense kernel, Q_c assembly, BTA solver, mode-search and snapshot
-# prediction benchmarks), race,
+# Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
+# smoke run and its one pass of the dense kernel, Q_c assembly, BTA solver,
+# mode-search and snapshot prediction benchmarks), race,
 # the race-widths GOMAXPROCS matrix over the partition/replica/kernel
 # fan-out packages,
 # the chaos fault-injection suite, the purego fallback with the arm64
 # cross-build, the end-to-end parity run, then the non-blocking perf smoke.
 ci-local: fmt-check test race
+	$(GO) run ./cmd/dalia-scale -workers 1,4 -iters 2
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dense
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/model
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bta

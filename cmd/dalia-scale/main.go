@@ -1,6 +1,8 @@
 // dalia-scale runs free-form scaling sweeps of the three-layer parallel
 // scheme on the simulated distributed machine and prints the virtual-time
-// report for each width.
+// report for each width. s/iter is the virtual time of the run divided by
+// its BFGS iterations; an iteration is a line search plus a gradient batch,
+// and the run's first gradient batch at θ0 is charged to it too.
 //
 // Usage:
 //
@@ -30,7 +32,7 @@ func main() {
 	obs := flag.Int("obs", 15, "observations per time step")
 	lb := flag.Float64("lb", 1.6, "S3 load-balance factor")
 	memcap := flag.Int64("memcap", 0, "modeled device memory in bytes (0 = unlimited)")
-	iters := flag.Int("iters", 1, "quasi-Newton iterations to simulate")
+	iters := flag.Int("iters", 1, "BFGS iterations to simulate (at most; a converged search stops early)")
 	seed := flag.Int64("seed", 31, "dataset seed")
 	flag.Parse()
 
@@ -48,6 +50,9 @@ func main() {
 	if *lb < 1 {
 		log.Fatalf("-lb %v: the load-balance factor must be ≥ 1 (1 = even partitions)", *lb)
 	}
+	if *iters < 1 {
+		log.Fatalf("-iters %d: at least one BFGS iteration", *iters)
+	}
 
 	ds, err := dalia.Generate(dalia.GenConfig{
 		Nv: *nv, Nt: *nt, Nr: *nr,
@@ -60,7 +65,7 @@ func main() {
 	}
 	m := ds.Model
 	prior := dalia.WeakPrior(ds.Theta0, 5)
-	fmt.Printf("model: nv=%d ns=%d nt=%d nr=%d  dim(θ)=%d → %d evals/iter\n\n",
+	fmt.Printf("model: nv=%d ns=%d nt=%d nr=%d  dim(θ)=%d  gradient batch width %d\n\n",
 		m.Dims.Nv, m.Dims.Ns, m.Dims.Nt, m.Dims.Nr, m.NumHyper(), 2*m.NumHyper()+1)
 	fmt.Printf("%8s  %10s  %9s  %7s  %-22s %12s\n",
 		"workers", "s/iter", "speedup", "eff %", "plan", "max-imbal")

@@ -19,7 +19,9 @@
 //     partitioned solvers everywhere; S2, the concurrent prior/conditional
 //     factorization pipelines, in the distributed evaluator only (RunCluster)
 //     — on shared memory the prior's log-determinant and quadratic form are
-//     closed forms and an evaluation factorizes Q_c alone.
+//     closed forms and an evaluation factorizes Q_c alone;
+//   - one BFGS mode search for every backend: Fit and RunCluster both run
+//     it, over shared-memory and simulated distributed evaluators.
 //
 // # Quick start
 //
@@ -111,10 +113,11 @@ type (
 	// batch (point workers × parallel-in-time partitions).
 	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run: world
-	// size, machine model, S3 load-balance factor and memory cap, layer
-	// switches and an optional fault plan.
+	// size, machine model, BFGS iteration cap, S3 load-balance factor and
+	// memory cap, layer switches and an optional fault plan.
 	ClusterConfig = inla.DistConfig
-	// ClusterReport carries the virtual-time statistics of a run.
+	// ClusterReport carries the virtual-time statistics and the mode
+	// search result of a run.
 	ClusterReport = inla.DistReport
 	// MachineModel parameterizes the communication cost model.
 	MachineModel = comm.Machine
@@ -292,9 +295,10 @@ func HyperMarginals(m *Model, r *Result) []HyperMarginal {
 	return inla.HyperMarginals(names, logs, r)
 }
 
-// RunCluster executes INLA mode-search iterations SPMD on the simulated
-// distributed machine with the full three-layer parallel scheme — the S3
-// solver layer one time partition per rank — returning virtual-time
+// RunCluster runs the INLA mode search — Fit's BFGS, for at most
+// cfg.Iterations iterations — SPMD on the simulated distributed machine
+// with the full three-layer parallel scheme, the S3 solver layer one time
+// partition per rank, and returns the optimizer's result with virtual-time
 // statistics (the scaling-experiment entry point).
 func RunCluster(m *Model, prior Prior, theta0 []float64, cfg ClusterConfig) (*ClusterReport, error) {
 	return inla.RunDistributed(m, prior, theta0, cfg)

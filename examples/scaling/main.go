@@ -1,7 +1,8 @@
-// Scaling demo: run the same trivariate INLA iteration on the simulated
+// Scaling demo: run the same trivariate BFGS iteration (a line search and a
+// gradient batch, after the first gradient batch at θ0) on the simulated
 // distributed machine at several widths and watch the three parallel layers
-// (S1 gradient evaluations, S2 pipelines, S3 distributed solver) engage —
-// a miniature of the paper's Fig. 7.
+// (S1 evaluations, S2 pipelines, S3 distributed solver) engage — a
+// miniature of the paper's Fig. 7.
 //
 //	go run ./examples/scaling
 package main
@@ -25,8 +26,7 @@ func main() {
 	}
 	m := ds.Model
 	prior := dalia.WeakPrior(ds.Theta0, 5)
-	nfeval := 2*m.NumHyper() + 1
-	fmt.Printf("trivariate model: dim(θ)=%d → %d parallel evaluations per iteration\n\n", m.NumHyper(), nfeval)
+	fmt.Printf("trivariate model: dim(θ)=%d, gradient batch width %d\n\n", m.NumHyper(), 2*m.NumHyper()+1)
 	fmt.Printf("%8s  %10s  %10s  %8s  %s\n", "workers", "s/iter", "speedup", "eff %", "layers")
 
 	var t1 float64

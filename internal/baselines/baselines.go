@@ -11,9 +11,15 @@
 //     the undistributed O(n·b²) densification and no S3; reachable through
 //     inla.DistConfig{DisableS3: true, NaiveMapping: true} and the
 //     INLADistEvaluator here for shared-memory runs.
+//
+// The simulated runs of both comparators — RunRINLASim here and the
+// INLA_DIST-like inla.RunDistributed — run inla.Minimize, the optimizer of
+// DALIA's own runs, so every per-iteration figure counts the same BFGS
+// iteration.
 package baselines
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -177,79 +183,71 @@ var _ inla.Evaluator = (*INLADistEvaluator)(nil)
 
 // SimReport summarizes one simulated baseline run.
 type SimReport struct {
-	PerIter  float64
+	PerIter  float64 // virtual seconds per BFGS iteration (Opt.Iterations)
 	Makespan float64
 	Stats    comm.Stats
+	// Opt is the mode search every group ran, identical on every group.
+	Opt *inla.OptResult
 	// Evals counts the objective evaluations each group performed.
 	Evals []int
 }
 
 // RunRINLASim simulates the R-INLA shared-memory execution on the virtual
-// machine: `world` evaluation groups (the S1 OpenMP teams of [43]) each
-// evaluate their share of the 2d+1 gradient points with one sparse-solver
-// instance, then synchronize. Per-group work is measured from the real
-// sparse kernels.
+// machine: `world` evaluation groups (the S1 OpenMP teams of [43]), each
+// with one sparse-solver instance, run inla.Minimize for at most
+// `iterations` (< 1 = 1) BFGS iterations from theta0 with the other
+// settings of inla.DefaultOptOptions — the optimizer RunDistributed runs,
+// so both count the same iteration. Every batch is split round-robin over
+// the groups and summed over the world, so every group holds the same
+// values and BFGS state. Per-group work is measured from the real sparse
+// kernels. A failed line search keeps the iterate, as in inla.Fit.
 func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iterations int, mach comm.Machine) (*SimReport, error) {
-	if iterations < 1 {
-		iterations = 1
-	}
-	d := len(theta0)
-	evaluators := make([]*RINLAEvaluator, world)
-	for i := range evaluators {
-		evaluators[i] = &RINLAEvaluator{Model: m, Prior: prior}
-	}
-	evals := make([]int, world) // each rank writes its own element
+	opt := inla.DefaultOptOptions()
+	opt.MaxIter = max(1, iterations)
+	rep := &SimReport{Evals: make([]int, world)} // each group writes its own Evals element
+	var optErr error
 	st, err := comm.Run(world, mach, nil, func(c *comm.Comm) error {
-		ev := evaluators[c.Rank()]
-		theta := append([]float64(nil), theta0...)
-		for iter := 0; iter < iterations; iter++ {
-			pts := gradientStencil(theta, 1e-3)
-			vals := make([]float64, len(pts))
-			for i := c.Rank(); i < len(pts); i += c.Size() {
-				var f float64
-				c.Compute(func() { f = ev.EvalOne(pts[i]) })
-				vals[i] = f
-				evals[c.Rank()]++
-			}
-			red := c.AllReduceSum(vals)
-			// Fixed damped step, mirroring the DALIA simulated driver.
-			g := make([]float64, d)
-			for i := 0; i < d; i++ {
-				g[i] = (red[1+2*i] - red[2+2*i]) / (2e-3)
-			}
-			step := 0.5 / (1 + dense.Nrm2(g))
-			for i := range theta {
-				theta[i] -= step * g[i]
-			}
-			c.Barrier()
+		e := &simEvaluator{RINLAEvaluator: &RINLAEvaluator{Model: m, Prior: prior}, c: c, evals: &rep.Evals[c.Rank()]}
+		res, err := inla.Minimize(e, theta0, opt)
+		if c.Rank() == 0 {
+			rep.Opt, optErr = res, err
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SimReport{
-		PerIter:  st.Makespan() / float64(iterations),
-		Makespan: st.Makespan(),
-		Stats:    st,
-		Evals:    evals,
-	}, nil
+	if optErr != nil && !errors.Is(optErr, inla.ErrLineSearchFailed) {
+		return nil, optErr
+	}
+	rep.Stats, rep.Makespan = st, st.Makespan()
+	rep.PerIter = rep.Makespan / float64(max(1, rep.Opt.Iterations))
+	return rep, nil
 }
 
-// gradientStencil duplicates the inla central-difference layout (center,
-// then ±h per dimension).
-func gradientStencil(theta []float64, h float64) [][]float64 {
-	d := len(theta)
-	pts := make([][]float64, 0, 2*d+1)
-	pts = append(pts, append([]float64(nil), theta...))
-	for i := 0; i < d; i++ {
-		p := append([]float64(nil), theta...)
-		p[i] += h
-		q := append([]float64(nil), theta...)
-		q[i] -= h
-		pts = append(pts, p, q)
+// simEvaluator is one group of RunRINLASim: it evaluates its round-robin
+// share of a batch on its own sparse solver and sums the batch over the
+// world.
+type simEvaluator struct {
+	*RINLAEvaluator
+	c     *comm.Comm
+	evals *int
+}
+
+func (e *simEvaluator) EvalBatch(points [][]float64) []float64 {
+	vals := make([]float64, len(points))
+	for i := e.c.Rank(); i < len(points); i += e.c.Size() {
+		e.c.Compute(func() { vals[i] = e.EvalOne(points[i]) })
+		*e.evals++
 	}
-	return pts
+	return e.c.AllReduceSum(vals)
+}
+
+// StencilPlan reports one core per group, so the line search evaluates
+// one candidate per group.
+func (e *simEvaluator) StencilPlan(width int) inla.SharedPlan {
+	g := e.c.Size()
+	return inla.SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
 }
 
 // MeasureEvalSeconds times a single objective evaluation of the given

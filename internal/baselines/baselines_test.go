@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -131,6 +132,44 @@ func TestInfeasiblePointsInf(t *testing.T) {
 	}
 }
 
+// widthRecorder is one RINLAEvaluator planned like a RunRINLASim world of
+// `groups` groups; it records the width of every batch.
+type widthRecorder struct {
+	*RINLAEvaluator
+	groups int
+	widths []int
+}
+
+func (e *widthRecorder) EvalBatch(points [][]float64) []float64 {
+	e.widths = append(e.widths, len(points))
+	return e.RINLAEvaluator.EvalBatch(points)
+}
+
+func (e *widthRecorder) StencilPlan(width int) inla.SharedPlan {
+	return inla.SharedPlan{Width: width, Cores: e.groups, PointWorkers: min(width, e.groups), Partitions: 1}
+}
+
+// sequentialSim runs Minimize for k iterations on one RINLAEvaluator and
+// returns its result with the evaluations each of `groups` groups makes
+// when every batch is split round-robin over them.
+func sequentialSim(t *testing.T, ds *synth.Dataset, prior inla.Prior, groups, k int) (*inla.OptResult, []int) {
+	t.Helper()
+	e := &widthRecorder{RINLAEvaluator: &RINLAEvaluator{Model: ds.Model, Prior: prior}, groups: groups}
+	opt := inla.DefaultOptOptions()
+	opt.MaxIter = k
+	res, err := inla.Minimize(e, ds.Theta0, opt)
+	if err != nil && !errors.Is(err, inla.ErrLineSearchFailed) {
+		t.Fatal(err)
+	}
+	evals := make([]int, groups)
+	for _, w := range e.widths {
+		for i := 0; i < w; i++ {
+			evals[i%groups]++
+		}
+	}
+	return res, evals
+}
+
 func TestRunRINLASimScalesWithGroups(t *testing.T) {
 	ds := genSmall(t, 1)
 	prior := inla.WeakPrior(ds.Theta0, 5)
@@ -139,11 +178,11 @@ func TestRunRINLASimScalesWithGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Virtual time is charged from measured wall time, so compare within one
-	// run only: the 9 stencil points split 3/2/2/2 over the groups, every
-	// group computes, and the critical path (3 points plus communication)
-	// is shorter than the 9 points summed over the groups — which a slow
-	// host episode stretches on both sides of the inequality.
-	if want := []int{3, 2, 2, 2}; !slices.Equal(r4.Evals, want) {
+	// run only: every batch splits round-robin over the groups (the first,
+	// 9 stencil points, 3/2/2/2), every group computes, and the critical
+	// path is shorter than the evaluations summed over the groups — which a
+	// slow host episode stretches on both sides of the inequality.
+	if _, want := sequentialSim(t, ds, prior, 4, 1); !slices.Equal(r4.Evals, want) {
 		t.Fatalf("evaluations per group %v, want %v", r4.Evals, want)
 	}
 	for r, rs := range r4.Stats.Ranks {
@@ -153,5 +192,39 @@ func TestRunRINLASimScalesWithGroups(t *testing.T) {
 	}
 	if total := r4.Stats.TotalCompute(); r4.Makespan >= total {
 		t.Fatalf("makespan %v s not below the %v s of compute summed over 4 groups", r4.Makespan, total)
+	}
+}
+
+// RunRINLASim is Minimize over the groups: its θ and trace after K
+// iterations equal a sequential Minimize over one RINLAEvaluator.
+func TestRunRINLASimMatchesMinimize(t *testing.T) {
+	ds := genSmall(t, 1)
+	prior := inla.WeakPrior(ds.Theta0, 5)
+	const groups, k = 3, 4
+	sim, err := RunRINLASim(ds.Model, prior, ds.Theta0, groups, k, comm.DefaultMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, evals := sequentialSim(t, ds, prior, groups, k)
+	if sim.Opt.Iterations != want.Iterations || sim.Opt.FEvals != want.FEvals || !slices.Equal(sim.Evals, evals) {
+		t.Fatalf("%d iterations, %d evaluations %v; sequential %d, %d %v",
+			sim.Opt.Iterations, sim.Opt.FEvals, sim.Evals, want.Iterations, want.FEvals, evals)
+	}
+	if len(sim.Opt.Trace) != len(want.Trace) {
+		t.Fatalf("trace %v, sequential %v", sim.Opt.Trace, want.Trace)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+	for i := range want.Trace {
+		if !near(sim.Opt.Trace[i], want.Trace[i]) {
+			t.Fatalf("trace[%d] = %v, sequential %v", i, sim.Opt.Trace[i], want.Trace[i])
+		}
+	}
+	for i := range want.Theta {
+		if !near(sim.Opt.Theta[i], want.Theta[i]) {
+			t.Fatalf("θ[%d] = %v, sequential %v", i, sim.Opt.Theta[i], want.Theta[i])
+		}
+	}
+	if wantPerIter := sim.Makespan / float64(want.Iterations); sim.PerIter != wantPerIter {
+		t.Fatalf("PerIter %v, want makespan / %d iterations = %v", sim.PerIter, want.Iterations, wantPerIter)
 	}
 }

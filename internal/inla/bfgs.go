@@ -90,20 +90,8 @@ func finiteVec(v []float64) bool {
 	return true
 }
 
-// gradientPoints builds the 2d+1 evaluation points of the central
-// difference scheme (the S1 batch): the center followed by θ ± h·e_i.
-func gradientPoints(theta []float64, h float64) [][]float64 {
-	d := len(theta)
-	pts := make([][]float64, 2*d+1)
-	for i := range pts {
-		pts[i] = make([]float64, d)
-	}
-	fillGradientPoints(pts, theta, h)
-	return pts
-}
-
-// fillGradientPoints refills a preallocated 2d+1-point stencil in place —
-// the allocation-free twin of gradientPoints the BFGS loop uses.
+// fillGradientPoints refills a preallocated 2d+1-point central-difference
+// stencil (the S1 batch) in place: the center followed by θ ± h·e_i.
 func fillGradientPoints(pts [][]float64, theta []float64, h float64) {
 	copy(pts[0], theta)
 	for i := range theta {
@@ -114,15 +102,8 @@ func fillGradientPoints(pts [][]float64, theta []float64, h float64) {
 	}
 }
 
-// gradientFromBatch extracts (F(θ), ∇F(θ)) from batched values in
-// gradientPoints order.
-func gradientFromBatch(vals []float64, h float64) (float64, []float64) {
-	g := make([]float64, (len(vals)-1)/2)
-	return gradientFromBatchInto(g, vals, h), g
-}
-
-// gradientFromBatchInto is gradientFromBatch into a caller-owned gradient
-// buffer, returning the center value.
+// gradientFromBatchInto extracts ∇F(θ) into g from batched values in
+// fillGradientPoints order and returns the center value F(θ).
 func gradientFromBatchInto(g, vals []float64, h float64) float64 {
 	for i := range g {
 		g[i] = (vals[1+2*i] - vals[2+2*i]) / (2 * h)
@@ -429,8 +410,9 @@ func infNorm(v []float64) float64 {
 }
 
 // StencilPlanner is implemented by evaluators whose EvalBatch schedules
-// against a core budget (BTAEvaluator): StencilPlan reports how a batch of
-// the given width would spend the machine. The Hessian stage uses it to
+// against a core budget (BTAEvaluator; the simulated distributed evaluators
+// report one core per S1 group): StencilPlan reports how a batch of the
+// given width would spend the machine. The Hessian stage uses it to
 // split its wide stencil at plan boundaries instead of leaving cores idle
 // in the batch's tail, and Minimize reads the width-1 plan to set how many
 // line-search candidates one batch evaluates.

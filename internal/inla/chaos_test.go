@@ -54,10 +54,10 @@ func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	}
 	sameTheta := func(label string, rep *DistReport) {
 		t.Helper()
-		for i := range ref.Theta {
-			if d := math.Abs(rep.Theta[i] - ref.Theta[i]); d > 1e-8 {
+		for i := range ref.Opt.Theta {
+			if d := math.Abs(rep.Opt.Theta[i] - ref.Opt.Theta[i]); d > 1e-8 {
 				t.Fatalf("%s: theta[%d] = %v vs fault-free %v (|Δ| = %.3g > 1e-8)",
-					label, i, rep.Theta[i], ref.Theta[i], d)
+					label, i, rep.Opt.Theta[i], ref.Opt.Theta[i], d)
 			}
 		}
 	}
@@ -99,8 +99,8 @@ func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	if rep.Survivors != 35 {
 		t.Fatalf("Survivors = %d, want 35", rep.Survivors)
 	}
-	if len(rep.FTrace) != base.Iterations {
-		t.Fatalf("trace length %d, want %d (every iteration must commit)", len(rep.FTrace), base.Iterations)
+	if rep.Opt.Iterations != base.Iterations {
+		t.Fatalf("%d iterations, want %d (every iteration must commit)", rep.Opt.Iterations, base.Iterations)
 	}
 	sameTheta("faulty", rep)
 	// The wounded world must be fully torn down: no rank goroutines survive.

@@ -1,6 +1,7 @@
 package inla
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -103,10 +104,11 @@ func (p Plan) GroupOf(rank int) int {
 	return p.Groups - 1
 }
 
-// assemblyCell deduplicates the (shared-memory) assembly of one global
-// matrix per pipeline: the first arriving rank assembles, everyone shares
-// the result, and each rank is charged dt/P virtual seconds — modeling the
-// O(nnz/P) distributed construction/mapping of §IV-F.
+// assemblyCell deduplicates the (shared-memory) assembly of the global
+// matrices at one θ: the first arriving rank assembles, everyone shares the
+// result, and each rank is charged dt/P virtual seconds — modeling the
+// O(nnz/P) distributed construction/mapping of §IV-F. The contents depend
+// on θ alone, so ranks of any group or topology may share a cell.
 type assemblyCell struct {
 	once sync.Once
 	qp   *bta.Matrix
@@ -115,30 +117,6 @@ type assemblyCell struct {
 	dtQp float64
 	dtQc float64
 	err  error
-}
-
-type sharedState struct {
-	mu    sync.Mutex
-	cells map[string]*assemblyCell
-}
-
-func newSharedState() *sharedState {
-	return &sharedState{cells: make(map[string]*assemblyCell)}
-}
-
-func (s *sharedState) cell(key string) *assemblyCell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.cells[key]
-	if !ok {
-		c = &assemblyCell{}
-		s.cells[key] = c
-	}
-	return c
-}
-
-func thetaKey(theta []float64) string {
-	return fmt.Sprintf("%x", theta)
 }
 
 // groupScratch is one rank's reusable distributed-solver arena for one
@@ -180,7 +158,9 @@ type DistConfig struct {
 	LB float64
 	// MemCapBytes models per-device memory (0 = unlimited).
 	MemCapBytes int64
-	// Iterations of the quasi-Newton loop to execute.
+	// Iterations caps the BFGS iterations of the mode search
+	// (OptOptions.MaxIter, < 1 = 1); every other optimizer setting is
+	// DefaultOptOptions().
 	Iterations int
 	// DisableS2/DisableS3 restrict the layer usage (ablations and the
 	// INLA_DIST-like configuration).
@@ -193,7 +173,7 @@ type DistConfig struct {
 	// Faults injects a deterministic communication-fault plan (message
 	// delays, scheduled rank deaths) into the run; nil runs fault-free.
 	// Scheduled deaths are recovered by shrinking the world onto the
-	// survivors and retrying the interrupted iteration.
+	// survivors and re-evaluating the interrupted batch.
 	Faults *comm.FaultPlan
 	// MaxShrinks bounds how many shrink-and-retry recoveries the run
 	// attempts before giving up (0 = World−1, i.e. down to a single rank;
@@ -203,36 +183,85 @@ type DistConfig struct {
 
 // DistReport aggregates a distributed run.
 type DistReport struct {
-	Plan      Plan
-	Stats     comm.Stats
-	Makespan  float64 // virtual seconds, total
-	PerIter   float64 // virtual seconds per iteration
-	Theta     []float64
-	FTrace    []float64
-	SolverSec float64 // max over ranks of solver-attributed compute
+	Plan     Plan
+	Stats    comm.Stats
+	Makespan float64 // virtual seconds, total
+	PerIter  float64 // virtual seconds per BFGS iteration (Opt.Iterations)
+	// Opt is the mode search every rank ran: θ, F, trace, iterations,
+	// evaluations and convergence, identical on every rank.
+	Opt *OptResult
 	// Shrinks counts the shrink-and-retry recoveries the run performed;
 	// Survivors is the world size that finished it (World − ranks lost).
 	Shrinks   int
 	Survivors int
 }
 
-// RunDistributed executes cfg.Iterations quasi-Newton iterations of the
-// INLA mode search SPMD over the simulated machine, with the full
-// three-layer scheme, and reports virtual-time statistics. Each iteration
-// performs the parallel central-difference gradient batch (S1), a
-// fixed-step quasi-Newton update, and one probe evaluation — the
-// gradient-dominated iteration structure whose per-iteration cost the
-// paper's figures report. A non-finite reduced objective or gradient stops
-// the run with an error wrapping ErrGradientUndefined instead of stepping.
+// RunDistributed runs the INLA mode search SPMD over the simulated machine
+// with the full three-layer scheme and reports virtual-time statistics.
+// Every rank runs Minimize, the optimizer of every backend, on its own
+// commEvaluator: the gradient stencils and line-search candidates of each
+// BFGS iteration are spread over the S1 groups, each group evaluates its
+// points with the S2 pipelines and the S3 solver, and a world reduction
+// hands every rank the same values. An undefined gradient stops the run
+// with ErrGradientUndefined; a failed line search keeps the iterate, as in
+// Fit.
 func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*DistReport, error) {
+	run, err := newDistRun(m, prior, theta0, cfg)
+	if err != nil {
+		return nil, err
+	}
+	opt := DefaultOptOptions()
+	opt.MaxIter = max(1, cfg.Iterations)
+
+	// Written by rank 0 of the world that finishes the run.
+	rep := &DistReport{Plan: run.planFor(cfg.World)}
+	var optErr error
+	st, runErr := comm.Run(cfg.World, cfg.Machine, cfg.Faults, func(world *comm.Comm) error {
+		e := &commEvaluator{run: run}
+		e.join(world)
+		res, err := Minimize(e, theta0, opt)
+		if e.err != nil {
+			return e.err
+		}
+		if e.world.Rank() == 0 {
+			rep.Opt, optErr = res, err
+			rep.Shrinks, rep.Survivors = e.shrinks, e.world.Size()
+		}
+		return nil
+	})
+	if runErr != nil {
+		return nil, runErr
+	}
+	if optErr != nil && !errors.Is(optErr, ErrLineSearchFailed) {
+		return nil, optErr
+	}
+	rep.Stats, rep.Makespan = st, st.Makespan()
+	rep.PerIter = rep.Makespan / float64(max(1, rep.Opt.Iterations))
+	return rep, nil
+}
+
+// distRun is what the ranks of one RunDistributed call share: the model,
+// the configuration, the planner's inputs and the assembly registries.
+type distRun struct {
+	m          *model.Model
+	prior      Prior
+	cfg        DistConfig
+	lb         float64
+	nfeval     int
+	qcBytes    int64
+	maxShrinks int // negative: none
+
+	mu    sync.Mutex
+	cells map[string]*assemblyCell // by θ, while an evaluation of it is open
+}
+
+func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*distRun, error) {
 	if m.Lik != model.LikGaussian {
 		return nil, fmt.Errorf("inla: the distributed driver supports the Gaussian likelihood (the paper's evaluation case); got %v", m.Lik)
 	}
 	if cfg.World < 1 {
 		return nil, fmt.Errorf("inla: world size %d < 1", cfg.World)
 	}
-	d := len(theta0)
-	nfeval := 2*d + 1
 	// Probe assembly once to size the memory model.
 	proto, err := m.DecodeTheta(theta0)
 	if err != nil {
@@ -242,170 +271,145 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 	if err != nil {
 		return nil, err
 	}
-	qcBytes := qcProbe.BytesDense()
-	nt := m.Dims.Nt
-
-	_, bBlk, aBlk := m.Dims.BTAShape()
-	planFor := func(world int) Plan {
-		p := MakePlan(world, nfeval, qcBytes, cfg.MemCapBytes, nt, bBlk, aBlk)
-		if cfg.DisableS2 {
-			p.UseS2 = false
-		}
-		return p
+	r := &distRun{m: m, prior: prior, cfg: cfg, lb: max(1, cfg.LB), nfeval: 2*len(theta0) + 1,
+		qcBytes: qcProbe.BytesDense(), maxShrinks: cfg.MaxShrinks, cells: make(map[string]*assemblyCell)}
+	if r.maxShrinks == 0 {
+		r.maxShrinks = cfg.World - 1
 	}
-	plan := planFor(cfg.World)
-	lb := cfg.LB
-	if lb < 1 {
-		lb = 1
-	}
-	iterations := cfg.Iterations
-	if iterations < 1 {
-		iterations = 1
-	}
-	maxShrinks := cfg.MaxShrinks
-	if maxShrinks == 0 {
-		maxShrinks = cfg.World - 1
-	} else if maxShrinks < 0 {
-		maxShrinks = 0
-	}
-
-	// Shared-assembly registries keyed by world size: every shrink rebuilds
-	// the topology over fewer ranks, and world sizes strictly decrease, so
-	// each recovered topology gets its own deduplication state.
-	var statesMu sync.Mutex
-	statesBySize := make(map[int][]*sharedState)
-	getStates := func(size, groups int) []*sharedState {
-		statesMu.Lock()
-		defer statesMu.Unlock()
-		s, ok := statesBySize[size]
-		if !ok {
-			s = make([]*sharedState, groups)
-			for g := range s {
-				s[g] = newSharedState()
-			}
-			statesBySize[size] = s
-		}
-		return s
-	}
-
-	var mu sync.Mutex
-	finalTheta := append([]float64(nil), theta0...)
-	var trace []float64
-	shrinksDone, survivors := 0, cfg.World
-
-	st, runErr := comm.Run(cfg.World, cfg.Machine, cfg.Faults, func(world *comm.Comm) error {
-		wplan := plan
-		g := wplan.GroupOf(world.Rank())
-		group := world.Split(g, world.Rank())
-		state := getStates(world.Size(), wplan.Groups)[g]
-
-		theta := append([]float64(nil), theta0...)
-		grad := make([]float64, d)
-		scr := &groupScratch{}
-		var localTrace []float64
-		shrinks := 0
-		for iter := 0; iter < iterations; iter++ {
-			var f0 float64
-			iterErr := comm.Catch(func() {
-				pts := gradientPoints(theta, 1e-3)
-				vals := make([]float64, len(pts))
-				for i := g; i < len(pts); i += wplan.Groups {
-					f, err := evalFobjGroup(group, state, m, prior, pts[i], wplan, cfg, lb, scr)
-					if err != nil {
-						f = math.Inf(1)
-					}
-					if group.Rank() == 0 {
-						vals[i] = f
-					}
-				}
-				// World-level reduction of the gradient batch (the ⊕ of Fig. 3a).
-				red := world.AllReduceSum(vals)
-				f0 = gradientFromBatchInto(grad, red, 1e-3)
-				world.Barrier()
-			})
-			if iterErr != nil {
-				if !comm.Retryable(iterErr) {
-					return iterErr
-				}
-				if shrinks >= maxShrinks {
-					return fmt.Errorf("inla: shrink budget exhausted after %d recoveries: %w", shrinks, iterErr)
-				}
-				// Shrink-and-retry: revoke the wounded topology, redistribute
-				// the dead ranks' partitions by replanning over the survivors,
-				// and redo the interrupted iteration. Collectives complete
-				// all-or-nothing, so every survivor lands here with the same θ
-				// and the same iteration index.
-				shrinks++
-				world = world.Shrink()
-				wplan = planFor(world.Size())
-				g = wplan.GroupOf(world.Rank())
-				group = world.Split(g, world.Rank())
-				state = getStates(world.Size(), wplan.Groups)[g]
-				scr = &groupScratch{}
-				iter--
-				continue
-			}
-			// Every rank holds the same reduced values, so every rank stops
-			// here together: a quarantined stencil arm (+Inf) would make the
-			// step below NaN.
-			if !finiteVec(grad) || math.IsInf(f0, 0) || math.IsNaN(f0) {
-				if world.Rank() != 0 {
-					return nil
-				}
-				return fmt.Errorf("inla: distributed iteration %d at θ = %v: %w", iter, theta, ErrGradientUndefined)
-			}
-			// Damped quasi-Newton step from the reduced gradient. The paper's
-			// iteration cost is the 2·dim(θ)+1 parallel evaluations (§IV-D1);
-			// the step itself is negligible bookkeeping on every rank. It is
-			// applied only after the whole iteration committed, so a
-			// mid-iteration failure retries from unchanged θ.
-			localTrace = append(localTrace, f0)
-			step := 0.5 / (1 + dense.Nrm2(grad))
-			for i := range theta {
-				theta[i] -= step * grad[i]
-			}
-		}
-		if world.Rank() == 0 {
-			mu.Lock()
-			copy(finalTheta, theta)
-			trace = localTrace
-			shrinksDone = shrinks
-			survivors = world.Size()
-			mu.Unlock()
-		}
-		return nil
-	})
-
-	if runErr != nil {
-		return nil, runErr
-	}
-	rep := &DistReport{
-		Plan:      plan,
-		Stats:     st,
-		Makespan:  st.Makespan(),
-		PerIter:   st.Makespan() / float64(iterations),
-		Theta:     finalTheta,
-		FTrace:    trace,
-		Shrinks:   shrinksDone,
-		Survivors: survivors,
-	}
-	rep.SolverSec = st.MaxCompute()
-	return rep, nil
+	return r, nil
 }
 
-// evalFobjGroup evaluates fobj(θ) on one S1 group: the S2 split into the
-// Q_p and Q_c pipelines, each running the S3 distributed solver over its
-// sub-communicator. Returns the objective on every rank of the group.
-func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior Prior,
-	theta []float64, plan Plan, cfg DistConfig, lb float64, scr *groupScratch) (float64, error) {
+func (r *distRun) planFor(world int) Plan {
+	_, b, a := r.m.Dims.BTAShape()
+	p := MakePlan(world, r.nfeval, r.qcBytes, r.cfg.MemCapBytes, r.m.Dims.Nt, b, a)
+	if r.cfg.DisableS2 {
+		p.UseS2 = false
+	}
+	return p
+}
 
+// cell returns the assembly cell of θ and its key, creating the cell for
+// the first rank to ask.
+func (r *distRun) cell(theta []float64) (string, *assemblyCell) {
+	key := fmt.Sprintf("%x", theta)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.cells[key]
+	if !ok {
+		c = &assemblyCell{}
+		r.cells[key] = c
+	}
+	return key, c
+}
+
+// drop forgets c, unless a later evaluation of the same θ has replaced it.
+func (r *distRun) drop(key string, c *assemblyCell) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cells[key] == c {
+		delete(r.cells, key)
+	}
+}
+
+// commEvaluator is one rank's Evaluator over the simulated machine.
+// EvalBatch spreads the points round-robin over the S1 groups, each group
+// evaluates its points with evalFobj, and a world AllReduceSum hands
+// every rank the whole batch. Every rank therefore holds the same values,
+// and the Minimize each rank runs keeps the same BFGS state everywhere
+// without a θ broadcast.
+//
+// A batch is all-or-nothing. A Retryable fault shrinks the world onto the
+// survivors, replans, and re-evaluates the whole batch; collectives
+// complete all-or-nothing, so every survivor retries the same batch. A
+// fault that cannot be retried, or one past the shrink budget, is kept on
+// err, and every later batch evaluates to +Inf without communicating, so
+// Minimize stops.
+type commEvaluator struct {
+	run     *distRun
+	world   *comm.Comm
+	plan    Plan
+	g       int // this rank's S1 group
+	group   *comm.Comm
+	scr     *groupScratch
+	shrinks int
+	err     error
+}
+
+// join plans the S1 groups over world and gives this rank its group and
+// fresh solver scratch; a shrink joins the survivors' world.
+func (e *commEvaluator) join(world *comm.Comm) {
+	e.world = world
+	e.plan = e.run.planFor(world.Size())
+	e.g = e.plan.GroupOf(world.Rank())
+	e.group = world.Split(e.g, world.Rank())
+	e.scr = &groupScratch{}
+}
+
+// EvalBatch evaluates −fobj at every point, +Inf for infeasible ones.
+func (e *commEvaluator) EvalBatch(points [][]float64) []float64 {
+	for e.err == nil {
+		var vals []float64
+		err := comm.Catch(func() { vals = e.evalBatch(points) })
+		switch {
+		case err == nil:
+			return vals
+		case !comm.Retryable(err):
+			e.err = err
+		case e.shrinks >= e.run.maxShrinks:
+			e.err = fmt.Errorf("inla: shrink budget exhausted after %d recoveries: %w", e.shrinks, err)
+		default:
+			// Revoke the wounded topology and redistribute the dead ranks'
+			// partitions by replanning over the survivors.
+			e.shrinks++
+			e.join(e.world.Shrink())
+		}
+	}
+	vals := make([]float64, len(points))
+	for i := range vals {
+		vals[i] = math.Inf(1)
+	}
+	return vals
+}
+
+func (e *commEvaluator) evalBatch(points [][]float64) []float64 {
+	vals := make([]float64, len(points))
+	for i := e.g; i < len(points); i += e.plan.Groups {
+		f, err := e.evalFobj(points[i])
+		if err != nil {
+			f = math.Inf(1)
+		}
+		if e.group.Rank() == 0 {
+			vals[i] = f
+		}
+	}
+	// World-level reduction of the batch (the ⊕ of Fig. 3a).
+	return e.world.AllReduceSum(vals)
+}
+
+// StencilPlan reports one core per S1 group and no partitions, so the line
+// search of Minimize evaluates one candidate per group.
+func (e *commEvaluator) StencilPlan(width int) SharedPlan {
+	g := e.plan.Groups
+	return SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
+}
+
+// Posterior is the sequential latentPosterior, as for every backend.
+func (e *commEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
+	return (&BTAEvaluator{Model: e.run.m}).Posterior(theta)
+}
+
+// evalFobj evaluates −fobj(θ) on this rank's S1 group: the S2 split into
+// the Q_p and Q_c pipelines, each running the S3 distributed solver over
+// its sub-communicator. Every rank of the group returns the value.
+func (e *commEvaluator) evalFobj(theta []float64) (float64, error) {
+	group, m, cfg, scr := e.group, e.run.m, e.run.cfg, e.scr
 	w := group.Size()
-	useS2 := plan.UseS2 && w >= 2
+	useS2 := e.plan.UseS2 && w >= 2
 
 	// Pipeline split: color 0 = Q_p pipeline, color 1 = Q_c pipeline. The
 	// Q_c pipeline gets the larger half (it carries the extra triangular
 	// solve, §IV-D2).
-	var pipe *comm.Comm
+	pipe := group
 	color := 1 // everyone does Q_c work when S2 is off
 	wA := 0
 	if useS2 {
@@ -414,8 +418,6 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			color = 0
 		}
 		pipe = group.Split(color, group.Rank())
-	} else {
-		pipe = group
 	}
 
 	// S3 width: one time partition per solver rank, bounded by
@@ -427,7 +429,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 	if mx := bta.MaxPartitions(m.Dims.Nt); p3 > mx {
 		p3 = mx
 	}
-	parts, err := bta.PartitionBlocks(m.Dims.Nt, p3, lb)
+	parts, err := bta.PartitionBlocks(m.Dims.Nt, p3, e.run.lb)
 	if err != nil {
 		// The load-balanced split can fail on tiny block counts where the
 		// even split still fits.
@@ -436,21 +438,27 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 		}
 	}
 	active := pipe.Rank() < p3
-	var solver *comm.Comm
+	solver := pipe
 	if p3 < pipe.Size() {
 		ac := 0
 		if !active {
 			ac = 1
 		}
 		solver = pipe.Split(ac, pipe.Rank())
-	} else {
-		solver = pipe
 	}
 
-	// Shared assembly (charged as dt/P per rank, or undistributed for the
-	// naive-mapping configuration). Measured under the compute lock so the
-	// wall time is not inflated by other simulated ranks.
-	cell := state.cell(thetaKey(theta))
+	// Shared assembly, charged as dt/P per rank, or undistributed for the
+	// naive mapping (§IV-F). Measured under the compute lock so the wall
+	// time is not inflated by other simulated ranks.
+	charge := float64(p3)
+	if cfg.NaiveMapping {
+		charge = 1
+	}
+	key, cell := e.run.cell(theta)
+	// Every rank of the group is done with the cell once it returns: past
+	// the group's closing AllReduceSum, or on an assembly error that every
+	// rank reproduces from a fresh cell.
+	defer e.run.drop(key, cell)
 	cell.once.Do(func() {
 		t, err := m.DecodeTheta(theta)
 		if err != nil {
@@ -498,7 +506,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			return nil
 		}
 		err := func() error {
-			solverRankCharge(solver, cell.dtQc, chargeP3(p3, cfg))
+			solver.Elapse(cell.dtQc / charge)
 			f, err := scr.factorize(solver, cell.qc, parts)
 			if err != nil {
 				return err
@@ -529,7 +537,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 				var ll float64
 				solver.Compute(func() { ll = m.LogLik(t, muFull) })
 				comps[2] = -0.5 * f.LogDet()
-				comps[3] = ll + prior.LogDensity(theta)
+				comps[3] = ll + e.run.prior.LogDensity(theta)
 				muLocal = muFull
 			}
 			return nil
@@ -554,7 +562,7 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			return nil
 		}
 		err := func() error {
-			solverRankCharge(solver, cell.dtQp, chargeP3(p3, cfg))
+			solver.Elapse(cell.dtQp / charge)
 			f, err := scr.factorize(solver, cell.qp, parts)
 			if err != nil {
 				return err
@@ -600,10 +608,10 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 			errQp = runQp()
 		}
 	} else {
+		// Both phases run after a Q_c failure too: a rank outside the S3
+		// solver cannot know of it and waits at runQp's barrier.
 		errQc = runQc()
-		if errQc == nil {
-			errQp = runQp()
-		}
+		errQp = runQp()
 	}
 
 	// Group-level combination: pipeline roots contribute their components.
@@ -625,32 +633,16 @@ func evalFobjGroup(group *comm.Comm, state *sharedState, m *model.Model, prior P
 	contrib[4] = failed
 	sum := group.AllReduceSum(contrib)
 	if sum[4] > 0 {
-		if errQp != nil {
-			return math.Inf(1), errQp
-		}
 		if errQc != nil {
 			return math.Inf(1), errQc
+		}
+		if errQp != nil {
+			return math.Inf(1), errQp
 		}
 		return math.Inf(1), fmt.Errorf("inla: a peer pipeline failed")
 	}
 	fobj := sum[0] + sum[1] + sum[2] + sum[3]
 	return -fobj, nil
-}
-
-// solverRankCharge charges the modeled per-rank share of the assembly cost
-// (the O(nnz/P) mapping of §IV-F). The naive-mapping configuration charges
-// the full undistributed cost on every rank (pass p3 = 1).
-func solverRankCharge(solver *comm.Comm, dt float64, p3 int) {
-	solver.Elapse(dt / float64(p3))
-}
-
-// chargeP3 selects the assembly-cost divisor: the naive mapping is not
-// distributable (§IV-F), so its cost lands fully on every rank.
-func chargeP3(p3 int, cfg DistConfig) int {
-	if cfg.NaiveMapping {
-		return 1
-	}
-	return p3
 }
 
 // localQuad computes this partition's contribution to μᵀ·Q·μ over the BTA

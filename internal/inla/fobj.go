@@ -215,8 +215,9 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 
 // Evaluator evaluates −fobj at a batch of hyperparameter points; its
 // implementations define where the work runs (goroutines here, the comm
-// simulator in dist.go, the general sparse solver in package baselines).
-// Infeasible points (non-SPD precision) evaluate to +Inf.
+// simulator in dist.go, the general sparse solver in package baselines),
+// and Minimize drives every one of them. Infeasible points (non-SPD
+// precision) evaluate to +Inf.
 type Evaluator interface {
 	EvalBatch(points [][]float64) []float64
 	// Posterior computes the conditional mean and latent marginal variances

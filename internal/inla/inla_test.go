@@ -37,6 +37,22 @@ func (e *quadEvaluator) Posterior(theta []float64) ([]float64, []float64, error)
 	return append([]float64(nil), theta...), make([]float64, len(theta)), nil
 }
 
+// gradientPoints allocates and fills the 2d+1-point stencil at theta.
+func gradientPoints(theta []float64, h float64) [][]float64 {
+	pts := make([][]float64, 2*len(theta)+1)
+	for i := range pts {
+		pts[i] = make([]float64, len(theta))
+	}
+	fillGradientPoints(pts, theta, h)
+	return pts
+}
+
+// gradientFromBatch is gradientFromBatchInto into a fresh gradient.
+func gradientFromBatch(vals []float64, h float64) (float64, []float64) {
+	g := make([]float64, (len(vals)-1)/2)
+	return gradientFromBatchInto(g, vals, h), g
+}
+
 func TestGradientPointsLayout(t *testing.T) {
 	pts := gradientPoints([]float64{1, 2}, 0.1)
 	if len(pts) != 5 {

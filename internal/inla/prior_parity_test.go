@@ -82,8 +82,8 @@ func TestFobjMatchesJointRouteOnBenchmarkShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !(math.Abs(got-rep.FTrace[0]) <= 1e-10*math.Abs(got)) {
-			t.Errorf("%s: F = %v, distributed evaluator %v", name, got, rep.FTrace[0])
+		if !(math.Abs(got-rep.Opt.Trace[0]) <= 1e-10*math.Abs(got)) {
+			t.Errorf("%s: F = %v, distributed evaluator %v", name, got, rep.Opt.Trace[0])
 		}
 	}
 }
