@@ -87,7 +87,7 @@ ci: fmt-check test race purego
 # the chaos fault-injection suite, the purego fallback with the arm64
 # cross-build, the end-to-end parity run, then the non-blocking perf smoke.
 ci-local: fmt-check test race
-	$(GO) run ./cmd/dalia-scale -workers 1,4 -iters 2
+	$(GO) run ./cmd/dalia-scale -workers 1,4,62 -iters 2
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dense
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/model
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bta

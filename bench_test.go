@@ -167,18 +167,6 @@ func BenchmarkAblationBTAvsSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationS2 is ablation X4: the concurrent Q_p/Q_c pipelines at
-// fixed resources.
-func BenchmarkAblationS2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationS2(true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportLast(b, fig, "per-iteration time", "s/iter-s2on")
-	}
-}
-
 // BenchmarkAblationLoadBalance is ablation X5: the lb sweep of §V-C.
 func BenchmarkAblationLoadBalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {

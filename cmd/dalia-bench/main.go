@@ -9,7 +9,7 @@
 //	dalia-bench -exp=all -quick      # everything, trimmed sweeps
 //
 // Experiments: table1, table4, fig4, fig5, fig6a, fig6b, fig7, app,
-// x1 (mapping), x3 (solver ablation), x4 (S2 ablation), x5 (lb sweep),
+// x1 (mapping), x3 (solver ablation), x5 (lb sweep),
 // latency (closed-loop clients against the replicated HTTP serving path:
 // p50/p99/p999 request latency and throughput). Every requested name is
 // checked before anything runs: one unknown name exits 2 and lists the
@@ -66,7 +66,6 @@ var experiments = []experiment{
 	printExp("app", "air-pollution application study (§VI, AP1)", bench.App, bench.PrintApp),
 	printExp("x1", "ablation: cached vs naive sparse→dense mapping (§IV-F)", bench.AblationMapping, fig),
 	printExp("x3", "ablation: BTA solver vs general sparse Cholesky", bench.AblationBTAvsSparse, fig),
-	printExp("x4", "ablation: S2 pipeline on/off at fixed resources", bench.AblationS2, fig),
 	printExp("x5", "ablation: load-balance factor sweep (§V-C)", bench.AblationLB, fig),
 	printExp("latency", "serving tail latency under concurrent closed-loop load (replicated snapshot path)", bench.Latency, bench.PrintLatency),
 }

@@ -1,8 +1,10 @@
-// dalia-scale runs free-form scaling sweeps of the three-layer parallel
-// scheme on the simulated distributed machine and prints the virtual-time
-// report for each width. s/iter is the virtual time of the run divided by
-// its BFGS iterations; an iteration is a line search plus a gradient batch,
-// and the run's first gradient batch at θ0 is charged to it too.
+// dalia-scale runs free-form scaling sweeps of the layered parallel scheme
+// (S1 evaluation groups, each an S3 solver of one time partition per rank)
+// on the simulated distributed machine and prints the virtual-time report
+// for each width; the plan column reads S1×groups+S3×ranks per group.
+// s/iter is the virtual time of the run divided by its BFGS iterations; an
+// iteration is a line search plus a gradient batch, and the run's first
+// gradient batch at θ0 is charged to it too.
 //
 // Usage:
 //
@@ -86,11 +88,8 @@ func main() {
 			t0 = rep.PerIter
 		}
 		plan := fmt.Sprintf("S1×%d", rep.Plan.Groups)
-		if rep.Plan.UseS2 {
-			plan += "+S2"
-		}
-		if rep.Plan.P3Min > 1 {
-			plan += fmt.Sprintf("+S3(≥%d)", rep.Plan.P3Min)
+		if w := rep.Plan.GroupSizes[0]; w > 1 {
+			plan += fmt.Sprintf("+S3×%d", w)
 		}
 		speedup, eff := scaling(t0, workers[0], rep.PerIter, w)
 		fmt.Printf("%8d  %10.4f  %8.1fx  %7.1f  %-22s %11.2fx\n",

@@ -16,10 +16,10 @@
 //     inversion) in sequential and distributed-memory form, the latter over
 //     a time-domain partitioning with nested dissection;
 //   - the paper's nested parallel scheme: S1 gradient evaluations and S3
-//     partitioned solvers everywhere; S2, the concurrent prior/conditional
-//     factorization pipelines, in the distributed evaluator only (RunCluster)
-//     — on shared memory the prior's log-determinant and quadratic form are
-//     closed forms and an evaluation factorizes Q_c alone;
+//     partitioned solvers, on shared memory (Fit) and on the simulated
+//     cluster (RunCluster). The prior's log-determinant and quadratic form
+//     are closed forms, so an evaluation factorizes Q_c alone and the
+//     paper's S2 layer, which factorizes Q_p beside Q_c, has no work;
 //   - one BFGS mode search for every backend: Fit and RunCluster both run
 //     it, over shared-memory and simulated distributed evaluators.
 //
@@ -114,7 +114,7 @@ type (
 	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run: world
 	// size, machine model, BFGS iteration cap, S3 load-balance factor and
-	// memory cap, layer switches and an optional fault plan.
+	// memory cap, and an optional fault plan.
 	ClusterConfig = inla.DistConfig
 	// ClusterReport carries the virtual-time statistics and the mode
 	// search result of a run.
@@ -296,10 +296,10 @@ func HyperMarginals(m *Model, r *Result) []HyperMarginal {
 }
 
 // RunCluster runs the INLA mode search — Fit's BFGS, for at most
-// cfg.Iterations iterations — SPMD on the simulated distributed machine
-// with the full three-layer parallel scheme, the S3 solver layer one time
-// partition per rank, and returns the optimizer's result with virtual-time
-// statistics (the scaling-experiment entry point).
+// cfg.Iterations iterations — SPMD on the simulated distributed machine,
+// S1 evaluation groups of S3 solvers with one time partition per rank, and
+// returns the optimizer's result with virtual-time statistics (the
+// scaling-experiment entry point).
 func RunCluster(m *Model, prior Prior, theta0 []float64, cfg ClusterConfig) (*ClusterReport, error) {
 	return inla.RunDistributed(m, prior, theta0, cfg)
 }

@@ -1,8 +1,8 @@
 // Scaling demo: run the same trivariate BFGS iteration (a line search and a
 // gradient batch, after the first gradient batch at θ0) on the simulated
-// distributed machine at several widths and watch the three parallel layers
-// (S1 evaluations, S2 pipelines, S3 distributed solver) engage — a
-// miniature of the paper's Fig. 7.
+// distributed machine at several widths and watch the parallel layers (S1
+// evaluations, then the S3 distributed solver) engage — a miniature of the
+// paper's Fig. 7.
 //
 //	go run ./examples/scaling
 package main
@@ -44,11 +44,8 @@ func main() {
 			t1 = rep.PerIter
 		}
 		layers := fmt.Sprintf("S1×%d", rep.Plan.Groups)
-		if rep.Plan.UseS2 {
-			layers += " +S2"
-		}
-		if g := rep.Plan.GroupSizes[0]; g > 2 || (!rep.Plan.UseS2 && g > 1) {
-			layers += " +S3"
+		if g := rep.Plan.GroupSizes[0]; g > 1 {
+			layers += fmt.Sprintf(" +S3×%d", g)
 		}
 		fmt.Printf("%8d  %10.3f  %9.1fx  %8.1f  %s\n",
 			w, rep.PerIter, t1/rep.PerIter, 100*t1/(float64(w)*rep.PerIter), layers)

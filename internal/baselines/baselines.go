@@ -7,15 +7,15 @@
 //     permutation, shared-memory parallelism across function evaluations
 //     only (the nested OpenMP scheme), no structured-solver exploitation,
 //     no distribution.
-//   - INLA_DIST-like — the sequential BTA solver with the S1/S2 layers but
-//     the undistributed O(n·b²) densification and no S3; reachable through
-//     inla.DistConfig{DisableS3: true, NaiveMapping: true} and the
-//     INLADistEvaluator here for shared-memory runs.
+//   - INLA_DIST-like — the sequential BTA solver over the undistributed
+//     O(n·b²) densification, factorizing both Q_p and Q_c, with the S1
+//     and S2 layers and no S3 (RunINLADistSim). DALIA has no S2 layer:
+//     its prior terms are closed forms, so an evaluation factorizes Q_c
+//     alone.
 //
-// The simulated runs of both comparators — RunRINLASim here and the
-// INLA_DIST-like inla.RunDistributed — run inla.Minimize, the optimizer of
-// DALIA's own runs, so every per-iteration figure counts the same BFGS
-// iteration.
+// The simulated runs of both comparators, RunRINLASim and RunINLADistSim,
+// run inla.Minimize, the optimizer of DALIA's own runs, so every
+// per-iteration figure counts the same BFGS iteration.
 package baselines
 
 import (
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
@@ -33,7 +32,9 @@ import (
 	"github.com/dalia-hpc/dalia/internal/sparse"
 )
 
-// RINLAEvaluator evaluates −fobj through the general sparse solver. The
+// RINLAEvaluator evaluates −fobj through the general sparse solver, one
+// point at a time: the factor state is shared, one PARDISO instance per
+// evaluation group. The
 // symbolic factorization is computed once per pattern and reused across
 // evaluations (as R-INLA reuses PARDISO's analysis phase).
 type RINLAEvaluator struct {
@@ -97,19 +98,9 @@ func (e *RINLAEvaluator) evalParts(theta []float64) (inla.FobjParts, error) {
 	return parts, nil
 }
 
-// EvalBatch evaluates sequentially — the factor state is shared, matching
-// one PARDISO instance per evaluation group.
-func (e *RINLAEvaluator) EvalBatch(points [][]float64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = e.EvalOne(p)
-	}
-	return out
-}
-
 // Posterior computes μ and latent marginal variances via the sparse
-// Takahashi selected inversion, returned in the BTA ordering for interface
-// parity with the DALIA evaluators.
+// Takahashi selected inversion, returned in the BTA ordering of the DALIA
+// evaluators.
 func (e *RINLAEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
 	parts, err := e.evalParts(theta)
 	if err != nil {
@@ -120,66 +111,6 @@ func (e *RINLAEvaluator) Posterior(theta []float64) ([]float64, []float64, error
 	e.mu.Unlock()
 	return parts.Mu, e.Model.ApplyPerm(varPM), nil
 }
-
-var _ inla.Evaluator = (*RINLAEvaluator)(nil)
-
-// INLADistEvaluator is the INLA_DIST-like shared-memory evaluator: the
-// sequential BTA solver with concurrent Q_p/Q_c pipelines but the naive
-// O(n·b²) densification.
-type INLADistEvaluator struct {
-	Model *model.Model
-	Prior inla.Prior
-}
-
-// EvalOne evaluates −fobj via the sequential BTA solver with naive assembly.
-func (e *INLADistEvaluator) EvalOne(theta []float64) float64 {
-	m := e.Model
-	t, err := m.DecodeTheta(theta)
-	if err != nil {
-		return math.Inf(1)
-	}
-	qp, err := m.QpDensifyNaive(t)
-	if err != nil {
-		return math.Inf(1)
-	}
-	qc, err := m.QcDensifyNaive(t)
-	if err != nil {
-		return math.Inf(1)
-	}
-	fp, err := bta.Factorize(qp)
-	if err != nil {
-		return math.Inf(1)
-	}
-	fc, err := bta.Factorize(qc)
-	if err != nil {
-		return math.Inf(1)
-	}
-	mu := m.CondRHS(t)
-	fc.Solve(mu)
-	tmp := make([]float64, len(mu))
-	qp.MulVec(mu, tmp)
-	quad := dense.Dot(mu, tmp)
-	ll := m.LogLik(t, mu)
-	f := e.Prior.LogDensity(theta) + ll + 0.5*fp.LogDet() - 0.5*quad - 0.5*fc.LogDet()
-	return -f
-}
-
-// EvalBatch evaluates each point sequentially (per-group instance).
-func (e *INLADistEvaluator) EvalBatch(points [][]float64) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = e.EvalOne(p)
-	}
-	return out
-}
-
-// Posterior mirrors the BTA evaluator's posterior path.
-func (e *INLADistEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
-	be := &inla.BTAEvaluator{Model: e.Model, Prior: e.Prior}
-	return be.Posterior(theta)
-}
-
-var _ inla.Evaluator = (*INLADistEvaluator)(nil)
 
 // SimReport summarizes one simulated baseline run.
 type SimReport struct {
@@ -194,20 +125,107 @@ type SimReport struct {
 
 // RunRINLASim simulates the R-INLA shared-memory execution on the virtual
 // machine: `world` evaluation groups (the S1 OpenMP teams of [43]), each
-// with one sparse-solver instance, run inla.Minimize for at most
-// `iterations` (< 1 = 1) BFGS iterations from theta0 with the other
-// settings of inla.DefaultOptOptions — the optimizer RunDistributed runs,
-// so both count the same iteration. Every batch is split round-robin over
-// the groups and summed over the world, so every group holds the same
-// values and BFGS state. Per-group work is measured from the real sparse
-// kernels. A failed line search keeps the iterate, as in inla.Fit.
+// with one sparse-solver instance, run inla.Minimize (runSim). Per-group
+// work is measured from the real sparse kernels.
 func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iterations int, mach comm.Machine) (*SimReport, error) {
+	return runSim(theta0, world, iterations, mach, func(c *comm.Comm) func([]float64) float64 {
+		e := &RINLAEvaluator{Model: m, Prior: prior}
+		return func(theta []float64) (f float64) {
+			c.Compute(func() { f = e.EvalOne(theta) })
+			return f
+		}
+	})
+}
+
+// RunINLADistSim simulates the INLA_DIST execution on the virtual machine:
+// `world` ranks spread over S1 groups as inla.MakePlan spreads them, each
+// group evaluating its points with inlaDistParts and running inla.Minimize
+// (runSim). A group of two or more ranks runs the Q_c and Q_p halves of an
+// evaluation side by side — INLA_DIST's S2 layer — and is charged the
+// larger of the two measured halves; a one-rank group is charged both.
+// Ranks past the second of a group idle: INLA_DIST has no S3 layer.
+func RunINLADistSim(m *model.Model, prior inla.Prior, theta0 []float64, world, iterations int, mach comm.Machine) (*SimReport, error) {
+	_, b, a := m.Dims.BTAShape()
+	plan := inla.MakePlan(world, 2*m.NumHyper()+1, 0, 0, m.Dims.Nt, b, a)
+	return runSim(theta0, plan.Groups, iterations, mach, func(c *comm.Comm) func([]float64) float64 {
+		s2 := plan.GroupSizes[c.Rank()] >= 2
+		return func(theta []float64) float64 {
+			var sum, slowest float64
+			parts, err := inlaDistParts(m, prior, theta, func(half func()) {
+				dt := c.Measure(half)
+				sum, slowest = sum+dt, max(slowest, dt)
+			})
+			if !s2 {
+				slowest = sum
+			}
+			c.Elapse(slowest)
+			if err != nil {
+				return math.Inf(1)
+			}
+			return -parts.F()
+		}
+	})
+}
+
+// inlaDistParts evaluates fobj(θ) the INLA_DIST way: Q_c and Q_p densified
+// naively (O(n·b²)) and both factorized by the sequential BTA solver. It
+// runs its two halves through half — the Q_c pipeline (assembly,
+// factorization, solve, likelihood), then the Q_p pipeline (assembly,
+// factorization, μᵀQ_pμ) — so a caller can time them apart.
+func inlaDistParts(m *model.Model, prior inla.Prior, theta []float64, half func(func())) (inla.FobjParts, error) {
+	t, err := m.DecodeTheta(theta)
+	if err != nil {
+		return inla.FobjParts{}, err
+	}
+	parts := inla.FobjParts{LogPrior: prior.LogDensity(theta)}
+	half(func() {
+		var f *bta.Factor
+		if _, f, err = naiveFactor(m.QcDensifyNaive, t); err == nil {
+			parts.Mu = m.CondRHS(t)
+			f.Solve(parts.Mu)
+			parts.LogDetQc, parts.LogLik = f.LogDet(), m.LogLik(t, parts.Mu)
+		}
+	})
+	if err != nil {
+		return inla.FobjParts{}, err
+	}
+	half(func() {
+		var q *bta.Matrix
+		var f *bta.Factor
+		if q, f, err = naiveFactor(m.QpDensifyNaive, t); err == nil {
+			tmp := make([]float64, len(parts.Mu))
+			q.MulVec(parts.Mu, tmp)
+			parts.LogDetQp, parts.QuadQp = f.LogDet(), dense.Dot(parts.Mu, tmp)
+		}
+	})
+	return parts, err
+}
+
+// naiveFactor densifies a precision and factorizes it.
+func naiveFactor(densify func(*model.Theta) (*bta.Matrix, error), t *model.Theta) (*bta.Matrix, *bta.Factor, error) {
+	q, err := densify(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := bta.Factorize(q)
+	return q, f, err
+}
+
+// runSim runs inla.Minimize for at most `iterations` (< 1 = 1) BFGS
+// iterations from theta0, with the other settings of
+// inla.DefaultOptOptions — the optimizer inla.RunDistributed runs, so every
+// simulation counts the same iteration — on `groups` simulated groups.
+// newEval builds a group's evaluation of one point, which charges the group
+// for its work. Every batch is split round-robin over the groups and summed
+// over the world, so every group holds the same values and BFGS state. A
+// failed line search keeps the iterate, as in inla.Fit.
+func runSim(theta0 []float64, groups, iterations int, mach comm.Machine, newEval func(*comm.Comm) func([]float64) float64) (*SimReport, error) {
 	opt := inla.DefaultOptOptions()
 	opt.MaxIter = max(1, iterations)
-	rep := &SimReport{Evals: make([]int, world)} // each group writes its own Evals element
+	rep := &SimReport{Evals: make([]int, groups)} // each group writes its own Evals element
 	var optErr error
-	st, err := comm.Run(world, mach, nil, func(c *comm.Comm) error {
-		e := &simEvaluator{RINLAEvaluator: &RINLAEvaluator{Model: m, Prior: prior}, c: c, evals: &rep.Evals[c.Rank()]}
+	st, err := comm.Run(groups, mach, nil, func(c *comm.Comm) error {
+		e := &simEvaluator{c: c, eval: newEval(c), evals: &rep.Evals[c.Rank()]}
 		res, err := inla.Minimize(e, theta0, opt)
 		if c.Rank() == 0 {
 			rep.Opt, optErr = res, err
@@ -225,19 +243,18 @@ func RunRINLASim(m *model.Model, prior inla.Prior, theta0 []float64, world, iter
 	return rep, nil
 }
 
-// simEvaluator is one group of RunRINLASim: it evaluates its round-robin
-// share of a batch on its own sparse solver and sums the batch over the
-// world.
+// simEvaluator is one group of runSim: it evaluates its round-robin share
+// of a batch and sums the batch over the world.
 type simEvaluator struct {
-	*RINLAEvaluator
 	c     *comm.Comm
+	eval  func([]float64) float64
 	evals *int
 }
 
 func (e *simEvaluator) EvalBatch(points [][]float64) []float64 {
 	vals := make([]float64, len(points))
 	for i := e.c.Rank(); i < len(points); i += e.c.Size() {
-		e.c.Compute(func() { vals[i] = e.EvalOne(points[i]) })
+		vals[i] = e.eval(points[i])
 		*e.evals++
 	}
 	return e.c.AllReduceSum(vals)
@@ -250,10 +267,7 @@ func (e *simEvaluator) StencilPlan(width int) inla.SharedPlan {
 	return inla.SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
 }
 
-// MeasureEvalSeconds times a single objective evaluation of the given
-// evaluator (used by the figure drivers for single-device comparisons).
-func MeasureEvalSeconds(eval func([]float64) float64, theta []float64) float64 {
-	t0 := time.Now()
-	eval(theta)
-	return time.Since(t0).Seconds()
+// Posterior is not simulated: a mode search never asks for it.
+func (e *simEvaluator) Posterior([]float64) ([]float64, []float64, error) {
+	return nil, nil, errors.New("baselines: a simulated group computes no latent posterior")
 }

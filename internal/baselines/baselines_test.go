@@ -8,6 +8,7 @@ import (
 
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/inla"
+	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -25,6 +26,16 @@ func genSmall(t *testing.T, nv int) *synth.Dataset {
 	return ds
 }
 
+// inlaDistEval is −fobj(θ) along RunINLADistSim's arithmetic, +Inf when
+// infeasible.
+func inlaDistEval(ds *synth.Dataset, prior inla.Prior, theta []float64) float64 {
+	parts, err := inlaDistParts(ds.Model, prior, theta, func(half func()) { half() })
+	if err != nil {
+		return math.Inf(1)
+	}
+	return -parts.F()
+}
+
 // TestAllThreePathsAgree is the cross-system correctness anchor: the
 // R-INLA-like sparse path, the INLA_DIST-like naive BTA path, and the DALIA
 // cached-mapping BTA path must produce identical objective values — they
@@ -35,11 +46,10 @@ func TestAllThreePathsAgree(t *testing.T) {
 		prior := inla.WeakPrior(ds.Theta0, 5)
 		dalia := &inla.BTAEvaluator{Model: ds.Model, Prior: prior}
 		rinla := &RINLAEvaluator{Model: ds.Model, Prior: prior}
-		idist := &INLADistEvaluator{Model: ds.Model, Prior: prior}
 
 		fD := dalia.EvalBatch([][]float64{ds.Theta0})[0]
 		fR := rinla.EvalOne(ds.Theta0)
-		fI := idist.EvalOne(ds.Theta0)
+		fI := inlaDistEval(ds, prior, ds.Theta0)
 		tol := 1e-6 * (1 + math.Abs(fD))
 		if math.Abs(fD-fR) > tol {
 			t.Fatalf("nv=%d: DALIA %v vs R-INLA-like %v", nv, fD, fR)
@@ -107,9 +117,16 @@ func TestPosteriorAgreesAcrossPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	idist, err := inlaDistParts(ds.Model, prior, ds.Theta0, func(half func()) { half() })
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range muR {
 		if math.Abs(muR[i]-muD[i]) > 1e-6*(1+math.Abs(muD[i])) {
 			t.Fatalf("posterior mean[%d]: %v vs %v", i, muR[i], muD[i])
+		}
+		if math.Abs(idist.Mu[i]-muD[i]) > 1e-6*(1+math.Abs(muD[i])) {
+			t.Fatalf("posterior mean[%d]: INLA_DIST-like %v vs %v", i, idist.Mu[i], muD[i])
 		}
 		if math.Abs(vaR[i]-vaD[i]) > 1e-6*(1+math.Abs(vaD[i])) {
 			t.Fatalf("posterior var[%d]: %v vs %v", i, vaR[i], vaD[i])
@@ -126,35 +143,42 @@ func TestInfeasiblePointsInf(t *testing.T) {
 	if !math.IsInf(rinla.EvalOne(bad), 1) {
 		t.Fatal("infeasible point must evaluate to +Inf")
 	}
-	idist := &INLADistEvaluator{Model: ds.Model, Prior: prior}
-	if !math.IsInf(idist.EvalOne(bad), 1) {
+	if !math.IsInf(inlaDistEval(ds, prior, bad), 1) {
 		t.Fatal("infeasible point must evaluate to +Inf (INLA_DIST-like)")
 	}
 }
 
-// widthRecorder is one RINLAEvaluator planned like a RunRINLASim world of
-// `groups` groups; it records the width of every batch.
+// widthRecorder evaluates points one by one, planned like a simulated
+// world of `groups` groups; it records the width of every batch.
 type widthRecorder struct {
-	*RINLAEvaluator
+	eval   func([]float64) float64
 	groups int
 	widths []int
 }
 
 func (e *widthRecorder) EvalBatch(points [][]float64) []float64 {
 	e.widths = append(e.widths, len(points))
-	return e.RINLAEvaluator.EvalBatch(points)
+	out := make([]float64, len(points))
+	for i, p := range points {
+		out[i] = e.eval(p)
+	}
+	return out
 }
 
 func (e *widthRecorder) StencilPlan(width int) inla.SharedPlan {
 	return inla.SharedPlan{Width: width, Cores: e.groups, PointWorkers: min(width, e.groups), Partitions: 1}
 }
 
-// sequentialSim runs Minimize for k iterations on one RINLAEvaluator and
-// returns its result with the evaluations each of `groups` groups makes
-// when every batch is split round-robin over them.
-func sequentialSim(t *testing.T, ds *synth.Dataset, prior inla.Prior, groups, k int) (*inla.OptResult, []int) {
+func (e *widthRecorder) Posterior([]float64) ([]float64, []float64, error) {
+	return nil, nil, errors.New("no posterior")
+}
+
+// sequentialSim runs Minimize for k iterations over eval and returns its
+// result with the evaluations each of `groups` groups makes when every
+// batch is split round-robin over them.
+func sequentialSim(t *testing.T, ds *synth.Dataset, eval func([]float64) float64, groups, k int) (*inla.OptResult, []int) {
 	t.Helper()
-	e := &widthRecorder{RINLAEvaluator: &RINLAEvaluator{Model: ds.Model, Prior: prior}, groups: groups}
+	e := &widthRecorder{eval: eval, groups: groups}
 	opt := inla.DefaultOptOptions()
 	opt.MaxIter = k
 	res, err := inla.Minimize(e, ds.Theta0, opt)
@@ -182,7 +206,8 @@ func TestRunRINLASimScalesWithGroups(t *testing.T) {
 	// 9 stencil points, 3/2/2/2), every group computes, and the critical
 	// path is shorter than the evaluations summed over the groups — which a
 	// slow host episode stretches on both sides of the inequality.
-	if _, want := sequentialSim(t, ds, prior, 4, 1); !slices.Equal(r4.Evals, want) {
+	rinla := &RINLAEvaluator{Model: ds.Model, Prior: prior}
+	if _, want := sequentialSim(t, ds, rinla.EvalOne, 4, 1); !slices.Equal(r4.Evals, want) {
 		t.Fatalf("evaluations per group %v, want %v", r4.Evals, want)
 	}
 	for r, rs := range r4.Stats.Ranks {
@@ -195,36 +220,48 @@ func TestRunRINLASimScalesWithGroups(t *testing.T) {
 	}
 }
 
-// RunRINLASim is Minimize over the groups: its θ and trace after K
-// iterations equal a sequential Minimize over one RINLAEvaluator.
+// RunRINLASim and RunINLADistSim are Minimize over the groups: their θ and
+// trace after K iterations equal a sequential Minimize over their own
+// arithmetic. World 18 gives RunINLADistSim 9 groups of two ranks, each
+// charged its slower half.
 func TestRunRINLASimMatchesMinimize(t *testing.T) {
 	ds := genSmall(t, 1)
 	prior := inla.WeakPrior(ds.Theta0, 5)
-	const groups, k = 3, 4
-	sim, err := RunRINLASim(ds.Model, prior, ds.Theta0, groups, k, comm.DefaultMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, evals := sequentialSim(t, ds, prior, groups, k)
-	if sim.Opt.Iterations != want.Iterations || sim.Opt.FEvals != want.FEvals || !slices.Equal(sim.Evals, evals) {
-		t.Fatalf("%d iterations, %d evaluations %v; sequential %d, %d %v",
-			sim.Opt.Iterations, sim.Opt.FEvals, sim.Evals, want.Iterations, want.FEvals, evals)
-	}
-	if len(sim.Opt.Trace) != len(want.Trace) {
-		t.Fatalf("trace %v, sequential %v", sim.Opt.Trace, want.Trace)
-	}
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
-	for i := range want.Trace {
-		if !near(sim.Opt.Trace[i], want.Trace[i]) {
-			t.Fatalf("trace[%d] = %v, sequential %v", i, sim.Opt.Trace[i], want.Trace[i])
+	const k = 4
+	for _, tc := range []struct {
+		name  string
+		world int
+		run   func(*model.Model, inla.Prior, []float64, int, int, comm.Machine) (*SimReport, error)
+		eval  func([]float64) float64
+	}{
+		{"R-INLA-like", 3, RunRINLASim, (&RINLAEvaluator{Model: ds.Model, Prior: prior}).EvalOne},
+		{"INLA_DIST-like", 18, RunINLADistSim, func(th []float64) float64 { return inlaDistEval(ds, prior, th) }},
+	} {
+		sim, err := tc.run(ds.Model, prior, ds.Theta0, tc.world, k, comm.DefaultMachine())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	for i := range want.Theta {
-		if !near(sim.Opt.Theta[i], want.Theta[i]) {
-			t.Fatalf("θ[%d] = %v, sequential %v", i, sim.Opt.Theta[i], want.Theta[i])
+		want, evals := sequentialSim(t, ds, tc.eval, len(sim.Evals), k)
+		if sim.Opt.Iterations != want.Iterations || sim.Opt.FEvals != want.FEvals || !slices.Equal(sim.Evals, evals) {
+			t.Fatalf("%s: %d iterations, %d evaluations %v; sequential %d, %d %v", tc.name,
+				sim.Opt.Iterations, sim.Opt.FEvals, sim.Evals, want.Iterations, want.FEvals, evals)
 		}
-	}
-	if wantPerIter := sim.Makespan / float64(want.Iterations); sim.PerIter != wantPerIter {
-		t.Fatalf("PerIter %v, want makespan / %d iterations = %v", sim.PerIter, want.Iterations, wantPerIter)
+		if len(sim.Opt.Trace) != len(want.Trace) {
+			t.Fatalf("%s: trace %v, sequential %v", tc.name, sim.Opt.Trace, want.Trace)
+		}
+		near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
+		for i := range want.Trace {
+			if !near(sim.Opt.Trace[i], want.Trace[i]) {
+				t.Fatalf("%s: trace[%d] = %v, sequential %v", tc.name, i, sim.Opt.Trace[i], want.Trace[i])
+			}
+		}
+		for i := range want.Theta {
+			if !near(sim.Opt.Theta[i], want.Theta[i]) {
+				t.Fatalf("%s: θ[%d] = %v, sequential %v", tc.name, i, sim.Opt.Theta[i], want.Theta[i])
+			}
+		}
+		if wantPerIter := sim.Makespan / float64(want.Iterations); sim.PerIter != wantPerIter {
+			t.Fatalf("%s: PerIter %v, want makespan / %d iterations = %v", tc.name, sim.PerIter, want.Iterations, wantPerIter)
+		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
-	"github.com/dalia-hpc/dalia/internal/comm"
-	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
@@ -103,36 +101,6 @@ func AblationBTAvsSparse(quick bool) (*Figure, error) {
 	}
 	last := len(sBTA.Y) - 1
 	fig.Note("sparse/BTA ratio at the largest size: %.1f× (general sparse pays fill-in and irregular access)", sSparse.Y[last]/sBTA.Y[last])
-	return fig, nil
-}
-
-// AblationS2 (X4) measures the gain of the concurrent Q_p/Q_c pipelines at
-// fixed resources (2 workers per evaluation group) and the load-imbalance
-// ratio r_Q = a³/b³ + triangular solve discussed in §IV-D2.
-func AblationS2(quick bool) (*Figure, error) {
-	spec := synth.MB1()
-	gen := spec.Gen
-	if quick {
-		gen.Nt = 8
-	}
-	ds, err := synth.Generate(gen)
-	if err != nil {
-		return nil, err
-	}
-	prior := inla.WeakPrior(ds.Theta0, 5)
-	fig := NewFigure("X4", "S2 pipeline ablation at 18 workers (9 groups × 2)", "S2 enabled (0/1)", "s/iter")
-	s := fig.AddSeries("per-iteration time")
-	for i, disable := range []bool{true, false} {
-		rep, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
-			World: 18, Machine: comm.DefaultMachine(), Iterations: 1,
-			DisableS2: disable, DisableS3: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.Add(float64(i), rep.PerIter)
-	}
-	fig.Note("S2 speedup at fixed resources: %.2f× (ideal 2× minus the r_Q imbalance and the extra triangular solve)", s.Y[0]/s.Y[1])
 	return fig, nil
 }
 

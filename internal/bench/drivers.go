@@ -16,7 +16,8 @@ import (
 
 // Fig4 reproduces the strong-scaling comparison of Fig. 4: per-iteration
 // runtime of DALIA, INLA_DIST-like, and the R-INLA-like reference on the
-// univariate spatio-temporal model MB1, scaling S1+S2 from 1 to 18 workers.
+// univariate spatio-temporal model MB1 from 1 to 18 workers: DALIA runs its
+// default plan (S1, then S3), the INLA_DIST-like comparator S1 and S2.
 func Fig4(quick bool) (*Figure, error) {
 	spec := synth.MB1()
 	workers := spec.Workers
@@ -47,14 +48,12 @@ func Fig4(quick bool) (*Figure, error) {
 	var wMax int
 	for _, w := range workers {
 		repD, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
-			World: w, Machine: comm.DefaultMachine(), Iterations: 1, DisableS3: true,
+			World: w, Machine: comm.DefaultMachine(), Iterations: 1,
 		})
 		if err != nil {
 			return nil, err
 		}
-		repI, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
-			World: w, Machine: comm.DefaultMachine(), Iterations: 1, DisableS3: true, NaiveMapping: true,
-		})
+		repI, err := baselines.RunINLADistSim(ds.Model, prior, ds.Theta0, w, 1, comm.DefaultMachine())
 		if err != nil {
 			return nil, err
 		}
@@ -275,8 +274,8 @@ func Fig6a(quick bool) (*Figure, error) {
 				return nil, err
 			}
 			rinla.Add(float64(p.nt), rRef.PerIter)
-			fig.Note("nt=%d (W=%d): DALIA %.2f× over R-INLA-like; plan groups=%d S2=%v",
-				p.nt, p.w, rRef.PerIter/rep.PerIter, rep.Plan.Groups, rep.Plan.UseS2)
+			fig.Note("nt=%d (W=%d): DALIA %.2f× over R-INLA-like; plan group sizes %v",
+				p.nt, p.w, rRef.PerIter/rep.PerIter, rep.Plan.GroupSizes)
 		}
 		// Solver-vs-construction share for the stacked-bar annotation.
 		asm, sol := splitEvalCost(ds)
@@ -347,8 +346,8 @@ func Fig6b(quick bool) (*Figure, error) {
 			return nil, err
 		}
 		dalia.Add(float64(ns), rep.PerIter)
-		fig.Note("level %d: ns=%d (b=%d), W=%d → plan: S1 groups=%d, S2=%v, forced S3 width=%d",
-			i, ns, 3*ns, lv.w, rep.Plan.Groups, rep.Plan.UseS2, rep.Plan.P3Min)
+		fig.Note("level %d: ns=%d (b=%d), W=%d → plan: S1 groups=%d, forced S3 width=%d",
+			i, ns, 3*ns, lv.w, rep.Plan.Groups, rep.Plan.P3Min)
 		if i == 0 {
 			rRef, err := baselines.RunRINLASim(ds.Model, prior, ds.Theta0, 1, 1, comm.DefaultMachine())
 			if err != nil {
@@ -362,7 +361,7 @@ func Fig6b(quick bool) (*Figure, error) {
 }
 
 // Fig7 reproduces the application-level strong scaling (SA1): per-iteration
-// runtime and parallel efficiency of the full three-layer scheme from 1 to
+// runtime and parallel efficiency of the layered scheme (S1, then S3) from 1 to
 // 124 workers, with the R-INLA-like reference.
 func Fig7(quick bool) (*Figure, error) {
 	spec := synth.SA1()
@@ -415,7 +414,7 @@ func Table1() *Figure {
 	fig := NewFigure("Table1", "Framework comparison (Table I)", "", "")
 	fig.Note("R-INLA-like   | fobj: general sparse Cholesky (PARDISO stand-in) | Qp/Qc: shared-memory | solver: sparse (SM) | comm: none      | scaling: single node  | pkg internal/baselines")
 	fig.Note("INLA_DIST-like| fobj: sequential BTA solver                      | Qp/Qc: S1+S2         | solver: BTA (SM)    | comm: solver off | scaling: ≤2×nfeval    | pkg internal/baselines")
-	fig.Note("DALIA         | fobj: distributed BTA solver                     | Qp/Qc: S1+S2         | solver: BTA (DM,S3) | comm: simulated MPI/NCCL | scaling: full 3-layer | pkg internal/inla + internal/bta")
+	fig.Note("DALIA         | fobj: distributed BTA solver                     | Qc: S1, Qp closed    | solver: BTA (DM,S3) | comm: simulated MPI/NCCL | scaling: S1+S3        | pkg internal/inla + internal/bta")
 	return fig
 }
 

@@ -3,6 +3,7 @@ package inla
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,8 +34,8 @@ func chaosDataset(t *testing.T) (*synth.Dataset, Prior) {
 // all-or-nothing, so every survivor retries from the same state, and the
 // shrunken replan changes only the schedule, not the arithmetic (beyond
 // reduction-order noise far below the 1e-8 tolerance). World 36 is 9 S1
-// groups of 4 with S2 on, so every Q_p and Q_c pipeline runs a two-rank S3
-// solver that exchanges point-to-point messages.
+// groups of 4, so every evaluation runs a four-rank S3 solver that
+// exchanges point-to-point messages.
 func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	ds, prior := chaosDataset(t)
 	base := DistConfig{World: 36, Machine: comm.DefaultMachine(), Iterations: 3}
@@ -49,8 +50,8 @@ func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	if ref.Shrinks != 0 || ref.Survivors != 36 {
 		t.Fatalf("fault-free run reported shrinks=%d survivors=%d", ref.Shrinks, ref.Survivors)
 	}
-	if ref.Plan.Groups != 9 || !ref.Plan.UseS2 {
-		t.Fatalf("plan %+v, want 9 S1 groups with S2", ref.Plan)
+	if !slices.Equal(ref.Plan.GroupSizes, groups(9, 4)) {
+		t.Fatalf("plan %+v, want 9 S1 groups of 4", ref.Plan)
 	}
 	sameTheta := func(label string, rep *DistReport) {
 		t.Helper()
@@ -82,8 +83,9 @@ func TestChaosDistributedFitMatchesFaultFree(t *testing.T) {
 	faulty.Faults = &comm.FaultPlan{
 		Seed: delays.Seed, DelayProb: delays.DelayProb, DelaySeconds: delays.DelaySeconds,
 		// Rank 5 dies at its 6th communication operation: past the setup
-		// Splits, a send of its two-rank S3 solver's PPOBTAF exchange in the
-		// first iteration's gradient batch.
+		// Split and the elimination's success vote, a send of a boundary
+		// block to the reduced system in its four-rank S3 solver's PPOBTAF,
+		// in the first gradient batch.
 		Kill: map[int]int{5: 6},
 	}
 	rep, err = RunDistributed(ds.Model, prior, ds.Theta0, faulty)

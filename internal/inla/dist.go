@@ -8,22 +8,21 @@ import (
 
 	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
-	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 )
 
-// Plan is the resource assignment across the three nested parallelization
-// layers (§V-D policy: fill S1 first, then S2, then S3 — unless the
-// densified matrix exceeds device memory, which forces S3 width first).
-// S3 gives each solver rank one partition of the time domain (§IV-C).
+// Plan is the resource assignment across the nested parallelization layers
+// (§V-D policy: fill S1 first, then S3 — unless the densified matrix
+// exceeds device memory, which forces S3 width first). S3 gives each
+// solver rank one partition of the time domain (§IV-C). The paper's S2
+// layer, which factorizes Q_p beside Q_c, has no work here: an evaluation
+// factorizes Q_c alone, so the ranks S2 would take are S3 partitions.
 type Plan struct {
 	World  int
 	NFeval int
 	// Groups is the S1 width; GroupSizes[g] ranks per group.
 	Groups     int
 	GroupSizes []int
-	// UseS2 splits each group into the Q_p and Q_c pipelines.
-	UseS2 bool
 	// P3Min is the S3 rank width forced by the device-memory cap (1 = no
 	// constraint).
 	P3Min int
@@ -63,29 +62,16 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 			p3min++
 		}
 	}
-	maxGroups := world / p3min
-	if maxGroups < 1 {
-		maxGroups = 1
-	}
-	groups := nfeval
-	if groups > maxGroups {
-		groups = maxGroups
-	}
-	sizes := spread(world, groups)
-	minSize := sizes[len(sizes)-1]
-	useS2 := minSize >= 2*p3min && minSize >= 2
-	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes,
-		UseS2: useS2, P3Min: p3min}
+	groups := min(nfeval, max(1, world/p3min))
+	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: spread(world, groups), P3Min: p3min}
 }
 
 // spread splits total into n near-equal descending parts.
 func spread(total, n int) []int {
 	out := make([]int, n)
-	base := total / n
-	extra := total % n
 	for i := range out {
-		out[i] = base
-		if i < extra {
+		out[i] = total / n
+		if i < total%n {
 			out[i]++
 		}
 	}
@@ -104,50 +90,20 @@ func (p Plan) GroupOf(rank int) int {
 	return p.Groups - 1
 }
 
-// assemblyCell deduplicates the (shared-memory) assembly of the global
-// matrices at one θ: the first arriving rank assembles, everyone shares the
-// result, and each rank is charged dt/P virtual seconds — modeling the
-// O(nnz/P) distributed construction/mapping of §IV-F. The contents depend
-// on θ alone, so ranks of any group or topology may share a cell.
+// assemblyCell deduplicates the (shared-memory) assembly of Q_c and the
+// conditional right-hand side at one θ for the ranks of one S3 solver: the
+// first arriving rank assembles into an arena drawn from the run's pool,
+// everyone shares the result, and each rank is charged dt/P virtual
+// seconds — modeling the O(nnz/P) distributed construction/mapping of
+// §IV-F. The arena's μ vector holds the right-hand side, then μ; its other
+// vectors are the solver root's scratch for the closing terms.
 type assemblyCell struct {
 	once sync.Once
-	qp   *bta.Matrix
-	qc   *bta.Matrix
-	rhs  []float64
-	dtQp float64
-	dtQc float64
+	refs int // ranks holding the cell, under distRun.mu
+	t    *model.Theta
+	ws   *solverScratch
+	dt   float64
 	err  error
-}
-
-// groupScratch is one rank's reusable distributed-solver arena for one
-// topology: the local BTA slice refilled per evaluation, the persistent
-// distributed factor, and the small quadratic-form vectors. Both pipelines
-// of a rank share it — they run sequentially on the same goroutine and use
-// the same partitioning. A shrunk world starts a fresh one.
-type groupScratch struct {
-	local    *bta.LocalBTA
-	fac      *bta.DistFactor
-	quadTmp  []float64
-	quadTmpA []float64
-}
-
-// factorize refills the rank-local slice of g (allocating it and the factor
-// only on first use) and runs the distributed factorization. The rank owns
-// partition parts[rank] of the global list.
-func (s *groupScratch) factorize(solver *comm.Comm, g *bta.Matrix, parts []bta.Partition) (*bta.DistFactor, error) {
-	if s.fac == nil {
-		l, err := bta.NewLocalBTA(parts, solver.Rank(), g.N, g.B, g.A)
-		if err != nil {
-			return nil, err
-		}
-		f, err := bta.NewDistFactor(l)
-		if err != nil {
-			return nil, err
-		}
-		s.local, s.fac = l, f
-	}
-	s.local.FillFrom(g)
-	return s.fac, bta.PPOBTAF(solver, s.fac, s.local)
 }
 
 // DistConfig configures a simulated distributed INLA run.
@@ -162,14 +118,6 @@ type DistConfig struct {
 	// (OptOptions.MaxIter, < 1 = 1); every other optimizer setting is
 	// DefaultOptOptions().
 	Iterations int
-	// DisableS2/DisableS3 restrict the layer usage (ablations and the
-	// INLA_DIST-like configuration).
-	DisableS2 bool
-	DisableS3 bool
-	// NaiveMapping replaces the cached O(nnz) sparse→dense mapping with the
-	// O(n·b²) densification, charged undistributed — the INLA_DIST-like
-	// assembly behaviour (ablation X1).
-	NaiveMapping bool
 	// Faults injects a deterministic communication-fault plan (message
 	// delays, scheduled rank deaths) into the run; nil runs fault-free.
 	// Scheduled deaths are recovered by shrinking the world onto the
@@ -197,12 +145,12 @@ type DistReport struct {
 }
 
 // RunDistributed runs the INLA mode search SPMD over the simulated machine
-// with the full three-layer scheme and reports virtual-time statistics.
-// Every rank runs Minimize, the optimizer of every backend, on its own
-// commEvaluator: the gradient stencils and line-search candidates of each
-// BFGS iteration are spread over the S1 groups, each group evaluates its
-// points with the S2 pipelines and the S3 solver, and a world reduction
-// hands every rank the same values. An undefined gradient stops the run
+// with the S1 and S3 layers and reports virtual-time statistics. Every rank
+// runs Minimize, the optimizer of every backend, on its own commEvaluator:
+// the gradient stencils and line-search candidates of each BFGS iteration
+// are spread over the S1 groups, each group evaluates its points with one
+// Q_c factorization on its S3 solver, and a world reduction hands every
+// rank the same values. An undefined gradient stops the run
 // with ErrGradientUndefined; a failed line search keeps the iterate, as in
 // Fit.
 func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*DistReport, error) {
@@ -241,7 +189,8 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 }
 
 // distRun is what the ranks of one RunDistributed call share: the model,
-// the configuration, the planner's inputs and the assembly registries.
+// the configuration, the planner's inputs, the assembly registry and the
+// pool of assembly arenas.
 type distRun struct {
 	m          *model.Model
 	prior      Prior
@@ -251,8 +200,9 @@ type distRun struct {
 	qcBytes    int64
 	maxShrinks int // negative: none
 
-	mu    sync.Mutex
-	cells map[string]*assemblyCell // by θ, while an evaluation of it is open
+	mu     sync.Mutex
+	cells  map[string]*assemblyCell // by S1 group and θ, while an evaluation is open
+	arenas sync.Pool                // *solverScratch
 }
 
 func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*distRun, error) {
@@ -262,36 +212,30 @@ func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (
 	if cfg.World < 1 {
 		return nil, fmt.Errorf("inla: world size %d < 1", cfg.World)
 	}
-	// Probe assembly once to size the memory model.
-	proto, err := m.DecodeTheta(theta0)
-	if err != nil {
+	if _, err := m.DecodeTheta(theta0); err != nil {
 		return nil, err
 	}
-	qcProbe, err := m.Qc(proto)
-	if err != nil {
-		return nil, err
-	}
+	n, b, a := m.Dims.BTAShape()
 	r := &distRun{m: m, prior: prior, cfg: cfg, lb: max(1, cfg.LB), nfeval: 2*len(theta0) + 1,
-		qcBytes: qcProbe.BytesDense(), maxShrinks: cfg.MaxShrinks, cells: make(map[string]*assemblyCell)}
+		qcBytes: bta.NewMatrix(n, b, a).BytesDense(), maxShrinks: cfg.MaxShrinks, cells: make(map[string]*assemblyCell)}
 	if r.maxShrinks == 0 {
 		r.maxShrinks = cfg.World - 1
 	}
+	r.arenas.New = func() any { return newSolverScratch(m) }
 	return r, nil
 }
 
 func (r *distRun) planFor(world int) Plan {
 	_, b, a := r.m.Dims.BTAShape()
-	p := MakePlan(world, r.nfeval, r.qcBytes, r.cfg.MemCapBytes, r.m.Dims.Nt, b, a)
-	if r.cfg.DisableS2 {
-		p.UseS2 = false
-	}
-	return p
+	return MakePlan(world, r.nfeval, r.qcBytes, r.cfg.MemCapBytes, r.m.Dims.Nt, b, a)
 }
 
-// cell returns the assembly cell of θ and its key, creating the cell for
-// the first rank to ask.
-func (r *distRun) cell(theta []float64) (string, *assemblyCell) {
-	key := fmt.Sprintf("%x", theta)
+// cell returns the assembly cell of θ on S1 group g and its key, creating
+// the cell for the first rank to ask. Every rank of the group's solver
+// asks before its factorization, which none finishes alone, so no rank
+// releases the cell before its last sibling holds it.
+func (r *distRun) cell(g int, theta []float64) (string, *assemblyCell) {
+	key := fmt.Sprintf("%d:%x", g, theta)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.cells[key]
@@ -299,15 +243,21 @@ func (r *distRun) cell(theta []float64) (string, *assemblyCell) {
 		c = &assemblyCell{}
 		r.cells[key] = c
 	}
+	c.refs++
 	return key, c
 }
 
-// drop forgets c, unless a later evaluation of the same θ has replaced it.
-func (r *distRun) drop(key string, c *assemblyCell) {
+// release drops a rank's hold on c; the last one forgets the cell and
+// returns its arena to the pool.
+func (r *distRun) release(key string, c *assemblyCell) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cells[key] == c {
-		delete(r.cells, key)
+	if c.refs--; c.refs > 0 {
+		return
+	}
+	delete(r.cells, key)
+	if c.ws != nil {
+		r.arenas.Put(c.ws)
 	}
 }
 
@@ -325,24 +275,50 @@ func (r *distRun) drop(key string, c *assemblyCell) {
 // err, and every later batch evaluates to +Inf without communicating, so
 // Minimize stops.
 type commEvaluator struct {
-	run     *distRun
-	world   *comm.Comm
-	plan    Plan
-	g       int // this rank's S1 group
-	group   *comm.Comm
-	scr     *groupScratch
+	run   *distRun
+	world *comm.Comm
+	plan  Plan
+	g     int // this rank's S1 group
+	group *comm.Comm
+	// solver is the group's first P ranks, P = min(group width,
+	// bta.MaxPartitions(nt)), one time partition each (parts); nil on the
+	// group's other ranks.
+	solver *comm.Comm
+	parts  []bta.Partition
+	// The rank's solver state for this topology, built on first use: the
+	// sequential arena of a one-rank solver, or the local slice and the
+	// distributed factor of a wider one.
+	ws      *solverScratch
+	local   *bta.LocalBTA
+	fac     *bta.DistFactor
 	shrinks int
 	err     error
 }
 
-// join plans the S1 groups over world and gives this rank its group and
-// fresh solver scratch; a shrink joins the survivors' world.
+// join plans the S1 groups over world and gives this rank its group, its
+// S3 solver and fresh solver state; a shrink joins the survivors' world.
 func (e *commEvaluator) join(world *comm.Comm) {
 	e.world = world
 	e.plan = e.run.planFor(world.Size())
 	e.g = e.plan.GroupOf(world.Rank())
 	e.group = world.Split(e.g, world.Rank())
-	e.scr = &groupScratch{}
+	e.ws, e.local, e.fac = nil, nil, nil
+	nt := e.run.m.Dims.Nt
+	p := min(e.group.Size(), bta.MaxPartitions(nt))
+	var err error
+	if e.parts, err = bta.PartitionBlocks(nt, p, e.run.lb); err != nil {
+		// The load-balanced split can fail on tiny block counts; the even
+		// split fits every p ≤ MaxPartitions(nt).
+		e.parts, _ = bta.PartitionBlocks(nt, p, 1)
+	}
+	e.solver = e.group
+	if p < e.group.Size() {
+		// Color 0: the group's first p ranks; 1: the ranks that sit out.
+		color := min(1, e.group.Rank()/p)
+		if e.solver = e.group.Split(color, e.group.Rank()); color == 1 {
+			e.solver = nil
+		}
+	}
 }
 
 // EvalBatch evaluates −fobj at every point, +Inf for infeasible ones.
@@ -374,10 +350,7 @@ func (e *commEvaluator) EvalBatch(points [][]float64) []float64 {
 func (e *commEvaluator) evalBatch(points [][]float64) []float64 {
 	vals := make([]float64, len(points))
 	for i := e.g; i < len(points); i += e.plan.Groups {
-		f, err := e.evalFobj(points[i])
-		if err != nil {
-			f = math.Inf(1)
-		}
+		f := e.evalFobj(points[i])
 		if e.group.Rank() == 0 {
 			vals[i] = f
 		}
@@ -398,292 +371,91 @@ func (e *commEvaluator) Posterior(theta []float64) ([]float64, []float64, error)
 	return (&BTAEvaluator{Model: e.run.m}).Posterior(theta)
 }
 
-// evalFobj evaluates −fobj(θ) on this rank's S1 group: the S2 split into
-// the Q_p and Q_c pipelines, each running the S3 distributed solver over
-// its sub-communicator. Every rank of the group returns the value.
-func (e *commEvaluator) evalFobj(theta []float64) (float64, error) {
-	group, m, cfg, scr := e.group, e.run.m, e.run.cfg, e.scr
-	w := group.Size()
-	useS2 := e.plan.UseS2 && w >= 2
-
-	// Pipeline split: color 0 = Q_p pipeline, color 1 = Q_c pipeline. The
-	// Q_c pipeline gets the larger half (it carries the extra triangular
-	// solve, §IV-D2).
-	pipe := group
-	color := 1 // everyone does Q_c work when S2 is off
-	wA := 0
-	if useS2 {
-		wA = w / 2
-		if group.Rank() < wA {
-			color = 0
+// evalFobj evaluates −fobj(θ) on this rank's S1 group with the arithmetic
+// of evalFobjScratch. A one-rank solver runs evalFobjScratch on the rank's
+// own arena. A wider solver shares one Q_c assembly, runs one PPOBTAF and
+// one PPOBTAS over its time partitions, and gathers μ on its root, which
+// alone adds the closed-form prior terms, the likelihood and the prior
+// density. The value, +Inf for an infeasible point, is valid on the
+// group's rank 0 (the solver root); ranks outside the solver do nothing.
+func (e *commEvaluator) evalFobj(theta []float64) float64 {
+	solver, m, prior := e.solver, e.run.m, e.run.prior
+	if solver == nil {
+		return 0
+	}
+	if solver.Size() == 1 {
+		if e.ws == nil {
+			e.ws = newSolverScratch(m)
 		}
-		pipe = group.Split(color, group.Rank())
-	}
-
-	// S3 width: one time partition per solver rank, bounded by
-	// partitionability and the DisableS3 switch.
-	p3 := pipe.Size()
-	if cfg.DisableS3 {
-		p3 = 1
-	}
-	if mx := bta.MaxPartitions(m.Dims.Nt); p3 > mx {
-		p3 = mx
-	}
-	parts, err := bta.PartitionBlocks(m.Dims.Nt, p3, e.run.lb)
-	if err != nil {
-		// The load-balanced split can fail on tiny block counts where the
-		// even split still fits.
-		if parts, err = bta.PartitionBlocks(m.Dims.Nt, p3, 1); err != nil {
-			return math.Inf(1), err
-		}
-	}
-	active := pipe.Rank() < p3
-	solver := pipe
-	if p3 < pipe.Size() {
-		ac := 0
-		if !active {
-			ac = 1
-		}
-		solver = pipe.Split(ac, pipe.Rank())
-	}
-
-	// Shared assembly, charged as dt/P per rank, or undistributed for the
-	// naive mapping (§IV-F). Measured under the compute lock so the wall
-	// time is not inflated by other simulated ranks.
-	charge := float64(p3)
-	if cfg.NaiveMapping {
-		charge = 1
-	}
-	key, cell := e.run.cell(theta)
-	// Every rank of the group is done with the cell once it returns: past
-	// the group's closing AllReduceSum, or on an assembly error that every
-	// rank reproduces from a fresh cell.
-	defer e.run.drop(key, cell)
-	cell.once.Do(func() {
-		t, err := m.DecodeTheta(theta)
+		var parts FobjParts
+		var err error
+		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, e.ws) })
 		if err != nil {
-			cell.err = err
-			return
+			return math.Inf(1)
 		}
-		cell.dtQp = group.Measure(func() {
-			if cfg.NaiveMapping {
-				cell.qp, cell.err = m.QpDensifyNaive(t)
-			} else {
-				cell.qp, cell.err = m.Qp(t)
-			}
-		})
-		if cell.err != nil {
-			return
+		return -parts.F()
+	}
+
+	// Shared assembly, charged as dt/P per solver rank (§IV-F). Measured
+	// under the compute lock so the wall time is not inflated by other
+	// simulated ranks.
+	var err error
+	key, cell := e.run.cell(e.g, theta)
+	defer e.run.release(key, cell)
+	cell.once.Do(func() {
+		if cell.t, cell.err = m.DecodeTheta(theta); cell.err == nil {
+			cell.ws = e.run.arenas.Get().(*solverScratch)
+			cell.dt = solver.Measure(func() {
+				if cell.err = m.QcInto(cell.t, cell.ws.qc); cell.err == nil {
+					m.CondRHSInto(cell.t, cell.ws.mu, cell.ws.pm, cell.ws.obs)
+				}
+			})
 		}
-		cell.dtQc = group.Measure(func() {
-			if cfg.NaiveMapping {
-				cell.qc, cell.err = m.QcDensifyNaive(t)
-			} else {
-				cell.qc, cell.err = m.Qc(t)
-			}
-			if cell.err == nil {
-				cell.rhs = m.CondRHS(t)
-			}
-		})
 	})
 	if cell.err != nil {
-		// All ranks observe the same failure deterministically.
-		return math.Inf(1), cell.err
+		return math.Inf(1) // every rank observes the same failure
 	}
-
-	_, b, a := m.Dims.BTAShape()
-	var comps [4]float64 // [½ld_p, −½quad, −½ld_c, loglik+prior]
-	// μ handoff between the Q_c and Q_p phases when S2 is off (same
-	// goroutine runs both phases back to back on each rank).
-	var muLocal []float64
-
-	// tagMu carries μ from the Q_c pipeline root to the Q_p pipeline root.
-	const tagMu = 700
-
-	runQc := func() error {
-		pipe.Barrier()
-		if !active {
-			return nil
-		}
-		err := func() error {
-			solver.Elapse(cell.dtQc / charge)
-			f, err := scr.factorize(solver, cell.qc, parts)
-			if err != nil {
-				return err
-			}
-			span := scr.local.Part
-			rhsLocal := cell.rhs[span.Lo*b : (span.Hi+1)*b]
-			var rhsTip []float64
-			if a > 0 {
-				rhsTip = cell.rhs[m.Dims.Nt*b:]
-			}
-			xLocal, xTip, err := bta.PPOBTAS(solver, f, rhsLocal, rhsTip)
-			if err != nil {
-				return err
-			}
-			// Gather μ on the solver root.
-			gathered := solver.Gather(0, xLocal)
-			if solver.Rank() == 0 {
-				muFull := make([]float64, m.Dims.Total())
-				off := 0
-				for _, part := range gathered {
-					copy(muFull[off:], part)
-					off += len(part)
-				}
-				if a > 0 {
-					copy(muFull[m.Dims.Nt*b:], xTip)
-				}
-				t, _ := m.DecodeTheta(theta)
-				var ll float64
-				solver.Compute(func() { ll = m.LogLik(t, muFull) })
-				comps[2] = -0.5 * f.LogDet()
-				comps[3] = ll + e.run.prior.LogDensity(theta)
-				muLocal = muFull
-			}
-			return nil
-		}()
-		// The Q_p pipeline root always receives exactly one μ message per
-		// evaluation; failures ship a NaN sentinel so the pairing stays
-		// deterministic and no stale message survives into the next call.
-		if useS2 && solver.Rank() == 0 {
-			if err != nil || muLocal == nil {
-				group.Send(0, tagMu, []float64{math.NaN()})
-			} else {
-				group.Send(0, tagMu, muLocal)
-			}
-		}
-		return err
-	}
-
-	runQp := func() error {
-		pipe.Barrier()
-		var recvErr error
-		if !active {
-			return nil
-		}
-		err := func() error {
-			solver.Elapse(cell.dtQp / charge)
-			f, err := scr.factorize(solver, cell.qp, parts)
-			if err != nil {
-				return err
-			}
-			// Quadratic form μᵀQ_pμ: root obtains μ, broadcasts, every rank
-			// contributes its partition's terms.
-			var muFull []float64
-			if solver.Rank() == 0 {
-				if useS2 {
-					muFull = group.Recv(wA, tagMu)
-				} else {
-					muFull = muLocal
-				}
-				if len(muFull) != m.Dims.Total() || (len(muFull) > 0 && math.IsNaN(muFull[0])) {
-					recvErr = fmt.Errorf("inla: Q_c pipeline failed before producing μ")
-					muFull = make([]float64, m.Dims.Total()) // keep collectives aligned
-				}
-			}
-			muFull = solver.Bcast(0, muFull)
-			var quadLocal float64
-			solver.Compute(func() {
-				quadLocal = localQuad(cell.qp, scr.local.Part, solver.Rank(), muFull, scr)
-			})
-			total := solver.AllReduceSum([]float64{quadLocal})
-			if solver.Rank() == 0 {
-				comps[0] = 0.5 * f.LogDet()
-				comps[1] = -0.5 * total[0]
-			}
-			return recvErr
-		}()
-		if err != nil && useS2 && solver.Rank() == 0 && recvErr == nil {
-			// Local failure before the receive: drain the pending μ message.
-			group.Recv(wA, tagMu)
-		}
-		return err
-	}
-
-	var errQp, errQc error
-	if useS2 {
-		if color == 1 {
-			errQc = runQc()
-		} else {
-			errQp = runQp()
-		}
-	} else {
-		// Both phases run after a Q_c failure too: a rank outside the S3
-		// solver cannot know of it and waits at runQp's barrier.
-		errQc = runQc()
-		errQp = runQp()
-	}
-
-	// Group-level combination: pipeline roots contribute their components.
-	contrib := make([]float64, 5)
-	failed := 0.0
-	if errQp != nil || errQc != nil {
-		failed = 1
-	}
-	if useS2 {
-		if color == 0 && pipe.Rank() == 0 {
-			contrib[0], contrib[1] = comps[0], comps[1]
-		}
-		if color == 1 && pipe.Rank() == 0 {
-			contrib[2], contrib[3] = comps[2], comps[3]
-		}
-	} else if group.Rank() == 0 {
-		copy(contrib, comps[:])
-	}
-	contrib[4] = failed
-	sum := group.AllReduceSum(contrib)
-	if sum[4] > 0 {
-		if errQc != nil {
-			return math.Inf(1), errQc
-		}
-		if errQp != nil {
-			return math.Inf(1), errQp
-		}
-		return math.Inf(1), fmt.Errorf("inla: a peer pipeline failed")
-	}
-	fobj := sum[0] + sum[1] + sum[2] + sum[3]
-	return -fobj, nil
-}
-
-// localQuad computes this partition's contribution to μᵀ·Q·μ over the BTA
-// block structure: diagonal terms for owned blocks, coupling terms for
-// owned sub-diagonals plus the coupling to the previous partition, arrow
-// terms for owned blocks, and the tip term on rank 0.
-func localQuad(q *bta.Matrix, part bta.Partition, rank int, mu []float64, scr *groupScratch) float64 {
-	b := q.B
-	var s float64
-	if len(scr.quadTmp) < b {
-		scr.quadTmp = make([]float64, b)
-	}
-	tmp := scr.quadTmp[:b]
-	for k := part.Lo; k <= part.Hi; k++ {
-		mk := mu[k*b : (k+1)*b]
-		dense.Gemv(dense.NoTrans, 1, q.Diag[k], mk, 0, tmp)
-		s += dense.Dot(mk, tmp)
-		if k < part.Hi {
-			dense.Gemv(dense.NoTrans, 1, q.Lower[k], mk, 0, tmp)
-			s += 2 * dense.Dot(mu[(k+1)*b:(k+2)*b], tmp)
+	solver.Elapse(cell.dt / float64(solver.Size()))
+	n, b, a := m.Dims.BTAShape()
+	if e.fac == nil {
+		if e.local, err = bta.NewLocalBTA(e.parts, solver.Rank(), n, b, a); err == nil {
+			e.fac, err = bta.NewDistFactor(e.local)
 		}
 	}
-	if part.Lo > 0 {
-		prev := mu[(part.Lo-1)*b : part.Lo*b]
-		dense.Gemv(dense.NoTrans, 1, q.Lower[part.Lo-1], prev, 0, tmp)
-		s += 2 * dense.Dot(mu[part.Lo*b:(part.Lo+1)*b], tmp)
+	if err == nil {
+		e.local.FillFrom(cell.ws.qc)
+		err = bta.PPOBTAF(solver, e.fac, e.local)
 	}
-	if q.A > 0 {
-		ma := mu[q.N*b : q.N*b+q.A]
-		if len(scr.quadTmpA) < q.A {
-			scr.quadTmpA = make([]float64, q.A)
-		}
-		tmpA := scr.quadTmpA[:q.A]
-		for k := part.Lo; k <= part.Hi; k++ {
-			dense.Gemv(dense.NoTrans, 1, q.Arrow[k], mu[k*b:(k+1)*b], 0, tmpA)
-			s += 2 * dense.Dot(ma, tmpA)
-		}
-		if rank == 0 {
-			dense.Gemv(dense.NoTrans, 1, q.Tip, ma, 0, tmpA)
-			s += dense.Dot(ma, tmpA)
-		}
+	if err != nil {
+		return math.Inf(1)
 	}
-	return s
+	tip, rhs, span := n*b, cell.ws.mu, e.local.Part
+	x, xTip, err := bta.PPOBTAS(solver, e.fac, rhs[span.Lo*b:(span.Hi+1)*b], rhs[tip:tip+a])
+	if err != nil {
+		return math.Inf(1)
+	}
+	gathered := solver.Gather(0, x)
+	if solver.Rank() != 0 {
+		return 0
+	}
+	// Every rank has read its right-hand side before the gather completes,
+	// so μ overwrites it.
+	mu, off := rhs, 0
+	for _, part := range gathered {
+		off += copy(mu[off:], part)
+	}
+	copy(mu[tip:], xTip)
+	parts := FobjParts{LogDetQc: e.fac.LogDet()}
+	solver.Compute(func() {
+		parts.LogPrior = prior.LogDensity(theta)
+		if parts.LogDetQp, err = m.PriorLogDet(cell.t); err != nil {
+			return
+		}
+		parts.QuadQp = m.PriorQuad(cell.t, mu, cell.ws.z)
+		parts.LogLik = m.LogLikInto(cell.t, mu, cell.ws.pm, cell.ws.obs)
+	})
+	if err != nil {
+		return math.Inf(1)
+	}
+	return -parts.F()
 }

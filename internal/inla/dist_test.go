@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/comm"
@@ -11,23 +12,17 @@ import (
 )
 
 func TestMakePlanFillsS1First(t *testing.T) {
-	// 31 evals (trivariate), 8 workers, no memory pressure: 8 S1 groups of 1.
-	p := MakePlan(8, 31, 1<<20, 0, 16, 0, 0)
-	if p.Groups != 8 {
-		t.Fatalf("groups = %d, want 8", p.Groups)
-	}
-	if p.UseS2 {
-		t.Fatal("size-1 groups cannot use S2")
-	}
-	// 62 workers: 31 groups of 2 → S2 on.
-	p = MakePlan(62, 31, 1<<20, 0, 16, 0, 0)
-	if p.Groups != 31 || !p.UseS2 {
-		t.Fatalf("plan %+v, want 31 groups with S2", p)
-	}
-	// 124 workers: 31 groups of 4 → S2 + S3 of width 2.
-	p = MakePlan(124, 31, 1<<20, 0, 16, 0, 0)
-	if p.Groups != 31 || !p.UseS2 {
-		t.Fatalf("plan %+v", p)
+	// 31 evals (trivariate), no memory pressure: S1 fills first, then the
+	// ranks past 31 widen every group's S3 solver.
+	for _, tc := range []struct{ world, groups, size int }{
+		{8, 8, 1},    // 8 S1 groups of 1
+		{62, 31, 2},  // 31 groups of 2
+		{124, 31, 4}, // 31 groups of 4
+	} {
+		p := MakePlan(tc.world, 31, 1<<20, 0, 16, 0, 0)
+		if p.Groups != tc.groups || p.GroupSizes[0] != tc.size || p.GroupSizes[p.Groups-1] != tc.size {
+			t.Fatalf("world %d: plan %+v, want %d groups of %d", tc.world, p, tc.groups, tc.size)
+		}
 	}
 }
 
@@ -79,60 +74,59 @@ func TestMakePlanMatchesFlatPlans(t *testing.T) {
 		nt, b, a        int
 		groups          int
 		sizes           []int
-		useS2           bool
 		p3Min           int
 	}{
-		{1, 9, 7568, 0, 6, 9, 1, 1, []int{1}, false, 1},
-		{1, 9, 4291328, 0, 16, 130, 6, 1, []int{1}, false, 1},
-		{1, 31, 162504, 3145728, 8, 36, 3, 1, []int{1}, false, 1},
-		{1, 31, 198792, 0, 2, 90, 3, 1, []int{1}, false, 1},
-		{1, 31, 443592, 0, 8, 60, 3, 1, []int{1}, false, 1},
-		{1, 31, 2043432, 0, 16, 90, 3, 1, []int{1}, false, 1},
-		{2, 9, 1170464, 0, 4, 144, 2, 2, []int{1, 1}, false, 1},
-		{2, 9, 1170464, 2565772, 4, 144, 2, 1, []int{2}, false, 2},
-		{2, 9, 4291328, 0, 16, 130, 6, 2, []int{1, 1}, false, 1},
-		{2, 31, 443592, 0, 8, 60, 3, 2, []int{1, 1}, false, 1},
-		{2, 31, 462312, 0, 4, 90, 3, 2, []int{1, 1}, false, 1},
-		{2, 31, 471168, 0, 4, 90, 6, 2, []int{1, 1}, false, 1},
-		{2, 31, 2043432, 0, 16, 90, 3, 2, []int{1, 1}, false, 1},
-		{3, 9, 7568, 0, 6, 9, 1, 3, []int{1, 1, 1}, false, 1},
-		{3, 9, 11040, 0, 3, 16, 2, 3, []int{1, 1, 1}, false, 1},
-		{4, 9, 7568, 0, 6, 9, 1, 4, []int{1, 1, 1, 1}, false, 1},
-		{4, 9, 4291328, 0, 16, 130, 6, 4, []int{1, 1, 1, 1}, false, 1},
-		{4, 31, 443592, 0, 8, 60, 3, 4, []int{1, 1, 1, 1}, false, 1},
-		{4, 31, 989352, 0, 8, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
-		{4, 31, 989352, 3145728, 8, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
-		{4, 31, 2043432, 0, 16, 90, 3, 4, []int{1, 1, 1, 1}, false, 1},
-		{6, 9, 7568, 0, 6, 9, 1, 6, []int{1, 1, 1, 1, 1, 1}, false, 1},
-		{8, 9, 7568, 0, 6, 9, 1, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{8, 31, 443592, 3145728, 8, 60, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{8, 31, 1048576, 0, 16, 0, 0, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{8, 31, 1048576, 262144, 64, 0, 0, 2, []int{4, 4}, false, 4},
-		{8, 31, 2043432, 0, 16, 90, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{9, 9, 379912, 0, 8, 56, 1, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{9, 9, 4291328, 0, 16, 130, 6, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{16, 9, 1073741824, 1024, 4, 0, 0, 5, []int{4, 3, 3, 3, 3}, false, 3},
-		{16, 31, 443592, 0, 8, 60, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{16, 31, 1048576, 262144, 64, 0, 0, 4, []int{4, 4, 4, 4}, false, 4},
-		{16, 31, 1048576, 262144, 64, 8, 0, 2, []int{8, 8}, false, 7},
-		{16, 31, 2043432, 0, 16, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{16, 31, 4151592, 0, 32, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{16, 31, 5640264, 3145728, 8, 216, 3, 3, []int{6, 5, 5}, false, 5},
-		{18, 9, 2078208, 0, 8, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
-		{18, 9, 4291328, 0, 16, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
-		{31, 31, 2043432, 0, 16, 90, 3, 31, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, false, 1},
-		{35, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, true, 1},
-		{36, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
-		{62, 31, 1048576, 0, 16, 0, 0, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
-		{62, 31, 2043432, 0, 16, 90, 3, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, true, 1},
-		{124, 31, 1048576, 0, 16, 0, 0, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
-		{124, 31, 2043432, 0, 16, 90, 3, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, true, 1},
+		{1, 9, 7568, 0, 6, 9, 1, 1, []int{1}, 1},
+		{1, 9, 4291328, 0, 16, 130, 6, 1, []int{1}, 1},
+		{1, 31, 162504, 3145728, 8, 36, 3, 1, []int{1}, 1},
+		{1, 31, 198792, 0, 2, 90, 3, 1, []int{1}, 1},
+		{1, 31, 443592, 0, 8, 60, 3, 1, []int{1}, 1},
+		{1, 31, 2043432, 0, 16, 90, 3, 1, []int{1}, 1},
+		{2, 9, 1170464, 0, 4, 144, 2, 2, []int{1, 1}, 1},
+		{2, 9, 1170464, 2565772, 4, 144, 2, 1, []int{2}, 2},
+		{2, 9, 4291328, 0, 16, 130, 6, 2, []int{1, 1}, 1},
+		{2, 31, 443592, 0, 8, 60, 3, 2, []int{1, 1}, 1},
+		{2, 31, 462312, 0, 4, 90, 3, 2, []int{1, 1}, 1},
+		{2, 31, 471168, 0, 4, 90, 6, 2, []int{1, 1}, 1},
+		{2, 31, 2043432, 0, 16, 90, 3, 2, []int{1, 1}, 1},
+		{3, 9, 7568, 0, 6, 9, 1, 3, []int{1, 1, 1}, 1},
+		{3, 9, 11040, 0, 3, 16, 2, 3, []int{1, 1, 1}, 1},
+		{4, 9, 7568, 0, 6, 9, 1, 4, []int{1, 1, 1, 1}, 1},
+		{4, 9, 4291328, 0, 16, 130, 6, 4, []int{1, 1, 1, 1}, 1},
+		{4, 31, 443592, 0, 8, 60, 3, 4, []int{1, 1, 1, 1}, 1},
+		{4, 31, 989352, 0, 8, 90, 3, 4, []int{1, 1, 1, 1}, 1},
+		{4, 31, 989352, 3145728, 8, 90, 3, 4, []int{1, 1, 1, 1}, 1},
+		{4, 31, 2043432, 0, 16, 90, 3, 4, []int{1, 1, 1, 1}, 1},
+		{6, 9, 7568, 0, 6, 9, 1, 6, []int{1, 1, 1, 1, 1, 1}, 1},
+		{8, 9, 7568, 0, 6, 9, 1, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 443592, 3145728, 8, 60, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 1048576, 0, 16, 0, 0, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 1048576, 262144, 64, 0, 0, 2, []int{4, 4}, 4},
+		{8, 31, 2043432, 0, 16, 90, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{9, 9, 379912, 0, 8, 56, 1, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{9, 9, 4291328, 0, 16, 130, 6, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 9, 1073741824, 1024, 4, 0, 0, 5, []int{4, 3, 3, 3, 3}, 3},
+		{16, 31, 443592, 0, 8, 60, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 1048576, 262144, 64, 0, 0, 4, []int{4, 4, 4, 4}, 4},
+		{16, 31, 1048576, 262144, 64, 8, 0, 2, []int{8, 8}, 7},
+		{16, 31, 2043432, 0, 16, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 4151592, 0, 32, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 5640264, 3145728, 8, 216, 3, 3, []int{6, 5, 5}, 5},
+		{18, 9, 2078208, 0, 8, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{18, 9, 4291328, 0, 16, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{31, 31, 2043432, 0, 16, 90, 3, 31, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{35, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, 1},
+		{36, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{62, 31, 1048576, 0, 16, 0, 0, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{62, 31, 2043432, 0, 16, 90, 3, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{124, 31, 1048576, 0, 16, 0, 0, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{124, 31, 2043432, 0, 16, 90, 3, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
 	} {
 		p := MakePlan(tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a)
-		if p.World != tc.world || p.NFeval != tc.nfeval || p.Groups != tc.groups || p.UseS2 != tc.useS2 ||
+		if p.World != tc.world || p.NFeval != tc.nfeval || p.Groups != tc.groups ||
 			p.P3Min != tc.p3Min || fmt.Sprint(p.GroupSizes) != fmt.Sprint(tc.sizes) {
-			t.Errorf("MakePlan(%d, %d, %d, %d, %d, %d, %d) = %+v, want %d groups %v, S2 %v, P3Min %d",
-				tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a, p, tc.groups, tc.sizes, tc.useS2, tc.p3Min)
+			t.Errorf("MakePlan(%d, %d, %d, %d, %d, %d, %d) = %+v, want %d groups %v, P3Min %d",
+				tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a, p, tc.groups, tc.sizes, tc.p3Min)
 		}
 	}
 }
@@ -154,9 +148,10 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-// distCase runs RunDistributed on a small dataset and cross-checks the
-// gradient-batch objective values against the sequential evaluator.
-func distCase(t *testing.T, world int, disableS2, disableS3 bool) {
+// distCase runs RunDistributed on a small dataset, checks that the world
+// plans the given S1 group sizes, and cross-checks the center-point
+// objective value against the sequential evaluator.
+func distCase(t *testing.T, world int, sizes ...int) {
 	t.Helper()
 	ds, err := synth.Generate(synth.GenConfig{
 		Nv: 1, Nt: 6, Nr: 1,
@@ -172,11 +167,12 @@ func distCase(t *testing.T, world int, disableS2, disableS3 bool) {
 		World:      world,
 		Machine:    comm.DefaultMachine(),
 		Iterations: 1,
-		DisableS2:  disableS2,
-		DisableS3:  disableS3,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Plan.GroupSizes, sizes) {
+		t.Fatalf("world %d plans groups %v, want %v", world, rep.Plan.GroupSizes, sizes)
 	}
 	if rep.Makespan <= 0 {
 		t.Fatal("makespan must be positive")
@@ -215,15 +211,22 @@ func TestRunDistributedRejectsUndefinedGradient(t *testing.T) {
 	}
 }
 
-func TestRunDistributedSingleRank(t *testing.T) { distCase(t, 1, false, false) }
+// groups returns n S1 groups of the given width.
+func groups(n, width int) []int { return slices.Repeat([]int{width}, n) }
 
-func TestRunDistributedS1Only(t *testing.T) { distCase(t, 3, true, true) }
+func TestRunDistributedSingleRank(t *testing.T) { distCase(t, 1, 1) }
 
-func TestRunDistributedS1S2(t *testing.T) { distCase(t, 4, false, true) }
+func TestRunDistributedS1Only(t *testing.T) { distCase(t, 9, groups(9, 1)...) }
 
-func TestRunDistributedS1S2S3(t *testing.T) { distCase(t, 8, false, false) }
+// Nine S1 groups, each a two-rank S3 solver.
+func TestRunDistributedS1S3(t *testing.T) { distCase(t, 18, groups(9, 2)...) }
 
-func TestRunDistributedWideS3(t *testing.T) { distCase(t, 6, true, false) }
+// Nine S1 groups, each a four-rank S3 solver: nt = 6 partitions at most
+// four ways.
+func TestRunDistributedWideS3(t *testing.T) { distCase(t, 36, groups(9, 4)...) }
+
+// Nine S1 groups of five ranks: four form the S3 solver, the fifth idles.
+func TestRunDistributedS1S3IdleRank(t *testing.T) { distCase(t, 45, groups(9, 5)...) }
 
 func TestRunDistributedScalingImproves(t *testing.T) {
 	// S1 is embarrassingly parallel: at world = nfeval = 9 every rank is its
@@ -262,10 +265,10 @@ func TestRunDistributedScalingImproves(t *testing.T) {
 }
 
 // The distributed fit is Minimize over the comm-backed evaluator, so it
-// converges to Fit's mode in as many iterations, give or take one. Its
-// evaluations differ from Fit's in the last bits (the joint Q_p route and a
-// different summation order), and BFGS carries that difference along the
-// path: one ulp of point-dependent noise in F moves Fit's own θ* by up to
+// converges to Fit's mode in as many iterations, give or take one. Where a
+// group runs the partitioned solver, its evaluations differ from Fit's in
+// the last bits (a different summation order), and BFGS carries that
+// difference along the path: one ulp of point-dependent noise in F moves Fit's own θ* by up to
 // 4e-5 on this dataset. So θ* is held to what the stopping rule resolves —
 // two points with ‖g‖∞ < GradTol lie within 2·GradTol·Σ_j|H⁻¹_ij| of each
 // other in θ_i — and F* to 1e-6 relative.
@@ -311,11 +314,40 @@ func TestRunDistributedConvergesToFitMode(t *testing.T) {
 	}
 }
 
+// On width-1 groups a distributed evaluation is evalFobjScratch, the
+// arithmetic of BTAEvaluator, and the line search spreads one candidate per
+// group as BTAEvaluator spreads one per worker. So the distributed fit is
+// Minimize over a BTAEvaluator with one worker per rank, bit for bit.
+func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
+	ds, prior := chaosDataset(t)
+	opt := DefaultOptOptions()
+	for _, world := range []int{1, 6} {
+		rep, err := RunDistributed(ds.Model, prior, ds.Theta0, DistConfig{
+			World: world, Machine: comm.DefaultMachine(), Iterations: opt.MaxIter,
+		})
+		if err != nil {
+			t.Fatalf("world %d: %v", world, err)
+		}
+		want, err := Minimize(&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: world}, ds.Theta0, opt)
+		if err != nil && !errors.Is(err, ErrLineSearchFailed) {
+			t.Fatalf("world %d: %v", world, err)
+		}
+		got := rep.Opt
+		if !slices.Equal(got.Theta, want.Theta) || got.F != want.F || !slices.Equal(got.Trace, want.Trace) ||
+			got.Iterations != want.Iterations || got.FEvals != want.FEvals {
+			t.Fatalf("world %d: θ %v, F %v, %d iterations, %d evaluations, trace %v;\nMinimize: θ %v, F %v, %d, %d, trace %v",
+				world, got.Theta, got.F, got.Iterations, got.FEvals, got.Trace,
+				want.Theta, want.F, want.Iterations, want.FEvals, want.Trace)
+		}
+	}
+}
+
 // Each group drops a θ's assembled matrices once its evaluation has
-// closed, so no cell outlives the batch that created it.
+// closed, so no cell outlives the batch that created it. World 18 is nine
+// groups of two, each a two-rank S3 solver sharing one assembly per point.
 func TestCommEvaluatorFreesAssemblyCells(t *testing.T) {
 	ds, prior := chaosDataset(t)
-	const world = 4
+	const world = 18
 	run, err := newDistRun(ds.Model, prior, ds.Theta0, DistConfig{World: world, Machine: comm.DefaultMachine()})
 	if err != nil {
 		t.Fatal(err)
@@ -349,20 +381,20 @@ func TestCommEvaluatorFreesAssemblyCells(t *testing.T) {
 }
 
 // A point whose Q_c is not positive definite (a far line-search candidate)
-// costs +Inf, not the run, when S2 is off and a rank of each group sits
-// outside the S3 solver: that rank cannot see the failure and must meet
-// the solver rank at the Q_p phase's barrier.
+// costs +Inf, not the run, when a rank of each group sits outside the S3
+// solver: that rank cannot see the failure and meets the solver ranks at
+// the batch's world reduction.
 func TestCommEvaluatorNonSPDPointWithIdleRanks(t *testing.T) {
 	ds, prior := chaosDataset(t)
 	bad := append([]float64(nil), ds.Theta0...)
 	bad[0] += 800
-	cfg := DistConfig{World: 18, Machine: comm.DefaultMachine(), DisableS2: true, DisableS3: true}
+	cfg := DistConfig{World: 45, Machine: comm.DefaultMachine()}
 	run, err := newDistRun(ds.Model, prior, ds.Theta0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := run.planFor(cfg.World); p.Groups != 9 || p.GroupSizes[0] != 2 {
-		t.Fatalf("plan %+v, want 9 groups of 2", p)
+	if p := run.planFor(cfg.World); p.Groups != 9 || p.GroupSizes[0] != 5 {
+		t.Fatalf("plan %+v, want 9 groups of 5", p)
 	}
 	want := (&BTAEvaluator{Model: ds.Model, Prior: prior}).EvalBatch([][]float64{ds.Theta0})[0]
 	_, err = comm.Run(cfg.World, cfg.Machine, nil, func(c *comm.Comm) error {

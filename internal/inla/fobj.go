@@ -9,11 +9,11 @@
 // One evaluation of fobj factorizes one BTA matrix, Q_c. The prior's two
 // scalars — log det Q_p and μᵀQ_pμ — are closed forms of the LMC ⊗ temporal
 // ⊗ SPDE structure (model.PriorLogDet, model.PriorQuad; microseconds), so
-// the shared-memory evaluator has no prior pipeline. The paper's layer S2 —
-// Q_p and Q_c factorized concurrently on two halves of a rank group — lives
-// in the distributed evaluator only (dist.go), which still assembles and
-// factorizes the joint Q_p and is thereby the parity oracle of the closed
-// forms.
+// no evaluator has a prior pipeline, and the paper's layer S2 — Q_p and Q_c
+// factorized concurrently on two halves of a rank group — has no work: the
+// distributed evaluator (dist.go) runs the same arithmetic over S1 groups
+// of S3 solvers. The assembled joint Q_p is the closed forms' test oracle,
+// and the INLA_DIST-like comparator's arithmetic (package baselines).
 //
 // The latent posterior at a θ — μ and, on request, the blocks of
 // Σ = Q_c⁻¹ — has one routine, latentPosterior (mode.go): the sequential
@@ -215,9 +215,10 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 
 // Evaluator evaluates −fobj at a batch of hyperparameter points; its
 // implementations define where the work runs (goroutines here, the comm
-// simulator in dist.go, the general sparse solver in package baselines),
-// and Minimize drives every one of them. Infeasible points (non-SPD
-// precision) evaluate to +Inf.
+// simulator in dist.go, both with one Q_c factorization per point; the
+// comparators' own arithmetic in package baselines), and Minimize drives
+// every one of them. Infeasible points (non-SPD precision) evaluate to
+// +Inf.
 type Evaluator interface {
 	EvalBatch(points [][]float64) []float64
 	// Posterior computes the conditional mean and latent marginal variances
@@ -239,11 +240,11 @@ type BTAEvaluator struct {
 	// Workers is the core budget the batch plan distributes across the
 	// layers (and the bound on concurrent point evaluations); 0 = GOMAXPROCS.
 	Workers int
-	// S2 is a planning input only: an evaluation here has one pipeline (S2
-	// is a layer of the distributed evaluator). When set, PlanBatch turns
-	// half of a point's spare cores into partitions instead of all of them;
-	// Fit and the benchmark set it, so dropping it changes partition widths
-	// and belongs with the solver-configuration work (ROADMAP item 6).
+	// S2 is a planning input only: no evaluator has an S2 pipeline, since
+	// an evaluation factorizes Q_c alone. When set, PlanBatch turns half of
+	// a point's spare cores into partitions instead of all of them; Fit and
+	// the benchmark set it, so dropping it changes partition widths and
+	// belongs with the solver-configuration work (ROADMAP items 1 and 6).
 	S2 bool
 	// partitions pins the parallel-in-time width, a test seam: 0 schedules
 	// it per batch (PlanBatch: wide batches sequential, narrow batches

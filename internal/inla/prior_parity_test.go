@@ -56,9 +56,9 @@ func (e *jointPriorEvaluator) EvalBatch(points [][]float64) []float64 {
 }
 
 // TestFobjMatchesJointRouteOnBenchmarkShapes holds F with the closed-form
-// prior to the two evaluations that still factorize the joint Q_p — the
-// oracle above and the distributed evaluator's S2 pipeline (Gaussian
-// likelihood only) — on the shapes the benchmark times.
+// prior to the oracle above, which factorizes the joint Q_p, and to the
+// distributed evaluator at World 2 (Gaussian likelihood only), on the
+// shapes the benchmark times.
 func TestFobjMatchesJointRouteOnBenchmarkShapes(t *testing.T) {
 	for name, gen := range benchmarkShapes(t) {
 		ds, err := synth.Generate(gen)
