@@ -1,7 +1,9 @@
 // dalia-scale runs free-form scaling sweeps of the layered parallel scheme
 // (S1 evaluation groups, each an S3 solver of one time partition per rank)
 // on the simulated distributed machine and prints the virtual-time report
-// for each width; the plan column reads S1×groups+S3×ranks per group.
+// for each width; the plan column reads S1×groups+S3×w, w the ranks of
+// each group that factorize (Plan.SolverWidths; at most
+// bta.MaxPartitions(nt), so a wider group idles its last ranks).
 // s/iter is the virtual time of the run divided by its BFGS iterations; an
 // iteration is a line search plus a gradient batch, and the run's first
 // gradient batch at θ0 is charged to it too.
@@ -88,7 +90,7 @@ func main() {
 			t0 = rep.PerIter
 		}
 		plan := fmt.Sprintf("S1×%d", rep.Plan.Groups)
-		if w := rep.Plan.GroupSizes[0]; w > 1 {
+		if w := rep.Plan.SolverWidths[0]; w > 1 {
 			plan += fmt.Sprintf("+S3×%d", w)
 		}
 		speedup, eff := scaling(t0, workers[0], rep.PerIter, w)

@@ -44,7 +44,7 @@ func main() {
 			t1 = rep.PerIter
 		}
 		layers := fmt.Sprintf("S1×%d", rep.Plan.Groups)
-		if g := rep.Plan.GroupSizes[0]; g > 1 {
+		if g := rep.Plan.SolverWidths[0]; g > 1 {
 			layers += fmt.Sprintf(" +S3×%d", g)
 		}
 		fmt.Printf("%8d  %10.3f  %9.1fx  %8.1f  %s\n",

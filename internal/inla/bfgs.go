@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
 )
@@ -100,6 +101,54 @@ func fillGradientPoints(pts [][]float64, theta []float64, h float64) {
 		copy(pts[2+2*i], theta)
 		pts[2+2*i][i] -= h
 	}
+}
+
+// gradientCentre is the inverse of fillGradientPoints: it recognizes a
+// batch laid out as a central-difference stencil — the centre followed by
+// the pairs θ + h·e_i, θ − h·e_i, or the 2d pairs alone — writes the centre
+// into c (of the points' length d) and returns the index of the first arm
+// (1 with the centre, 0 without). Coordinate j of the centre is read off
+// pair (j+1) mod d, which fillGradientPoints copied from θ unchanged, so
+// it is exact; then every arm must equal the centre off its own
+// coordinate and its pair must straddle the centre on it, and a leading
+// centre must equal the one read off the arms. The points of a
+// line-search round lie on a line and never match for d ≥ 2; d = 1 is
+// never recognized, since one pair alone does not fix its centre.
+func gradientCentre(pts [][]float64, c []float64) (from int, ok bool) {
+	d := len(c)
+	switch {
+	case d < 2:
+		return 0, false
+	case len(pts) == 2*d+1:
+		from = 1
+	case len(pts) != 2*d:
+		return 0, false
+	}
+	for _, p := range pts {
+		if len(p) != d {
+			return 0, false
+		}
+	}
+	arms := pts[from:]
+	for j := range c {
+		c[j] = arms[2*((j+1)%d)][j]
+	}
+	for i := 0; i < d; i++ {
+		plus, minus := arms[2*i], arms[2*i+1]
+		for j, cj := range c {
+			if j == i {
+				if !(plus[j] > cj && minus[j] < cj) {
+					return 0, false
+				}
+			} else if plus[j] != cj || minus[j] != cj {
+				return 0, false
+			}
+		}
+	}
+	if from == 1 && !slices.Equal(pts[0], c) {
+		return 0, false
+	}
+	return from, true
 }
 
 // gradientFromBatchInto extracts ∇F(θ) into g from batched values in

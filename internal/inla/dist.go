@@ -23,6 +23,10 @@ type Plan struct {
 	// Groups is the S1 width; GroupSizes[g] ranks per group.
 	Groups     int
 	GroupSizes []int
+	// SolverWidths[g] is group g's S3 solver width,
+	// min(GroupSizes[g], bta.MaxPartitions(nt)): the group's first ranks
+	// factorize, one time partition each, and the others sit out.
+	SolverWidths []int
 	// P3Min is the S3 rank width forced by the device-memory cap (1 = no
 	// constraint).
 	P3Min int
@@ -63,7 +67,12 @@ func MakePlan(world, nfeval int, qcBytes, memCap int64, ntBlocks, blockSize, arr
 		}
 	}
 	groups := min(nfeval, max(1, world/p3min))
-	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: spread(world, groups), P3Min: p3min}
+	sizes := spread(world, groups)
+	widths := make([]int, groups)
+	for g, s := range sizes {
+		widths[g] = min(s, mx)
+	}
+	return Plan{World: world, NFeval: nfeval, Groups: groups, GroupSizes: sizes, SolverWidths: widths, P3Min: p3min}
 }
 
 // spread splits total into n near-equal descending parts.
@@ -280,9 +289,8 @@ type commEvaluator struct {
 	plan  Plan
 	g     int // this rank's S1 group
 	group *comm.Comm
-	// solver is the group's first P ranks, P = min(group width,
-	// bta.MaxPartitions(nt)), one time partition each (parts); nil on the
-	// group's other ranks.
+	// solver is the group's first P = plan.SolverWidths[g] ranks, one time
+	// partition each (parts); nil on the group's other ranks.
 	solver *comm.Comm
 	parts  []bta.Partition
 	// The rank's solver state for this topology, built on first use: the
@@ -304,7 +312,7 @@ func (e *commEvaluator) join(world *comm.Comm) {
 	e.group = world.Split(e.g, world.Rank())
 	e.ws, e.local, e.fac = nil, nil, nil
 	nt := e.run.m.Dims.Nt
-	p := min(e.group.Size(), bta.MaxPartitions(nt))
+	p := e.plan.SolverWidths[e.g]
 	var err error
 	if e.parts, err = bta.PartitionBlocks(nt, p, e.run.lb); err != nil {
 		// The load-balanced split can fail on tiny block counts; the even
@@ -389,7 +397,7 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		}
 		var parts FobjParts
 		var err error
-		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, e.ws) })
+		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, e.ws, nil) })
 		if err != nil {
 			return math.Inf(1)
 		}

@@ -73,60 +73,62 @@ func TestMakePlanMatchesFlatPlans(t *testing.T) {
 		qcBytes, memCap int64
 		nt, b, a        int
 		groups          int
-		sizes           []int
+		sizes, widths   []int
 		p3Min           int
 	}{
-		{1, 9, 7568, 0, 6, 9, 1, 1, []int{1}, 1},
-		{1, 9, 4291328, 0, 16, 130, 6, 1, []int{1}, 1},
-		{1, 31, 162504, 3145728, 8, 36, 3, 1, []int{1}, 1},
-		{1, 31, 198792, 0, 2, 90, 3, 1, []int{1}, 1},
-		{1, 31, 443592, 0, 8, 60, 3, 1, []int{1}, 1},
-		{1, 31, 2043432, 0, 16, 90, 3, 1, []int{1}, 1},
-		{2, 9, 1170464, 0, 4, 144, 2, 2, []int{1, 1}, 1},
-		{2, 9, 1170464, 2565772, 4, 144, 2, 1, []int{2}, 2},
-		{2, 9, 4291328, 0, 16, 130, 6, 2, []int{1, 1}, 1},
-		{2, 31, 443592, 0, 8, 60, 3, 2, []int{1, 1}, 1},
-		{2, 31, 462312, 0, 4, 90, 3, 2, []int{1, 1}, 1},
-		{2, 31, 471168, 0, 4, 90, 6, 2, []int{1, 1}, 1},
-		{2, 31, 2043432, 0, 16, 90, 3, 2, []int{1, 1}, 1},
-		{3, 9, 7568, 0, 6, 9, 1, 3, []int{1, 1, 1}, 1},
-		{3, 9, 11040, 0, 3, 16, 2, 3, []int{1, 1, 1}, 1},
-		{4, 9, 7568, 0, 6, 9, 1, 4, []int{1, 1, 1, 1}, 1},
-		{4, 9, 4291328, 0, 16, 130, 6, 4, []int{1, 1, 1, 1}, 1},
-		{4, 31, 443592, 0, 8, 60, 3, 4, []int{1, 1, 1, 1}, 1},
-		{4, 31, 989352, 0, 8, 90, 3, 4, []int{1, 1, 1, 1}, 1},
-		{4, 31, 989352, 3145728, 8, 90, 3, 4, []int{1, 1, 1, 1}, 1},
-		{4, 31, 2043432, 0, 16, 90, 3, 4, []int{1, 1, 1, 1}, 1},
-		{6, 9, 7568, 0, 6, 9, 1, 6, []int{1, 1, 1, 1, 1, 1}, 1},
-		{8, 9, 7568, 0, 6, 9, 1, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{8, 31, 443592, 3145728, 8, 60, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{8, 31, 1048576, 0, 16, 0, 0, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{8, 31, 1048576, 262144, 64, 0, 0, 2, []int{4, 4}, 4},
-		{8, 31, 2043432, 0, 16, 90, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{9, 9, 379912, 0, 8, 56, 1, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{9, 9, 4291328, 0, 16, 130, 6, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{16, 9, 1073741824, 1024, 4, 0, 0, 5, []int{4, 3, 3, 3, 3}, 3},
-		{16, 31, 443592, 0, 8, 60, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{16, 31, 1048576, 262144, 64, 0, 0, 4, []int{4, 4, 4, 4}, 4},
-		{16, 31, 1048576, 262144, 64, 8, 0, 2, []int{8, 8}, 7},
-		{16, 31, 2043432, 0, 16, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{16, 31, 4151592, 0, 32, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{16, 31, 5640264, 3145728, 8, 216, 3, 3, []int{6, 5, 5}, 5},
-		{18, 9, 2078208, 0, 8, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
-		{18, 9, 4291328, 0, 16, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
-		{31, 31, 2043432, 0, 16, 90, 3, 31, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
-		{35, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, 1},
-		{36, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
-		{62, 31, 1048576, 0, 16, 0, 0, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
-		{62, 31, 2043432, 0, 16, 90, 3, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
-		{124, 31, 1048576, 0, 16, 0, 0, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
-		{124, 31, 2043432, 0, 16, 90, 3, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{1, 9, 7568, 0, 6, 9, 1, 1, []int{1}, []int{1}, 1},
+		{1, 9, 4291328, 0, 16, 130, 6, 1, []int{1}, []int{1}, 1},
+		{1, 31, 162504, 3145728, 8, 36, 3, 1, []int{1}, []int{1}, 1},
+		{1, 31, 198792, 0, 2, 90, 3, 1, []int{1}, []int{1}, 1},
+		{1, 31, 443592, 0, 8, 60, 3, 1, []int{1}, []int{1}, 1},
+		{1, 31, 2043432, 0, 16, 90, 3, 1, []int{1}, []int{1}, 1},
+		{2, 9, 1170464, 0, 4, 144, 2, 2, []int{1, 1}, []int{1, 1}, 1},
+		{2, 9, 1170464, 2565772, 4, 144, 2, 1, []int{2}, []int{2}, 2},
+		{2, 9, 4291328, 0, 16, 130, 6, 2, []int{1, 1}, []int{1, 1}, 1},
+		{2, 31, 443592, 0, 8, 60, 3, 2, []int{1, 1}, []int{1, 1}, 1},
+		{2, 31, 462312, 0, 4, 90, 3, 2, []int{1, 1}, []int{1, 1}, 1},
+		{2, 31, 471168, 0, 4, 90, 6, 2, []int{1, 1}, []int{1, 1}, 1},
+		{2, 31, 2043432, 0, 16, 90, 3, 2, []int{1, 1}, []int{1, 1}, 1},
+		{3, 9, 7568, 0, 6, 9, 1, 3, []int{1, 1, 1}, []int{1, 1, 1}, 1},
+		{3, 9, 11040, 0, 3, 16, 2, 3, []int{1, 1, 1}, []int{1, 1, 1}, 1},
+		{4, 9, 7568, 0, 6, 9, 1, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{4, 9, 4291328, 0, 16, 130, 6, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{4, 31, 443592, 0, 8, 60, 3, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{4, 31, 989352, 0, 8, 90, 3, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{4, 31, 989352, 3145728, 8, 90, 3, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{4, 31, 2043432, 0, 16, 90, 3, 4, []int{1, 1, 1, 1}, []int{1, 1, 1, 1}, 1},
+		{6, 9, 7568, 0, 6, 9, 1, 6, []int{1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1}, 1},
+		{8, 9, 7568, 0, 6, 9, 1, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 443592, 3145728, 8, 60, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 1048576, 0, 16, 0, 0, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{8, 31, 1048576, 262144, 64, 0, 0, 2, []int{4, 4}, []int{4, 4}, 4},
+		{8, 31, 2043432, 0, 16, 90, 3, 8, []int{1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{9, 9, 379912, 0, 8, 56, 1, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{9, 9, 4291328, 0, 16, 130, 6, 9, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 9, 1073741824, 1024, 4, 0, 0, 5, []int{4, 3, 3, 3, 3}, []int{3, 3, 3, 3, 3}, 3},
+		{16, 31, 443592, 0, 8, 60, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 1048576, 262144, 64, 0, 0, 4, []int{4, 4, 4, 4}, []int{4, 4, 4, 4}, 4},
+		{16, 31, 1048576, 262144, 64, 8, 0, 2, []int{8, 8}, []int{8, 8}, 7},
+		{16, 31, 2043432, 0, 16, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 4151592, 0, 32, 90, 3, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{16, 31, 5640264, 3145728, 8, 216, 3, 3, []int{6, 5, 5}, []int{5, 5, 5}, 5},
+		{18, 9, 2078208, 0, 8, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{18, 9, 4291328, 0, 16, 130, 6, 9, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{31, 31, 2043432, 0, 16, 90, 3, 31, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 1},
+		{35, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, []int{4, 4, 4, 4, 4, 4, 4, 4, 3}, 1},
+		{36, 9, 7568, 0, 6, 9, 1, 9, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{45, 9, 7568, 0, 6, 9, 1, 9, []int{5, 5, 5, 5, 5, 5, 5, 5, 5}, []int{4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{62, 31, 1048576, 0, 16, 0, 0, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{62, 31, 2043432, 0, 16, 90, 3, 31, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, []int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1},
+		{124, 31, 1048576, 0, 16, 0, 0, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
+		{124, 31, 2043432, 0, 16, 90, 3, 31, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4}, 1},
 	} {
 		p := MakePlan(tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a)
 		if p.World != tc.world || p.NFeval != tc.nfeval || p.Groups != tc.groups ||
-			p.P3Min != tc.p3Min || fmt.Sprint(p.GroupSizes) != fmt.Sprint(tc.sizes) {
-			t.Errorf("MakePlan(%d, %d, %d, %d, %d, %d, %d) = %+v, want %d groups %v, P3Min %d",
-				tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a, p, tc.groups, tc.sizes, tc.p3Min)
+			p.P3Min != tc.p3Min || fmt.Sprint(p.GroupSizes) != fmt.Sprint(tc.sizes) ||
+			fmt.Sprint(p.SolverWidths) != fmt.Sprint(tc.widths) {
+			t.Errorf("MakePlan(%d, %d, %d, %d, %d, %d, %d) = %+v, want %d groups %v, solver widths %v, P3Min %d",
+				tc.world, tc.nfeval, tc.qcBytes, tc.memCap, tc.nt, tc.b, tc.a, p, tc.groups, tc.sizes, tc.widths, tc.p3Min)
 		}
 	}
 }

@@ -115,7 +115,8 @@ type solverScratch struct {
 	pm  []float64 // process-major rhs before permutation, then μ unpermuted
 	obs []float64 // (nv+1)·M: response combinations, projections, residual
 
-	newton *model.NewtonWork // count models' inner loop, built on first use
+	newton *model.NewtonWork  // count models' inner loop, built on first use
+	mode   *model.PoissonMode // count models: the last evaluation's mode, aliasing newton
 }
 
 func newSolverScratch(m *model.Model) *solverScratch {
@@ -170,15 +171,17 @@ func (ws *solverScratch) condSolver(m *model.Model, spec solverSpec) (bta.Solver
 // log-determinant and quadratic form are closed forms. Non-Gaussian
 // likelihoods route through the inner Newton loop for the conditional mode.
 func EvalFobj(m *model.Model, prior Prior, theta []float64) (FobjParts, error) {
-	return evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, nil)
+	return evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, nil, nil)
 }
 
 // evalFobjScratch is EvalFobj against a caller-owned arena (nil allocates a
 // fresh one), with the factorization run at the given parallel-in-time
 // width (1 = sequential POBTAF, >1 = bta.ParallelFactor over that many
-// partitions). The returned FobjParts.Mu aliases the arena's μ buffer and
-// is only valid until the arena's next evaluation.
-func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSpec, ws *solverScratch) (FobjParts, error) {
+// partitions). A count model's inner Newton loop starts from start
+// (process-major; nil = x = 0); the Gaussian path ignores it. The returned
+// FobjParts.Mu aliases the arena's μ buffer and is only valid until the
+// arena's next evaluation.
+func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSpec, ws *solverScratch, start []float64) (FobjParts, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
 		return FobjParts{}, err
@@ -187,7 +190,7 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 		ws = newSolverScratch(m)
 	}
 	if m.Lik == model.LikPoisson {
-		return evalFobjPoisson(m, prior, t, theta, ws)
+		return evalFobjPoisson(m, prior, t, theta, start, ws)
 	}
 	fc, err := ws.condSolver(m, spec)
 	if err != nil {
@@ -234,6 +237,10 @@ type Evaluator interface {
 // pool, so steady-state batches re-use the precision workspace, factor and
 // vectors instead of re-allocating them at each of the 2·dim(θ)+1
 // evaluations per iteration.
+//
+// For a count model the arms of a gradient stencil start the inner Newton
+// loop from the x = 0 mode at the stencil's centre instead of from x = 0
+// (evalCountBatch); every other point starts from x = 0.
 type BTAEvaluator struct {
 	Model *model.Model
 	Prior Prior
@@ -264,6 +271,12 @@ type BTAEvaluator struct {
 	failures    atomic.Int64
 	evalErrMu   sync.Mutex
 	lastEvalErr *EvalError
+
+	// Count models: the stencil centres' modes (evalCountBatch), and the
+	// inner Newton steps of every mode solve, read by
+	// BenchmarkMinimizeOneIterationPoisson.
+	modes       modeCache
+	newtonSteps atomic.Int64
 }
 
 // EvalError is one quarantined θ evaluation failure: the point, the retry
@@ -355,42 +368,71 @@ func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
 // factorization partitions per the batch plan. The point bodies are heavy
 // tasks on the shared work-stealing executor — warm workers reused across
 // gradient/Hessian/line-search batches, and tasks from concurrently running
-// batches interleaved on the same cores.
+// batches interleaved on the same cores. A count model's batch laid out as
+// a gradient stencil starts its arms' inner loops from the centre's mode
+// (evalCountBatch); its values then agree with cold evaluations to the
+// inner tolerance and depend only on the points, never on the core budget
+// or on earlier batches.
 func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	out := make([]float64, len(points))
-	w := e.cores()
-	if w > len(points) {
-		w = len(points)
+	if e.Model.Lik == model.LikPoisson {
+		e.evalCountBatch(points, out)
+	} else {
+		e.evalPoints(points, out, nil, nil)
 	}
+	return out
+}
+
+// evalPoints evaluates −fobj at every point into out as one scheduled
+// batch, quarantining the failures as +Inf. A count model's inner loops
+// start from start (nil = x = 0), and keep, when set, receives the mode of
+// every point that succeeded at keep[i].
+func (e *BTAEvaluator) evalPoints(points [][]float64, out, start []float64, keep [][]float64) {
 	spec := solverSpec{parts: e.planFor(len(points)).Partitions, exec: e.exec}
-	body := func(i int) {
-		ws := e.getScratch()
-		var parts FobjParts
-		var err error
-		panicked := true
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					// A solver abort must cost one point, not the process;
-					// the poisoned scratch is dropped, not pooled.
-					err = fmt.Errorf("inla: evaluation panicked: %v", r)
-				}
-			}()
-			parts, err = evalFobjScratch(e.Model, e.Prior, points[i], spec, ws)
-			panicked = false
-		}()
+	e.runOnExecutor(len(points), e.cores(), func(i int) {
+		var k []float64
+		if keep != nil {
+			k = keep[i]
+		}
+		v, err := e.evalPoint(points[i], spec, start, k)
 		if err != nil {
 			e.quarantine(points[i], err)
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = -parts.F()
 		}
-		if !panicked {
-			e.scratch.Put(ws) // parts.Mu is dead past this point
-		}
+		out[i] = v
+	})
+}
+
+// evalPoint evaluates −fobj at theta on a pooled arena: +Inf and the cause
+// for a failed point. A solver abort costs the point, not the process; the
+// poisoned arena is dropped, not pooled. For a count model the inner loop
+// starts from start, the steps it took are counted, and keep, when set,
+// receives the mode.
+func (e *BTAEvaluator) evalPoint(theta []float64, spec solverSpec, start, keep []float64) (float64, error) {
+	ws := e.getScratch()
+	var parts FobjParts
+	var err error
+	panicked := true
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("inla: evaluation panicked: %v", r)
+			}
+		}()
+		parts, err = evalFobjScratch(e.Model, e.Prior, theta, spec, ws, start)
+		panicked = false
+	}()
+	if panicked {
+		return math.Inf(1), err
 	}
-	e.runOnExecutor(len(points), w, body)
-	return out
+	defer e.scratch.Put(ws) // parts.Mu and ws.mode are dead past this call
+	if err != nil {
+		return math.Inf(1), err
+	}
+	if ws.mode != nil {
+		e.newtonSteps.Add(int64(ws.mode.Inner))
+		copy(keep, ws.mode.XPM)
+	}
+	return -parts.F(), nil
 }
 
 // runOnExecutor executes body(i) for i in [0, n) as at most `workers`

@@ -3,6 +3,8 @@ package inla
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
@@ -66,6 +68,64 @@ func TestGradientPointsLayout(t *testing.T) {
 	}
 	if pts[3][1] != 2.1 || pts[4][1] != 1.9 {
 		t.Fatal("dimension-1 stencil wrong")
+	}
+}
+
+// TestGradientCentreRoundTrip: gradientCentre inverts fillGradientPoints
+// bit for bit, with and without the centre, and matches neither a
+// line-search round, a d = 1 stencil, nor a stencil with one arm moved.
+func TestGradientCentreRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for d := 1; d <= 7; d++ {
+		for _, h := range []float64{1e-3, 2.5e-4, 0.7} {
+			theta := make([]float64, d)
+			for i := range theta {
+				theta[i] = 10 * rng.NormFloat64()
+			}
+			pts := gradientPoints(theta, h)
+			c := make([]float64, d)
+			for _, from := range []int{0, 1} {
+				got, ok := gradientCentre(pts[1-from:], c)
+				if d == 1 {
+					if ok {
+						t.Fatalf("d=1: a one-pair stencil was recognized")
+					}
+					continue
+				}
+				if !ok || got != from || !slices.Equal(c, theta) {
+					t.Fatalf("d=%d h=%v centre=%v: from %d ok %v centre %v, want %d and %v",
+						d, h, from == 1, got, ok, c, from, theta)
+				}
+			}
+			if d == 1 {
+				continue
+			}
+			moved := gradientPoints(theta, h)
+			moved[1+2*(d-1)][0] += h
+			if _, ok := gradientCentre(moved, c); ok {
+				t.Fatalf("d=%d: an arm off its own axis was recognized", d)
+			}
+			moved = gradientPoints(theta, h)
+			moved[0][d-1] += h
+			if _, ok := gradientCentre(moved, c); ok {
+				t.Fatalf("d=%d: a stencil whose centre disagrees with its arms was recognized", d)
+			}
+			// A line-search round of 2d or 2d+1 halving candidates.
+			p := make([]float64, d)
+			for i := range p {
+				p[i] = rng.NormFloat64()
+			}
+			for _, n := range []int{2 * d, 2*d + 1} {
+				round := make([][]float64, n)
+				for j, s := 0, 1.0; j < n; j, s = j+1, s*0.5 {
+					round[j] = make([]float64, d)
+					searchPoint(round[j], theta, p, s)
+				}
+				if _, ok := gradientCentre(round, c); ok {
+					t.Fatalf("d=%d: a line-search round of %d was recognized", d, n)
+				}
+			}
+		}
 	}
 }
 

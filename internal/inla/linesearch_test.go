@@ -293,3 +293,30 @@ func BenchmarkMinimizeOneIteration(b *testing.B) {
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 	b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
 }
+
+// BenchmarkMinimizeOneIterationPoisson is BenchmarkMinimizeOneIteration at
+// the fit_bi_poisson shape, where every evaluation runs the inner Newton
+// loop; it also reports the Newton steps per evaluation, mode solves of
+// stencil centres included.
+func BenchmarkMinimizeOneIterationPoisson(b *testing.B) {
+	ds, err := synth.Generate(benchmarkShapes(b)["fit_bi_poisson"])
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
+	opt := DefaultOptOptions()
+	opt.MaxIter = 1
+	opt.GradTol = 0
+	evals := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Minimize(e, ds.Theta0, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals += res.FEvals
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(e.newtonSteps.Load())/float64(evals), "newton_steps/eval")
+}

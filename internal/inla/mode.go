@@ -46,7 +46,7 @@ func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.
 	}
 	ws := newSolverScratch(m)
 	if m.Lik == model.LikPoisson {
-		mode, err := m.ConditionalModeInto(t, ws.qc, ws.fc, m.NewNewtonWork())
+		mode, err := m.ConditionalModeInto(t, ws.qc, ws.fc, m.NewNewtonWork(), nil)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}

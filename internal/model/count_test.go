@@ -64,7 +64,7 @@ func TestCountRefillMatchesCSRRoute(t *testing.T) {
 			chk := &checkedNewton{tt: t, btaNewton: btaNewton{
 				m: m, t: th, qc: bta.NewMatrix(n, b, a), f: bta.NewFactor(n, b, a), w: w,
 			}}
-			if _, err := m.newtonMode(th, chk, w); err != nil {
+			if _, err := m.newtonMode(th, chk, w, nil); err != nil {
 				t.Fatal(err)
 			}
 			if chk.steps < 3 {
@@ -85,7 +85,7 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	}
 	n, b, a := m.Dims.BTAShape()
 	qc, f, w := bta.NewMatrix(n, b, a), bta.NewFactor(n, b, a), m.NewNewtonWork()
-	got, err := m.ConditionalModeInto(th, qc, f, w)
+	got, err := m.ConditionalModeInto(th, qc, f, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,65 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	prev := dense.SetMaxWorkers(1)
 	defer dense.SetMaxWorkers(prev)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := m.ConditionalModeInto(th, qc, f, w); err != nil {
+		if _, err := m.ConditionalModeInto(th, qc, f, w, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm inner Newton loop allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestConditionalModeIntoWarmStart: from the cold mode itself the loop
+// converges warm in one step to the same mode within the inner tolerance
+// (the step moves log ℓ by ≈ 4e-11 of itself at this shape),
+// and a start that fails — η past the exp guard, or NaN — falls back to
+// x = 0 and returns the cold result bit for bit.
+func TestConditionalModeIntoWarmStart(t *testing.T) {
+	m, th := benchmarkShapes[2].build(t)
+	n, b, a := m.Dims.BTAShape()
+	qc, f, w := bta.NewMatrix(n, b, a), bta.NewFactor(n, b, a), m.NewNewtonWork()
+	cold, err := m.ConditionalModeInto(th, qc, f, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Warm {
+		t.Fatal("a cold call reports a warm mode")
+	}
+	wantX := append([]float64(nil), cold.XPM...)
+	wantLL, wantDet, wantInner := cold.LogLik, f.LogDet(), cold.Inner
+
+	warm, err := m.ConditionalModeInto(th, qc, f, w, wantX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Warm || warm.Inner != 1 {
+		t.Fatalf("from the mode: warm %v after %d steps, want warm after 1", warm.Warm, warm.Inner)
+	}
+	if math.Abs(warm.LogLik-wantLL) > 1e-9*math.Abs(wantLL) {
+		t.Fatalf("from the mode: log ℓ %v, cold %v", warm.LogLik, wantLL)
+	}
+
+	huge := make([]float64, len(wantX))
+	for i := range huge {
+		huge[i] = 1e3
+	}
+	nan := append([]float64(nil), wantX...)
+	nan[0] = math.NaN()
+	for name, start := range map[string][]float64{"η past the cap": huge, "NaN": nan} {
+		got, err := m.ConditionalModeInto(th, qc, f, w, start)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Warm || got.Inner != wantInner || got.LogLik != wantLL || f.LogDet() != wantDet {
+			t.Fatalf("%s: warm %v, %d steps, log ℓ %v, log det %v; cold %d steps, %v, %v",
+				name, got.Warm, got.Inner, got.LogLik, f.LogDet(), wantInner, wantLL, wantDet)
+		}
+		for i, x := range wantX {
+			if got.XPM[i] != x {
+				t.Fatalf("%s: x*[%d] = %v, cold %v", name, i, got.XPM[i], x)
+			}
+		}
 	}
 }
 
@@ -159,7 +212,7 @@ func TestTablesConcurrentCallers(t *testing.T) {
 					return
 				}
 			}
-			mode, err := m.ConditionalModeInto(th, qc, bta.NewFactor(n, b, a), m.NewNewtonWork())
+			mode, err := m.ConditionalModeInto(th, qc, bta.NewFactor(n, b, a), m.NewNewtonWork(), nil)
 			if err != nil {
 				errs <- err
 				return

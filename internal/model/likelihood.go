@@ -240,13 +240,16 @@ func (m *Model) scoreRHSInto(t *Theta, eta, rhs, buf []float64) {
 // PoissonMode holds the converged inner-Newton state of a non-Gaussian fit:
 // the conditional mode x* (both orderings), the iteration count and
 // log ℓ(y|x*). QcCSR, the conditional precision at the mode, is set by the
-// general-sparse route (ConditionalModePoisson) only.
+// general-sparse route (ConditionalModePoisson) only. Warm reports that the
+// loop reached x* from the caller's start state; Inner counts the steps of
+// the run that did.
 type PoissonMode struct {
 	XPM    []float64
 	XPerm  []float64
 	QcCSR  *sparse.CSR
 	Inner  int
 	LogLik float64
+	Warm   bool
 
 	eta []float64 // linear predictors at x*, response k at [k·M, (k+1)·M)
 }
@@ -361,18 +364,26 @@ func (s *csrNewton) factor(eta []float64) (err error) {
 func (s *csrNewton) solve(rhs, x []float64) { copy(x, s.solveFn(rhs)) }
 
 // newtonMode runs the damped Newton iteration for the mode of p(x|θ,y)
-// under the Poisson likelihood from x = 0: solve
-// (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) and backtrack on the penalized
-// objective g(x) = −½xᵀQ_px + log ℓ(y|η(x)) (counts with large means make
-// the full step overshoot through the exp link). On success w.x and w.eta
-// hold the mode; it returns the number of steps.
-func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork) (int, error) {
+// under the Poisson likelihood from start (process-major), or from x = 0
+// when start is nil: solve (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) and
+// backtrack on the penalized objective g(x) = −½xᵀQ_px + log ℓ(y|η(x))
+// (counts with large means make the full step overshoot through the exp
+// link). A start whose η exceeds etaCap diverges at once; x = 0 has η = 0.
+// On success w.x and w.eta hold the mode; it returns the number of steps.
+func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork, start []float64) (int, error) {
 	penalized := func(x, eta []float64) float64 {
 		m.ApplyPermInto(x, w.xPerm)
 		return -0.5*m.PriorQuad(t, w.xPerm, w.z) + m.poissonLogLik(eta, false)
 	}
-	clear(w.x)
+	if start == nil {
+		clear(w.x)
+	} else {
+		copy(w.x, start)
+	}
 	m.linPredInto(t, w.x, w.u, w.eta)
+	if !etaOK(w.eta) {
+		return 0, ErrInnerLoopDiverged
+	}
 	gCur := penalized(w.x, w.eta)
 	for iter := 0; iter < innerMaxIter; iter++ {
 		if err := sys.factor(w.eta); err != nil {
@@ -439,12 +450,29 @@ func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 // ConditionalModeInto finds the conditional mode of a count model's latent
 // field at t by damped Newton on the assembly tables: every step computes
 // the data term Σ_o w_ij[o]·A_or·A_oc on the Gram pattern, refills qc's
-// values and refactorizes f in place. On success f holds the factorization
-// of Q_c at the mode and qc its values. The returned mode aliases w (its
-// QcCSR is nil) and is valid until w's next use.
-func (m *Model) ConditionalModeInto(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork) (*PoissonMode, error) {
+// values and refactorizes f in place. The loop starts from start
+// (process-major, as PoissonMode.XPM), or from x = 0 when start is nil. A
+// start that fails — the loop diverges, η exceeds the exp guard, or a
+// factorization fails — is dropped and the same call retries from x = 0:
+// a warm call fails only where the cold one does, and one whose start
+// failed returns the cold result bit for bit. A warm mode agrees with the
+// cold one to the inner tolerance, not bit for bit. On success f holds
+// the factorization of Q_c at the mode and qc its values. The returned
+// mode aliases w (its QcCSR is nil) and is valid until w's next use.
+func (m *Model) ConditionalModeInto(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+	if start != nil {
+		if mode, err := m.conditionalModeFrom(t, qc, f, w, start); err == nil {
+			mode.Warm = true
+			return mode, nil
+		}
+	}
+	return m.conditionalModeFrom(t, qc, f, w, nil)
+}
+
+// conditionalModeFrom is one run of ConditionalModeInto from start.
+func (m *Model) conditionalModeFrom(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
 	w.sys = btaNewton{m: m, t: t, qc: qc, f: f, w: w}
-	inner, err := m.newtonMode(t, &w.sys, w)
+	inner, err := m.newtonMode(t, &w.sys, w, start)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +489,7 @@ func (m *Model) ConditionalModeInto(t *Theta, qc *bta.Matrix, f bta.Solver, w *N
 func (m *Model) ConditionalModePoisson(t *Theta, factorize func(*sparse.CSR) (func([]float64) []float64, error)) (*PoissonMode, error) {
 	sys := &csrNewton{m: m, t: t, qp: m.QpCSR(t), factorize: factorize}
 	w := m.NewNewtonWork()
-	inner, err := m.newtonMode(t, sys, w)
+	inner, err := m.newtonMode(t, sys, w, nil)
 	if err != nil {
 		return nil, err
 	}
