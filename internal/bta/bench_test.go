@@ -61,9 +61,11 @@ var allocShapes = [][3]int{{4, 96, 4}, {8, 60, 3}, {4, 144, 2}}
 var allocWidths = []int{1, 4}
 
 // TestRefactorizeSolveZeroAlloc is the acceptance gate of the
-// zero-allocation hot path: after warm-up, a full Refactorize + Solve +
+// zero-allocation hot path: after warm-up, a full factorization + Solve +
 // SolveLT + LogDet cycle — one INLA θ-evaluation's worth of solver work —
-// touches no fresh heap, at every kernel width.
+// touches no fresh heap, at every kernel width, through Refactorize and
+// through the in-place entry (the matrix written into the Workspace, then
+// FactorizeWorkspace).
 func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -77,25 +79,28 @@ func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 			rhs0 := randVec(rng, m.Dim())
 			rhs := make([]float64, m.Dim())
 			prev := dense.SetMaxWorkers(w)
-			// Warm-up: fills the factor storage and the dense packing pools.
-			if err := f.Refactorize(m); err != nil {
-				t.Fatal(err)
-			}
-			copy(rhs, rhs0)
-			f.Solve(rhs)
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := f.Refactorize(m); err != nil {
-					t.Fatal(err)
+			for _, inPlace := range []bool{false, true} {
+				cycle := func() {
+					if inPlace {
+						f.Workspace().CopyFrom(m)
+						if err := f.FactorizeWorkspace(); err != nil {
+							t.Fatal(err)
+						}
+					} else if err := f.Refactorize(m); err != nil {
+						t.Fatal(err)
+					}
+					copy(rhs, rhs0)
+					f.Solve(rhs)
+					f.SolveLT(rhs)
+					_ = f.LogDet()
 				}
-				copy(rhs, rhs0)
-				f.Solve(rhs)
-				f.SolveLT(rhs)
-				_ = f.LogDet()
-			})
-			dense.SetMaxWorkers(prev)
-			if allocs != 0 {
-				t.Fatalf("width %d n=%d b=%d a=%d: Refactorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0", w, n, b, a, allocs)
+				cycle() // warm-up: fills the factor storage and the dense packing pools
+				if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+					t.Fatalf("width %d n=%d b=%d a=%d in place %v: factorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0",
+						w, n, b, a, inPlace, allocs)
+				}
 			}
+			dense.SetMaxWorkers(prev)
 		}
 	}
 }

@@ -105,17 +105,9 @@ func LocalSlice(g *Matrix, parts []Partition, rank int) (*LocalBTA, error) {
 // workspace, so a slice refilled every INLA iteration gives the distributed
 // path the same fixed memory footprint as the sequential Refactorize loop.
 func (l *LocalBTA) FillFrom(g *Matrix) {
-	l.fillRange(g, l.Part.Lo, l.Part.Hi)
-	if g.A > 0 && l.Tip != nil {
-		l.Tip.CopyFrom(g.Tip)
-	}
-}
-
-// fillRange copies blocks lo..hi of g (an owned partition) into the slice,
-// together with the coupling (lo, lo−1) above them.
-func (l *LocalBTA) fillRange(g *Matrix, lo, hi int) {
+	lo, hi := l.Part.Lo, l.Part.Hi
 	for k := lo; k <= hi; k++ {
-		rel := k - l.Part.Lo
+		rel := k - lo
 		l.Diag[rel].CopyFrom(g.Diag[k])
 		if k < hi {
 			l.Lower[rel].CopyFrom(g.Lower[k])
@@ -125,7 +117,10 @@ func (l *LocalBTA) fillRange(g *Matrix, lo, hi int) {
 		}
 	}
 	if lo > 0 {
-		l.above(lo - l.Part.Lo).CopyFrom(g.Lower[lo-1])
+		l.TopCoupling.CopyFrom(g.Lower[lo-1])
+	}
+	if g.A > 0 && l.Tip != nil {
+		l.Tip.CopyFrom(g.Tip)
 	}
 }
 

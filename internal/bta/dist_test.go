@@ -570,11 +570,10 @@ func TestHybridTopologyBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := &ParallelFactor{}
-	if err := pf.init(g.N, g.B, g.A, parts, 0, len(parts), nil); err != nil {
+	pf, err := newParallelFactor(g.N, g.B, g.A, parts, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pf.mem = wholeSlice(NewMatrix(g.N, g.B, g.A))
 	if err := pf.Refactorize(g); err != nil {
 		t.Fatal(err)
 	}

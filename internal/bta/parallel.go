@@ -22,7 +22,8 @@ import (
 // (exactly like Factor); different instances may run concurrently.
 type ParallelFactor struct {
 	partFactor
-	mem     LocalBTA // factor block storage: the whole matrix as one slice
+	ws      *Matrix  // P > 1: factor block storage, the Workspace
+	mem     LocalBTA // ws as the one slice over every block
 	sigView LocalBTA // the caller's Σ output viewed as one slice
 }
 
@@ -60,12 +61,19 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 			return nil, err
 		}
 	}
+	return newParallelFactor(n, b, a, parts, o.Executor)
+}
+
+// newParallelFactor builds the shared-memory factor over the partition
+// list parts.
+func newParallelFactor(n, b, a int, parts []Partition, ex *sched.Executor) (*ParallelFactor, error) {
 	f := &ParallelFactor{}
-	if err := f.init(n, b, a, parts, 0, p, o.Executor); err != nil {
+	if err := f.init(n, b, a, parts, 0, len(parts), ex); err != nil {
 		return nil, err
 	}
 	if f.P > 1 { // P == 1 factorizes in the sequential factor's own storage
-		f.mem = wholeSlice(NewMatrix(n, b, a))
+		f.ws = NewMatrix(n, b, a)
+		f.mem = wholeSlice(f.ws)
 	}
 	return f, nil
 }
@@ -79,19 +87,40 @@ func wholeSlice(m *Matrix) LocalBTA {
 // Dim returns the full system dimension.
 func (f *ParallelFactor) Dim() int { return f.N*f.B + f.A }
 
-// Refactorize recomputes the parallel factorization of m in place of f's
-// storage (the PPOBTAF sweep); each partition's task copies its own blocks
-// of m in before eliminating them. m is not modified. On error the factor
-// contents are undefined until the next successful Refactorize.
+// Refactorize copies m into the Workspace and recomputes the parallel
+// factorization there (FactorizeWorkspace). m is not modified. On error
+// the factor contents are undefined until the next successful
+// factorization.
 func (f *ParallelFactor) Refactorize(m *Matrix) error {
 	if f.N != m.N || f.B != m.B || f.A != m.A {
 		return fmt.Errorf("bta: refactorize shape mismatch: parallel factor (n=%d,b=%d,a=%d), matrix (n=%d,b=%d,a=%d)",
 			f.N, f.B, f.A, m.N, m.B, m.A)
 	}
-	f.src = m
-	err := f.refactorize(nil, &f.mem)
-	f.src = nil
-	return err
+	f.Workspace().CopyFrom(m)
+	return f.FactorizeWorkspace()
+}
+
+// Workspace returns the factor's block storage as a BTA matrix (the
+// sequential factor's at P = 1); see Solver.
+func (f *ParallelFactor) Workspace() *Matrix {
+	if f.P == 1 {
+		return f.seq.Workspace()
+	}
+	return f.ws
+}
+
+// FactorizeWorkspace runs the PPOBTAF sweep over the matrix held in the
+// Workspace, in place: the driver's caller-refilled-store route, which
+// DistFactor takes with its rank's slice.
+func (f *ParallelFactor) FactorizeWorkspace() error {
+	if f.P == 1 {
+		err := f.seq.FactorizeWorkspace()
+		if err == nil {
+			f.logDet = f.seq.LogDet()
+		}
+		return err
+	}
+	return f.refactorize(nil, &f.mem)
 }
 
 // LogDet returns log|A|: interior Cholesky diagonals plus the reduced

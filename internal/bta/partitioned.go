@@ -71,7 +71,7 @@ func MaxUsefulPartitions(n int) int {
 }
 
 // Gang phases dispatched to the owned partitions. Per-call inputs travel
-// through the src/store/x/sig fields, set before the gang launches.
+// through the store/x/sig fields, set before the gang launches.
 const (
 	phaseElim = iota
 	phaseFwd
@@ -156,7 +156,7 @@ type partFactor struct {
 	ranks int       // communicator size: 1 (every partition owned) or P
 	ps    []*partState
 
-	seq *Factor // P == 1: the factor, with its own storage (store is copied in)
+	seq *Factor // P == 1: the factor, with its own storage
 
 	// Reduced boundary system (rank 0 only), factorized, solved and
 	// selected-inverted by the one-partition Factor: redF is a factor view
@@ -180,7 +180,6 @@ type partFactor struct {
 
 	// current phase and its per-call inputs
 	phase int
-	src   *Matrix   // elimination reads its blocks from here (nil: the caller refilled store)
 	store *LocalBTA // block storage the elimination consumes as workspace
 	x     []float64 // [owned blocks; tip] solve vector
 	sig   *LocalBTA // selected-inversion output
@@ -437,32 +436,25 @@ func (f *partFactor) recvBoundary(c *comm.Comm, src int, tags *[6]int, g int) bo
 // refactorize is PPOBTAF: every owner eliminates the interiors of its
 // partitions concurrently — non-first partitions run the costlier two-sided
 // elimination that also updates their top boundary — then rank 0 assembles
-// and factorizes the reduced system over the 2P−2 boundary blocks. store is
-// consumed as workspace; with f.src set the elimination phase first copies
-// each partition's blocks out of it. On error the factor contents are
-// undefined until the next successful call; all scratch is retained either
-// way, so infeasible-θ failures in the INLA loop cost no allocation churn.
+// and factorizes the reduced system over the 2P−2 boundary blocks. store,
+// which the caller filled with the matrix, is consumed as workspace. On
+// error the factor contents are undefined until the next successful call;
+// all scratch is retained either way, so infeasible-θ failures in the INLA
+// loop cost no allocation churn.
 //
 // Error handling is collective: a failed Cholesky on any rank must not
 // leave peers blocked in an exchange, so ranks agree on success after each
 // phase.
 func (f *partFactor) refactorize(c *comm.Comm, store *LocalBTA) error {
 	f.store = store
-	if f.P == 1 {
-		src := f.src
-		if src == nil {
-			w := store.whole()
-			src = &w
-		}
+	if f.P == 1 { // a one-rank DistFactor: its slice is copied into seq
+		w := store.whole()
 		var err error
-		compute(c, func() { err = f.seq.Refactorize(src) })
+		compute(c, func() { err = f.seq.Refactorize(&w) })
 		if err == nil {
 			f.logDet = f.seq.LogDet()
 		}
 		return err
-	}
-	if f.src != nil && f.A > 0 {
-		store.Tip.CopyFrom(f.src.Tip)
 	}
 	f.runPhase(c, phaseElim)
 	if err := f.firstErr(); anyFailed(c, err) {
@@ -508,9 +500,6 @@ func (f *partFactor) refactorize(c *comm.Comm, store *LocalBTA) error {
 func (f *partFactor) elimPartition(ps *partState) error {
 	st := f.store
 	lo, hi := ps.off, ps.off+ps.part.Size()-1
-	if f.src != nil {
-		st.fillRange(f.src, ps.part.Lo, ps.part.Hi)
-	}
 	ps.chainUsed = 0
 	pe := partitionElim{
 		Diag:      st.Diag[lo : hi+1],

@@ -122,6 +122,46 @@ func sameFactor(pf, df *partFactor, pfStore, dfStore *LocalBTA) error {
 	return nil
 }
 
+// sameInPlace factorizes good in s's Workspace, after a failed
+// factorization of bad, and reports the first of the factor, the
+// log-determinant, the solve, SolveLT and Σ that differs in any bit from
+// ref, a solver that Refactorized good.
+func sameInPlace(s, ref Solver, bad, good *Matrix, rhs []float64) error {
+	if err := s.Refactorize(bad); err == nil {
+		return fmt.Errorf("accepted a non-SPD matrix")
+	}
+	s.Workspace().CopyFrom(good)
+	if err := s.FactorizeWorkspace(); err != nil {
+		return err
+	}
+	if err := sameMatrix("factor", s.Workspace(), ref.Workspace()); err != nil {
+		return err
+	}
+	if s.LogDet() != ref.LogDet() {
+		return fmt.Errorf("logdet %v, Refactorize %v", s.LogDet(), ref.LogDet())
+	}
+	x, want := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
+	s.Solve(x)
+	ref.Solve(want)
+	lt, wantLT := append([]float64(nil), rhs...), append([]float64(nil), rhs...)
+	s.SolveLT(lt)
+	ref.SolveLT(wantLT)
+	for i := range x {
+		if x[i] != want[i] || lt[i] != wantLT[i] {
+			return fmt.Errorf("entry %d: solve %v / %v, SolveLT %v / %v (in place / Refactorize)", i, x[i], want[i], lt[i], wantLT[i])
+		}
+	}
+	sig, err := s.SelectedInversion()
+	if err != nil {
+		return err
+	}
+	wantSig, err := ref.SelectedInversion()
+	if err != nil {
+		return err
+	}
+	return sameMatrix("Σ", sig, wantSig)
+}
+
 // TestOneDriverBitForBit is the contract of "one driver": the shared-memory
 // factor and a distributed factor over P ranks, one partition each, run
 // the same code with and without a communicator, so every rank's factor
@@ -130,7 +170,10 @@ func sameFactor(pf, df *partFactor, pfStore, dfStore *LocalBTA) error {
 // supports (P ≤ 7, reduced systems up to 12 blocks), with and without an
 // arrowhead, with a size-2 middle partition, and after a failed (non-SPD)
 // factorization. Over the single partition {0, n−1} both are the
-// sequential Factor, bit for bit.
+// sequential Factor, bit for bit. One more column holds the in-place entry
+// (Workspace + FactorizeWorkspace) of the shared-memory factor at every
+// list, and of the sequential Factor at one partition, to Refactorize bit
+// for bit.
 func TestOneDriverBitForBit(t *testing.T) {
 	const n, b = 13, 3
 	rng := rand.New(rand.NewSource(77))
@@ -157,11 +200,10 @@ func TestOneDriverBitForBit(t *testing.T) {
 			bad.Diag[parts[min(1, len(parts)-1)].Lo+1].Set(0, 0, -50)
 			rhs := randVec(rng, good.Dim())
 
-			pf := &ParallelFactor{}
-			if err := pf.init(n, b, a, parts, 0, len(parts), nil); err != nil {
+			pf, err := newParallelFactor(n, b, a, parts, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			pf.mem = wholeSlice(NewMatrix(n, b, a))
 			if err := pf.Refactorize(bad); err == nil {
 				t.Fatalf("%s: shared-memory factor accepted a non-SPD matrix", label)
 			}
@@ -174,7 +216,19 @@ func TestOneDriverBitForBit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			// The in-place entry over storage a failed factorization left
+			// dirty gives Refactorize's bits.
+			ip, err := newParallelFactor(n, b, a, parts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameInPlace(ip, pf, bad, good, rhs); err != nil {
+				t.Errorf("%s: in-place shared-memory factor: %v", label, err)
+			}
 			if len(parts) == 1 {
+				if err := sameInPlace(NewFactor(n, b, a), pf.seq, bad, good, rhs); err != nil {
+					t.Errorf("%s: in-place sequential factor: %v", label, err)
+				}
 				sf := NewFactor(n, b, a)
 				if err := sf.Refactorize(bad); err == nil {
 					t.Fatalf("%s: sequential factor accepted a non-SPD matrix", label)

@@ -29,6 +29,10 @@ type Factor struct {
 	// (all nil without an arrowhead).
 	core partitionSolve
 
+	// ws views the blocks as a matrix: the Workspace the next
+	// factorization runs over in place.
+	ws *Matrix
+
 	// selinvMu guards the lazily built selected-inversion scratch: concurrent
 	// SelectedInversionInto calls on a shared factor (the mode-factor usage
 	// pattern) serialize on it.
@@ -60,7 +64,7 @@ func NewFactor(n, b, a int) *Factor { return newFactor(NewMatrix(n, b, a)) }
 // overwrites in place.
 func newFactor(w *Matrix) *Factor {
 	n := w.N
-	f := &Factor{N: n, B: w.B, A: w.A, Diag: w.Diag, Lower: w.Lower, Arrow: w.Arrow, Tip: w.Tip}
+	f := &Factor{N: n, B: w.B, A: w.A, Diag: w.Diag, Lower: w.Lower, Arrow: w.Arrow, Tip: w.Tip, ws: w}
 	f.core = partitionSolve{
 		L:     make([]*dense.Matrix, n),
 		GNext: make([]*dense.Matrix, n),
@@ -77,20 +81,30 @@ func newFactor(w *Matrix) *Factor {
 }
 
 // Refactorize recomputes the factorization of m in place of f's existing
-// block storage — the zero-allocation hot path of repeated INLA
-// θ-evaluations. m is not modified. On error (non-SPD input) the factor
+// block storage: m is copied into the Workspace, which FactorizeWorkspace
+// then factorizes. m is not modified. On error (non-SPD input) the factor
 // contents are undefined and must not be used until the next successful
-// Refactorize; callers in the INLA loop treat this as an infeasible point
-// and back off.
+// factorization; callers in the INLA loop treat this as an infeasible
+// point and back off.
 func (f *Factor) Refactorize(m *Matrix) error {
 	if f.N != m.N || f.B != m.B || f.A != m.A {
 		return fmt.Errorf("bta: refactorize shape mismatch: factor (n=%d,b=%d,a=%d), matrix (n=%d,b=%d,a=%d)",
 			f.N, f.B, f.A, m.N, m.B, m.A)
 	}
-	w := Matrix{N: f.N, B: f.B, A: f.A, Diag: f.Diag, Lower: f.Lower, Arrow: f.Arrow, Tip: f.Tip}
-	w.CopyFrom(m)
-	return f.factorize()
+	f.ws.CopyFrom(m)
+	return f.FactorizeWorkspace()
 }
+
+// Workspace returns the factor's block storage viewed as a BTA matrix. A
+// caller that writes the matrix to factorize straight into it and calls
+// FactorizeWorkspace skips Refactorize's copy — the zero-allocation hot
+// path of repeated INLA θ-evaluations. After a factorization it holds the
+// factor, so every position must be rewritten before the next one.
+func (f *Factor) Workspace() *Matrix { return f.ws }
+
+// FactorizeWorkspace factorizes the matrix held in the Workspace in place
+// (POBTAF).
+func (f *Factor) FactorizeWorkspace() error { return f.factorize() }
 
 // factorize overwrites the blocks, holding the matrix, with the factor: the
 // interior elimination accumulates the arrow Schur updates straight into the

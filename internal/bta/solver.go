@@ -9,17 +9,27 @@ package bta
 // θ-evaluation, triangular solves, log-determinant, and selected
 // inversion — goes through this interface, so the evaluation scheduler can
 // pick the backend per batch shape without the callers knowing which one
-// they got. (Multi-RHS solves exist on the sequential Factor only.)
+// they got. (Multi-RHS solves exist on the sequential Factor only.) The
+// INLA evaluations assemble Q_c straight into the solver's Workspace and
+// factorize it there; Refactorize is the same factorization after a copy.
 //
-// All implementations are alloc-free after warmup on the Refactorize /
+// All implementations are alloc-free after warmup on the factorize /
 // Solve / LogDet / SelectedInversionInto cycle, and none is safe for
 // concurrent use of the *same* instance (use one Solver per worker, exactly
 // like Factor).
 type Solver interface {
-	// Refactorize recomputes the factorization of m in the solver's
-	// existing storage. On error (non-SPD input) the factor contents are
-	// undefined until the next successful Refactorize; the solver itself
-	// stays reusable.
+	// Workspace returns the matrix storage the solver factorizes in place:
+	// writing Q into it and calling FactorizeWorkspace factorizes Q without
+	// a copy. It holds the factor afterwards, so every position must be
+	// rewritten before the next factorization.
+	Workspace() *Matrix
+	// FactorizeWorkspace recomputes the factorization from the Workspace's
+	// contents. On error (non-SPD input) the factor contents are undefined
+	// until the next successful factorization; the solver itself stays
+	// reusable.
+	FactorizeWorkspace() error
+	// Refactorize copies m into the Workspace and runs FactorizeWorkspace;
+	// m is not modified.
 	Refactorize(m *Matrix) error
 	// Dim returns the full system dimension n·b + a.
 	Dim() int

@@ -88,14 +88,17 @@ func (p FobjParts) F() float64 {
 	return p.LogPrior + p.LogLik + 0.5*p.LogDetQp - 0.5*p.QuadQp - 0.5*p.LogDetQc
 }
 
-// solverScratch is the reusable arena of one fobj evaluation: the BTA
-// workspace and solver backend of the conditional precision, the
-// conditional-mean vector, and the assembly/permutation scratch vectors.
-// The prior needs no solver state — its two scalars come in closed form
-// from model.PriorLogDet / PriorQuad — so the arena holds one BTA matrix
-// and one factor. After warm-up, repeated Refactorize+Solve cycles on the
-// same scratch perform zero heap allocations — the fixed-memory-footprint
-// property the INLA mode search needs across its hundreds of θ-evaluations.
+// solverScratch is the reusable arena of one fobj evaluation: the solver
+// backend of the conditional precision, into whose workspace a Gaussian
+// evaluation assembles Q_c, one more BTA matrix, the conditional-mean
+// vector, and the assembly/permutation scratch vectors. The prior needs no
+// solver state — its two scalars come in closed form from
+// model.PriorLogDet / PriorQuad. The matrix qc holds the count model's
+// Q_p(θ) for its Newton steps, the distributed evaluation's Q_c, and
+// latentPosterior's Σ. After warm-up, repeated assemble + factorize + Solve
+// cycles on the same scratch perform zero heap allocations — the
+// fixed-memory-footprint property the INLA mode search needs across its
+// hundreds of θ-evaluations.
 //
 // The arena holds the sequential factor always and builds the
 // parallel-in-time one lazily the first time a batch plan asks for
@@ -200,10 +203,10 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 	if parts.LogDetQp, err = m.PriorLogDet(t); err != nil {
 		return FobjParts{}, err
 	}
-	if err := m.QcInto(t, ws.qc); err != nil {
+	if err := m.QcInto(t, fc.Workspace()); err != nil {
 		return FobjParts{}, err
 	}
-	if err := fc.Refactorize(ws.qc); err != nil {
+	if err := fc.FactorizeWorkspace(); err != nil {
 		return FobjParts{}, fmt.Errorf("inla: Q_c factorization: %w", err)
 	}
 	m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)

@@ -268,30 +268,35 @@ func (e *batchCounter) EvalBatch(points [][]float64) []float64 {
 
 // BenchmarkMinimizeOneIteration times one BFGS iteration (K = 1 with the
 // gradient test disabled, the end-to-end benchmark's recipe) on the
-// evaluator Fit builds at the fit_uni_gauss shape, and reports the
-// evaluations and line-search rounds it spends.
+// evaluator Fit builds at the fit_uni_gauss and fit_tri_gauss shapes, and
+// reports the evaluations and line-search rounds it spends.
 func BenchmarkMinimizeOneIteration(b *testing.B) {
-	ds, err := synth.Generate(benchmarkShapes(b)["fit_uni_gauss"])
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"fit_uni_gauss", "fit_tri_gauss"} {
+		b.Run(name, func(b *testing.B) {
+			ds, err := synth.Generate(benchmarkShapes(b)[name])
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
+			opt := DefaultOptOptions()
+			opt.MaxIter = 1
+			opt.GradTol = 0
+			evals := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Minimize(e, ds.Theta0, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += res.FEvals
+			}
+			// Every batch but the two gradient stencils (θ₀ and θ₁; the
+			// stencils are finite at these shapes, so none is retried) is a
+			// line-search round.
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
+		})
 	}
-	e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
-	opt := DefaultOptOptions()
-	opt.MaxIter = 1
-	opt.GradTol = 0
-	evals := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Minimize(e, ds.Theta0, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evals += res.FEvals
-	}
-	// Every batch but the two gradient stencils (θ₀ and θ₁; the stencils
-	// are finite at this shape, so none is retried) is a line-search round.
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-	b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
 }
 
 // BenchmarkMinimizeOneIterationPoisson is BenchmarkMinimizeOneIteration at

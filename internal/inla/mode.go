@@ -35,9 +35,10 @@ func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, erro
 // latentPosterior is the one computation of the Gaussian approximation of
 // the latent posterior at θ (§III): decode θ, assemble Q_c — for a count
 // model at the conditional mode of the latent field, found by the inner
-// Newton loop — factorize it with the sequential POBTAF, solve for the mean
-// μ and, when withSigma is set, run the sequential POBTASI for the blocks of
-// Σ = Q_c⁻¹, written over the assembled Q_c. Everything it returns is
+// Newton loop — in the sequential factor's workspace, factorize it there
+// with POBTAF, solve for the mean μ and, when withSigma is set, run the
+// sequential POBTASI for the blocks of Σ = Q_c⁻¹ into the arena's spare
+// matrix. Everything it returns is
 // freshly allocated and owned by the caller, and being sequential it gives
 // the same bits for the same θ whatever the core budget.
 func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
@@ -52,10 +53,10 @@ func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.
 		}
 		mu = mode.XPerm
 	} else {
-		if err := m.QcInto(t, ws.qc); err != nil {
+		if err := m.QcInto(t, ws.fc.Workspace()); err != nil {
 			return nil, nil, nil, nil, err
 		}
-		if err := ws.fc.Refactorize(ws.qc); err != nil {
+		if err := ws.fc.FactorizeWorkspace(); err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("inla: Q_c factorization: %w", err)
 		}
 		m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)

@@ -10,8 +10,9 @@ import (
 
 // evalFobjPoisson evaluates the INLA objective for the Poisson model on the
 // arena: find the conditional mode by damped Newton from start (nil =
-// x = 0), every step a refill of ws.qc and a Refactorize of the sequential
-// factor, then assemble Eq. 8 with the Laplace approximation p_G centered
+// x = 0) — Q_p(θ) assembled into ws.qc once, every step a copy of it into
+// the sequential factor's workspace plus the data term, factorized there —
+// then assemble Eq. 8 with the Laplace approximation p_G centered
 // at the mode. The mode stays on ws.mode until the arena's next evaluation.
 func evalFobjPoisson(m *model.Model, prior Prior, t *model.Theta, theta, start []float64, ws *solverScratch) (FobjParts, error) {
 	parts := FobjParts{LogPrior: prior.LogDensity(theta)}

@@ -42,13 +42,18 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 
 // TestEvaluatorRefactorizeSolveZeroAlloc pins the acceptance criterion at
 // the evaluator level: with a warm arena, the per-θ cycle of a Gaussian
-// evaluation (Q_c assembly from the coefficient tables, Refactorize,
+// evaluation (Q_c assembly from the coefficient tables, factorization,
 // conditional-mean right-hand side and solve, log-determinant, the prior's
 // quadratic form and the log-likelihood) performs zero heap allocations —
-// on the small fixture and at the benchmark's two block shapes, b=144 with
-// a=2 (fit_uni_gauss) and b=60 with a=3 (fit_tri_gauss), serially and at
-// kernel width 4 (fits run at GOMAXPROCS, where the b = 144 kernels fan
-// out).
+// both with Q_c assembled into the arena's matrix and Refactorized and
+// with it assembled in place into the factor's workspace, as
+// evalFobjScratch does — on the small fixture and at the benchmark's two
+// block shapes, b=144 with a=2 (fit_uni_gauss) and b=60 with a=3
+// (fit_tri_gauss), serially and at kernel width 4 (fits run at GOMAXPROCS,
+// where the b = 144 kernels fan out). At the fit_bi_poisson shape, a count
+// model's inner loop warm-started at its mode — Q_p assembled once, one
+// Newton step in the factor's workspace, the factorization at the mode —
+// allocates nothing either.
 func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -70,34 +75,70 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 			}
 			prev := dense.SetMaxWorkers(w)
 			ws := e.getScratch()
-			// Warm-up: assemble once, factorize once, solve once.
-			if err := ds.Model.QcInto(th, ws.qc); err != nil {
-				t.Fatal(err)
-			}
-			if err := ws.fc.Refactorize(ws.qc); err != nil {
-				t.Fatal(err)
-			}
-			ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
-			ws.fc.Solve(ws.mu)
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := ds.Model.QcInto(th, ws.qc); err != nil {
-					t.Fatal(err)
+			for _, inPlace := range []bool{false, true} {
+				cycle := func() {
+					if inPlace {
+						if err := ds.Model.QcInto(th, ws.fc.Workspace()); err != nil {
+							t.Fatal(err)
+						}
+						if err := ws.fc.FactorizeWorkspace(); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						if err := ds.Model.QcInto(th, ws.qc); err != nil {
+							t.Fatal(err)
+						}
+						if err := ws.fc.Refactorize(ws.qc); err != nil {
+							t.Fatal(err)
+						}
+					}
+					ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
+					ws.fc.Solve(ws.mu)
+					_ = ws.fc.LogDet()
+					_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
+					_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
 				}
-				if err := ws.fc.Refactorize(ws.qc); err != nil {
-					t.Fatal(err)
+				cycle() // warm-up
+				if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+					_, b, a := ds.Model.Dims.BTAShape()
+					t.Fatalf("width %d b=%d a=%d in place %v: evaluator solver cycle allocates %.1f objects per run in steady state, want 0",
+						w, b, a, inPlace, allocs)
 				}
-				ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
-				ws.fc.Solve(ws.mu)
-				_ = ws.fc.LogDet()
-				_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
-				_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
-			})
+			}
 			dense.SetMaxWorkers(prev)
 			e.scratch.Put(ws)
-			_, b, a := ds.Model.Dims.BTAShape()
-			if allocs != 0 {
-				t.Fatalf("width %d b=%d a=%d: evaluator solver cycle allocates %.1f objects per run in steady state, want 0", w, b, a, allocs)
-			}
 		}
+	}
+
+	ds, err := synth.Generate(benchmarkShapes(t)["fit_bi_poisson"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ds.Model
+	th, err := m.DecodeTheta(ds.Theta0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := newSolverScratch(m)
+	ws.newton = m.NewNewtonWork()
+	mode, err := m.ConditionalModeInto(th, ws.qc, ws.fc, ws.newton, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := append([]float64(nil), mode.XPM...)
+	step := func() {
+		mode, err := m.ConditionalModeInto(th, ws.qc, ws.fc, ws.newton, start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mode.Warm || mode.Inner != 1 {
+			t.Fatalf("warm start at the mode: warm %v after %d steps, want one warm step", mode.Warm, mode.Inner)
+		}
+	}
+	prev := dense.SetMaxWorkers(1)
+	defer dense.SetMaxWorkers(prev)
+	step() // warm-up
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("count Newton step allocates %.1f objects per run in steady state, want 0", allocs)
 	}
 }

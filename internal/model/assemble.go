@@ -19,10 +19,19 @@ import (
 // with M = Λ_c⁻¹, c_·,k the weights of process k's prior for the class of
 // (t,t′) (spde.SeparableCoeffs / DiffusionCoeffs) and W = Λᵀ·diag(τ_y)·Λ; a
 // fixed-effect diagonal entry carries the vague prior precision in place
-// of the FEM values. New lays the θ-invariant values out once, in the
-// canonical order of Q_c's pattern so they share the BTAMap's
-// destinations. An assembly computes the nv²·numClasses weights and runs
-// one loop that writes each value straight into the BTA blocks.
+// of the FEM values.
+//
+// The prior part of a BTA block depends on its time pair only through the
+// pair's class (first, interior or last step, or the coupling of two
+// steps), and the data term lives on the diagonal, arrow and tip blocks
+// only: an observation touches a single time step. So New lays out, in one
+// pass over Q_c's pattern, the prior entries of each class's first block,
+// the fixed-effect diagonal of the tip, and the AᵀA entries with their BTA
+// destinations. An assembly computes the nv²·numClasses weights, writes
+// each class's prior values into its first block, copies that block into
+// the class's other blocks, zeroes the arrow and writes the tip's prior,
+// then adds the data term at the AᵀA entries, in the per-entry sum's order:
+// every position of the output is written.
 
 // classFixed marks an entry outside the spatio-temporal blocks: a
 // fixed-effect diagonal (fem = (1, 0, 0)) or a data-term-only entry
@@ -32,27 +41,53 @@ const (
 	numClasses = spde.NumBlockClasses + 1
 )
 
-// qcEntry is the θ-invariant part of one stored entry of a process-pair
-// block of Q_c.
+// qcEntry is the θ-invariant part of one stored entry of the n×n pattern
+// every process pair's block of Q_c shares.
 type qcEntry struct {
 	fem   [3]float64 // C̃, G and G·C̃⁻¹·G at the spatial pair
 	class int32      // spde block class of the time pair, or classFixed
-	gram  int32      // index of the AᵀA entry (the zero sentinel when none)
+	gram  int32      // index of the AᵀA entry, −1 when none
 }
 
-// fillWork is the scratch of one assembly: the weights c(θ) and the BTA
-// block storage, indexed like BTAMap's unified block index. Pooled on the
-// Model so concurrent evaluations neither share nor allocate it.
+// priorEntry is one prior value of a block: its offset in the block's
+// storage and its FEM values. A block's entries are kept per process pair.
+type priorEntry struct {
+	off int32
+	fem [3]float64
+}
+
+// dataRun is the AᵀA entries of one process pair i·nv + j in one diagonal,
+// arrow or tip block of Q_c: blk is the block's unified BTAMap index, sym
+// the pair's index symPair(i, j) among the count data term's per-pair
+// values.
+type dataRun struct {
+	blk, pair, sym int32
+	entries        []dataEntry
+}
+
+// dataEntry is an offset in its run's block and the entry of AᵀA there.
+type dataEntry struct {
+	off, gram int32
+}
+
+// fillWork is the scratch of one assembly: the weights c(θ), the scale of
+// the data term per process pair and a view of the output's blocks,
+// indexed like BTAMap's unified block index. Pooled on the Model so
+// concurrent evaluations neither share nor allocate it.
 type fillWork struct {
 	coef   [][3]float64 // [(i·nv + j)·numClasses + class]
 	w      []float64    // [i·nv + j]: scale of the data term
 	blocks [][]float64
 }
 
-// buildTables lays out Q_c's pattern and the θ-invariant values of its
-// entries. Every process pair shares one n×n block pattern: the prior's
-// spatial blocks (|t − t′| ≤ 1), the fixed-effect diagonal, and AᵀA.
-func (m *Model) buildTables() error {
+// localPattern lays out the n×n pattern every process pair's block of Q_c
+// shares — the prior's spatial blocks (|t − t′| ≤ 1), the fixed-effect
+// diagonal and AᵀA — with the θ-invariant values of its entries: row r's
+// entries are tab[rowPtr[r]:rowPtr[r+1]], at columns cols, ascending.
+// Entries from keep[r] on are the ones BTA stores transposed: a spatial
+// row's entries at step t+1 and its fixed-effect entries, whose mirrors
+// carry their values.
+func (m *Model) localPattern() (tab []qcEntry, cols, rowPtr, keep []int) {
 	d := m.Dims
 	ns, nt, n := d.Ns, d.Nt, d.PerProcess()
 	nst := ns * nt
@@ -63,12 +98,9 @@ func (m *Model) buildTables() error {
 		offDiag = sparse.Add(1, c, 1, g) // −f·A couples consecutive steps
 	}
 	gram := m.gram
-	m.gramVals = append(append([]float64(nil), gram.Val...), 0)
-	gramZero := int32(gram.NNZ())
 
-	m.locRowPtr = make([]int, n+1)
-	m.locKeep = make([]int, n)
-	var cols []int
+	rowPtr = make([]int, n+1)
+	keep = make([]int, n)
 	mark := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
@@ -102,7 +134,7 @@ func (m *Model) buildTables() error {
 		}
 		sort.Ints(row)
 		for _, col := range row {
-			e := qcEntry{class: classFixed, gram: gramZero}
+			e := qcEntry{class: classFixed, gram: -1}
 			switch {
 			case r < nst && col < nst:
 				sr, sc := r%ns, col%ns
@@ -114,40 +146,92 @@ func (m *Model) buildTables() error {
 			if k := sort.SearchInts(gram.ColIdx[glo:ghi], col); glo+k < ghi && gram.ColIdx[glo+k] == col {
 				e.gram = int32(glo + k)
 			}
-			m.tab = append(m.tab, e)
+			tab = append(tab, e)
 			cols = append(cols, col)
 		}
-		m.locRowPtr[r+1] = len(cols)
-		// Columns ascend, so a spatial row's entries at step t+1 and its
-		// fixed-effect entries — the ones BTA stores transposed, in the
-		// Lower and Arrow blocks their mirrors fill — come last.
-		m.locKeep[r] = len(cols)
+		rowPtr[r+1] = len(cols)
+		keep[r] = len(cols)
 		if r < nst {
-			m.locKeep[r] = m.locRowPtr[r] + sort.SearchInts(cols[m.locRowPtr[r]:], (r/ns+1)*ns)
+			keep[r] = rowPtr[r] + sort.SearchInts(cols[rowPtr[r]:], (r/ns+1)*ns)
 		}
 	}
+	return tab, cols, rowPtr, keep
+}
 
-	// Tile the block pattern over the nv×nv process pairs, in CSR order.
-	nv := d.Nv
+// buildTables tiles the local pattern over the nv×nv process pairs into
+// Q_c's process-major CSR pattern and, in the same pass, records every
+// entry's BTA destination (the BTAMap), each class's prior entries in the
+// class's first block, the tip's prior entries and the AᵀA entries.
+func (m *Model) buildTables() error {
+	d := m.Dims
+	nv, n := d.Nv, d.PerProcess()
+	nt, b, a := d.BTAShape()
+	tab, cols, locPtr, locKeep := m.localPattern()
+
+	// Unified index of each class's first block: Diag[t] is t, Lower[t] is
+	// nt + t.
+	var first [spde.NumBlockClasses]int32
+	for c := range first {
+		first[c] = -1
+	}
+	for t := nt - 1; t >= 0; t-- {
+		first[spde.BlockClass(t, t, nt)] = int32(t)
+	}
+	if nt > 1 {
+		first[spde.BlockOff] = int32(nt)
+	}
+
+	for c := range m.classPrior {
+		m.classPrior[c] = make([][]priorEntry, nv*nv)
+	}
+	m.tipPrior = make([][]priorEntry, nv*nv)
+	run := make([]int32, (3*nt)*nv*nv) // data run of (block, pair) + 1; 0 = none yet
+
+	nnz := nv * nv * len(cols)
 	rowPtr := make([]int, nv*n+1)
-	colIdx := make([]int, 0, nv*nv*len(cols))
+	colIdx := make([]int, 0, nnz)
+	mp := &BTAMap{N: nt, B: b, A: a, nnz: nnz, blockIdx: make([]int32, nnz), off: make([]int32, nnz)}
 	for i := 0; i < nv; i++ {
 		for r := 0; r < n; r++ {
-			lo, hi := m.locRowPtr[r], m.locRowPtr[r+1]
+			rp := m.permInv[i*n+r]
+			lo, keep, hi := locPtr[r], locKeep[r], locPtr[r+1]
 			for j := 0; j < nv; j++ {
-				for _, col := range cols[lo:hi] {
-					colIdx = append(colIdx, j*n+col)
+				pair, sym := int32(i*nv+j), int32(symPair(i, j, nv))
+				for q := lo; q < hi; q++ {
+					p := len(colIdx)
+					colIdx = append(colIdx, j*n+cols[q])
+					blk, off, err := btaDest(rp, m.permInv[j*n+cols[q]], nt, b, a)
+					if err != nil {
+						return fmt.Errorf("model: Q_c mapping: %w", err)
+					}
+					mp.blockIdx[p], mp.off[p] = int32(blk), int32(off)
+					if q >= keep {
+						continue // the mirror entry writes this destination
+					}
+					e := &tab[q]
+					pe := priorEntry{off: int32(off), fem: e.fem}
+					switch {
+					case e.class != classFixed && int32(blk) == first[e.class]:
+						m.classPrior[e.class][pair] = append(m.classPrior[e.class][pair], pe)
+					case e.class == classFixed && e.fem[0] != 0:
+						m.tipPrior[pair] = append(m.tipPrior[pair], pe)
+					}
+					if e.gram >= 0 {
+						k := blk*nv*nv + int(pair)
+						if run[k] == 0 {
+							m.dataRuns = append(m.dataRuns, dataRun{blk: int32(blk), pair: pair, sym: sym})
+							run[k] = int32(len(m.dataRuns))
+						}
+						dr := &m.dataRuns[run[k]-1]
+						dr.entries = append(dr.entries, dataEntry{off: int32(off), gram: e.gram})
+					}
 				}
 			}
 			rowPtr[i*n+r+1] = len(colIdx)
 		}
 	}
 	m.qcPattern = sparse.NewCSR(nv*n, nv*n, rowPtr, colIdx, nil)
-	nb, b, a := d.BTAShape()
-	var err error
-	if m.qcMap, err = newBTAMap(m.qcPattern, m.permInv, nb, b, a); err != nil {
-		return fmt.Errorf("model: Q_c mapping: %w", err)
-	}
+	m.qcMap = mp
 	return nil
 }
 
@@ -216,71 +300,92 @@ func symPair(i, j, nv int) int {
 	return i*nv - i*(i-1)/2 + j - i
 }
 
-// value is the entry's Σ_j c_j(θ)·B_j: the prior weights of its class on
-// the FEM values plus the data term w·dt[gram].
-func (e *qcEntry) value(cf [][3]float64, w float64, dt []float64) float64 {
-	c := &cf[e.class]
-	return c[0]*e.fem[0] + c[1]*e.fem[1] + c[2]*e.fem[2] + w*dt[e.gram]
-}
-
-// fill writes every stored entry of Q_c: the prior part from fw.coef plus
-// fw.w[i·nv+j]·data[symPair(i,j)·stride + gram] for the data term. The
-// Gaussian term passes the Gram values with stride 0 and W as the scale;
-// the count term passes per-pair values with unit scale. Values go into
-// vals in CSR order when it is non-nil, else through the BTAMap into out —
-// skipping each row's transposed duplicates (locKeep), whose destinations
-// the row's mirror entries write.
-func (m *Model) fill(fw *fillWork, data []float64, stride int, out *bta.Matrix, vals []float64) error {
-	if vals == nil {
-		if out.N != m.qcMap.N || out.B != m.qcMap.B || out.A != m.qcMap.A {
-			return fmt.Errorf("model: workspace BTA(n=%d,b=%d,a=%d), model needs (n=%d,b=%d,a=%d)",
-				out.N, out.B, out.A, m.qcMap.N, m.qcMap.B, m.qcMap.A)
-		}
-		fw.blocks = fw.blocks[:0]
-		for _, blk := range out.Diag {
-			fw.blocks = append(fw.blocks, blk.Data)
-		}
-		for _, blk := range out.Lower {
-			fw.blocks = append(fw.blocks, blk.Data)
-		}
-		for _, blk := range out.Arrow {
-			fw.blocks = append(fw.blocks, blk.Data)
-		}
-		if out.Tip != nil {
-			fw.blocks = append(fw.blocks, out.Tip.Data)
-		}
-	}
-	nv, n := m.Dims.Nv, m.Dims.PerProcess()
-	tab, blocks, blockIdx, off := m.tab, fw.blocks, m.qcMap.blockIdx, m.qcMap.off
-	p := 0
-	for i := 0; i < nv; i++ {
-		for r := 0; r < n; r++ {
-			lo, keep, hi := m.locRowPtr[r], m.locKeep[r], m.locRowPtr[r+1]
-			for j := 0; j < nv; j++ {
-				ij := i*nv + j
-				cf := fw.coef[ij*numClasses : (ij+1)*numClasses]
-				w := fw.w[ij]
-				dt := data[symPair(i, j, nv)*stride:]
-				if vals != nil {
-					for q := lo; q < hi; q++ {
-						vals[p] = tab[q].value(cf, w, dt)
-						p++
-					}
-					continue
-				}
-				for q := lo; q < keep; q++ {
-					blocks[blockIdx[p]][off[p]] = tab[q].value(cf, w, dt)
-					p++
-				}
-				p += hi - keep
-			}
-		}
+// checkShape reports a BTA workspace whose shape is not Q_c's.
+func (m *Model) checkShape(out *bta.Matrix) error {
+	if mp := m.qcMap; out.N != mp.N || out.B != mp.B || out.A != mp.A {
+		return fmt.Errorf("model: workspace BTA(n=%d,b=%d,a=%d), model needs (n=%d,b=%d,a=%d)",
+			out.N, out.B, out.A, mp.N, mp.B, mp.A)
 	}
 	return nil
 }
 
-// assemble fills Q_c (noise) or Q_p (no data term) into out or vals.
-func (m *Model) assemble(t *Theta, noise bool, out *bta.Matrix, vals []float64) error {
+// writePrior writes the prior values of a block of class class into d,
+// from its entries per process pair. Each value is the per-entry sum's
+// prior part plus w_ij·0, the data term of an entry without one, so signed
+// zeros come out as the sum gives them.
+func writePrior(fw *fillWork, entries [][]priorEntry, class int, d []float64) {
+	for pair, run := range entries {
+		// Scalars, not the [3]float64, so the loop keeps them in registers.
+		c := &fw.coef[pair*numClasses+class]
+		c0, c1, c2, z := c[0], c[1], c[2], fw.w[pair]*0
+		for _, e := range run {
+			d[e.off] = c0*e.fem[0] + c1*e.fem[1] + c2*e.fem[2] + z
+		}
+	}
+}
+
+// fillPrior writes the prior part of Q_c — Q_p, with fw.w scaling the
+// data term still to come — into every position of out: each class's
+// first block from its entries, copied into the class's other blocks; the
+// arrow zeroed; the tip zeroed but for its fixed-effect diagonal.
+func (m *Model) fillPrior(fw *fillWork, out *bta.Matrix) {
+	var first [spde.NumBlockClasses][]float64
+	fill := func(class int, d []float64) {
+		if f := first[class]; f != nil {
+			copy(d, f)
+			return
+		}
+		clear(d)
+		writePrior(fw, m.classPrior[class], class, d)
+		first[class] = d
+	}
+	for t, blk := range out.Diag {
+		fill(spde.BlockClass(t, t, out.N), blk.Data)
+	}
+	for _, blk := range out.Lower {
+		fill(spde.BlockOff, blk.Data)
+	}
+	for _, blk := range out.Arrow {
+		clear(blk.Data)
+	}
+	if out.Tip != nil {
+		clear(out.Tip.Data)
+		writePrior(fw, m.tipPrior, classFixed, out.Tip.Data)
+	}
+}
+
+// addData adds fw.w[i·nv+j]·data[symPair(i,j)·stride + g] at every AᵀA
+// entry g of out. The Gaussian term passes the Gram values with stride 0
+// and W as the scale; the count term passes per-pair values with unit
+// scale.
+func (m *Model) addData(fw *fillWork, data []float64, stride int, out *bta.Matrix) {
+	fw.blocks = fw.blocks[:0]
+	for _, blk := range out.Diag {
+		fw.blocks = append(fw.blocks, blk.Data)
+	}
+	for _, blk := range out.Lower {
+		fw.blocks = append(fw.blocks, blk.Data)
+	}
+	for _, blk := range out.Arrow {
+		fw.blocks = append(fw.blocks, blk.Data)
+	}
+	if out.Tip != nil {
+		fw.blocks = append(fw.blocks, out.Tip.Data)
+	}
+	for i := range m.dataRuns {
+		r := &m.dataRuns[i]
+		d, w, dt := fw.blocks[r.blk], fw.w[r.pair], data[int(r.sym)*stride:]
+		for _, e := range r.entries {
+			d[e.off] += w * dt[e.gram]
+		}
+	}
+}
+
+// assemble writes Q_c (noise) or Q_p into every position of out.
+func (m *Model) assemble(t *Theta, noise bool, out *bta.Matrix) error {
+	if err := m.checkShape(out); err != nil {
+		return err
+	}
 	fw := m.getFill()
 	defer m.fillPool.Put(fw)
 	m.priorWeights(t, fw)
@@ -289,35 +394,42 @@ func (m *Model) assemble(t *Theta, noise bool, out *bta.Matrix, vals []float64) 
 	} else {
 		clear(fw.w)
 	}
-	return m.fill(fw, m.gramVals, 0, out, vals)
+	m.fillPrior(fw, out)
+	if noise {
+		m.addData(fw, m.gram.Val, 0, out)
+	}
+	return nil
 }
 
-// patternCSR wraps values in Q_c's cached pattern. The index arrays are
-// shared with the Model and must be treated as read-only.
-func (m *Model) patternCSR(vals []float64) *sparse.CSR {
+// patternCSR reads the values of an assembled BTA matrix back through the
+// BTAMap into Q_c's cached pattern. The index arrays are shared with the
+// Model and must be treated as read-only.
+func (m *Model) patternCSR(q *bta.Matrix) *sparse.CSR {
 	p := m.qcPattern
-	return sparse.NewCSR(p.RowsN, p.ColsN, p.RowPtr, p.ColIdx, vals)
+	return sparse.NewCSR(p.RowsN, p.ColsN, p.RowPtr, p.ColIdx, m.qcMap.values(q))
 }
 
 // QcCSR returns the conditional precision Q_c = Q_p + AᵀDA in
 // process-major ordering, over the cached pattern (whose index arrays it
-// shares, read-only) — the general-sparse form the baselines work on.
+// shares, read-only) — the general-sparse form the baselines work on: the
+// BTA assembly read back, so an entry BTA stores transposed carries its
+// mirror's value.
 func (m *Model) QcCSR(t *Theta) *sparse.CSR {
-	vals := make([]float64, len(m.qcPattern.ColIdx))
-	if err := m.assemble(t, true, nil, vals); err != nil {
+	q, err := m.Qc(t)
+	if err != nil {
 		panic(fmt.Sprintf("model: %v", err)) // no workspace to mismatch
 	}
-	return m.patternCSR(vals)
+	return m.patternCSR(q)
 }
 
 // QpCSR returns the joint prior precision in process-major ordering, on
 // Q_c's pattern: entries only the data term fills hold zeros.
 func (m *Model) QpCSR(t *Theta) *sparse.CSR {
-	vals := make([]float64, len(m.qcPattern.ColIdx))
-	if err := m.assemble(t, false, nil, vals); err != nil {
+	q, err := m.Qp(t)
+	if err != nil {
 		panic(fmt.Sprintf("model: %v", err))
 	}
-	return m.patternCSR(vals)
+	return m.patternCSR(q)
 }
 
 // Qp assembles the prior precision as a BTA matrix (BT blocks plus a
@@ -330,9 +442,9 @@ func (m *Model) Qp(t *Theta) (*bta.Matrix, error) {
 	return out, nil
 }
 
-// QpInto assembles the prior precision into an existing BTA workspace: the
-// Q_c fill with the data term's weights at zero. Allocation-free.
-func (m *Model) QpInto(t *Theta, out *bta.Matrix) error { return m.assemble(t, false, out, nil) }
+// QpInto assembles the prior precision into every position of an existing
+// BTA workspace: the Q_c assembly without the data term. Allocation-free.
+func (m *Model) QpInto(t *Theta, out *bta.Matrix) error { return m.assemble(t, false, out) }
 
 // Qc assembles the conditional precision Q_c = Q_p + AᵀDA as a BTA matrix.
 func (m *Model) Qc(t *Theta) (*bta.Matrix, error) {
@@ -343,7 +455,8 @@ func (m *Model) Qc(t *Theta) (*bta.Matrix, error) {
 	return out, nil
 }
 
-// QcInto assembles the conditional precision into an existing BTA
-// workspace: c(θ), then one pass over the tables. Allocation-free and safe
-// for concurrent use with distinct workspaces.
-func (m *Model) QcInto(t *Theta, out *bta.Matrix) error { return m.assemble(t, true, out, nil) }
+// QcInto assembles the conditional precision into every position of an
+// existing BTA workspace — whatever it held, a factor's or a Σ's contents
+// included: c(θ), one block per class, copies, then the data term.
+// Allocation-free and safe for concurrent use with distinct workspaces.
+func (m *Model) QcInto(t *Theta, out *bta.Matrix) error { return m.assemble(t, true, out) }

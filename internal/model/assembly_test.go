@@ -191,3 +191,102 @@ func TestNaiveDensifyMatchesCachedMapping(t *testing.T) {
 		t.Fatal("Q_p paths disagree")
 	}
 }
+
+// countDataAt fills w.data with the count data term at a smooth latent
+// state x, so the test needs no Newton loop.
+func countDataAt(m *Model, th *Theta, w *NewtonWork) {
+	for i := range w.x {
+		w.x[i] = 0.3 * math.Sin(0.7*float64(i))
+	}
+	m.linPredInto(th, w.x, w.u, w.eta)
+	for i, e := range w.eta {
+		w.mu[i] = math.Exp(e)
+	}
+	m.countData(th, w.mu, w.obs, w.data)
+}
+
+// TestClassFillMatchesEntryOracle: Q_c, Q_p and the count model's Newton
+// matrix assembled per block class equal the per-entry sums they replaced
+// (entryFill) bit for bit, at every position, on the benchmark shapes and
+// the tables' structural corners.
+func TestClassFillMatchesEntryOracle(t *testing.T) {
+	for _, s := range append(append([]shape(nil), benchmarkShapes...), cornerShapes...) {
+		t.Run(s.name, func(t *testing.T) {
+			m, th := s.build(t)
+			got, err := m.Qc(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(got, m.entryQc(th)); err != nil {
+				t.Fatalf("Q_c: %v", err)
+			}
+			if got, err = m.Qp(th); err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(got, m.entryQp(th)); err != nil {
+				t.Fatalf("Q_p: %v", err)
+			}
+			n, b, a := m.Dims.BTAShape()
+			w := m.NewNewtonWork()
+			countDataAt(m, th, w)
+			sys := btaNewton{m: m, t: th, qp: got, f: bta.NewFactor(n, b, a), w: w}
+			sys.assemble(w.eta)
+			if err := sameBits(sys.f.Workspace(), m.entryCount(th, w.data)); err != nil {
+				t.Fatalf("count Newton matrix: %v", err)
+			}
+		})
+	}
+}
+
+// TestAssemblyRewritesDirtyWorkspace: QcInto, QpInto and the count Newton
+// matrix written over a workspace that holds a factor or a selected
+// inverse — the solver's own storage after a factorization — equal the
+// assembled matrix bit for bit, the positions outside Q_c's pattern
+// included.
+func TestAssemblyRewritesDirtyWorkspace(t *testing.T) {
+	for _, s := range []shape{benchmarkShapes[1], benchmarkShapes[2], cornerShapes[0]} {
+		t.Run(s.name, func(t *testing.T) {
+			m, th := s.build(t)
+			qc, err := m.Qc(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qp, err := m.Qp(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := bta.Factorize(qc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig, err := f.SelectedInversion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// f's storage holds the factor of Q_c, sig holds Σ.
+			if err := m.QcInto(th, f.Workspace()); err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(f.Workspace(), qc); err != nil {
+				t.Fatalf("Q_c over a factor: %v", err)
+			}
+			if err := m.QpInto(th, sig); err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(sig, qp); err != nil {
+				t.Fatalf("Q_p over Σ: %v", err)
+			}
+
+			if err := f.FactorizeWorkspace(); err != nil {
+				t.Fatal(err)
+			}
+			w := m.NewNewtonWork()
+			countDataAt(m, th, w)
+			sys := btaNewton{m: m, t: th, qp: qp, f: f, w: w}
+			sys.assemble(w.eta)
+			if err := sameBits(f.Workspace(), m.entryCount(th, w.data)); err != nil {
+				t.Fatalf("count Newton matrix over a factor: %v", err)
+			}
+		})
+	}
+}

@@ -20,16 +20,14 @@ type checkedNewton struct {
 }
 
 func (c *checkedNewton) factor(eta []float64) error {
-	if err := c.btaNewton.factor(eta); err != nil {
-		return err
-	}
+	c.assemble(eta)
 	m := c.m
 	want := m.oracleBTA(c.tt, sparse.Add(1, m.oracleQpCSR(c.t), 1, m.dataTermPoisson(c.t, eta)))
-	if err := compareBTA(c.qc, want, 1e-13); err != nil {
+	if err := compareBTA(c.f.Workspace(), want, 1e-13); err != nil {
 		c.tt.Fatalf("Newton iterate %d: %v", c.steps, err)
 	}
 	c.steps++
-	return nil
+	return c.f.FactorizeWorkspace()
 }
 
 // btaFactorizer is the CSR route's solver hook: map into BTA form,
@@ -60,9 +58,13 @@ func TestCountRefillMatchesCSRRoute(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			m, th := s.build(t)
 			n, b, a := m.Dims.BTAShape()
+			qp, err := m.Qp(th)
+			if err != nil {
+				t.Fatal(err)
+			}
 			w := m.NewNewtonWork()
 			chk := &checkedNewton{tt: t, btaNewton: btaNewton{
-				m: m, t: th, qc: bta.NewMatrix(n, b, a), f: bta.NewFactor(n, b, a), w: w,
+				m: m, t: th, qp: qp, f: bta.NewFactor(n, b, a), w: w,
 			}}
 			if _, err := m.newtonMode(th, chk, w, nil); err != nil {
 				t.Fatal(err)

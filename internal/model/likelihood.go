@@ -186,12 +186,12 @@ func (m *Model) countGram() *countTables {
 
 // countData writes the count data term onto the Gram pattern: for each
 // process pair i ≤ j, Aᵀ·diag(w_ij)·A with w_ij = Σ_k Λ_ki·Λ_kj·μ_k goes to
-// data[symPair(i,j)·(nnz(AᵀA)+1) + g], the last slot of each pair staying
-// zero. mu holds exp(η) (nv·M); w is M-long scratch.
+// data[symPair(i,j)·nnz(AᵀA) + g]. mu holds exp(η) (nv·M); w is M-long
+// scratch.
 func (m *Model) countData(t *Theta, mu, w, data []float64) {
 	ct := m.countGram()
 	nv, mObs := m.Dims.Nv, m.Obs.M()
-	stride := len(ct.start)
+	stride := len(ct.start) - 1
 	lc := t.Lambda.CoregView()
 	for i := 0; i < nv; i++ {
 		for j := i; j < nv; j++ {
@@ -203,14 +203,13 @@ func (m *Model) countData(t *Theta, mu, w, data []float64) {
 			}
 			base := symPair(i, j, nv) * stride
 			dt := data[base : base+stride]
-			for g := range dt[:stride-1] {
+			for g := range dt {
 				var s float64
 				for _, tm := range ct.terms[ct.start[g]:ct.start[g+1]] {
 					s += w[tm.o] * tm.v
 				}
 				dt[g] = s
 			}
-			dt[stride-1] = 0
 		}
 	}
 }
@@ -254,10 +253,12 @@ type PoissonMode struct {
 	eta []float64 // linear predictors at x*, response k at [k·M, (k+1)·M)
 }
 
-// innerNewtonOptions bounds the conditional-mode search.
+// innerNewtonOptions bounds the conditional-mode search. The loop stops
+// once a step moves x by at most innerStepTol relative to it: relative
+// step 1e-4, tested as ‖Δx‖² ≤ innerStepTol²·(1 + ‖x‖²).
 const (
 	innerMaxIter = 30
-	innerTol     = 1e-8
+	innerStepTol = 1e-4
 	etaCap       = 30 // exp overflow guard on the linear predictor
 )
 
@@ -296,7 +297,7 @@ func (m *Model) NewNewtonWork() *NewtonWork {
 		u: make([]float64, nm), mu: make([]float64, nm),
 		eta: make([]float64, nm), etaNew: make([]float64, nm),
 		obs:  make([]float64, m.Obs.M()),
-		data: make([]float64, d.Nv*(d.Nv+1)/2*(m.gram.NNZ()+1)),
+		data: make([]float64, d.Nv*(d.Nv+1)/2*m.gram.NNZ()),
 		z:    make([]float64, d.PerProcess()),
 	}
 }
@@ -310,31 +311,36 @@ type newtonSystem interface {
 }
 
 // btaNewton is the Newton system on the assembly tables and a BTA solver:
-// each factor refills qc's values and refactorizes f in place.
+// each factor copies Q_p(θ), assembled once into qp, into f's workspace,
+// adds the data term at η and factorizes it there.
 type btaNewton struct {
 	m  *Model
 	t  *Theta
-	qc *bta.Matrix
+	qp *bta.Matrix
 	f  bta.Solver
 	w  *NewtonWork
 }
 
 func (s *btaNewton) factor(eta []float64) error {
+	s.assemble(eta)
+	return s.f.FactorizeWorkspace()
+}
+
+// assemble writes Q_p + AᵀD(η)A into f's workspace.
+func (s *btaNewton) assemble(eta []float64) {
 	m, w := s.m, s.w
 	for i, e := range eta {
 		w.mu[i] = math.Exp(e)
 	}
 	m.countData(s.t, w.mu, w.obs, w.data)
+	ws := s.f.Workspace()
+	ws.CopyFrom(s.qp)
 	fw := m.getFill()
 	defer m.fillPool.Put(fw)
-	m.priorWeights(s.t, fw)
 	for i := range fw.w {
 		fw.w[i] = 1
 	}
-	if err := m.fill(fw, w.data, len(m.count.start), s.qc, nil); err != nil {
-		return err
-	}
-	return s.f.Refactorize(s.qc)
+	m.addData(fw, w.data, m.gram.NNZ(), ws)
 }
 
 func (s *btaNewton) solve(rhs, x []float64) {
@@ -421,7 +427,7 @@ func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork, start []fl
 		w.x, w.xNew = w.xNew, w.x
 		w.eta, w.etaNew = w.etaNew, w.eta
 		gCur = gNew
-		if diff <= innerTol*(1+norm) {
+		if diff <= innerStepTol*innerStepTol*(1+norm) {
 			return iter + 1, nil
 		}
 	}
@@ -448,30 +454,37 @@ func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 }
 
 // ConditionalModeInto finds the conditional mode of a count model's latent
-// field at t by damped Newton on the assembly tables: every step computes
-// the data term Σ_o w_ij[o]·A_or·A_oc on the Gram pattern, refills qc's
-// values and refactorizes f in place. The loop starts from start
+// field at t by damped Newton on the assembly tables: Q_p(θ) is assembled
+// into qp once, and every step computes the data term Σ_o w_ij[o]·A_or·A_oc
+// on the Gram pattern, copies qp into f's workspace, adds the data term
+// there and factorizes it in place. The loop starts from start
 // (process-major, as PoissonMode.XPM), or from x = 0 when start is nil. A
 // start that fails — the loop diverges, η exceeds the exp guard, or a
 // factorization fails — is dropped and the same call retries from x = 0:
 // a warm call fails only where the cold one does, and one whose start
 // failed returns the cold result bit for bit. A warm mode agrees with the
 // cold one to the inner tolerance, not bit for bit. On success f holds
-// the factorization of Q_c at the mode and qc its values. The returned
+// the factorization of Q_c at the mode and qp holds Q_p(θ). The returned
 // mode aliases w (its QcCSR is nil) and is valid until w's next use.
-func (m *Model) ConditionalModeInto(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+func (m *Model) ConditionalModeInto(t *Theta, qp *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+	if err := m.checkShape(f.Workspace()); err != nil {
+		return nil, err
+	}
+	if err := m.QpInto(t, qp); err != nil {
+		return nil, err
+	}
 	if start != nil {
-		if mode, err := m.conditionalModeFrom(t, qc, f, w, start); err == nil {
+		if mode, err := m.conditionalModeFrom(t, qp, f, w, start); err == nil {
 			mode.Warm = true
 			return mode, nil
 		}
 	}
-	return m.conditionalModeFrom(t, qc, f, w, nil)
+	return m.conditionalModeFrom(t, qp, f, w, nil)
 }
 
 // conditionalModeFrom is one run of ConditionalModeInto from start.
-func (m *Model) conditionalModeFrom(t *Theta, qc *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
-	w.sys = btaNewton{m: m, t: t, qc: qc, f: f, w: w}
+func (m *Model) conditionalModeFrom(t *Theta, qp *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+	w.sys = btaNewton{m: m, t: t, qp: qp, f: f, w: w}
 	inner, err := m.newtonMode(t, &w.sys, w, start)
 	if err != nil {
 		return nil, err

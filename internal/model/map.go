@@ -9,48 +9,18 @@ import (
 )
 
 // BTAMap is the cached sparse→block-dense mapping of §IV-F: for every
-// stored entry of a process-major CSR matrix with a θ-invariant pattern, it
-// precomputes the destination (block, offset) in the permuted BTA layout.
-// Applying the map is O(nnz) — the paper's replacement for the O(n·b²)
-// naive densification. The numeric-only assembly (assemble.go) writes
-// through the same destinations; ApplyInto itself serves callers that hold
-// Q_c's values as a CSR (QcFromCSR).
+// stored entry of Q_c's process-major CSR pattern, the destination (block,
+// offset) in the permuted BTA layout, laid out by New in the same pass as
+// the assembly tables. Applying the map is O(nnz) — the paper's
+// replacement for the O(n·b²) naive densification. The assembly does not
+// write through it (assemble.go fills whole blocks); QcFromCSR scatters a
+// CSR's values through it, and QcCSR / QpCSR read an assembled matrix back
+// through it.
 type BTAMap struct {
 	N, B, A  int
 	nnz      int
-	blockIdx []int32
+	blockIdx []int32 // unified block index: [0,n) Diag, [n,2n−1) Lower, [2n−1,3n−1) Arrow, 3n−1 Tip
 	off      []int32
-}
-
-// newBTAMap builds the mapping for a process-major pattern under the given
-// permutation (perm[new] = old).
-func newBTAMap(pattern *sparse.CSR, permInv []int, n, b, a int) (*BTAMap, error) {
-	nb := n * b
-	dim := nb + a
-	if pattern.Rows() != dim || pattern.Cols() != dim {
-		return nil, fmt.Errorf("model: pattern is %d×%d, BTA(n=%d,b=%d,a=%d) needs %d",
-			pattern.Rows(), pattern.Cols(), n, b, a, dim)
-	}
-	m := &BTAMap{N: n, B: b, A: a, nnz: len(pattern.ColIdx)}
-	m.blockIdx = make([]int32, m.nnz)
-	m.off = make([]int32, m.nnz)
-	// Unified block index space: [0,n) Diag, [n,2n−1) Lower, [2n−1,3n−1)
-	// Arrow, 3n−1 Tip.
-	p := 0
-	for r := 0; r < pattern.Rows(); r++ {
-		rp := permInv[r]
-		for q := pattern.RowPtr[r]; q < pattern.RowPtr[r+1]; q++ {
-			cp := permInv[pattern.ColIdx[q]]
-			blk, off, err := btaDest(rp, cp, n, b, a)
-			if err != nil {
-				return nil, err
-			}
-			m.blockIdx[p] = int32(blk)
-			m.off[p] = int32(off)
-			p++
-		}
-	}
-	return m, nil
 }
 
 // btaDest computes the unified block index and intra-block offset of the
@@ -97,10 +67,8 @@ func (m *BTAMap) Apply(vals []float64) (*bta.Matrix, error) {
 }
 
 // ApplyInto scatters the CSR value array into an existing BTA workspace of
-// the mapping's shape without allocating — the hot-path variant used by the
-// INLA scratch arena. Entries outside the pattern keep whatever values the
-// previous scatter left, which is correct because the pattern is
-// θ-invariant: every stored position is rewritten on every call.
+// the mapping's shape without allocating. Positions outside the pattern
+// keep whatever values out held.
 func (m *BTAMap) ApplyInto(vals []float64, out *bta.Matrix) error {
 	if len(vals) != m.nnz {
 		return fmt.Errorf("model: value array length %d, mapping built for %d", len(vals), m.nnz)
@@ -109,25 +77,35 @@ func (m *BTAMap) ApplyInto(vals []float64, out *bta.Matrix) error {
 		return fmt.Errorf("model: workspace BTA(n=%d,b=%d,a=%d), mapping built for (n=%d,b=%d,a=%d)",
 			out.N, out.B, out.A, m.N, m.B, m.A)
 	}
-	// Resolve the unified block index space without materializing a block
-	// slice per call: [0,n) Diag, [n,2n−1) Lower, [2n−1,3n−1) Arrow, 3n−1 Tip.
-	n := int32(m.N)
 	for p, v := range vals {
-		idx := m.blockIdx[p]
-		var blk *dense.Matrix
-		switch {
-		case idx < n:
-			blk = out.Diag[idx]
-		case idx < 2*n-1:
-			blk = out.Lower[idx-n]
-		case idx < 3*n-1:
-			blk = out.Arrow[idx-(2*n-1)]
-		default:
-			blk = out.Tip
-		}
-		blk.Data[m.off[p]] = v
+		m.block(out, p).Data[m.off[p]] = v
 	}
 	return nil
+}
+
+// values reads every stored entry of the pattern out of a BTA matrix of the
+// mapping's shape, in CSR order: an entry stored transposed reads its
+// mirror.
+func (m *BTAMap) values(in *bta.Matrix) []float64 {
+	vals := make([]float64, m.nnz)
+	for p := range vals {
+		vals[p] = m.block(in, p).Data[m.off[p]]
+	}
+	return vals
+}
+
+// block resolves entry p's unified block index in q.
+func (m *BTAMap) block(q *bta.Matrix, p int) *dense.Matrix {
+	n, idx := int32(m.N), m.blockIdx[p]
+	switch {
+	case idx < n:
+		return q.Diag[idx]
+	case idx < 2*n-1:
+		return q.Lower[idx-n]
+	case idx < 3*n-1:
+		return q.Arrow[idx-(2*n-1)]
+	}
+	return q.Tip
 }
 
 // QcFromCSR maps any process-major CSR with the model's Q_c pattern (QcCSR,

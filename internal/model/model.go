@@ -7,13 +7,18 @@
 // Q_c is assembled numerically only (assemble.go): its pattern, its sparse
 // → BTA map and the θ-invariant values of its entries are laid out once in
 // New, and a hyperparameter configuration only computes a small vector of
-// weights c(θ) and writes Σ_j c_j(θ)·B_j straight into the BTA blocks. The
+// weights c(θ) and writes Σ_j c_j(θ)·B_j into the BTA blocks — the prior
+// values once per block class (first, interior and last time step,
+// coupling), copied into the class's other blocks, then the data term at
+// the AᵀA entries. QcInto writes every position of its output, so callers
+// assemble straight into a solver's workspace (bta.Solver.Workspace). The
 // coregionalization structure is exploited the way §IV-B advocates: every
 // response shares the observation operator A = [A_st | A_cov], so the data
 // term factorizes as AᵀDA|_(i,j) = W[i,j]·(AᵀA) with the small dense matrix
 // W = Λᵀ·diag(τ_y)·Λ, and the Gram kernel AᵀA is computed once. The
-// general-sparse forms (QcCSR, QpCSR) are the same values over the cached
-// pattern, for the baselines and the distributed reproduction.
+// general-sparse forms (QcCSR, QpCSR) are the assembled values read back
+// over the cached pattern, for the baselines and the distributed
+// reproduction.
 package model
 
 import (
@@ -68,13 +73,12 @@ type Model struct {
 
 	// Q_c's pattern (index arrays only), its BTA map (§IV-F) and the
 	// θ-invariant assembly tables (assemble.go)
-	qcPattern *sparse.CSR
-	qcMap     *BTAMap
-	locRowPtr []int     // row pointers of the per-process-pair block pattern
-	locKeep   []int     // per row: end of the entries BTA stores untransposed
-	tab       []qcEntry // one per entry of that pattern
-	gramVals  []float64 // AᵀA values and a trailing zero
-	fillPool  sync.Pool // *fillWork
+	qcPattern  *sparse.CSR
+	qcMap      *BTAMap
+	classPrior [spde.NumBlockClasses][][]priorEntry // per pair: prior entries of each class's first block
+	tipPrior   [][]priorEntry                       // per pair: the tip's fixed-effect diagonal
+	dataRuns   []dataRun                            // AᵀA entries of the diagonal, arrow and tip blocks
+	fillPool   sync.Pool                            // *fillWork
 
 	count countTables // Poisson data-term tables (likelihood.go)
 }

@@ -267,3 +267,85 @@ func closeDense(got, want *dense.Matrix, tol float64) error {
 	}
 	return nil
 }
+
+// entryFill is the per-entry assembly the class route (assemble.go)
+// replaced, kept as its bitwise oracle: every stored entry of Q_c is
+// Σ_j c_j(θ)·B_j + w_ij·dt — dt the entry's data value
+// data[symPair(i,j)·stride + g], 0 without an AᵀA entry — written through
+// the BTAMap into a fresh matrix, skipping the duplicates BTA stores
+// transposed. fw holds c(θ) and the scale w.
+func (m *Model) entryFill(fw *fillWork, data []float64, stride int) *bta.Matrix {
+	tab, _, locPtr, locKeep := m.localPattern()
+	mp := m.qcMap
+	out := bta.NewMatrix(mp.N, mp.B, mp.A)
+	nv, n := m.Dims.Nv, m.Dims.PerProcess()
+	p := 0
+	for i := 0; i < nv; i++ {
+		for r := 0; r < n; r++ {
+			lo, keep, hi := locPtr[r], locKeep[r], locPtr[r+1]
+			for j := 0; j < nv; j++ {
+				ij := i*nv + j
+				cf := fw.coef[ij*numClasses : (ij+1)*numClasses]
+				w, base := fw.w[ij], symPair(i, j, nv)*stride
+				for q := lo; q < keep; q++ {
+					e := &tab[q]
+					var dt float64
+					if e.gram >= 0 {
+						dt = data[base+int(e.gram)]
+					}
+					c := &cf[e.class]
+					mp.block(out, p).Data[mp.off[p]] = c[0]*e.fem[0] + c[1]*e.fem[1] + c[2]*e.fem[2] + w*dt
+					p++
+				}
+				p += hi - keep
+			}
+		}
+	}
+	return out
+}
+
+// entryQc, entryQp and entryCount are the per-entry oracle's Q_c, Q_p and
+// count Newton matrix Q_p + AᵀD(η)A (data as countData writes it).
+func (m *Model) entryQc(t *Theta) *bta.Matrix {
+	fw := m.getFill()
+	m.priorWeights(t, fw)
+	noiseWInto(t, fw.w)
+	return m.entryFill(fw, m.gram.Val, 0)
+}
+
+func (m *Model) entryQp(t *Theta) *bta.Matrix {
+	fw := m.getFill()
+	m.priorWeights(t, fw)
+	clear(fw.w)
+	return m.entryFill(fw, m.gram.Val, 0)
+}
+
+func (m *Model) entryCount(t *Theta, data []float64) *bta.Matrix {
+	fw := m.getFill()
+	m.priorWeights(t, fw)
+	for i := range fw.w {
+		fw.w[i] = 1
+	}
+	return m.entryFill(fw, data, m.gram.NNZ())
+}
+
+// sameBits reports the first position of got whose bits differ from want's.
+func sameBits(got, want *bta.Matrix) error {
+	blocks := func(m *bta.Matrix) []*dense.Matrix {
+		out := append(append([]*dense.Matrix(nil), m.Diag...), m.Lower...)
+		out = append(out, m.Arrow...)
+		if m.Tip != nil {
+			out = append(out, m.Tip)
+		}
+		return out
+	}
+	gb, wb := blocks(got), blocks(want)
+	for k := range wb {
+		for x, v := range wb[k].Data {
+			if g := gb[k].Data[x]; math.Float64bits(g) != math.Float64bits(v) {
+				return fmt.Errorf("block %d, offset %d: %v, want %v", k, x, g, v)
+			}
+		}
+	}
+	return nil
+}
