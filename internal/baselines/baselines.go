@@ -266,8 +266,3 @@ func (e *simEvaluator) StencilPlan(width int) inla.SharedPlan {
 	g := e.c.Size()
 	return inla.SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
 }
-
-// Posterior is not simulated: a mode search never asks for it.
-func (e *simEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, errors.New("baselines: a simulated group computes no latent posterior")
-}

@@ -169,10 +169,6 @@ func (e *widthRecorder) StencilPlan(width int) inla.SharedPlan {
 	return inla.SharedPlan{Width: width, Cores: e.groups, PointWorkers: min(width, e.groups), Partitions: 1}
 }
 
-func (e *widthRecorder) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, errors.New("no posterior")
-}
-
 // sequentialSim runs Minimize for k iterations over eval and returns its
 // result with the evaluations each of `groups` groups makes when every
 // batch is split round-robin over them.

@@ -104,15 +104,23 @@ func (p Plan) GroupOf(rank int) int {
 // first arriving rank assembles into an arena drawn from the run's pool,
 // everyone shares the result, and each rank is charged dt/P virtual
 // seconds — modeling the O(nnz/P) distributed construction/mapping of
-// §IV-F. The arena's μ vector holds the right-hand side, then μ; its other
-// vectors are the solver root's scratch for the closing terms.
+// §IV-F.
 type assemblyCell struct {
-	once sync.Once
-	refs int // ranks holding the cell, under distRun.mu
-	t    *model.Theta
-	ws   *solverScratch
-	dt   float64
-	err  error
+	once  sync.Once
+	refs  int // ranks holding the cell, under distRun.mu
+	t     *model.Theta
+	arena *cellArena
+	dt    float64
+	err   error
+}
+
+// cellArena is the pooled storage of an assembly cell: Q_c and the
+// evaluation's vectors, whose μ holds the right-hand side, then μ, and
+// whose others are the solver root's scratch for closeFobj. It holds no
+// factor: each solver rank factorizes its own slice.
+type cellArena struct {
+	qc *bta.Matrix
+	evalVectors
 }
 
 // DistConfig configures a simulated distributed INLA run.
@@ -211,7 +219,7 @@ type distRun struct {
 
 	mu     sync.Mutex
 	cells  map[string]*assemblyCell // by S1 group and θ, while an evaluation is open
-	arenas sync.Pool                // *solverScratch
+	arenas sync.Pool                // *cellArena
 }
 
 func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*distRun, error) {
@@ -230,7 +238,7 @@ func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (
 	if r.maxShrinks == 0 {
 		r.maxShrinks = cfg.World - 1
 	}
-	r.arenas.New = func() any { return newSolverScratch(m) }
+	r.arenas.New = func() any { return &cellArena{qc: bta.NewMatrix(n, b, a), evalVectors: newEvalVectors(m)} }
 	return r, nil
 }
 
@@ -265,8 +273,8 @@ func (r *distRun) release(key string, c *assemblyCell) {
 		return
 	}
 	delete(r.cells, key)
-	if c.ws != nil {
-		r.arenas.Put(c.ws)
+	if c.arena != nil {
+		r.arenas.Put(c.arena)
 	}
 }
 
@@ -374,18 +382,13 @@ func (e *commEvaluator) StencilPlan(width int) SharedPlan {
 	return SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
 }
 
-// Posterior is the sequential latentPosterior, as for every backend.
-func (e *commEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
-	return (&BTAEvaluator{Model: e.run.m}).Posterior(theta)
-}
-
 // evalFobj evaluates −fobj(θ) on this rank's S1 group with the arithmetic
 // of evalFobjScratch. A one-rank solver runs evalFobjScratch on the rank's
 // own arena. A wider solver shares one Q_c assembly, runs one PPOBTAF and
 // one PPOBTAS over its time partitions, and gathers μ on its root, which
-// alone adds the closed-form prior terms, the likelihood and the prior
-// density. The value, +Inf for an infeasible point, is valid on the
-// group's rank 0 (the solver root); ranks outside the solver do nothing.
+// alone runs closeFobj. The value, +Inf for an infeasible point, is valid
+// on the group's rank 0 (the solver root); ranks outside the solver do
+// nothing.
 func (e *commEvaluator) evalFobj(theta []float64) float64 {
 	solver, m, prior := e.solver, e.run.m, e.run.prior
 	if solver == nil {
@@ -412,10 +415,10 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 	defer e.run.release(key, cell)
 	cell.once.Do(func() {
 		if cell.t, cell.err = m.DecodeTheta(theta); cell.err == nil {
-			cell.ws = e.run.arenas.Get().(*solverScratch)
+			cell.arena = e.run.arenas.Get().(*cellArena)
 			cell.dt = solver.Measure(func() {
-				if cell.err = m.QcInto(cell.t, cell.ws.qc); cell.err == nil {
-					m.CondRHSInto(cell.t, cell.ws.mu, cell.ws.pm, cell.ws.obs)
+				if cell.err = m.QcInto(cell.t, cell.arena.qc); cell.err == nil {
+					m.CondRHSInto(cell.t, cell.arena.mu, cell.arena.pm, cell.arena.obs)
 				}
 			})
 		}
@@ -431,13 +434,13 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		}
 	}
 	if err == nil {
-		e.local.FillFrom(cell.ws.qc)
+		e.local.FillFrom(cell.arena.qc)
 		err = bta.PPOBTAF(solver, e.fac, e.local)
 	}
 	if err != nil {
 		return math.Inf(1)
 	}
-	tip, rhs, span := n*b, cell.ws.mu, e.local.Part
+	tip, rhs, span := n*b, cell.arena.mu, e.local.Part
 	x, xTip, err := bta.PPOBTAS(solver, e.fac, rhs[span.Lo*b:(span.Hi+1)*b], rhs[tip:tip+a])
 	if err != nil {
 		return math.Inf(1)
@@ -453,15 +456,9 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		off += copy(mu[off:], part)
 	}
 	copy(mu[tip:], xTip)
-	parts := FobjParts{LogDetQc: e.fac.LogDet()}
-	solver.Compute(func() {
-		parts.LogPrior = prior.LogDensity(theta)
-		if parts.LogDetQp, err = m.PriorLogDet(cell.t); err != nil {
-			return
-		}
-		parts.QuadQp = m.PriorQuad(cell.t, mu, cell.ws.z)
-		parts.LogLik = m.LogLikInto(cell.t, mu, cell.ws.pm, cell.ws.obs)
-	})
+	logDetQc := e.fac.LogDet()
+	var parts FobjParts
+	solver.Compute(func() { parts, err = closeFobj(m, prior, cell.t, theta, mu, logDetQc, &cell.arena.evalVectors) })
 	if err != nil {
 		return math.Inf(1)
 	}

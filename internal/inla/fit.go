@@ -88,7 +88,7 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 		hess, herr := HessianAtMode(e, opt.Theta, h)
 		if herr == nil {
 			if opts.IntegrateHyperGrid {
-				if ip, ierr := IntegrateHyper(e, opt.Theta, hess, 1); ierr == nil {
+				if ip, ierr := IntegrateHyper(e, (&BTAEvaluator{Model: m}).Posterior, opt.Theta, hess, 1); ierr == nil {
 					res.Integrated = ip
 				}
 			}

@@ -15,12 +15,17 @@
 // of S3 solvers. The assembled joint Q_p is the closed forms' test oracle,
 // and the INLA_DIST-like comparator's arithmetic (package baselines).
 //
-// The latent posterior at a θ — μ and, on request, the blocks of
-// Σ = Q_c⁻¹ — has one routine, latentPosterior (mode.go): the sequential
-// factorization and selected inversion, whatever the core budget, so it
-// returns the same bits for the same θ. Fit, BTAEvaluator.Posterior,
-// ModeFactor, ModeSigma and SamplePosterior all call it, and Fit keeps the
-// Σ it computed at θ* on Result.Sigma for the prediction layer to freeze.
+// fobj(θ) and the latent posterior p_G(x|θ,y) come from one Laplace step,
+// laplaceStep: Q_c(θ) factorized at the conditional mode μ (for counts,
+// found by the inner Newton loop). closeFobj turns θ, μ and log|Q_c| into
+// the terms of Eq. 8; every evaluation — pooled, sequential or on a
+// distributed solver's root — ends with it. The latent posterior at a θ —
+// μ and, on request, the blocks of Σ = Q_c⁻¹ — is latentPosterior
+// (mode.go): the Laplace step on a sequential factor and its selected
+// inversion, whatever the core budget, so it returns the same bits for the
+// same θ. Fit, BTAEvaluator.Posterior, ModeFactor, ModeSigma and
+// SamplePosterior all call it, and Fit keeps the Σ it computed at θ* on
+// Result.Sigma for the prediction layer to freeze.
 package inla
 
 import (
@@ -88,15 +93,31 @@ func (p FobjParts) F() float64 {
 	return p.LogPrior + p.LogLik + 0.5*p.LogDetQp - 0.5*p.QuadQp - 0.5*p.LogDetQc
 }
 
+// evalVectors are the vectors of one evaluation besides its matrices.
+type evalVectors struct {
+	mu  []float64 // conditional mean (solution of Q_c·μ = rhs)
+	z   []float64 // one process of (Λ_c⁻¹⊗I)·μ for the prior quadratic form
+	pm  []float64 // process-major rhs before permutation, then μ unpermuted
+	obs []float64 // (nv+1)·M: response combinations, projections, residual
+}
+
+func newEvalVectors(m *model.Model) evalVectors {
+	tot := m.Dims.Total()
+	return evalVectors{
+		mu:  make([]float64, tot),
+		z:   make([]float64, m.Dims.PerProcess()),
+		pm:  make([]float64, tot),
+		obs: make([]float64, (m.Dims.Nv+1)*m.Obs.M()),
+	}
+}
+
 // solverScratch is the reusable arena of one fobj evaluation: the solver
-// backend of the conditional precision, into whose workspace a Gaussian
-// evaluation assembles Q_c, one more BTA matrix, the conditional-mean
-// vector, and the assembly/permutation scratch vectors. The prior needs no
-// solver state — its two scalars come in closed form from
-// model.PriorLogDet / PriorQuad. The matrix qc holds the count model's
-// Q_p(θ) for its Newton steps, the distributed evaluation's Q_c, and
-// latentPosterior's Σ. After warm-up, repeated assemble + factorize + Solve
-// cycles on the same scratch perform zero heap allocations — the
+// backend of the conditional precision, into whose workspace the Laplace
+// step assembles Q_c, and the evaluation's vectors. It holds no other BTA
+// matrix: the prior's two scalars come in closed form from
+// model.PriorLogDet / PriorQuad, and a count model's Q_p(θ) lives in its
+// NewtonWork. After warm-up, repeated assemble + factorize + Solve cycles
+// on the same scratch perform zero heap allocations — the
 // fixed-memory-footprint property the INLA mode search needs across its
 // hundreds of θ-evaluations.
 //
@@ -105,7 +126,6 @@ func (p FobjParts) F() float64 {
 // within-factorization partitions, so purely wide workloads never pay for
 // the second set of factor storage.
 type solverScratch struct {
-	qc *bta.Matrix
 	fc *bta.Factor // sequential backend (partitions = 1)
 
 	// parallel-in-time backend, built on demand and rebuilt only when the
@@ -113,26 +133,14 @@ type solverScratch struct {
 	pfc     *bta.ParallelFactor
 	pfcSpec solverSpec
 
-	mu  []float64 // conditional mean (solution of Q_c·μ = rhs)
-	z   []float64 // one process of (Λ_c⁻¹⊗I)·μ for the prior quadratic form
-	pm  []float64 // process-major rhs before permutation, then μ unpermuted
-	obs []float64 // (nv+1)·M: response combinations, projections, residual
+	evalVectors
 
 	newton *model.NewtonWork  // count models' inner loop, built on first use
 	mode   *model.PoissonMode // count models: the last evaluation's mode, aliasing newton
 }
 
 func newSolverScratch(m *model.Model) *solverScratch {
-	n, b, a := m.Dims.BTAShape()
-	tot := m.Dims.Total()
-	return &solverScratch{
-		qc:  bta.NewMatrix(n, b, a),
-		fc:  bta.NewFactor(n, b, a),
-		mu:  make([]float64, tot),
-		z:   make([]float64, m.Dims.PerProcess()),
-		pm:  make([]float64, tot),
-		obs: make([]float64, (m.Dims.Nv+1)*m.Obs.M()),
-	}
+	return &solverScratch{fc: bta.NewFactor(m.Dims.BTAShape()), evalVectors: newEvalVectors(m)}
 }
 
 // solverSpec pins the per-factorization solver configuration one batch runs
@@ -146,14 +154,15 @@ type solverSpec struct {
 }
 
 // condSolver returns the Q_c solver for the requested factorization spec:
-// the sequential factor for widths the clamp reduces to 1, otherwise the
-// cached parallel factor.
+// the sequential factor for widths the clamp reduces to 1 and for count
+// models — whose mode then has the same bits wherever it is solved —
+// otherwise the cached parallel factor.
 func (ws *solverScratch) condSolver(m *model.Model, spec solverSpec) (bta.Solver, error) {
 	n, b, a := m.Dims.BTAShape()
 	if mx := bta.MaxUsefulPartitions(n); spec.parts > mx {
 		spec.parts = mx
 	}
-	if spec.parts <= 1 {
+	if spec.parts <= 1 || m.Lik == model.LikPoisson {
 		return ws.fc, nil
 	}
 	if ws.pfc == nil || ws.pfcSpec != spec {
@@ -178,12 +187,13 @@ func EvalFobj(m *model.Model, prior Prior, theta []float64) (FobjParts, error) {
 }
 
 // evalFobjScratch is EvalFobj against a caller-owned arena (nil allocates a
-// fresh one), with the factorization run at the given parallel-in-time
-// width (1 = sequential POBTAF, >1 = bta.ParallelFactor over that many
-// partitions). A count model's inner Newton loop starts from start
+// fresh one), with a Gaussian factorization run at the given
+// parallel-in-time width (1 = sequential POBTAF, >1 = bta.ParallelFactor
+// over that many partitions): decode θ, then the Laplace step and the
+// closing step. A count model's inner Newton loop starts from start
 // (process-major; nil = x = 0); the Gaussian path ignores it. The returned
-// FobjParts.Mu aliases the arena's μ buffer and is only valid until the
-// arena's next evaluation.
+// FobjParts.Mu aliases the arena and is only valid until the arena's next
+// evaluation.
 func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSpec, ws *solverScratch, start []float64) (FobjParts, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
@@ -192,44 +202,75 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 	if ws == nil {
 		ws = newSolverScratch(m)
 	}
-	if m.Lik == model.LikPoisson {
-		return evalFobjPoisson(m, prior, t, theta, start, ws)
-	}
-	fc, err := ws.condSolver(m, spec)
+	f, err := ws.condSolver(m, spec)
 	if err != nil {
 		return FobjParts{}, err
 	}
-	parts := FobjParts{LogPrior: prior.LogDensity(theta)}
-	if parts.LogDetQp, err = m.PriorLogDet(t); err != nil {
+	mu, err := laplaceStep(m, t, f, ws, start)
+	if err != nil {
 		return FobjParts{}, err
 	}
-	if err := m.QcInto(t, fc.Workspace()); err != nil {
-		return FobjParts{}, err
+	return closeFobj(m, prior, t, theta, mu, f.LogDet(), &ws.evalVectors)
+}
+
+// laplaceStep leaves Q_c(θ) factorized on f at the conditional mode of the
+// latent field and returns the mode μ (BTA ordering), the step fobj and
+// p_G(x|θ,y) share (§III). For the Gaussian likelihood it assembles Q_c
+// into f's workspace, factorizes it there and solves Q_c·μ = rhs into
+// ws.mu. For counts the inner Newton loop (model.ConditionalModeInto) finds
+// the mode from start (process-major; nil = x = 0) on f, and ws.mode keeps
+// it. μ aliases ws until its next evaluation.
+func laplaceStep(m *model.Model, t *model.Theta, f bta.Solver, ws *solverScratch, start []float64) ([]float64, error) {
+	if m.Lik == model.LikPoisson {
+		if ws.newton == nil {
+			ws.newton = m.NewNewtonWork()
+		}
+		mode, err := m.ConditionalModeInto(t, f, ws.newton, start)
+		if ws.mode = mode; err != nil {
+			return nil, err
+		}
+		return mode.XPerm, nil
 	}
-	if err := fc.FactorizeWorkspace(); err != nil {
-		return FobjParts{}, fmt.Errorf("inla: Q_c factorization: %w", err)
+	if err := m.QcInto(t, f.Workspace()); err != nil {
+		return nil, err
+	}
+	if err := f.FactorizeWorkspace(); err != nil {
+		return nil, fmt.Errorf("inla: Q_c factorization: %w", err)
 	}
 	m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
-	fc.Solve(ws.mu)
-	parts.LogDetQc = fc.LogDet()
-	parts.Mu = ws.mu
-	parts.LatentDim = len(ws.mu)
-	parts.QuadQp = m.PriorQuad(t, ws.mu, ws.z)
-	parts.LogLik = m.LogLikInto(t, ws.mu, ws.pm, ws.obs)
-	return parts, nil
+	f.Solve(ws.mu)
+	return ws.mu, nil
+}
+
+// closeFobj is the closing step of an evaluation: it turns θ, the mode μ
+// (BTA ordering) and log|Q_c| at μ into the terms of Eq. 8 — the prior
+// density, log det Q_p and μᵀQ_pμ in closed form, and log ℓ(y|μ) — on the
+// scratch vectors of v other than μ.
+func closeFobj(m *model.Model, prior Prior, t *model.Theta, theta, mu []float64, logDetQc float64, v *evalVectors) (FobjParts, error) {
+	logDetQp, err := m.PriorLogDet(t)
+	if err != nil {
+		return FobjParts{}, err
+	}
+	return FobjParts{
+		LogPrior:  prior.LogDensity(theta),
+		LogLik:    m.LogLikInto(t, mu, v.pm, v.obs),
+		LogDetQp:  logDetQp,
+		LogDetQc:  logDetQc,
+		QuadQp:    m.PriorQuad(t, mu, v.z),
+		Mu:        mu,
+		LatentDim: len(mu),
+	}, nil
 }
 
 // Evaluator evaluates −fobj at a batch of hyperparameter points; its
 // implementations define where the work runs (goroutines here, the comm
-// simulator in dist.go, both with one Q_c factorization per point; the
+// simulator in dist.go, both with one Laplace step per point; the
 // comparators' own arithmetic in package baselines), and Minimize drives
 // every one of them. Infeasible points (non-SPD precision) evaluate to
-// +Inf.
+// +Inf. The latent posterior is not an evaluator's business: it is
+// latentPosterior of the model, whatever the backend.
 type Evaluator interface {
 	EvalBatch(points [][]float64) []float64
-	// Posterior computes the conditional mean and latent marginal variances
-	// at theta (selected inversion of Q_c).
-	Posterior(theta []float64) (mu, variance []float64, err error)
 }
 
 // BTAEvaluator runs fobj on the structured BTA solvers with goroutine
@@ -337,10 +378,15 @@ func (e *BTAEvaluator) cores() int {
 }
 
 // planFor resolves the batch plan for the given width with the evaluator's
-// pinned partitions applied.
+// pinned partitions applied. A count model always factorizes sequentially
+// (condSolver), so its plan has one partition and no cores set aside for
+// more.
 func (e *BTAEvaluator) planFor(width int) SharedPlan {
 	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, e.S2)
-	if e.partitions > 0 {
+	switch {
+	case e.Model.Lik == model.LikPoisson:
+		plan.Partitions = 1
+	case e.partitions > 0:
 		plan.Partitions = e.partitions
 	}
 	return plan
@@ -482,8 +528,9 @@ func (e *BTAEvaluator) runOnExecutor(n, workers int, body func(i int)) {
 }
 
 // Posterior computes μ(θ) and the latent marginal variances, the diagonal
-// of the sequential selected inversion of Q_c (latentPosterior). Count
-// models center the Gaussian approximation at the conditional mode.
+// of the sequential selected inversion of Q_c (latentPosterior); it is
+// what Fit integrates over the hyperparameter grid. Count models center
+// the Gaussian approximation at the conditional mode.
 func (e *BTAEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
 	_, mu, _, sig, err := latentPosterior(e.Model, theta, true)
 	if err != nil {

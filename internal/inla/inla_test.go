@@ -35,10 +35,6 @@ func (e *quadEvaluator) EvalBatch(points [][]float64) []float64 {
 	return out
 }
 
-func (e *quadEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
-	return append([]float64(nil), theta...), make([]float64, len(theta)), nil
-}
-
 // gradientPoints allocates and fills the 2d+1-point stencil at theta.
 func gradientPoints(theta []float64, h float64) [][]float64 {
 	pts := make([][]float64, 2*len(theta)+1)
@@ -190,9 +186,6 @@ func (e *infEvaluator) EvalBatch(points [][]float64) []float64 {
 		out[i] = math.Inf(1)
 	}
 	return out
-}
-func (e *infEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, nil
 }
 
 func TestHessianAtModeQuadratic(t *testing.T) {
@@ -502,9 +495,6 @@ func (e *descendingEvaluator) EvalBatch(points [][]float64) []float64 {
 	}
 	return out
 }
-func (e *descendingEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, nil
-}
 
 func TestMinimizeHitsIterationCap(t *testing.T) {
 	opts := DefaultOptOptions()
@@ -538,9 +528,6 @@ func (e *cliffEvaluator) EvalBatch(points [][]float64) []float64 {
 		}
 	}
 	return out
-}
-func (e *cliffEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, nil
 }
 
 func TestMinimizeUndefinedGradient(t *testing.T) {

@@ -29,9 +29,11 @@ type IntegratedPosterior struct {
 //
 //	μ̄ = Σ w_k μ_k,   σ̄² = Σ w_k (σ_k² + μ_k²) − μ̄².
 //
-// hess is ∇²(−fobj) at the mode (from HessianAtMode); delta ≈ 1 explores
-// one posterior standard deviation.
-func IntegrateHyper(e Evaluator, thetaMode []float64, hess *dense.Matrix, delta float64) (*IntegratedPosterior, error) {
+// e gives the densities; posterior gives the latent mean and marginal
+// variances at a configuration (Fit passes the latent posterior of its
+// model, BTAEvaluator.Posterior). hess is ∇²(−fobj) at the mode (from
+// HessianAtMode); delta ≈ 1 explores one posterior standard deviation.
+func IntegrateHyper(e Evaluator, posterior func(theta []float64) (mu, variance []float64, err error), thetaMode []float64, hess *dense.Matrix, delta float64) (*IntegratedPosterior, error) {
 	d := len(thetaMode)
 	vals, vecs, err := dense.SymEigen(hess)
 	if err != nil {
@@ -85,7 +87,7 @@ func IntegrateHyper(e Evaluator, thetaMode []float64, hess *dense.Matrix, delta 
 		if weights[k] == 0 {
 			continue
 		}
-		mu, va, err := e.Posterior(p)
+		mu, va, err := posterior(p)
 		if err != nil {
 			// An infeasible posterior at a grid point: drop its mass.
 			continue

@@ -38,7 +38,7 @@ func TestIntegrateHyperGridAndWeights(t *testing.T) {
 	e := &gaussEvaluator{dim: 4}
 	mode := []float64{0, 0}
 	hess := dense.Eye(2)
-	ip, err := IntegrateHyper(e, mode, hess, 1)
+	ip, err := IntegrateHyper(e, e.Posterior, mode, hess, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIntegrateHyperRejectsIndefiniteHessian(t *testing.T) {
 	e := &gaussEvaluator{dim: 2}
 	h := dense.Eye(2)
 	h.Set(1, 1, -1)
-	if _, err := IntegrateHyper(e, []float64{0, 0}, h, 1); err == nil {
+	if _, err := IntegrateHyper(e, e.Posterior, []float64{0, 0}, h, 1); err == nil {
 		t.Fatal("indefinite Hessian must error")
 	}
 }
@@ -101,7 +101,7 @@ func TestIntegrateHyperOnFittedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, err := IntegrateHyper(e, res.Theta, hess, 1)
+	ip, err := IntegrateHyper(e, e.Posterior, res.Theta, hess, 1)
 	if err != nil {
 		t.Skipf("Hessian not PD on this draw: %v", err)
 	}

@@ -62,10 +62,6 @@ func (e *halvingEvaluator) EvalBatch(points [][]float64) []float64 {
 	return out
 }
 
-func (e *halvingEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, nil
-}
-
 // TestBatchedLineSearchAcceptsSequentialStep: whatever the round width k,
 // the batched line search accepts the step one-at-a-time backtracking
 // accepts, steps over a +Inf candidate before it, discards one after it,

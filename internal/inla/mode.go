@@ -33,41 +33,26 @@ func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, erro
 }
 
 // latentPosterior is the one computation of the Gaussian approximation of
-// the latent posterior at θ (§III): decode θ, assemble Q_c — for a count
-// model at the conditional mode of the latent field, found by the inner
-// Newton loop — in the sequential factor's workspace, factorize it there
-// with POBTAF, solve for the mean μ and, when withSigma is set, run the
-// sequential POBTASI for the blocks of Σ = Q_c⁻¹ into the arena's spare
-// matrix. Everything it returns is
-// freshly allocated and owned by the caller, and being sequential it gives
-// the same bits for the same θ whatever the core budget.
+// the latent posterior at θ (§III): decode θ, run the Laplace step on a
+// fresh sequential arena — Q_c assembled, for a count model at the
+// conditional mode found by the inner Newton loop, and factorized with
+// POBTAF, μ solved — and, when withSigma is set, the sequential POBTASI
+// for the blocks of Σ = Q_c⁻¹ into a freshly allocated matrix. Everything
+// it returns is owned by the caller, and being sequential it gives the
+// same bits for the same θ whatever the core budget.
 func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
 	if t, err = m.DecodeTheta(theta); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	ws := newSolverScratch(m)
-	if m.Lik == model.LikPoisson {
-		mode, err := m.ConditionalModeInto(t, ws.qc, ws.fc, m.NewNewtonWork(), nil)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		mu = mode.XPerm
-	} else {
-		if err := m.QcInto(t, ws.fc.Workspace()); err != nil {
-			return nil, nil, nil, nil, err
-		}
-		if err := ws.fc.FactorizeWorkspace(); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("inla: Q_c factorization: %w", err)
-		}
-		m.CondRHSInto(t, ws.mu, ws.pm, ws.obs)
-		ws.fc.Solve(ws.mu)
-		mu = ws.mu
+	if mu, err = laplaceStep(m, t, ws.fc, ws, nil); err != nil {
+		return nil, nil, nil, nil, err
 	}
 	if withSigma {
-		if err := ws.fc.SelectedInversionInto(ws.qc); err != nil {
+		sigma = bta.NewMatrix(m.Dims.BTAShape())
+		if err := ws.fc.SelectedInversionInto(sigma); err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("inla: selected inversion: %w", err)
 		}
-		sigma = ws.qc
 	}
 	return t, mu, ws.fc, sigma, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
@@ -69,6 +70,32 @@ func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
 	p = PlanBatch(5, 1, 64, true)
 	if p.PointWorkers != 1 || p.Partitions != 1 {
 		t.Fatalf("single-core plan must be fully sequential, got %+v", p)
+	}
+}
+
+// TestCountPlanHasOnePartition: a count model factorizes sequentially on
+// every path, so at Workers 4 over nt = 8 its width-1 plan reports one
+// partition and the line search batches four candidates, while a Gaussian
+// model of the same shape splits its cores into two partitions and two
+// candidates.
+func TestCountPlanHasOnePartition(t *testing.T) {
+	for _, tc := range []struct {
+		lik         model.LikelihoodKind
+		parts, cand int
+	}{{model.LikPoisson, 1, 4}, {model.LikGaussian, 2, 2}} {
+		ds, err := synth.Generate(synth.GenConfig{
+			Nv: 1, Nt: 8, Nr: 1, MeshNx: 4, MeshNy: 3, ObsPerStep: 10, Seed: 5, Family: tc.lik,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 4}
+		if p := e.StencilPlan(1); p.Partitions != tc.parts {
+			t.Fatalf("%v: width-1 plan %+v, want %d partitions", tc.lik, p, tc.parts)
+		}
+		if k := lineSearchWidth(e); k != tc.cand {
+			t.Fatalf("%v: line search batches %d candidates, want %d", tc.lik, k, tc.cand)
+		}
 	}
 }
 
@@ -136,9 +163,6 @@ func TestEvalBatchBoundedWorkersMatchesSequential(t *testing.T) {
 type fixedEvaluator struct{ out []float64 }
 
 func (e *fixedEvaluator) EvalBatch(points [][]float64) []float64 { return e.out[:len(points)] }
-func (e *fixedEvaluator) Posterior([]float64) ([]float64, []float64, error) {
-	return nil, nil, nil
-}
 
 // TestBFGSIterationAllocFree pins the satellite fix: with the state
 // allocated once, one iteration's bookkeeping — stencil refill, gradient

@@ -4,35 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"github.com/dalia-hpc/dalia/internal/model"
 )
-
-// evalFobjPoisson evaluates the INLA objective for the Poisson model on the
-// arena: find the conditional mode by damped Newton from start (nil =
-// x = 0) — Q_p(θ) assembled into ws.qc once, every step a copy of it into
-// the sequential factor's workspace plus the data term, factorized there —
-// then assemble Eq. 8 with the Laplace approximation p_G centered
-// at the mode. The mode stays on ws.mode until the arena's next evaluation.
-func evalFobjPoisson(m *model.Model, prior Prior, t *model.Theta, theta, start []float64, ws *solverScratch) (FobjParts, error) {
-	parts := FobjParts{LogPrior: prior.LogDensity(theta)}
-	if ws.newton == nil {
-		ws.newton = m.NewNewtonWork()
-	}
-	mode, err := m.ConditionalModeInto(t, ws.qc, ws.fc, ws.newton, start)
-	if ws.mode = mode; err != nil {
-		return FobjParts{}, err
-	}
-	if parts.LogDetQp, err = m.PriorLogDet(t); err != nil {
-		return FobjParts{}, err
-	}
-	parts.LogDetQc = ws.fc.LogDet()
-	parts.Mu = mode.XPerm
-	parts.LatentDim = len(mode.XPerm)
-	parts.QuadQp = m.PriorQuad(t, mode.XPerm, ws.z)
-	parts.LogLik = mode.LogLik
-	return parts, nil
-}
 
 // modeCache keeps, for a count model's evaluator, conditional modes from
 // x = 0 by exact θ, in buffers reused from batch to batch: those of the

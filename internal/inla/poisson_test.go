@@ -172,8 +172,8 @@ func TestPoissonModeImprovesLoglik(t *testing.T) {
 	}
 	zero := make([]float64, ds.Model.Dims.Total())
 	llZero := ds.Model.LogLik(th, zero)
-	if mode.LogLik <= llZero {
-		t.Fatalf("mode loglik %v not above zero-state loglik %v", mode.LogLik, llZero)
+	if ll := ds.Model.LogLik(th, mode.XPerm); ll <= llZero {
+		t.Fatalf("mode loglik %v not above zero-state loglik %v", ll, llZero)
 	}
 }
 

@@ -118,25 +118,37 @@ func TestFitMatchesJointPriorRoute(t *testing.T) {
 	}
 }
 
-// TestSolverScratchHoldsOneMatrixOneFactor pins the arena's size: a fresh
-// arena allocates the Q_c workspace and its sequential factor and no other
-// BTA storage — the prior owns none.
-func TestSolverScratchHoldsOneMatrixOneFactor(t *testing.T) {
-	rv := reflect.ValueOf(newSolverScratch(genSmall(t, 2).Model)).Elem()
-	var mats, facs int
-	for i := 0; i < rv.NumField(); i++ {
-		f := rv.Field(i)
-		if f.Kind() != reflect.Ptr || f.IsNil() {
-			continue
+// TestArenaHoldsOneFactorCellOneMatrix pins the arenas' BTA storage: a
+// fresh evaluation arena holds its sequential factor and no BTA matrix —
+// Q_c is assembled into the factor's workspace, the prior owns none and a
+// count model's Q_p lives in its Newton work — and a distributed assembly
+// cell's pooled arena holds the shared Q_c and no factor.
+func TestArenaHoldsOneFactorCellOneMatrix(t *testing.T) {
+	count := func(arena any) (mats, facs int) {
+		rv := reflect.ValueOf(arena).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			f := rv.Field(i)
+			if f.Kind() != reflect.Ptr || f.IsNil() {
+				continue
+			}
+			switch f.Type() {
+			case reflect.TypeOf((*bta.Matrix)(nil)):
+				mats++
+			case reflect.TypeOf((*bta.Factor)(nil)), reflect.TypeOf((*bta.ParallelFactor)(nil)):
+				facs++
+			}
 		}
-		switch f.Type() {
-		case reflect.TypeOf((*bta.Matrix)(nil)):
-			mats++
-		case reflect.TypeOf((*bta.Factor)(nil)), reflect.TypeOf((*bta.ParallelFactor)(nil)):
-			facs++
-		}
+		return mats, facs
 	}
-	if mats != 1 || facs != 1 {
-		t.Fatalf("fresh arena holds %d BTA matrices and %d factors, want 1 and 1", mats, facs)
+	ds := genSmall(t, 2)
+	if mats, facs := count(newSolverScratch(ds.Model)); mats != 0 || facs != 1 {
+		t.Fatalf("fresh evaluation arena holds %d BTA matrices and %d factors, want 0 and 1", mats, facs)
+	}
+	run, err := newDistRun(ds.Model, WeakPrior(ds.Theta0, 5), ds.Theta0, DistConfig{World: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mats, facs := count(run.arenas.Get()); mats != 1 || facs != 0 {
+		t.Fatalf("assembly cell arena holds %d BTA matrices and %d factors, want 1 and 0", mats, facs)
 	}
 }

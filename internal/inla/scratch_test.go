@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
@@ -45,9 +46,9 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 // evaluation (Q_c assembly from the coefficient tables, factorization,
 // conditional-mean right-hand side and solve, log-determinant, the prior's
 // quadratic form and the log-likelihood) performs zero heap allocations —
-// both with Q_c assembled into the arena's matrix and Refactorized and
-// with it assembled in place into the factor's workspace, as
-// evalFobjScratch does — on the small fixture and at the benchmark's two
+// both with Q_c assembled into a matrix of the test's own and Refactorized
+// and with it assembled in place into the factor's workspace, as
+// laplaceStep does — on the small fixture and at the benchmark's two
 // block shapes, b=144 with a=2 (fit_uni_gauss) and b=60 with a=3
 // (fit_tri_gauss), serially and at kernel width 4 (fits run at GOMAXPROCS,
 // where the b = 144 kernels fan out). At the fit_bi_poisson shape, a count
@@ -75,6 +76,7 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 			}
 			prev := dense.SetMaxWorkers(w)
 			ws := e.getScratch()
+			qc := bta.NewMatrix(ds.Model.Dims.BTAShape())
 			for _, inPlace := range []bool{false, true} {
 				cycle := func() {
 					if inPlace {
@@ -85,10 +87,10 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 							t.Fatal(err)
 						}
 					} else {
-						if err := ds.Model.QcInto(th, ws.qc); err != nil {
+						if err := ds.Model.QcInto(th, qc); err != nil {
 							t.Fatal(err)
 						}
-						if err := ws.fc.Refactorize(ws.qc); err != nil {
+						if err := ws.fc.Refactorize(qc); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -121,13 +123,13 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	}
 	ws := newSolverScratch(m)
 	ws.newton = m.NewNewtonWork()
-	mode, err := m.ConditionalModeInto(th, ws.qc, ws.fc, ws.newton, nil)
+	mode, err := m.ConditionalModeInto(th, ws.fc, ws.newton, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := append([]float64(nil), mode.XPM...)
 	step := func() {
-		mode, err := m.ConditionalModeInto(th, ws.qc, ws.fc, ws.newton, start)
+		mode, err := m.ConditionalModeInto(th, ws.fc, ws.newton, start)
 		if err != nil {
 			t.Fatal(err)
 		}

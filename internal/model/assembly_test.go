@@ -228,8 +228,9 @@ func TestClassFillMatchesEntryOracle(t *testing.T) {
 			}
 			n, b, a := m.Dims.BTAShape()
 			w := m.NewNewtonWork()
+			w.qp = got
 			countDataAt(m, th, w)
-			sys := btaNewton{m: m, t: th, qp: got, f: bta.NewFactor(n, b, a), w: w}
+			sys := btaNewton{m: m, t: th, f: bta.NewFactor(n, b, a), w: w}
 			sys.assemble(w.eta)
 			if err := sameBits(sys.f.Workspace(), m.entryCount(th, w.data)); err != nil {
 				t.Fatalf("count Newton matrix: %v", err)
@@ -281,8 +282,9 @@ func TestAssemblyRewritesDirtyWorkspace(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := m.NewNewtonWork()
+			w.qp = qp
 			countDataAt(m, th, w)
-			sys := btaNewton{m: m, t: th, qp: qp, f: f, w: w}
+			sys := btaNewton{m: m, t: th, f: f, w: w}
 			sys.assemble(w.eta)
 			if err := sameBits(f.Workspace(), m.entryCount(th, w.data)); err != nil {
 				t.Fatalf("count Newton matrix over a factor: %v", err)

@@ -63,8 +63,9 @@ func TestCountRefillMatchesCSRRoute(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := m.NewNewtonWork()
+			w.qp = qp
 			chk := &checkedNewton{tt: t, btaNewton: btaNewton{
-				m: m, t: th, qp: qp, f: bta.NewFactor(n, b, a), w: w,
+				m: m, t: th, f: bta.NewFactor(n, b, a), w: w,
 			}}
 			if _, err := m.newtonMode(th, chk, w, nil); err != nil {
 				t.Fatal(err)
@@ -86,8 +87,8 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, b, a := m.Dims.BTAShape()
-	qc, f, w := bta.NewMatrix(n, b, a), bta.NewFactor(n, b, a), m.NewNewtonWork()
-	got, err := m.ConditionalModeInto(th, qc, f, w, nil)
+	f, w := bta.NewFactor(n, b, a), m.NewNewtonWork()
+	got, err := m.ConditionalModeInto(th, f, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +103,8 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	if math.Sqrt(diff) > 1e-10*math.Sqrt(norm) {
 		t.Fatalf("modes differ by %v (‖x*‖ = %v)", math.Sqrt(diff), math.Sqrt(norm))
 	}
-	if math.Abs(got.LogLik-want.LogLik) > 1e-10*math.Abs(want.LogLik) {
-		t.Fatalf("log ℓ at the mode %v, CSR route %v", got.LogLik, want.LogLik)
+	if gotLL, wantLL := m.LogLik(th, got.XPerm), m.LogLik(th, want.XPerm); math.Abs(gotLL-wantLL) > 1e-10*math.Abs(wantLL) {
+		t.Fatalf("log ℓ at the mode %v, CSR route %v", gotLL, wantLL)
 	}
 	qb, err := m.QcFromCSR(want.QcCSR)
 	if err != nil {
@@ -123,7 +124,7 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	prev := dense.SetMaxWorkers(1)
 	defer dense.SetMaxWorkers(prev)
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := m.ConditionalModeInto(th, qc, f, w, nil); err != nil {
+		if _, err := m.ConditionalModeInto(th, f, w, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -140,8 +141,8 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 func TestConditionalModeIntoWarmStart(t *testing.T) {
 	m, th := benchmarkShapes[2].build(t)
 	n, b, a := m.Dims.BTAShape()
-	qc, f, w := bta.NewMatrix(n, b, a), bta.NewFactor(n, b, a), m.NewNewtonWork()
-	cold, err := m.ConditionalModeInto(th, qc, f, w, nil)
+	f, w := bta.NewFactor(n, b, a), m.NewNewtonWork()
+	cold, err := m.ConditionalModeInto(th, f, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +150,17 @@ func TestConditionalModeIntoWarmStart(t *testing.T) {
 		t.Fatal("a cold call reports a warm mode")
 	}
 	wantX := append([]float64(nil), cold.XPM...)
-	wantLL, wantDet, wantInner := cold.LogLik, f.LogDet(), cold.Inner
+	wantLL, wantDet, wantInner := m.LogLik(th, cold.XPerm), f.LogDet(), cold.Inner
 
-	warm, err := m.ConditionalModeInto(th, qc, f, w, wantX)
+	warm, err := m.ConditionalModeInto(th, f, w, wantX)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm.Warm || warm.Inner != 1 {
 		t.Fatalf("from the mode: warm %v after %d steps, want warm after 1", warm.Warm, warm.Inner)
 	}
-	if math.Abs(warm.LogLik-wantLL) > 1e-9*math.Abs(wantLL) {
-		t.Fatalf("from the mode: log ℓ %v, cold %v", warm.LogLik, wantLL)
+	if ll := m.LogLik(th, warm.XPerm); math.Abs(ll-wantLL) > 1e-9*math.Abs(wantLL) {
+		t.Fatalf("from the mode: log ℓ %v, cold %v", ll, wantLL)
 	}
 
 	huge := make([]float64, len(wantX))
@@ -169,13 +170,13 @@ func TestConditionalModeIntoWarmStart(t *testing.T) {
 	nan := append([]float64(nil), wantX...)
 	nan[0] = math.NaN()
 	for name, start := range map[string][]float64{"η past the cap": huge, "NaN": nan} {
-		got, err := m.ConditionalModeInto(th, qc, f, w, start)
+		got, err := m.ConditionalModeInto(th, f, w, start)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Warm || got.Inner != wantInner || got.LogLik != wantLL || f.LogDet() != wantDet {
+		if ll := m.LogLik(th, got.XPerm); got.Warm || got.Inner != wantInner || ll != wantLL || f.LogDet() != wantDet {
 			t.Fatalf("%s: warm %v, %d steps, log ℓ %v, log det %v; cold %d steps, %v, %v",
-				name, got.Warm, got.Inner, got.LogLik, f.LogDet(), wantInner, wantLL, wantDet)
+				name, got.Warm, got.Inner, ll, f.LogDet(), wantInner, wantLL, wantDet)
 		}
 		for i, x := range wantX {
 			if got.XPM[i] != x {
@@ -214,12 +215,12 @@ func TestTablesConcurrentCallers(t *testing.T) {
 					return
 				}
 			}
-			mode, err := m.ConditionalModeInto(th, qc, bta.NewFactor(n, b, a), m.NewNewtonWork(), nil)
+			mode, err := m.ConditionalModeInto(th, bta.NewFactor(n, b, a), m.NewNewtonWork(), nil)
 			if err != nil {
 				errs <- err
 				return
 			}
-			logLik[g] = mode.LogLik
+			logLik[g] = m.LogLik(th, mode.XPerm)
 		}(g)
 	}
 	wg.Wait()

@@ -63,18 +63,15 @@ func (m *Model) linPredInto(t *Theta, xPM, u, eta []float64) {
 	}
 }
 
-// poissonLogLik evaluates Σ [y·η − exp(η) − log y!] over the stacked linear
-// predictors; without norm it drops the constant log y!.
-func (m *Model) poissonLogLik(eta []float64, norm bool) float64 {
+// poissonLogLik evaluates Σ [y·η − exp(η)] over the stacked linear
+// predictors: the Poisson log-likelihood up to the constant Σ log y!, as
+// the inner loop's penalized objective needs it (LogLik includes it).
+func (m *Model) poissonLogLik(eta []float64) float64 {
 	mObs := m.Obs.M()
 	var ll float64
 	for k, y := range m.Obs.Y {
 		for i, e := range eta[k*mObs : (k+1)*mObs] {
-			if norm {
-				ll += y[i]*e - math.Exp(e) - lgammaPlus1(y[i])
-			} else {
-				ll += y[i]*e - math.Exp(e)
-			}
+			ll += y[i]*e - math.Exp(e)
 		}
 	}
 	return ll
@@ -237,18 +234,17 @@ func (m *Model) scoreRHSInto(t *Theta, eta, rhs, buf []float64) {
 }
 
 // PoissonMode holds the converged inner-Newton state of a non-Gaussian fit:
-// the conditional mode x* (both orderings), the iteration count and
-// log ℓ(y|x*). QcCSR, the conditional precision at the mode, is set by the
-// general-sparse route (ConditionalModePoisson) only. Warm reports that the
-// loop reached x* from the caller's start state; Inner counts the steps of
-// the run that did.
+// the conditional mode x* (both orderings) and the iteration count;
+// log ℓ(y|x*) is LogLik at XPerm. QcCSR, the conditional precision at the
+// mode, is set by the general-sparse route (ConditionalModePoisson) only.
+// Warm reports that the loop reached x* from the caller's start state;
+// Inner counts the steps of the run that did.
 type PoissonMode struct {
-	XPM    []float64
-	XPerm  []float64
-	QcCSR  *sparse.CSR
-	Inner  int
-	LogLik float64
-	Warm   bool
+	XPM   []float64
+	XPerm []float64
+	QcCSR *sparse.CSR
+	Inner int
+	Warm  bool
 
 	eta []float64 // linear predictors at x*, response k at [k·M, (k+1)·M)
 }
@@ -271,18 +267,19 @@ func (m *Model) ScoreRHSForTest(t *Theta, mode *PoissonMode) []float64 {
 }
 
 // NewtonWork is the reusable state of the count model's inner Newton loop:
-// latent iterates, linear predictors, the data-term values and the solve
-// buffer. One per concurrent caller; once built, ConditionalModeInto
-// allocates nothing.
+// Q_p(θ), latent iterates, linear predictors, the data-term values and the
+// solve buffer. One per concurrent caller; ConditionalModeInto builds the
+// Q_p matrix on its first call and, once warm, allocates nothing.
 type NewtonWork struct {
-	x, xFull, xNew []float64 // process-major latent states
-	xPerm          []float64 // x in BTA ordering
-	rhs, sol       []float64 // Newton score (process-major); BTA-ordered solve buffer
-	u, mu          []float64 // nv·M: A·x_j per process; exp(η)
-	eta, etaNew    []float64 // nv·M linear predictors
-	obs            []float64 // M: one weighting over the observations
-	data           []float64 // count data term per process pair on the Gram pattern
-	z              []float64 // prior quadratic-form scratch
+	qp             *bta.Matrix // Q_p(θ), assembled once per ConditionalModeInto
+	x, xFull, xNew []float64   // process-major latent states
+	xPerm          []float64   // x in BTA ordering
+	rhs, sol       []float64   // Newton score (process-major); BTA-ordered solve buffer
+	u, mu          []float64   // nv·M: A·x_j per process; exp(η)
+	eta, etaNew    []float64   // nv·M linear predictors
+	obs            []float64   // M: one weighting over the observations
+	data           []float64   // count data term per process pair on the Gram pattern
+	z              []float64   // prior quadratic-form scratch
 	sys            btaNewton
 	mode           PoissonMode
 }
@@ -311,14 +308,13 @@ type newtonSystem interface {
 }
 
 // btaNewton is the Newton system on the assembly tables and a BTA solver:
-// each factor copies Q_p(θ), assembled once into qp, into f's workspace,
+// each factor copies Q_p(θ), assembled once into w.qp, into f's workspace,
 // adds the data term at η and factorizes it there.
 type btaNewton struct {
-	m  *Model
-	t  *Theta
-	qp *bta.Matrix
-	f  bta.Solver
-	w  *NewtonWork
+	m *Model
+	t *Theta
+	f bta.Solver
+	w *NewtonWork
 }
 
 func (s *btaNewton) factor(eta []float64) error {
@@ -334,7 +330,7 @@ func (s *btaNewton) assemble(eta []float64) {
 	}
 	m.countData(s.t, w.mu, w.obs, w.data)
 	ws := s.f.Workspace()
-	ws.CopyFrom(s.qp)
+	ws.CopyFrom(w.qp)
 	fw := m.getFill()
 	defer m.fillPool.Put(fw)
 	for i := range fw.w {
@@ -379,7 +375,7 @@ func (s *csrNewton) solve(rhs, x []float64) { copy(x, s.solveFn(rhs)) }
 func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork, start []float64) (int, error) {
 	penalized := func(x, eta []float64) float64 {
 		m.ApplyPermInto(x, w.xPerm)
-		return -0.5*m.PriorQuad(t, w.xPerm, w.z) + m.poissonLogLik(eta, false)
+		return -0.5*m.PriorQuad(t, w.xPerm, w.z) + m.poissonLogLik(eta)
 	}
 	if start == nil {
 		clear(w.x)
@@ -446,17 +442,14 @@ func etaOK(eta []float64) bool {
 // modeOf packages the converged state of w as w.mode.
 func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 	m.ApplyPermInto(w.x, w.xPerm)
-	w.mode = PoissonMode{
-		XPM: w.x, XPerm: w.xPerm, eta: w.eta,
-		Inner: inner, LogLik: m.poissonLogLik(w.eta, true),
-	}
+	w.mode = PoissonMode{XPM: w.x, XPerm: w.xPerm, eta: w.eta, Inner: inner}
 	return &w.mode
 }
 
 // ConditionalModeInto finds the conditional mode of a count model's latent
 // field at t by damped Newton on the assembly tables: Q_p(θ) is assembled
-// into qp once, and every step computes the data term Σ_o w_ij[o]·A_or·A_oc
-// on the Gram pattern, copies qp into f's workspace, adds the data term
+// into w once, and every step computes the data term Σ_o w_ij[o]·A_or·A_oc
+// on the Gram pattern, copies Q_p into f's workspace, adds the data term
 // there and factorizes it in place. The loop starts from start
 // (process-major, as PoissonMode.XPM), or from x = 0 when start is nil. A
 // start that fails — the loop diverges, η exceeds the exp guard, or a
@@ -464,27 +457,30 @@ func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 // a warm call fails only where the cold one does, and one whose start
 // failed returns the cold result bit for bit. A warm mode agrees with the
 // cold one to the inner tolerance, not bit for bit. On success f holds
-// the factorization of Q_c at the mode and qp holds Q_p(θ). The returned
-// mode aliases w (its QcCSR is nil) and is valid until w's next use.
-func (m *Model) ConditionalModeInto(t *Theta, qp *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+// the factorization of Q_c at the mode. The returned mode aliases w (its
+// QcCSR is nil) and is valid until w's next use.
+func (m *Model) ConditionalModeInto(t *Theta, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
 	if err := m.checkShape(f.Workspace()); err != nil {
 		return nil, err
 	}
-	if err := m.QpInto(t, qp); err != nil {
+	if w.qp == nil {
+		w.qp = bta.NewMatrix(m.Dims.BTAShape())
+	}
+	if err := m.QpInto(t, w.qp); err != nil {
 		return nil, err
 	}
 	if start != nil {
-		if mode, err := m.conditionalModeFrom(t, qp, f, w, start); err == nil {
+		if mode, err := m.conditionalModeFrom(t, f, w, start); err == nil {
 			mode.Warm = true
 			return mode, nil
 		}
 	}
-	return m.conditionalModeFrom(t, qp, f, w, nil)
+	return m.conditionalModeFrom(t, f, w, nil)
 }
 
 // conditionalModeFrom is one run of ConditionalModeInto from start.
-func (m *Model) conditionalModeFrom(t *Theta, qp *bta.Matrix, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
-	w.sys = btaNewton{m: m, t: t, qp: qp, f: f, w: w}
+func (m *Model) conditionalModeFrom(t *Theta, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
+	w.sys = btaNewton{m: m, t: t, f: f, w: w}
 	inner, err := m.newtonMode(t, &w.sys, w, start)
 	if err != nil {
 		return nil, err

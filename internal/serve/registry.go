@@ -1,25 +1,19 @@
 package serve
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 )
 
-// registryShards is the number of independent lock domains the model
-// registry is split across. Lookups on the prediction hot path take one
-// shard's read lock only; fits, deletes and stats on different shards never
-// contend. A power of two keeps the modulo cheap.
-const registryShards = 16
-
-// regShard is one lock domain of the registry: its models, the names
-// reserved by in-flight fits, and the folded counters of models deleted
-// from this shard (so /stats never moves backwards — every model's batch
-// statistics are counted on exactly one side of its shard's lock).
-type regShard struct {
+// registry holds the served models under one lock: lookups on the
+// prediction hot path take its read lock; fits, deletes and stats take it
+// too. A deleted model's counters fold into the retired totals under the
+// same lock, so /stats never moves backwards — every model's batch
+// statistics are counted on exactly one side of it.
+type registry struct {
 	mu      sync.RWMutex
 	models  map[string]*servedModel
-	fitting map[string]struct{}
+	fitting map[string]struct{} // names reserved by in-flight fits
 
 	// counters of deleted models, folded in under mu by remove()
 	retiredBatches    int64
@@ -29,33 +23,15 @@ type regShard struct {
 	retiredSLOFlushes int64
 }
 
-// registry is the sharded model registry: names hash to shards, and every
-// operation locks only the shard it touches.
-type registry struct {
-	shards [registryShards]regShard
-}
-
 func newRegistry() *registry {
-	r := &registry{}
-	for i := range r.shards {
-		r.shards[i].models = map[string]*servedModel{}
-		r.shards[i].fitting = map[string]struct{}{}
-	}
-	return r
-}
-
-func (r *registry) shard(name string) *regShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(name))
-	return &r.shards[h.Sum32()%registryShards]
+	return &registry{models: map[string]*servedModel{}, fitting: map[string]struct{}{}}
 }
 
 // get returns the named model.
 func (r *registry) get(name string) (*servedModel, bool) {
-	sh := r.shard(name)
-	sh.mu.RLock()
-	m, ok := sh.models[name]
-	sh.mu.RUnlock()
+	r.mu.RLock()
+	m, ok := r.models[name]
+	r.mu.RUnlock()
 	return m, ok
 }
 
@@ -63,78 +39,70 @@ func (r *registry) get(name string) (*servedModel, bool) {
 // registered or reserved. release undoes a reservation that did not
 // register.
 func (r *registry) reserve(name string) bool {
-	sh := r.shard(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.models[name]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.models[name]; ok {
 		return false
 	}
-	if _, ok := sh.fitting[name]; ok {
+	if _, ok := r.fitting[name]; ok {
 		return false
 	}
-	sh.fitting[name] = struct{}{}
+	r.fitting[name] = struct{}{}
 	return true
 }
 
 func (r *registry) release(name string) {
-	sh := r.shard(name)
-	sh.mu.Lock()
-	delete(sh.fitting, name)
-	sh.mu.Unlock()
+	r.mu.Lock()
+	delete(r.fitting, name)
+	r.mu.Unlock()
 }
 
 // put registers a model, failing on a duplicate name.
 func (r *registry) put(m *servedModel) bool {
-	sh := r.shard(m.name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.models[m.name]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.models[m.name]; ok {
 		return false
 	}
-	sh.models[m.name] = m
+	r.models[m.name] = m
 	return true
 }
 
 // remove unregisters a model whose batcher has already been joined,
-// folding its final counters into the shard's retired totals in the same
-// critical section — stats reading this shard never sees the counters
-// move backwards.
+// folding its final counters into the retired totals in the same critical
+// section — stats never see the counters move backwards.
 func (r *registry) remove(m *servedModel) bool {
-	sh := r.shard(m.name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.models[m.name]; !ok || cur != m {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.models[m.name]; !ok || cur != m {
 		// A concurrent DELETE won the fold.
 		return false
 	}
-	delete(sh.models, m.name)
-	sh.retiredBatches += m.batcher.batches.Load()
-	sh.retiredBatchedQs += m.batcher.batchedQs.Load()
-	sh.retiredSheds += m.batcher.shed.Load()
-	sh.retiredSLOFlushes += m.batcher.sloFlushes.Load()
-	if mb := m.batcher.maxBatchSeen.Load(); mb > sh.retiredMaxBatch {
-		sh.retiredMaxBatch = mb
+	delete(r.models, m.name)
+	r.retiredBatches += m.batcher.batches.Load()
+	r.retiredBatchedQs += m.batcher.batchedQs.Load()
+	r.retiredSheds += m.batcher.shed.Load()
+	r.retiredSLOFlushes += m.batcher.sloFlushes.Load()
+	if mb := m.batcher.maxBatchSeen.Load(); mb > r.retiredMaxBatch {
+		r.retiredMaxBatch = mb
 	}
 	return true
 }
 
 // snapshotAll returns every registered model, name-sorted.
 func (r *registry) snapshotAll() []*servedModel {
-	var out []*servedModel
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.models {
-			out = append(out, m)
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*servedModel, 0, len(r.models))
+	for _, m := range r.models {
+		out = append(out, m)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
 // regTotals are the registry-wide batch statistics: live batchers plus the
-// retired counters of deleted models, each shard read under its own lock.
+// retired counters of deleted models, read under the registry's lock.
 type regTotals struct {
 	models     int
 	batches    int64
@@ -145,28 +113,24 @@ type regTotals struct {
 }
 
 func (r *registry) totals() regTotals {
-	var t regTotals
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		t.models += len(sh.models)
-		t.batches += sh.retiredBatches
-		t.batchedQs += sh.retiredBatchedQs
-		t.sheds += sh.retiredSheds
-		t.sloFlushes += sh.retiredSLOFlushes
-		if sh.retiredMaxBatch > t.maxBatch {
-			t.maxBatch = sh.retiredMaxBatch
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	t := regTotals{
+		models:     len(r.models),
+		batches:    r.retiredBatches,
+		batchedQs:  r.retiredBatchedQs,
+		maxBatch:   r.retiredMaxBatch,
+		sheds:      r.retiredSheds,
+		sloFlushes: r.retiredSLOFlushes,
+	}
+	for _, m := range r.models {
+		t.batches += m.batcher.batches.Load()
+		t.batchedQs += m.batcher.batchedQs.Load()
+		t.sheds += m.batcher.shed.Load()
+		t.sloFlushes += m.batcher.sloFlushes.Load()
+		if mb := m.batcher.maxBatchSeen.Load(); mb > t.maxBatch {
+			t.maxBatch = mb
 		}
-		for _, m := range sh.models {
-			t.batches += m.batcher.batches.Load()
-			t.batchedQs += m.batcher.batchedQs.Load()
-			t.sheds += m.batcher.shed.Load()
-			t.sloFlushes += m.batcher.sloFlushes.Load()
-			if mb := m.batcher.maxBatchSeen.Load(); mb > t.maxBatch {
-				t.maxBatch = mb
-			}
-		}
-		sh.mu.RUnlock()
 	}
 	return t
 }

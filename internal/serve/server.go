@@ -1,5 +1,5 @@
 // Package serve implements the dalia-serve batch inference server: a
-// long-lived HTTP JSON service holding a sharded registry of fitted
+// long-lived HTTP JSON service holding a registry of fitted
 // spatio-temporal models (fit once, serve many) and answering posterior
 // prediction queries through the internal/predict engine. Each model's
 // posterior (latent mean and the selected inverse of Q_c at the mode) is
@@ -549,7 +549,7 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 	}
 	// Join the workers first so their final flushes are counted, then fold
 	// the dead batcher's counters and remove the model in one critical
-	// section — /stats (which reads under the same shard lock) never sees
+	// section — /stats (which reads under the same registry lock) never sees
 	// the counters move backwards. Requests arriving while the batcher
 	// winds down fail with errStopped and are answered 404.
 	m.batcher.shutdown(nil)

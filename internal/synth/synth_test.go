@@ -201,7 +201,7 @@ func TestCountDefaultsConvergeEverySeed(t *testing.T) {
 			}
 			m := ds.Model
 			n, b, a := m.Dims.BTAShape()
-			qc, f, w := bta.NewMatrix(n, b, a), bta.NewFactor(n, b, a), m.NewNewtonWork()
+			f, w := bta.NewFactor(n, b, a), m.NewNewtonWork()
 			theta0, err := m.DecodeTheta(ds.Theta0)
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +209,7 @@ func TestCountDefaultsConvergeEverySeed(t *testing.T) {
 			var centre []float64 // the mode at θ₀, the loop's last θ
 			for _, th := range []*model.Theta{ds.TrueTheta, theta0} {
 				centre = centre[:0]
-				mode, err := m.ConditionalModeInto(th, qc, f, w, nil)
+				mode, err := m.ConditionalModeInto(th, f, w, nil)
 				if err != nil {
 					t.Errorf("nv=%d seed=%d: %v", cfg.Nv, seed, err)
 					continue
@@ -228,7 +228,7 @@ func TestCountDefaultsConvergeEverySeed(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					mode, err := m.ConditionalModeInto(th, qc, f, w, centre)
+					mode, err := m.ConditionalModeInto(th, f, w, centre)
 					if err != nil || !mode.Warm {
 						t.Errorf("nv=%d seed=%d: arm θ₀%+g·e_%d did not converge from the θ₀ mode (err %v)", cfg.Nv, seed, s, i, err)
 					}
