@@ -80,7 +80,7 @@ ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
-# smoke run, the four fast examples and its one pass of the dense kernel, Q_c assembly, BTA solver,
+# smoke run, the quick fig5/x1/x5 solver experiments, the four fast examples and its one pass of the dense kernel, Q_c assembly, BTA solver,
 # mode-search and snapshot prediction benchmarks), race,
 # the race-widths GOMAXPROCS matrix over the partition/replica/kernel
 # fan-out packages,
@@ -88,6 +88,7 @@ ci: fmt-check test race purego
 # cross-build, the end-to-end parity run, then the non-blocking perf smoke.
 ci-local: fmt-check test race
 	$(GO) run ./cmd/dalia-scale -workers 1,4,62 -iters 2
+	$(GO) run ./cmd/dalia-bench -exp=fig5,x1,x5 -quick
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/airpollution
 	$(GO) run ./examples/downscaling

@@ -141,15 +141,15 @@ func BenchmarkAppAirPollution(b *testing.B) {
 	}
 }
 
-// BenchmarkMappingSparseToDense is ablation X1: cached O(nnz) mapping vs
-// naive O(n·b²) densification (§IV-F).
+// BenchmarkMappingSparseToDense is ablation X1: Model.Qc's per-class
+// in-place assembly vs naive O(n·b²) densification (§IV-F).
 func BenchmarkMappingSparseToDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig, err := bench.AblationMapping(true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reportLast(b, fig, "cached mapping", "s-cached")
+		reportLast(b, fig, "per-class assembly", "s-assembly")
 		reportLast(b, fig, "naive densification", "s-naive")
 	}
 }

@@ -9,7 +9,7 @@
 //	dalia-bench -exp=all -quick      # everything, trimmed sweeps
 //
 // Experiments: table1, table4, fig4, fig5, fig6a, fig6b, fig7, app,
-// x1 (mapping), x3 (solver ablation), x5 (lb sweep),
+// x1 (Q_c assembly), x3 (solver ablation), x5 (lb sweep),
 // latency (closed-loop clients against the replicated HTTP serving path:
 // p50/p99/p999 request latency and throughput). Every requested name is
 // checked before anything runs: one unknown name exits 2 and lists the
@@ -64,7 +64,7 @@ var experiments = []experiment{
 	printExp("fig6b", "weak scaling through mesh refinement + memory cap (WA2)", bench.Fig6b, fig),
 	printExp("fig7", "application-level strong scaling (SA1)", bench.Fig7, fig),
 	printExp("app", "air-pollution application study (§VI, AP1)", bench.App, bench.PrintApp),
-	printExp("x1", "ablation: cached vs naive sparse→dense mapping (§IV-F)", bench.AblationMapping, fig),
+	printExp("x1", "ablation: per-class in-place Q_c assembly vs naive densification (§IV-F)", bench.AblationMapping, fig),
 	printExp("x3", "ablation: BTA solver vs general sparse Cholesky", bench.AblationBTAvsSparse, fig),
 	printExp("x5", "ablation: load-balance factor sweep (§V-C)", bench.AblationLB, fig),
 	printExp("latency", "serving tail latency under concurrent closed-loop load (replicated snapshot path)", bench.Latency, bench.PrintLatency),

@@ -3,7 +3,9 @@
 // on the simulated distributed machine and prints the virtual-time report
 // for each width; the plan column reads S1×groups+S3×w, w the ranks of
 // each group that factorize (Plan.SolverWidths; at most
-// bta.MaxPartitions(nt), so a wider group idles its last ranks).
+// bta.MaxPartitions(nt), so a wider group idles its last ranks), which
+// split the time blocks as the shared-memory parallel factor does
+// (bta.Partitions).
 // s/iter is the virtual time of the run divided by its BFGS iterations; an
 // iteration is a line search plus a gradient batch, and the run's first
 // gradient batch at θ0 is charged to it too.
@@ -34,7 +36,6 @@ func main() {
 	meshNx := flag.Int("mesh-nx", 5, "mesh vertices in x")
 	meshNy := flag.Int("mesh-ny", 4, "mesh vertices in y")
 	obs := flag.Int("obs", 15, "observations per time step")
-	lb := flag.Float64("lb", 1.6, "S3 load-balance factor")
 	memcap := flag.Int64("memcap", 0, "modeled device memory in bytes (0 = unlimited)")
 	iters := flag.Int("iters", 1, "BFGS iterations to simulate (at most; a converged search stops early)")
 	seed := flag.Int64("seed", 31, "dataset seed")
@@ -51,9 +52,6 @@ func main() {
 
 	// Validate flag combinations up front — a clear error beats a sweep
 	// that silently ignores an unsupported pair.
-	if *lb < 1 {
-		log.Fatalf("-lb %v: the load-balance factor must be ≥ 1 (1 = even partitions)", *lb)
-	}
 	if *iters < 1 {
 		log.Fatalf("-iters %d: at least one BFGS iteration", *iters)
 	}
@@ -80,7 +78,6 @@ func main() {
 			World:       w,
 			Machine:     dalia.DefaultMachine(),
 			Iterations:  *iters,
-			LB:          *lb,
 			MemCapBytes: *memcap,
 		})
 		if err != nil {

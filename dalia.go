@@ -113,8 +113,9 @@ type (
 	// batch (point workers × parallel-in-time partitions).
 	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run: world
-	// size, machine model, BFGS iteration cap, S3 load-balance factor and
-	// memory cap, and an optional fault plan.
+	// size, machine model, BFGS iteration cap, memory cap and an optional
+	// fault plan. S3 solver ranks split the time blocks as
+	// ParallelBTAFactor does.
 	ClusterConfig = inla.DistConfig
 	// ClusterReport carries the virtual-time statistics and the mode
 	// search result of a run.

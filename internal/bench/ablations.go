@@ -10,16 +10,16 @@ import (
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
-// AblationMapping (X1) compares the cached O(nnz) sparse→block-dense
-// mapping of §IV-F against the naive O(n·b²) densification across growing
-// time horizons.
+// AblationMapping (X1) compares Model.Qc — c(θ) and one block per class,
+// assembled in place, the O(nnz) numeric-only construction of §IV-F —
+// against the naive O(n·b²) densification across growing time horizons.
 func AblationMapping(quick bool) (*Figure, error) {
 	nts := []int{4, 8, 16, 32}
 	if quick {
 		nts = nts[:2]
 	}
-	fig := NewFigure("X1", "Sparse→dense mapping: cached O(nnz) vs naive O(n·b²)", "time steps", "seconds")
-	cached := fig.AddSeries("cached mapping")
+	fig := NewFigure("X1", "Q_c construction: per-class in-place assembly vs naive O(n·b²) densification", "time steps", "seconds")
+	cached := fig.AddSeries("per-class assembly")
 	naive := fig.AddSeries("naive densification")
 	for _, nt := range nts {
 		gen := synth.MB1().Gen
@@ -46,7 +46,7 @@ func AblationMapping(quick bool) (*Figure, error) {
 		naive.Add(float64(nt), tn)
 	}
 	last := len(cached.Y) - 1
-	fig.Note("naive/cached ratio at the largest size: %.1f×", naive.Y[last]/cached.Y[last])
+	fig.Note("naive/per-class ratio at the largest size: %.1f×", naive.Y[last]/cached.Y[last])
 	return fig, nil
 }
 

@@ -93,7 +93,7 @@ func TestAblationMappingQuick(t *testing.T) {
 	naive := fig.Series[1]
 	last := len(cached.Y) - 1
 	if naive.Y[last] <= cached.Y[last] {
-		t.Fatalf("naive densification (%v s) should be slower than the cached mapping (%v s)",
+		t.Fatalf("naive densification (%v s) should be slower than the per-class assembly (%v s)",
 			naive.Y[last], cached.Y[last])
 	}
 }

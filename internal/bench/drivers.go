@@ -262,7 +262,7 @@ func Fig6a(quick bool) (*Figure, error) {
 		}
 		prior := inla.WeakPrior(ds.Theta0, 5)
 		rep, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
-			World: p.w, Machine: comm.DefaultMachine(), Iterations: 1, LB: 1.6,
+			World: p.w, Machine: comm.DefaultMachine(), Iterations: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -340,7 +340,7 @@ func Fig6b(quick bool) (*Figure, error) {
 		prior := inla.WeakPrior(ds.Theta0, 5)
 		rep, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
 			World: lv.w, Machine: comm.DefaultMachine(), Iterations: 1,
-			MemCapBytes: memCap, LB: 1.6,
+			MemCapBytes: memCap,
 		})
 		if err != nil {
 			return nil, err
@@ -390,7 +390,7 @@ func Fig7(quick bool) (*Figure, error) {
 	var t1 float64
 	for _, w := range workers {
 		rep, err := inla.RunDistributed(ds.Model, prior, ds.Theta0, inla.DistConfig{
-			World: w, Machine: comm.DefaultMachine(), Iterations: 1, LB: 1.6,
+			World: w, Machine: comm.DefaultMachine(), Iterations: 1,
 		})
 		if err != nil {
 			return nil, err

@@ -233,11 +233,15 @@ func (m *Matrix) MulVec(x, y []float64) {
 
 // BytesDense reports the densified block storage footprint in bytes —
 // the O(n·b²) memory cost of §IV-C that triggers the S3 memory-cap policy.
-func (m *Matrix) BytesDense() int64 {
-	per := int64(m.B) * int64(m.B) * 8
-	total := int64(m.N)*per + int64(m.N-1)*per
-	if m.A > 0 {
-		total += int64(m.N)*int64(m.A)*int64(m.B)*8 + int64(m.A)*int64(m.A)*8
+func (m *Matrix) BytesDense() int64 { return BytesDense(m.N, m.B, m.A) }
+
+// BytesDense reports the block storage footprint in bytes of an (n, b, a)
+// BTA matrix, from its shape alone.
+func BytesDense(n, b, a int) int64 {
+	per := int64(b) * int64(b) * 8
+	total := int64(n)*per + int64(n-1)*per
+	if a > 0 {
+		total += int64(n)*int64(a)*int64(b)*8 + int64(a)*int64(a)*8
 	}
 	return total
 }

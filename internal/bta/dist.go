@@ -46,19 +46,38 @@ type LocalBTA struct {
 	// once); as Σ it is replicated on every rank.
 	Tip *dense.Matrix
 
+	// View is the slice as a matrix of the global shape, sharing its
+	// storage: Diag, Lower and Arrow at the slice's global indices,
+	// TopCoupling at Lower[Lo−1], the tip on rank 0, every other block nil.
+	// A rank assembles its slice in place through it (model.QcInto skips
+	// nil blocks). Nil on a PPOBTASI output.
+	View *Matrix
+
 	ranks int // partitions (= ranks) of the global list
 }
 
 // NewLocalBTA allocates rank's zeroed slice of an (nGlobal, b, a) matrix,
-// refillable with FillFrom: rank owns partition parts[rank] of the global
-// partition list (e.g. from PartitionBlocks). A rank outside the list is an
-// error.
+// and its View: rank owns partition parts[rank] of the global partition
+// list (e.g. from Partitions). A rank outside the list is an error.
 func NewLocalBTA(parts []Partition, rank, nGlobal, b, a int) (*LocalBTA, error) {
 	if rank < 0 || rank >= len(parts) {
 		return nil, fmt.Errorf("bta: rank %d outside the %d-partition list", rank, len(parts))
 	}
 	l := &LocalBTA{Part: parts[rank], Rank: rank, NGlobal: nGlobal, B: b, A: a, ranks: len(parts)}
 	l.alloc(rank == 0)
+	lo, v := l.Part.Lo, &Matrix{N: nGlobal, B: b, A: a, Tip: l.Tip}
+	v.Diag = make([]*dense.Matrix, nGlobal)
+	v.Lower = make([]*dense.Matrix, nGlobal-1)
+	copy(v.Diag[lo:], l.Diag)
+	copy(v.Lower[lo:], l.Lower)
+	if lo > 0 {
+		v.Lower[lo-1] = l.TopCoupling
+	}
+	if a > 0 {
+		v.Arrow = make([]*dense.Matrix, nGlobal)
+		copy(v.Arrow[lo:], l.Arrow)
+	}
+	l.View = v
 	return l, nil
 }
 
@@ -87,9 +106,10 @@ func (l *LocalBTA) alloc(withTip bool) {
 	}
 }
 
-// LocalSlice extracts rank's slice from a globally assembled matrix (tests
-// and single-host experiment drivers; at paper scale each rank would
-// assemble its slice directly).
+// LocalSlice extracts rank's slice from a globally assembled matrix, for
+// the tests and the solver experiments that factorize a prepared matrix; a
+// distributed evaluation assembles each rank's slice in place through its
+// View instead.
 func LocalSlice(g *Matrix, parts []Partition, rank int) (*LocalBTA, error) {
 	l, err := NewLocalBTA(parts, rank, g.N, g.B, g.A)
 	if err != nil {
@@ -100,10 +120,8 @@ func LocalSlice(g *Matrix, parts []Partition, rank int) (*LocalBTA, error) {
 }
 
 // FillFrom refills the slice from a globally assembled matrix without
-// allocating — the per-θ workspace-reuse primitive of the distributed
-// evaluation loop: the factorization consumes the slice blocks as
-// workspace, so a slice refilled every INLA iteration gives the distributed
-// path the same fixed memory footprint as the sequential Refactorize loop.
+// allocating. The factorization consumes the slice blocks as workspace, so
+// a slice is refilled before every PPOBTAF.
 func (l *LocalBTA) FillFrom(g *Matrix) {
 	lo, hi := l.Part.Lo, l.Part.Hi
 	for k := lo; k <= hi; k++ {

@@ -52,14 +52,9 @@ func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, err
 	if p < 1 {
 		p = 1
 	}
-	parts, err := PartitionBlocks(n, p, defaultLoadBalance)
+	parts, err := Partitions(n, p)
 	if err != nil {
-		// The load-balanced split can fail on tiny block counts where the
-		// even split still fits.
-		parts, err = PartitionBlocks(n, p, 1)
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return newParallelFactor(n, b, a, parts, o.Executor)
 }

@@ -85,6 +85,25 @@ func PartitionBlocks(n, p int, lb float64) ([]Partition, error) {
 	return parts, nil
 }
 
+// defaultLoadBalance is the load-balance factor of Partitions: the first
+// partition runs the cheaper one-sided elimination (no top-boundary
+// updates, §V-C), so it gets ~1.7× the blocks of the two-sided partitions
+// to equalize the per-partition makespan.
+const defaultLoadBalance = 1.7
+
+// Partitions is the split of n diagonal blocks over p ranks that every
+// partitioned solver runs — ParallelFactor's partitions and a distributed
+// S3 solver's ranks: PartitionBlocks at defaultLoadBalance, or the even
+// split where the load-balanced one cannot fit a tiny block count. Every
+// p ≤ MaxPartitions(n) fits.
+func Partitions(n, p int) ([]Partition, error) {
+	parts, err := PartitionBlocks(n, p, defaultLoadBalance)
+	if err != nil {
+		return PartitionBlocks(n, p, 1)
+	}
+	return parts, nil
+}
+
 func maxIdx(sizes []int, skip int) int {
 	best, bi := -1, -1
 	for i, s := range sizes {

@@ -37,12 +37,6 @@ func phaseLabelCtx(ph int) context.Context {
 // relabel swaps the calling goroutine's pprof label set (alloc-free).
 func relabel(ctx context.Context) { pprof.SetGoroutineLabels(ctx) }
 
-// defaultLoadBalance is the load-balance factor ParallelFactor hands to
-// PartitionBlocks: the first partition runs the cheaper one-sided
-// elimination (no top-boundary updates, §V-C), so it gets ~1.7× the blocks
-// of the two-sided partitions to equalize the per-partition makespan.
-const defaultLoadBalance = 1.7
-
 // MaxPartitions returns the largest partition count PartitionBlocks accepts
 // for n diagonal blocks (middle partitions need two boundary blocks, so
 // n ≥ 2p−2).

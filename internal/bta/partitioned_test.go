@@ -182,12 +182,9 @@ func TestOneDriverBitForBit(t *testing.T) {
 		"one partition": {{0, n - 1}},
 	}
 	for p := 2; p <= MaxPartitions(n); p++ {
-		// NewParallelFactor's split: load-balanced, else even.
-		parts, err := PartitionBlocks(n, p, defaultLoadBalance)
+		parts, err := Partitions(n, p) // NewParallelFactor's split
 		if err != nil {
-			if parts, err = PartitionBlocks(n, p, 1); err != nil {
-				t.Fatal(err)
-			}
+			t.Fatal(err)
 		}
 		lists[fmt.Sprintf("P=%d", p)] = parts
 	}

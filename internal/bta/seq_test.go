@@ -328,6 +328,9 @@ func TestBytesDense(t *testing.T) {
 	if m.BytesDense() != want {
 		t.Fatalf("BytesDense = %d want %d", m.BytesDense(), want)
 	}
+	if got := BytesDense(4, 3, 2); got != want {
+		t.Fatalf("BytesDense(4, 3, 2) = %d want %d", got, want)
+	}
 }
 
 func TestQuickFactorSolveResidual(t *testing.T) {

@@ -358,11 +358,10 @@ func (c *Comm) Compute(f func()) {
 }
 
 // Measure runs f under the world's compute lock and returns its wall time
-// WITHOUT charging any rank's clock. It exists for shared-memory
-// deduplication: when several simulated ranks share one real computation
-// (e.g. matrix assembly that the real system would perform distributed),
-// the caller measures once and charges each rank a modeled share via
-// Elapse. Running under the lock keeps the measurement clean of
+// WITHOUT charging any rank's clock. It exists for modeled charges: the
+// caller measures work the real system would run otherwise (e.g. two
+// halves of an evaluation run side by side) and charges the modeled time
+// via Elapse. Running under the lock keeps the measurement clean of
 // cross-goroutine scheduling noise.
 func (c *Comm) Measure(f func()) float64 {
 	w := c.shared.world

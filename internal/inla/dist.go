@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
@@ -99,36 +98,10 @@ func (p Plan) GroupOf(rank int) int {
 	return p.Groups - 1
 }
 
-// assemblyCell deduplicates the (shared-memory) assembly of Q_c and the
-// conditional right-hand side at one θ for the ranks of one S3 solver: the
-// first arriving rank assembles into an arena drawn from the run's pool,
-// everyone shares the result, and each rank is charged dt/P virtual
-// seconds — modeling the O(nnz/P) distributed construction/mapping of
-// §IV-F.
-type assemblyCell struct {
-	once  sync.Once
-	refs  int // ranks holding the cell, under distRun.mu
-	t     *model.Theta
-	arena *cellArena
-	dt    float64
-	err   error
-}
-
-// cellArena is the pooled storage of an assembly cell: Q_c and the
-// evaluation's vectors, whose μ holds the right-hand side, then μ, and
-// whose others are the solver root's scratch for closeFobj. It holds no
-// factor: each solver rank factorizes its own slice.
-type cellArena struct {
-	qc *bta.Matrix
-	evalVectors
-}
-
 // DistConfig configures a simulated distributed INLA run.
 type DistConfig struct {
 	World   int
 	Machine comm.Machine
-	// LB is the S3 load-balance factor (1 = even partitions).
-	LB float64
 	// MemCapBytes models per-device memory (0 = unlimited).
 	MemCapBytes int64
 	// Iterations caps the BFGS iterations of the mode search
@@ -206,20 +179,14 @@ func RunDistributed(m *model.Model, prior Prior, theta0 []float64, cfg DistConfi
 }
 
 // distRun is what the ranks of one RunDistributed call share: the model,
-// the configuration, the planner's inputs, the assembly registry and the
-// pool of assembly arenas.
+// the configuration and the planner's inputs.
 type distRun struct {
 	m          *model.Model
 	prior      Prior
 	cfg        DistConfig
-	lb         float64
 	nfeval     int
 	qcBytes    int64
 	maxShrinks int // negative: none
-
-	mu     sync.Mutex
-	cells  map[string]*assemblyCell // by S1 group and θ, while an evaluation is open
-	arenas sync.Pool                // *cellArena
 }
 
 func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (*distRun, error) {
@@ -232,50 +199,17 @@ func newDistRun(m *model.Model, prior Prior, theta0 []float64, cfg DistConfig) (
 	if _, err := m.DecodeTheta(theta0); err != nil {
 		return nil, err
 	}
-	n, b, a := m.Dims.BTAShape()
-	r := &distRun{m: m, prior: prior, cfg: cfg, lb: max(1, cfg.LB), nfeval: 2*len(theta0) + 1,
-		qcBytes: bta.NewMatrix(n, b, a).BytesDense(), maxShrinks: cfg.MaxShrinks, cells: make(map[string]*assemblyCell)}
+	r := &distRun{m: m, prior: prior, cfg: cfg, nfeval: 2*len(theta0) + 1,
+		qcBytes: bta.BytesDense(m.Dims.BTAShape()), maxShrinks: cfg.MaxShrinks}
 	if r.maxShrinks == 0 {
 		r.maxShrinks = cfg.World - 1
 	}
-	r.arenas.New = func() any { return &cellArena{qc: bta.NewMatrix(n, b, a), evalVectors: newEvalVectors(m)} }
 	return r, nil
 }
 
 func (r *distRun) planFor(world int) Plan {
 	_, b, a := r.m.Dims.BTAShape()
 	return MakePlan(world, r.nfeval, r.qcBytes, r.cfg.MemCapBytes, r.m.Dims.Nt, b, a)
-}
-
-// cell returns the assembly cell of θ on S1 group g and its key, creating
-// the cell for the first rank to ask. Every rank of the group's solver
-// asks before its factorization, which none finishes alone, so no rank
-// releases the cell before its last sibling holds it.
-func (r *distRun) cell(g int, theta []float64) (string, *assemblyCell) {
-	key := fmt.Sprintf("%d:%x", g, theta)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.cells[key]
-	if !ok {
-		c = &assemblyCell{}
-		r.cells[key] = c
-	}
-	c.refs++
-	return key, c
-}
-
-// release drops a rank's hold on c; the last one forgets the cell and
-// returns its arena to the pool.
-func (r *distRun) release(key string, c *assemblyCell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c.refs--; c.refs > 0 {
-		return
-	}
-	delete(r.cells, key)
-	if c.arena != nil {
-		r.arenas.Put(c.arena)
-	}
 }
 
 // commEvaluator is one rank's Evaluator over the simulated machine.
@@ -298,35 +232,33 @@ type commEvaluator struct {
 	g     int // this rank's S1 group
 	group *comm.Comm
 	// solver is the group's first P = plan.SolverWidths[g] ranks, one time
-	// partition each (parts); nil on the group's other ranks.
+	// partition each (parts, bta.Partitions' split); nil on the group's
+	// other ranks.
 	solver *comm.Comm
 	parts  []bta.Partition
 	// The rank's solver state for this topology, built on first use: the
-	// sequential arena of a one-rank solver, or the local slice and the
-	// distributed factor of a wider one.
+	// sequential arena of a one-rank solver, or the local slice, the
+	// distributed factor and the evaluation's vectors of a wider one.
 	ws      *solverScratch
 	local   *bta.LocalBTA
 	fac     *bta.DistFactor
+	vec     evalVectors
 	shrinks int
 	err     error
 }
 
 // join plans the S1 groups over world and gives this rank its group, its
 // S3 solver and fresh solver state; a shrink joins the survivors' world.
+// A solver width is at most bta.MaxPartitions(nt), which the split always
+// fits; a split error would be kept on err like a fault past recovery.
 func (e *commEvaluator) join(world *comm.Comm) {
 	e.world = world
 	e.plan = e.run.planFor(world.Size())
 	e.g = e.plan.GroupOf(world.Rank())
 	e.group = world.Split(e.g, world.Rank())
 	e.ws, e.local, e.fac = nil, nil, nil
-	nt := e.run.m.Dims.Nt
 	p := e.plan.SolverWidths[e.g]
-	var err error
-	if e.parts, err = bta.PartitionBlocks(nt, p, e.run.lb); err != nil {
-		// The load-balanced split can fail on tiny block counts; the even
-		// split fits every p ≤ MaxPartitions(nt).
-		e.parts, _ = bta.PartitionBlocks(nt, p, 1)
-	}
+	e.parts, e.err = bta.Partitions(e.run.m.Dims.Nt, p)
 	e.solver = e.group
 	if p < e.group.Size() {
 		// Color 0: the group's first p ranks; 1: the ranks that sit out.
@@ -384,11 +316,11 @@ func (e *commEvaluator) StencilPlan(width int) SharedPlan {
 
 // evalFobj evaluates −fobj(θ) on this rank's S1 group with the arithmetic
 // of evalFobjScratch. A one-rank solver runs evalFobjScratch on the rank's
-// own arena. A wider solver shares one Q_c assembly, runs one PPOBTAF and
-// one PPOBTAS over its time partitions, and gathers μ on its root, which
-// alone runs closeFobj. The value, +Inf for an infeasible point, is valid
-// on the group's rank 0 (the solver root); ranks outside the solver do
-// nothing.
+// own arena. On a wider solver each rank assembles its own slice of Q_c in
+// place and the right-hand side (§IV-F), the solver runs one PPOBTAF and
+// one PPOBTAS over its time partitions, and its root gathers μ and alone
+// runs closeFobj. The value, +Inf for an infeasible point, is valid on the
+// group's rank 0 (the solver root); ranks outside the solver do nothing.
 func (e *commEvaluator) evalFobj(theta []float64) float64 {
 	solver, m, prior := e.solver, e.run.m, e.run.prior
 	if solver == nil {
@@ -407,41 +339,36 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		return -parts.F()
 	}
 
-	// Shared assembly, charged as dt/P per solver rank (§IV-F). Measured
-	// under the compute lock so the wall time is not inflated by other
-	// simulated ranks.
+	n, b, a := m.Dims.BTAShape()
 	var err error
-	key, cell := e.run.cell(e.g, theta)
-	defer e.run.release(key, cell)
-	cell.once.Do(func() {
-		if cell.t, cell.err = m.DecodeTheta(theta); cell.err == nil {
-			cell.arena = e.run.arenas.Get().(*cellArena)
-			cell.dt = solver.Measure(func() {
-				if cell.err = m.QcInto(cell.t, cell.arena.qc); cell.err == nil {
-					m.CondRHSInto(cell.t, cell.arena.mu, cell.arena.pm, cell.arena.obs)
-				}
-			})
+	if e.fac == nil {
+		if e.local, err = bta.NewLocalBTA(e.parts, solver.Rank(), n, b, a); err != nil {
+			return math.Inf(1)
+		}
+		if e.fac, err = bta.NewDistFactor(e.local); err != nil {
+			return math.Inf(1)
+		}
+		e.vec = newEvalVectors(m)
+	}
+	// Each rank's own work, on its own clock: decode θ (every rank fails
+	// alike), assemble its slice of Q_c in place, build the right-hand side.
+	var t *model.Theta
+	v := &e.vec
+	solver.Compute(func() {
+		if t, err = m.DecodeTheta(theta); err == nil {
+			if err = m.QcInto(t, e.local.View); err == nil {
+				m.CondRHSInto(t, v.mu, v.pm, v.obs)
+			}
 		}
 	})
-	if cell.err != nil {
-		return math.Inf(1) // every rank observes the same failure
-	}
-	solver.Elapse(cell.dt / float64(solver.Size()))
-	n, b, a := m.Dims.BTAShape()
-	if e.fac == nil {
-		if e.local, err = bta.NewLocalBTA(e.parts, solver.Rank(), n, b, a); err == nil {
-			e.fac, err = bta.NewDistFactor(e.local)
-		}
-	}
-	if err == nil {
-		e.local.FillFrom(cell.arena.qc)
-		err = bta.PPOBTAF(solver, e.fac, e.local)
-	}
 	if err != nil {
 		return math.Inf(1)
 	}
-	tip, rhs, span := n*b, cell.arena.mu, e.local.Part
-	x, xTip, err := bta.PPOBTAS(solver, e.fac, rhs[span.Lo*b:(span.Hi+1)*b], rhs[tip:tip+a])
+	if err = bta.PPOBTAF(solver, e.fac, e.local); err != nil {
+		return math.Inf(1)
+	}
+	tip, span := n*b, e.local.Part
+	x, xTip, err := bta.PPOBTAS(solver, e.fac, v.mu[span.Lo*b:(span.Hi+1)*b], v.mu[tip:tip+a])
 	if err != nil {
 		return math.Inf(1)
 	}
@@ -449,16 +376,14 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 	if solver.Rank() != 0 {
 		return 0
 	}
-	// Every rank has read its right-hand side before the gather completes,
-	// so μ overwrites it.
-	mu, off := rhs, 0
+	off := 0
 	for _, part := range gathered {
-		off += copy(mu[off:], part)
+		off += copy(v.mu[off:], part)
 	}
-	copy(mu[tip:], xTip)
+	copy(v.mu[tip:], xTip)
 	logDetQc := e.fac.LogDet()
 	var parts FobjParts
-	solver.Compute(func() { parts, err = closeFobj(m, prior, cell.t, theta, mu, logDetQc, &cell.arena.evalVectors) })
+	solver.Compute(func() { parts, err = closeFobj(m, prior, t, theta, v.mu, logDetQc, v) })
 	if err != nil {
 		return math.Inf(1)
 	}

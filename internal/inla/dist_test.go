@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/dalia-hpc/dalia/internal/bta"
 	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
@@ -344,41 +345,56 @@ func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
 	}
 }
 
-// Each group drops a θ's assembled matrices once its evaluation has
-// closed, so no cell outlives the batch that created it. World 18 is nine
-// groups of two, each a two-rank S3 solver sharing one assembly per point.
-func TestCommEvaluatorFreesAssemblyCells(t *testing.T) {
-	ds, prior := chaosDataset(t)
-	const world = 18
-	run, err := newDistRun(ds.Model, prior, ds.Theta0, DistConfig{World: world, Machine: comm.DefaultMachine()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := func() int {
-		run.mu.Lock()
-		defer run.mu.Unlock()
-		return len(run.cells)
-	}
-	_, err = comm.Run(world, comm.DefaultMachine(), nil, func(c *comm.Comm) error {
-		e := &commEvaluator{run: run}
-		e.join(c)
-		theta := append([]float64(nil), ds.Theta0...)
-		for batch := 0; batch < 3; batch++ {
-			theta[0] += 0.01
-			e.EvalBatch(gradientPoints(theta, 1e-3))
-			// Past the batch's world reduction every group has closed
-			// every evaluation of the batch; the barriers keep the next
-			// batch from starting before every rank has counted.
-			c.Barrier()
-			if n := live(); n != 0 {
-				return fmt.Errorf("rank %d: %d assembly cells live after batch %d", c.Rank(), n, batch)
-			}
-			c.Barrier()
+// A wide S3 solver evaluates with ParallelFactor's arithmetic at the same
+// width: its ranks split the time blocks by bta.Partitions, as
+// ParallelFactor does, assemble their slices in place and factorize over
+// the one partitioned driver. So −F at θ0 equals evalFobjScratch over P
+// partitions bit for bit. A memory cap between the P−1 and the P working
+// sets makes World P one group of P solver ranks.
+func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
+	for _, c := range []struct {
+		nv, nt, nx, ny int
+		seed           int64
+		p              int
+	}{{1, 8, 3, 3, 5, 2}, {3, 8, 3, 3, 5, 2}, {2, 12, 5, 4, 7, 3}} {
+		label := fmt.Sprintf("nv=%d nt=%d P=%d", c.nv, c.nt, c.p)
+		ds, err := synth.Generate(synth.GenConfig{
+			Nv: c.nv, Nt: c.nt, Nr: 1, MeshNx: c.nx, MeshNy: c.ny, ObsPerStep: 10, Seed: c.seed,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		prior := WeakPrior(ds.Theta0, 5)
+		n, b, a := ds.Model.Dims.BTAShape()
+		cfg := DistConfig{World: c.p, Machine: comm.DefaultMachine(),
+			MemCapBytes: nodeWorkingSetBytes(bta.BytesDense(n, b, a), c.p, b, a)}
+		run, err := newDistRun(ds.Model, prior, ds.Theta0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := run.planFor(c.p); plan.Groups != 1 || plan.SolverWidths[0] != c.p {
+			t.Fatalf("%s: plan %+v, want one group of %d solver ranks", label, plan, c.p)
+		}
+		parts, err := evalFobjScratch(ds.Model, prior, ds.Theta0, solverSpec{parts: c.p}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := -parts.F()
+		_, err = comm.Run(c.p, cfg.Machine, nil, func(cm *comm.Comm) error {
+			e := &commEvaluator{run: run}
+			e.join(cm)
+			got := e.EvalBatch([][]float64{ds.Theta0})[0]
+			if e.err != nil {
+				return e.err
+			}
+			if got != want {
+				return fmt.Errorf("%s rank %d: −F = %v, ParallelFactor's %v", label, cm.Rank(), got, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

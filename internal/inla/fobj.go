@@ -295,7 +295,7 @@ type BTAEvaluator struct {
 	// an evaluation factorizes Q_c alone. When set, PlanBatch turns half of
 	// a point's spare cores into partitions instead of all of them; Fit and
 	// the benchmark set it, so dropping it changes partition widths and
-	// belongs with the solver-configuration work (ROADMAP items 1 and 6).
+	// belongs with the solver-configuration work (ROADMAP item 6).
 	S2 bool
 	// partitions pins the parallel-in-time width, a test seam: 0 schedules
 	// it per batch (PlanBatch: wide batches sequential, narrow batches

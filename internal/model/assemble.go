@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
+	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 	"github.com/dalia-hpc/dalia/internal/spde"
 )
@@ -325,12 +326,16 @@ func writePrior(fw *fillWork, entries [][]priorEntry, class int, d []float64) {
 }
 
 // fillPrior writes the prior part of Q_c — Q_p, with fw.w scaling the
-// data term still to come — into every position of out: each class's
-// first block from its entries, copied into the class's other blocks; the
-// arrow zeroed; the tip zeroed but for its fixed-effect diagonal.
+// data term still to come — into every position of out's non-nil blocks:
+// each class's first block from its entries, copied into the class's other
+// blocks; the arrow zeroed; the tip zeroed but for its fixed-effect
+// diagonal.
 func (m *Model) fillPrior(fw *fillWork, out *bta.Matrix) {
 	var first [spde.NumBlockClasses][]float64
 	fill := func(class int, d []float64) {
+		if d == nil {
+			return
+		}
 		if f := first[class]; f != nil {
 			copy(d, f)
 			return
@@ -340,13 +345,13 @@ func (m *Model) fillPrior(fw *fillWork, out *bta.Matrix) {
 		first[class] = d
 	}
 	for t, blk := range out.Diag {
-		fill(spde.BlockClass(t, t, out.N), blk.Data)
+		fill(spde.BlockClass(t, t, out.N), blockData(blk))
 	}
 	for _, blk := range out.Lower {
-		fill(spde.BlockOff, blk.Data)
+		fill(spde.BlockOff, blockData(blk))
 	}
 	for _, blk := range out.Arrow {
-		clear(blk.Data)
+		clear(blockData(blk))
 	}
 	if out.Tip != nil {
 		clear(out.Tip.Data)
@@ -355,33 +360,45 @@ func (m *Model) fillPrior(fw *fillWork, out *bta.Matrix) {
 }
 
 // addData adds fw.w[i·nv+j]·data[symPair(i,j)·stride + g] at every AᵀA
-// entry g of out. The Gaussian term passes the Gram values with stride 0
-// and W as the scale; the count term passes per-pair values with unit
-// scale.
+// entry g of out's non-nil blocks. The Gaussian term passes the Gram
+// values with stride 0 and W as the scale; the count term passes per-pair
+// values with unit scale.
 func (m *Model) addData(fw *fillWork, data []float64, stride int, out *bta.Matrix) {
 	fw.blocks = fw.blocks[:0]
 	for _, blk := range out.Diag {
-		fw.blocks = append(fw.blocks, blk.Data)
+		fw.blocks = append(fw.blocks, blockData(blk))
 	}
 	for _, blk := range out.Lower {
-		fw.blocks = append(fw.blocks, blk.Data)
+		fw.blocks = append(fw.blocks, blockData(blk))
 	}
 	for _, blk := range out.Arrow {
-		fw.blocks = append(fw.blocks, blk.Data)
+		fw.blocks = append(fw.blocks, blockData(blk))
 	}
-	if out.Tip != nil {
-		fw.blocks = append(fw.blocks, out.Tip.Data)
+	if out.A > 0 {
+		fw.blocks = append(fw.blocks, blockData(out.Tip))
 	}
 	for i := range m.dataRuns {
 		r := &m.dataRuns[i]
 		d, w, dt := fw.blocks[r.blk], fw.w[r.pair], data[int(r.sym)*stride:]
+		if d == nil {
+			continue
+		}
 		for _, e := range r.entries {
 			d[e.off] += w * dt[e.gram]
 		}
 	}
 }
 
-// assemble writes Q_c (noise) or Q_p into every position of out.
+// blockData is blk's storage, nil for a block out of a slice's View.
+func blockData(blk *dense.Matrix) []float64 {
+	if blk == nil {
+		return nil
+	}
+	return blk.Data
+}
+
+// assemble writes Q_c (noise) or Q_p into every position of out's non-nil
+// blocks.
 func (m *Model) assemble(t *Theta, noise bool, out *bta.Matrix) error {
 	if err := m.checkShape(out); err != nil {
 		return err
@@ -457,6 +474,8 @@ func (m *Model) Qc(t *Theta) (*bta.Matrix, error) {
 
 // QcInto assembles the conditional precision into every position of an
 // existing BTA workspace — whatever it held, a factor's or a Σ's contents
-// included: c(θ), one block per class, copies, then the data term.
-// Allocation-free and safe for concurrent use with distinct workspaces.
+// included: c(θ), one block per class, copies, then the data term. A nil
+// block is skipped, so a rank's bta.LocalBTA.View receives exactly its
+// slice. Allocation-free and safe for concurrent use with distinct
+// workspaces.
 func (m *Model) QcInto(t *Theta, out *bta.Matrix) error { return m.assemble(t, true, out) }

@@ -1,10 +1,12 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
+	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/sparse"
 )
 
@@ -189,6 +191,70 @@ func TestNaiveDensifyMatchesCachedMapping(t *testing.T) {
 	}
 	if !fastP.ToDense().Equal(naiveP.ToDense(), 1e-12) {
 		t.Fatal("Q_p paths disagree")
+	}
+}
+
+// Each rank of a distributed solver assembles its slice of Q_c in place
+// through its View: at every rank of every width, QcInto over the View
+// writes the slice's diagonal, lower and arrow blocks, its coupling to the
+// previous rank and, on rank 0, the tip with the bits LocalSlice copies
+// out of the global assembly. The slice is poisoned first, so a position
+// the assembly skips fails the comparison.
+func TestQcIntoSliceViewMatchesGlobal(t *testing.T) {
+	for _, c := range []struct{ nv, nt, nr int }{{1, 8, 1}, {3, 8, 1}, {2, 6, 0}} {
+		m, th := testModelWith(t, c.nv, c.nt, c.nr)
+		g, err := m.Qc(th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 1; p <= bta.MaxPartitions(c.nt); p++ {
+			parts, err := bta.Partitions(c.nt, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := range parts {
+				label := fmt.Sprintf("nv=%d nt=%d a=%d P=%d rank %d", c.nv, c.nt, g.A, p, rank)
+				want, err := bta.LocalSlice(g, parts, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := bta.NewLocalBTA(parts, rank, g.N, g.B, g.A)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks := func(l *bta.LocalBTA) []*dense.Matrix {
+					out := append(append(append([]*dense.Matrix{}, l.Diag...), l.Lower...), l.Arrow...)
+					return append(out, l.TopCoupling, l.Tip)
+				}
+				for _, blk := range blocks(got) {
+					if blk != nil {
+						for i := range blk.Data {
+							blk.Data[i] = math.NaN()
+						}
+					}
+				}
+				if err := m.QcInto(th, got.View); err != nil {
+					t.Fatal(err)
+				}
+				wb, gb := blocks(want), blocks(got)
+				if len(wb) != len(gb) {
+					t.Fatalf("%s: %d blocks, LocalSlice %d", label, len(gb), len(wb))
+				}
+				for i := range wb {
+					if (wb[i] == nil) != (gb[i] == nil) {
+						t.Fatalf("%s: block %d present %v, LocalSlice %v", label, i, gb[i] != nil, wb[i] != nil)
+					}
+					if wb[i] == nil {
+						continue
+					}
+					for k, v := range wb[i].Data {
+						if math.Float64bits(gb[i].Data[k]) != math.Float64bits(v) {
+							t.Fatalf("%s: block %d entry %d = %v, global assembly %v", label, i, k, gb[i].Data[k], v)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
