@@ -80,7 +80,8 @@ ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
-# smoke run, the quick fig5/x1/x5 solver experiments, the four fast examples and its one pass of the dense kernel, Q_c assembly, BTA solver,
+# smoke run, the quick fig5/x1/x5 solver experiments, the four fast examples, the traced
+# fit_tri_gauss benchmark run and its one pass of the dense kernel, Q_c assembly, BTA solver,
 # mode-search and snapshot prediction benchmarks), race,
 # the race-widths GOMAXPROCS matrix over the partition/replica/kernel
 # fan-out packages,
@@ -93,6 +94,7 @@ ci-local: fmt-check test race
 	$(GO) run ./examples/airpollution
 	$(GO) run ./examples/downscaling
 	$(GO) run ./examples/diseasecounts
+	$(GO) run ./benchmark --workload fit_tri_gauss --seed 1 --trace 1
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dense
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/model
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bta

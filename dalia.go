@@ -272,9 +272,11 @@ func WeakPrior(center []float64, sd float64) Prior { return inla.WeakPrior(cente
 // DefaultFitOptions returns the standard INLA fit configuration.
 func DefaultFitOptions() FitOptions { return inla.DefaultFitOptions() }
 
-// Fit runs the complete INLA procedure: BFGS mode search with parallel
-// central-difference gradients, hyperparameter uncertainty via the Hessian
-// at the mode, latent posterior via selected inversion.
+// Fit runs the complete INLA procedure: BFGS mode search (a Gaussian
+// model's gradient exact from one Laplace step and a selected inversion, a
+// count model's from parallel central differences), hyperparameter
+// uncertainty via the Hessian at the mode, latent posterior via selected
+// inversion.
 func Fit(m *Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	return inla.Fit(m, prior, theta0, opts)
 }

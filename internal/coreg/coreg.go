@@ -90,6 +90,48 @@ func NewLambda(sigmas, lambdas []float64) (*Lambda, error) {
 	return l, nil
 }
 
+// CoregDerivInto writes ∂Λ_c/∂λ_q into dst (nv×nv) at the given scales
+// and coupling parameters (ordered as NewLambda's). P is a product of
+// elementary factors I + λ·E_ij, each λ in exactly one of them, so ∂P/∂λ_q
+// is the same product with factor q replaced by E_ij, and
+// ∂Λ_c = ∂P·diag(σ). Allocation-free.
+func CoregDerivInto(sigmas, lambdas []float64, q int, dst *dense.Matrix) {
+	nv := len(sigmas)
+	dst.Zero()
+	for i := 0; i < nv; i++ {
+		dst.Set(i, i, 1)
+	}
+	apply := func(k, i, j int) {
+		if k != q {
+			applyElementary(dst, i, j, lambdas[k])
+			return
+		}
+		// E_ij·X: row i becomes row j of X, every other row zero.
+		copy(dst.Row(i), dst.Row(j))
+		for r := 0; r < nv; r++ {
+			if r != i {
+				clear(dst.Row(r))
+			}
+		}
+	}
+	idx := nv - 1
+	for band := 2; band < nv; band++ {
+		for i := band; i < nv; i++ {
+			apply(idx, i, i-band)
+			idx++
+		}
+	}
+	for i := 1; i < nv; i++ {
+		apply(i-1, i, i-1)
+	}
+	for i := 0; i < nv; i++ {
+		row := dst.Row(i)
+		for j := range row {
+			row[j] *= sigmas[j]
+		}
+	}
+}
+
 func applyElementary(p *dense.Matrix, i, j int, lam float64) {
 	ri, rj := p.Row(i), p.Row(j)
 	for c := range ri {

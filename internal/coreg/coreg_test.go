@@ -307,3 +307,43 @@ func TestQuickLambdaInverseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCoregDerivMatchesDifferences: Λ_c is affine in each coupling
+// parameter, so a central difference of unit step is its derivative up to
+// rounding; CoregDerivInto must agree with it for nv = 2, 3 and 4.
+func TestCoregDerivMatchesDifferences(t *testing.T) {
+	for _, nv := range []int{2, 3, 4} {
+		sig := make([]float64, nv)
+		lam := make([]float64, NumLambdas(nv))
+		for i := range sig {
+			sig[i] = 0.7 + 0.3*float64(i)
+		}
+		for i := range lam {
+			lam[i] = 0.4 - 0.3*float64(i)
+		}
+		got := dense.New(nv, nv)
+		for q := range lam {
+			CoregDerivInto(sig, lam, q, got)
+			l0 := lam[q]
+			lam[q] = l0 + 1
+			up, err := NewLambda(sig, lam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lam[q] = l0 - 1
+			dn, err := NewLambda(sig, lam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lam[q] = l0
+			for i := 0; i < nv; i++ {
+				for j := 0; j < nv; j++ {
+					want := 0.5 * (up.CoregView().At(i, j) - dn.CoregView().At(i, j))
+					if math.Abs(got.At(i, j)-want) > 1e-14 {
+						t.Fatalf("nv=%d: ∂Λ_c/∂λ_%d[%d,%d] = %v, difference %v", nv, q, i, j, got.At(i, j), want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -57,10 +57,12 @@ type OptResult struct {
 	Theta      []float64
 	F          float64
 	Iterations int
-	// FEvals counts every objective evaluation, including the speculative
-	// line-search candidates past the accepted step (at most k−1 per line
-	// search, k set by the evaluator's core budget — see Minimize), so it
-	// depends on that budget while θ, F and the trace do not.
+	// FEvals counts every point handed to the evaluator: each stencil point
+	// (also when the evaluator answers the stencil as a gradient request,
+	// from one Laplace step) and the speculative line-search candidates past
+	// the accepted step (at most k−1 per line search, k set by the
+	// evaluator's core budget — see Minimize), so it depends on that budget
+	// while θ, F and the trace do not.
 	FEvals    int
 	Trace     []float64 // F value per iteration
 	Converged bool
@@ -319,8 +321,11 @@ func snapshotOpt(st *bfgsState, hInv *dense.Matrix, f float64, iter int, res *Op
 	}).clone()
 }
 
-// Minimize runs BFGS on F(θ) = −fobj(θ) with gradients from parallel
-// central differences evaluated through the Evaluator. Each iteration is an
+// Minimize runs BFGS on F(θ) = −fobj(θ) with gradients from central
+// differences of a stencil batch evaluated through the Evaluator, which may
+// answer it as a gradient request (Evaluator): then the arms' values are
+// first-order and only their differences are the gradient. FEvals counts
+// the stencil's points either way. Each iteration is an
 // Armijo backtracking line search whose batches hold k halving candidate
 // steps — k = StencilPlan(1).Cores / Partitions, the width-1 evaluations
 // the evaluator's plan fits on its cores (1 without a StencilPlanner) — and
@@ -503,7 +508,11 @@ func evalStencil(e Evaluator, pts [][]float64) []float64 {
 }
 
 // hessianStencil builds the 1 + 2d + 4·d(d−1)/2 = 2d² + 1 evaluation points
-// of the second-order central-difference scheme at theta.
+// of the second-order central-difference scheme at theta: the centre,
+// θ − h·e_i before θ + h·e_i for each i, then the off-diagonal quadruples.
+// The minus-first pairs keep every plan-aligned chunk of the batch from
+// reading as a gradient stencil (gradientCentre wants plus first), which
+// an evaluator may answer with first-order values.
 func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]int) {
 	d := len(theta)
 	shift := func(i, j int, si, sj float64) []float64 {
@@ -516,7 +525,7 @@ func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]in
 	}
 	pts = append(pts, append([]float64(nil), theta...))
 	for i := 0; i < d; i++ {
-		pts = append(pts, shift(i, -1, 1, 0), shift(i, -1, -1, 0))
+		pts = append(pts, shift(i, -1, -1, 0), shift(i, -1, 1, 0))
 	}
 	for i := 0; i < d; i++ {
 		for j := i + 1; j < d; j++ {
@@ -546,7 +555,7 @@ func HessianAtMode(e Evaluator, theta []float64, h float64) (*dense.Matrix, erro
 	hm := dense.New(d, d)
 	f0 := vals[0]
 	for i := 0; i < d; i++ {
-		hm.Set(i, i, (vals[1+2*i]-2*f0+vals[2+2*i])/(h*h))
+		hm.Set(i, i, (vals[2+2*i]-2*f0+vals[1+2*i])/(h*h))
 	}
 	base := 1 + 2*d
 	for k, ij := range offIdx {

@@ -320,7 +320,9 @@ func TestRunDistributedConvergesToFitMode(t *testing.T) {
 // On width-1 groups a distributed evaluation is evalFobjScratch, the
 // arithmetic of BTAEvaluator, and the line search spreads one candidate per
 // group as BTAEvaluator spreads one per worker. So the distributed fit is
-// Minimize over a BTAEvaluator with one worker per rank, bit for bit.
+// Minimize over a BTAEvaluator with one worker per rank, bit for bit, when
+// that evaluator answers the gradient stencils with real values as the
+// distributed path does: it sees them one point per batch (pointwise).
 func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
 	ds, prior := chaosDataset(t)
 	opt := DefaultOptOptions()
@@ -331,7 +333,7 @@ func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("world %d: %v", world, err)
 		}
-		want, err := Minimize(&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: world}, ds.Theta0, opt)
+		want, err := Minimize(pointwise{&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: world}}, ds.Theta0, opt)
 		if err != nil && !errors.Is(err, ErrLineSearchFailed) {
 			t.Fatalf("world %d: %v", world, err)
 		}

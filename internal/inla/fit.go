@@ -53,10 +53,11 @@ type Result struct {
 	Integrated *IntegratedPosterior
 }
 
-// Fit runs the complete INLA procedure on the model: mode search (BFGS with
-// parallel central differences), hyperparameter uncertainty (Hessian at the
-// mode), and latent posterior extraction (conditional mean and selected
-// inversion of Q_c at the mode).
+// Fit runs the complete INLA procedure on the model: mode search (BFGS; a
+// Gaussian model's gradient stencils are answered from one Laplace step,
+// a count model's by parallel central differences), hyperparameter
+// uncertainty (Hessian at the mode), and latent posterior extraction
+// (conditional mean and selected inversion of Q_c at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior, S2: true}, theta0, opts)
 }

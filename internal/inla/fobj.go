@@ -1,10 +1,12 @@
 // Package inla implements the integrated nested Laplace approximation
 // engine of the paper (§III): the objective function fobj(θ) of Eq. 8, its
-// BFGS optimization with parallel central-difference gradients and batched
-// line-search candidates (layer S1: independent θ-points evaluated
-// concurrently), the solver integration (layer S3, package bta), posterior extraction for
-// the hyperparameters (Hessian at the mode) and for the latent field
-// (selected inversion of Q_c).
+// BFGS optimization with batched line-search candidates (layer S1:
+// independent θ-points evaluated concurrently) and gradients — for a
+// Gaussian model exact, from one Laplace step, a selected inversion and a
+// contraction table (grad.go); for counts and the distributed evaluator
+// parallel central differences — the solver integration (layer S3,
+// package bta), posterior extraction for the hyperparameters (Hessian at
+// the mode) and for the latent field (selected inversion of Q_c).
 //
 // One evaluation of fobj factorizes one BTA matrix, Q_c. The prior's two
 // scalars — log det Q_p and μᵀQ_pμ — are closed forms of the LMC ⊗ temporal
@@ -73,6 +75,11 @@ func (p Prior) LogDensity(theta []float64) float64 {
 	return ll
 }
 
+// dLogDensity is ∂ log p(θ)/∂θ_i.
+func (p Prior) dLogDensity(theta []float64, i int) float64 {
+	return -(theta[i] - p.Mean[i]) / (p.SD[i] * p.SD[i])
+}
+
 // FobjParts carries the per-term decomposition of one objective evaluation
 // (Eq. 8), plus the conditional mean computed on the way.
 type FobjParts struct {
@@ -114,7 +121,8 @@ func newEvalVectors(m *model.Model) evalVectors {
 // solverScratch is the reusable arena of one fobj evaluation: the solver
 // backend of the conditional precision, into whose workspace the Laplace
 // step assembles Q_c, and the evaluation's vectors. It holds no other BTA
-// matrix: the prior's two scalars come in closed form from
+// matrix but the Σ of a Gaussian gradient request, built on the arena's
+// first one: the prior's two scalars come in closed form from
 // model.PriorLogDet / PriorQuad, and a count model's Q_p(θ) lives in its
 // NewtonWork. After warm-up, repeated assemble + factorize + Solve cycles
 // on the same scratch perform zero heap allocations — the
@@ -137,6 +145,8 @@ type solverScratch struct {
 
 	newton *model.NewtonWork  // count models' inner loop, built on first use
 	mode   *model.PoissonMode // count models: the last evaluation's mode, aliasing newton
+
+	grad *gradWork // Gaussian gradient requests (grad.go), built on first use
 }
 
 func newSolverScratch(m *model.Model) *solverScratch {
@@ -267,8 +277,13 @@ func closeFobj(m *model.Model, prior Prior, t *model.Theta, theta, mu []float64,
 // simulator in dist.go, both with one Laplace step per point; the
 // comparators' own arithmetic in package baselines), and Minimize drives
 // every one of them. Infeasible points (non-SPD precision) evaluate to
-// +Inf. The latent posterior is not an evaluator's business: it is
-// latentPosterior of the model, whatever the backend.
+// +Inf. A batch laid out as a central-difference stencil
+// (fillGradientPoints, with or without its centre) is a gradient request:
+// an evaluator may answer its arms with first-order values
+// V(c) ± h_i·∂_iV(c) (BTAEvaluator does for Gaussian models), so only the
+// arms' central differences carry meaning, not the values themselves. The
+// latent posterior is not an evaluator's business: it is latentPosterior
+// of the model, whatever the backend.
 type Evaluator interface {
 	EvalBatch(points [][]float64) []float64
 }
@@ -277,14 +292,17 @@ type Evaluator interface {
 // parallelism across points (S1) and — when the batch is too narrow to fill
 // the cores — across parallel-in-time partitions inside the Q_c
 // factorization (S3, bta.ParallelFactor), following the per-batch
-// SharedPlan. Every worker draws a solverScratch arena from an internal
-// pool, so steady-state batches re-use the precision workspace, factor and
-// vectors instead of re-allocating them at each of the 2·dim(θ)+1
-// evaluations per iteration.
+// SharedPlan. Every worker draws a solverScratch arena from the model's
+// pool (model.Model.ScratchPool), so steady-state batches re-use the
+// precision workspace, factor and vectors instead of re-allocating them at
+// each evaluation, and so do the fits after the first: each builds its own
+// evaluator, and the arenas outlive it.
 //
-// For a count model the arms of a gradient stencil start the inner Newton
-// loop from the x = 0 mode at the stencil's centre instead of from x = 0
-// (evalCountBatch); every other point starts from x = 0.
+// A Gaussian model's gradient stencil is answered from one Laplace step at
+// its centre (evalGradientRequest). For a count model the arms of a
+// gradient stencil start the inner Newton loop from the x = 0 mode at the
+// stencil's centre instead of from x = 0 (evalCountBatch); every other
+// point starts from x = 0.
 type BTAEvaluator struct {
 	Model *model.Model
 	Prior Prior
@@ -306,8 +324,6 @@ type BTAEvaluator struct {
 	// (nil = sched.Shared()), a test seam: private executors let tests
 	// assert shutdown/leak behaviour in isolation.
 	exec *sched.Executor
-
-	scratch sync.Pool // *solverScratch, shape-bound to Model
 
 	// Quarantine bookkeeping: failed θ evaluations (infeasible points,
 	// non-SPD beyond the solver's recovery, escaped panics) are absorbed as
@@ -362,12 +378,17 @@ func (e *BTAEvaluator) LastEvalError() *EvalError {
 	return e.lastEvalErr
 }
 
+// getScratch draws an arena from the model's pool, which every evaluator
+// of the model shares (a fit builds its own evaluator); putScratch returns
+// it.
 func (e *BTAEvaluator) getScratch() *solverScratch {
-	if ws, ok := e.scratch.Get().(*solverScratch); ok {
+	if ws, ok := e.Model.ScratchPool().Get().(*solverScratch); ok {
 		return ws
 	}
 	return newSolverScratch(e.Model)
 }
+
+func (e *BTAEvaluator) putScratch(ws *solverScratch) { e.Model.ScratchPool().Put(ws) }
 
 // cores resolves the evaluator's core budget.
 func (e *BTAEvaluator) cores() int {
@@ -417,16 +438,23 @@ func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
 // factorization partitions per the batch plan. The point bodies are heavy
 // tasks on the shared work-stealing executor — warm workers reused across
 // gradient/Hessian/line-search batches, and tasks from concurrently running
-// batches interleaved on the same cores. A count model's batch laid out as
-// a gradient stencil starts its arms' inner loops from the centre's mode
-// (evalCountBatch); its values then agree with cold evaluations to the
-// inner tolerance and depend only on the points, never on the core budget
-// or on earlier batches.
+// batches interleaved on the same cores.
+//
+// A batch laid out as a gradient stencil is a gradient request. For a
+// Gaussian model it costs one Laplace step at the centre on the sequential
+// factor and one selected inversion, and its arms hold the first-order
+// values V(c) ± h_i·∂_iV(c) with the exact ∂V (evalGradientRequest): only
+// their central differences carry meaning. When the centre fails, every
+// point is evaluated. A count model's stencil starts its arms' inner loops
+// from the centre's mode (evalCountBatch); its values then agree with cold
+// evaluations to the inner tolerance. Either way the values depend only on
+// the points, never on the core budget or on earlier batches.
 func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	out := make([]float64, len(points))
-	if e.Model.Lik == model.LikPoisson {
+	switch {
+	case e.Model.Lik == model.LikPoisson:
 		e.evalCountBatch(points, out)
-	} else {
+	case !e.evalGradientRequest(points, out):
 		e.evalPoints(points, out, nil, nil)
 	}
 	return out
@@ -473,7 +501,7 @@ func (e *BTAEvaluator) evalPoint(theta []float64, spec solverSpec, start, keep [
 	if panicked {
 		return math.Inf(1), err
 	}
-	defer e.scratch.Put(ws) // parts.Mu and ws.mode are dead past this call
+	defer e.putScratch(ws) // parts.Mu and ws.mode are dead past this call
 	if err != nil {
 		return math.Inf(1), err
 	}

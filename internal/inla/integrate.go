@@ -61,8 +61,12 @@ func IntegrateHyper(e Evaluator, posterior func(theta []float64) (mu, variance [
 		pts = append(pts, plus, minus)
 	}
 
-	// Posterior density ratios from −fobj (S1-parallel batch).
-	fvals := e.EvalBatch(pts)
+	// Posterior density ratios from −fobj (S1-parallel batch), the centre
+	// evaluated last: a grid along the coordinate axes (a diagonal Hessian)
+	// laid out centre first is a gradient stencil, which an evaluator may
+	// answer with first-order values.
+	last := e.EvalBatch(append(pts[1:len(pts):len(pts)], pts[0]))
+	fvals := append([]float64{last[2*d]}, last[:2*d]...)
 	f0 := fvals[0]
 	weights := make([]float64, len(pts))
 	var wsum float64

@@ -37,9 +37,11 @@ func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, erro
 // fresh sequential arena — Q_c assembled, for a count model at the
 // conditional mode found by the inner Newton loop, and factorized with
 // POBTAF, μ solved — and, when withSigma is set, the sequential POBTASI
-// for the blocks of Σ = Q_c⁻¹ into a freshly allocated matrix. Everything
-// it returns is owned by the caller, and being sequential it gives the
-// same bits for the same θ whatever the core budget.
+// for the blocks of Σ = Q_c⁻¹: into a freshly allocated matrix, or for a
+// count model into the Newton work's Q_p, which nothing reads once the
+// mode is found. Everything it returns is owned by the caller, and being
+// sequential it gives the same bits for the same θ whatever the core
+// budget.
 func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
 	if t, err = m.DecodeTheta(theta); err != nil {
 		return nil, nil, nil, nil, err
@@ -49,7 +51,11 @@ func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.
 		return nil, nil, nil, nil, err
 	}
 	if withSigma {
-		sigma = bta.NewMatrix(m.Dims.BTAShape())
+		if ws.newton != nil {
+			sigma = ws.newton.Qp()
+		} else {
+			sigma = bta.NewMatrix(m.Dims.BTAShape())
+		}
 		if err := ws.fc.SelectedInversionInto(sigma); err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("inla: selected inversion: %w", err)
 		}

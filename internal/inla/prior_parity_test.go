@@ -90,14 +90,16 @@ func TestFobjMatchesJointRouteOnBenchmarkShapes(t *testing.T) {
 
 // TestFitMatchesJointPriorRoute: the closed forms agree with the joint
 // route to rounding, so a complete fit must walk the same path — same
-// iteration and evaluation counts — to the same mode.
+// iteration and evaluation counts — to the same mode. The joint route
+// evaluates every point, so the closed-form fit here answers its gradient
+// stencils with real values too (pointwise).
 func TestFitMatchesJointPriorRoute(t *testing.T) {
 	for _, nv := range []int{1, 2} {
 		ds := genSmall(t, nv)
 		prior := WeakPrior(ds.Theta0, 5)
 		opts := DefaultFitOptions()
 		opts.Opt.MaxIter = 15
-		got, err := Fit(ds.Model, prior, ds.Theta0, opts)
+		got, err := fitWith(ds.Model, pointwise{&BTAEvaluator{Model: ds.Model, Prior: prior, S2: true}}, ds.Theta0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

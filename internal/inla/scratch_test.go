@@ -108,7 +108,7 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 				}
 			}
 			dense.SetMaxWorkers(prev)
-			e.scratch.Put(ws)
+			e.putScratch(ws)
 		}
 	}
 

@@ -299,6 +299,12 @@ func (m *Model) NewNewtonWork() *NewtonWork {
 	}
 }
 
+// Qp returns the matrix ConditionalModeInto assembles Q_p(θ) into (nil
+// before its first call). Every call reassembles it before reading it, so
+// between calls its storage is free: the latent posterior selects Σ into
+// it.
+func (w *NewtonWork) Qp() *bta.Matrix { return w.qp }
+
 // newtonSystem is what the inner Newton loop needs of a solver: factor
 // assembles the Newton matrix Q_p + AᵀD(η)A at η and factorizes it, solve
 // then computes x = Q_c⁻¹·rhs (both process-major).

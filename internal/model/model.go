@@ -79,9 +79,16 @@ type Model struct {
 	tipPrior   [][]priorEntry                       // per pair: the tip's fixed-effect diagonal
 	dataRuns   []dataRun                            // AᵀA entries of the diagonal, arrow and tip blocks
 	fillPool   sync.Pool                            // *fillWork
+	scratch    sync.Pool                            // callers' model-shaped scratch (ScratchPool)
 
 	count countTables // Poisson data-term tables (likelihood.go)
 }
+
+// ScratchPool is a pool for scratch that depends on the model alone, such
+// as an objective evaluation's solver arena. Every evaluator of the model
+// shares it, so repeated fits of one model reuse their arenas instead of
+// allocating them per fit.
+func (m *Model) ScratchPool() *sync.Pool { return &m.scratch }
 
 // STKind selects the spatio-temporal prior family of the latent processes.
 type STKind int
@@ -292,19 +299,22 @@ func (m *Model) PriorLogDet(t *Theta) (float64, error) {
 	d := m.Dims
 	ld := float64(d.Nv*d.Nr) * math.Log(FixedEffectPriorPrecision)
 	for k, h := range t.Process {
-		var ldk float64
-		var err error
-		if m.ST == STDiffusion {
-			ldk, err = m.Builder.DiffusionLogDet(h)
-		} else {
-			ldk, err = m.Builder.LogDet(h)
-		}
+		ldk, err := m.stLogDet(h)
 		if err != nil {
 			return 0, fmt.Errorf("model: prior of process %d: %w", k, err)
 		}
 		ld += ldk - 2*float64(d.PerProcess())*math.Log(t.Lambda.Sigmas[k])
 	}
 	return ld, nil
+}
+
+// stLogDet is log det of one process's spatio-temporal prior precision
+// under the model's prior family.
+func (m *Model) stLogDet(h spde.Hyper) (float64, error) {
+	if m.ST == STDiffusion {
+		return m.Builder.DiffusionLogDet(h)
+	}
+	return m.Builder.LogDet(h)
 }
 
 // PriorQuad returns xᵀ·Q_p(θ)·x for a latent state in the permuted (BTA)

@@ -216,6 +216,63 @@ func (b *Builder) DiffusionCoeffs(h Hyper) BlockCoeffs {
 	return out
 }
 
+// SeparableCoeffsDeriv returns the derivatives of SeparableCoeffs(h) with
+// respect to log RangeS and log RangeT, in closed form. With κ² ∝ ρ_s⁻²
+// and τ² = 1/(4πκ²σ²(1−a²)), the weights τ²κ⁴, 2τ²κ² and τ² scale as
+// ρ_s⁻², ρ_s⁰ and ρ_s²; a = 0.1^(1/ρ_t) enters through 1/(1−a²) and the
+// temporal factors.
+func (b *Builder) SeparableCoeffsDeriv(h Hyper) (dS, dT BlockCoeffs) {
+	kappa, a, tau := separableParams(h)
+	t2, k2 := tau*tau, kappa*kappa
+	s := [3]float64{t2 * k2 * k2, 2 * t2 * k2, t2}
+	sS := [3]float64{-2 * s[0], 0, 2 * s[2]}
+	// da/dlog ρ_t = −a·ln(0.1)/ρ_t; clipped at 1 − 1e-12, a is flat.
+	var av float64
+	if a < 1-1e-12 {
+		av = -a * math.Log(0.1) / h.RangeT
+	}
+	g := 2 * a * av / (1 - a*a) // dlog(1/(1−a²))/dlog ρ_t
+	tt := [NumBlockClasses]float64{
+		BlockFirst:    temporalDiag(b.Nt, 0, a),
+		BlockInterior: 1 + a*a,
+		BlockLast:     1,
+		BlockOff:      -a,
+	}
+	dtt := [NumBlockClasses]float64{BlockInterior: 2 * a * av, BlockOff: -av}
+	if b.Nt == 1 {
+		dtt[BlockFirst] = -2 * a * av
+	}
+	for c, f := range tt {
+		for x := range s {
+			dS[c][x] = f * sS[x]
+			dT[c][x] = dtt[c]*s[x] + f*g*s[x]
+		}
+	}
+	return dS, dT
+}
+
+// DiffusionCoeffsDeriv returns the derivatives of DiffusionCoeffs(h) with
+// respect to log RangeS and log RangeT, in closed form: κ² ∝ ρ_s⁻²,
+// γΔt ∝ ρ_s²/ρ_t, τ_0² ∝ ρ_s², f ∝ ρ_s⁴/ρ_t and α = 1 + 1/ρ_t.
+func (b *Builder) DiffusionCoeffsDeriv(h Hyper) (dS, dT BlockCoeffs) {
+	kappa, gdt, f, tau0 := diffusionParams(h)
+	k2, t2 := kappa*kappa, tau0*tau0
+	al, be := 1+gdt*k2, gdt
+	alT := -gdt * k2 // dα/dlog ρ_t
+	dS[BlockFirst] = [3]float64{-2 * t2 * k2 * k2, 0, 2 * t2}
+	if b.Nt > 1 {
+		dS[BlockFirst][0] += 4 * f
+		dT[BlockFirst][0] = -f
+	}
+	dS[BlockInterior] = [3]float64{4 * f * (al*al + 1), 12 * f * al * be, 8 * f * be * be}
+	dT[BlockInterior] = [3]float64{-f*(al*al+1) + 2*f*al*alT, 2 * f * be * (alT - 2*al), -3 * f * be * be}
+	dS[BlockLast] = [3]float64{4 * f * al * al, 12 * f * al * be, 8 * f * be * be}
+	dT[BlockLast] = [3]float64{-f*al*al + 2*f*al*alT, 2 * f * be * (alT - 2*al), -3 * f * be * be}
+	dS[BlockOff] = [3]float64{-4 * f * al, -6 * f * be, 0}
+	dT[BlockOff] = [3]float64{f*al - f*alT, 2 * f * be, 0}
+	return dS, dT
+}
+
 // Precision assembles the spatio-temporal prior precision
 // Q_st = T(a) ⊗ Q_s(κ, τ_w) in time-major ordering (variable (t,s) at index
 // t·ns + s), which is block-tridiagonal with nt blocks of size ns.

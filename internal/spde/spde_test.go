@@ -194,3 +194,50 @@ func median(v []float64) float64 {
 func denseInverse(q *sparse.CSR) (*dense.Matrix, error) {
 	return dense.Inverse(q.ToDense())
 }
+
+// TestCoeffsDerivMatchesDifferences holds the closed-form derivatives of
+// both families' block weights, with respect to log ρ_s and log ρ_t, to
+// fourth-order central differences of the weights, at nt = 1, 2 and 5 and
+// at short and long ranges.
+func TestCoeffsDerivMatchesDifferences(t *testing.T) {
+	type family struct {
+		name   string
+		coeffs func(*Builder, Hyper) BlockCoeffs
+		deriv  func(*Builder, Hyper) (BlockCoeffs, BlockCoeffs)
+	}
+	families := []family{
+		{"separable", (*Builder).SeparableCoeffs, (*Builder).SeparableCoeffsDeriv},
+		{"diffusion", (*Builder).DiffusionCoeffs, (*Builder).DiffusionCoeffsDeriv},
+	}
+	for _, fam := range families {
+		for _, nt := range []int{1, 2, 5} {
+			b := testBuilder(nt)
+			for _, h := range []Hyper{{RangeS: 15, RangeT: 2, Sigma: 1}, {RangeS: 120, RangeT: 7, Sigma: 1.3}} {
+				dS, dT := fam.deriv(b, h)
+				for k, want := range []BlockCoeffs{dS, dT} {
+					at := func(s float64) BlockCoeffs {
+						g := h
+						if k == 0 {
+							g.RangeS *= math.Exp(s)
+						} else {
+							g.RangeT *= math.Exp(s)
+						}
+						return fam.coeffs(b, g)
+					}
+					const e = 1e-3
+					p1, m1, p2, m2 := at(e), at(-e), at(2*e), at(-2*e)
+					for c := range want {
+						for x := range want[c] {
+							fd := (8*(p1[c][x]-m1[c][x]) - (p2[c][x] - m2[c][x])) / (12 * e)
+							scale := math.Abs(at(0)[c][x]) + math.Abs(fd)
+							if math.Abs(want[c][x]-fd) > 1e-8*scale {
+								t.Fatalf("%s nt=%d %+v: d/dlog ρ[%d] of class %d term %d = %v, differences %v",
+									fam.name, nt, h, k, c, x, want[c][x], fd)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
