@@ -113,7 +113,13 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 		}
 	}
 
-	_, mu, _, sig, perr := latentPosterior(m, opt.Theta, true)
+	// The search's gradient arena, a sequential factor and a Σ, is dead by
+	// now: the posterior takes it over instead of allocating its own.
+	var ws *solverScratch
+	if be, ok := e.(*BTAEvaluator); ok && be.Model == m {
+		ws = be.grads.Swap(nil)
+	}
+	_, mu, _, sig, perr := latentPosterior(m, opt.Theta, true, ws)
 	if perr != nil {
 		return nil, fmt.Errorf("inla: posterior extraction at the mode: %w", perr)
 	}

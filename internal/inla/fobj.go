@@ -121,8 +121,8 @@ func newEvalVectors(m *model.Model) evalVectors {
 // solverScratch is the reusable arena of one fobj evaluation: the solver
 // backend of the conditional precision, into whose workspace the Laplace
 // step assembles Q_c, and the evaluation's vectors. It holds no other BTA
-// matrix but the Σ of a Gaussian gradient request, built on the arena's
-// first one: the prior's two scalars come in closed form from
+// matrix but, in a gradient arena, the Σ of a Gaussian gradient request:
+// the prior's two scalars come in closed form from
 // model.PriorLogDet / PriorQuad, and a count model's Q_p(θ) lives in its
 // NewtonWork. After warm-up, repeated assemble + factorize + Solve cycles
 // on the same scratch perform zero heap allocations — the
@@ -146,7 +146,7 @@ type solverScratch struct {
 	newton *model.NewtonWork  // count models' inner loop, built on first use
 	mode   *model.PoissonMode // count models: the last evaluation's mode, aliasing newton
 
-	grad *gradWork // Gaussian gradient requests (grad.go), built on first use
+	grad *gradWork // a gradient arena's (grad.go); nil in the others
 }
 
 func newSolverScratch(m *model.Model) *solverScratch {
@@ -292,11 +292,9 @@ type Evaluator interface {
 // parallelism across points (S1) and — when the batch is too narrow to fill
 // the cores — across parallel-in-time partitions inside the Q_c
 // factorization (S3, bta.ParallelFactor), following the per-batch
-// SharedPlan. Every worker draws a solverScratch arena from the model's
-// pool (model.Model.ScratchPool), so steady-state batches re-use the
-// precision workspace, factor and vectors instead of re-allocating them at
-// each evaluation, and so do the fits after the first: each builds its own
-// evaluator, and the arenas outlive it.
+// SharedPlan. Every worker draws a solverScratch arena from an internal
+// pool, so steady-state batches re-use the precision workspace, factor and
+// vectors instead of re-allocating them at each evaluation.
 //
 // A Gaussian model's gradient stencil is answered from one Laplace step at
 // its centre (evalGradientRequest). For a count model the arms of a
@@ -324,6 +322,9 @@ type BTAEvaluator struct {
 	// (nil = sched.Shared()), a test seam: private executors let tests
 	// assert shutdown/leak behaviour in isolation.
 	exec *sched.Executor
+
+	scratch sync.Pool                     // *solverScratch, shape-bound to Model
+	grads   atomic.Pointer[solverScratch] // the idle gradient arena (grad.go), if any
 
 	// Quarantine bookkeeping: failed θ evaluations (infeasible points,
 	// non-SPD beyond the solver's recovery, escaped panics) are absorbed as
@@ -378,17 +379,12 @@ func (e *BTAEvaluator) LastEvalError() *EvalError {
 	return e.lastEvalErr
 }
 
-// getScratch draws an arena from the model's pool, which every evaluator
-// of the model shares (a fit builds its own evaluator); putScratch returns
-// it.
 func (e *BTAEvaluator) getScratch() *solverScratch {
-	if ws, ok := e.Model.ScratchPool().Get().(*solverScratch); ok {
+	if ws, ok := e.scratch.Get().(*solverScratch); ok {
 		return ws
 	}
 	return newSolverScratch(e.Model)
 }
-
-func (e *BTAEvaluator) putScratch(ws *solverScratch) { e.Model.ScratchPool().Put(ws) }
 
 // cores resolves the evaluator's core budget.
 func (e *BTAEvaluator) cores() int {
@@ -501,7 +497,7 @@ func (e *BTAEvaluator) evalPoint(theta []float64, spec solverSpec, start, keep [
 	if panicked {
 		return math.Inf(1), err
 	}
-	defer e.putScratch(ws) // parts.Mu and ws.mode are dead past this call
+	defer e.scratch.Put(ws) // parts.Mu and ws.mode are dead past this call
 	if err != nil {
 		return math.Inf(1), err
 	}
@@ -560,7 +556,7 @@ func (e *BTAEvaluator) runOnExecutor(n, workers int, body func(i int)) {
 // what Fit integrates over the hyperparameter grid. Count models center
 // the Gaussian approximation at the conditional mode.
 func (e *BTAEvaluator) Posterior(theta []float64) ([]float64, []float64, error) {
-	_, mu, _, sig, err := latentPosterior(e.Model, theta, true)
+	_, mu, _, sig, err := latentPosterior(e.Model, theta, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}

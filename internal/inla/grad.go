@@ -18,24 +18,30 @@ import (
 // no assembly per component: one Laplace step and one selected inversion
 // replace the 2d + 1 full evaluations of a stencil.
 
-// gradWork is what an arena needs beyond one evaluation to answer a
-// gradient request, built on its first one: Σ, the contraction table and
-// the gradient ∂V.
+// gradWork is what a gradient arena needs beyond one evaluation to answer
+// a gradient request: Σ, the contraction table and the gradient ∂V.
 type gradWork struct {
 	sigma *bta.Matrix
 	table *model.QcTable
 	dvdth []float64
 }
 
-func (ws *solverScratch) gradient(m *model.Model) *gradWork {
-	if ws.grad == nil {
-		ws.grad = &gradWork{
-			sigma: bta.NewMatrix(m.Dims.BTAShape()),
-			table: m.NewQcTable(),
-			dvdth: make([]float64, m.NumHyper()),
-		}
+// getGradScratch takes the evaluator's idle gradient arena, or builds one
+// with its gradWork. The evaluator keeps one such arena apart from the
+// point evaluations' pool, so that the fit's posterior takes it over
+// (fitWith); of concurrent requests' arenas it keeps the last returned.
+func (e *BTAEvaluator) getGradScratch() *solverScratch {
+	if ws := e.grads.Swap(nil); ws != nil {
+		return ws
 	}
-	return ws.grad
+	m := e.Model
+	ws := newSolverScratch(m)
+	ws.grad = &gradWork{
+		sigma: bta.NewMatrix(m.Dims.BTAShape()),
+		table: m.NewQcTable(),
+		dvdth: make([]float64, m.NumHyper()),
+	}
+	return ws
 }
 
 // evalGradientRequest answers a Gaussian batch laid out as a
@@ -56,8 +62,8 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 	if !ok {
 		return false
 	}
-	ws := e.getScratch()
-	g := ws.gradient(e.Model)
+	ws := e.getGradScratch()
+	g := ws.grad
 	v, ok := func() (v float64, ok bool) {
 		defer func() {
 			// The point-by-point fallback meets the panic again, and
@@ -72,7 +78,7 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 	if ws == nil {
 		return false
 	}
-	defer e.putScratch(ws) // g is dead past this call
+	defer e.grads.Store(ws) // g is dead past this call
 	if !ok {
 		return false
 	}
@@ -109,7 +115,7 @@ func exactGradient(m *model.Model, prior Prior, ws *solverScratch, g *gradWork, 
 	if err := g.table.Contract(g.sigma, mu); err != nil {
 		return 0, err
 	}
-	if err := g.table.Grad(c, g.dvdth); err != nil {
+	if err := g.table.Grad(t, c, ws.obs, g.dvdth); err != nil {
 		return 0, err
 	}
 	for i, dF := range g.dvdth {

@@ -105,28 +105,20 @@ func TestExactGradientMatchesStencil(t *testing.T) {
 // always runs on the sequential factor. The server's fit and the
 // in-process one then agree bit for bit.
 func TestGradientRequestIndependentOfBudget(t *testing.T) {
-	// A model of its own has a fresh arena pool.
-	fresh := func() *model.Model {
-		ds, err := synth.Generate(benchmarkShapes(t)["fit_tri_gauss"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds.Model
-	}
 	ds, err := synth.Generate(benchmarkShapes(t)["fit_tri_gauss"])
 	if err != nil {
 		t.Fatal(err)
 	}
 	prior := WeakPrior(ds.Theta0, 5)
 	pts := stencilAt(ds.Theta0, 1e-3)
-	want := (&BTAEvaluator{Model: fresh(), Prior: prior, Workers: 1}).EvalBatch(pts)
+	want := (&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: 1}).EvalBatch(pts)
 	other := append([]float64(nil), ds.Theta0...)
 	other[0] += 0.3
 	for _, workers := range []int{1, 2, 4} {
 		for _, parts := range []int{0, 1, 2} {
 			for _, pooled := range []bool{false, true} {
 				for _, from := range []int{0, 1} {
-					e := &BTAEvaluator{Model: fresh(), Prior: prior, Workers: workers, partitions: parts, S2: true}
+					e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: workers, partitions: parts, S2: true}
 					if pooled {
 						e.EvalBatch(stencilAt(other, 1e-3))
 						e.EvalBatch(pts[:1])
@@ -294,7 +286,7 @@ func TestCountPosteriorSigmaInNewtonWork(t *testing.T) {
 	allocated := func(withSigma bool) uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, _, _, _, err := latentPosterior(m, ds.Theta0, withSigma); err != nil {
+		if _, _, _, _, err := latentPosterior(m, ds.Theta0, withSigma, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
@@ -321,5 +313,55 @@ func TestCountPosteriorSigmaInNewtonWork(t *testing.T) {
 	}
 	if !slices.Equal(sig.ToDense().Data, want.ToDense().Data) {
 		t.Fatal("Σ selected into the Newton work differs from a fresh selected inversion")
+	}
+}
+
+// TestPosteriorOnGradientArena: the fit's posterior takes over the search's
+// gradient arena and selects Σ into the arena's Σ; its μ and Σ equal a
+// fresh arena's bit for bit, although the arena last answered a request
+// at another θ.
+func TestPosteriorOnGradientArena(t *testing.T) {
+	ds := genSmall(t, 2)
+	m, prior := ds.Model, WeakPrior(ds.Theta0, 5)
+	at := append([]float64(nil), ds.Theta0...)
+	at[0] += 0.3
+	_, wantMu, _, want, err := latentPosterior(m, at, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &BTAEvaluator{Model: m, Prior: prior, Workers: 2}
+	e.EvalBatch(stencilAt(ds.Theta0, 1e-3))
+	ws := e.grads.Swap(nil)
+	if ws == nil {
+		t.Fatal("the evaluator kept no gradient arena")
+	}
+	_, mu, _, sig, err := latentPosterior(m, at, true, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig != ws.grad.sigma {
+		t.Fatal("the posterior allocated its own Σ beside the gradient arena's")
+	}
+	if !slices.Equal(mu, wantMu) || !slices.Equal(sig.ToDense().Data, want.ToDense().Data) {
+		t.Fatal("μ or Σ on the gradient arena differs from a fresh arena's")
+	}
+
+	opts := DefaultFitOptions()
+	opts.Opt.MaxIter = 2
+	opts.SkipHyperUncertainty = true
+	fe := &BTAEvaluator{Model: m, Prior: prior, Workers: 2}
+	res, err := fitWith(m, fe, ds.Theta0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fe.grads.Load() != nil {
+		t.Fatal("the fit's posterior left the gradient arena idle")
+	}
+	_, mu, _, sig, err = latentPosterior(m, res.Theta, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Mu, mu) || !slices.Equal(res.Sigma.ToDense().Data, sig.ToDense().Data) {
+		t.Fatal("the fit's μ or Σ differs from a fresh arena's at its θ")
 	}
 }

@@ -19,7 +19,7 @@ import (
 // The returned factor is freshly allocated and exclusively owned by the
 // caller, while the evaluator pools keep recycling their own.
 func ModeFactor(m *model.Model, theta []float64) (*model.Theta, *bta.Factor, error) {
-	t, _, f, _, err := latentPosterior(m, theta, false)
+	t, _, f, _, err := latentPosterior(m, theta, false, nil)
 	return t, f, err
 }
 
@@ -28,32 +28,38 @@ func ModeFactor(m *model.Model, theta []float64) (*model.Theta, *bta.Factor, err
 // same bits on every call. The prediction layer calls it for a result that
 // carries no Σ (one decoded from a checkpoint, or built by hand).
 func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, error) {
-	t, _, _, sig, err := latentPosterior(m, theta, true)
+	t, _, _, sig, err := latentPosterior(m, theta, true, nil)
 	return t, sig, err
 }
 
 // latentPosterior is the one computation of the Gaussian approximation of
-// the latent posterior at θ (§III): decode θ, run the Laplace step on a
-// fresh sequential arena — Q_c assembled, for a count model at the
-// conditional mode found by the inner Newton loop, and factorized with
-// POBTAF, μ solved — and, when withSigma is set, the sequential POBTASI
-// for the blocks of Σ = Q_c⁻¹: into a freshly allocated matrix, or for a
-// count model into the Newton work's Q_p, which nothing reads once the
-// mode is found. Everything it returns is owned by the caller, and being
-// sequential it gives the same bits for the same θ whatever the core
-// budget.
-func latentPosterior(m *model.Model, theta []float64, withSigma bool) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
+// the latent posterior at θ (§III): decode θ, run the Laplace step on the
+// sequential factor of ws, an arena the caller hands over (nil = a fresh
+// one) — Q_c assembled, for a count model at the conditional mode found by
+// the inner Newton loop, and factorized with POBTAF, μ solved — and, when
+// withSigma is set, the sequential POBTASI for the blocks of Σ = Q_c⁻¹:
+// into the Σ of a gradient arena, for a count model into the Newton work's
+// Q_p, which nothing reads once the mode is found, and otherwise into a
+// freshly allocated matrix. Everything it returns is owned by the caller,
+// and being sequential it gives the same bits for the same θ whatever the
+// core budget and whatever the arena held before.
+func latentPosterior(m *model.Model, theta []float64, withSigma bool, ws *solverScratch) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
 	if t, err = m.DecodeTheta(theta); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	ws := newSolverScratch(m)
+	if ws == nil {
+		ws = newSolverScratch(m)
+	}
 	if mu, err = laplaceStep(m, t, ws.fc, ws, nil); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if withSigma {
-		if ws.newton != nil {
+		switch {
+		case ws.grad != nil:
+			sigma = ws.grad.sigma
+		case ws.newton != nil:
 			sigma = ws.newton.Qp()
-		} else {
+		default:
 			sigma = bta.NewMatrix(m.Dims.BTAShape())
 		}
 		if err := ws.fc.SelectedInversionInto(sigma); err != nil {

@@ -20,7 +20,7 @@ import (
 // quantities such as exceedance probabilities over regulatory thresholds
 // (the motivating use case of the paper's introduction).
 func SamplePosterior(m *model.Model, theta []float64, n int, rng *rand.Rand) (mu []float64, samples [][]float64, err error) {
-	_, mu, f, _, err := latentPosterior(m, theta, false)
+	_, mu, f, _, err := latentPosterior(m, theta, false, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -108,7 +108,7 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 				}
 			}
 			dense.SetMaxWorkers(prev)
-			e.putScratch(ws)
+			e.scratch.Put(ws)
 		}
 	}
 

@@ -79,16 +79,9 @@ type Model struct {
 	tipPrior   [][]priorEntry                       // per pair: the tip's fixed-effect diagonal
 	dataRuns   []dataRun                            // AᵀA entries of the diagonal, arrow and tip blocks
 	fillPool   sync.Pool                            // *fillWork
-	scratch    sync.Pool                            // callers' model-shaped scratch (ScratchPool)
 
 	count countTables // Poisson data-term tables (likelihood.go)
 }
-
-// ScratchPool is a pool for scratch that depends on the model alone, such
-// as an objective evaluation's solver arena. Every evaluator of the model
-// shares it, so repeated fits of one model reuse their arenas instead of
-// allocating them per fit.
-func (m *Model) ScratchPool() *sync.Pool { return &m.scratch }
 
 // STKind selects the spatio-temporal prior family of the latent processes.
 type STKind int
@@ -452,12 +445,7 @@ func (m *Model) LogLikInto(t *Theta, xPermuted, xScratch, obsScratch []float64) 
 			}
 			continue
 		}
-		copy(r, y) // r = y_k − η_k
-		for j := 0; j <= k; j++ {
-			if f := lc.At(k, j); f != 0 {
-				dense.Axpy(-f, u[j*mObs:(j+1)*mObs], r)
-			}
-		}
+		gaussResidualInto(lc, k, y, u, r)
 		var ss float64
 		for _, v := range r {
 			ss += v * v
@@ -465,6 +453,19 @@ func (m *Model) LogLikInto(t *Theta, xPermuted, xScratch, obsScratch []float64) 
 		ll += 0.5*float64(mObs)*(math.Log(t.TauY[k])-math.Log(2*math.Pi)) - 0.5*t.TauY[k]*ss
 	}
 	return ll
+}
+
+// gaussResidualInto writes r = y − η_k, response k's residual, from u, the
+// nv projections A·x_j of the latent processes (length M each) that
+// LogLikInto leaves at the head of its observation scratch.
+func gaussResidualInto(lc *dense.Matrix, k int, y, u, r []float64) {
+	mObs := len(r)
+	copy(r, y)
+	for j := 0; j <= k; j++ {
+		if f := lc.At(k, j); f != 0 {
+			dense.Axpy(-f, u[j*mObs:(j+1)*mObs], r)
+		}
+	}
 }
 
 // PredictMean evaluates the fitted response means at new space-time points

@@ -42,12 +42,9 @@ type QcTable struct {
 	m      *Model
 	s      [][3]float64 // [(i·nv + j)·numClasses + class], as fillWork.coef
 	gram   []float64    // [i·nv + j], as fillWork.w
-	mu     []float64    // the latent state last contracted (BTA ordering)
 	blocks [][]float64  // scratch: one class's blocks, then every block
 	base   []int        // scratch: each block's first row and column in μ
 	r      []float64    // scratch: [k·nv² + i·nv + j], process k's weights contracted with pair (i,j)
-	x      []float64    // scratch: μ process-major
-	u      []float64    // scratch: nv·M projections A·μ_j, then M residuals
 	dll    []float64    // scratch: ∂ log ℓ/∂Λ_c (nv²)
 	dLc    *dense.Matrix
 	dM     []float64
@@ -64,8 +61,6 @@ func (m *Model) NewQcTable() *QcTable {
 		blocks: make([][]float64, 0, 3*d.Nt),
 		base:   make([]int, 0, 2*d.Nt),
 		r:      make([]float64, nv*nv*nv),
-		x:      make([]float64, d.Total()),
-		u:      make([]float64, (nv+1)*m.Obs.M()),
 		dll:    make([]float64, nv*nv),
 		dLc:    dense.New(nv, nv),
 		dM:     make([]float64, nv*nv),
@@ -78,8 +73,7 @@ func (m *Model) NewQcTable() *QcTable {
 // contracted with their FEM values, the tip with its fixed-effect
 // diagonal, and the diagonal, arrow and tip blocks with the AᵀA entries of
 // the data runs. Lower and arrow blocks stand for their transposes too, so
-// they count twice. The table keeps mu, which must not change until the
-// table's last Grad. Allocation-free.
+// they count twice. Allocation-free.
 func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 	m := tb.m
 	if err := m.checkShape(sig); err != nil {
@@ -88,7 +82,6 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 	if len(mu) != sig.Dim() {
 		return fmt.Errorf("model: latent state of length %d, want %d", len(mu), sig.Dim())
 	}
-	tb.mu = mu
 	clear(tb.s)
 	clear(tb.gram)
 	nt, b, a := sig.N, sig.B, sig.A
@@ -166,25 +159,28 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 	return nil
 }
 
-// Grad writes into grad (length NumHyper) the gradient at theta of
+// Grad writes into grad (length NumHyper) the gradient at θ of
 //
 //	log ℓ(y|μ) + ½ log|Q_p| − ½ μᵀQ_pμ − ½⟨Σ, Q_c⟩
 //
-// with μ and Σ those last contracted. With the θ layout of DecodeTheta:
+// with μ and Σ those last contracted; t is θ decoded (theta supplies the
+// coupling parameters) and obs the observation scratch LogLikInto last
+// filled at t and μ, whose projections A·μ_j the data term reads and whose
+// residual slot it overwrites. With the θ layout of DecodeTheta:
 // process k's ranges move its block weights (spde.SeparableCoeffsDeriv /
 // DiffusionCoeffsDeriv) and its prior log-determinant; log σ_l scales row
 // l of M = Λ_c⁻¹ and column l of Λ_c; ∂Λ_c/∂λ is coreg.CoregDerivInto and
 // ∂M = −M·∂Λ_c·M; W = Λ_cᵀ·diag(τ)·Λ_c and log ℓ follow Λ_c and τ.
-func (tb *QcTable) Grad(theta, grad []float64) error {
+func (tb *QcTable) Grad(t *Theta, theta, obs, grad []float64) error {
 	m := tb.m
-	t, err := m.DecodeTheta(theta)
-	if err != nil {
-		return err
-	}
-	if len(grad) != len(theta) {
-		return fmt.Errorf("model: gradient of length %d, want %d", len(grad), len(theta))
+	if n := m.NumHyper(); len(theta) != n || len(grad) != n {
+		return fmt.Errorf("model: θ of length %d and gradient of length %d, want %d", len(theta), len(grad), n)
 	}
 	d := m.Dims
+	mObs := m.Obs.M()
+	if len(obs) < (d.Nv+1)*mObs {
+		return fmt.Errorf("model: observation scratch of length %d, want %d", len(obs), (d.Nv+1)*mObs)
+	}
 	nv, nl := d.Nv, coreg.NumLambdas(d.Nv)
 	lam := theta[3*nv : 3*nv+nl]
 	tauAt := 3*nv + nl
@@ -202,6 +198,7 @@ func (tb *QcTable) Grad(theta, grad []float64) error {
 				} else {
 					g.RangeT *= math.Exp(step)
 				}
+				var err error
 				if ld[side], err = m.stLogDet(g); err != nil {
 					return err
 				}
@@ -245,21 +242,9 @@ func (tb *QcTable) Grad(theta, grad []float64) error {
 	}
 	// log ℓ = Σ_k ½M·(log τ_k − log 2π) − ½τ_k·‖y_k − Σ_j Λ_kj·A·μ_j‖²:
 	// dll[k·nv + j] = ∂ log ℓ/∂Λ_kj = τ_k·r_kᵀ·A·μ_j.
-	mObs, n := m.Obs.M(), d.PerProcess()
-	for newI, oldI := range m.perm {
-		tb.x[oldI] = tb.mu[newI]
-	}
-	u, res := tb.u[:nv*mObs], tb.u[nv*mObs:]
-	for j := range nv {
-		m.aDesign.MulVec(tb.x[j*n:(j+1)*n], u[j*mObs:(j+1)*mObs])
-	}
+	u, res := obs[:nv*mObs], obs[nv*mObs:(nv+1)*mObs]
 	for k, y := range m.Obs.Y {
-		copy(res, y)
-		for j := 0; j <= k; j++ {
-			if f := lc.At(k, j); f != 0 {
-				dense.Axpy(-f, u[j*mObs:(j+1)*mObs], res)
-			}
-		}
+		gaussResidualInto(lc, k, y, u, res)
 		tau := t.TauY[k]
 		for j := range nv {
 			tb.dll[k*nv+j] = tau * dense.Dot(res, u[j*mObs:(j+1)*mObs])
