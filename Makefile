@@ -13,7 +13,7 @@
 #   make bench-smoke— a quick run of the latency experiment (closed-loop
 #                     clients against the serving path); nothing is stored
 #                     or compared
-#   make e2e        — the end-to-end benchmark's traced run (≈ 10 s per
+#   make e2e        — the end-to-end benchmark's traced run (≈ 4 s per
 #                     workload) on all four workloads at seed 1; it replays
 #                     every request along the ‖L⁻¹φ‖² solve route beside
 #                     PredictInto and exits non-zero on any failed check
@@ -80,13 +80,13 @@ ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
-# smoke run, the quick fig5/x1/x5 solver experiments, the four fast examples, the traced
-# fit_tri_gauss benchmark run and its one pass of the dense kernel, Q_c assembly, BTA solver,
-# mode-search and snapshot prediction benchmarks), race,
-# the race-widths GOMAXPROCS matrix over the partition/replica/kernel
-# fan-out packages,
-# the chaos fault-injection suite, the purego fallback with the arm64
-# cross-build, the end-to-end parity run, then the non-blocking perf smoke.
+# smoke run, the quick fig5/x1/x5 solver experiments, the four fast
+# examples, the traced benchmark run on all four workloads (e2e) and its one
+# pass of the dense kernel, Q_c assembly, BTA solver, mode-search and
+# snapshot prediction benchmarks), race, the race-widths GOMAXPROCS matrix
+# over the partition/replica/kernel fan-out packages, the chaos
+# fault-injection suite, the purego fallback with the arm64 cross-build,
+# then the non-blocking perf smoke.
 ci-local: fmt-check test race
 	$(GO) run ./cmd/dalia-scale -workers 1,4,62 -iters 2
 	$(GO) run ./cmd/dalia-bench -exp=fig5,x1,x5 -quick
@@ -94,7 +94,7 @@ ci-local: fmt-check test race
 	$(GO) run ./examples/airpollution
 	$(GO) run ./examples/downscaling
 	$(GO) run ./examples/diseasecounts
-	$(GO) run ./benchmark --workload fit_tri_gauss --seed 1 --trace 1
+	$(MAKE) e2e
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/dense
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/model
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/bta
@@ -106,5 +106,4 @@ ci-local: fmt-check test race
 	$(GO) test -count=1 -run 'CrashRestartRecovery' ./cmd/dalia-serve/
 	$(GO) test -tags purego ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
-	$(MAKE) e2e
 	-$(MAKE) bench-smoke

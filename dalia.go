@@ -15,9 +15,10 @@
 //   - structured block-dense solvers (Cholesky, triangular solve, selected
 //     inversion) in sequential and distributed-memory form, the latter over
 //     a time-domain partitioning with nested dissection;
-//   - the paper's nested parallel scheme: S1 gradient evaluations and S3
-//     partitioned solvers, on shared memory (Fit) and on the simulated
-//     cluster (RunCluster). The prior's log-determinant and quadratic form
+//   - the paper's nested parallel scheme: S1 point evaluations on shared
+//     memory (Fit, each evaluation on a sequential factor) and S1 groups
+//     of S3 partitioned solvers on the simulated cluster (RunCluster). The
+//     prior's log-determinant and quadratic form
 //     are closed forms, so an evaluation factorizes Q_c alone and the
 //     paper's S2 layer, which factorizes Q_p beside Q_c, has no work;
 //   - one BFGS mode search for every backend: Fit and RunCluster both run
@@ -109,8 +110,8 @@ type (
 
 // Simulated distributed-machine types.
 type (
-	// SharedPlan is the shared-memory scheduling plan of one evaluation
-	// batch (point workers × parallel-in-time partitions).
+	// SharedPlan is how an in-process evaluator spends its core budget:
+	// one S1 point evaluation per core, each on a sequential factor.
 	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run: world
 	// size, machine model, BFGS iteration cap, memory cap and an optional
@@ -361,14 +362,6 @@ func NewParallelBTAFactor(n, b, a, partitions int) (*ParallelBTAFactor, error) {
 // run on (0 restores the GOMAXPROCS default). Call at process startup —
 // the -sched-workers surface of the dalia commands.
 func SetSchedWorkers(n int) { sched.SetSharedWorkers(n) }
-
-// PlanEvalBatch computes the shared-memory layer assignment for a batch of
-// the given width on a core budget (0 = GOMAXPROCS): point-level
-// parallelism first, spare cores as parallel-in-time partitions inside
-// each factorization.
-func PlanEvalBatch(width, cores, ntBlocks int, s2 bool) inla.SharedPlan {
-	return inla.PlanBatch(width, cores, ntBlocks, s2)
-}
 
 // NewBTAMatrix allocates a zeroed BTA matrix with n diagonal blocks of size
 // b and arrow width a.

@@ -263,6 +263,5 @@ func (e *simEvaluator) EvalBatch(points [][]float64) []float64 {
 // StencilPlan reports one core per group, so the line search evaluates
 // one candidate per group.
 func (e *simEvaluator) StencilPlan(width int) inla.SharedPlan {
-	g := e.c.Size()
-	return inla.SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
+	return inla.SharedPlan{Cores: e.c.Size()}
 }

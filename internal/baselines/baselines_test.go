@@ -166,7 +166,7 @@ func (e *widthRecorder) EvalBatch(points [][]float64) []float64 {
 }
 
 func (e *widthRecorder) StencilPlan(width int) inla.SharedPlan {
-	return inla.SharedPlan{Width: width, Cores: e.groups, PointWorkers: min(width, e.groups), Partitions: 1}
+	return inla.SharedPlan{Cores: e.groups}
 }
 
 // sequentialSim runs Minimize for k iterations over eval and returns its

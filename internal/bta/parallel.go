@@ -27,40 +27,21 @@ type ParallelFactor struct {
 	sigView LocalBTA // the caller's Σ output viewed as one slice
 }
 
-// ParallelOptions configures a shared-memory parallel-in-time factor beyond
-// the partition count.
-type ParallelOptions struct {
-	// Partitions is the parallel-in-time width P (< 1 is treated as 1).
-	Partitions int
-	// Executor overrides the task executor the factor's partition phases
-	// run on (nil = sched.Shared()).
-	Executor *sched.Executor
-}
-
 // NewParallelFactor allocates a parallel-in-time factor for the BTA shape
-// (n, b, a) over p partitions on the shared executor. p = 1 degenerates to
-// the sequential POBTAF chain behind the same interface. Partition counts
-// the time dimension cannot support (n < 2p−2) are an error; MaxPartitions
-// gives the bound.
+// (n, b, a) over p partitions (Partitions' split) on the shared executor.
+// p = 1 degenerates to the sequential POBTAF chain behind the same
+// interface. Partition counts the time dimension cannot support
+// (n < 2p−2) are an error; MaxPartitions gives the bound.
 func NewParallelFactor(n, b, a, p int) (*ParallelFactor, error) {
-	return NewParallelFactorOpts(n, b, a, ParallelOptions{Partitions: p})
-}
-
-// NewParallelFactorOpts is NewParallelFactor on a caller-chosen executor.
-func NewParallelFactorOpts(n, b, a int, o ParallelOptions) (*ParallelFactor, error) {
-	p := o.Partitions
-	if p < 1 {
-		p = 1
-	}
-	parts, err := Partitions(n, p)
+	parts, err := Partitions(n, max(p, 1))
 	if err != nil {
 		return nil, err
 	}
-	return newParallelFactor(n, b, a, parts, o.Executor)
+	return newParallelFactor(n, b, a, parts, nil)
 }
 
 // newParallelFactor builds the shared-memory factor over the partition
-// list parts.
+// list parts, its partition phases on ex (nil = sched.Shared()).
 func newParallelFactor(n, b, a int, parts []Partition, ex *sched.Executor) (*ParallelFactor, error) {
 	f := &ParallelFactor{}
 	if err := f.init(n, b, a, parts, 0, len(parts), ex); err != nil {

@@ -1,11 +1,13 @@
 package bta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/sched"
 )
 
 // equivTol is the agreement tolerance between the sequential and parallel
@@ -321,5 +323,68 @@ func TestNewSolverClampsPartitions(t *testing.T) {
 	}
 	if _, ok := s.(*Factor); !ok {
 		t.Fatalf("expected the sequential Factor for p=1, got %T", s)
+	}
+}
+
+// TestParallelFactorDeterministicAcrossExecutorWidths: the shared-memory
+// factor's partition phases give the same bits on an 8-worker executor,
+// where partition tasks run on different workers and steal, as on a
+// zero-worker one, where the caller alone runs every task — the factor,
+// the log-determinant, a solve and every Σ block, at P = 3 and at P = 5
+// (an 8-block reduced system) over nt = 20, with one and two arrow
+// columns. Tip deltas fold in partition order and every other write set is
+// disjoint, so the arithmetic does not depend on which goroutine ran a
+// task.
+func TestParallelFactorDeterministicAcrossExecutorWidths(t *testing.T) {
+	serial, wide := sched.New(0), sched.New(8)
+	defer serial.Close()
+	defer wide.Close()
+	const n, b = 20, 3
+	rng := rand.New(rand.NewSource(31))
+	for _, a := range []int{1, 2} {
+		m := randBTA(rng, n, b, a)
+		rhs := randVec(rng, m.Dim())
+		for _, p := range []int{3, 5} {
+			parts, err := Partitions(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type run struct {
+				f   *ParallelFactor
+				x   []float64
+				sig *Matrix
+			}
+			on := func(ex *sched.Executor) run {
+				f, err := newParallelFactor(n, b, a, parts, ex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Refactorize(m); err != nil {
+					t.Fatalf("a=%d P=%d: %v", a, p, err)
+				}
+				r := run{f: f, x: append([]float64(nil), rhs...), sig: NewMatrix(n, b, a)}
+				f.Solve(r.x)
+				if err := f.SelectedInversionInto(r.sig); err != nil {
+					t.Fatalf("a=%d P=%d: %v", a, p, err)
+				}
+				return r
+			}
+			want, got := on(serial), on(wide)
+			label := fmt.Sprintf("a=%d P=%d", a, p)
+			if err := sameMatrix(label+" factor", got.f.Workspace(), want.f.Workspace()); err != nil {
+				t.Fatal(err)
+			}
+			if got.f.LogDet() != want.f.LogDet() {
+				t.Fatalf("%s: logdet %v on 8 workers, %v on 0", label, got.f.LogDet(), want.f.LogDet())
+			}
+			for i := range want.x {
+				if got.x[i] != want.x[i] {
+					t.Fatalf("%s: solve[%d] = %v on 8 workers, %v on 0", label, i, got.x[i], want.x[i])
+				}
+			}
+			if err := sameMatrix(label+" Σ", got.sig, want.sig); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

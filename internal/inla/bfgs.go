@@ -201,16 +201,14 @@ func newBFGSState(theta0 []float64, k int) *bfgsState {
 }
 
 // lineSearchWidth is the number of candidate steps one line-search round
-// evaluates: as many width-1 evaluations as the evaluator's own plan fits
-// on its cores (StencilPlan(1): Cores / Partitions), and 1 for evaluators
-// without a plan.
+// evaluates: one per core of the evaluator's plan (StencilPlan(1).Cores),
+// and 1 for evaluators without a plan.
 func lineSearchWidth(e Evaluator) int {
 	p, ok := e.(StencilPlanner)
 	if !ok {
 		return 1
 	}
-	plan := p.StencilPlan(1)
-	return max(1, plan.Cores/max(1, plan.Partitions))
+	return max(1, p.StencilPlan(1).Cores)
 }
 
 // evalGradient evaluates the central-difference gradient at x into g via
@@ -327,10 +325,9 @@ func snapshotOpt(st *bfgsState, hInv *dense.Matrix, f float64, iter int, res *Op
 // first-order and only their differences are the gradient. FEvals counts
 // the stencil's points either way. Each iteration is an
 // Armijo backtracking line search whose batches hold k halving candidate
-// steps — k = StencilPlan(1).Cores / Partitions, the width-1 evaluations
-// the evaluator's plan fits on its cores (1 without a StencilPlanner) — and
-// which accepts the step one-at-a-time backtracking accepts, so θ, F and the
-// trace do not depend on k. The accepted candidate's value is F at the new
+// steps — k = StencilPlan(1).Cores, one per core of the evaluator's budget
+// (1 without a StencilPlanner) — and which accepts the step one-at-a-time
+// backtracking accepts, so θ, F and the trace do not depend on k. The accepted candidate's value is F at the new
 // iterate, so the gradient batch that follows evaluates only the 2d arms.
 // All iteration state lives in buffers allocated once up front; the
 // per-iteration cost is the Evaluator batches.
@@ -465,52 +462,17 @@ func infNorm(v []float64) float64 {
 
 // StencilPlanner is implemented by evaluators whose EvalBatch schedules
 // against a core budget (BTAEvaluator; the simulated distributed evaluators
-// report one core per S1 group): StencilPlan reports how a batch of the
-// given width would spend the machine. The Hessian stage uses it to
-// split its wide stencil at plan boundaries instead of leaving cores idle
-// in the batch's tail, and Minimize reads the width-1 plan to set how many
-// line-search candidates one batch evaluates.
+// report one core per S1 group): StencilPlan reports that budget, and
+// Minimize reads the width-1 plan to set how many line-search candidates
+// one batch evaluates.
 type StencilPlanner interface {
 	StencilPlan(width int) SharedPlan
-}
-
-// evalStencil evaluates a wide stencil batch, splitting it into
-// plan-aligned sub-batches when the evaluator exposes its scheduling plan
-// and the trailing partial chunk would otherwise idle cores: the full
-// chunks keep every core on point-level parallelism, while the remainder
-// runs as its own narrow batch whose per-batch plan routes the spare cores
-// into parallel-in-time factorization partitions (bta.ParallelFactor).
-func evalStencil(e Evaluator, pts [][]float64) []float64 {
-	p, ok := e.(StencilPlanner)
-	if !ok {
-		return e.EvalBatch(pts)
-	}
-	width := len(pts)
-	plan := p.StencilPlan(width)
-	cores := plan.Cores
-	if cores <= 1 || width <= cores {
-		// Narrow batches already partition inside EvalBatch; nothing to split.
-		return e.EvalBatch(pts)
-	}
-	rem := width % cores
-	if rem == 0 {
-		return e.EvalBatch(pts)
-	}
-	if tail := p.StencilPlan(rem); tail.Partitions <= 1 || tail.Partitions == plan.Partitions {
-		// The tail gains nothing from its own batch: either it cannot absorb
-		// the spare cores (shallow time dimension), or a pinned width makes
-		// both chunks run identically — splitting would only serialize.
-		return e.EvalBatch(pts)
-	}
-	cut := width - rem
-	vals := e.EvalBatch(pts[:cut])
-	return append(vals, e.EvalBatch(pts[cut:])...)
 }
 
 // hessianStencil builds the 1 + 2d + 4·d(d−1)/2 = 2d² + 1 evaluation points
 // of the second-order central-difference scheme at theta: the centre,
 // θ − h·e_i before θ + h·e_i for each i, then the off-diagonal quadruples.
-// The minus-first pairs keep every plan-aligned chunk of the batch from
+// The minus-first pairs keep any run of 2d or 2d + 1 of its points from
 // reading as a gradient stencil (gradientCentre wants plus first), which
 // an evaluator may answer with first-order values.
 func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]int) {
@@ -539,14 +501,12 @@ func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]in
 }
 
 // HessianAtMode estimates ∇²F(θ*) by second-order central differences
-// (§III-3). The 2d² + 1 evaluations form one parallel batch, split at
-// plan boundaries when the evaluator exposes its scheduling plan (so a
-// small-d stencil's trailing chunk spends idle cores inside the
-// factorizations instead of leaving them dark).
+// (§III-3). The 2d² + 1 evaluations form one parallel batch, which no
+// evaluator reads as a gradient request (hessianStencil).
 func HessianAtMode(e Evaluator, theta []float64, h float64) (*dense.Matrix, error) {
 	d := len(theta)
 	pts, offIdx := hessianStencil(theta, h)
-	vals := evalStencil(e, pts)
+	vals := e.EvalBatch(pts)
 	for _, v := range vals {
 		if math.IsInf(v, 1) {
 			return nil, fmt.Errorf("inla: Hessian stencil hit an infeasible point")

@@ -307,11 +307,10 @@ func (e *commEvaluator) evalBatch(points [][]float64) []float64 {
 	return e.world.AllReduceSum(vals)
 }
 
-// StencilPlan reports one core per S1 group and no partitions, so the line
-// search of Minimize evaluates one candidate per group.
+// StencilPlan reports one core per S1 group, so the line search of
+// Minimize evaluates one candidate per group.
 func (e *commEvaluator) StencilPlan(width int) SharedPlan {
-	g := e.plan.Groups
-	return SharedPlan{Width: width, Cores: g, PointWorkers: min(width, g), Partitions: 1}
+	return SharedPlan{Cores: e.plan.Groups}
 }
 
 // evalFobj evaluates −fobj(θ) on this rank's S1 group with the arithmetic
@@ -332,7 +331,7 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		}
 		var parts FobjParts
 		var err error
-		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, e.ws, nil) })
+		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, e.ws, nil) })
 		if err != nil {
 			return math.Inf(1)
 		}

@@ -350,9 +350,10 @@ func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
 // A wide S3 solver evaluates with ParallelFactor's arithmetic at the same
 // width: its ranks split the time blocks by bta.Partitions, as
 // ParallelFactor does, assemble their slices in place and factorize over
-// the one partitioned driver. So −F at θ0 equals evalFobjScratch over P
-// partitions bit for bit. A memory cap between the P−1 and the P working
-// sets makes World P one group of P solver ranks.
+// the one partitioned driver. So −F at θ0 equals the Laplace and closing
+// steps on a ParallelFactor over P partitions bit for bit. A memory cap
+// between the P−1 and the P working sets makes World P one group of P
+// solver ranks.
 func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
 	for _, c := range []struct {
 		nv, nt, nx, ny int
@@ -377,7 +378,20 @@ func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
 		if plan := run.planFor(c.p); plan.Groups != 1 || plan.SolverWidths[0] != c.p {
 			t.Fatalf("%s: plan %+v, want one group of %d solver ranks", label, plan, c.p)
 		}
-		parts, err := evalFobjScratch(ds.Model, prior, ds.Theta0, solverSpec{parts: c.p}, nil, nil)
+		pf, err := bta.NewParallelFactor(n, b, a, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := ds.Model.DecodeTheta(ds.Theta0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := newSolverScratch(ds.Model)
+		mu, err := laplaceStep(ds.Model, th, pf, ws, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := closeFobj(ds.Model, prior, th, ds.Theta0, mu, pf.LogDet(), &ws.evalVectors)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ type Result struct {
 // uncertainty (Hessian at the mode), and latent posterior extraction
 // (conditional mean and selected inversion of Q_c at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
-	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior, S2: true}, theta0, opts)
+	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior}, theta0, opts)
 }
 
 // fitWith runs the mode search and the Hessian stage on any Evaluator

@@ -4,9 +4,11 @@
 // independent θ-points evaluated concurrently) and gradients — for a
 // Gaussian model exact, from one Laplace step, a selected inversion and a
 // contraction table (grad.go); for counts and the distributed evaluator
-// parallel central differences — the solver integration (layer S3,
-// package bta), posterior extraction for the hyperparameters (Hessian at
-// the mode) and for the latent field (selected inversion of Q_c).
+// parallel central differences — the solver integration (package bta:
+// the sequential factor in process, layer S3's partitioned solvers in the
+// distributed evaluator), posterior extraction for the hyperparameters
+// (Hessian at the mode) and for the latent field (selected inversion of
+// Q_c).
 //
 // One evaluation of fobj factorizes one BTA matrix, Q_c. The prior's two
 // scalars — log det Q_p and μᵀQ_pμ — are closed forms of the LMC ⊗ temporal
@@ -128,18 +130,8 @@ func newEvalVectors(m *model.Model) evalVectors {
 // on the same scratch perform zero heap allocations — the
 // fixed-memory-footprint property the INLA mode search needs across its
 // hundreds of θ-evaluations.
-//
-// The arena holds the sequential factor always and builds the
-// parallel-in-time one lazily the first time a batch plan asks for
-// within-factorization partitions, so purely wide workloads never pay for
-// the second set of factor storage.
 type solverScratch struct {
-	fc *bta.Factor // sequential backend (partitions = 1)
-
-	// parallel-in-time backend, built on demand and rebuilt only when the
-	// requested spec changes
-	pfc     *bta.ParallelFactor
-	pfcSpec solverSpec
+	fc *bta.Factor // the one factor every evaluation on the arena runs on
 
 	evalVectors
 
@@ -153,58 +145,21 @@ func newSolverScratch(m *model.Model) *solverScratch {
 	return &solverScratch{fc: bta.NewFactor(m.Dims.BTAShape()), evalVectors: newEvalVectors(m)}
 }
 
-// solverSpec pins the per-factorization solver configuration one batch runs
-// at: the parallel-in-time width and the task executor.
-type solverSpec struct {
-	parts int
-	// exec overrides the solver's task executor (nil = sched.Shared()). It
-	// participates in the spec comparison that gates rebuilding the cached
-	// parallel factor.
-	exec *sched.Executor
-}
-
-// condSolver returns the Q_c solver for the requested factorization spec:
-// the sequential factor for widths the clamp reduces to 1 and for count
-// models — whose mode then has the same bits wherever it is solved —
-// otherwise the cached parallel factor.
-func (ws *solverScratch) condSolver(m *model.Model, spec solverSpec) (bta.Solver, error) {
-	n, b, a := m.Dims.BTAShape()
-	if mx := bta.MaxUsefulPartitions(n); spec.parts > mx {
-		spec.parts = mx
-	}
-	if spec.parts <= 1 || m.Lik == model.LikPoisson {
-		return ws.fc, nil
-	}
-	if ws.pfc == nil || ws.pfcSpec != spec {
-		pf, err := bta.NewParallelFactorOpts(n, b, a, bta.ParallelOptions{
-			Partitions: spec.parts,
-			Executor:   spec.exec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ws.pfc, ws.pfcSpec = pf, spec
-	}
-	return ws.pfc, nil
-}
-
 // EvalFobj evaluates the objective at theta using the sequential BTA solver
 // (the single-device DALIA path): one factorization, of Q_c; the prior's
 // log-determinant and quadratic form are closed forms. Non-Gaussian
 // likelihoods route through the inner Newton loop for the conditional mode.
 func EvalFobj(m *model.Model, prior Prior, theta []float64) (FobjParts, error) {
-	return evalFobjScratch(m, prior, theta, solverSpec{parts: 1}, nil, nil)
+	return evalFobjScratch(m, prior, theta, nil, nil)
 }
 
 // evalFobjScratch is EvalFobj against a caller-owned arena (nil allocates a
-// fresh one), with a Gaussian factorization run at the given
-// parallel-in-time width (1 = sequential POBTAF, >1 = bta.ParallelFactor
-// over that many partitions): decode θ, then the Laplace step and the
-// closing step. A count model's inner Newton loop starts from start
-// (process-major; nil = x = 0); the Gaussian path ignores it. The returned
-// FobjParts.Mu aliases the arena and is only valid until the arena's next
-// evaluation.
-func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSpec, ws *solverScratch, start []float64) (FobjParts, error) {
+// fresh one): decode θ, then the Laplace step on the arena's sequential
+// factor and the closing step. A count model's inner Newton loop starts
+// from start (process-major; nil = x = 0); the Gaussian path ignores it.
+// The returned FobjParts.Mu aliases the arena and is only valid until the
+// arena's next evaluation.
+func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScratch, start []float64) (FobjParts, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
 		return FobjParts{}, err
@@ -212,15 +167,11 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, spec solverSp
 	if ws == nil {
 		ws = newSolverScratch(m)
 	}
-	f, err := ws.condSolver(m, spec)
+	mu, err := laplaceStep(m, t, ws.fc, ws, start)
 	if err != nil {
 		return FobjParts{}, err
 	}
-	mu, err := laplaceStep(m, t, f, ws, start)
-	if err != nil {
-		return FobjParts{}, err
-	}
-	return closeFobj(m, prior, t, theta, mu, f.LogDet(), &ws.evalVectors)
+	return closeFobj(m, prior, t, theta, mu, ws.fc.LogDet(), &ws.evalVectors)
 }
 
 // laplaceStep leaves Q_c(θ) factorized on f at the conditional mode of the
@@ -273,8 +224,9 @@ func closeFobj(m *model.Model, prior Prior, t *model.Theta, theta, mu []float64,
 }
 
 // Evaluator evaluates −fobj at a batch of hyperparameter points; its
-// implementations define where the work runs (goroutines here, the comm
-// simulator in dist.go, both with one Laplace step per point; the
+// implementations define where the work runs (goroutines here, each point
+// on a sequential factor; the comm simulator in dist.go, each point on an
+// S1 group's S3 solver; both with one Laplace step per point; the
 // comparators' own arithmetic in package baselines), and Minimize drives
 // every one of them. Infeasible points (non-SPD precision) evaluate to
 // +Inf. A batch laid out as a central-difference stencil
@@ -289,10 +241,10 @@ type Evaluator interface {
 }
 
 // BTAEvaluator runs fobj on the structured BTA solvers with goroutine
-// parallelism across points (S1) and — when the batch is too narrow to fill
-// the cores — across parallel-in-time partitions inside the Q_c
-// factorization (S3, bta.ParallelFactor), following the per-batch
-// SharedPlan. Every worker draws a solverScratch arena from an internal
+// parallelism across points (S1): its core budget bounds the concurrent
+// point evaluations, and every evaluation factorizes Q_c on the sequential
+// factor of its arena, whatever the budget, so the values depend on the
+// points alone. Every worker draws a solverScratch arena from an internal
 // pool, so steady-state batches re-use the precision workspace, factor and
 // vectors instead of re-allocating them at each evaluation.
 //
@@ -304,23 +256,16 @@ type Evaluator interface {
 type BTAEvaluator struct {
 	Model *model.Model
 	Prior Prior
-	// Workers is the core budget the batch plan distributes across the
-	// layers (and the bound on concurrent point evaluations); 0 = GOMAXPROCS.
+	// Workers is the core budget: the bound on concurrent point
+	// evaluations, and the line search's candidates per round
+	// (StencilPlan); 0 = GOMAXPROCS.
 	Workers int
-	// S2 is a planning input only: no evaluator has an S2 pipeline, since
-	// an evaluation factorizes Q_c alone. When set, PlanBatch turns half of
-	// a point's spare cores into partitions instead of all of them; Fit and
-	// the benchmark set it, so dropping it changes partition widths and
-	// belongs with the solver-configuration work (ROADMAP item 6).
+	// S2 has no effect. It is kept only because the end-to-end benchmark
+	// sets it, and goes with the next change to that benchmark.
 	S2 bool
-	// partitions pins the parallel-in-time width, a test seam: 0 schedules
-	// it per batch (PlanBatch: wide batches sequential, narrow batches
-	// partitioned), 1 forces the sequential factorization chain, ≥ 2 forces
-	// that width.
-	partitions int
-	// exec overrides the task executor batches and solvers run on
-	// (nil = sched.Shared()), a test seam: private executors let tests
-	// assert shutdown/leak behaviour in isolation.
+	// exec overrides the task executor batches run on (nil =
+	// sched.Shared()), a test seam: private executors let tests assert
+	// shutdown/leak behaviour in isolation.
 	exec *sched.Executor
 
 	scratch sync.Pool                     // *solverScratch, shape-bound to Model
@@ -394,21 +339,6 @@ func (e *BTAEvaluator) cores() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// planFor resolves the batch plan for the given width with the evaluator's
-// pinned partitions applied. A count model always factorizes sequentially
-// (condSolver), so its plan has one partition and no cores set aside for
-// more.
-func (e *BTAEvaluator) planFor(width int) SharedPlan {
-	plan := PlanBatch(width, e.cores(), e.Model.Dims.Nt, e.S2)
-	switch {
-	case e.Model.Lik == model.LikPoisson:
-		plan.Partitions = 1
-	case e.partitions > 0:
-		plan.Partitions = e.partitions
-	}
-	return plan
-}
-
 // executor resolves the task executor the evaluator's batches run on.
 func (e *BTAEvaluator) executor() *sched.Executor {
 	if e.exec != nil {
@@ -417,21 +347,18 @@ func (e *BTAEvaluator) executor() *sched.Executor {
 	return sched.Shared()
 }
 
-// StencilPlan reports how a batch of the given width would spend the
-// evaluator's core budget (the StencilPlanner hook of HessianAtMode and of
-// Minimize, whose line search evaluates StencilPlan(1).Cores / Partitions
-// candidates per batch): the per-batch SharedPlan, with the pinned knobs
-// taking precedence exactly as they do inside EvalBatch.
+// StencilPlan reports the evaluator's core budget, the same for a batch of
+// any width (the StencilPlanner hook of Minimize, whose line search
+// evaluates StencilPlan(1).Cores candidates per batch).
 func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
-	return e.planFor(width)
+	return SharedPlan{Cores: e.cores()}
 }
 
 // EvalBatch evaluates −fobj at every point, +Inf for infeasible ones. The
 // batch runs at a bound of min(width, core budget) concurrent point
 // evaluations pulling points off a shared counter (dynamic load balance:
-// line-search-adjacent batches mix cheap and infeasible points), and
-// narrow batches route their spare cores into parallel-in-time
-// factorization partitions per the batch plan. The point bodies are heavy
+// line-search-adjacent batches mix cheap and infeasible points), each on
+// the sequential factor of its arena. The point bodies are heavy
 // tasks on the shared work-stealing executor — warm workers reused across
 // gradient/Hessian/line-search batches, and tasks from concurrently running
 // batches interleaved on the same cores.
@@ -461,13 +388,12 @@ func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 // start from start (nil = x = 0), and keep, when set, receives the mode of
 // every point that succeeded at keep[i].
 func (e *BTAEvaluator) evalPoints(points [][]float64, out, start []float64, keep [][]float64) {
-	spec := solverSpec{parts: e.planFor(len(points)).Partitions, exec: e.exec}
 	e.runOnExecutor(len(points), e.cores(), func(i int) {
 		var k []float64
 		if keep != nil {
 			k = keep[i]
 		}
-		v, err := e.evalPoint(points[i], spec, start, k)
+		v, err := e.evalPoint(points[i], start, k)
 		if err != nil {
 			e.quarantine(points[i], err)
 		}
@@ -480,7 +406,7 @@ func (e *BTAEvaluator) evalPoints(points [][]float64, out, start []float64, keep
 // poisoned arena is dropped, not pooled. For a count model the inner loop
 // starts from start, the steps it took are counted, and keep, when set,
 // receives the mode.
-func (e *BTAEvaluator) evalPoint(theta []float64, spec solverSpec, start, keep []float64) (float64, error) {
+func (e *BTAEvaluator) evalPoint(theta []float64, start, keep []float64) (float64, error) {
 	ws := e.getScratch()
 	var parts FobjParts
 	var err error
@@ -491,7 +417,7 @@ func (e *BTAEvaluator) evalPoint(theta []float64, spec solverSpec, start, keep [
 				err = fmt.Errorf("inla: evaluation panicked: %v", r)
 			}
 		}()
-		parts, err = evalFobjScratch(e.Model, e.Prior, theta, spec, ws, start)
+		parts, err = evalFobjScratch(e.Model, e.Prior, theta, ws, start)
 		panicked = false
 	}()
 	if panicked {

@@ -100,9 +100,9 @@ func TestExactGradientMatchesStencil(t *testing.T) {
 }
 
 // TestGradientRequestIndependentOfBudget: a gradient request returns the
-// same bits at Workers 1, 2 and 4, at pinned partitions 1 and 2, from a
-// fresh arena and from a pooled one, and with its centre or without: it
-// always runs on the sequential factor. The server's fit and the
+// same bits at Workers 1, 2 and 4, from a fresh arena and from a pooled
+// one, and with its centre or without: it always runs on the sequential
+// factor. The server's fit and the
 // in-process one then agree bit for bit.
 func TestGradientRequestIndependentOfBudget(t *testing.T) {
 	ds, err := synth.Generate(benchmarkShapes(t)["fit_tri_gauss"])
@@ -115,19 +115,17 @@ func TestGradientRequestIndependentOfBudget(t *testing.T) {
 	other := append([]float64(nil), ds.Theta0...)
 	other[0] += 0.3
 	for _, workers := range []int{1, 2, 4} {
-		for _, parts := range []int{0, 1, 2} {
-			for _, pooled := range []bool{false, true} {
-				for _, from := range []int{0, 1} {
-					e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: workers, partitions: parts, S2: true}
-					if pooled {
-						e.EvalBatch(stencilAt(other, 1e-3))
-						e.EvalBatch(pts[:1])
-					}
-					got := e.EvalBatch(pts[from:])
-					if !slices.Equal(got, want[from:]) {
-						t.Fatalf("workers %d, partitions %d, pooled %v, from %d: values differ from the sequential request",
-							workers, parts, pooled, from)
-					}
+		for _, pooled := range []bool{false, true} {
+			for _, from := range []int{0, 1} {
+				e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: workers}
+				if pooled {
+					e.EvalBatch(stencilAt(other, 1e-3))
+					e.EvalBatch(pts[:1])
+				}
+				got := e.EvalBatch(pts[from:])
+				if !slices.Equal(got, want[from:]) {
+					t.Fatalf("workers %d, pooled %v, from %d: values differ from the sequential request",
+						workers, pooled, from)
 				}
 			}
 		}
@@ -159,8 +157,8 @@ func TestGradientRequestConcurrent(t *testing.T) {
 }
 
 // recorder keeps every point and value its evaluator handles; StencilPlan
-// is forwarded, so the Hessian stage splits its batch as over the
-// evaluator itself.
+// is forwarded, so Minimize batches its line search as over the evaluator
+// itself.
 type recorder struct {
 	*BTAEvaluator
 	pts  [][]float64
@@ -191,15 +189,15 @@ func (r *recorder) checkCold(t *testing.T, what string) {
 // TestOnlyStencilsAreGradientRequests: no batch of the Hessian stage and
 // no integration grid is read as a gradient request. The grid of an
 // isotropic Hessian lies on the coordinate axes, and a d = 4 Hessian
-// stencil is split at plan boundaries at 5 cores; every value of either
-// equals a cold evaluation bit for bit. No run of 2d or 2d + 1 consecutive
-// Hessian points is a stencil for any d, so no split can make one.
+// stencil runs at 2 and at 5 cores; every value of either equals a cold
+// evaluation bit for bit. No run of 2d or 2d + 1 consecutive Hessian
+// points is a stencil for any d, so no split of the batch can make one.
 func TestOnlyStencilsAreGradientRequests(t *testing.T) {
 	ds := genSmall(t, 1)
 	prior := WeakPrior(ds.Theta0, 5)
 	d := len(ds.Theta0)
 	for _, cores := range []int{2, 5} {
-		r := &recorder{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: cores, partitions: 1}}
+		r := &recorder{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: cores}}
 		if _, err := HessianAtMode(r, ds.Theta0, 5e-3); err != nil {
 			t.Fatal(err)
 		}

@@ -188,19 +188,27 @@ func (e *infEvaluator) EvalBatch(points [][]float64) []float64 {
 	return out
 }
 
+// TestHessianAtModeQuadratic: the stencil recovers a quadratic's Hessian,
+// and its 2d² + 1 points go to the evaluator as one batch at any core
+// budget.
 func TestHessianAtModeQuadratic(t *testing.T) {
 	q := dense.New(2, 2)
 	q.Set(0, 0, 3)
 	q.Set(1, 1, 5)
 	q.Set(0, 1, 1)
 	q.Set(1, 0, 1)
-	e := &quadEvaluator{q: q, c: []float64{0.2, -0.7}}
-	h, err := HessianAtMode(e, e.c, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Equal(q, 1e-5) {
-		t.Fatalf("Hessian mismatch:\n%v\nwant\n%v", h, q)
+	for _, cores := range []int{1, 2, 8} {
+		e := &planEvaluator{quadEvaluator: quadEvaluator{q: q, c: []float64{0.2, -0.7}}, cores: cores}
+		h, err := HessianAtMode(e, e.c, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.Equal(q, 1e-5) {
+			t.Fatalf("%d cores: Hessian mismatch:\n%v\nwant\n%v", cores, h, q)
+		}
+		if len(e.widths) != 1 || e.widths[0] != 9 {
+			t.Fatalf("%d cores: batch widths %v, want [9]", cores, e.widths)
+		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
-// lineEvaluator wraps an evaluator with a synthetic plan whose width-1
-// batch leaves room for k concurrent evaluations (so Minimize's line search
-// evaluates k candidates per round), and records a copy of every batch.
+// lineEvaluator wraps an evaluator with a synthetic plan of k cores (so
+// Minimize's line search evaluates k candidates per round), and records a
+// copy of every batch.
 type lineEvaluator struct {
 	Evaluator
 	k       int
@@ -21,7 +21,7 @@ type lineEvaluator struct {
 }
 
 func (e *lineEvaluator) StencilPlan(width int) SharedPlan {
-	return SharedPlan{Width: width, Cores: e.k, PointWorkers: min(width, e.k), Partitions: 1}
+	return SharedPlan{Cores: e.k}
 }
 
 func (e *lineEvaluator) EvalBatch(points [][]float64) []float64 {
@@ -173,79 +173,50 @@ func TestMinimizeNeverReevaluatesAPoint(t *testing.T) {
 // falls back to one candidate per round.
 type planless struct{ Evaluator }
 
-// TestBatchedLineSearchBitIdenticalOnBenchmarkShapes: on a 2-core budget
-// the candidates run at the width-1 probe's partition count, so the batched
-// line search walks the one-at-a-time path exactly — θ, F, the trace and
-// the iteration count bit for bit, after one iteration and after 15.
+// TestBatchedLineSearchBitIdenticalOnBenchmarkShapes: every evaluation
+// runs on a sequential factor at any core budget, so the batched line
+// search walks the one-at-a-time path exactly — θ, F, the trace and the
+// iteration count bit for bit, after one iteration and after 15, at
+// Workers 2, 4 and 8 against the one-at-a-time search at Workers 1 (which
+// is Workers 1's own path), on the benchmark shapes and on an nt = 20
+// shape whose time dimension could be split in up to five partitions.
+// Batching k = Workers candidates spends at most k − 1 speculative
+// evaluations per line search.
 func TestBatchedLineSearchBitIdenticalOnBenchmarkShapes(t *testing.T) {
-	ex := sched.New(2)
+	ex := sched.New(8)
 	defer ex.Close()
-	for name, gen := range benchmarkShapes(t) {
+	shapes := benchmarkShapes(t)
+	shapes["nt20"] = synth.GenConfig{Nv: 1, Nt: 20, Nr: 1, MeshNx: 3, MeshNy: 3, ObsPerStep: 10, Seed: 31}
+	for name, gen := range shapes {
 		ds, err := synth.Generate(gen)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 2, S2: true, exec: ex}
-		if lineSearchWidth(e) != 2 {
-			t.Fatalf("%s: line-search width %d on 2 cores, want 2", name, lineSearchWidth(e))
-		}
+		prior := WeakPrior(ds.Theta0, 5)
 		for _, k := range []int{1, 15} {
 			opt := DefaultOptOptions()
 			opt.MaxIter = k
 			opt.GradTol = 0
-			got, gotErr := Minimize(e, ds.Theta0, opt)
-			want, wantErr := Minimize(planless{e}, ds.Theta0, opt)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s K=%d: error %v, one-at-a-time %v", name, k, gotErr, wantErr)
+			want, wantErr := Minimize(planless{&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: 1, exec: ex}}, ds.Theta0, opt)
+			for _, workers := range []int{2, 4, 8} {
+				e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: workers, exec: ex}
+				if w := lineSearchWidth(e); w != workers {
+					t.Fatalf("%s: line-search width %d at Workers %d", name, w, workers)
+				}
+				got, gotErr := Minimize(e, ds.Theta0, opt)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s K=%d Workers %d: error %v, one-at-a-time %v", name, k, workers, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got.Theta, want.Theta) || got.F != want.F ||
+					!reflect.DeepEqual(got.Trace, want.Trace) || got.Iterations != want.Iterations {
+					t.Fatalf("%s K=%d Workers %d: θ %v F %v trace %v (%d it), one-at-a-time θ %v F %v trace %v (%d it)",
+						name, k, workers, got.Theta, got.F, got.Trace, got.Iterations, want.Theta, want.F, want.Trace, want.Iterations)
+				}
+				if got.FEvals > want.FEvals+(workers-1)*got.Iterations {
+					t.Fatalf("%s K=%d Workers %d: %d evaluations, one-at-a-time %d: more than %d speculative candidates per line search",
+						name, k, workers, got.FEvals, want.FEvals, workers-1)
+				}
 			}
-			if !reflect.DeepEqual(got.Theta, want.Theta) || got.F != want.F ||
-				!reflect.DeepEqual(got.Trace, want.Trace) || got.Iterations != want.Iterations {
-				t.Fatalf("%s K=%d: θ %v F %v trace %v (%d it), one-at-a-time θ %v F %v trace %v (%d it)",
-					name, k, got.Theta, got.F, got.Trace, got.Iterations, want.Theta, want.F, want.Trace, want.Iterations)
-			}
-			if got.FEvals > want.FEvals+got.Iterations {
-				t.Fatalf("%s K=%d: %d evaluations, one-at-a-time %d: more than one speculative candidate per line search",
-					name, k, got.FEvals, want.FEvals)
-			}
-		}
-	}
-}
-
-// TestBatchedLineSearchPartitionedCandidates: at 8 cores and nt = 20 the
-// width-1 probe runs 4 partitions but a round of 2 candidates runs 2 each,
-// so values agree to rounding rather than bit for bit; the search must
-// still reach the same mode in the same number of iterations.
-func TestBatchedLineSearchPartitionedCandidates(t *testing.T) {
-	ex := sched.New(8)
-	defer ex.Close()
-	ds, err := synth.Generate(synth.GenConfig{
-		Nv: 1, Nt: 20, Nr: 1,
-		MeshNx: 3, MeshNy: 3,
-		ObsPerStep: 10,
-		Seed:       31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 8, S2: true, exec: ex}
-	k := lineSearchWidth(e)
-	if probe, round := e.StencilPlan(1).Partitions, e.StencilPlan(k).Partitions; k != 2 || round >= probe {
-		t.Fatalf("k = %d, candidates at %d partitions vs the probe's %d: want 2 and fewer", k, round, probe)
-	}
-	got, err := Minimize(e, ds.Theta0, DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Minimize(planless{e}, ds.Theta0, DefaultOptOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iterations != want.Iterations {
-		t.Fatalf("%d iterations, one-at-a-time %d", got.Iterations, want.Iterations)
-	}
-	for i := range want.Theta {
-		if math.Abs(got.Theta[i]-want.Theta[i]) > 1e-8 {
-			t.Fatalf("θ*[%d] = %v, one-at-a-time %v", i, got.Theta[i], want.Theta[i])
 		}
 	}
 }
@@ -273,7 +244,7 @@ func BenchmarkMinimizeOneIteration(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
+			e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}}
 			opt := DefaultOptOptions()
 			opt.MaxIter = 1
 			opt.GradTol = 0
@@ -304,7 +275,7 @@ func BenchmarkMinimizeOneIterationPoisson(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), S2: true}}
+	e := &batchCounter{BTAEvaluator: &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}}
 	opt := DefaultOptOptions()
 	opt.MaxIter = 1
 	opt.GradTol = 0

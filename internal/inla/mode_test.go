@@ -9,9 +9,8 @@ import (
 // TestModeSigmaMatchesPosterior: the Σ blocks the prediction layer freezes
 // carry, bit for bit, the latent variances the evaluator reports, for both
 // likelihoods (the count route centres Q_c at the conditional mode), and a
-// second call returns the same bits. The nt = 8 case on a two-core budget is
-// the shape whose width-1 batch plan partitions a factorization in two; the
-// posterior does not follow the plan.
+// second call returns the same bits, also on an nt = 8 shape at a two-core
+// budget.
 func TestModeSigmaMatchesPosterior(t *testing.T) {
 	gauss, pois := genPintime(t), genPoisson(t, 2)
 	nt8, err := synth.Generate(synth.GenConfig{
@@ -23,16 +22,13 @@ func TestModeSigmaMatchesPosterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := PlanBatch(1, 2, nt8.Model.Dims.Nt, false).Partitions; p != 2 {
-		t.Fatalf("nt = 8: a width-1 plan on two cores runs %d partitions, want 2", p)
-	}
 	for _, tc := range []struct {
 		name string
 		e    *BTAEvaluator
 		th   []float64
 	}{
-		{"gaussian", &BTAEvaluator{Model: gauss.Model, Prior: WeakPrior(gauss.Theta0, 5), partitions: 1}, gauss.Theta0},
-		{"poisson", &BTAEvaluator{Model: pois.Model, Prior: WeakPrior(pois.Theta0, 5), partitions: 1}, pois.Theta0},
+		{"gaussian", &BTAEvaluator{Model: gauss.Model, Prior: WeakPrior(gauss.Theta0, 5)}, gauss.Theta0},
+		{"poisson", &BTAEvaluator{Model: pois.Model, Prior: WeakPrior(pois.Theta0, 5)}, pois.Theta0},
 		{"gaussian nt=8 workers=2", &BTAEvaluator{Model: nt8.Model, Prior: WeakPrior(nt8.Theta0, 5), Workers: 2}, nt8.Theta0},
 	} {
 		_, want, err := tc.e.Posterior(tc.th)

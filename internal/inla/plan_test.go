@@ -12,8 +12,7 @@ import (
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
-// genPintime builds a dataset with enough time blocks for parallel-in-time
-// partitioning to be in play (nt = 12 supports up to 3 useful partitions).
+// genPintime builds a two-variable dataset over nt = 12 time blocks.
 func genPintime(t *testing.T) *synth.Dataset {
 	t.Helper()
 	ds, err := synth.Generate(synth.GenConfig{
@@ -28,73 +27,24 @@ func genPintime(t *testing.T) *synth.Dataset {
 	return ds
 }
 
-func TestPlanBatchFillsPointsFirst(t *testing.T) {
-	// Wide gradient batch on a matching core budget: all cores go to S1,
-	// the factorizations stay sequential.
-	p := PlanBatch(9, 8, 64, true)
-	if p.PointWorkers != 8 {
-		t.Fatalf("PointWorkers = %d, want 8", p.PointWorkers)
-	}
-	if p.Partitions != 1 {
-		t.Fatalf("wide batch must stay sequential, got %d partitions", p.Partitions)
-	}
-	// Width-1 line-search probe: the whole budget flows inside the single
-	// factorization (halved by the S2 pipeline split).
-	p = PlanBatch(1, 8, 64, true)
-	if p.PointWorkers != 1 {
-		t.Fatalf("PointWorkers = %d, want 1", p.PointWorkers)
-	}
-	if p.Partitions != 4 {
-		t.Fatalf("width-1 batch with 8 cores and S2 should run 4 partitions, got %d", p.Partitions)
-	}
-	// Without S2 the full budget becomes partition width.
-	p = PlanBatch(1, 8, 64, false)
-	if p.Partitions != 8 {
-		t.Fatalf("width-1 batch with 8 cores, no S2: want 8 partitions, got %d", p.Partitions)
-	}
-}
-
-func TestPlanBatchRespectsTimePartitionability(t *testing.T) {
-	// nt = 8 supports at most 8/4 = 2 useful partitions regardless of the
-	// core budget.
-	p := PlanBatch(1, 64, 8, false)
-	if p.Partitions != 2 {
-		t.Fatalf("partitions = %d, want the nt-bound 2", p.Partitions)
-	}
-	// Tiny time dimensions disable the layer entirely.
-	p = PlanBatch(1, 64, 3, false)
-	if p.Partitions != 1 {
-		t.Fatalf("partitions = %d, want 1 for nt=3", p.Partitions)
-	}
-	// A single core disables every layer.
-	p = PlanBatch(5, 1, 64, true)
-	if p.PointWorkers != 1 || p.Partitions != 1 {
-		t.Fatalf("single-core plan must be fully sequential, got %+v", p)
-	}
-}
-
-// TestCountPlanHasOnePartition: a count model factorizes sequentially on
-// every path, so at Workers 4 over nt = 8 its width-1 plan reports one
-// partition and the line search batches four candidates, while a Gaussian
-// model of the same shape splits its cores into two partitions and two
-// candidates.
+// TestCountPlanHasOnePartition: every evaluation factorizes on one
+// sequential factor, whatever the likelihood, so at Workers 4 over nt = 8
+// — a shape the time dimension could split in two — both a count and a
+// Gaussian model plan four cores and batch four line-search candidates.
 func TestCountPlanHasOnePartition(t *testing.T) {
-	for _, tc := range []struct {
-		lik         model.LikelihoodKind
-		parts, cand int
-	}{{model.LikPoisson, 1, 4}, {model.LikGaussian, 2, 2}} {
+	for _, lik := range []model.LikelihoodKind{model.LikPoisson, model.LikGaussian} {
 		ds, err := synth.Generate(synth.GenConfig{
-			Nv: 1, Nt: 8, Nr: 1, MeshNx: 4, MeshNy: 3, ObsPerStep: 10, Seed: 5, Family: tc.lik,
+			Nv: 1, Nt: 8, Nr: 1, MeshNx: 4, MeshNy: 3, ObsPerStep: 10, Seed: 5, Family: lik,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5), Workers: 4}
-		if p := e.StencilPlan(1); p.Partitions != tc.parts {
-			t.Fatalf("%v: width-1 plan %+v, want %d partitions", tc.lik, p, tc.parts)
+		if p := e.StencilPlan(1); p.Cores != 4 {
+			t.Fatalf("%v: width-1 plan %+v, want 4 cores", lik, p)
 		}
-		if k := lineSearchWidth(e); k != tc.cand {
-			t.Fatalf("%v: line search batches %d candidates, want %d", tc.lik, k, tc.cand)
+		if k := lineSearchWidth(e); k != 4 {
+			t.Fatalf("%v: line search batches %d candidates, want 4", lik, k)
 		}
 	}
 }
@@ -205,40 +155,5 @@ func TestBFGSIterationAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("BFGS iteration bookkeeping allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// TestFitParallelSolverMatchesSequential: a fit whose evaluations are forced
-// onto the parallel-in-time solver must reproduce the sequential fit's mode
-// to optimizer tolerance (the backends agree to 1e-10 per evaluation, so the
-// whole BFGS trajectory coincides), and the latent posterior at that mode,
-// which both extract with the one sequential routine.
-func TestFitParallelSolverMatchesSequential(t *testing.T) {
-	ds := genPintime(t)
-	prior := WeakPrior(ds.Theta0, 5)
-	opts := DefaultFitOptions()
-	opts.Opt.MaxIter = 4
-	opts.SkipHyperUncertainty = true
-
-	seq, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 1}, ds.Theta0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 3}, ds.Theta0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Theta {
-		if math.Abs(seq.Theta[i]-par.Theta[i]) > 1e-6 {
-			t.Fatalf("theta[%d]: sequential %v vs parallel %v", i, seq.Theta[i], par.Theta[i])
-		}
-	}
-	if math.Abs(seq.Opt.F-par.Opt.F) > 1e-6*(1+math.Abs(seq.Opt.F)) {
-		t.Fatalf("objective at the mode: %v vs %v", seq.Opt.F, par.Opt.F)
-	}
-	for i := range seq.LatentVar {
-		if math.Abs(seq.LatentVar[i]-par.LatentVar[i]) > 1e-8*(1+seq.LatentVar[i]) {
-			t.Fatalf("latent variance %d: %v vs %v", i, seq.LatentVar[i], par.LatentVar[i])
-		}
 	}
 }

@@ -94,7 +94,7 @@ func (e *BTAEvaluator) evalCountBatch(points [][]float64, out []float64) {
 			e.evalPoints(points[:1], out[:1], nil, c.x)
 			ok = !math.IsInf(out[0], 1)
 		} else {
-			_, err := e.evalPoint(c.centre, solverSpec{parts: 1, exec: e.exec}, nil, c.x[0])
+			_, err := e.evalPoint(c.centre, nil, c.x[0])
 			ok = err == nil
 		}
 		c.set(0, c.centre, ok)

@@ -318,7 +318,7 @@ func TestCountFitBitIdenticalAcrossWorkers(t *testing.T) {
 	opts.Opt.MaxIter = 6
 	var want *Result
 	for _, w := range []int{1, 2, 4} {
-		res, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: w, S2: true}, ds.Theta0, opts)
+		res, err := fitWith(ds.Model, &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: w}, ds.Theta0, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

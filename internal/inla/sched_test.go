@@ -3,6 +3,7 @@ package inla
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,16 +12,15 @@ import (
 )
 
 // TestFitDeterministicAcrossExecutorWidths is the cross-evaluation
-// determinism suite: the full INLA fit on an 8-worker executor, where
-// solver tasks from different θ points interleave and steal, must
-// reproduce the fit on a zero-worker executor, where the caller alone
-// completes every DAG — mode θ, objective, optimizer trajectory, latent
-// mean and variances — to 1e-10 across the partition × arrow-width grid;
-// nt = 20 lets the pinned widths {1, 3, 5} run unclamped, so the last one
-// assembles an 8-block reduced system. Scheduling reorders nothing
-// that matters: tip deltas fold in partition order and every other write
-// set is disjoint, so the arithmetic is identical whichever goroutine runs
-// a task.
+// determinism suite: the full INLA fit on an 8-worker executor, where the
+// point evaluations of a batch run on different workers, must reproduce
+// the fit on a zero-worker executor, where the caller alone runs every
+// point — mode θ, objective, optimizer trajectory, latent mean and
+// variances — bit for bit, with one and two fixed effects per process.
+// Every evaluation factorizes on its arena's sequential factor, so
+// scheduling decides only which goroutine computes a value, never the
+// value. The partitioned factor's own executor-width check is
+// bta.TestParallelFactorDeterministicAcrossExecutorWidths.
 func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 	serial, wide := sched.New(0), sched.New(8)
 	defer serial.Close()
@@ -36,42 +36,31 @@ func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		prior := WeakPrior(ds.Theta0, 5)
-		for _, parts := range []int{1, 3, 5} {
-			fit := func(ex *sched.Executor) *Result {
-				opts := DefaultFitOptions()
-				opts.Opt.MaxIter = 3
-				opts.SkipHyperUncertainty = true
-				e := &BTAEvaluator{Model: ds.Model, Prior: prior, S2: true,
-					partitions: parts, exec: ex}
-				res, err := fitWith(ds.Model, e, ds.Theta0, opts)
-				if err != nil {
-					t.Fatalf("nr=%d parts=%d workers=%d: %v", nr, parts, ex.Workers(), err)
-				}
-				return res
+		fit := func(ex *sched.Executor) *Result {
+			opts := DefaultFitOptions()
+			opts.Opt.MaxIter = 3
+			opts.SkipHyperUncertainty = true
+			e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: 8, exec: ex}
+			res, err := fitWith(ds.Model, e, ds.Theta0, opts)
+			if err != nil {
+				t.Fatalf("nr=%d workers=%d: %v", nr, ex.Workers(), err)
 			}
-			want := fit(serial)
-			got := fit(wide)
-			const tol = 1e-10
-			if math.Abs(got.Opt.F-want.Opt.F) > tol*(1+math.Abs(want.Opt.F)) {
-				t.Fatalf("nr=%d parts=%d: 8-worker F=%v, zero-worker F=%v", nr, parts, got.Opt.F, want.Opt.F)
-			}
-			if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
-				t.Fatalf("nr=%d parts=%d: 8-worker trajectory (%d it, %d evals) vs zero-worker (%d it, %d evals)",
-					nr, parts, got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
-			}
-			for i := range want.Theta {
-				if math.Abs(got.Theta[i]-want.Theta[i]) > tol*(1+math.Abs(want.Theta[i])) {
-					t.Fatalf("nr=%d parts=%d: θ[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.Theta[i], want.Theta[i])
-				}
-			}
-			for i := range want.Mu {
-				if math.Abs(got.Mu[i]-want.Mu[i]) > tol*(1+math.Abs(want.Mu[i])) {
-					t.Fatalf("nr=%d parts=%d: μ[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.Mu[i], want.Mu[i])
-				}
-				if math.Abs(got.LatentVar[i]-want.LatentVar[i]) > tol*(1+math.Abs(want.LatentVar[i])) {
-					t.Fatalf("nr=%d parts=%d: var[%d] 8-worker %v, zero-worker %v", nr, parts, i, got.LatentVar[i], want.LatentVar[i])
-				}
-			}
+			return res
+		}
+		want, got := fit(serial), fit(wide)
+		if got.Opt.F != want.Opt.F || !slices.Equal(got.Opt.Trace, want.Opt.Trace) {
+			t.Fatalf("nr=%d: 8-worker F=%v trace %v, zero-worker F=%v trace %v",
+				nr, got.Opt.F, got.Opt.Trace, want.Opt.F, want.Opt.Trace)
+		}
+		if got.Opt.Iterations != want.Opt.Iterations || got.Opt.FEvals != want.Opt.FEvals {
+			t.Fatalf("nr=%d: 8-worker trajectory (%d it, %d evals) vs zero-worker (%d it, %d evals)",
+				nr, got.Opt.Iterations, got.Opt.FEvals, want.Opt.Iterations, want.Opt.FEvals)
+		}
+		if !slices.Equal(got.Theta, want.Theta) {
+			t.Fatalf("nr=%d: θ 8-worker %v, zero-worker %v", nr, got.Theta, want.Theta)
+		}
+		if !slices.Equal(got.Mu, want.Mu) || !slices.Equal(got.LatentVar, want.LatentVar) {
+			t.Fatalf("nr=%d: latent posterior differs between the 8-worker and the zero-worker fit", nr)
 		}
 	}
 }
@@ -95,9 +84,9 @@ func TestEvalBatchDeterministicAcrossExecutorWidths(t *testing.T) {
 	}
 	prior := WeakPrior(ds.Theta0, 5)
 	pts := gradientPoints(ds.Theta0, 1e-3)
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: serial}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, exec: serial}
 	want := ref.EvalBatch(pts)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: wide}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, exec: wide}
 	got := e.EvalBatch(pts)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
@@ -123,8 +112,8 @@ func TestEvaluatorPrivateExecutorShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ex, serial := sched.New(3), sched.New(0)
-	e := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: ex}
-	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, partitions: 2, exec: serial}
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, exec: ex}
+	ref := &BTAEvaluator{Model: ds.Model, Prior: prior, exec: serial}
 	pts := gradientPoints(ds.Theta0, 1e-3)
 	want := ref.EvalBatch(pts)
 	got := e.EvalBatch(pts)

@@ -27,7 +27,7 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evalFobjScratch(ds.Model, prior, theta, solverSpec{parts: 1}, ws, nil)
+		got, err := evalFobjScratch(ds.Model, prior, theta, ws, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
