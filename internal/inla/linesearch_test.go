@@ -178,16 +178,12 @@ type planless struct{ Evaluator }
 // search walks the one-at-a-time path exactly — θ, F, the trace and the
 // iteration count bit for bit, after one iteration and after 15, at
 // Workers 2, 4 and 8 against the one-at-a-time search at Workers 1 (which
-// is Workers 1's own path), on the benchmark shapes and on an nt = 20
-// shape whose time dimension could be split in up to five partitions.
-// Batching k = Workers candidates spends at most k − 1 speculative
-// evaluations per line search.
+// is Workers 1's own path), on the benchmark shapes. Batching k = Workers
+// candidates spends at most k − 1 speculative evaluations per line search.
 func TestBatchedLineSearchBitIdenticalOnBenchmarkShapes(t *testing.T) {
 	ex := sched.New(8)
 	defer ex.Close()
-	shapes := benchmarkShapes(t)
-	shapes["nt20"] = synth.GenConfig{Nv: 1, Nt: 20, Nr: 1, MeshNx: 3, MeshNy: 3, ObsPerStep: 10, Seed: 31}
-	for name, gen := range shapes {
+	for name, gen := range benchmarkShapes(t) {
 		ds, err := synth.Generate(gen)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -218,6 +214,44 @@ func TestBatchedLineSearchBitIdenticalOnBenchmarkShapes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBatchedLineSearchPartitionedCandidates: at 8 cores and nt = 20 the
+// time dimension could be split in up to five partitions, but every
+// candidate of a round of 8 runs on a sequential factor, as the width-1
+// probe does; the search run to convergence reaches the one-at-a-time
+// search's mode in as many iterations, θ and F bit for bit.
+func TestBatchedLineSearchPartitionedCandidates(t *testing.T) {
+	ex := sched.New(8)
+	defer ex.Close()
+	ds, err := synth.Generate(synth.GenConfig{
+		Nv: 1, Nt: 20, Nr: 1,
+		MeshNx: 3, MeshNy: 3,
+		ObsPerStep: 10,
+		Seed:       31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := WeakPrior(ds.Theta0, 5)
+	e := &BTAEvaluator{Model: ds.Model, Prior: prior, Workers: 8, exec: ex}
+	if k := lineSearchWidth(e); k != 8 {
+		t.Fatalf("line-search width %d at Workers 8, want 8", k)
+	}
+	got, err := Minimize(e, ds.Theta0, DefaultOptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Minimize(planless{&BTAEvaluator{Model: ds.Model, Prior: prior, Workers: 1, exec: ex}}, ds.Theta0, DefaultOptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations {
+		t.Fatalf("%d iterations, one-at-a-time %d", got.Iterations, want.Iterations)
+	}
+	if !reflect.DeepEqual(got.Theta, want.Theta) || got.F != want.F {
+		t.Fatalf("θ* %v F %v, one-at-a-time θ* %v F %v", got.Theta, got.F, want.Theta, want.F)
 	}
 }
 
