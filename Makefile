@@ -82,8 +82,9 @@ ci: fmt-check test race purego
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
 # smoke run, the quick fig5/x1/x5 solver experiments, the four fast
 # examples, the traced benchmark run on all four workloads (e2e) and its one
-# pass of the dense kernel, Q_c assembly, BTA solver, mode-search and
-# snapshot prediction benchmarks), race, the race-widths GOMAXPROCS matrix
+# pass of the dense kernel, Q_c assembly, BTA solver, mode-search,
+# mode-Hessian and snapshot prediction benchmarks), race, the race-widths
+# GOMAXPROCS matrix
 # over the partition/replica/kernel fan-out packages, the chaos
 # fault-injection suite, the purego fallback with the arm64 cross-build,
 # then the non-blocking perf smoke.

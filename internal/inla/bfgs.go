@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
+	"github.com/dalia-hpc/dalia/internal/model"
 )
 
 // OptOptions configures the quasi-Newton mode search (§III-2).
@@ -500,10 +501,30 @@ func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]in
 	return pts, offIdx
 }
 
-// HessianAtMode estimates ∇²F(θ*) by second-order central differences
-// (§III-3). The 2d² + 1 evaluations form one parallel batch, which no
-// evaluator reads as a gradient request (hessianStencil).
+// HessianAtMode estimates ∇²F(θ*) (§III-3). For a Gaussian model on a
+// *BTAEvaluator it takes differences of exact gradients around θ* —
+// forward, d requests; central for the diffusion prior, 2d —
+// symmetrized (hessianFromGradients), and ignores h; the evaluator's idle
+// gradient arena gives the base gradient when its last request was at θ*. Every other evaluator — count models, the distributed evaluator and
+// any decorator — gets the second-order central-difference stencil of step
+// h (hessianFromStencil).
 func HessianAtMode(e Evaluator, theta []float64, h float64) (*dense.Matrix, error) {
+	if be, ok := e.(*BTAEvaluator); ok && be.Model.Lik == model.LikGaussian {
+		hess, ws, err := be.hessianFromGradients(theta, be.grads.Swap(nil))
+		if ws != nil {
+			be.grads.Store(ws)
+		}
+		return hess, err
+	}
+	return hessianFromStencil(e, theta, h)
+}
+
+// hessianFromStencil estimates ∇²F(θ) by second-order central differences
+// of step h. The 2d² + 1 evaluations form one parallel batch, which no
+// evaluator reads as a gradient request (hessianStencil). It is the
+// Hessian of every evaluator but a Gaussian BTAEvaluator's, and the
+// oracle of that one's.
+func hessianFromStencil(e Evaluator, theta []float64, h float64) (*dense.Matrix, error) {
 	d := len(theta)
 	pts, offIdx := hessianStencil(theta, h)
 	vals := e.EvalBatch(pts)

@@ -13,7 +13,10 @@ import (
 // FitOptions configures a full INLA fit.
 type FitOptions struct {
 	Opt OptOptions
-	// HessStep is the finite-difference step of the mode Hessian.
+	// HessStep is the step of the mode Hessian's second-order stencil
+	// (hessianFromStencil), the route of count models and of evaluators
+	// other than BTAEvaluator. A Gaussian fit on Fit's evaluator takes the
+	// Hessian from exact gradients (hessianFromGradients) and ignores it.
 	HessStep float64
 	// SkipHyperUncertainty disables the Hessian stage (scaling benches).
 	SkipHyperUncertainty bool
@@ -56,15 +59,25 @@ type Result struct {
 // Fit runs the complete INLA procedure on the model: mode search (BFGS; a
 // Gaussian model's gradient stencils are answered from one Laplace step,
 // a count model's by parallel central differences), hyperparameter
-// uncertainty (Hessian at the mode), and latent posterior extraction
-// (conditional mean and selected inversion of Q_c at the mode).
+// uncertainty (Hessian at the mode: for a Gaussian model differences of
+// exact gradients, for counts the 2d² + 1-point stencil), and latent
+// posterior extraction (conditional mean and selected inversion of Q_c at
+// the mode, for a Gaussian model those of the search's last gradient
+// request when it was at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior}, theta0, opts)
 }
 
 // fitWith runs the mode search and the Hessian stage on any Evaluator
 // backend, then extracts the latent posterior of m at the mode with the
-// sequential latentPosterior, whatever the backend.
+// sequential latentPosterior, whatever the backend. On a *BTAEvaluator it
+// first takes over the search's gradient arena: for a Gaussian model the
+// Hessian stage reads its base gradient there (hessianFromGradients), the
+// integration grid's centre and the posterior its factor, μ and Σ, all
+// without recomputing them when the search's last request was at θ* —
+// and otherwise computed on that arena once, by the Hessian's base
+// request or by the posterior. Every other backend and count models take
+// the Hessian stencil (hessianFromStencil).
 func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
 	if opts.Checkpoint != nil {
 		opts.Opt.Checkpoint = opts.Checkpoint
@@ -81,15 +94,35 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 	// A failed line search still yields a usable (if premature) mode.
 	res := &Result{Theta: opt.Theta, Opt: opt}
 
+	// The search's gradient arena, a sequential factor and a Σ, is the
+	// search's no more: the later stages take it over instead of
+	// allocating their own.
+	var ws *solverScratch
+	be, exact := e.(*BTAEvaluator)
+	if exact = exact && be.Model == m; exact {
+		ws = be.grads.Swap(nil)
+		exact = m.Lik == model.LikGaussian
+	}
+
 	if !opts.SkipHyperUncertainty {
-		h := opts.HessStep
-		if h == 0 {
-			h = 5e-3
+		var hess *dense.Matrix
+		var herr error
+		if exact {
+			hess, ws, herr = be.hessianFromGradients(opt.Theta, ws)
+		} else {
+			h := opts.HessStep
+			if h == 0 {
+				h = 5e-3
+			}
+			hess, herr = hessianFromStencil(e, opt.Theta, h)
 		}
-		hess, herr := HessianAtMode(e, opt.Theta, h)
 		if herr == nil {
 			if opts.IntegrateHyperGrid {
-				if ip, ierr := IntegrateHyper(e, (&BTAEvaluator{Model: m}).Posterior, opt.Theta, hess, 1); ierr == nil {
+				arena := func() *solverScratch { return newSolverScratch(m) }
+				if exact {
+					arena = be.getGradScratch
+				}
+				if ip, ierr := IntegrateHyper(e, gridPosterior(m, ws, arena), opt.Theta, hess, 1); ierr == nil {
 					res.Integrated = ip
 				}
 			}
@@ -113,18 +146,35 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 		}
 	}
 
-	// The search's gradient arena, a sequential factor and a Σ, is dead by
-	// now: the posterior takes it over instead of allocating its own.
-	var ws *solverScratch
-	if be, ok := e.(*BTAEvaluator); ok && be.Model == m {
-		ws = be.grads.Swap(nil)
-	}
 	_, mu, _, sig, perr := latentPosterior(m, opt.Theta, true, ws)
 	if perr != nil {
 		return nil, fmt.Errorf("inla: posterior extraction at the mode: %w", perr)
 	}
 	res.Mu, res.LatentVar, res.Sigma = mu, sig.DiagVec(), sig
 	return res, nil
+}
+
+// gridPosterior is the latent posterior IntegrateHyper mixes over fitWith's
+// grid: at the centre θ* it is mode's, the gradient arena that holds θ*'s
+// posterior (nil: none), and every other point runs on one arena, taken
+// from arena on first use and reused from point to point. The μ it
+// returns aliases that arena until the next call.
+func gridPosterior(m *model.Model, mode *solverScratch, arena func() *solverScratch) func([]float64) ([]float64, []float64, error) {
+	var grid *solverScratch
+	return func(theta []float64) ([]float64, []float64, error) {
+		ws := mode
+		if ws == nil || !ws.grad.holds(theta) {
+			if grid == nil {
+				grid = arena()
+			}
+			ws = grid
+		}
+		_, mu, _, sig, err := latentPosterior(m, theta, true, ws)
+		if err != nil {
+			return nil, nil, err
+		}
+		return mu, sig.DiagVec(), nil
+	}
 }
 
 // FixedEffect summarizes one fixed effect's Gaussian posterior.

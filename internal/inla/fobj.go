@@ -30,6 +30,16 @@
 // same θ. Fit, BTAEvaluator.Posterior, ModeFactor, ModeSigma and
 // SamplePosterior all call it, and Fit keeps the Σ it computed at θ* on
 // Result.Sigma for the prediction layer to freeze.
+//
+// A Gaussian gradient request computes that same Laplace step and selected
+// inversion at its centre, and its arena remembers the centre bit for bit
+// (gradWork). So a Gaussian Fit's second stage reuses the search's last
+// request: when it was at θ*, the posterior returns its μ, factor and Σ
+// without recomputing them, and the mode Hessian (§III-3) is differences of
+// d exact gradients around θ* (2d for the diffusion prior), run
+// concurrently over the core budget, instead of the 2d² + 1-point stencil
+// of F that count models and every other evaluator keep
+// (hessianFromGradients, hessianFromStencil).
 package inla
 
 import (
@@ -283,6 +293,10 @@ type BTAEvaluator struct {
 	// BenchmarkMinimizeOneIterationPoisson.
 	modes       modeCache
 	newtonSteps atomic.Int64
+
+	// gradRequests counts Gaussian gradient requests (gradientOn), read by
+	// BenchmarkHessianAtMode.
+	gradRequests atomic.Int64
 }
 
 // EvalError is one quarantined θ evaluation failure: the point, the retry

@@ -1,9 +1,13 @@
 package inla
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
+	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/model"
 )
 
@@ -19,29 +23,70 @@ import (
 // replace the 2d + 1 full evaluations of a stencil.
 
 // gradWork is what a gradient arena needs beyond one evaluation to answer
-// a gradient request: Σ, the contraction table and the gradient ∂V.
+// a gradient request: Σ, the contraction table and the gradient ∂V, and
+// the tag at: a bit-exact copy of the centre the arena's factor, μ, Σ and
+// ∂V belong to, valid only while ok is set. exactGradient sets it when it
+// succeeds; anything else that runs on the arena clears it first, so a
+// failed or panicking request leaves it invalid.
 type gradWork struct {
 	sigma *bta.Matrix
 	table *model.QcTable
 	dvdth []float64
+	at    []float64
+	ok    bool
 }
 
-// getGradScratch takes the evaluator's idle gradient arena, or builds one
-// with its gradWork. The evaluator keeps one such arena apart from the
-// point evaluations' pool, so that the fit's posterior takes it over
-// (fitWith); of concurrent requests' arenas it keeps the last returned.
-func (e *BTAEvaluator) getGradScratch() *solverScratch {
-	if ws := e.grads.Swap(nil); ws != nil {
-		return ws
+// holds reports whether the arena's factor, μ, Σ and ∂V are those of θ,
+// bit for bit.
+func (g *gradWork) holds(theta []float64) bool {
+	if !g.ok || len(theta) != len(g.at) {
+		return false
 	}
-	m := e.Model
+	for i, v := range theta {
+		if math.Float64bits(v) != math.Float64bits(g.at[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// newGradScratch builds a gradient arena: an evaluation arena with its
+// gradWork.
+func newGradScratch(m *model.Model) *solverScratch {
 	ws := newSolverScratch(m)
 	ws.grad = &gradWork{
 		sigma: bta.NewMatrix(m.Dims.BTAShape()),
 		table: m.NewQcTable(),
 		dvdth: make([]float64, m.NumHyper()),
+		at:    make([]float64, m.NumHyper()),
 	}
 	return ws
+}
+
+// getGradScratch takes the evaluator's idle gradient arena, or builds one.
+// The evaluator keeps one such arena apart from the point evaluations'
+// pool, so that the fit takes it over (fitWith); of concurrent requests'
+// arenas it keeps the last returned.
+func (e *BTAEvaluator) getGradScratch() *solverScratch {
+	if ws := e.grads.Swap(nil); ws != nil {
+		return ws
+	}
+	return newGradScratch(e.Model)
+}
+
+// gradientOn answers one gradient request at c on the gradient arena ws:
+// V(c), with ∂V(c) in ws.grad.dvdth and the tag at c. It reports
+// keep = false when the request panicked: the arena is poisoned and its
+// caller drops it.
+func (e *BTAEvaluator) gradientOn(ws *solverScratch, c []float64) (v float64, keep bool, err error) {
+	e.gradRequests.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			keep, err = false, fmt.Errorf("inla: gradient request panicked: %v", r)
+		}
+	}()
+	v, err = exactGradient(e.Model, e.Prior, ws, c)
+	return v, true, err
 }
 
 // evalGradientRequest answers a Gaussian batch laid out as a
@@ -63,29 +108,20 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 		return false
 	}
 	ws := e.getGradScratch()
-	g := ws.grad
-	v, ok := func() (v float64, ok bool) {
-		defer func() {
-			// The point-by-point fallback meets the panic again, and
-			// quarantines it; a poisoned arena is dropped, not pooled.
-			if recover() != nil {
-				ws = nil
-			}
-		}()
-		v, err := exactGradient(e.Model, e.Prior, ws, g, c)
-		return v, err == nil
-	}()
-	if ws == nil {
+	v, keep, err := e.gradientOn(ws, c)
+	if !keep {
+		// The point-by-point fallback meets the panic again, and
+		// quarantines it; a poisoned arena is dropped, not pooled.
 		return false
 	}
-	defer e.grads.Store(ws) // g is dead past this call
-	if !ok {
+	defer e.grads.Store(ws) // idle again once out is written
+	if err != nil {
 		return false
 	}
 	if from == 1 {
 		out[0] = v
 	}
-	for i, dv := range g.dvdth {
+	for i, dv := range ws.grad.dvdth {
 		plus, minus := points[from+2*i], points[from+2*i+1]
 		out[from+2*i] = v + (plus[i]-c[i])*dv
 		out[from+2*i+1] = v - (c[i]-minus[i])*dv
@@ -93,10 +129,14 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 	return true
 }
 
-// exactGradient runs the Laplace step at c on ws's sequential factor,
-// selects Σ into g.sigma and contracts it with μ, then writes ∂V = −∂F
-// into g.dvdth and returns V = −F at c.
-func exactGradient(m *model.Model, prior Prior, ws *solverScratch, g *gradWork, c []float64) (float64, error) {
+// exactGradient runs the Laplace step at c on the sequential factor of
+// the gradient arena ws, selects Σ into its gradWork g's Σ and contracts
+// it with μ, then writes ∂V = −∂F into g.dvdth, tags the arena with c and
+// returns V = −F at c. The tag is cleared first, so it stays invalid
+// unless every step succeeds.
+func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c []float64) (float64, error) {
+	g := ws.grad
+	g.ok = false
 	t, err := m.DecodeTheta(c)
 	if err != nil {
 		return 0, err
@@ -121,5 +161,124 @@ func exactGradient(m *model.Model, prior Prior, ws *solverScratch, g *gradWork, 
 	for i, dF := range g.dvdth {
 		g.dvdth[i] = -(prior.dLogDensity(c, i) + dF)
 	}
+	copy(g.at, c)
+	g.ok = true
 	return -parts.F(), nil
+}
+
+// The steps of the Hessian from exact gradients, chosen against the
+// 2d² + 1-point stencil at FitOptions.HessStep
+// (TestHessianFromGradientsMatchesStencil). An exact gradient carries no
+// factorization noise of the stencil's kind, so a forward difference at
+// hessGradStep, far below the stencil's step, agrees with it to 1e-5–3e-5
+// of max|H| on the Gaussian benchmark shapes. A diffusion prior's gradient
+// carries more rounding: forward differences at 1e-5 miss the stencil by
+// 1.3e-3 of max|H|, at best 1.2e-4 at 1e-4, so that prior takes central
+// differences at hessCentralStep (3.6e-5–8.6e-5), 2d gradients instead of
+// d.
+const (
+	hessGradStep    = 1e-5
+	hessCentralStep = 1e-3
+)
+
+// hessianFromGradients estimates ∇²V(θ) for a Gaussian model from exact
+// gradients, symmetrized: with D_i the difference quotient of ∂V along
+// e_i,
+//
+//	H_ij = ½(D_i ∂_jV + D_j ∂_iV),
+//
+// D_i forward, (∂V(θ + h·e_i) − ∂V(θ))/h at h = hessGradStep, or for a
+// diffusion prior central, (∂V(θ + h·e_i) − ∂V(θ − h·e_i))/2h at
+// h = hessCentralStep, each h the step as θ_i ± h rounds it. The base
+// ∂V(θ) is base's when its tag holds θ and is otherwise requested on base
+// (nil: a new gradient arena). The shifted requests, and the base's when
+// it is missing, run concurrently over the core budget, each on a gradient
+// arena of its own, none of them pooled, the last one idle afterwards.
+// Every request runs on the sequential factor, so the Hessian depends on
+// θ alone. It returns the base arena, holding θ's factor, μ, Σ and ∂V when
+// no error is returned, and nil when its request panicked.
+func (e *BTAEvaluator) hessianFromGradients(theta []float64, base *solverScratch) (*dense.Matrix, *solverScratch, error) {
+	d := len(theta)
+	h, sides := hessGradStep, 1
+	if e.Model.ST == model.STDiffusion {
+		h, sides = hessCentralStep, 2
+	}
+	if base == nil {
+		base = newGradScratch(e.Model)
+	}
+	// Request k < sides·d is at θ + h·e_i for k = sides·i, at θ − h·e_i for
+	// k = 2i + 1; request sides·d, when there is one, is the base's.
+	shifted := sides * d
+	n := shifted
+	if !base.grad.holds(theta) {
+		n++
+	}
+	pts := make([][]float64, shifted)
+	for k := range pts {
+		pts[k] = slices.Clone(theta)
+		if k%sides == 0 {
+			pts[k][k/sides] += h
+		} else {
+			pts[k][k/sides] -= h
+		}
+	}
+	grads := make([][]float64, shifted)
+	errs := make([]error, n)
+	baseKept := true
+	arenas := make(chan *solverScratch, e.cores())
+	e.runOnExecutor(n, e.cores(), func(k int) {
+		if k == shifted {
+			_, baseKept, errs[k] = e.gradientOn(base, theta)
+			return
+		}
+		var ws *solverScratch
+		select {
+		case ws = <-arenas:
+		default:
+			ws = e.getGradScratch()
+		}
+		_, keep, err := e.gradientOn(ws, pts[k])
+		if err != nil {
+			errs[k] = fmt.Errorf("inla: Hessian gradient at θ%+.3g·e_%d: %w", pts[k][k/sides]-theta[k/sides], k/sides, err)
+		} else {
+			grads[k] = slices.Clone(ws.grad.dvdth)
+		}
+		if keep {
+			arenas <- ws
+		}
+	})
+	select {
+	case ws := <-arenas:
+		e.grads.Store(ws)
+	default:
+	}
+	if !baseKept {
+		base = nil
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, base, err
+	}
+	// diff row i: D_i ∂V.
+	diff := make([][]float64, d)
+	for i := range diff {
+		hi, lo, glo := pts[sides*i], theta, base.grad.dvdth
+		if sides == 2 {
+			lo, glo = pts[2*i+1], grads[2*i+1]
+		}
+		step := hi[i] - lo[i]
+		diff[i] = make([]float64, d)
+		for j, g := range grads[sides*i] {
+			diff[i][j] = (g - glo[j]) / step
+		}
+		if !finiteVec(diff[i]) {
+			return nil, base, fmt.Errorf("inla: Hessian gradient difference along e_%d is not finite", i)
+		}
+	}
+	hm := dense.New(d, d)
+	for i := 0; i < d; i++ {
+		for j := 0; j < d; j++ {
+			hm.Set(i, j, 0.5*(diff[i][j]+diff[j][i]))
+		}
+	}
+	return hm, base, nil
 }

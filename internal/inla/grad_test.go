@@ -1,6 +1,7 @@
 package inla
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -361,5 +362,106 @@ func TestPosteriorOnGradientArena(t *testing.T) {
 	}
 	if !slices.Equal(res.Mu, mu) || !slices.Equal(res.Sigma.ToDense().Data, sig.ToDense().Data) {
 		t.Fatal("the fit's μ or Σ differs from a fresh arena's at its θ")
+	}
+}
+
+// TestPosteriorReusesLastGradient: a Gaussian fit's μ, latent variances
+// and Σ are those of a fresh latentPosterior and of ModeSigma at θ*, bit
+// for bit, on the three Gaussian benchmark shapes, whether its posterior
+// reads the search's last request (the arena's tag holds θ*: a converged
+// fit, one stopped at MaxIter, one whose line search failed after a
+// request at θ*, with the Hessian stage on or off) or recomputes it (no
+// request was made, as in a Resume with MaxIter equal to the checkpoint's
+// Iter, or the last was elsewhere: then the Hessian's base request, or
+// without the Hessian stage the posterior, computes it on the arena). A
+// failed or a panicking request leaves the tag invalid.
+func TestPosteriorReusesLastGradient(t *testing.T) {
+	for _, name := range []string{"fit_uni_gauss", "fit_tri_gauss", "serve_predict"} {
+		ds, err := synth.Generate(benchmarkShapes(t)[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, prior := ds.Model, WeakPrior(ds.Theta0, 5)
+		other := slices.Clone(ds.Theta0)
+		other[0] += 0.3
+		var ck *OptCheckpoint
+		for _, tc := range []struct {
+			what   string
+			opt    func(*FitOptions)
+			before func(*BTAEvaluator) // the evaluator's history before the fit
+			reuse  bool
+		}{
+			{what: "converged, Hessian on", reuse: true},
+			{what: "converged, Hessian off", opt: func(o *FitOptions) { o.SkipHyperUncertainty = true }, reuse: true},
+			{what: "stopped at MaxIter", opt: func(o *FitOptions) {
+				o.Opt.MaxIter, o.Opt.GradTol = 2, 0
+				o.Checkpoint = func(c *OptCheckpoint) error { ck = c; return nil }
+			}, reuse: true},
+			{what: "line search failed", opt: func(o *FitOptions) { o.Opt.StepTol = 2 }, reuse: true},
+			{what: "resumed without a request", opt: func(o *FitOptions) {
+				o.Opt.Resume, o.Opt.MaxIter = ck, ck.Iter
+			}},
+			{what: "last request elsewhere, Hessian on", opt: func(o *FitOptions) {
+				o.Opt.Resume, o.Opt.MaxIter = ck, ck.Iter
+			}, before: func(e *BTAEvaluator) { e.EvalBatch(stencilAt(other, 1e-3)) }},
+			{what: "last request elsewhere, Hessian off", opt: func(o *FitOptions) {
+				o.Opt.Resume, o.Opt.MaxIter = ck, ck.Iter
+				o.SkipHyperUncertainty = true
+			}, before: func(e *BTAEvaluator) { e.EvalBatch(stencilAt(other, 1e-3)) }},
+		} {
+			what := name + ", " + tc.what
+			opts := DefaultFitOptions()
+			if tc.opt != nil {
+				tc.opt(&opts)
+			}
+			// The same search on a second evaluator shows the arena the
+			// fit's posterior meets.
+			probe := &BTAEvaluator{Model: m, Prior: prior}
+			e := &BTAEvaluator{Model: m, Prior: prior}
+			if tc.before != nil {
+				tc.before(probe)
+				tc.before(e)
+			}
+			opt, _ := Minimize(probe, ds.Theta0, opts.Opt)
+			if ws := probe.grads.Load(); (ws != nil && ws.grad.holds(opt.Theta)) != tc.reuse {
+				t.Fatalf("%s: the arena's tag holds θ* is %v, want %v", what, !tc.reuse, tc.reuse)
+			}
+			res, err := fitWith(m, e, ds.Theta0, opts)
+			if err != nil && !errors.Is(err, ErrLineSearchFailed) {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !slices.Equal(res.Theta, opt.Theta) {
+				t.Fatalf("%s: the fit's θ* differs from its search's", what)
+			}
+			_, mu, _, _, err := latentPosterior(m, res.Theta, true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, sig, err := ModeSigma(m, res.Theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Mu, mu) || !slices.Equal(res.LatentVar, sig.DiagVec()) ||
+				!slices.Equal(res.Sigma.ToDense().Data, sig.ToDense().Data) {
+				t.Fatalf("%s: μ, the latent variances or Σ differ from a fresh posterior's", what)
+			}
+		}
+
+		e := &BTAEvaluator{Model: m, Prior: prior, Workers: 1}
+		bad := slices.Clone(ds.Theta0)
+		bad[0] = 800 // exp overflows: a non-SPD Q_c
+		e.EvalBatch(stencilAt(ds.Theta0, 1e-3))
+		e.EvalBatch(stencilAt(bad, 1e-3))
+		if ws := e.grads.Load(); ws == nil || ws.grad.ok {
+			t.Fatalf("%s: the tag reads valid after a failed request", name)
+		}
+		ws := newGradScratch(m)
+		if _, _, err := e.gradientOn(ws, ds.Theta0); err != nil || !ws.grad.holds(ds.Theta0) {
+			t.Fatalf("%s: a request left no valid tag (%v)", name, err)
+		}
+		ws.grad.table = nil // the contraction panics
+		if _, keep, err := e.gradientOn(ws, ds.Theta0); keep || err == nil || ws.grad.ok {
+			t.Fatalf("%s: after a panicking request keep = %v, err = %v, tag valid = %v", name, keep, err, ws.grad.ok)
+		}
 	}
 }

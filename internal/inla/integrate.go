@@ -30,9 +30,13 @@ type IntegratedPosterior struct {
 //	μ̄ = Σ w_k μ_k,   σ̄² = Σ w_k (σ_k² + μ_k²) − μ̄².
 //
 // e gives the densities; posterior gives the latent mean and marginal
-// variances at a configuration (Fit passes the latent posterior of its
-// model, BTAEvaluator.Posterior). hess is ∇²(−fobj) at the mode (from
-// HessianAtMode); delta ≈ 1 explores one posterior standard deviation.
+// variances at a configuration, the latent posterior of the model (Fit's
+// runs every grid point but the centre on one reused arena and reads the
+// centre's off the mode's, BTAEvaluator.Posterior allocates a fresh arena
+// per call). The μ and variances it returns are read before its next call
+// and never kept, so they may alias its storage. hess is ∇²(−fobj) at the
+// mode (from HessianAtMode); delta ≈ 1 explores one posterior standard
+// deviation.
 func IntegrateHyper(e Evaluator, posterior func(theta []float64) (mu, variance []float64, err error), thetaMode []float64, hess *dense.Matrix, delta float64) (*IntegratedPosterior, error) {
 	d := len(thetaMode)
 	vals, vecs, err := dense.SymEigen(hess)

@@ -2,6 +2,7 @@ package inla
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
@@ -155,5 +156,37 @@ func TestFitWithGridIntegration(t *testing.T) {
 	}
 	if len(res.Integrated.Points) != 2*len(res.Theta)+1 {
 		t.Fatalf("grid size %d", len(res.Integrated.Points))
+	}
+}
+
+// TestFitGridPosteriorsOnOneArena: a Gaussian fit's integrated posterior,
+// whose grid points but the centre share one arena and whose centre reads
+// the θ* arena, is bit for bit the one IntegrateHyper mixes from a fresh
+// posterior per grid point (BTAEvaluator.Posterior) at the fit's Hessian.
+func TestFitGridPosteriorsOnOneArena(t *testing.T) {
+	for _, nv := range []int{1, 2} {
+		ds := genSmall(t, nv)
+		prior := WeakPrior(ds.Model.EncodeTheta(ds.TrueTheta), 3)
+		opts := DefaultFitOptions()
+		opts.IntegrateHyperGrid = true
+		res, err := Fit(ds.Model, prior, ds.Theta0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Integrated == nil {
+			t.Fatalf("nv=%d: no integrated posterior", nv)
+		}
+		e := &BTAEvaluator{Model: ds.Model, Prior: prior}
+		hess, err := HessianAtMode(e, res.Theta, opts.HessStep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := IntegrateHyper(e, (&BTAEvaluator{Model: ds.Model}).Posterior, res.Theta, hess, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Integrated, want) {
+			t.Fatalf("nv=%d: the integrated posterior differs from one with a fresh posterior per grid point", nv)
+		}
 	}
 }

@@ -40,15 +40,28 @@ func ModeSigma(m *model.Model, theta []float64) (*model.Theta, *bta.Matrix, erro
 // withSigma is set, the sequential POBTASI for the blocks of Σ = Q_c⁻¹:
 // into the Σ of a gradient arena, for a count model into the Newton work's
 // Q_p, which nothing reads once the mode is found, and otherwise into a
-// freshly allocated matrix. Everything it returns is owned by the caller,
-// and being sequential it gives the same bits for the same θ whatever the
-// core budget and whatever the arena held before.
+// freshly allocated matrix. A gradient arena whose tag holds θ bit for bit
+// already has all of it — its last request ran this Laplace step and this
+// selected inversion at θ (exactGradient) — so it is returned as it
+// stands; on any other gradient arena the tag is cleared and the posterior
+// recomputed. Everything it returns is owned by the caller, and being
+// sequential it gives the same bits for the same θ whatever the core
+// budget and whatever the arena held before.
 func latentPosterior(m *model.Model, theta []float64, withSigma bool, ws *solverScratch) (t *model.Theta, mu []float64, f *bta.Factor, sigma *bta.Matrix, err error) {
 	if t, err = m.DecodeTheta(theta); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if ws == nil {
 		ws = newSolverScratch(m)
+	}
+	if g := ws.grad; g != nil {
+		if g.holds(theta) {
+			if withSigma {
+				sigma = g.sigma
+			}
+			return t, ws.mu, ws.fc, sigma, nil
+		}
+		g.ok = false // the factor, μ and Σ are about to move
 	}
 	if mu, err = laplaceStep(m, t, ws.fc, ws, nil); err != nil {
 		return nil, nil, nil, nil, err
