@@ -501,15 +501,18 @@ func hessianStencil(theta []float64, h float64) (pts [][]float64, offIdx [][2]in
 	return pts, offIdx
 }
 
-// HessianAtMode estimates ∇²F(θ*) (§III-3). For a Gaussian model on a
-// *BTAEvaluator it takes differences of exact gradients around θ* —
-// forward, d requests; central for the diffusion prior, 2d —
-// symmetrized (hessianFromGradients), and ignores h; the evaluator's idle
-// gradient arena gives the base gradient when its last request was at θ*. Every other evaluator — count models, the distributed evaluator and
-// any decorator — gets the second-order central-difference stencil of step
-// h (hessianFromStencil).
+// HessianAtMode estimates ∇²F(θ*) (§III-3). For a Gaussian model with a
+// separable prior on a *BTAEvaluator it takes forward differences of d
+// exact gradients around θ*, symmetrized (hessianFromGradients), and
+// ignores h; the evaluator's idle gradient arena gives the base gradient
+// when its last request was at θ*, and holds θ*'s posterior afterwards.
+// Every other evaluator — count models, the diffusion prior, whose
+// gradient differences its prior log det numerically and is too rough for
+// a forward difference, the distributed evaluator and any decorator —
+// gets the second-order central-difference stencil of step h
+// (hessianFromStencil).
 func HessianAtMode(e Evaluator, theta []float64, h float64) (*dense.Matrix, error) {
-	if be, ok := e.(*BTAEvaluator); ok && be.Model.Lik == model.LikGaussian {
+	if be, ok := e.(*BTAEvaluator); ok && be.Model.Lik == model.LikGaussian && be.Model.ST != model.STDiffusion {
 		hess, ws, err := be.hessianFromGradients(theta, be.grads.Swap(nil))
 		if ws != nil {
 			be.grads.Store(ws)
@@ -522,8 +525,8 @@ func HessianAtMode(e Evaluator, theta []float64, h float64) (*dense.Matrix, erro
 // hessianFromStencil estimates ∇²F(θ) by second-order central differences
 // of step h. The 2d² + 1 evaluations form one parallel batch, which no
 // evaluator reads as a gradient request (hessianStencil). It is the
-// Hessian of every evaluator but a Gaussian BTAEvaluator's, and the
-// oracle of that one's.
+// Hessian of every evaluator but a Gaussian BTAEvaluator's with a
+// separable prior, and the oracle of that one's.
 func hessianFromStencil(e Evaluator, theta []float64, h float64) (*dense.Matrix, error) {
 	d := len(theta)
 	pts, offIdx := hessianStencil(theta, h)

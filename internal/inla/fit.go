@@ -14,9 +14,10 @@ import (
 type FitOptions struct {
 	Opt OptOptions
 	// HessStep is the step of the mode Hessian's second-order stencil
-	// (hessianFromStencil), the route of count models and of evaluators
-	// other than BTAEvaluator. A Gaussian fit on Fit's evaluator takes the
-	// Hessian from exact gradients (hessianFromGradients) and ignores it.
+	// (hessianFromStencil), the route of count models, of the diffusion
+	// prior and of evaluators other than BTAEvaluator. A Gaussian fit with
+	// a separable prior on Fit's evaluator takes the Hessian from exact
+	// gradients (hessianFromGradients) and ignores it.
 	HessStep float64
 	// SkipHyperUncertainty disables the Hessian stage (scaling benches).
 	SkipHyperUncertainty bool
@@ -59,25 +60,24 @@ type Result struct {
 // Fit runs the complete INLA procedure on the model: mode search (BFGS; a
 // Gaussian model's gradient stencils are answered from one Laplace step,
 // a count model's by parallel central differences), hyperparameter
-// uncertainty (Hessian at the mode: for a Gaussian model differences of
-// exact gradients, for counts the 2d² + 1-point stencil), and latent
-// posterior extraction (conditional mean and selected inversion of Q_c at
-// the mode, for a Gaussian model those of the search's last gradient
-// request when it was at the mode).
+// uncertainty (Hessian at the mode: for a Gaussian model with a separable
+// prior differences of exact gradients, otherwise the 2d² + 1-point
+// stencil), and latent posterior extraction (conditional mean and selected
+// inversion of Q_c at the mode, for a Gaussian model those of the search's
+// last gradient request when it was at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior}, theta0, opts)
 }
 
-// fitWith runs the mode search and the Hessian stage on any Evaluator
-// backend, then extracts the latent posterior of m at the mode with the
-// sequential latentPosterior, whatever the backend. On a *BTAEvaluator it
-// first takes over the search's gradient arena: for a Gaussian model the
-// Hessian stage reads its base gradient there (hessianFromGradients), the
-// integration grid's centre and the posterior its factor, μ and Σ, all
-// without recomputing them when the search's last request was at θ* —
-// and otherwise computed on that arena once, by the Hessian's base
-// request or by the posterior. Every other backend and count models take
-// the Hessian stencil (hessianFromStencil).
+// fitWith runs the mode search and the Hessian stage (HessianAtMode) on
+// any Evaluator backend, then extracts the latent posterior of m at the
+// mode with the sequential latentPosterior, whatever the backend. On m's
+// own *BTAEvaluator the later stages take over the evaluator's idle
+// gradient arena once the Hessian is in: for a Gaussian model it holds
+// θ*'s factor, μ and Σ whenever the search's last request, or the gradient
+// Hessian's base request, was at θ*, and the integration grid's centre and
+// the posterior read them there without recomputing them; otherwise the
+// posterior recomputes them on that arena.
 func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
 	if opts.Checkpoint != nil {
 		opts.Opt.Checkpoint = opts.Checkpoint
@@ -94,54 +94,43 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 	// A failed line search still yields a usable (if premature) mode.
 	res := &Result{Theta: opt.Theta, Opt: opt}
 
+	var hess *dense.Matrix // nil: no Hessian stage, or it failed
+	if !opts.SkipHyperUncertainty {
+		h := opts.HessStep
+		if h == 0 {
+			h = 5e-3
+		}
+		hess, _ = HessianAtMode(e, opt.Theta, h)
+	}
 	// The search's gradient arena, a sequential factor and a Σ, is the
 	// search's no more: the later stages take it over instead of
 	// allocating their own.
 	var ws *solverScratch
-	be, exact := e.(*BTAEvaluator)
-	if exact = exact && be.Model == m; exact {
+	if be, ok := e.(*BTAEvaluator); ok && be.Model == m {
 		ws = be.grads.Swap(nil)
-		exact = m.Lik == model.LikGaussian
 	}
 
-	if !opts.SkipHyperUncertainty {
-		var hess *dense.Matrix
-		var herr error
-		if exact {
-			hess, ws, herr = be.hessianFromGradients(opt.Theta, ws)
-		} else {
-			h := opts.HessStep
-			if h == 0 {
-				h = 5e-3
+	if hess != nil {
+		if opts.IntegrateHyperGrid {
+			if ip, ierr := IntegrateHyper(e, gridPosterior(m, ws), opt.Theta, hess, 1); ierr == nil {
+				res.Integrated = ip
 			}
-			hess, herr = hessianFromStencil(e, opt.Theta, h)
 		}
-		if herr == nil {
-			if opts.IntegrateHyperGrid {
-				arena := func() *solverScratch { return newSolverScratch(m) }
-				if exact {
-					arena = be.getGradScratch
+		if cov, cerr := dense.Inverse(hess); cerr == nil {
+			res.ThetaCov = cov
+			res.ThetaSD = make([]float64, len(opt.Theta))
+			ok := true
+			for i := range res.ThetaSD {
+				v := cov.At(i, i)
+				if v <= 0 {
+					ok = false
+					break
 				}
-				if ip, ierr := IntegrateHyper(e, gridPosterior(m, ws, arena), opt.Theta, hess, 1); ierr == nil {
-					res.Integrated = ip
-				}
+				res.ThetaSD[i] = math.Sqrt(v)
 			}
-			if cov, cerr := dense.Inverse(hess); cerr == nil {
-				res.ThetaCov = cov
-				res.ThetaSD = make([]float64, len(opt.Theta))
-				ok := true
-				for i := range res.ThetaSD {
-					v := cov.At(i, i)
-					if v <= 0 {
-						ok = false
-						break
-					}
-					res.ThetaSD[i] = math.Sqrt(v)
-				}
-				if !ok {
-					res.ThetaSD = nil
-					res.ThetaCov = nil
-				}
+			if !ok {
+				res.ThetaSD = nil
+				res.ThetaCov = nil
 			}
 		}
 	}
@@ -156,16 +145,16 @@ func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*R
 
 // gridPosterior is the latent posterior IntegrateHyper mixes over fitWith's
 // grid: at the centre θ* it is mode's, the gradient arena that holds θ*'s
-// posterior (nil: none), and every other point runs on one arena, taken
-// from arena on first use and reused from point to point. The μ it
-// returns aliases that arena until the next call.
-func gridPosterior(m *model.Model, mode *solverScratch, arena func() *solverScratch) func([]float64) ([]float64, []float64, error) {
+// posterior (nil: none), and every other point runs on one gradient arena,
+// built on first use and reused from point to point. The μ it returns
+// aliases that arena until the next call.
+func gridPosterior(m *model.Model, mode *solverScratch) func([]float64) ([]float64, []float64, error) {
 	var grid *solverScratch
 	return func(theta []float64) ([]float64, []float64, error) {
 		ws := mode
 		if ws == nil || !ws.grad.holds(theta) {
 			if grid == nil {
-				grid = arena()
+				grid = newGradScratch(m)
 			}
 			ws = grid
 		}

@@ -35,11 +35,11 @@
 // inversion at its centre, and its arena remembers the centre bit for bit
 // (gradWork). So a Gaussian Fit's second stage reuses the search's last
 // request: when it was at θ*, the posterior returns its μ, factor and Σ
-// without recomputing them, and the mode Hessian (§III-3) is differences of
-// d exact gradients around θ* (2d for the diffusion prior), run
+// without recomputing them, and with a separable prior the mode Hessian
+// (§III-3) is forward differences of d exact gradients around θ*, run
 // concurrently over the core budget, instead of the 2d² + 1-point stencil
-// of F that count models and every other evaluator keep
-// (hessianFromGradients, hessianFromStencil).
+// of F that count models, the diffusion prior and every other evaluator
+// keep (hessianFromGradients, hessianFromStencil).
 package inla
 
 import (

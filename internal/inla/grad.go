@@ -50,16 +50,22 @@ func (g *gradWork) holds(theta []float64) bool {
 	return true
 }
 
-// newGradScratch builds a gradient arena: an evaluation arena with its
-// gradWork.
-func newGradScratch(m *model.Model) *solverScratch {
-	ws := newSolverScratch(m)
-	ws.grad = &gradWork{
+// newGradWork builds what a gradient request on m needs beyond an
+// evaluation arena.
+func newGradWork(m *model.Model) *gradWork {
+	return &gradWork{
 		sigma: bta.NewMatrix(m.Dims.BTAShape()),
 		table: m.NewQcTable(),
 		dvdth: make([]float64, m.NumHyper()),
 		at:    make([]float64, m.NumHyper()),
 	}
+}
+
+// newGradScratch builds a gradient arena: an evaluation arena with its
+// gradWork.
+func newGradScratch(m *model.Model) *solverScratch {
+	ws := newSolverScratch(m)
+	ws.grad = newGradWork(m)
 	return ws
 }
 
@@ -166,92 +172,75 @@ func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c []float64) 
 	return -parts.F(), nil
 }
 
-// The steps of the Hessian from exact gradients, chosen against the
-// 2d² + 1-point stencil at FitOptions.HessStep
+// hessGradStep is the step of the Hessian from exact gradients, chosen
+// against the 2d² + 1-point stencil at FitOptions.HessStep
 // (TestHessianFromGradientsMatchesStencil). An exact gradient carries no
-// factorization noise of the stencil's kind, so a forward difference at
-// hessGradStep, far below the stencil's step, agrees with it to 1e-5–3e-5
-// of max|H| on the Gaussian benchmark shapes. A diffusion prior's gradient
-// carries more rounding: forward differences at 1e-5 miss the stencil by
-// 1.3e-3 of max|H|, at best 1.2e-4 at 1e-4, so that prior takes central
-// differences at hessCentralStep (3.6e-5–8.6e-5), 2d gradients instead of
-// d.
-const (
-	hessGradStep    = 1e-5
-	hessCentralStep = 1e-3
-)
+// factorization noise of the stencil's kind, so a forward difference at a
+// step far below the stencil's agrees with it to 1e-5–3e-5 of max|H| on
+// the Gaussian benchmark shapes.
+const hessGradStep = 1e-5
 
-// hessianFromGradients estimates ∇²V(θ) for a Gaussian model from exact
-// gradients, symmetrized: with D_i the difference quotient of ∂V along
-// e_i,
+// hessianFromGradients estimates ∇²V(θ) for a Gaussian model from forward
+// differences of exact gradients, symmetrized: with
+// D_i = (∂V(θ + h·e_i) − ∂V(θ))/h at h = hessGradStep, h the step as
+// θ_i + h rounds it,
 //
-//	H_ij = ½(D_i ∂_jV + D_j ∂_iV),
+//	H_ij = ½(D_i ∂_jV + D_j ∂_iV).
 //
-// D_i forward, (∂V(θ + h·e_i) − ∂V(θ))/h at h = hessGradStep, or for a
-// diffusion prior central, (∂V(θ + h·e_i) − ∂V(θ − h·e_i))/2h at
-// h = hessCentralStep, each h the step as θ_i ± h rounds it. The base
-// ∂V(θ) is base's when its tag holds θ and is otherwise requested on base
-// (nil: a new gradient arena). The shifted requests, and the base's when
-// it is missing, run concurrently over the core budget, each on a gradient
-// arena of its own, none of them pooled, the last one idle afterwards.
-// Every request runs on the sequential factor, so the Hessian depends on
-// θ alone. It returns the base arena, holding θ's factor, μ, Σ and ∂V when
-// no error is returned, and nil when its request panicked.
+// The base ∂V(θ) is base's when its tag holds θ and is otherwise requested
+// on base (nil: a new gradient arena). The d shifted requests, and the
+// base's when it is missing, run concurrently over the core budget. A
+// shifted request runs on a pooled point arena's factor with a gradWork
+// lent for the request, which goes back to the Hessian's own stock before
+// the arena returns to the pool: pooled arenas never hold one. Every
+// request runs on the sequential factor, so the Hessian depends on θ
+// alone. It returns the base arena, holding θ's factor, μ, Σ and ∂V when no
+// error is returned, and nil when its request panicked.
 func (e *BTAEvaluator) hessianFromGradients(theta []float64, base *solverScratch) (*dense.Matrix, *solverScratch, error) {
 	d := len(theta)
-	h, sides := hessGradStep, 1
-	if e.Model.ST == model.STDiffusion {
-		h, sides = hessCentralStep, 2
-	}
 	if base == nil {
 		base = newGradScratch(e.Model)
 	}
-	// Request k < sides·d is at θ + h·e_i for k = sides·i, at θ − h·e_i for
-	// k = 2i + 1; request sides·d, when there is one, is the base's.
-	shifted := sides * d
-	n := shifted
+	// Request i < d is at θ + h·e_i; request d, when there is one, is the
+	// base's.
+	n := d
 	if !base.grad.holds(theta) {
 		n++
 	}
-	pts := make([][]float64, shifted)
-	for k := range pts {
-		pts[k] = slices.Clone(theta)
-		if k%sides == 0 {
-			pts[k][k/sides] += h
-		} else {
-			pts[k][k/sides] -= h
-		}
+	pts := make([][]float64, d)
+	for i := range pts {
+		pts[i] = slices.Clone(theta)
+		pts[i][i] += hessGradStep
 	}
-	grads := make([][]float64, shifted)
+	grads := make([][]float64, d)
 	errs := make([]error, n)
 	baseKept := true
-	arenas := make(chan *solverScratch, e.cores())
-	e.runOnExecutor(n, e.cores(), func(k int) {
-		if k == shifted {
-			_, baseKept, errs[k] = e.gradientOn(base, theta)
+	// A runner holds one gradWork at a time and there are at most cores
+	// runners, so a send never blocks.
+	works := make(chan *gradWork, e.cores())
+	e.runOnExecutor(n, e.cores(), func(i int) {
+		if i == d {
+			_, baseKept, errs[i] = e.gradientOn(base, theta)
 			return
 		}
-		var ws *solverScratch
+		ws := e.getScratch()
 		select {
-		case ws = <-arenas:
+		case ws.grad = <-works:
 		default:
-			ws = e.getGradScratch()
+			ws.grad = newGradWork(e.Model)
 		}
-		_, keep, err := e.gradientOn(ws, pts[k])
+		_, keep, err := e.gradientOn(ws, pts[i])
 		if err != nil {
-			errs[k] = fmt.Errorf("inla: Hessian gradient at θ%+.3g·e_%d: %w", pts[k][k/sides]-theta[k/sides], k/sides, err)
+			errs[i] = fmt.Errorf("inla: Hessian gradient at θ%+.3g·e_%d: %w", pts[i][i]-theta[i], i, err)
 		} else {
-			grads[k] = slices.Clone(ws.grad.dvdth)
+			grads[i] = slices.Clone(ws.grad.dvdth)
 		}
 		if keep {
-			arenas <- ws
+			works <- ws.grad
+			ws.grad = nil
+			e.scratch.Put(ws)
 		}
 	})
-	select {
-	case ws := <-arenas:
-		e.grads.Store(ws)
-	default:
-	}
 	if !baseKept {
 		base = nil
 	}
@@ -261,14 +250,10 @@ func (e *BTAEvaluator) hessianFromGradients(theta []float64, base *solverScratch
 	// diff row i: D_i ∂V.
 	diff := make([][]float64, d)
 	for i := range diff {
-		hi, lo, glo := pts[sides*i], theta, base.grad.dvdth
-		if sides == 2 {
-			lo, glo = pts[2*i+1], grads[2*i+1]
-		}
-		step := hi[i] - lo[i]
+		step := pts[i][i] - theta[i]
 		diff[i] = make([]float64, d)
-		for j, g := range grads[sides*i] {
-			diff[i][j] = (g - glo[j]) / step
+		for j, g := range grads[i] {
+			diff[i][j] = (g - base.grad.dvdth[j]) / step
 		}
 		if !finiteVec(diff[i]) {
 			return nil, base, fmt.Errorf("inla: Hessian gradient difference along e_%d is not finite", i)

@@ -124,11 +124,11 @@ func hessianPoints(t *testing.T) []hessianPoint {
 }
 
 // TestHessianFromGradientsMatchesStencil is the Hessian's oracle: on the
-// Gaussian benchmark shapes and a diffusion shape (hessianPoints), the
-// differences of exact gradients (forward; central for the diffusion
-// prior) agree with the 2d² + 1-point stencil at Fit's step 5e-3 to 1e-4
-// of the stencil's largest entry, and are bit-identical at Workers 1, 2
-// and 8.
+// Gaussian benchmark shapes (hessianPoints) the forward differences of
+// exact gradients agree with the 2d² + 1-point stencil at Fit's step 5e-3
+// to 1e-4 of the stencil's largest entry, and are bit-identical at Workers
+// 1, 2 and 8. The diffusion shape's Hessian is the stencil's, bit for bit:
+// that prior's gradient is too rough for a forward difference.
 func TestHessianFromGradientsMatchesStencil(t *testing.T) {
 	for _, pt := range hessianPoints(t) {
 		want, err := hessianFromStencil(&BTAEvaluator{Model: pt.m, Prior: pt.prior}, pt.theta, 5e-3)
@@ -151,6 +151,9 @@ func TestHessianFromGradientsMatchesStencil(t *testing.T) {
 		for i, v := range want.Data {
 			scale = math.Max(scale, math.Abs(v))
 			worst = math.Max(worst, math.Abs(got.Data[i]-v))
+		}
+		if pt.m.ST == model.STDiffusion && worst != 0 {
+			t.Errorf("%s: the diffusion prior's Hessian is not the stencil's", pt.name)
 		}
 		t.Logf("%s: max|H − H_stencil| = %.2g of max|H_stencil| = %.3g", pt.name, worst/scale, scale)
 		if worst > 1e-4*scale {
