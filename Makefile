@@ -52,7 +52,7 @@ purego:
 # The target fails before running anything when an alternative of
 # CHAOS_RUN selects no test in any of CHAOS_PKGS, so a renamed or deleted
 # test cannot leave a dead alternative behind.
-CHAOS_RUN = Chaos|Fault|Kill|Shrink|Revoke|Timeout|Corrupt|Dead|Abort|Death|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Torture|Restart|Interrupted
+CHAOS_RUN = Chaos|Fault|Kill|Shrink|Revoke|Corrupt|Dead|Abort|Death|Quarantine|Recovery|Overload|Shutdown|Drain|Panic|Readyz|Torture|Restart|Interrupted
 CHAOS_PKGS = ./internal/comm/ ./internal/bta/ ./internal/inla/ ./internal/serve/ ./internal/store/
 
 chaos:
@@ -85,7 +85,8 @@ ci: fmt-check test race purego
 # pass of the dense kernel, Q_c assembly, BTA solver, mode-search,
 # mode-Hessian and snapshot prediction benchmarks), race, the race-widths
 # GOMAXPROCS matrix
-# over the partition/replica/kernel fan-out packages, the chaos
+# over the executor/partition/kernel fan-out packages and the concurrent
+# snapshot readers, the chaos
 # fault-injection suite, the purego fallback with the arm64 cross-build,
 # then the non-blocking perf smoke.
 ci-local: fmt-check test race

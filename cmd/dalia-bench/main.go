@@ -10,7 +10,7 @@
 //
 // Experiments: table1, table4, fig4, fig5, fig6a, fig6b, fig7, app,
 // x1 (Q_c assembly), x3 (solver ablation), x5 (lb sweep),
-// latency (closed-loop clients against the replicated HTTP serving path:
+// latency (closed-loop clients against the HTTP serving path:
 // p50/p99/p999 request latency and throughput). Every requested name is
 // checked before anything runs: one unknown name exits 2 and lists the
 // known experiments. Every experiment prints a table; the recorded
@@ -67,7 +67,7 @@ var experiments = []experiment{
 	printExp("x1", "ablation: per-class in-place Q_c assembly vs naive densification (§IV-F)", bench.AblationMapping, fig),
 	printExp("x3", "ablation: BTA solver vs general sparse Cholesky", bench.AblationBTAvsSparse, fig),
 	printExp("x5", "ablation: load-balance factor sweep (§V-C)", bench.AblationLB, fig),
-	printExp("latency", "serving tail latency under concurrent closed-loop load (replicated snapshot path)", bench.Latency, bench.PrintLatency),
+	printExp("latency", "serving tail latency under concurrent closed-loop load (lock-free snapshot path)", bench.Latency, bench.PrintLatency),
 }
 
 // selectExperiments resolves the -exp list ("all", or comma-separated

@@ -73,11 +73,7 @@ func parseConfig(raw []byte) (config, error) {
 func main() {
 	cfgPath := flag.String("config", "", "path to a JSON model configuration")
 	printCfg := flag.Bool("print-config", false, "print the default configuration and exit")
-	schedWorkers := flag.Int("sched-workers", 0, "worker count of the shared task-DAG executor that solver phases and evaluation batches run on (0 = GOMAXPROCS)")
 	flag.Parse()
-	if *schedWorkers > 0 {
-		dalia.SetSchedWorkers(*schedWorkers)
-	}
 
 	cfg := defaultConfig()
 	if *printCfg {

@@ -92,7 +92,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 // running process plus its base URL once /readyz answers.
 func startServe(t *testing.T, bin, storeDir string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-store-dir", storeDir, "-window", "0")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-store-dir", storeDir)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,16 @@
-// dalia-serve is the long-lived batch inference server: it holds a registry
-// of fitted spatio-temporal multivariate GP models and answers posterior
-// prediction queries over HTTP JSON, coalescing concurrent point queries
-// into single passes over the selected inverse of the conditional precision
-// at the fitted mode.
+// dalia-serve is the long-lived inference server: it holds a registry of
+// fitted spatio-temporal multivariate GP models and answers posterior
+// prediction queries over HTTP JSON, each request on its own handler
+// goroutine, from the selected inverse of the conditional precision at the
+// fitted mode.
 //
 // Usage:
 //
-//	dalia-serve                          # empty registry on :8042
-//	dalia-serve -addr :9000 -window 2ms  # custom bind and batch window
-//	dalia-serve -replicas 4 -slo 10ms    # worker pool size and latency SLO
-//	dalia-serve -preload MB1,AP1         # fit Table IV datasets at startup
+//	dalia-serve                           # empty registry on :8042
+//	dalia-serve -addr :9000               # custom bind
+//	dalia-serve -preload MB1,AP1          # fit Table IV datasets at startup
 //	dalia-serve -store-dir /var/lib/dalia # durable checkpoints + crash recovery
-//	dalia-serve -request-timeout 5s -queue-depth 128 -drain-timeout 10s
+//	dalia-serve -queue-depth 128 -drain-timeout 10s
 //
 // With -store-dir every successful fit or refit is checkpointed to a
 // crash-safe store (atomic rename + write-ahead log) and in-flight fits
@@ -21,9 +20,9 @@
 // from their last BFGS iterate instead of θ₀.
 //
 // SIGINT/SIGTERM trigger a graceful drain: readiness flips to 503 so load
-// balancers stop routing here, in-flight batches complete, queued requests
-// fail with 503 + Retry-After, pending checkpoints flush to the store, and
-// the listener closes once the drain finishes (or -drain-timeout elapses).
+// balancers stop routing here, new requests answer 503 + Retry-After,
+// pending checkpoints flush to the store, and the listener closes once the
+// in-flight requests have been answered (or -drain-timeout elapses).
 //
 // See the package comment of internal/serve for the endpoint list and
 // examples/serving for a walkthrough with a curl transcript.
@@ -42,36 +41,22 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/serve"
 	"github.com/dalia-hpc/dalia/internal/store"
 )
 
 func main() {
 	addr := flag.String("addr", ":8042", "listen address")
-	window := flag.Duration("window", time.Millisecond, "batch coalescing window (0 = flush when queue drains)")
-	slo := flag.Duration("slo", 0, "per-request latency target: batches flush early once the oldest queued request's budget drops below the expected solve time (0 = disabled)")
-	replicas := flag.Int("replicas", 0, "batch-worker replicas per model, each reading the lock-free snapshot (0 = GOMAXPROCS)")
 	preload := flag.String("preload", "", "comma-separated Table IV dataset specs to fit and register at startup (e.g. MB1,AP1)")
 	maxIter := flag.Int("max-iter", 25, "BFGS iteration cap for preloaded fits")
-	reqTimeout := flag.Duration("request-timeout", 0, "per-request deadline for prediction requests, 504 on expiry (0 = none)")
-	queueDepth := flag.Int("queue-depth", 0, "per-model admission queue depth; a full queue sheds with 429 + Retry-After (0 = default 64)")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight batches (0 = indefinitely)")
+	queueDepth := flag.Int("queue-depth", 0, "per-model bound on prediction requests in flight; beyond it requests are shed with 429 + Retry-After (0 = default 64)")
+	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long a SIGINT/SIGTERM drain waits for in-flight requests (0 = indefinitely)")
 	storeDir := flag.String("store-dir", "", "durable checkpoint store directory: fits persist here and the registry recovers on restart (empty = in-memory only)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "persist in-flight optimizer state every N BFGS iterations (with -store-dir)")
-	schedWorkers := flag.Int("sched-workers", 0, "worker count of the shared task-DAG executor that fit solver phases and evaluation batches run on (0 = GOMAXPROCS)")
 	flag.Parse()
-	if *schedWorkers > 0 {
-		sched.SetSharedWorkers(*schedWorkers)
-	}
 
 	opts := serve.Options{
-		BatchWindow:     *window,
-		SLO:             *slo,
-		Replicas:        *replicas,
-		RequestTimeout:  *reqTimeout,
 		QueueDepth:      *queueDepth,
-		DrainTimeout:    *drainTimeout,
 		CheckpointEvery: *ckptEvery,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("dalia-serve: "+format+"\n", args...)
@@ -126,7 +111,7 @@ func main() {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 
-	fmt.Printf("dalia-serve listening on %s (batch window %v)\n", ln.Addr(), *window)
+	fmt.Printf("dalia-serve listening on %s\n", ln.Addr())
 	select {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -141,10 +126,10 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *drainTimeout)
 			defer cancel()
 		}
-		// Drain the batchers first (queued work answers 503 + Retry-After,
-		// in-flight batches finish, pending checkpoints flush to the store),
-		// then close the HTTP listener waiting for the in-flight handlers to
-		// write their replies.
+		// Begin the drain first (new requests answer 503 + Retry-After,
+		// fits cancel, pending checkpoints flush to the store), then close
+		// the HTTP listener waiting for the in-flight handlers to write
+		// their replies.
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "dalia-serve: drain: %v\n", err)
 		}

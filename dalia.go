@@ -46,7 +46,6 @@ import (
 	"github.com/dalia-hpc/dalia/internal/mesh"
 	"github.com/dalia-hpc/dalia/internal/model"
 	"github.com/dalia-hpc/dalia/internal/predict"
-	"github.com/dalia-hpc/dalia/internal/sched"
 	"github.com/dalia-hpc/dalia/internal/serve"
 	"github.com/dalia-hpc/dalia/internal/spde"
 	"github.com/dalia-hpc/dalia/internal/store"
@@ -149,11 +148,12 @@ type (
 	// PredictHandle is an atomically swappable reference to the current
 	// snapshot of a model — refits publish without blocking readers.
 	PredictHandle = predict.Handle
-	// Server is the dalia-serve HTTP application: a sharded registry of
-	// fitted models with per-model replicated request batching.
+	// Server is the dalia-serve HTTP application: a registry of fitted
+	// models, each prediction request answered on its own goroutine from
+	// the model's lock-free snapshot.
 	Server = serve.Server
-	// ServeOptions configures a Server (batch coalescing window, latency
-	// SLO, worker replicas per model, durable checkpoint store).
+	// ServeOptions configures a Server (per-model in-flight bound, durable
+	// checkpoint store, logging).
 	ServeOptions = serve.Options
 )
 
@@ -206,8 +206,8 @@ func UnmarshalResult(data []byte) (*Result, error) { return inla.UnmarshalResult
 // ones, on the linear-predictor scale.
 var ErrUnsupportedLikelihood = predict.ErrUnsupportedLikelihood
 
-// WithPredictMaxBatch sets how many queries a queueing caller (the
-// server's batcher) hands a snapshot per call.
+// WithPredictMaxBatch sets a width the snapshot only reports back
+// (PredictSnapshot.MaxBatch); nothing reads it to batch requests.
 func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }
 
 // WithObservationNoise folds Gaussian observation noise into predictive
@@ -232,7 +232,7 @@ func NewPredictSnapshot(m *Model, res *Result, opts ...PredictOption) (*PredictS
 // swappable handle.
 func NewPredictHandle(s *PredictSnapshot) *PredictHandle { return predict.NewHandle(s) }
 
-// NewServer builds an empty-registry batch inference server; mount
+// NewServer builds an empty-registry inference server; mount
 // srv.Handler() on any HTTP listener.
 func NewServer(opts ServeOptions) *Server { return serve.New(opts) }
 
@@ -356,12 +356,6 @@ func NewBTASolver(n, b, a, partitions int) (BTASolver, error) {
 func NewParallelBTAFactor(n, b, a, partitions int) (*ParallelBTAFactor, error) {
 	return bta.NewParallelFactor(n, b, a, partitions)
 }
-
-// SetSchedWorkers overrides the worker count of the process-wide
-// work-stealing task executor that solver phases and evaluation batches
-// run on (0 restores the GOMAXPROCS default). Call at process startup —
-// the -sched-workers surface of the dalia commands.
-func SetSchedWorkers(n int) { sched.SetSharedWorkers(n) }
 
 // NewBTAMatrix allocates a zeroed BTA matrix with n diagonal blocks of size
 // b and arrow width a.

@@ -1,4 +1,4 @@
-// Serving walkthrough: stand up the dalia-serve batch inference server,
+// Serving walkthrough: stand up the dalia-serve inference server,
 // register a model fitted from a synthetic dataset, and answer posterior
 // prediction queries over HTTP — the fit-once/serve-many workflow.
 //
@@ -114,9 +114,9 @@ func call(client *http.Client, base, method, path string, payload any) ([]byte, 
 }
 
 func main() {
-	// A server with a 1 ms batching window: concurrent queries arriving
-	// within the window coalesce into one pass over the model's snapshot.
-	srv := dalia.NewServer(dalia.ServeOptions{BatchWindow: time.Millisecond})
+	// A server with the default options: each request is answered on its
+	// own goroutine from the model's lock-free snapshot.
+	srv := dalia.NewServer(dalia.ServeOptions{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -153,7 +153,7 @@ func main() {
 	body, reply = call(client, ts.URL, "POST", "/v1/models/demo/predict", pred)
 	show("POST", "/v1/models/demo/predict", body, reply)
 
-	// 4. Serving counters: batches formed, average coalesced batch size.
+	// 4. Serving counters: requests, queries and shed requests.
 	_, reply = call(client, ts.URL, "GET", "/stats", nil)
 	show("GET", "/stats", nil, reply)
 }

@@ -39,45 +39,28 @@ type LatencyResult struct {
 }
 
 // LatencyReport is the serving latency measurement: tail latency and
-// throughput of the replicated lock-free serving path under concurrent
-// closed-loop load.
+// throughput of the lock-free snapshot path under concurrent closed-loop
+// load.
 type LatencyReport struct {
 	GoMaxProcs int
 	NumCPU     int
 	LatentDim  int
 	Nv         int
-	Replicas   int
-	SLOMillis  float64
 	FitSeconds float64
-	// SLOFlushes counts batches the SLO policy (not width or window) cut
-	// short across the whole run — evidence the flush policy engaged.
-	SLOFlushes int64
 	Results    []LatencyResult
 }
 
-// latencySLO is the per-request latency target the benchmark server runs
-// with: generous against the sub-millisecond solves of the bench model, so
-// the SLO policy engages only when queueing actually threatens the tail.
-const latencySLO = 10 * time.Millisecond
-
-// latencyWindow is the batch collection window: long enough that the
-// closed-loop clients refill the queue and batches reach the full
-// coalescing width (amortizing the queue handoff), short enough that a
-// lone client pays little for it. The SLO policy cuts it when the
-// queue-wait has already eaten the latency budget.
-const latencyWindow = time.Millisecond
-
 // Latency measures end-to-end serving latency under concurrent closed-loop
-// load: a trivariate bench model (nv=3, nt=8), served through the
-// replicated lock-free snapshot path with the SLO flush policy enabled, and
-// hit by {1, 8, 32, 64} concurrent clients posting 8-query requests. Each
-// scenario records the full per-request latency distribution (p50/p99/p999)
-// and the aggregate prediction throughput. quick trims the request counts,
-// not the concurrency grid.
+// load: a trivariate bench model (nv=3, nt=8), each request answered on its
+// handler's goroutine from the lock-free snapshot, hit by {1, 8, 32, 64}
+// concurrent clients posting 8-query requests. Each scenario records the
+// full per-request latency distribution (p50/p99/p999) and the aggregate
+// prediction throughput. quick trims the request counts, not the
+// concurrency grid.
 func Latency(quick bool) (*LatencyReport, error) {
-	// Queue depth must exceed the widest client grid so closed-loop load
-	// never sheds (a 429 would abort the scenario).
-	srv := serve.New(serve.Options{BatchWindow: latencyWindow, SLO: latencySLO, QueueDepth: 128})
+	// The in-flight bound must exceed the widest client grid so closed-loop
+	// load never sheds (a 429 would abort the scenario).
+	srv := serve.New(serve.Options{QueueDepth: 128})
 	t0 := time.Now()
 	m, err := srv.FitModel(serve.FitRequest{
 		Name: "bench",
@@ -88,9 +71,6 @@ func Latency(quick bool) (*LatencyReport, error) {
 			Seed:       42,
 		},
 		MaxIter: 8,
-		// Wide coalescing: at high concurrency a whole closed-loop round
-		// lands in one snapshot pass.
-		MaxBatch: 256,
 	})
 	if err != nil {
 		return nil, err
@@ -106,8 +86,6 @@ func Latency(quick bool) (*LatencyReport, error) {
 		NumCPU:     runtime.NumCPU(),
 		LatentDim:  dims.Total(),
 		Nv:         dims.Nv,
-		Replicas:   runtime.GOMAXPROCS(0),
-		SLOMillis:  float64(latencySLO) / float64(time.Millisecond),
 		FitSeconds: fitSecs,
 	}
 
@@ -191,18 +169,6 @@ func Latency(quick bool) (*LatencyReport, error) {
 			PerSec:      float64(nReq*perReq) / secs,
 		})
 	}
-
-	// Fold in how often the SLO policy drove a flush across the whole run.
-	var st serve.Stats
-	resp, err := ts.Client().Get(ts.URL + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	out.SLOFlushes = st.SLOFlushes
 	return out, nil
 }
 
@@ -221,12 +187,11 @@ func percentile(sorted []float64, q float64) float64 {
 
 // PrintLatency renders the serving latency table.
 func PrintLatency(b *LatencyReport, w io.Writer) {
-	fmt.Fprintf(w, "  serving latency under closed-loop load (latent dim %d, nv=%d, slo %.0fms, %d replicas, GOMAXPROCS=%d, %d CPUs)\n",
-		b.LatentDim, b.Nv, b.SLOMillis, b.Replicas, b.GoMaxProcs, b.NumCPU)
+	fmt.Fprintf(w, "  serving latency under closed-loop load (latent dim %d, nv=%d, GOMAXPROCS=%d, %d CPUs)\n",
+		b.LatentDim, b.Nv, b.GoMaxProcs, b.NumCPU)
 	fmt.Fprintf(w, "  %6s %9s %10s %10s %10s %14s\n", "conc", "requests", "p50 ms", "p99 ms", "p999 ms", "pred/s")
 	for _, r := range b.Results {
 		fmt.Fprintf(w, "  %6d %9d %10.3f %10.3f %10.3f %14.0f\n",
 			r.Concurrency, r.Requests, r.P50Millis, r.P99Millis, r.P999Millis, r.PerSec)
 	}
-	fmt.Fprintf(w, "  slo-driven flushes across the run: %d\n", b.SLOFlushes)
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // maxWorkers bounds the number of goroutines a single kernel call may fan
-// out to. It defaults to GOMAXPROCS and can be adjusted globally (e.g. the
-// communicator simulator pins kernels of one simulated rank to one worker so
-// per-rank timings stay meaningful).
+// out to. It defaults to GOMAXPROCS; only tests and the end-to-end
+// benchmark's single-worker dense layer change it (SetMaxWorkers).
 var maxWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
 // SetMaxWorkers sets the kernel-level parallelism bound. n < 1 resets to
@@ -45,7 +44,7 @@ type chunk struct {
 // exactly one `go runChunk()`, so a receiver never blocks and a full buffer
 // only delays the sender until a started goroutine drains it. A call sends
 // at most MaxWorkers − 1 chunks; the buffer holds those of many concurrent
-// calls (partition gangs, batch replicas) so that senders rarely wait.
+// calls (partition gangs, concurrent evaluations) so that senders rarely wait.
 var chunks = make(chan chunk, 256)
 
 // runChunk runs one fanned-out range. It takes no arguments, so the go

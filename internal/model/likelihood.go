@@ -412,7 +412,10 @@ func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork, start []fl
 				continue
 			}
 			gNew = penalized(w.xNew, w.etaNew)
-			if gNew >= gCur-1e-12 {
+			// The slack is relative: the penalized objective's rounding
+			// grows with its magnitude, and an absolute slack lets every
+			// step near the mode read as a decrease.
+			if gNew >= gCur-1e-12*(1+math.Abs(gCur)) {
 				accepted = true
 				break
 			}

@@ -68,10 +68,11 @@ type config struct {
 // Option customizes a Snapshot.
 type Option func(*config)
 
-// WithMaxBatch sets the number of queries a caller that queues requests
-// (the serving tier's batcher) should hand to one PredictInto call (default
-// 64). The Snapshot itself answers any number of queries per call, one at a
-// time; the value is only reported back through MaxBatch.
+// WithMaxBatch sets a width that is only reported back through MaxBatch
+// (default 64): the Snapshot answers any number of queries per call, one at
+// a time, and nothing queues requests to coalesce them. Kept because the
+// end-to-end benchmark sets it; goes with the next change to that
+// benchmark.
 func WithMaxBatch(k int) Option { return func(c *config) { c.maxBatch = k } }
 
 // WithObservationNoise adds the Gaussian observation noise 1/τ_k to every

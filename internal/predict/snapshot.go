@@ -17,8 +17,8 @@ import (
 // and a prediction writes only to the caller's output slices, so the read
 // path is lock-free and allocation-free by construction.
 //
-// Snapshots are what replicated serving wants: N worker replicas hammer one
-// Snapshot's PredictInto concurrently, and a refit publishes a new Snapshot
+// Snapshots are what concurrent serving wants: N request handlers hammer
+// one Snapshot's PredictInto concurrently, and a refit publishes a new Snapshot
 // through a Handle swap without blocking in-flight readers (readers that
 // loaded the old snapshot finish against it; it then drains to the garbage
 // collector with no goroutines to wind down).
@@ -119,8 +119,8 @@ func frozenSigma(m *model.Model, res *inla.Result) (*model.Theta, *bta.Matrix, e
 // frozen at.
 func (s *Snapshot) Theta() *model.Theta { return s.theta }
 
-// MaxBatch returns the number of queries a queueing caller should coalesce
-// into one PredictInto call (WithMaxBatch).
+// MaxBatch returns the WithMaxBatch value; nothing in the snapshot reads
+// it.
 func (s *Snapshot) MaxBatch() int { return s.maxBatch }
 
 // Predict computes posterior predictive means and variances for the
@@ -239,9 +239,9 @@ func (s *Snapshot) pairForm(q *Query, j, k int, tri *[3]int, bc *[3]float64) flo
 }
 
 // Handle is an atomically swappable reference to the current Snapshot of a
-// model: the publication point between refits (writers) and serving
-// replicas (readers). Readers Load the current snapshot with one atomic
-// pointer read and run entire batches against it; a refit Swaps the new
+// model: the publication point between refits (writers) and request
+// handlers (readers). Readers Load the current snapshot with one atomic
+// pointer read and run an entire call against it; a refit Swaps the new
 // snapshot in without blocking anyone — in-flight reads complete against
 // the snapshot they loaded, and the old snapshot simply drains to the
 // garbage collector (there are no goroutines to stop).

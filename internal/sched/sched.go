@@ -100,41 +100,20 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-var (
-	shared        atomic.Pointer[Executor]
-	sharedWorkers atomic.Int32
-)
+var shared atomic.Pointer[Executor]
 
 // Shared returns the process-wide executor, creating it on first use with
-// GOMAXPROCS workers (or the SetSharedWorkers override).
+// GOMAXPROCS workers.
 func Shared() *Executor {
 	if e := shared.Load(); e != nil {
 		return e
 	}
-	n := int(sharedWorkers.Load())
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e := New(n)
+	e := New(runtime.GOMAXPROCS(0))
 	if shared.CompareAndSwap(nil, e) {
 		return e
 	}
 	e.Close()
 	return shared.Load()
-}
-
-// SetSharedWorkers overrides the shared pool size (0 restores the
-// GOMAXPROCS default). Intended for process startup (cmd flags); if the
-// shared executor already exists it is closed and rebuilt on next use —
-// operations holding the old instance finish on their own goroutines.
-func SetSharedWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	sharedWorkers.Store(int32(n))
-	if e := shared.Swap(nil); e != nil {
-		e.Close()
-	}
 }
 
 // Lane is a per-computation work deque. Acquire one per solver operation,

@@ -174,23 +174,6 @@ func TestParkingStress(t *testing.T) {
 	}
 }
 
-func TestSharedWorkersOverride(t *testing.T) {
-	defer SetSharedWorkers(0)
-	SetSharedWorkers(2)
-	e := Shared()
-	if e.Workers() != 2 {
-		t.Fatalf("Shared() built %d workers, want 2", e.Workers())
-	}
-	SetSharedWorkers(0)
-	e2 := Shared()
-	if e2 == e {
-		t.Fatalf("SetSharedWorkers did not rebuild the shared executor")
-	}
-	if want := runtime.GOMAXPROCS(0); e2.Workers() != want {
-		t.Fatalf("Shared() built %d workers, want GOMAXPROCS=%d", e2.Workers(), want)
-	}
-}
-
 func TestLabelSetCaches(t *testing.T) {
 	s := NewLabelSet("eval")
 	c3 := s.Get(3)

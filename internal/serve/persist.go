@@ -254,7 +254,6 @@ func (s *Server) recoverModel(ck *store.Checkpoint) error {
 	if createdAt.IsZero() {
 		createdAt = time.Unix(0, ck.CreatedUnixNano)
 	}
-	handle := predict.NewHandle(snap)
 	m := &servedModel{
 		name:      ck.Name,
 		spec:      rec.SpecID,
@@ -264,8 +263,7 @@ func (s *Server) recoverModel(ck *store.Checkpoint) error {
 		width:     width,
 		height:    height,
 		createdAt: createdAt,
-		handle:    handle,
-		batcher:   newBatcher(handle, s.opts),
+		handle:    predict.NewHandle(snap),
 	}
 	m.meta.Store(&fitMeta{
 		theta:      append([]float64(nil), res.Theta...),
@@ -274,7 +272,6 @@ func (s *Server) recoverModel(ck *store.Checkpoint) error {
 	// Registered directly (not through Register): recovery is not a fit, so
 	// the fits counter stays untouched — /stats proves no BFGS re-ran.
 	if !s.reg.put(m) {
-		m.batcher.shutdown(nil)
 		return fmt.Errorf("model %q already registered", ck.Name)
 	}
 	return nil
@@ -309,11 +306,7 @@ func (s *Server) resumeFit(fs *store.Checkpoint) error {
 		return nil
 	}
 	m := s.buildServedModel(rec.Req, out)
-	if err := s.Register(m); err != nil {
-		m.batcher.shutdown(nil)
-		return err
-	}
-	return nil
+	return s.Register(m)
 }
 
 // persistModel enqueues a fit outcome for durable publish (no-op without a

@@ -6,21 +6,12 @@ import (
 )
 
 // registry holds the served models under one lock: lookups on the
-// prediction hot path take its read lock; fits, deletes and stats take it
-// too. A deleted model's counters fold into the retired totals under the
-// same lock, so /stats never moves backwards — every model's batch
-// statistics are counted on exactly one side of it.
+// prediction hot path take its read lock; fits, deletes and listings take
+// it too.
 type registry struct {
 	mu      sync.RWMutex
 	models  map[string]*servedModel
 	fitting map[string]struct{} // names reserved by in-flight fits
-
-	// counters of deleted models, folded in under mu by remove()
-	retiredBatches    int64
-	retiredBatchedQs  int64
-	retiredMaxBatch   int64
-	retiredSheds      int64
-	retiredSLOFlushes int64
 }
 
 func newRegistry() *registry {
@@ -68,25 +59,23 @@ func (r *registry) put(m *servedModel) bool {
 	return true
 }
 
-// remove unregisters a model whose batcher has already been joined,
-// folding its final counters into the retired totals in the same critical
-// section — stats never see the counters move backwards.
+// remove unregisters m, failing when a concurrent DELETE already removed
+// it (or its name now belongs to a newer model).
 func (r *registry) remove(m *servedModel) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if cur, ok := r.models[m.name]; !ok || cur != m {
-		// A concurrent DELETE won the fold.
 		return false
 	}
 	delete(r.models, m.name)
-	r.retiredBatches += m.batcher.batches.Load()
-	r.retiredBatchedQs += m.batcher.batchedQs.Load()
-	r.retiredSheds += m.batcher.shed.Load()
-	r.retiredSLOFlushes += m.batcher.sloFlushes.Load()
-	if mb := m.batcher.maxBatchSeen.Load(); mb > r.retiredMaxBatch {
-		r.retiredMaxBatch = mb
-	}
 	return true
+}
+
+// count returns the number of registered models.
+func (r *registry) count() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.models)
 }
 
 // snapshotAll returns every registered model, name-sorted.
@@ -99,38 +88,4 @@ func (r *registry) snapshotAll() []*servedModel {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// regTotals are the registry-wide batch statistics: live batchers plus the
-// retired counters of deleted models, read under the registry's lock.
-type regTotals struct {
-	models     int
-	batches    int64
-	batchedQs  int64
-	maxBatch   int64
-	sheds      int64
-	sloFlushes int64
-}
-
-func (r *registry) totals() regTotals {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	t := regTotals{
-		models:     len(r.models),
-		batches:    r.retiredBatches,
-		batchedQs:  r.retiredBatchedQs,
-		maxBatch:   r.retiredMaxBatch,
-		sheds:      r.retiredSheds,
-		sloFlushes: r.retiredSLOFlushes,
-	}
-	for _, m := range r.models {
-		t.batches += m.batcher.batches.Load()
-		t.batchedQs += m.batcher.batchedQs.Load()
-		t.sheds += m.batcher.shed.Load()
-		t.sloFlushes += m.batcher.sloFlushes.Load()
-		if mb := m.batcher.maxBatchSeen.Load(); mb > t.maxBatch {
-			t.maxBatch = mb
-		}
-	}
-	return t
 }

@@ -1,66 +1,25 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
+
+	"github.com/dalia-hpc/dalia/internal/mesh"
+	"github.com/dalia-hpc/dalia/internal/predict"
 )
 
-// The SLO flush policy must actually fire: with a collection window far
-// longer than the latency target, every batch's deadline comes from the SLO
-// budget, not the window, and /stats records the cut.
-func TestSLOFlushFires(t *testing.T) {
-	srv := New(Options{
-		BatchWindow: 5 * time.Second, // never the binding constraint
-		SLO:         2 * time.Millisecond,
-		Replicas:    1,
-	})
-	m, err := srv.FitModel(FitRequest{Name: "slo", Gen: tinyGen(), MaxIter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(m); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
-	q := QueryJSON{X: 50, Y: 50, T: 0, Response: 0, Covariates: []float64{1, 0}}
-	for i := 0; i < 4; i++ {
-		resp, body := postJSON(t, client, ts.URL+"/v1/models/slo/predict", PredictRequest{Queries: []QueryJSON{q}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("predict %d status %d: %s", i, resp.StatusCode, body)
-		}
-	}
-
-	var st Stats
-	if code := getJSON(t, client, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.SLOFlushes == 0 {
-		t.Errorf("window=5s slo=2ms served %d batches with zero SLO-driven flushes", st.Batches)
-	}
-	// Latency proof, not just a counter: with the SLO cutting the window,
-	// a lone request must answer in far under the 5s window.
-	t0 := time.Now()
-	resp, body := postJSON(t, client, ts.URL+"/v1/models/slo/predict", PredictRequest{Queries: []QueryJSON{q}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d: %s", resp.StatusCode, body)
-	}
-	if d := time.Since(t0); d > 2*time.Second {
-		t.Errorf("SLO-governed request took %v; the 5s window leaked into latency", d)
-	}
-}
-
-// A replicated worker pool serves concurrent load correctly: every request
-// succeeds, every query is counted exactly once, and /stats reports the
-// configured replica count.
+// Concurrent clients are answered correctly on their own goroutines: every
+// request succeeds, every answer is bit-identical to Snapshot.PredictInto
+// on the same query, every query is counted exactly once, and deleting the
+// model does not roll the counters back.
 func TestReplicatedConcurrentPredict(t *testing.T) {
-	const replicas, reqs = 4, 32
-	srv := New(Options{BatchWindow: 200 * time.Microsecond, Replicas: replicas})
+	const reqs = 32
+	srv := New(Options{})
 	m, err := srv.FitModel(FitRequest{Name: "rep", Gen: tinyGen(), MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -72,30 +31,43 @@ func TestReplicatedConcurrentPredict(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	// Reference answer from the published snapshot, single-threaded.
-	q := QueryJSON{X: 120, Y: 40, T: 1, Response: 0, Covariates: []float64{1, 0.5}}
-	resp, body := postJSON(t, client, ts.URL+"/v1/models/rep/predict", PredictRequest{Queries: []QueryJSON{q}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict status %d: %s", resp.StatusCode, body)
+	query := func(i int) QueryJSON {
+		return QueryJSON{X: float64(10 + 7*i), Y: float64(5 + 3*i), T: i % 3, Response: 0, Covariates: []float64{1, 0.5}}
 	}
-	want := string(body)
-
 	var wg sync.WaitGroup
 	for i := 0; i < reqs; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, client, ts.URL+"/v1/models/rep/predict", PredictRequest{Queries: []QueryJSON{q}})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("concurrent predict status %d: %s", resp.StatusCode, body)
+			q := query(i)
+			// postJSON may t.Fatal, which only the test's own goroutine may.
+			body, _ := json.Marshal(PredictRequest{Queries: []QueryJSON{q}})
+			resp, err := client.Post(ts.URL+"/v1/models/rep/predict", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("concurrent predict: %v", err)
 				return
 			}
-			// Identical query, identical snapshot: replicas must answer
-			// bitwise identically regardless of which worker batched it.
-			if got := string(body); got != want {
-				t.Errorf("replica answer diverged:\n got %s\nwant %s", got, want)
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("concurrent predict status %d", resp.StatusCode)
+				return
 			}
-		}()
+			var got PredictResponse
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Errorf("decode: %v", err)
+				return
+			}
+			mean, vars := []float64{0}, []float64{0}
+			pq := predict.Query{Point: mesh.Point{X: q.X, Y: q.Y}, T: q.T, Response: q.Response, Covariates: q.Covariates}
+			if err := m.Snapshot().PredictInto([]predict.Query{pq}, mean, vars); err != nil {
+				t.Errorf("snapshot predict: %v", err)
+				return
+			}
+			if math.Float64bits(got.Mean[0]) != math.Float64bits(mean[0]) ||
+				math.Float64bits(got.Variance[0]) != math.Float64bits(vars[0]) {
+				t.Errorf("query %d: served (%v, %v), snapshot (%v, %v)", i, got.Mean[0], got.Variance[0], mean[0], vars[0])
+			}
+		}(i)
 	}
 	wg.Wait()
 
@@ -103,14 +75,27 @@ func TestReplicatedConcurrentPredict(t *testing.T) {
 	if code := getJSON(t, client, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	if st.Replicas != replicas {
-		t.Errorf("stats replicas=%d, want %d", st.Replicas, replicas)
-	}
-	if st.Queries != reqs+1 || st.PredictRequests != reqs+1 {
-		t.Errorf("stats queries=%d requests=%d, want %d/%d", st.Queries, st.PredictRequests, reqs+1, reqs+1)
+	if st.Queries != reqs || st.PredictRequests != reqs || st.Batches != reqs || st.AvgBatchSize != 1 {
+		t.Errorf("stats queries=%d requests=%d batches=%d avg=%v, want %d/%d/%d/1",
+			st.Queries, st.PredictRequests, st.Batches, st.AvgBatchSize, reqs, reqs, reqs)
 	}
 	if st.ShedRequests != 0 {
 		t.Errorf("%d requests shed under default queue depth", st.ShedRequests)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/rep", nil)
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var after Stats
+	if code := getJSON(t, client, ts.URL+"/stats", &after); code != http.StatusOK {
+		t.Fatalf("stats status %d", code)
+	}
+	if after.Models != 0 || after.Queries != st.Queries || after.Batches != st.Batches {
+		t.Errorf("stats after delete: models=%d queries=%d batches=%d, want 0/%d/%d",
+			after.Models, after.Queries, after.Batches, st.Queries, st.Batches)
 	}
 }
 

@@ -1,65 +1,49 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/dalia-hpc/dalia/internal/mesh"
-	"github.com/dalia-hpc/dalia/internal/predict"
 )
 
-// stalledModel registers a tiny fitted model whose batcher has the given
-// admission depth and NO running worker, so the queue state is fully under
-// the test's control (deterministic overload, deterministic timeouts).
-// Call b.startWorkers(1) to let it drain.
-func stalledModel(t *testing.T, srv *Server, depth int) (*servedModel, *batcher) {
+// registerTiny fits and registers the tiny test model under name.
+func registerTiny(t *testing.T, srv *Server, name string) *servedModel {
 	t.Helper()
-	m, err := srv.FitModel(FitRequest{Name: "frozen", Gen: tinyGen(), MaxIter: 3})
+	m, err := srv.FitModel(FitRequest{Name: name, Gen: tinyGen(), MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Join the auto-started worker pool before replacing the batcher so it
-	// never races the stalled one for requests.
-	m.batcher.shutdown(nil)
-	b := &batcher{
-		h:    m.handle,
-		ch:   make(chan *pending, depth),
-		stop: make(chan struct{}),
-	}
-	m.batcher = b
 	if err := srv.Register(m); err != nil {
 		t.Fatal(err)
 	}
-	return m, b
+	return m
 }
 
 func predictBody() PredictRequest {
 	return PredictRequest{Queries: []QueryJSON{{X: 1, Y: 1, T: 0, Response: 0}}}
 }
 
-// Overload must shed deterministically: with the one-slot admission queue
-// occupied, the next request answers 429 + Retry-After, /stats counts the
-// shed, and /readyz reports degraded — all without crashing or hanging.
+// Overload must shed deterministically: with the model's one in-flight
+// slot occupied, the next request answers 429 + Retry-After, /stats counts
+// the shed, and /readyz reports degraded — all without crashing or hanging.
+// Once the slot frees, requests are answered again.
 func TestOverloadSheds429(t *testing.T) {
-	srv := New(Options{})
-	_, b := stalledModel(t, srv, 1)
+	srv := New(Options{QueueDepth: 1})
+	m := registerTiny(t, srv, "frozen")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
 
-	// Occupy the only queue slot; the request parks until the worker starts.
-	first := make(chan *http.Response, 1)
-	go func() {
-		resp, _ := postJSON(t, client, ts.URL+"/v1/models/frozen/predict", predictBody())
-		first <- resp
-	}()
-	waitFor(t, func() bool { return len(b.ch) == 1 })
-
+	// Occupy the only admission slot, as a request in PredictInto would.
+	m.inflight.Add(1)
 	resp, _ := postJSON(t, client, ts.URL+"/v1/models/frozen/predict", predictBody())
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overloaded predict = %d, want 429", resp.StatusCode)
@@ -80,48 +64,23 @@ func TestOverloadSheds429(t *testing.T) {
 		t.Fatalf("readyz after shedding: %d %v, want 200 degraded", code, ready)
 	}
 
-	// Un-stall: the parked request completes normally.
-	b.startWorkers(1)
-	select {
-	case resp := <-first:
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parked request = %d, want 200", resp.StatusCode)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("parked request never completed")
+	// Free the slot: the next request is admitted and answered.
+	m.inflight.Add(-1)
+	if resp, body := postJSON(t, client, ts.URL+"/v1/models/frozen/predict", predictBody()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after the slot freed = %d (%s), want 200", resp.StatusCode, body)
 	}
-	b.shutdown(nil)
+	if n := m.inflight.Load(); n != 0 {
+		t.Fatalf("in-flight count %d after every request answered, want 0", n)
+	}
 }
 
-// A request deadline must bound queue-wait time: against a stalled batcher
-// the predict answers 504 once RequestTimeout elapses.
-func TestRequestTimeoutAnswers504(t *testing.T) {
-	srv := New(Options{RequestTimeout: 30 * time.Millisecond})
-	_, b := stalledModel(t, srv, 8)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/models/frozen/predict", predictBody())
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("timed-out predict = %d (%s), want 504", resp.StatusCode, body)
-	}
-	b.startWorkers(1)
-	b.shutdown(nil)
-}
-
-// Graceful drain: Shutdown flips readiness to 503 "draining", queued and
-// subsequent requests fail with ErrServerClosed (503 + Retry-After over
-// HTTP), and no goroutines are left behind.
+// Graceful drain: Shutdown flips readiness to 503 "draining", subsequent
+// requests fail with ErrServerClosed (503 + Retry-After over HTTP), and no
+// goroutines are left behind.
 func TestShutdownDrains(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv := New(Options{})
-	m, err := srv.FitModel(FitRequest{Name: "drainme", Gen: tinyGen(), MaxIter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(m); err != nil {
-		t.Fatal(err)
-	}
+	registerTiny(t, srv, "drainme")
 	ts := httptest.NewServer(srv.Handler())
 	client := ts.Client()
 
@@ -142,18 +101,79 @@ func TestShutdownDrains(t *testing.T) {
 	if code := getJSON(t, client, ts.URL+"/readyz", &ready); code != http.StatusServiceUnavailable || ready["status"] != "draining" {
 		t.Fatalf("readyz during drain: %d %v, want 503 draining", code, ready)
 	}
-	resp, _ := postJSON(t, client, ts.URL+"/v1/models/drainme/predict", predictBody())
+	resp, body := postJSON(t, client, ts.URL+"/v1/models/drainme/predict", predictBody())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain predict = %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("post-drain 503 missing Retry-After")
 	}
-	// The typed error surfaces on the direct (non-HTTP) path too.
-	if _, _, err := m.batcher.do(context.Background(), []predict.Query{{Point: mesh.Point{X: 1, Y: 1}}}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("do after drain: %v, want ErrServerClosed", err)
+	var out errorJSON
+	if err := json.Unmarshal(body, &out); err != nil || out.Error != ErrServerClosed.Error() {
+		t.Fatalf("post-drain body %q, want the ErrServerClosed message", body)
 	}
 
+	ts.Close()
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// Predictions racing Shutdown each answer 200 (admitted before the drain
+// began) or 503 + Retry-After, never another status and never hanging, and
+// no goroutine outlives the server.
+func TestPredictRacingShutdownAnswers200Or503(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := New(Options{})
+	registerTiny(t, srv, "race")
+	ts := httptest.NewServer(srv.Handler())
+	client := &http.Client{Transport: &http.Transport{}, Timeout: 10 * time.Second}
+	body, err := json.Marshal(predictBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients = 8
+	var wg sync.WaitGroup
+	var served, refused atomic.Int64
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each client runs until the drain refuses it; the bound only
+			// stops a broken drain from looping forever.
+			for n := 0; n < 20000; n++ {
+				resp, err := client.Post(ts.URL+"/v1/models/race/predict", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("predict racing shutdown: %v", err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					served.Add(1)
+				case http.StatusServiceUnavailable:
+					if resp.Header.Get("Retry-After") == "" {
+						t.Errorf("503 racing shutdown missing Retry-After")
+					}
+					refused.Add(1)
+					return
+				default:
+					t.Errorf("predict racing shutdown = %d, want 200 or 503", resp.StatusCode)
+					return
+				}
+			}
+			t.Errorf("client never saw the drain")
+		}()
+	}
+	waitFor(t, func() bool { return served.Load() >= clients })
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+	if refused.Load() != clients {
+		t.Errorf("%d of %d clients refused after the drain", refused.Load(), clients)
+	}
+	client.CloseIdleConnections()
 	ts.Close()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }

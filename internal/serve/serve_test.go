@@ -2,12 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"github.com/dalia-hpc/dalia/internal/dense"
 	"github.com/dalia-hpc/dalia/internal/inla"
 	"github.com/dalia-hpc/dalia/internal/mesh"
-	"github.com/dalia-hpc/dalia/internal/predict"
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
@@ -174,12 +172,10 @@ func TestServePredictMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// Concurrent single-point requests must coalesce into one multi-RHS batch.
-func TestConcurrentRequestsCoalesce(t *testing.T) {
-	// One replica makes the coalescing deterministic: with a pool, two
-	// workers could legally split the four arrivals into two batches.
-	srv := New(Options{BatchWindow: 2 * time.Second, Replicas: 1})
-	m, err := srv.FitModel(FitRequest{Name: "co", Gen: tinyGen(), MaxIter: 4, MaxBatch: 4})
+// Requests after a model's deletion must fail fast with 404, never hang.
+func TestRequestAfterShutdownFailsFast(t *testing.T) {
+	srv := New(Options{})
+	m, err := srv.FitModel(FitRequest{Name: "gone", Gen: tinyGen(), MaxIter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,79 +184,34 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := ts.Client()
-
-	// Four concurrent one-query requests exactly fill MaxBatch: the batcher
-	// flushes the moment the fourth arrives, without waiting for the window.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := QueryJSON{X: float64(20 * i), Y: float64(15 * i), T: i % 3, Response: 0, Covariates: []float64{1, 0}}
-			resp, body := postJSON(t, client, ts.URL+"/v1/models/co/predict", PredictRequest{Queries: []QueryJSON{q}})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("predict status %d: %s", resp.StatusCode, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	var st Stats
-	if code := getJSON(t, client, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.Batches != 1 {
-		t.Errorf("4 concurrent requests produced %d batches, want 1", st.Batches)
-	}
-	if st.Queries != 4 || st.PredictRequests != 4 {
-		t.Errorf("stats queries=%d requests=%d, want 4/4", st.Queries, st.PredictRequests)
-	}
-	if st.AvgBatchSize != 4 || st.MaxBatchSize != 4 {
-		t.Errorf("stats avg=%v max=%d, want 4/4", st.AvgBatchSize, st.MaxBatchSize)
-	}
-
-	// Deleting the model must not roll the batch counters backwards.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/co", nil)
+	client := &http.Client{Timeout: 5 * time.Second}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/gone", nil)
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if code := getJSON(t, client, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete status %d", resp.StatusCode)
 	}
-	if st.Batches != 1 || st.MaxBatchSize != 4 || st.AvgBatchSize != 4 {
-		t.Errorf("stats after delete: batches=%d max=%d avg=%v, want 1/4/4", st.Batches, st.MaxBatchSize, st.AvgBatchSize)
-	}
-}
-
-// Requests racing model deletion must fail fast with an error, never hang
-// on a batcher whose worker has exited.
-func TestRequestAfterShutdownFailsFast(t *testing.T) {
-	srv := New(Options{BatchWindow: time.Second})
-	m, err := srv.FitModel(FitRequest{Name: "gone", Gen: tinyGen(), MaxIter: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.batcher.shutdown(nil)
-	done := make(chan error, 8)
+	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
+		wg.Add(1)
 		go func() {
-			_, _, err := m.batcher.do(context.Background(), []predict.Query{{Point: mesh.Point{X: 1, Y: 1}}})
-			done <- err
+			defer wg.Done()
+			body := `{"queries":[{"x":1,"y":1,"t":0,"response":0}]}`
+			resp, err := client.Post(ts.URL+"/v1/models/gone/predict", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("request against a deleted model: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("request against a deleted model = %d, want 404", resp.StatusCode)
+			}
 		}()
 	}
-	for i := 0; i < 8; i++ {
-		select {
-		case err := <-done:
-			if !errors.Is(err, errStopped) {
-				t.Fatalf("request against a shut-down batcher: err=%v, want errStopped", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("request against a shut-down batcher hung")
-		}
-	}
+	wg.Wait()
 }
 
 // Registry and error-path behavior: healthz, list, conflict, delete, 404s,
@@ -349,9 +300,8 @@ func TestServerRegistryAndErrors(t *testing.T) {
 
 // A model without fixed effects (nr omitted from the gen config) answers a
 // query whose body carries "covariates": [] — a non-nil empty slice after
-// decoding — with the law it gives the same query without the field. The
-// prediction runs on the batcher's worker goroutine, outside the handler's
-// recover, so a panic there would take the process down.
+// decoding — with the law it gives the same query without the field,
+// rather than a 500 from a panic in the snapshot read.
 func TestPredictEmptyCovariatesWithoutFixedEffects(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()

@@ -1,13 +1,14 @@
-// Package serve implements the dalia-serve batch inference server: a
-// long-lived HTTP JSON service holding a registry of fitted
-// spatio-temporal models (fit once, serve many) and answering posterior
-// prediction queries through the internal/predict engine. Each model's
-// posterior (latent mean and the selected inverse of Q_c at the mode) is
-// frozen into an immutable predict.Snapshot that a pool of worker replicas
-// queries concurrently with zero locking; concurrent point queries are
-// coalesced by a per-model batcher into single snapshot passes, with an
-// SLO-driven flush policy bounding tail latency. Refits publish a new
-// snapshot through an atomic handle swap without blocking in-flight reads.
+// Package serve implements the dalia-serve inference server: a long-lived
+// HTTP JSON service holding a registry of fitted spatio-temporal models
+// (fit once, serve many) and answering posterior prediction queries
+// through the internal/predict engine. Each model's posterior (latent mean
+// and the selected inverse of Q_c at the mode) is frozen into an immutable
+// predict.Snapshot that every request's handler reads on its own
+// goroutine, concurrently and without locks: a query costs well under a
+// microsecond there, so nothing is gained by queueing requests to coalesce
+// them. A per-model in-flight bound sheds overload with 429 + Retry-After.
+// Refits publish a new snapshot through an atomic handle swap without
+// blocking in-flight reads.
 //
 // Endpoints:
 //
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -43,51 +43,36 @@ import (
 	"github.com/dalia-hpc/dalia/internal/synth"
 )
 
-var errStopped = errors.New("serve: model unregistered while request was queued")
-
-// persistFlushTimeout bounds the drain-time checkpoint flush independently
-// of the batcher drain: the drain context may already be exhausted when the
-// flush starts, and dalia-serve exits right after Shutdown returns, so
-// riding on that context would silently drop still-queued checkpoints.
+// persistFlushTimeout bounds the drain-time checkpoint flush on its own:
+// dalia-serve exits right after Shutdown returns, and a caller's drain
+// context may already be exhausted, so riding on it would silently drop
+// still-queued checkpoints.
 const persistFlushTimeout = 10 * time.Second
 
-// ErrServerClosed is what queued and subsequent prediction requests fail
-// with once a graceful drain (Server.Shutdown) has begun; the HTTP layer
-// maps it to 503 + Retry-After.
+// ErrServerClosed is what prediction requests fail with once a graceful
+// drain (Server.Shutdown) has begun; the HTTP layer maps it to 503 +
+// Retry-After.
 var ErrServerClosed = errors.New("serve: server is shutting down")
 
-// ErrOverloaded is returned when a model's bounded admission queue is full;
-// the HTTP layer maps it to 429 + Retry-After so well-behaved clients back
-// off instead of piling on.
-var ErrOverloaded = errors.New("serve: request queue is full")
+// ErrOverloaded is what a prediction request fails with when its model's
+// in-flight bound is full; the HTTP layer maps it to 429 + Retry-After so
+// well-behaved clients back off instead of piling on.
+var ErrOverloaded = errors.New("serve: too many requests in flight")
+
+// defaultQueueDepth is the in-flight bound per model when
+// Options.QueueDepth is unset.
+const defaultQueueDepth = 64
 
 // Options configures a Server.
 type Options struct {
-	// BatchWindow is how long a batch worker holds the first query of a
-	// batch open for concurrent arrivals. 0 flushes as soon as the queue
-	// momentarily drains (lowest latency, still coalescing bursts).
+	// BatchWindow is not read: requests are answered on their own
+	// goroutines, with no batch to hold open. Kept because the end-to-end
+	// benchmark sets it; goes with the next change to that benchmark.
 	BatchWindow time.Duration
-	// SLO is the per-request latency target the flush policy protects: a
-	// collecting batch flushes early once the oldest queued request's
-	// remaining budget (SLO − time already waited) drops below the
-	// expected batch-solve time, estimated from a decaying latency model.
-	// Layered on the width/window triggers; 0 disables the policy.
-	SLO time.Duration
-	// Replicas sizes each model's batch-worker pool. Every replica reads
-	// the model's immutable snapshot lock-free, so replicas scale
-	// concurrent solves across cores. ≤ 0 = GOMAXPROCS.
-	Replicas int
-	// RequestTimeout bounds each prediction request end to end (admission
-	// wait + batched solve); expiry answers 504. 0 = no deadline.
-	RequestTimeout time.Duration
-	// QueueDepth bounds each model's admission queue: that many pending
-	// requests may wait for a batch slot before further arrivals are shed
-	// with 429 + Retry-After. ≤ 0 = the default of 64.
+	// QueueDepth bounds how many prediction requests per model may be in
+	// flight at once; further arrivals are shed with 429 + Retry-After.
+	// ≤ 0 = the default of 64.
 	QueueDepth int
-	// DrainTimeout bounds how long Shutdown waits for in-flight batches
-	// before giving up. 0 = wait indefinitely (callers usually bound the
-	// enclosing context instead).
-	DrainTimeout time.Duration
 	// Store, when set, makes fitted models durable: every fit/refit is
 	// checkpointed asynchronously, in-flight fits persist their optimizer
 	// state for resume, and New rebuilds the registry from the store
@@ -119,11 +104,13 @@ type Server struct {
 	queries     atomic.Int64
 
 	// resilience state: draining flips when Shutdown begins (readiness goes
-	// 503 so load balancers stop routing here); panics counts requests the
-	// recovery middleware turned into 500s instead of letting the process
-	// die. Either sheds or panics > 0 degrades /readyz (still serving, but
-	// an operator should look).
+	// 503 so load balancers stop routing here); sheds counts prediction
+	// requests refused with 429; panics counts requests the recovery
+	// middleware turned into 500s instead of letting the process die.
+	// Either sheds or panics > 0 degrades /readyz (still serving, but an
+	// operator should look).
 	draining atomic.Bool
+	sheds    atomic.Int64
 	panics   atomic.Int64
 
 	// persistence state: fitCtx is canceled by Shutdown so in-flight fits
@@ -151,10 +138,9 @@ type fitMeta struct {
 	fitSeconds float64
 }
 
-// servedModel couples one fitted model with its snapshot handle and request
-// batcher. The handle is the publication point: the batcher's worker
-// replicas load the current immutable snapshot per batch, and a refit swaps
-// a new one in without blocking them.
+// servedModel couples one fitted model with its snapshot handle. The handle
+// is the publication point: every prediction loads the current immutable
+// snapshot, and a refit swaps a new one in without blocking readers.
 type servedModel struct {
 	name      string
 	spec      string
@@ -165,10 +151,10 @@ type servedModel struct {
 	height    float64
 	createdAt time.Time
 	handle    *predict.Handle
-	batcher   *batcher
 	meta      atomic.Pointer[fitMeta]
 	refitting atomic.Bool // single-flight guard for refits
 	refits    atomic.Int64
+	inflight  atomic.Int64 // prediction requests admitted and not yet answered
 	// pending is the not-yet-persisted fit outcome Register hands to the
 	// checkpoint writer (nil once enqueued, and always nil without a store).
 	pending *fitOutcome
@@ -225,59 +211,35 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown begins a graceful drain: readiness flips to 503 (so load
-// balancers stop routing here), in-flight fits and refits are canceled at
-// their next checkpoint boundary (the persisted optimizer state lets a
-// restart resume them), every model batcher stops accepting work — queued
-// and subsequent requests fail with ErrServerClosed (503 + Retry-After) —
-// in-flight batches run to completion, and pending model checkpoints are
-// flushed to the store with a per-model summary logged — the flush runs
-// under its own short deadline even when the batcher drain timed out, so a
-// slow drain never drops checkpoints. Returns once the drain has completed
-// (or Options.DrainTimeout / ctx cut it short) and the flush has finished
-// or hit its deadline. Safe to call repeatedly.
-func (s *Server) Shutdown(ctx context.Context) error {
+// balancers stop routing here), subsequent prediction, fit and refit
+// requests answer 503 + Retry-After, in-flight fits and refits are
+// canceled at their next checkpoint boundary (the persisted optimizer
+// state lets a restart resume them), and pending model checkpoints are
+// flushed to the store with a per-model summary logged. Predictions
+// already admitted finish on their own handlers; waiting for those is the
+// HTTP server's job (http.Server.Shutdown). The flush runs under its own
+// deadline, so the context is not consulted: an exhausted drain context
+// never drops checkpoints. Returns the flush's error, if any. Safe to call
+// repeatedly.
+func (s *Server) Shutdown(context.Context) error {
 	s.draining.Store(true)
 	s.fitCancel()
-	if s.opts.DrainTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.DrainTimeout)
-		defer cancel()
+	if s.persist == nil {
+		return nil
 	}
-	models := s.reg.snapshotAll()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, m := range models {
-			m.batcher.shutdown(ErrServerClosed)
-		}
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = ctx.Err()
+	// The persister logs one line per model as each checkpoint lands; this
+	// summary line bounds what the drain still had in flight.
+	flushCtx, cancel := context.WithTimeout(context.Background(), persistFlushTimeout)
+	pending, err := s.persist.close(flushCtx)
+	cancel()
+	s.logf("persistence flush: %d checkpoint(s) pending at drain, %d published, %d errors",
+		pending, s.persisted.Load(), s.persistErrors.Load())
+	if err != nil {
+		rem := s.persist.remaining()
+		s.logf("persistence flush: gave up after %v with %d checkpoint(s) still queued (%s)",
+			persistFlushTimeout, len(rem), strings.Join(rem, ", "))
 	}
-	if s.persist != nil {
-		// The flush runs even when the batcher drain timed out, and under a
-		// fresh deadline of its own — the documented contract is that pending
-		// checkpoints reach the store before the process exits. The persister
-		// logs one line per model as each checkpoint lands; this summary line
-		// bounds what the drain still had in flight.
-		flushCtx, cancel := context.WithTimeout(context.Background(), persistFlushTimeout)
-		pending, err := s.persist.close(flushCtx)
-		cancel()
-		s.logf("persistence flush: %d checkpoint(s) pending at drain, %d published, %d errors",
-			pending, s.persisted.Load(), s.persistErrors.Load())
-		if err != nil {
-			rem := s.persist.remaining()
-			s.logf("persistence flush: gave up after %v with %d checkpoint(s) still queued (%s)",
-				persistFlushTimeout, len(rem), strings.Join(rem, ", "))
-			if drainErr == nil {
-				drainErr = err
-			}
-		}
-	}
-	return drainErr
+	return err
 }
 
 // --- request/response schemas ---
@@ -308,8 +270,10 @@ type FitRequest struct {
 	// IncludeNoise folds Gaussian observation noise into every predictive
 	// variance served by this model.
 	IncludeNoise bool `json:"include_noise,omitempty"`
-	// MaxBatch overrides the batcher's coalescing width, in queries per
-	// snapshot pass (default 64).
+	// MaxBatch is only reported back on the model card (default 64): the
+	// snapshot answers any number of queries per call. Kept because the
+	// end-to-end benchmark sets it; goes with the next change to that
+	// benchmark.
 	MaxBatch int `json:"max_batch,omitempty"`
 }
 
@@ -370,13 +334,16 @@ type Stats struct {
 	Refits          int64   `json:"refits"`
 	PredictRequests int64   `json:"predict_requests"`
 	Queries         int64   `json:"queries"`
-	Batches         int64   `json:"batches"`
-	AvgBatchSize    float64 `json:"avg_batch_size"`
-	MaxBatchSize    int64   `json:"max_batch_size"`
-	SLOFlushes      int64   `json:"slo_flushes"`
-	ShedRequests    int64   `json:"shed_requests"`
-	RecoveredPanics int64   `json:"recovered_panics"`
-	Replicas        int     `json:"replicas_per_model"`
+	// Batches counts snapshot passes, one per answered request, and
+	// AvgBatchSize the queries per pass (Queries / PredictRequests).
+	Batches      int64   `json:"batches"`
+	AvgBatchSize float64 `json:"avg_batch_size"`
+	// SLOFlushes is always 0: nothing queues a request. Kept because the
+	// end-to-end benchmark reads it; goes with the next change to that
+	// benchmark.
+	SLOFlushes      int64 `json:"slo_flushes"`
+	ShedRequests    int64 `json:"shed_requests"`
+	RecoveredPanics int64 `json:"recovered_panics"`
 	// Persistence counters (all zero without a store). RecoveredModels is
 	// how many models startup restored from durable checkpoints without
 	// re-optimizing; ResumedFits how many interrupted fits continued from
@@ -461,7 +428,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	degraded := s.reg.totals().sheds > 0 || s.panics.Load() > 0
+	degraded := s.sheds.Load() > 0 || s.panics.Load() > 0
 	body := map[string]any{}
 	if s.opts.Store != nil {
 		body["recovered_models"] = s.recoveredModels.Load()
@@ -487,20 +454,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	t := s.reg.totals()
 	st := Stats{
 		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Models:          t.models,
+		Models:          s.reg.count(),
 		Fits:            s.fits.Load(),
 		Refits:          s.refits.Load(),
 		PredictRequests: s.predictReqs.Load(),
 		Queries:         s.queries.Load(),
-		Batches:         t.batches,
-		MaxBatchSize:    t.maxBatch,
-		SLOFlushes:      t.sloFlushes,
-		ShedRequests:    t.sheds,
+		ShedRequests:    s.sheds.Load(),
 		RecoveredPanics: s.panics.Load(),
-		Replicas:        s.replicas(),
 
 		RecoveredModels:      s.recoveredModels.Load(),
 		ResumedFits:          s.resumedFits.Load(),
@@ -508,18 +470,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PersistedCheckpoints: s.persisted.Load(),
 		PersistErrors:        s.persistErrors.Load(),
 	}
-	if t.batches > 0 {
-		st.AvgBatchSize = float64(t.batchedQs) / float64(t.batches)
+	st.Batches = st.PredictRequests
+	if st.Batches > 0 {
+		st.AvgBatchSize = float64(st.Queries) / float64(st.Batches)
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// replicas reports the effective per-model worker pool size.
-func (s *Server) replicas() int {
-	if s.opts.Replicas > 0 {
-		return s.opts.Replicas
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (s *Server) handleListModels(w http.ResponseWriter, _ *http.Request) {
@@ -547,12 +502,7 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no model %q", name)
 		return
 	}
-	// Join the workers first so their final flushes are counted, then fold
-	// the dead batcher's counters and remove the model in one critical
-	// section — /stats (which reads under the same registry lock) never sees
-	// the counters move backwards. Requests arriving while the batcher
-	// winds down fail with errStopped and are answered 404.
-	m.batcher.shutdown(nil)
+	// Predictions that already hold m finish against its snapshot.
 	if !s.reg.remove(m) {
 		writeErr(w, http.StatusNotFound, "no model %q", name)
 		return
@@ -607,7 +557,6 @@ func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.Register(m); err != nil {
-		m.batcher.shutdown(nil)
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
@@ -617,7 +566,7 @@ func (s *Server) handleFitModel(w http.ResponseWriter, r *http.Request) {
 // handleRefit re-runs a registered model's fit (optionally against a
 // reseeded dataset) and publishes the resulting snapshot through the atomic
 // handle swap — in-flight predictions finish against the old snapshot, new
-// batches read the fresh one, and no reader ever blocks on the fit.
+// ones read the fresh one, and no reader ever blocks on the fit.
 func (s *Server) handleRefit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -683,11 +632,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	qs := make([]predict.Query, len(req.Queries))
 	for i, q := range req.Queries {
-		// Validate here so one malformed query cannot fail an entire
-		// coalesced batch of unrelated requests.
-		// The domain check below is false for NaN, and a NaN coordinate
-		// reaching mesh location would take down the whole coalesced batch
-		// — reject non-finite numbers explicitly.
+		// Validate here so a malformed query answers 400 naming it. The
+		// domain check below is false for NaN, so non-finite numbers are
+		// rejected explicitly before mesh location sees them.
 		if !isFinite(q.X) || !isFinite(q.Y) {
 			writeErr(w, http.StatusBadRequest, "query %d: non-finite coordinates (%g,%g)", i, q.X, q.Y)
 			return
@@ -722,36 +669,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			Covariates: q.Covariates,
 		}
 	}
-	ctx := r.Context()
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
+	if s.draining.Load() {
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusServiceUnavailable, "%v", ErrServerClosed)
+		return
 	}
-	means, vars, err := m.batcher.do(ctx, qs)
-	switch {
-	case errors.Is(err, errStopped):
-		// The model was deleted while this request was queued: a client
-		// condition, not a server fault.
-		writeErr(w, http.StatusNotFound, "model %q was unregistered", r.PathValue("name"))
-		return
-	case errors.Is(err, ErrServerClosed):
+	if m.inflight.Add(1) > int64(s.queueDepth()) {
+		m.inflight.Add(-1)
+		s.sheds.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		writeErr(w, http.StatusTooManyRequests, "%v", ErrOverloaded)
 		return
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, "request deadline exceeded after %v", s.opts.RequestTimeout)
-		return
-	case errors.Is(err, context.Canceled):
-		// The client went away; nobody reads this reply, but close the
-		// exchange cleanly.
-		writeErr(w, http.StatusServiceUnavailable, "request canceled")
-		return
-	case err != nil:
+	}
+	// Deferred so a panic the recovery middleware answers frees the slot.
+	defer m.inflight.Add(-1)
+	means, vars := make([]float64, len(qs)), make([]float64, len(qs))
+	if err := m.handle.PredictInto(qs, means, vars); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -762,6 +695,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.SD[i] = sqrt(v)
 	}
 	writePredictResponse(w, &resp)
+}
+
+// queueDepth is the per-model in-flight bound of prediction requests.
+func (s *Server) queueDepth() int {
+	if s.opts.QueueDepth > 0 {
+		return s.opts.QueueDepth
+	}
+	return defaultQueueDepth
 }
 
 // fitOutcome bundles everything a completed fit produced: the frozen
@@ -790,8 +731,8 @@ func (s *Server) FitModel(req FitRequest) (*servedModel, error) {
 	return s.buildServedModel(req, out), nil
 }
 
-// buildServedModel wraps a fit outcome in its serving shell (handle +
-// batcher), leaving the outcome attached for Register to persist.
+// buildServedModel wraps a fit outcome in its serving shell (the snapshot
+// handle), leaving the outcome attached for Register to persist.
 func (s *Server) buildServedModel(req FitRequest, out *fitOutcome) *servedModel {
 	width, height := out.gen.Width, out.gen.Height
 	if width == 0 {
@@ -800,7 +741,6 @@ func (s *Server) buildServedModel(req FitRequest, out *fitOutcome) *servedModel 
 	if height == 0 {
 		height = 300
 	}
-	handle := predict.NewHandle(out.snap)
 	m := &servedModel{
 		name:      req.Name,
 		spec:      out.specID,
@@ -810,8 +750,7 @@ func (s *Server) buildServedModel(req FitRequest, out *fitOutcome) *servedModel 
 		width:     width,
 		height:    height,
 		createdAt: time.Now(),
-		handle:    handle,
-		batcher:   newBatcher(handle, s.opts),
+		handle:    predict.NewHandle(out.snap),
 	}
 	m.meta.Store(out.meta)
 	m.pending = out
