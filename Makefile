@@ -82,8 +82,11 @@ ci: fmt-check test race purego
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
 # smoke run, the quick fig5/x1/x5 solver experiments, the four fast
 # examples, the traced benchmark run on all four workloads (e2e) and its one
-# pass of the dense kernel, Q_c assembly, BTA solver, mode-search,
-# mode-Hessian and snapshot prediction benchmarks), race, the race-widths
+# pass of the dense kernel (with the elimination and selected-inversion
+# steps, BenchmarkBlock/step/… and /invert/…), Q_c assembly, BTA solver
+# (BenchmarkSeqFactorize and BenchmarkSeqSelInv at the uni, tri and serve
+# shapes), mode-search, mode-Hessian and snapshot prediction benchmarks),
+# race, the race-widths
 # GOMAXPROCS matrix
 # over the executor/partition/kernel fan-out packages and the concurrent
 # snapshot readers, the chaos

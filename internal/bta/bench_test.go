@@ -106,8 +106,9 @@ func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 }
 
 // TestSelectedInversionIntoZeroAlloc: the sequential selected inversion —
-// a recursive Trtri and a Syrk per diagonal block, Gemm for the rest —
-// allocates nothing once the pools are warm, at every kernel width.
+// one dense.Invert step per block and one for the tip, every packed panel
+// drawn from the dense pools — allocates nothing once the pools are warm,
+// at every kernel width.
 func TestSelectedInversionIntoZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")

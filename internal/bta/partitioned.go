@@ -119,10 +119,8 @@ type partState struct {
 
 	// selected-inversion sweep scratch and the Σ boundary blocks handed to
 	// the phaseSigma body
-	gN, gT, tmpB *dense.Matrix    // b×b
-	gA           *dense.Matrix    // a×b
-	loBuf        [2]*dense.Matrix // b×b ping-pong for the rolling Σ(lo,·)
-	sig          boundary
+	loBuf [2]*dense.Matrix // b×b ping-pong for the rolling Σ(lo,·)
+	sig   boundary
 
 	err error
 }
@@ -220,7 +218,6 @@ func (f *partFactor) init(n, b, a int, sub []Partition, rank, p int, ex *sched.E
 			for i := range ps.chain {
 				ps.chain[i] = dense.New(b, b)
 			}
-			ps.gT = dense.New(b, b)
 			ps.loBuf[0] = dense.New(b, b)
 			ps.loBuf[1] = dense.New(b, b)
 		}
@@ -236,10 +233,7 @@ func (f *partFactor) init(n, b, a int, sub []Partition, rank, p int, ex *sched.E
 		if a > 0 {
 			ps.tipDelta = dense.New(a, a)
 			ps.tipVec = make([]float64, a)
-			ps.gA = dense.New(a, b)
 		}
-		ps.gN = dense.New(b, b)
-		ps.tmpB = dense.New(b, b)
 		f.ps[j] = ps
 	}
 
@@ -756,9 +750,8 @@ func (f *partFactor) sweepPartition(ps *partState) error {
 		Lower: out.Lower[lo:hi],
 		// Σ(hi, lo) of middle partitions seeds the rolling Σ(lo,·).
 		SigBotTop: ps.sig[bFill],
-		GN:        ps.gN, GT: ps.gT, GA: ps.gA, TmpB: ps.tmpB,
-		LoBuf: ps.loBuf,
-		ID:    ps.global,
+		LoBuf:     ps.loBuf,
+		ID:        ps.global,
 	}
 	if f.A > 0 {
 		pw.Arrow = out.Arrow[lo : hi+1]

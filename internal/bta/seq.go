@@ -3,7 +3,6 @@ package bta
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/dalia-hpc/dalia/internal/dense"
 )
@@ -32,13 +31,6 @@ type Factor struct {
 	// ws views the blocks as a matrix: the Workspace the next
 	// factorization runs over in place.
 	ws *Matrix
-
-	// selinvMu guards the lazily built selected-inversion scratch: concurrent
-	// SelectedInversionInto calls on a shared factor (the mode-factor usage
-	// pattern) serialize on it.
-	selinvMu sync.Mutex
-	sweep    *partitionSweep // sweep template over core, scratch included
-	tipTmp   *dense.Matrix   // a×a Potri workspace of the tip
 }
 
 // Factorize computes the block Cholesky factorization A = L·Lᵀ of a BTA
@@ -208,12 +200,16 @@ func solveLowerTransVec(l *dense.Matrix, x []float64) {
 // are exactly the entries INLA needs for latent marginal variances (the
 // diagonal) and local posterior covariances.
 //
-// Backward block recursion derived from Σ·L = L⁻ᵀ:
+// Backward block recursion derived from Σ·L = L⁻ᵀ, one dense.Invert step
+// per block:
 //
-//	G = L_{i+1,i}·L_ii⁻¹,  H = L_{a,i}·L_ii⁻¹
+//	G = L_{i+1,i}·L_ii⁻¹,  H = L_{a,i}·L_ii⁻¹   (packed solves against L_ii)
 //	Σ_{i+1,i} = −Σ_{i+1,i+1}·G − Σ_{a,i+1}ᵀ·H
 //	Σ_{a,i}   = −Σ_{a,i+1}·G − Σ_aa·H
-//	Σ_ii      = (L_ii·L_iiᵀ)⁻¹ − Σ_{i+1,i}ᵀ·G − Σ_{a,i}ᵀ·H
+//	Σ_ii      = (L_ii·L_iiᵀ)⁻¹ − Σ_{i+1,i}ᵀ·G − Σ_{a,i}ᵀ·H  (lower triangle, mirrored)
+//
+// with (L_ii·L_iiᵀ)⁻¹ = L_ii⁻ᵀ·L_ii⁻¹ from the packed solve of L_ii⁻¹ over
+// its lower triangle only.
 func (f *Factor) SelectedInversion() (*Matrix, error) {
 	sig := NewMatrix(f.N, f.B, f.A)
 	if err := f.SelectedInversionInto(sig); err != nil {
@@ -223,32 +219,22 @@ func (f *Factor) SelectedInversion() (*Matrix, error) {
 }
 
 // SelectedInversionInto computes the selected inverse into caller-owned
-// storage: Σ_aa from the tip, then the interior sweep, drawing all
-// temporaries from scratch allocated on first use — the alloc-free
-// counterpart of SelectedInversion for the per-θ posterior extraction loop.
-// Concurrent calls on the same factor serialize on the shared scratch (each
-// still needs its own sig).
+// storage: Σ_aa from the tip (a dense.Invert step without couplings), then
+// the interior sweep, every temporary drawn from the dense pools — the
+// alloc-free counterpart of SelectedInversion for the per-θ posterior
+// extraction loop. The factor is only read, so concurrent calls on it run
+// side by side, each into its own sig.
 func (f *Factor) SelectedInversionInto(sig *Matrix) error {
 	n, b, a := f.N, f.B, f.A
 	if sig.N != n || sig.B != b || sig.A != a {
 		return fmt.Errorf("bta: selinv output BTA(n=%d,b=%d,a=%d), factor (n=%d,b=%d,a=%d)",
 			sig.N, sig.B, sig.A, n, b, a)
 	}
-	f.selinvMu.Lock()
-	defer f.selinvMu.Unlock()
-	if f.sweep == nil {
-		c := &f.core
-		f.sweep = &partitionSweep{L: c.L, GNext: c.GNext, GTop: c.GTop, GArr: c.GArr,
-			Interiors: c.Interiors, GN: dense.New(b, b), TmpB: dense.New(b, b)}
-		if a > 0 {
-			f.sweep.GA = dense.New(a, b)
-			f.tipTmp = dense.New(a, a)
-		}
-	}
-	pw := *f.sweep
-	pw.Diag, pw.Lower = sig.Diag, sig.Lower
+	c := &f.core
+	pw := partitionSweep{L: c.L, GNext: c.GNext, GTop: c.GTop, GArr: c.GArr,
+		Interiors: c.Interiors, Diag: sig.Diag, Lower: sig.Lower}
 	if a > 0 {
-		if err := dense.PotriInto(sig.Tip, f.tipTmp, f.Tip); err != nil {
+		if err := dense.Invert(f.Tip, [3]*dense.Matrix{}, [3][3]*dense.Matrix{}, [3]*dense.Matrix{}, sig.Tip); err != nil {
 			return fmt.Errorf("bta: selinv tip: %w", err)
 		}
 		pw.Arrow, pw.SigTip = sig.Arrow, sig.Tip

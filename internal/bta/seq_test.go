@@ -3,6 +3,7 @@ package bta
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -231,13 +232,16 @@ func TestSolveMultiMatchesVector(t *testing.T) {
 	}
 }
 
-// The block sizes from 17 up cross the dense kernels' blocking thresholds,
-// where the couplings are scaled by GEMM against the L_ii⁻¹ that PotriInto
-// leaves behind.
+// Every block on the BTA pattern against the dense inverse. Each block is
+// one dense.Invert step: the block sizes from 17 up cross the packed
+// solves' tile and panel edges, where L_ii⁻¹ and the couplings G =
+// L_{i+1,i}·L_ii⁻¹ are solved against the packed L_ii; (8, 60, 3), (4, 144,
+// 2) and (4, 90, 3) are the tri, uni and serve benchmark shapes.
 func TestSelectedInversionAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for _, tc := range []struct{ n, b, a int }{{1, 3, 0}, {3, 2, 0}, {4, 3, 2}, {2, 2, 1}, {6, 2, 3},
-		{3, 17, 0}, {3, 17, 2}, {3, 60, 0}, {3, 60, 3}, {3, 144, 0}, {3, 144, 2}} {
+		{3, 17, 0}, {3, 17, 2}, {3, 60, 0}, {3, 60, 3}, {3, 144, 0}, {3, 144, 2},
+		{8, 60, 3}, {4, 144, 2}, {4, 90, 3}} {
 		m := randBTA(rng, tc.n, tc.b, tc.a)
 		f, err := Factorize(m)
 		if err != nil {
@@ -271,6 +275,47 @@ func TestSelectedInversionAgainstDense(t *testing.T) {
 			if !sig.Tip.Equal(inv.View(tc.n*tc.b, tc.n*tc.b, tc.a, tc.a).Clone(), 1e-10) {
 				t.Fatalf("%+v: Σ tip mismatch", tc)
 			}
+		}
+	}
+}
+
+// TestSelectedInversionIntoConcurrent: the selected inversion only reads
+// its factor, so calls from several goroutines on one factor, each into
+// its own Σ and fanned out at kernel width 4, give the serial Σ bit for
+// bit.
+func TestSelectedInversionIntoConcurrent(t *testing.T) {
+	f, err := Factorize(randBTA(rand.New(rand.NewSource(96)), 4, 90, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewMatrix(4, 90, 3)
+	if err := f.SelectedInversionInto(want); err != nil {
+		t.Fatal(err)
+	}
+	prev := dense.SetMaxWorkers(4)
+	defer dense.SetMaxWorkers(prev)
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sig := NewMatrix(4, 90, 3)
+			for range 3 {
+				if errs[i] = f.SelectedInversionInto(sig); errs[i] != nil {
+					return
+				}
+				if errs[i] = sameMatrix("Σ", sig, want); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("caller %d: %v", i, err)
 		}
 	}
 }

@@ -18,12 +18,13 @@ import (
 // two-sided partitions, Diag/Arrow of the bottom boundary) installed by the
 // caller from the reduced system's selected inverse before the sweep runs.
 //
-// Every temporary is drawn from the caller-provided scratch (GN/GT/GA/TmpB
-// and the LoBuf ping-pong pair for the rolling Σ(lo,·)), so the sweep
-// performs no heap allocation; virtual-time charging (the comm simulator's
-// Compute hook) wraps the call from the outside. The sequential
-// SelectedInversionInto is the sweep of one one-sided partition over every
-// block.
+// Each block is one dense.Invert step, which packs L_kk once for all its
+// solves and keeps the couplings G_{S,k} in pooled packed panels; the only
+// other temporary is the caller-provided LoBuf ping-pong pair for the
+// rolling Σ(lo,·), so the sweep performs no heap allocation. Virtual-time
+// charging (the comm simulator's Compute hook) wraps the call from the
+// outside. The sequential SelectedInversionInto is the sweep of one
+// one-sided partition over every block.
 type partitionSweep struct {
 	// partitionElim outputs in elimination order: the interior Cholesky
 	// blocks and the scaled couplings (nil where absent).
@@ -43,10 +44,9 @@ type partitionSweep struct {
 	// SigTip is the replicated Σ over the arrow tip (nil when a == 0).
 	SigTip *dense.Matrix
 
-	// Scratch: b×b GN/TmpB always, b×b GT plus the LoBuf pair for
-	// two-sided partitions, a×b GA when the matrix has an arrowhead.
-	GN, GT, GA, TmpB *dense.Matrix
-	LoBuf            [2]*dense.Matrix
+	// LoBuf is the b×b pair Σ(lo,·) rolls through in two-sided
+	// partitions (unused in one-sided ones).
+	LoBuf [2]*dense.Matrix
 
 	// ID is the global partition index, for error messages.
 	ID int
@@ -79,76 +79,32 @@ func (pw *partitionSweep) run() error {
 
 	for idx := last; idx >= 0; idx-- {
 		rel := ints[idx] - pw.Base
-		// (L_kk·L_kkᵀ)⁻¹ first: it leaves L_kk⁻¹ in TmpB. The factor stores
-		// L_{S,k} = A'_{S,k}·L_kk⁻ᵀ; the recursion needs G_{S,k} =
-		// L_{S,k}·L_kk⁻¹, a GEMM against TmpB.
-		if err := dense.PotriInto(pw.Diag[rel], pw.TmpB, pw.L[idx]); err != nil {
+		// One dense.Invert step over the neighbours {k+1, lo, tip}, in
+		// dense.Eliminate's index order: Σ_{S,k} = −Σ_{S'} Σ_{S,S'}·G_{S',k}
+		// with G_{S,k} = L_{S,k}·L_kk⁻¹, then Σ_kk = (L_kk·L_kkᵀ)⁻¹ −
+		// Σ_S Σ_{S,k}ᵀ·G_{S,k}.
+		g := [3]*dense.Matrix{pw.GNext[idx], pw.GTop[idx], pw.GArr[idx]}
+		var s [3][3]*dense.Matrix
+		var out [3]*dense.Matrix
+		s[0][0], s[1][0], s[1][1] = sigNN, sigLoN, pw.Diag[0]
+		if g[0] != nil {
+			out[0] = pw.Lower[rel]
+		}
+		if g[1] != nil {
+			out[1] = loNext
+		}
+		if hasArrow {
+			s[2][0], s[2][1], s[2][2] = sigArrN, pw.Arrow[0], pw.SigTip
+			out[2] = pw.Arrow[rel]
+		}
+		if err := dense.Invert(pw.L[idx], g, s, out, pw.Diag[rel]); err != nil {
 			return fmt.Errorf("bta: selinv partition %d block %d: %w", pw.ID, ints[idx], err)
 		}
-		var gN, gT, gA *dense.Matrix
-		if g := pw.GNext[idx]; g != nil {
-			gN = pw.GN
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gN)
-		}
-		if g := pw.GTop[idx]; g != nil {
-			gT = pw.GT
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gT)
-		}
-		if g := pw.GArr[idx]; g != nil {
-			gA = pw.GA
-			dense.Gemm(dense.NoTrans, dense.NoTrans, 1, g, pw.TmpB, 0, gA)
-		}
-		// Σ_{k+1,k}
-		if gN != nil {
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sigNN, gN, 0, pw.Lower[rel])
-			if gT != nil {
-				dense.Gemm(dense.Trans, dense.NoTrans, -1, sigLoN, gT, 1, pw.Lower[rel])
-			}
-			if gA != nil {
-				dense.Gemm(dense.Trans, dense.NoTrans, -1, sigArrN, gA, 1, pw.Lower[rel])
-			}
-		}
-		// Σ_{lo,k}
-		var sigLoK *dense.Matrix
-		if gT != nil {
-			sigLoK = loNext
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.Diag[0], gT, 0, sigLoK)
-			if gN != nil {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sigLoN, gN, 1, sigLoK)
-			}
-			if gA != nil {
-				dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Arrow[0], gA, 1, sigLoK)
-			}
-		}
-		// Σ_{a,k} = −Σ_{a,k+1}·G_{k+1,k} − Σ_aa·G_{a,k} − Σ_{a,lo}·G_{lo,k},
-		// summed in that order
-		if gA != nil {
-			beta := 0.0
-			if gN != nil {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, sigArrN, gN, 0, pw.Arrow[rel])
-				beta = 1
-			}
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.SigTip, gA, beta, pw.Arrow[rel])
-			if gT != nil {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, pw.Arrow[0], gT, 1, pw.Arrow[rel])
-			}
-		}
-		// Σ_{k,k} = (L_kk·L_kkᵀ)⁻¹ − Σ_{S,k}ᵀ·G_{S,k} over the neighbours S
-		if gN != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Lower[rel], gN, 1, pw.Diag[rel])
-		}
-		if gT != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, sigLoK, gT, 1, pw.Diag[rel])
-		}
-		if gA != nil {
-			dense.Gemm(dense.Trans, dense.NoTrans, -1, pw.Arrow[rel], gA, 1, pw.Diag[rel])
-		}
-		pw.Diag[rel].Symmetrize()
 
 		// Roll the state.
 		sigNN = pw.Diag[rel]
-		if gT != nil {
-			sigLoN = sigLoK
+		if g[1] != nil {
+			sigLoN = loNext
 			loCur, loNext = loNext, loCur
 		}
 		if hasArrow {

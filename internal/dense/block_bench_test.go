@@ -94,9 +94,30 @@ func setupStep(rng *rand.Rand, b, a int) func() {
 	}
 }
 
+// invertFlops counts one selected-inversion step (Invert) of a one-sided
+// partition with a next block and an arrowhead, at the rates above: L⁻¹
+// and L⁻ᵀ·L⁻¹ over their triangles, the two coupling solves, the products
+// onto Σ_{k+1,k} and Σ_{a,k}, and the lower-triangle update of Σ_kk.
+func invertFlops(b, a float64) float64 {
+	return 2*b*b*b/3 + b*b*b + a*b*b + 2*b*b*b + 2*a*b*b + 2*a*b*b + 2*a*a*b + b*b*b + a*b*b
+}
+
+// setupInvert returns one selected-inversion step at (b, a) as the
+// sequential selected inversion runs it. Invert leaves its inputs as they
+// were, so nothing is restored between runs.
+func setupInvert(rng *rand.Rand, b, a int) func() {
+	ic := newInvertCase(rng, b, a, false, true)
+	return func() {
+		if err := ic.invert(); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // BenchmarkBlock reports the single-worker GFLOP/s of Gemm, Syrk,
 // Trsm(Right, Trans), Potrf and Trtri at the BTA block sizes, and of one
-// elimination step (Eliminate) at the benchmark block shapes:
+// elimination step (Eliminate) and one selected-inversion step (Invert)
+// at the benchmark block shapes:
 //
 //	go test ./internal/dense -run '^$' -bench Block -benchtime 2000x
 func BenchmarkBlock(b *testing.B) {
@@ -122,5 +143,7 @@ func BenchmarkBlock(b *testing.B) {
 	for _, sh := range stepShapes {
 		bench(fmt.Sprintf("step/n=%d/a=%d", sh[0], sh[1]), stepFlops(float64(sh[0]), float64(sh[1])),
 			func(rng *rand.Rand) func() { return setupStep(rng, sh[0], sh[1]) }, int64(sh[0]))
+		bench(fmt.Sprintf("invert/n=%d/a=%d", sh[0], sh[1]), invertFlops(float64(sh[0]), float64(sh[1])),
+			func(rng *rand.Rand) func() { return setupInvert(rng, sh[0], sh[1]) }, int64(sh[0]))
 	}
 }

@@ -217,10 +217,10 @@ func LogDetFromChol(l *Matrix) float64 {
 }
 
 // Trtri inverts a lower-triangular matrix in place; the strict upper
-// triangle is not referenced. It runs on every diagonal block of every
-// selected inversion (through PotriInto), so it is recursive like Potrf:
-// L21 ← −L22⁻¹·L21·L11⁻¹ by two Trsm calls, then the two diagonal halves;
-// trtriUnb inverts the leaves.
+// triangle is not referenced. It is recursive like Potrf: L21 ←
+// −L22⁻¹·L21·L11⁻¹ by two Trsm calls, then the two diagonal halves;
+// trtriUnb inverts the leaves. The selected inversion does not use it:
+// Invert solves for L⁻¹ against its packed factor.
 func Trtri(l *Matrix) error {
 	n := l.Rows
 	if n != l.Cols {
@@ -263,12 +263,11 @@ func Potri(l *Matrix) (*Matrix, error) {
 
 // PotriInto computes A⁻¹ = L⁻ᵀ·L⁻¹ into dst without allocating, using tmp
 // as triangular-inverse workspace: on return tmp holds L⁻¹ (lower
-// triangular, zero upper), which the selected-inversion sweeps reuse to
-// scale their coupling blocks. dst and tmp must both be n×n and distinct
-// from each other and from l. This is the hot-path twin of Potri for the
-// selected-inversion sweeps that run once per INLA θ-evaluation. The
-// product is a Syrk (lower triangle) mirrored to the upper one, so dst is
-// exactly symmetric.
+// triangular, zero upper). dst and tmp must both be n×n and distinct from
+// each other and from l. It is Potri's route (Trtri, then a full Syrk over
+// the triangular L⁻¹, mirrored, so dst is exactly symmetric). The selected
+// inversion forms the same inverse inside Invert instead, from a packed
+// solve of L⁻¹ and a product over its lower triangle only, without tmp.
 func PotriInto(dst, tmp, l *Matrix) error {
 	tmp.CopyFrom(l)
 	tmp.ZeroUpper()

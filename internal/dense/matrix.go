@@ -183,14 +183,29 @@ func (m *Matrix) Symmetrize() {
 }
 
 // MirrorLowerToUpper copies the strict lower triangle onto the upper one,
-// producing a full symmetric matrix from factor-style lower storage.
+// producing a full symmetric matrix from factor-style lower storage. The
+// 4×4 tiles wholly below the diagonal move as tiles, four consecutive
+// entries of an upper row per write; the diagonal tiles and a ragged last
+// row band move entry by entry.
 func (m *Matrix) MirrorLowerToUpper() {
-	if m.Rows != m.Cols {
+	n, s, d := m.Rows, m.Stride, m.Data
+	if n != m.Cols {
 		panic("dense: mirror of non-square matrix")
 	}
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i)[:i] {
-			m.Data[j*m.Stride+i] = v
+	for i0 := 0; i0 < n; i0 += 4 {
+		from := 0 // the first column of rows i0… that moves entry by entry
+		for ; i0+4 <= n && from < i0; from += 4 {
+			r0, r1 := (*[4]float64)(d[i0*s+from:]), (*[4]float64)(d[(i0+1)*s+from:])
+			r2, r3 := (*[4]float64)(d[(i0+2)*s+from:]), (*[4]float64)(d[(i0+3)*s+from:])
+			*(*[4]float64)(d[from*s+i0:]) = [4]float64{r0[0], r1[0], r2[0], r3[0]}
+			*(*[4]float64)(d[(from+1)*s+i0:]) = [4]float64{r0[1], r1[1], r2[1], r3[1]}
+			*(*[4]float64)(d[(from+2)*s+i0:]) = [4]float64{r0[2], r1[2], r2[2], r3[2]}
+			*(*[4]float64)(d[(from+3)*s+i0:]) = [4]float64{r0[3], r1[3], r2[3], r3[3]}
+		}
+		for i := i0; i < min(i0+4, n); i++ {
+			for j := from; j < i; j++ {
+				d[j*s+i] = d[i*s+j]
+			}
 		}
 	}
 }

@@ -150,18 +150,22 @@ func TestSymmetrizeAndMirror(t *testing.T) {
 			}
 		}
 	}
-	l := randMat(rng, 5, 5)
-	l.ZeroUpper()
-	full := l.Clone()
-	full.MirrorLowerToUpper()
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			lo, hi := i, j
-			if lo < hi {
-				lo, hi = hi, lo
-			}
-			if full.At(i, j) != l.At(lo, hi) {
-				t.Fatal("MirrorLowerToUpper failed")
+	// Orders around the 4×4 tiles, on a strided view.
+	for _, n := range []int{1, 3, 4, 5, 8, 13, 60} {
+		l := randMat(rng, n, n)
+		l.ZeroUpper()
+		full := randMat(rng, n+2, n+3).View(1, 2, n, n)
+		full.CopyFrom(l)
+		full.MirrorLowerToUpper()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				lo, hi := i, j
+				if lo < hi {
+					lo, hi = hi, lo
+				}
+				if full.At(i, j) != l.At(lo, hi) {
+					t.Fatalf("n=%d: MirrorLowerToUpper failed at (%d,%d)", n, i, j)
+				}
 			}
 		}
 	}

@@ -63,6 +63,14 @@ func packPanelsA(dst []float64, trans Transpose, aData []float64, aStride, i0, p
 					panel[p*MR+r] = alpha * v
 				}
 			}
+		} else if h == MR {
+			// A whole panel's k step is one MR-wide row of A: array moves
+			// free of per-element bounds checks.
+			for p := 0; p < kcb; p++ {
+				src := (*[MR]float64)(aData[(p0+p)*aStride+i0+ip:])
+				d := (*[MR]float64)(panel[p*MR:])
+				d[0], d[1], d[2], d[3] = alpha*src[0], alpha*src[1], alpha*src[2], alpha*src[3]
+			}
 		} else {
 			for p := 0; p < kcb; p++ {
 				src := aData[(p0+p)*aStride+i0+ip : (p0+p)*aStride+i0+ip+h]

@@ -185,13 +185,21 @@ func invLowerTile(inv *[MR * MR]float64, lData []float64, lStride, c0, w int) {
 // left-side solve) against the packed factor lp. With keep set, each block
 // of NR rows is solved in its own trsmPanel(n)-long stretch of keep and left
 // there: the k-major form packPanelsB(Trans, Y, …) builds, which the step's
-// products read as their packed B operand (step.go).
+// products read as their packed B operand (step.go). With panel set, the
+// solved rows go to panel instead of back to bData, in the form
+// packPanelsB(NoTrans, Y, …) builds over Y's m rows (unpackPanel), which
+// Invert's products read as their B operand. With ident set (backward
+// solves only) Y starts as the identity rows, bData is not read, and the
+// tiles right of each row block's diagonal, zero in Y = I·L⁻¹, are skipped
+// and left out of panel.
 type trsmJob struct {
 	fwd, left bool
+	ident     bool
 	n, m      int
 	lp, bData []float64
 	bStride   int
 	keep      []float64
+	panel     []float64
 }
 
 var trsmJobs = sync.Pool{New: func() any { return new(trsmJob) }}
@@ -231,12 +239,21 @@ func (j *trsmJob) run(b0, b1 int) {
 		// Pack: yp[p·NR + r] = Y[i0+r, p], zero-padded to NR rows and to
 		// whole column tiles (the padding meets zero rows of the inverse
 		// tiles, so it must hold finite values: a pooled buffer may not).
-		if h < NR {
+		// Y's columns from cols on are zero and never solved.
+		cols := n
+		if j.ident {
+			cols = min(n, (i0+h+MR-1)/MR*MR)
+			clear(yp[:min(pl, (cols+NR-1)/NR*NR*NR)])
+		} else if h < NR {
 			clear(yp)
 		} else {
 			clear(yp[n*NR:])
 		}
 		switch {
+		case j.ident:
+			for r := 0; r < h; r++ {
+				yp[(i0+r)*NR+r] = 1
+			}
 		case j.left:
 			for p := 0; p < n; p++ {
 				d := yp[p*NR : p*NR+h]
@@ -258,11 +275,16 @@ func (j *trsmJob) run(b0, b1 int) {
 			if !fwd {
 				t = nt - 1 - s
 				kOff = (t + 1) * MR
-				k = max(0, n-kOff)
+				k = max(0, cols-kOff)
+				if t*MR >= cols {
+					continue
+				}
 			}
 			solveTile(k, j.lp[trsmSlot(s):], s, yp[kOff*NR:], yp[t*MR*NR:(t+1)*MR*NR], tile)
 		}
 		switch {
+		case j.panel != nil:
+			unpackPanel(j.panel, yp, i0, h, cols, j.m)
 		case j.left:
 			for p := 0; p < n; p++ {
 				d := bData[p*bStride+i0 : p*bStride+i0+h]
@@ -282,6 +304,28 @@ func (j *trsmJob) run(b0, b1 int) {
 		}
 	}
 	packAPool.Put(ypP)
+}
+
+// unpackPanel writes the h solved rows i0… of Y packed in yp into panel,
+// Y's columns [0, cols) in packPanelsB(NoTrans, Y, …) form over Y's m
+// rows: NR-column group c holds Y[p, c·NR + q] at c·NR·m + p·NR + q, with
+// the group's columns from cols on zero.
+func unpackPanel(panel, yp []float64, i0, h, cols, m int) {
+	for c0 := 0; c0 < cols; c0 += NR {
+		dst := panel[c0*m+i0*NR:]
+		w := min(NR, cols-c0)
+		if h == NR && w == NR {
+			transposeRows8(yp[c0*NR:], dst, NR, NR, true)
+			continue
+		}
+		for r := 0; r < h; r++ {
+			d := (*[NR]float64)(dst[r*NR:])
+			*d = [NR]float64{}
+			for q := range w {
+				d[q] = yp[(c0+q)*NR+r]
+			}
+		}
+	}
 }
 
 // solveTile is one column tile of a packed row solve, in place on yt: the
