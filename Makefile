@@ -88,8 +88,8 @@ ci: fmt-check test race purego
 # shapes), mode-search, mode-Hessian and snapshot prediction benchmarks),
 # race, the race-widths
 # GOMAXPROCS matrix
-# over the executor/partition/kernel fan-out packages and the concurrent
-# snapshot readers, the chaos
+# over the executor and partition packages, the concurrent dense steps that
+# share the packing pools and the concurrent snapshot readers, the chaos
 # fault-injection suite, the purego fallback with the arm64 cross-build,
 # then the non-blocking perf smoke.
 ci-local: fmt-check test race

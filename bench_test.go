@@ -34,8 +34,6 @@ func reportLast(b *testing.B, fig *bench.Figure, series, unit string) {
 // naive comparison sweep is BenchmarkGemm*/BenchmarkGemmNaive* in
 // internal/dense/kernel_test.go.
 func BenchmarkKernelGemm1024(b *testing.B) {
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	n := 1024
 	x := dense.New(n, n)
 	y := dense.New(n, n)

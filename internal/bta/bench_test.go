@@ -56,85 +56,71 @@ func TestRefactorizeShapeMismatch(t *testing.T) {
 // route every block operation through the packed kernels and their pools.
 var allocShapes = [][3]int{{4, 96, 4}, {8, 60, 3}, {4, 144, 2}}
 
-// allocWidths are the kernel widths the pins run at: serial, and fanned
-// out as fits run at GOMAXPROCS (every Trsm and Gemm of ≥ 128 rows splits).
-var allocWidths = []int{1, 4}
-
 // TestRefactorizeSolveZeroAlloc is the acceptance gate of the
 // zero-allocation hot path: after warm-up, a full factorization + Solve +
 // SolveLT + LogDet cycle — one INLA θ-evaluation's worth of solver work —
-// touches no fresh heap, at every kernel width, through Refactorize and
-// through the in-place entry (the matrix written into the Workspace, then
-// FactorizeWorkspace).
+// touches no fresh heap, through Refactorize and through the in-place
+// entry (the matrix written into the Workspace, then FactorizeWorkspace).
 func TestRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(13))
-	for _, w := range allocWidths {
-		for _, sh := range allocShapes {
-			n, b, a := sh[0], sh[1], sh[2]
-			m := randBTA(rng, n, b, a)
-			f := NewFactor(n, b, a)
-			rhs0 := randVec(rng, m.Dim())
-			rhs := make([]float64, m.Dim())
-			prev := dense.SetMaxWorkers(w)
-			for _, inPlace := range []bool{false, true} {
-				cycle := func() {
-					if inPlace {
-						f.Workspace().CopyFrom(m)
-						if err := f.FactorizeWorkspace(); err != nil {
-							t.Fatal(err)
-						}
-					} else if err := f.Refactorize(m); err != nil {
+	for _, sh := range allocShapes {
+		n, b, a := sh[0], sh[1], sh[2]
+		m := randBTA(rng, n, b, a)
+		f := NewFactor(n, b, a)
+		rhs0 := randVec(rng, m.Dim())
+		rhs := make([]float64, m.Dim())
+		for _, inPlace := range []bool{false, true} {
+			cycle := func() {
+				if inPlace {
+					f.Workspace().CopyFrom(m)
+					if err := f.FactorizeWorkspace(); err != nil {
 						t.Fatal(err)
 					}
-					copy(rhs, rhs0)
-					f.Solve(rhs)
-					f.SolveLT(rhs)
-					_ = f.LogDet()
+				} else if err := f.Refactorize(m); err != nil {
+					t.Fatal(err)
 				}
-				cycle() // warm-up: fills the factor storage and the dense packing pools
-				if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-					t.Fatalf("width %d n=%d b=%d a=%d in place %v: factorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0",
-						w, n, b, a, inPlace, allocs)
-				}
+				copy(rhs, rhs0)
+				f.Solve(rhs)
+				f.SolveLT(rhs)
+				_ = f.LogDet()
 			}
-			dense.SetMaxWorkers(prev)
+			cycle() // warm-up: fills the factor storage and the dense packing pools
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Fatalf("n=%d b=%d a=%d in place %v: factorize+Solve+SolveLT cycle allocates %.1f objects per run in steady state, want 0",
+					n, b, a, inPlace, allocs)
+			}
 		}
 	}
 }
 
 // TestSelectedInversionIntoZeroAlloc: the sequential selected inversion —
 // one dense.Invert step per block and one for the tip, every packed panel
-// drawn from the dense pools — allocates nothing once the pools are warm,
-// at every kernel width.
+// drawn from the dense pools — allocates nothing once the pools are warm.
 func TestSelectedInversionIntoZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(15))
-	for _, w := range allocWidths {
-		for _, sh := range allocShapes {
-			n, b, a := sh[0], sh[1], sh[2]
-			f, err := Factorize(randBTA(rng, n, b, a))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sig := NewMatrix(n, b, a)
-			prev := dense.SetMaxWorkers(w)
+	for _, sh := range allocShapes {
+		n, b, a := sh[0], sh[1], sh[2]
+		f, err := Factorize(randBTA(rng, n, b, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := NewMatrix(n, b, a)
+		if err := f.SelectedInversionInto(sig); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
 			if err := f.SelectedInversionInto(sig); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := f.SelectedInversionInto(sig); err != nil {
-					t.Fatal(err)
-				}
-			})
-			dense.SetMaxWorkers(prev)
-			if allocs != 0 {
-				t.Fatalf("width %d n=%d b=%d a=%d: SelectedInversionInto allocates %.1f objects per run in steady state, want 0", w, n, b, a, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d b=%d a=%d: SelectedInversionInto allocates %.1f objects per run in steady state, want 0", n, b, a, allocs)
 		}
 	}
 }
@@ -142,8 +128,6 @@ func TestSelectedInversionIntoZeroAlloc(t *testing.T) {
 // benchPOBTAF measures the sequential factorization wall-time at a
 // paper-like shape, with and without workspace reuse.
 func benchPOBTAF(b *testing.B, reuse bool) {
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(14))
 	m := randBTA(rng, 16, 128, 8)
 	f := NewFactor(16, 128, 8)

@@ -674,8 +674,8 @@ func TestDistPerStepAllocFree(t *testing.T) {
 // seqBenchShapes are the (n, b, a) shapes of the sequential benchmarks: the
 // generic (32, 32, 4) and the BTA shapes of the Gaussian benchmark
 // workloads, fit_uni_gauss (4, 144, 2), fit_tri_gauss (8, 60, 3) and
-// serve_predict (4, 90, 3). Both run one kernel worker. SeqSelInv over
-// SeqFactorize at one shape is the selinv / factorize ratio:
+// serve_predict (4, 90, 3). SeqSelInv over SeqFactorize at one shape is
+// the selinv / factorize ratio:
 //
 //	go test ./internal/bta -run '^$' -bench 'Seq(Factorize|SelInv)' -cpu 1
 var seqBenchShapes = [][3]int{{32, 32, 4}, {4, 144, 2}, {8, 60, 3}, {4, 90, 3}}
@@ -687,8 +687,6 @@ func seqBenchName(sh [3]int) string {
 // BenchmarkSeqFactorize times Refactorize, the factorization the evaluators
 // run per θ.
 func BenchmarkSeqFactorize(b *testing.B) {
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	for _, sh := range seqBenchShapes {
 		b.Run(seqBenchName(sh), func(b *testing.B) {
 			m := randBTA(rand.New(rand.NewSource(200)), sh[0], sh[1], sh[2])
@@ -707,8 +705,6 @@ func BenchmarkSeqFactorize(b *testing.B) {
 // BenchmarkSeqSelInv times SelectedInversionInto, the selected inversion a
 // gradient request and the latent posterior run.
 func BenchmarkSeqSelInv(b *testing.B) {
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	for _, sh := range seqBenchShapes {
 		b.Run(seqBenchName(sh), func(b *testing.B) {
 			f, err := Factorize(randBTA(rand.New(rand.NewSource(201)), sh[0], sh[1], sh[2]))

@@ -254,8 +254,6 @@ func TestParallelFactorAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(47))
 	m := randBTA(rng, 12, 16, 3)
 	pf, err := NewParallelFactor(12, 16, 3, 3)

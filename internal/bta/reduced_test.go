@@ -124,8 +124,6 @@ func TestReducedEngineAllocFree(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode alloc counts are meaningless")
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(85))
 	const n, b, a = 24, 8, 3
 	m := randBTA(rng, n, b, a)

@@ -281,7 +281,7 @@ func TestSelectedInversionAgainstDense(t *testing.T) {
 
 // TestSelectedInversionIntoConcurrent: the selected inversion only reads
 // its factor, so calls from several goroutines on one factor, each into
-// its own Σ and fanned out at kernel width 4, give the serial Σ bit for
+// its own Σ and sharing the dense packing pools, give the serial Σ bit for
 // bit.
 func TestSelectedInversionIntoConcurrent(t *testing.T) {
 	f, err := Factorize(randBTA(rand.New(rand.NewSource(96)), 4, 90, 3))
@@ -292,8 +292,6 @@ func TestSelectedInversionIntoConcurrent(t *testing.T) {
 	if err := f.SelectedInversionInto(want); err != nil {
 		t.Fatal(err)
 	}
-	prev := dense.SetMaxWorkers(4)
-	defer dense.SetMaxWorkers(prev)
 	const callers = 4
 	var wg sync.WaitGroup
 	errs := make([]error, callers)

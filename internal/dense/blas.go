@@ -3,7 +3,6 @@ package dense
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Transpose flags for Gemm/Syrk.
@@ -156,12 +155,14 @@ func Gemv(trans Transpose, alpha float64, a *Matrix, x []float64, beta float64, 
 		return
 	}
 	if trans == NoTrans {
-		j := gemvJob{alpha, a.Data, a.Stride, a.Cols, x, y}
-		if MaxWorkers() <= 1 || m < parallelRows {
-			j.run(0, m)
-			return
+		data, stride := a.Data, a.Stride
+		for i := 0; i < m; i++ {
+			var s float64
+			for k, v := range data[i*stride : i*stride+n] {
+				s += v * x[k]
+			}
+			y[i] += alpha * s
 		}
-		fanOut(&gemvJobs, m, parallelRows, j)
 		return
 	}
 	for k := 0; k < a.Rows; k++ {
@@ -173,28 +174,6 @@ func Gemv(trans Transpose, alpha float64, a *Matrix, x []float64, beta float64, 
 		for j, v := range row {
 			y[j] += f * v
 		}
-	}
-}
-
-// gemvJob accumulates y[i] += alpha·(A row i · x) over a range of rows.
-type gemvJob struct {
-	alpha          float64
-	aData          []float64
-	aStride, aCols int
-	x, y           []float64
-}
-
-var gemvJobs = sync.Pool{New: func() any { return new(gemvJob) }}
-
-func (j *gemvJob) run(lo, hi int) {
-	aData, aStride, aCols, x, y := j.aData, j.aStride, j.aCols, j.x, j.y
-	for i := lo; i < hi; i++ {
-		row := aData[i*aStride : i*aStride+aCols]
-		var s float64
-		for k, v := range row {
-			s += v * x[k]
-		}
-		y[i] += j.alpha * s
 	}
 }
 
@@ -228,3 +207,10 @@ func Nrm2(x []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// SetMaxWorkers has no effect and returns 1: every kernel runs on the
+// goroutine that calls it, and cores are spent by the callers (concurrent
+// evaluations), not inside a kernel. It stays only because the end-to-end
+// benchmark's dense layer still pins it; it goes with that benchmark's next
+// change.
+func SetMaxWorkers(int) int { return 1 }

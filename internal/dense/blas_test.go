@@ -59,15 +59,17 @@ func TestGemmShapePanic(t *testing.T) {
 	Gemm(NoTrans, NoTrans, 1, New(2, 3), New(2, 3), 0, New(2, 3))
 }
 
-func TestGemmLargeParallel(t *testing.T) {
-	// Exceeds the parallelRows threshold so the goroutine path is exercised.
+func TestGemmLarge(t *testing.T) {
+	// Above one macro-tile of rows: the balanced two-tile sweep.
 	rng := rand.New(rand.NewSource(12))
-	a := randMat(rng, 150, 40)
-	b := randMat(rng, 40, 30)
-	c := New(150, 30)
-	Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
-	if !c.Equal(naiveMul(a, b), 1e-11) {
-		t.Fatal("parallel Gemm mismatch")
+	for _, sz := range [][3]int{{150, 40, 30}, {200, 16, 8}} {
+		a := randMat(rng, sz[0], sz[1])
+		b := randMat(rng, sz[1], sz[2])
+		c := New(sz[0], sz[2])
+		Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
+		if !c.Equal(naiveMul(a, b), 1e-11) {
+			t.Fatalf("Gemm %v mismatch", sz)
+		}
 	}
 }
 
@@ -240,30 +242,5 @@ func TestMatMulConvenience(t *testing.T) {
 	}
 	if !MatMul(Trans, Trans, a.T(), b.T()).Equal(naiveMul(a, b), 1e-12) {
 		t.Fatal("MatMul TT mismatch")
-	}
-}
-
-func TestSetMaxWorkers(t *testing.T) {
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
-	if MaxWorkers() != 1 {
-		t.Fatal("SetMaxWorkers(1) not applied")
-	}
-	rng := rand.New(rand.NewSource(21))
-	a := randMat(rng, 200, 16)
-	b := randMat(rng, 16, 8)
-	c := New(200, 8)
-	Gemm(NoTrans, NoTrans, 1, a, b, 0, c) // serial path on big input
-	if !c.Equal(naiveMul(a, b), 1e-11) {
-		t.Fatal("serial large Gemm mismatch")
-	}
-	SetMaxWorkers(4)
-	if MaxWorkers() != 4 {
-		t.Fatal("SetMaxWorkers(4) not applied")
-	}
-	c2 := New(200, 8)
-	Gemm(NoTrans, NoTrans, 1, a, b, 0, c2)
-	if !c2.Equal(c, 0) {
-		t.Fatal("parallel result differs from serial")
 	}
 }

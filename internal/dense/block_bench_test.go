@@ -114,7 +114,7 @@ func setupInvert(rng *rand.Rand, b, a int) func() {
 	}
 }
 
-// BenchmarkBlock reports the single-worker GFLOP/s of Gemm, Syrk,
+// BenchmarkBlock reports the GFLOP/s of Gemm, Syrk,
 // Trsm(Right, Trans), Potrf and Trtri at the BTA block sizes, and of one
 // elimination step (Eliminate) and one selected-inversion step (Invert)
 // at the benchmark block shapes:
@@ -123,8 +123,6 @@ func setupInvert(rng *rand.Rand, b, a int) func() {
 func BenchmarkBlock(b *testing.B) {
 	bench := func(name string, flops float64, setup func(*rand.Rand) func(), seed int64) {
 		b.Run(name, func(b *testing.B) {
-			prev := SetMaxWorkers(1)
-			defer SetMaxWorkers(prev)
 			run := setup(rand.New(rand.NewSource(seed)))
 			run() // warm the packing pools
 			b.ResetTimer()

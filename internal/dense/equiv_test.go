@@ -87,31 +87,20 @@ func upperKept(got, before *Matrix) bool {
 	return true
 }
 
-// atWorkers runs f on a strided copy of src once under SetMaxWorkers(1) and
-// once under SetMaxWorkers(8), fails unless both leave bitwise the same
-// buffer, and returns the first result.
-func atWorkers(t *testing.T, name string, src *Matrix, f func(*Matrix)) *Matrix {
-	t.Helper()
-	var out [2]*Matrix
-	for i, w := range []int{1, 8} {
-		prev := SetMaxWorkers(w)
-		out[i] = stridedView(src.Rows, src.Cols, -7)
-		out[i].CopyFrom(src)
-		f(out[i])
-		SetMaxWorkers(prev)
-	}
-	if !sameBits(out[0].Data, out[1].Data) {
-		t.Fatalf("%s: result differs between 1 and 8 workers", name)
-	}
-	return out[0]
+// onStridedCopy runs f on a copy of src in a strided view whose padding
+// holds -7, and returns the view.
+func onStridedCopy(src *Matrix, f func(*Matrix)) *Matrix {
+	out := stridedView(src.Rows, src.Cols, -7)
+	out.CopyFrom(src)
+	f(out)
+	return out
 }
 
 const equivTol = 1e-12
 
 // TestSyrkEquivalence: the packed lower-tile Syrk against syrkRef for both
-// transposes over the size grid, on strided views: agreement to 1e-12, the
-// strict upper triangle of C untouched, bitwise the same at 1 and 8
-// workers.
+// transposes over the size grid, on strided views: agreement to 1e-12 and
+// the strict upper triangle of C untouched.
 func TestSyrkEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range equivSizes() {
@@ -133,7 +122,7 @@ func TestSyrkEquivalence(t *testing.T) {
 			}
 			syrkRef(trans, -1.25, a, want)
 			name := fmt.Sprintf("syrk n=%d trans=%v", n, trans)
-			got := atWorkers(t, name, c, func(c *Matrix) { Syrk(trans, -1.25, a, 0.5, c) })
+			got := onStridedCopy(c, func(c *Matrix) { Syrk(trans, -1.25, a, 0.5, c) })
 			if d := relDiff(got, want, true); d > equivTol {
 				t.Fatalf("%s: relative difference %.3g", name, d)
 			}
@@ -146,8 +135,8 @@ func TestSyrkEquivalence(t *testing.T) {
 
 // TestTrsmEquivalence: all four Trsm variants against trsmUnb over the size
 // grid, with 3 and 133 right-hand sides (a partial row block; several row
-// blocks and the parallel path), on strided views with NaN in L's strict
-// upper triangle (never referenced).
+// blocks), on strided views with NaN in L's strict upper triangle (never
+// referenced).
 func TestTrsmEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range equivSizes() {
@@ -169,7 +158,7 @@ func TestTrsmEquivalence(t *testing.T) {
 					want := b.Clone()
 					trsmUnb(side, trans, l, want)
 					name := fmt.Sprintf("trsm n=%d m=%d side=%d trans=%v", n, m, side, trans)
-					got := atWorkers(t, name, b, func(b *Matrix) { Trsm(side, trans, l, b) })
+					got := onStridedCopy(b, func(b *Matrix) { Trsm(side, trans, l, b) })
 					if d := relDiff(got, want, false); d > equivTol {
 						t.Fatalf("%s: relative difference %.3g", name, d)
 					}
@@ -192,7 +181,7 @@ func TestPotrfEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		name := fmt.Sprintf("potrf n=%d", n)
-		got := atWorkers(t, name, a, func(a *Matrix) {
+		got := onStridedCopy(a, func(a *Matrix) {
 			if err := Potrf(a); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -220,7 +209,7 @@ func TestTrtriEquivalence(t *testing.T) {
 		want := l.Clone()
 		trtriUnb(want)
 		name := fmt.Sprintf("trtri n=%d", n)
-		got := atWorkers(t, name, l, func(l *Matrix) {
+		got := onStridedCopy(l, func(l *Matrix) {
 			if err := Trtri(l); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -86,8 +86,6 @@ func TestPackedMoves(t *testing.T) {
 }
 
 func benchGemm(b *testing.B, n int, naive bool) {
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(1))
 	x := New(n, n)
 	y := New(n, n)
@@ -116,8 +114,6 @@ func BenchmarkGemmNaive256(b *testing.B)  { benchGemm(b, 256, true) }
 func BenchmarkGemmNaive1024(b *testing.B) { benchGemm(b, 1024, true) }
 
 func benchPotrf(b *testing.B, n int) {
-	prev := SetMaxWorkers(1)
-	defer SetMaxWorkers(prev)
 	rng := rand.New(rand.NewSource(2))
 	g := New(n, n)
 	for i := range g.Data {
@@ -143,8 +139,7 @@ func BenchmarkPotrf256(b *testing.B)  { benchPotrf(b, 256) }
 func BenchmarkPotrf1024(b *testing.B) { benchPotrf(b, 1024) }
 
 // TestGemmZeroAllocSteadyState: after warm-up, repeated Gemm calls on the
-// packed path recycle all packing buffers through the pools, serially and
-// fanned out (kernel widths 1 and 4).
+// packed path recycle all packing buffers through the pools.
 func TestGemmZeroAllocSteadyState(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -157,15 +152,11 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 		x.Data[i] = float64(i % 13)
 		y.Data[i] = float64(i % 11)
 	}
-	for _, w := range []int{1, 4} {
-		prev := SetMaxWorkers(w)
-		Gemm(NoTrans, NoTrans, 1, x, y, 0, c) // warm the pools
-		allocs := testing.AllocsPerRun(20, func() {
-			Gemm(NoTrans, Trans, 1, x, y, 0.5, c)
-		})
-		SetMaxWorkers(prev)
-		if allocs != 0 {
-			t.Fatalf("width %d: packed Gemm allocates %.1f objects per call in steady state, want 0", w, allocs)
-		}
+	Gemm(NoTrans, NoTrans, 1, x, y, 0, c) // warm the pools
+	allocs := testing.AllocsPerRun(20, func() {
+		Gemm(NoTrans, Trans, 1, x, y, 0.5, c)
+	})
+	if allocs != 0 {
+		t.Fatalf("packed Gemm allocates %.1f objects per call in steady state, want 0", allocs)
 	}
 }

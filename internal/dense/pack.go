@@ -210,10 +210,9 @@ func macroKernel(mcb, ncb, kcb, diag int, aPan, bPan []float64, bStep int, tile,
 // gemmPacked computes C += alpha·op(A)·op(B) through the packed micro-kernel
 // engine; with lower set, C is square and only its lower triangle is
 // computed and touched (the Syrk sweep: tiles above the diagonal are never
-// run). Parallelism is over macro-tiles of C rows: the packed B panel is
-// shared read-only, each worker packs its own A panel. Every element of C
-// is accumulated in the same order whatever the tiling, so results are
-// bitwise independent of the worker count. Matrix operands are unwrapped to
+// run). It runs on the caller's goroutine, one macro-tile of C rows at a
+// time against the packed B panel. Every element of C is accumulated in
+// the same order whatever the tiling. Matrix operands are unwrapped to
 // (data, stride) immediately, so callers' Views stay on their stack.
 func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix, lower bool) {
 	m, n := c.Rows, c.Cols
@@ -242,9 +241,9 @@ func gemmPacked(transA, transB Transpose, alpha float64, a, b, c *Matrix, lower 
 }
 
 // gemmJob is one packed B panel's share of a product: C[:, jc:jc+ncb] +=
-// alpha·op(A)[:, pc:pc+kcb]·B̃ over the m rows of C, in macro-tiles of mc
-// rows, masked to j ≤ i + diag (noMask for a full product). bPan is the
-// packed panel, bStep the length of one of its NR-wide micro-panels.
+// alpha·op(A)[:, pc:pc+kcb]·B̃ over the m rows of C, masked to j ≤ i + diag
+// (noMask for a full product). bPan is the packed panel, bStep the length
+// of one of its NR-wide micro-panels.
 type gemmJob struct {
 	transA           Transpose
 	alpha            float64
@@ -252,38 +251,24 @@ type gemmJob struct {
 	aStride, cStride int
 	bPan             []float64
 	bStep            int
-	m, mc            int
+	m                int
 	pc, jc, kcb, ncb int
 	diag             int
 }
 
-var gemmJobs = sync.Pool{New: func() any { return new(gemmJob) }}
-
 // gemmSweep runs j over its macro-tiles of at most mcBlock rows, balanced
-// so a two-tile product does not split 128 + 16: serially, or fanned out
-// over the workers (any multi-tile product: a tile is up to mcBlock rows of
-// level-3 work, far above the cost of a goroutine).
+// so a two-tile product does not split 128 + 16: each tile packs its A
+// panel into a pooled buffer and runs the macro-kernel. Tiles wholly above
+// the diagonal line are not even packed.
 func gemmSweep(j gemmJob) {
 	nTiles := (j.m + mcBlock - 1) / mcBlock
-	j.mc = ((j.m+nTiles-1)/nTiles + MR - 1) / MR * MR
-	if MaxWorkers() <= 1 || nTiles < 2 {
-		j.run(0, nTiles)
-		return
-	}
-	fanOut(&gemmJobs, nTiles, 2, j)
-}
-
-// run processes macro-tiles [t0,t1) of mc rows of C against the shared
-// packed B panel: pack the worker-private A panel, run the macro-kernel.
-// Tiles wholly above the diagonal line are not even packed.
-func (j *gemmJob) run(t0, t1 int) {
+	mc := ((j.m+nTiles-1)/nTiles + MR - 1) / MR * MR
 	aBufP := packAPool.Get().(*[]float64)
 	aBuf := *aBufP
 	tile := aBuf[mcBlock*kcBlock:]
-	for t := t0; t < t1; t++ {
-		ic := t * j.mc
-		mcb := min(j.mc, j.m-ic)
-		if mcb <= 0 || ic+mcb-1+j.diag < 0 {
+	for ic := 0; ic < j.m; ic += mc {
+		mcb := min(mc, j.m-ic)
+		if ic+mcb-1+j.diag < 0 {
 			continue
 		}
 		packPanelsA(aBuf, j.transA, j.aData, j.aStride, ic, j.pc, mcb, j.kcb, j.alpha)

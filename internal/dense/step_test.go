@@ -117,28 +117,24 @@ func (sc *stepCase) sameAs(want *stepCase) string {
 // where the unfused calls leave it — over the block sizes the solvers run
 // at and one past a single packed sweep, arrowheads of 0…6 rows (a 1-row
 // arrow solves unpacked), one- and two-sided partitions with and without a
-// next block, at kernel widths 1 and 4.
+// next block.
 func TestEliminateMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, b := range []int{16, 60, 144, 192, 288} {
 		for _, a := range []int{0, 1, 2, 3, 6} {
 			for _, twoSided := range []bool{false, true} {
 				for _, next := range []bool{true, false} {
-					sc := newStepCase(rng, b, a, twoSided, next)
-					for _, w := range []int{1, 4} {
-						name := fmt.Sprintf("b=%d a=%d twoSided=%v next=%v width=%d", b, a, twoSided, next, w)
-						prev := SetMaxWorkers(w)
-						want, got := sc.clone(), sc.clone()
-						if err := want.unfused(); err != nil {
-							t.Fatalf("%s: unfused: %v", name, err)
-						}
-						if err := Eliminate(got.a, got.g, got.s); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						SetMaxWorkers(prev)
-						if blk := got.sameAs(want); blk != "" {
-							t.Fatalf("%s: %s differs from the unfused calls", name, blk)
-						}
+					name := fmt.Sprintf("b=%d a=%d twoSided=%v next=%v", b, a, twoSided, next)
+					want := newStepCase(rng, b, a, twoSided, next)
+					got := want.clone()
+					if err := want.unfused(); err != nil {
+						t.Fatalf("%s: unfused: %v", name, err)
+					}
+					if err := Eliminate(got.a, got.g, got.s); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if blk := got.sameAs(want); blk != "" {
+						t.Fatalf("%s: %s differs from the unfused calls", name, blk)
 					}
 				}
 			}
@@ -165,9 +161,8 @@ func TestEliminateNotPD(t *testing.T) {
 	}
 }
 
-// TestEliminateConcurrent: steps fanned out at kernel width 4 from several
-// goroutines at once share the chunk channel and the pools; each result is
-// bitwise its serial one.
+// TestEliminateConcurrent: steps run from several goroutines at once share
+// the packing pools; each result is bitwise its serial one.
 func TestEliminateConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	const steps = 6
@@ -175,15 +170,10 @@ func TestEliminateConcurrent(t *testing.T) {
 	for i := range cases {
 		cases[i] = newStepCase(rng, 144, 2, i%2 == 1, true)
 		want[i] = cases[i].clone()
-		prev := SetMaxWorkers(1)
-		err := want[i].unfused()
-		SetMaxWorkers(prev)
-		if err != nil {
+		if err := want[i].unfused(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prev := SetMaxWorkers(4)
-	defer SetMaxWorkers(prev)
 	var wg sync.WaitGroup
 	errs := make([]string, steps)
 	for i := range cases {
@@ -355,7 +345,7 @@ func (ic *invertCase) inputsKept(before *invertCase) string {
 // largest entry, and Σ_kk exactly symmetric, over the block sizes the
 // solvers run at and one past a single packed sweep, arrowheads of 0…6
 // rows, one- and two-sided partitions with and without a next block; its
-// inputs are untouched and its bits the same at kernel widths 1 and 4.
+// inputs are untouched.
 func TestInvertMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for _, b := range []int{16, 60, 144, 192, 288} {
@@ -367,41 +357,25 @@ func TestInvertMatchesUnfused(t *testing.T) {
 					if err := want.unfused(); err != nil {
 						t.Fatal(err)
 					}
-					var first *invertCase
-					for _, w := range []int{1, 4} {
-						name := fmt.Sprintf("b=%d a=%d twoSided=%v next=%v width=%d", b, a, twoSided, next, w)
-						got := ic.clone()
-						prev := SetMaxWorkers(w)
-						err := got.invert()
-						SetMaxWorkers(prev)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+					name := fmt.Sprintf("b=%d a=%d twoSided=%v next=%v", b, a, twoSided, next)
+					got := ic.clone()
+					if err := got.invert(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if blk := got.inputsKept(ic); blk != "" {
+						t.Fatalf("%s: input %s was written", name, blk)
+					}
+					gm, names := got.outputs()
+					wm, _ := want.outputs()
+					for k := range gm {
+						if e := relDiff(gm[k], wm[k], false); !(e <= 1e-12) {
+							t.Fatalf("%s: %s differs from the unfused calls by %.3g relative", name, names[k], e)
 						}
-						if blk := got.inputsKept(ic); blk != "" {
-							t.Fatalf("%s: input %s was written", name, blk)
-						}
-						gm, names := got.outputs()
-						wm, _ := want.outputs()
-						for k := range gm {
-							if e := relDiff(gm[k], wm[k], false); !(e <= 1e-12) {
-								t.Fatalf("%s: %s differs from the unfused calls by %.3g relative", name, names[k], e)
-							}
-						}
-						for i := 0; i < b; i++ {
-							for j := 0; j < i; j++ {
-								if got.d.At(i, j) != got.d.At(j, i) {
-									t.Fatalf("%s: Σ_kk not symmetric at (%d,%d)", name, i, j)
-								}
-							}
-						}
-						if first == nil {
-							first = got
-							continue
-						}
-						fm, _ := first.outputs()
-						for k := range gm {
-							if !sameBits(gm[k].Data, fm[k].Data) {
-								t.Fatalf("%s: %s differs from width 1", name, names[k])
+					}
+					for i := 0; i < b; i++ {
+						for j := 0; j < i; j++ {
+							if got.d.At(i, j) != got.d.At(j, i) {
+								t.Fatalf("%s: Σ_kk not symmetric at (%d,%d)", name, i, j)
 							}
 						}
 					}
@@ -434,9 +408,8 @@ func TestInvertNotPD(t *testing.T) {
 	}
 }
 
-// TestInvertConcurrent: steps fanned out at kernel width 4 from several
-// goroutines at once share the chunk channel and the pools; each result is
-// bitwise its serial one.
+// TestInvertConcurrent: steps run from several goroutines at once share the
+// packing pools; each result is bitwise its serial one.
 func TestInvertConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	const steps = 6
@@ -444,15 +417,10 @@ func TestInvertConcurrent(t *testing.T) {
 	for i := range cases {
 		cases[i] = newInvertCase(rng, 144, 2, i%2 == 1, true)
 		want[i] = cases[i].clone()
-		prev := SetMaxWorkers(1)
-		err := want[i].invert()
-		SetMaxWorkers(prev)
-		if err != nil {
+		if err := want[i].invert(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prev := SetMaxWorkers(4)
-	defer SetMaxWorkers(prev)
 	var wg sync.WaitGroup
 	errs := make([]string, steps)
 	for i := range cases {

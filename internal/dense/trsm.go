@@ -1,9 +1,6 @@
 package dense
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Packed triangular solve. Each Trsm variant is a set of independent row
 // solves Y·op(L) = C on Y = B (side Right) or Y = Bᵀ (side Left):
@@ -202,35 +199,22 @@ type trsmJob struct {
 	panel     []float64
 }
 
-var trsmJobs = sync.Pool{New: func() any { return new(trsmJob) }}
-
 // trsmPanel is the length of one block of NR packed rows of Y at order n:
 // whole column tiles, so the last tile's solve stays inside its block.
 func trsmPanel(n int) int {
 	return (n + MR - 1) / MR * MR * NR
 }
 
-// trsmSweep solves every row block of j: serially, or, for tall Y, fanned
-// out over the workers.
+// trsmSweep solves every row block of j, NR rows each, on the caller's
+// goroutine. Y row i is B row i (right side) or B column i (left side).
 func trsmSweep(j trsmJob) {
-	nb := (j.m + NR - 1) / NR
-	if MaxWorkers() <= 1 || j.m < parallelRows {
-		j.run(0, nb)
-		return
-	}
-	fanOut(&trsmJobs, nb, 2, j)
-}
-
-// run solves row blocks [b0, b1) of Y, NR rows each. Y row i is B row i
-// (right side) or B column i (left side).
-func (j *trsmJob) run(b0, b1 int) {
 	n, fwd, bData, bStride := j.n, j.fwd, j.bData, j.bStride
 	ypP := packAPool.Get().(*[]float64)
 	nt := (n + MR - 1) / MR
 	pl := trsmPanel(n)
 	yp := (*ypP)[:pl]
 	tile := (*ypP)[pl : pl+MR*NR]
-	for blk := b0; blk < b1; blk++ {
+	for blk := range (j.m + NR - 1) / NR {
 		i0 := blk * NR
 		h := min(NR, j.m-i0)
 		if j.keep != nil {

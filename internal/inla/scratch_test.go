@@ -50,8 +50,7 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 // and with it assembled in place into the factor's workspace, as
 // laplaceStep does — on the small fixture and at the benchmark's two
 // block shapes, b=144 with a=2 (fit_uni_gauss) and b=60 with a=3
-// (fit_tri_gauss), serially and at kernel width 4 (fits run at GOMAXPROCS,
-// where the b = 144 kernels fan out). At the fit_bi_poisson shape, a count
+// (fit_tri_gauss). At the fit_bi_poisson shape, a count
 // model's inner loop warm-started at its mode — Q_p assembled once, one
 // Newton step in the factor's workspace, the factorization at the mode —
 // allocates nothing either.
@@ -59,57 +58,53 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
 	}
-	for _, w := range []int{1, 4} {
-		for _, cfg := range []synth.GenConfig{
-			{Nv: 2, Nt: 3, Nr: 2, MeshNx: 4, MeshNy: 4, ObsPerStep: 25, Seed: 7},
-			{Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 7},
-			{Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 7},
-		} {
-			ds, err := synth.Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}
-			th, err := ds.Model.DecodeTheta(ds.Theta0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev := dense.SetMaxWorkers(w)
-			ws := e.getScratch()
-			qc := bta.NewMatrix(ds.Model.Dims.BTAShape())
-			for _, inPlace := range []bool{false, true} {
-				cycle := func() {
-					if inPlace {
-						if err := ds.Model.QcInto(th, ws.fc.Workspace()); err != nil {
-							t.Fatal(err)
-						}
-						if err := ws.fc.FactorizeWorkspace(); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						if err := ds.Model.QcInto(th, qc); err != nil {
-							t.Fatal(err)
-						}
-						if err := ws.fc.Refactorize(qc); err != nil {
-							t.Fatal(err)
-						}
-					}
-					ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
-					ws.fc.Solve(ws.mu)
-					_ = ws.fc.LogDet()
-					_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
-					_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
-				}
-				cycle() // warm-up
-				if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-					_, b, a := ds.Model.Dims.BTAShape()
-					t.Fatalf("width %d b=%d a=%d in place %v: evaluator solver cycle allocates %.1f objects per run in steady state, want 0",
-						w, b, a, inPlace, allocs)
-				}
-			}
-			dense.SetMaxWorkers(prev)
-			e.scratch.Put(ws)
+	for _, cfg := range []synth.GenConfig{
+		{Nv: 2, Nt: 3, Nr: 2, MeshNx: 4, MeshNy: 4, ObsPerStep: 25, Seed: 7},
+		{Nv: 1, Nt: 4, Nr: 2, MeshNx: 12, MeshNy: 12, ObsPerStep: 120, Seed: 7},
+		{Nv: 3, Nt: 8, Nr: 1, MeshNx: 5, MeshNy: 4, ObsPerStep: 30, Seed: 7},
+	} {
+		ds, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		e := &BTAEvaluator{Model: ds.Model, Prior: WeakPrior(ds.Theta0, 5)}
+		th, err := ds.Model.DecodeTheta(ds.Theta0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := e.getScratch()
+		qc := bta.NewMatrix(ds.Model.Dims.BTAShape())
+		for _, inPlace := range []bool{false, true} {
+			cycle := func() {
+				if inPlace {
+					if err := ds.Model.QcInto(th, ws.fc.Workspace()); err != nil {
+						t.Fatal(err)
+					}
+					if err := ws.fc.FactorizeWorkspace(); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					if err := ds.Model.QcInto(th, qc); err != nil {
+						t.Fatal(err)
+					}
+					if err := ws.fc.Refactorize(qc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ds.Model.CondRHSInto(th, ws.mu, ws.pm, ws.obs)
+				ws.fc.Solve(ws.mu)
+				_ = ws.fc.LogDet()
+				_ = ds.Model.PriorQuad(th, ws.mu, ws.z)
+				_ = ds.Model.LogLikInto(th, ws.mu, ws.pm, ws.obs)
+			}
+			cycle() // warm-up
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				_, b, a := ds.Model.Dims.BTAShape()
+				t.Fatalf("b=%d a=%d in place %v: evaluator solver cycle allocates %.1f objects per run in steady state, want 0",
+					b, a, inPlace, allocs)
+			}
+		}
+		e.scratch.Put(ws)
 	}
 
 	ds, err := synth.Generate(benchmarkShapes(t)["fit_bi_poisson"])
@@ -137,8 +132,6 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 			t.Fatalf("warm start at the mode: warm %v after %d steps, want one warm step", mode.Warm, mode.Inner)
 		}
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	step() // warm-up
 	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 		t.Fatalf("count Newton step allocates %.1f objects per run in steady state, want 0", allocs)

@@ -121,8 +121,6 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	if dense.RaceEnabled {
 		return // race-mode sync.Pool drops Put items
 	}
-	prev := dense.SetMaxWorkers(1)
-	defer dense.SetMaxWorkers(prev)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := m.ConditionalModeInto(th, f, w, nil); err != nil {
 			t.Fatal(err)
