@@ -10,9 +10,9 @@
 #   make chaos      — the fault-injection suite under -race -count=2; the
 #                     test-name regex lives here only (CI calls this target)
 #   make bench      — microbenchmarks (testing.B, 1 iteration, with allocs)
-#   make bench-smoke— a quick run of the latency experiment (closed-loop
-#                     clients against the serving path); nothing is stored
-#                     or compared
+#   make bench-smoke— the serve latency benchmark (1 to 64 closed-loop
+#                     clients against the HTTP predict path); nothing is
+#                     stored or compared
 #   make e2e        — the end-to-end benchmark's traced run (≈ 4 s per
 #                     workload) on all four workloads at seed 1; it replays
 #                     every request along the ‖L⁻¹φ‖² solve route beside
@@ -66,8 +66,10 @@ chaos:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
+# 2,000 requests per client count: enough for p50 and p99 (each with at
+# least ten requests beyond it), not for p999.
 bench-smoke:
-	$(GO) run ./cmd/dalia-bench -exp=latency -quick
+	$(GO) test -run '^$$' -bench PredictLatency -benchtime 2000x ./internal/serve
 
 e2e:
 	@for w in $(E2E_WORKLOADS); do \
@@ -80,10 +82,11 @@ ci: fmt-check test race purego
 	-$(MAKE) bench-smoke
 
 # Mirror of the GitHub workflow, job by job: tier1 (with its dalia-scale
-# smoke run, the quick fig5/x1/x5 solver experiments, the four fast
+# smoke run, the fig5 solver figure at 1, 2 and 4 ranks, the four fast
 # examples, the traced benchmark run on all four workloads (e2e) and its one
 # pass of the dense kernel (with the elimination and selected-inversion
-# steps, BenchmarkBlock/step/… and /invert/…), Q_c assembly, BTA solver
+# steps, BenchmarkBlock/step/… and /invert/…), Q_c assembly (and the naive
+# densification it replaced), BTA solver
 # (BenchmarkSeqFactorize and BenchmarkSeqSelInv at the uni, tri and serve
 # shapes), mode-search, mode-Hessian and snapshot prediction benchmarks),
 # race, the race-widths
@@ -94,7 +97,7 @@ ci: fmt-check test race purego
 # then the non-blocking perf smoke.
 ci-local: fmt-check test race
 	$(GO) run ./cmd/dalia-scale -workers 1,4,62 -iters 2
-	$(GO) run ./cmd/dalia-bench -exp=fig5,x1,x5 -quick
+	$(GO) run ./cmd/dalia-scale -fig fig5 -workers 1,2,4
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/airpollution
 	$(GO) run ./examples/downscaling

@@ -32,7 +32,8 @@
 //	res, err := dalia.Fit(m, dalia.WeakPrior(theta0, 5), theta0, dalia.DefaultFitOptions())
 //
 // See examples/ for runnable programs, README.md for the quick-start and
-// repository layout, and cmd/dalia-bench for the paper-experiment index.
+// repository layout, and `dalia-scale -fig` (cmd/dalia-scale) for the
+// paper's scaling figures.
 package dalia
 
 import (

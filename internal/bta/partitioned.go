@@ -12,8 +12,9 @@ import (
 )
 
 // Precomputed pprof label contexts for the gang phases: applying a label set
-// is allocation-free, so `dalia-bench -cpuprofile` attributes samples per
-// phase without disturbing the AllocsPerRun pins.
+// is allocation-free, so a CPU profile of the partitioned solvers (say,
+// `go test ./internal/bta -run 'Parallel|Dist' -cpuprofile cpu.out`)
+// attributes samples per phase without disturbing the AllocsPerRun pins.
 var (
 	labelElim    = sched.LabelCtx("phase", "elim")
 	labelReduced = sched.LabelCtx("phase", "reduced")

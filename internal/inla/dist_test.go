@@ -64,8 +64,8 @@ func TestMakePlanClampsToPartitionability(t *testing.T) {
 }
 
 // TestMakePlanMatchesFlatPlans pins MakePlan's plan for every (world,
-// nfeval, qcBytes, memCap, nt, b, a) that the tests, the internal/bench
-// figures, dalia-scale's documented runs and the benchmark's 2-rank comm
+// nfeval, qcBytes, memCap, nt, b, a) that the tests, dalia-scale's
+// figures and documented runs and the benchmark's 2-rank comm
 // layer plan: the distributed runs' virtual times and message counts follow
 // from these plans.
 func TestMakePlanMatchesFlatPlans(t *testing.T) {
