@@ -331,7 +331,7 @@ func (e *commEvaluator) evalFobj(theta []float64) float64 {
 		}
 		var parts FobjParts
 		var err error
-		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, e.ws, nil) })
+		solver.Compute(func() { parts, err = evalFobjScratch(m, prior, theta, e.ws) })
 		if err != nil {
 			return math.Inf(1)
 		}

@@ -387,7 +387,7 @@ func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		ws := newSolverScratch(ds.Model)
-		mu, err := laplaceStep(ds.Model, th, pf, ws, nil)
+		mu, err := laplaceStep(ds.Model, th, pf, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,11 @@ import (
 type FitOptions struct {
 	Opt OptOptions
 	// HessStep is the step of the mode Hessian's second-order stencil
-	// (hessianFromStencil), the route of count models, of the diffusion
-	// prior and of evaluators other than BTAEvaluator. A Gaussian fit with
-	// a separable prior on Fit's evaluator takes the Hessian from exact
-	// gradients (hessianFromGradients) and ignores it.
+	// (hessianFromStencil), the route of count models — whose gradient is
+	// exact, but whose Hessian is not differenced from it — of the
+	// diffusion prior and of evaluators other than BTAEvaluator. A Gaussian
+	// fit with a separable prior on Fit's evaluator takes the Hessian from
+	// exact gradients (hessianFromGradients) and ignores it.
 	HessStep float64
 	// SkipHyperUncertainty disables the Hessian stage (scaling benches).
 	SkipHyperUncertainty bool
@@ -57,14 +58,13 @@ type Result struct {
 	Integrated *IntegratedPosterior
 }
 
-// Fit runs the complete INLA procedure on the model: mode search (BFGS; a
-// Gaussian model's gradient stencils are answered from one Laplace step,
-// a count model's by parallel central differences), hyperparameter
-// uncertainty (Hessian at the mode: for a Gaussian model with a separable
-// prior differences of exact gradients, otherwise the 2d² + 1-point
-// stencil), and latent posterior extraction (conditional mean and selected
-// inversion of Q_c at the mode, for a Gaussian model those of the search's
-// last gradient request when it was at the mode).
+// Fit runs the complete INLA procedure on the model: mode search (BFGS; its
+// gradient stencils are answered from one Laplace step, for a count model
+// with one adjoint solve more), hyperparameter uncertainty (Hessian at the
+// mode: for a Gaussian model with a separable prior differences of exact
+// gradients, otherwise the 2d² + 1-point stencil), and latent posterior
+// extraction (conditional mean and selected inversion of Q_c at the mode,
+// those of the search's last gradient request when it was at the mode).
 func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Result, error) {
 	return fitWith(m, &BTAEvaluator{Model: m, Prior: prior}, theta0, opts)
 }
@@ -73,10 +73,11 @@ func Fit(m *model.Model, prior Prior, theta0 []float64, opts FitOptions) (*Resul
 // any Evaluator backend, then extracts the latent posterior of m at the
 // mode with the sequential latentPosterior, whatever the backend. On m's
 // own *BTAEvaluator the later stages take over the evaluator's idle
-// gradient arena once the Hessian is in: for a Gaussian model it holds
-// θ*'s factor, μ and Σ whenever the search's last request, or the gradient
-// Hessian's base request, was at θ*, and the integration grid's centre and
-// the posterior read them there without recomputing them; otherwise the
+// gradient arena once the Hessian is in: it holds θ*'s factor, μ and Σ
+// whenever the search's last request, or the gradient Hessian's base
+// request, was at θ*, and the integration grid's centre and the posterior
+// read them there without recomputing them — for a count model the mode
+// from x = 0, so the same bits as a cold recompute; otherwise the
 // posterior recomputes them on that arena.
 func fitWith(m *model.Model, e Evaluator, theta0 []float64, opts FitOptions) (*Result, error) {
 	if opts.Checkpoint != nil {

@@ -1,10 +1,11 @@
 // Package inla implements the integrated nested Laplace approximation
 // engine of the paper (§III): the objective function fobj(θ) of Eq. 8, its
 // BFGS optimization with batched line-search candidates (layer S1:
-// independent θ-points evaluated concurrently) and gradients — for a
-// Gaussian model exact, from one Laplace step, a selected inversion and a
-// contraction table (grad.go); for counts and the distributed evaluator
-// parallel central differences — the solver integration (package bta:
+// independent θ-points evaluated concurrently) and gradients — in process
+// exact, from one Laplace step, a selected inversion and a contraction
+// table (grad.go; for counts with one adjoint solve more); for the
+// distributed evaluator parallel central differences — the solver
+// integration (package bta:
 // the sequential factor in process, layer S3's partitioned solvers in the
 // distributed evaluator), posterior extraction for the hyperparameters
 // (Hessian at the mode) and for the latent field (selected inversion of
@@ -31,15 +32,16 @@
 // SamplePosterior all call it, and Fit keeps the Σ it computed at θ* on
 // Result.Sigma for the prediction layer to freeze.
 //
-// A Gaussian gradient request computes that same Laplace step and selected
-// inversion at its centre, and its arena remembers the centre bit for bit
-// (gradWork). So a Gaussian Fit's second stage reuses the search's last
-// request: when it was at θ*, the posterior returns its μ, factor and Σ
-// without recomputing them, and with a separable prior the mode Hessian
-// (§III-3) is forward differences of d exact gradients around θ*, run
-// concurrently over the core budget, instead of the 2d² + 1-point stencil
-// of F that count models, the diffusion prior and every other evaluator
-// keep (hessianFromGradients, hessianFromStencil).
+// A gradient request computes that same Laplace step and selected
+// inversion at its centre — for counts at the centre's mode from x = 0 —
+// and its arena remembers the centre bit for bit (gradWork). So a Fit's
+// second stage reuses the search's last request: when it was at θ*, the
+// posterior returns its μ, factor and Σ without recomputing them. For a
+// Gaussian model with a separable prior the mode Hessian (§III-3) is
+// forward differences of d exact gradients around θ*, run concurrently
+// over the core budget, instead of the 2d² + 1-point stencil of F that
+// count models, the diffusion prior and every other evaluator keep
+// (hessianFromGradients, hessianFromStencil).
 package inla
 
 import (
@@ -133,7 +135,7 @@ func newEvalVectors(m *model.Model) evalVectors {
 // solverScratch is the reusable arena of one fobj evaluation: the solver
 // backend of the conditional precision, into whose workspace the Laplace
 // step assembles Q_c, and the evaluation's vectors. It holds no other BTA
-// matrix but, in a gradient arena, the Σ of a Gaussian gradient request:
+// matrix but, in a gradient arena, the Σ of a gradient request:
 // the prior's two scalars come in closed form from
 // model.PriorLogDet / PriorQuad, and a count model's Q_p(θ) lives in its
 // NewtonWork. After warm-up, repeated assemble + factorize + Solve cycles
@@ -155,21 +157,27 @@ func newSolverScratch(m *model.Model) *solverScratch {
 	return &solverScratch{fc: bta.NewFactor(m.Dims.BTAShape()), evalVectors: newEvalVectors(m)}
 }
 
+// newtonWork is the arena's count-model Newton work, built on first use.
+func (ws *solverScratch) newtonWork(m *model.Model) *model.NewtonWork {
+	if ws.newton == nil {
+		ws.newton = m.NewNewtonWork()
+	}
+	return ws.newton
+}
+
 // EvalFobj evaluates the objective at theta using the sequential BTA solver
 // (the single-device DALIA path): one factorization, of Q_c; the prior's
 // log-determinant and quadratic form are closed forms. Non-Gaussian
 // likelihoods route through the inner Newton loop for the conditional mode.
 func EvalFobj(m *model.Model, prior Prior, theta []float64) (FobjParts, error) {
-	return evalFobjScratch(m, prior, theta, nil, nil)
+	return evalFobjScratch(m, prior, theta, nil)
 }
 
 // evalFobjScratch is EvalFobj against a caller-owned arena (nil allocates a
 // fresh one): decode θ, then the Laplace step on the arena's sequential
-// factor and the closing step. A count model's inner Newton loop starts
-// from start (process-major; nil = x = 0); the Gaussian path ignores it.
-// The returned FobjParts.Mu aliases the arena and is only valid until the
-// arena's next evaluation.
-func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScratch, start []float64) (FobjParts, error) {
+// factor and the closing step. The returned FobjParts.Mu aliases the arena
+// and is only valid until the arena's next evaluation.
+func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScratch) (FobjParts, error) {
 	t, err := m.DecodeTheta(theta)
 	if err != nil {
 		return FobjParts{}, err
@@ -177,7 +185,7 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScr
 	if ws == nil {
 		ws = newSolverScratch(m)
 	}
-	mu, err := laplaceStep(m, t, ws.fc, ws, start)
+	mu, err := laplaceStep(m, t, ws.fc, ws)
 	if err != nil {
 		return FobjParts{}, err
 	}
@@ -189,14 +197,11 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScr
 // p_G(x|θ,y) share (§III). For the Gaussian likelihood it assembles Q_c
 // into f's workspace, factorizes it there and solves Q_c·μ = rhs into
 // ws.mu. For counts the inner Newton loop (model.ConditionalModeInto) finds
-// the mode from start (process-major; nil = x = 0) on f, and ws.mode keeps
-// it. μ aliases ws until its next evaluation.
-func laplaceStep(m *model.Model, t *model.Theta, f bta.Solver, ws *solverScratch, start []float64) ([]float64, error) {
+// the mode from x = 0 on f, and ws.mode keeps it. μ aliases ws until its
+// next evaluation.
+func laplaceStep(m *model.Model, t *model.Theta, f bta.Solver, ws *solverScratch) ([]float64, error) {
 	if m.Lik == model.LikPoisson {
-		if ws.newton == nil {
-			ws.newton = m.NewNewtonWork()
-		}
-		mode, err := m.ConditionalModeInto(t, f, ws.newton, start)
+		mode, err := m.ConditionalModeInto(t, f, ws.newtonWork(m))
 		if ws.mode = mode; err != nil {
 			return nil, err
 		}
@@ -242,8 +247,8 @@ func closeFobj(m *model.Model, prior Prior, t *model.Theta, theta, mu []float64,
 // +Inf. A batch laid out as a central-difference stencil
 // (fillGradientPoints, with or without its centre) is a gradient request:
 // an evaluator may answer its arms with first-order values
-// V(c) ± h_i·∂_iV(c) (BTAEvaluator does for Gaussian models), so only the
-// arms' central differences carry meaning, not the values themselves. The
+// V(c) ± h_i·∂_iV(c) (BTAEvaluator does), so only the arms' central
+// differences carry meaning, not the values themselves. The
 // latent posterior is not an evaluator's business: it is latentPosterior
 // of the model, whatever the backend.
 type Evaluator interface {
@@ -258,11 +263,10 @@ type Evaluator interface {
 // pool, so steady-state batches re-use the precision workspace, factor and
 // vectors instead of re-allocating them at each evaluation.
 //
-// A Gaussian model's gradient stencil is answered from one Laplace step at
-// its centre (evalGradientRequest). For a count model the arms of a
-// gradient stencil start the inner Newton loop from the x = 0 mode at the
-// stencil's centre instead of from x = 0 (evalCountBatch); every other
-// point starts from x = 0.
+// A gradient stencil is answered from one Laplace step at its centre
+// (evalGradientRequest); for a count model at the centre's mode from
+// x = 0, kept from the line-search round that accepted the centre when it
+// did (evalCountBatch). Every inner Newton loop starts from x = 0.
 type BTAEvaluator struct {
 	Model *model.Model
 	Prior Prior
@@ -288,14 +292,14 @@ type BTAEvaluator struct {
 	evalErrMu   sync.Mutex
 	lastEvalErr *EvalError
 
-	// Count models: the stencil centres' modes (evalCountBatch), and the
-	// inner Newton steps of every mode solve, read by
+	// Count models: the last line-search round's modes (evalCountBatch),
+	// and the inner Newton steps of every mode solve, read by
 	// BenchmarkMinimizeOneIterationPoisson.
 	modes       modeCache
 	newtonSteps atomic.Int64
 
-	// gradRequests counts Gaussian gradient requests (gradientOn), read by
-	// BenchmarkHessianAtMode.
+	// gradRequests counts gradient requests (gradientOn), read by
+	// BenchmarkHessianAtMode and BenchmarkMinimizeOneIterationPoisson.
 	gradRequests atomic.Int64
 }
 
@@ -377,37 +381,36 @@ func (e *BTAEvaluator) StencilPlan(width int) SharedPlan {
 // gradient/Hessian/line-search batches, and tasks from concurrently running
 // batches interleaved on the same cores.
 //
-// A batch laid out as a gradient stencil is a gradient request. For a
-// Gaussian model it costs one Laplace step at the centre on the sequential
-// factor and one selected inversion, and its arms hold the first-order
-// values V(c) ± h_i·∂_iV(c) with the exact ∂V (evalGradientRequest): only
-// their central differences carry meaning. When the centre fails, every
-// point is evaluated. A count model's stencil starts its arms' inner loops
-// from the centre's mode (evalCountBatch); its values then agree with cold
-// evaluations to the inner tolerance. Either way the values depend only on
-// the points, never on the core budget or on earlier batches.
+// A batch laid out as a gradient stencil is a gradient request. It costs
+// one Laplace step at the centre on the sequential factor and one selected
+// inversion — for a count model one adjoint solve more, and no Newton step
+// when the centre's mode is kept (evalCountBatch) — and its arms hold the
+// first-order values V(c) ± h_i·∂_iV(c) with the exact ∂V
+// (evalGradientRequest): only their central differences carry meaning.
+// When the centre fails, every point is evaluated. Either way the values
+// depend only on the points, never on the core budget or on earlier
+// batches.
 func (e *BTAEvaluator) EvalBatch(points [][]float64) []float64 {
 	out := make([]float64, len(points))
 	switch {
 	case e.Model.Lik == model.LikPoisson:
 		e.evalCountBatch(points, out)
-	case !e.evalGradientRequest(points, out):
-		e.evalPoints(points, out, nil, nil)
+	case !e.evalGradientRequest(points, out, nil):
+		e.evalPoints(points, out, nil)
 	}
 	return out
 }
 
 // evalPoints evaluates −fobj at every point into out as one scheduled
-// batch, quarantining the failures as +Inf. A count model's inner loops
-// start from start (nil = x = 0), and keep, when set, receives the mode of
-// every point that succeeded at keep[i].
-func (e *BTAEvaluator) evalPoints(points [][]float64, out, start []float64, keep [][]float64) {
+// batch, quarantining the failures as +Inf. For a count model keep, when
+// set, receives the mode of every point that succeeded at keep[i].
+func (e *BTAEvaluator) evalPoints(points [][]float64, out []float64, keep [][]float64) {
 	e.runOnExecutor(len(points), e.cores(), func(i int) {
 		var k []float64
 		if keep != nil {
 			k = keep[i]
 		}
-		v, err := e.evalPoint(points[i], start, k)
+		v, err := e.evalPoint(points[i], k)
 		if err != nil {
 			e.quarantine(points[i], err)
 		}
@@ -417,10 +420,9 @@ func (e *BTAEvaluator) evalPoints(points [][]float64, out, start []float64, keep
 
 // evalPoint evaluates −fobj at theta on a pooled arena: +Inf and the cause
 // for a failed point. A solver abort costs the point, not the process; the
-// poisoned arena is dropped, not pooled. For a count model the inner loop
-// starts from start, the steps it took are counted, and keep, when set,
-// receives the mode.
-func (e *BTAEvaluator) evalPoint(theta []float64, start, keep []float64) (float64, error) {
+// poisoned arena is dropped, not pooled. For a count model the inner
+// loop's steps are counted, and keep, when set, receives the mode.
+func (e *BTAEvaluator) evalPoint(theta []float64, keep []float64) (float64, error) {
 	ws := e.getScratch()
 	var parts FobjParts
 	var err error
@@ -431,7 +433,7 @@ func (e *BTAEvaluator) evalPoint(theta []float64, start, keep []float64) (float6
 				err = fmt.Errorf("inla: evaluation panicked: %v", r)
 			}
 		}()
-		parts, err = evalFobjScratch(e.Model, e.Prior, theta, ws, start)
+		parts, err = evalFobjScratch(e.Model, e.Prior, theta, ws)
 		panicked = false
 	}()
 	if panicked {

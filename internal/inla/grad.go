@@ -21,6 +21,13 @@ import (
 // (model.QcTable) gives the bracket and the trace term in closed form, with
 // no assembly per component: one Laplace step and one selected inversion
 // replace the 2d + 1 full evaluations of a stencil.
+//
+// A count model's Laplace step is not exact and log|Q_c| depends on the
+// mode, so its gradient adds the implicit term through μ(θ): one adjoint
+// solve on the same factor (model.QcTable.ContractCount). Its μ is the
+// centre's mode from x = 0, the one a point evaluation finds there, so V(c)
+// is the point's value and the arena's μ, factor and Σ are the posterior's
+// at c, bit for bit.
 
 // gradWork is what a gradient arena needs beyond one evaluation to answer
 // a gradient request: Σ, the contraction table and the gradient ∂V, and
@@ -32,6 +39,7 @@ type gradWork struct {
 	sigma *bta.Matrix
 	table *model.QcTable
 	dvdth []float64
+	mu    []float64 // the request's μ, aliasing its arena
 	at    []float64
 	ok    bool
 }
@@ -81,29 +89,34 @@ func (e *BTAEvaluator) getGradScratch() *solverScratch {
 }
 
 // gradientOn answers one gradient request at c on the gradient arena ws:
-// V(c), with ∂V(c) in ws.grad.dvdth and the tag at c. It reports
-// keep = false when the request panicked: the arena is poisoned and its
-// caller drops it.
-func (e *BTAEvaluator) gradientOn(ws *solverScratch, c []float64) (v float64, keep bool, err error) {
+// V(c), with ∂V(c) in ws.grad.dvdth and the tag at c. A count model's
+// request takes x0, when set, as the mode at c from x = 0, and counts the
+// Newton steps it takes otherwise. It reports keep = false when the
+// request panicked: the arena is poisoned and its caller drops it.
+func (e *BTAEvaluator) gradientOn(ws *solverScratch, c, x0 []float64) (v float64, keep bool, err error) {
 	e.gradRequests.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			keep, err = false, fmt.Errorf("inla: gradient request panicked: %v", r)
 		}
 	}()
-	v, err = exactGradient(e.Model, e.Prior, ws, c)
+	v, err = exactGradient(e.Model, e.Prior, ws, c, x0)
+	if err == nil && ws.mode != nil {
+		e.newtonSteps.Add(int64(ws.mode.Inner))
+	}
 	return v, true, err
 }
 
-// evalGradientRequest answers a Gaussian batch laid out as a
-// central-difference stencil (gradientCentre) from one Laplace step at its
-// centre c on the arena's sequential factor: out gets V(c) = −F(c) at the
-// centre and V(c) ± h_i·∂_iV(c) at the arms, h_i read off the points, so
-// the stencil's central differences give ∂V(c) to rounding. It reports
+// evalGradientRequest answers a batch laid out as a central-difference
+// stencil (gradientCentre) from one Laplace step at its centre c on the
+// arena's sequential factor: out gets V(c) = −F(c) at the centre and
+// V(c) ± h_i·∂_iV(c) at the arms, h_i read off the points, so the
+// stencil's central differences give ∂V(c) to rounding. A count model's
+// request reads the mode at c from kept when kept holds it. It reports
 // false, leaving out untouched, for any other batch and when the centre's
 // evaluation fails; the caller then evaluates every point. The values do
 // not depend on the core budget, the batch plan or the arena's history.
-func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bool {
+func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64, kept *modeCache) bool {
 	d := e.Model.NumHyper()
 	if len(points) != 2*d && len(points) != 2*d+1 {
 		return false
@@ -113,8 +126,12 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 	if !ok {
 		return false
 	}
+	var x0 []float64
+	if kept != nil {
+		x0 = kept.lookup(c)
+	}
 	ws := e.getGradScratch()
-	v, keep, err := e.gradientOn(ws, c)
+	v, keep, err := e.gradientOn(ws, c, x0)
 	if !keep {
 		// The point-by-point fallback meets the panic again, and
 		// quarantines it; a poisoned arena is dropped, not pooled.
@@ -135,19 +152,36 @@ func (e *BTAEvaluator) evalGradientRequest(points [][]float64, out []float64) bo
 	return true
 }
 
-// exactGradient runs the Laplace step at c on the sequential factor of
-// the gradient arena ws, selects Σ into its gradWork g's Σ and contracts
-// it with μ, then writes ∂V = −∂F into g.dvdth, tags the arena with c and
-// returns V = −F at c. The tag is cleared first, so it stays invalid
-// unless every step succeeds.
-func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c []float64) (float64, error) {
-	g := ws.grad
-	g.ok = false
+// exactGradient decodes c and answers the gradient request on the
+// gradient arena ws (gradientAt). The tag is cleared first, so it stays
+// invalid unless every step succeeds.
+func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c, x0 []float64) (float64, error) {
+	ws.grad.ok = false
 	t, err := m.DecodeTheta(c)
 	if err != nil {
 		return 0, err
 	}
-	mu, err := laplaceStep(m, t, ws.fc, ws, nil)
+	return gradientAt(m, prior, ws, t, c, x0)
+}
+
+// gradientAt runs the Laplace step at c (t decoded) on the sequential
+// factor of the gradient arena ws — for a count model with x0 set, the
+// closing step at x0, the mode at c from x = 0 (model.ConditionalModeAt) —
+// selects Σ into its gradWork g's Σ and contracts it with μ (for counts
+// with the adjoint solve too), then writes ∂V = −∂F into g.dvdth, tags the
+// arena with c and returns V = −F at c.
+func gradientAt(m *model.Model, prior Prior, ws *solverScratch, t *model.Theta, c, x0 []float64) (float64, error) {
+	g := ws.grad
+	var mu []float64
+	var err error
+	if m.Lik == model.LikPoisson && x0 != nil {
+		ws.mode, err = m.ConditionalModeAt(t, ws.fc, ws.newtonWork(m), x0)
+		if err == nil {
+			mu = ws.mode.XPerm
+		}
+	} else {
+		mu, err = laplaceStep(m, t, ws.fc, ws)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -158,7 +192,12 @@ func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c []float64) 
 	if err := ws.fc.SelectedInversionInto(g.sigma); err != nil {
 		return 0, fmt.Errorf("inla: selected inversion: %w", err)
 	}
-	if err := g.table.Contract(g.sigma, mu); err != nil {
+	if m.Lik == model.LikPoisson {
+		err = g.table.ContractCount(t, g.sigma, mu, ws.obs, ws.fc)
+	} else {
+		err = g.table.Contract(g.sigma, mu)
+	}
+	if err != nil {
 		return 0, err
 	}
 	if err := g.table.Grad(t, c, ws.obs, g.dvdth); err != nil {
@@ -167,6 +206,7 @@ func exactGradient(m *model.Model, prior Prior, ws *solverScratch, c []float64) 
 	for i, dF := range g.dvdth {
 		g.dvdth[i] = -(prior.dLogDensity(c, i) + dF)
 	}
+	g.mu = mu
 	copy(g.at, c)
 	g.ok = true
 	return -parts.F(), nil
@@ -220,7 +260,7 @@ func (e *BTAEvaluator) hessianFromGradients(theta []float64, base *solverScratch
 	works := make(chan *gradWork, e.cores())
 	e.runOnExecutor(n, e.cores(), func(i int) {
 		if i == d {
-			_, baseKept, errs[i] = e.gradientOn(base, theta)
+			_, baseKept, errs[i] = e.gradientOn(base, theta, nil)
 			return
 		}
 		ws := e.getScratch()
@@ -229,7 +269,7 @@ func (e *BTAEvaluator) hessianFromGradients(theta []float64, base *solverScratch
 		default:
 			ws.grad = newGradWork(e.Model)
 		}
-		_, keep, err := e.gradientOn(ws, pts[i])
+		_, keep, err := e.gradientOn(ws, pts[i], nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("inla: Hessian gradient at θ%+.3g·e_%d: %w", pts[i][i]-theta[i], i, err)
 		} else {

@@ -33,7 +33,7 @@ func (p pointwise) EvalBatch(points [][]float64) []float64 {
 // does, point by point and never as a gradient request.
 func stencilValues(e *BTAEvaluator, pts [][]float64) []float64 {
 	out := make([]float64, len(pts))
-	e.evalPoints(pts, out, nil, nil)
+	e.evalPoints(pts, out, nil)
 	return out
 }
 
@@ -456,11 +456,11 @@ func TestPosteriorReusesLastGradient(t *testing.T) {
 			t.Fatalf("%s: the tag reads valid after a failed request", name)
 		}
 		ws := newGradScratch(m)
-		if _, _, err := e.gradientOn(ws, ds.Theta0); err != nil || !ws.grad.holds(ds.Theta0) {
+		if _, _, err := e.gradientOn(ws, ds.Theta0, nil); err != nil || !ws.grad.holds(ds.Theta0) {
 			t.Fatalf("%s: a request left no valid tag (%v)", name, err)
 		}
 		ws.grad.table = nil // the contraction panics
-		if _, keep, err := e.gradientOn(ws, ds.Theta0); keep || err == nil || ws.grad.ok {
+		if _, keep, err := e.gradientOn(ws, ds.Theta0, nil); keep || err == nil || ws.grad.ok {
 			t.Fatalf("%s: after a panicking request keep = %v, err = %v, tag valid = %v", name, keep, err, ws.grad.ok)
 		}
 	}

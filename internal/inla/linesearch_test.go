@@ -302,8 +302,9 @@ func BenchmarkMinimizeOneIteration(b *testing.B) {
 
 // BenchmarkMinimizeOneIterationPoisson is BenchmarkMinimizeOneIteration at
 // the fit_bi_poisson shape, where every evaluation runs the inner Newton
-// loop; it also reports the Newton steps per evaluation, mode solves of
-// stencil centres included.
+// loop; it also reports the gradient requests per iteration (two: at θ₀
+// and at the accepted candidate) and the Newton steps per evaluation,
+// those of the requests' mode solves included.
 func BenchmarkMinimizeOneIterationPoisson(b *testing.B) {
 	ds, err := synth.Generate(benchmarkShapes(b)["fit_bi_poisson"])
 	if err != nil {
@@ -324,5 +325,6 @@ func BenchmarkMinimizeOneIterationPoisson(b *testing.B) {
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 	b.ReportMetric(float64(e.batches-2*b.N)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(e.gradRequests.Load())/float64(b.N), "grad_requests/op")
 	b.ReportMetric(float64(e.newtonSteps.Load())/float64(evals), "newton_steps/eval")
 }

@@ -59,11 +59,11 @@ func latentPosterior(m *model.Model, theta []float64, withSigma bool, ws *solver
 			if withSigma {
 				sigma = g.sigma
 			}
-			return t, ws.mu, ws.fc, sigma, nil
+			return t, g.mu, ws.fc, sigma, nil
 		}
 		g.ok = false // the factor, μ and Σ are about to move
 	}
-	if mu, err = laplaceStep(m, t, ws.fc, ws, nil); err != nil {
+	if mu, err = laplaceStep(m, t, ws.fc, ws); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if withSigma {

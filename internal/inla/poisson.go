@@ -6,18 +6,17 @@ import (
 	"sync"
 )
 
-// modeCache keeps, for a count model's evaluator, conditional modes from
-// x = 0 by exact θ, in buffers reused from batch to batch: those of the
-// last batch that was not a gradient stencil and no wider than the core
-// budget (a line-search round), or the last stencil centre it solved. The
-// accepted candidate of a line search is the centre of the gradient
-// stencil that follows, so its mode is here when that stencil arrives.
+// modeCache keeps, for a count model's evaluator, the conditional modes
+// from x = 0 of the last batch that was not a gradient stencil and no
+// wider than the core budget — a line-search round — by exact θ, in
+// buffers reused from batch to batch. The accepted candidate of a line
+// search is the centre of the gradient request that follows, so its mode
+// is here when that request arrives.
 type modeCache struct {
-	mu     sync.Mutex
-	theta  [][]float64 // θ of entry i; empty when its evaluation failed
-	x      [][]float64 // the mode at θ from x = 0, process-major
-	n      int         // entries in use
-	centre []float64   // the current stencil's centre
+	mu    sync.Mutex
+	theta [][]float64 // θ of entry i; empty when its evaluation failed
+	x     [][]float64 // the mode at θ from x = 0, process-major
+	n     int         // entries in use
 }
 
 // reset drops every entry and makes room for n, of length tot each.
@@ -49,17 +48,16 @@ func (c *modeCache) lookup(theta []float64) []float64 {
 }
 
 // evalCountBatch is EvalBatch for a count model. A batch laid out as a
-// gradient stencil (gradientCentre) starts its arms' inner Newton loops
-// from the mode at the stencil's centre, found from x = 0: evaluated first
-// when the centre is points[0], kept from the previous batch when the
-// centre is that batch's accepted line-search candidate, and otherwise
-// (a fresh evaluator, a resumed search) solved from x = 0 before the
-// batch. The mode from x = 0 is a function of θ alone, so a hit and a
-// recompute give the same bits, and the arms' values depend only on the
-// points. Every other batch starts every point from x = 0 and, when it is
-// no wider than the core budget (a line-search round; not a Hessian or
-// integration grid), keeps its modes in place of the kept ones. Batches of
-// one count evaluator run one at a time.
+// gradient stencil is a gradient request (evalGradientRequest): one
+// Laplace step at the centre's mode from x = 0 — rebuilt without a Newton
+// step from the kept mode when the centre is the last line-search round's
+// accepted candidate, and otherwise solved — one selected inversion and
+// one adjoint solve. The mode from x = 0 is a function of θ alone, so a
+// kept and a solved mode give the same bits. Every other batch, and a
+// stencil whose centre fails, evaluates every point from x = 0 and, when
+// it is no wider than the core budget (a line-search round; not a Hessian
+// or integration grid), keeps its modes in place of the kept ones. Batches
+// of one count evaluator run one at a time.
 func (e *BTAEvaluator) evalCountBatch(points [][]float64, out []float64) {
 	if len(points) == 0 {
 		return
@@ -67,40 +65,16 @@ func (e *BTAEvaluator) evalCountBatch(points [][]float64, out []float64) {
 	c := &e.modes
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	tot := e.Model.Dims.Total()
-	if len(c.centre) != len(points[0]) {
-		c.centre = make([]float64, len(points[0]))
-	}
-	from, stencil := gradientCentre(points, c.centre)
-	if !stencil {
-		if len(points) > e.cores() {
-			e.evalPoints(points, out, nil, nil)
-			return
-		}
-		c.reset(len(points), tot)
-		e.evalPoints(points, out, nil, c.x)
-		for i, p := range points {
-			c.set(i, p, !math.IsInf(out[i], 1))
-		}
+	if e.evalGradientRequest(points, out, c) {
 		return
 	}
-	start := c.lookup(c.centre)
-	if from == 1 || start == nil {
-		// Evaluate the centre from x = 0 ahead of the arms: as a point of
-		// the batch when it is one, else for its mode alone.
-		c.reset(1, tot)
-		var ok bool
-		if from == 1 {
-			e.evalPoints(points[:1], out[:1], nil, c.x)
-			ok = !math.IsInf(out[0], 1)
-		} else {
-			_, err := e.evalPoint(c.centre, nil, c.x[0])
-			ok = err == nil
-		}
-		c.set(0, c.centre, ok)
-		if start = nil; ok {
-			start = c.x[0] // else the arms start from x = 0 as well
-		}
+	if len(points) > e.cores() {
+		e.evalPoints(points, out, nil)
+		return
 	}
-	e.evalPoints(points[from:], out[from:], start, nil)
+	c.reset(len(points), e.Model.Dims.Total())
+	e.evalPoints(points, out, c.x)
+	for i, p := range points {
+		c.set(i, p, !math.IsInf(out[i], 1))
+	}
 }

@@ -2,6 +2,7 @@ package inla
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dalia-hpc/dalia/internal/bta"
@@ -27,7 +28,7 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evalFobjScratch(ds.Model, prior, theta, ws, nil)
+		got, err := evalFobjScratch(ds.Model, prior, theta, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +51,7 @@ func TestEvalFobjScratchReuseConsistent(t *testing.T) {
 // and with it assembled in place into the factor's workspace, as
 // laplaceStep does — on the small fixture and at the benchmark's two
 // block shapes, b=144 with a=2 (fit_uni_gauss) and b=60 with a=3
-// (fit_tri_gauss). At the fit_bi_poisson shape, a count
-// model's inner loop warm-started at its mode — Q_p assembled once, one
-// Newton step in the factor's workspace, the factorization at the mode —
-// allocates nothing either.
+// (fit_tri_gauss).
 func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 	if dense.RaceEnabled {
 		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
@@ -107,33 +105,41 @@ func TestEvaluatorRefactorizeSolveZeroAlloc(t *testing.T) {
 		e.scratch.Put(ws)
 	}
 
+}
+
+// TestCountGradientRequestZeroAlloc pins a count gradient request's arena
+// at the fit_bi_poisson shape: once warm, the request at a decoded θ — the
+// Laplace step, with the mode solved from x = 0 or rebuilt from a kept one,
+// the closing step, the selected inversion, the count contraction with its
+// adjoint solve, and the gradient — allocates nothing.
+func TestCountGradientRequestZeroAlloc(t *testing.T) {
+	if dense.RaceEnabled {
+		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
+	}
 	ds, err := synth.Generate(benchmarkShapes(t)["fit_bi_poisson"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ds.Model
+	m, prior := ds.Model, WeakPrior(ds.Theta0, 5)
 	th, err := m.DecodeTheta(ds.Theta0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newSolverScratch(m)
-	ws.newton = m.NewNewtonWork()
-	mode, err := m.ConditionalModeInto(th, ws.fc, ws.newton, nil)
-	if err != nil {
+	ws := newGradScratch(m)
+	if _, err := gradientAt(m, prior, ws, th, ds.Theta0, nil); err != nil {
 		t.Fatal(err)
 	}
-	start := append([]float64(nil), mode.XPM...)
-	step := func() {
-		mode, err := m.ConditionalModeInto(th, ws.fc, ws.newton, start)
-		if err != nil {
-			t.Fatal(err)
+	kept := slices.Clone(ws.mode.XPM)
+	for _, x0 := range [][]float64{nil, kept} {
+		request := func() {
+			if _, err := gradientAt(m, prior, ws, th, ds.Theta0, x0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !mode.Warm || mode.Inner != 1 {
-			t.Fatalf("warm start at the mode: warm %v after %d steps, want one warm step", mode.Warm, mode.Inner)
+		request() // warm-up
+		if allocs := testing.AllocsPerRun(10, request); allocs != 0 {
+			t.Fatalf("kept mode %v: a count gradient request allocates %.1f objects per run in steady state, want 0",
+				x0 != nil, allocs)
 		}
-	}
-	step() // warm-up
-	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-		t.Fatalf("count Newton step allocates %.1f objects per run in steady state, want 0", allocs)
 	}
 }

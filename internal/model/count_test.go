@@ -67,7 +67,7 @@ func TestCountRefillMatchesCSRRoute(t *testing.T) {
 			chk := &checkedNewton{tt: t, btaNewton: btaNewton{
 				m: m, t: th, f: bta.NewFactor(n, b, a), w: w,
 			}}
-			if _, err := m.newtonMode(th, chk, w, nil); err != nil {
+			if _, err := m.newtonMode(th, chk, w); err != nil {
 				t.Fatal(err)
 			}
 			if chk.steps < 3 {
@@ -88,7 +88,7 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	}
 	n, b, a := m.Dims.BTAShape()
 	f, w := bta.NewFactor(n, b, a), m.NewNewtonWork()
-	got, err := m.ConditionalModeInto(th, f, w, nil)
+	got, err := m.ConditionalModeInto(th, f, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 		return // race-mode sync.Pool drops Put items
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := m.ConditionalModeInto(th, f, w, nil); err != nil {
+		if _, err := m.ConditionalModeInto(th, f, w); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -131,56 +131,53 @@ func TestConditionalModeIntoMatchesCSRRoute(t *testing.T) {
 	}
 }
 
-// TestConditionalModeIntoWarmStart: from the cold mode itself the loop
-// converges warm in one step to the same mode within the inner tolerance
-// (the step moves log ℓ by ≈ 4e-11 of itself at this shape),
-// and a start that fails — η past the exp guard, or NaN — falls back to
-// x = 0 and returns the cold result bit for bit.
-func TestConditionalModeIntoWarmStart(t *testing.T) {
+// TestConditionalModeAtRebuildsTheMode: from the mode ConditionalModeInto
+// returned, ConditionalModeAt — on another factor and Newton work — takes
+// no Newton step and gives the mode, log ℓ there and log det Q_c bit for
+// bit, allocating nothing once its work is warm; a state whose η passes the
+// exp guard fails.
+func TestConditionalModeAtRebuildsTheMode(t *testing.T) {
 	m, th := benchmarkShapes[2].build(t)
 	n, b, a := m.Dims.BTAShape()
 	f, w := bta.NewFactor(n, b, a), m.NewNewtonWork()
-	cold, err := m.ConditionalModeInto(th, f, w, nil)
+	want, err := m.ConditionalModeInto(th, f, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Warm {
-		t.Fatal("a cold call reports a warm mode")
-	}
-	wantX := append([]float64(nil), cold.XPM...)
-	wantLL, wantDet, wantInner := m.LogLik(th, cold.XPerm), f.LogDet(), cold.Inner
+	x := append([]float64(nil), want.XPM...)
+	wantLL, wantDet := m.LogLik(th, want.XPerm), f.LogDet()
 
-	warm, err := m.ConditionalModeInto(th, f, w, wantX)
+	f2, w2 := bta.NewFactor(n, b, a), m.NewNewtonWork()
+	got, err := m.ConditionalModeAt(th, f2, w2, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Warm || warm.Inner != 1 {
-		t.Fatalf("from the mode: warm %v after %d steps, want warm after 1", warm.Warm, warm.Inner)
+	if got.Inner != 0 || m.LogLik(th, got.XPerm) != wantLL || f2.LogDet() != wantDet {
+		t.Fatalf("%d steps, log ℓ %v, log det %v; ConditionalModeInto %v, %v",
+			got.Inner, m.LogLik(th, got.XPerm), f2.LogDet(), wantLL, wantDet)
 	}
-	if ll := m.LogLik(th, warm.XPerm); math.Abs(ll-wantLL) > 1e-9*math.Abs(wantLL) {
-		t.Fatalf("from the mode: log ℓ %v, cold %v", ll, wantLL)
+	for i, v := range x {
+		if got.XPM[i] != v {
+			t.Fatalf("x*[%d] = %v, ConditionalModeInto %v", i, got.XPM[i], v)
+		}
 	}
 
-	huge := make([]float64, len(wantX))
+	huge := make([]float64, len(x))
 	for i := range huge {
 		huge[i] = 1e3
 	}
-	nan := append([]float64(nil), wantX...)
-	nan[0] = math.NaN()
-	for name, start := range map[string][]float64{"η past the cap": huge, "NaN": nan} {
-		got, err := m.ConditionalModeInto(th, f, w, start)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	if _, err := m.ConditionalModeAt(th, f2, w2, huge); err == nil {
+		t.Fatal("a state past the exp guard was accepted")
+	}
+	if dense.RaceEnabled {
+		return // race-mode sync.Pool drops Put items
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := m.ConditionalModeAt(th, f2, w2, x); err != nil {
+			t.Fatal(err)
 		}
-		if ll := m.LogLik(th, got.XPerm); got.Warm || got.Inner != wantInner || ll != wantLL || f.LogDet() != wantDet {
-			t.Fatalf("%s: warm %v, %d steps, log ℓ %v, log det %v; cold %d steps, %v, %v",
-				name, got.Warm, got.Inner, ll, f.LogDet(), wantInner, wantLL, wantDet)
-		}
-		for i, x := range wantX {
-			if got.XPM[i] != x {
-				t.Fatalf("%s: x*[%d] = %v, cold %v", name, i, got.XPM[i], x)
-			}
-		}
+	}); allocs != 0 {
+		t.Fatalf("ConditionalModeAt allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -213,7 +210,7 @@ func TestTablesConcurrentCallers(t *testing.T) {
 					return
 				}
 			}
-			mode, err := m.ConditionalModeInto(th, bta.NewFactor(n, b, a), m.NewNewtonWork(), nil)
+			mode, err := m.ConditionalModeInto(th, bta.NewFactor(n, b, a), m.NewNewtonWork())
 			if err != nil {
 				errs <- err
 				return

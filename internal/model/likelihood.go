@@ -237,14 +237,12 @@ func (m *Model) scoreRHSInto(t *Theta, eta, rhs, buf []float64) {
 // the conditional mode x* (both orderings) and the iteration count;
 // log ℓ(y|x*) is LogLik at XPerm. QcCSR, the conditional precision at the
 // mode, is set by the general-sparse route (ConditionalModePoisson) only.
-// Warm reports that the loop reached x* from the caller's start state;
-// Inner counts the steps of the run that did.
+// Inner counts the Newton steps that reached x* (0 for ConditionalModeAt).
 type PoissonMode struct {
 	XPM   []float64
 	XPerm []float64
 	QcCSR *sparse.CSR
 	Inner int
-	Warm  bool
 
 	eta []float64 // linear predictors at x*, response k at [k·M, (k+1)·M)
 }
@@ -372,22 +370,17 @@ func (s *csrNewton) factor(eta []float64) (err error) {
 func (s *csrNewton) solve(rhs, x []float64) { copy(x, s.solveFn(rhs)) }
 
 // newtonMode runs the damped Newton iteration for the mode of p(x|θ,y)
-// under the Poisson likelihood from start (process-major), or from x = 0
-// when start is nil: solve (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) and
-// backtrack on the penalized objective g(x) = −½xᵀQ_px + log ℓ(y|η(x))
-// (counts with large means make the full step overshoot through the exp
-// link). A start whose η exceeds etaCap diverges at once; x = 0 has η = 0.
-// On success w.x and w.eta hold the mode; it returns the number of steps.
-func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork, start []float64) (int, error) {
+// under the Poisson likelihood from x = 0: solve
+// (Q_p + AᵀD(x)A)·x⁺ = Aᵀ(D·η + y − μ) and backtrack on the penalized
+// objective g(x) = −½xᵀQ_px + log ℓ(y|η(x)) (counts with large means make
+// the full step overshoot through the exp link). On success w.x and w.eta
+// hold the mode; it returns the number of steps.
+func (m *Model) newtonMode(t *Theta, sys newtonSystem, w *NewtonWork) (int, error) {
 	penalized := func(x, eta []float64) float64 {
 		m.ApplyPermInto(x, w.xPerm)
 		return -0.5*m.PriorQuad(t, w.xPerm, w.z) + m.poissonLogLik(eta)
 	}
-	if start == nil {
-		clear(w.x)
-	} else {
-		copy(w.x, start)
-	}
+	clear(w.x)
 	m.linPredInto(t, w.x, w.u, w.eta)
 	if !etaOK(w.eta) {
 		return 0, ErrInnerLoopDiverged
@@ -456,41 +449,18 @@ func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 }
 
 // ConditionalModeInto finds the conditional mode of a count model's latent
-// field at t by damped Newton on the assembly tables: Q_p(θ) is assembled
-// into w once, and every step computes the data term Σ_o w_ij[o]·A_or·A_oc
-// on the Gram pattern, copies Q_p into f's workspace, adds the data term
-// there and factorizes it in place. The loop starts from start
-// (process-major, as PoissonMode.XPM), or from x = 0 when start is nil. A
-// start that fails — the loop diverges, η exceeds the exp guard, or a
-// factorization fails — is dropped and the same call retries from x = 0:
-// a warm call fails only where the cold one does, and one whose start
-// failed returns the cold result bit for bit. A warm mode agrees with the
-// cold one to the inner tolerance, not bit for bit. On success f holds
-// the factorization of Q_c at the mode. The returned mode aliases w (its
-// QcCSR is nil) and is valid until w's next use.
-func (m *Model) ConditionalModeInto(t *Theta, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
-	if err := m.checkShape(f.Workspace()); err != nil {
+// field at t by damped Newton from x = 0 on the assembly tables: Q_p(θ) is
+// assembled into w once, and every step computes the data term
+// Σ_o w_ij[o]·A_or·A_oc on the Gram pattern, copies Q_p into f's
+// workspace, adds the data term there and factorizes it in place. The mode
+// is a function of t alone, bit for bit. On success f holds the
+// factorization of Q_c at the mode. The returned mode aliases w (its QcCSR
+// is nil) and is valid until w's next use.
+func (m *Model) ConditionalModeInto(t *Theta, f bta.Solver, w *NewtonWork) (*PoissonMode, error) {
+	if err := m.newtonSetup(t, f, w); err != nil {
 		return nil, err
 	}
-	if w.qp == nil {
-		w.qp = bta.NewMatrix(m.Dims.BTAShape())
-	}
-	if err := m.QpInto(t, w.qp); err != nil {
-		return nil, err
-	}
-	if start != nil {
-		if mode, err := m.conditionalModeFrom(t, f, w, start); err == nil {
-			mode.Warm = true
-			return mode, nil
-		}
-	}
-	return m.conditionalModeFrom(t, f, w, nil)
-}
-
-// conditionalModeFrom is one run of ConditionalModeInto from start.
-func (m *Model) conditionalModeFrom(t *Theta, f bta.Solver, w *NewtonWork, start []float64) (*PoissonMode, error) {
-	w.sys = btaNewton{m: m, t: t, f: f, w: w}
-	inner, err := m.newtonMode(t, &w.sys, w, start)
+	inner, err := m.newtonMode(t, &w.sys, w)
 	if err != nil {
 		return nil, err
 	}
@@ -500,6 +470,46 @@ func (m *Model) conditionalModeFrom(t *Theta, f bta.Solver, w *NewtonWork, start
 	return m.modeOf(w, inner), nil
 }
 
+// ConditionalModeAt is ConditionalModeInto's closing step at a mode found
+// before: x (process-major, as PoissonMode.XPM) becomes the state, and Q_c
+// is assembled at η(x) and factorized on f, with no Newton step (Inner is
+// 0). For the x ConditionalModeInto returned at the same t, the mode, the
+// factor and its log det are that call's bit for bit. The returned mode
+// aliases w and is valid until w's next use.
+func (m *Model) ConditionalModeAt(t *Theta, f bta.Solver, w *NewtonWork, x []float64) (*PoissonMode, error) {
+	if len(x) != len(w.x) {
+		return nil, fmt.Errorf("model: mode of length %d, want %d", len(x), len(w.x))
+	}
+	if err := m.newtonSetup(t, f, w); err != nil {
+		return nil, err
+	}
+	copy(w.x, x)
+	m.linPredInto(t, w.x, w.u, w.eta)
+	if !etaOK(w.eta) {
+		return nil, ErrInnerLoopDiverged
+	}
+	if err := w.sys.factor(w.eta); err != nil {
+		return nil, fmt.Errorf("model: Q_c at the Poisson mode: %w", err)
+	}
+	return m.modeOf(w, 0), nil
+}
+
+// newtonSetup checks f's shape, assembles Q_p(θ) into w and points w's
+// Newton system at t and f.
+func (m *Model) newtonSetup(t *Theta, f bta.Solver, w *NewtonWork) error {
+	if err := m.checkShape(f.Workspace()); err != nil {
+		return err
+	}
+	if w.qp == nil {
+		w.qp = bta.NewMatrix(m.Dims.BTAShape())
+	}
+	if err := m.QpInto(t, w.qp); err != nil {
+		return err
+	}
+	w.sys = btaNewton{m: m, t: t, f: f, w: w}
+	return nil
+}
+
 // ConditionalModePoisson is the general-sparse route to the conditional
 // mode: the same Newton iteration, with every step's Q_c = Q_p + AᵀD(x)A
 // assembled as a CSR (nv² weighted Gram products) and solved through the
@@ -507,7 +517,7 @@ func (m *Model) conditionalModeFrom(t *Theta, f bta.Solver, w *NewtonWork, start
 func (m *Model) ConditionalModePoisson(t *Theta, factorize func(*sparse.CSR) (func([]float64) []float64, error)) (*PoissonMode, error) {
 	sys := &csrNewton{m: m, t: t, qp: m.QpCSR(t), factorize: factorize}
 	w := m.NewNewtonWork()
-	inner, err := m.newtonMode(t, sys, w, nil)
+	inner, err := m.newtonMode(t, sys, w)
 	if err != nil {
 		return nil, err
 	}

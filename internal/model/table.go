@@ -36,8 +36,9 @@ const logDetStep = 1e-5
 // as class classFixed) and S_gram[pair] = ⟨Σ, AᵀA on pair (i,j)⟩, Frobenius
 // products over the full symmetric matrices; nv²·numClasses·3 + nv²
 // numbers. Grad then gives the objective's gradient at fixed μ and Σ. A
-// Gaussian model only (a count model's data term depends on the latent
-// state). One table per goroutine.
+// count model's data term depends on the latent state, so its table is
+// filled by ContractCount instead (count.go), which adds the implicit term
+// through μ(θ). One table per goroutine.
 type QcTable struct {
 	m      *Model
 	s      [][3]float64 // [(i·nv + j)·numClasses + class], as fillWork.coef
@@ -48,6 +49,7 @@ type QcTable struct {
 	dll    []float64    // scratch: ∂ log ℓ/∂Λ_c (nv²)
 	dLc    *dense.Matrix
 	dM     []float64
+	count  *countWork // a count model's (count.go); nil for a Gaussian one
 }
 
 // NewQcTable allocates a contraction table for the model.
@@ -64,6 +66,7 @@ func (m *Model) NewQcTable() *QcTable {
 		dll:    make([]float64, nv*nv),
 		dLc:    dense.New(nv, nv),
 		dM:     make([]float64, nv*nv),
+		count:  m.newCountWork(),
 	}
 }
 
@@ -75,6 +78,30 @@ func (m *Model) NewQcTable() *QcTable {
 // the data runs. Lower and arrow blocks stand for their transposes too, so
 // they count twice. Allocation-free.
 func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
+	if err := tb.contractPrior(sig, mu, nil); err != nil {
+		return err
+	}
+	clear(tb.gram)
+	blocks, tip := tb.sigBlocks(sig)
+	gram := tb.m.gram.Val
+	for i := range tb.m.dataRuns {
+		r := &tb.m.dataRuns[i]
+		d := blocks[r.blk]
+		var v float64
+		for _, e := range r.entries {
+			v += d[e.off] * gram[e.gram]
+		}
+		if r.blk >= int32(sig.N) && r.blk != tip {
+			v *= 2 // a lower or arrow block
+		}
+		tb.gram[r.pair] += v
+	}
+	return nil
+}
+
+// contractPrior fills S, the prior half of the table: the state term is
+// μμᵀ when nu is nil, else the symmetrized ½(μνᵀ + νμᵀ).
+func (tb *QcTable) contractPrior(sig *bta.Matrix, mu, nu []float64) error {
 	m := tb.m
 	if err := m.checkShape(sig); err != nil {
 		return err
@@ -83,7 +110,6 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 		return fmt.Errorf("model: latent state of length %d, want %d", len(mu), sig.Dim())
 	}
 	clear(tb.s)
-	clear(tb.gram)
 	nt, b, a := sig.N, sig.B, sig.A
 	for class := range spde.NumBlockClasses {
 		// Block k of the class starts at row base[2k] and column base[2k+1].
@@ -108,8 +134,15 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 			for _, e := range run {
 				ro, co := int(e.off)/b, int(e.off)%b
 				var v float64
-				for k, d := range tb.blocks {
-					v += d[e.off] + mu[tb.base[2*k]+ro]*mu[tb.base[2*k+1]+co]
+				if nu == nil {
+					for k, d := range tb.blocks {
+						v += d[e.off] + mu[tb.base[2*k]+ro]*mu[tb.base[2*k+1]+co]
+					}
+				} else {
+					for k, d := range tb.blocks {
+						r, c := tb.base[2*k]+ro, tb.base[2*k+1]+co
+						v += d[e.off] + 0.5*(mu[r]*nu[c]+nu[r]*mu[c])
+					}
 				}
 				s0 += v * e.fem[0]
 				s1 += v * e.fem[1]
@@ -123,12 +156,25 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 		for pair, run := range m.tipPrior {
 			var s0 float64
 			for _, e := range run {
-				v := sig.Tip.Data[e.off] + mu[tip+int(e.off)/a]*mu[tip+int(e.off)%a]
+				r, c := tip+int(e.off)/a, tip+int(e.off)%a
+				var v float64
+				if nu == nil {
+					v = sig.Tip.Data[e.off] + mu[r]*mu[c]
+				} else {
+					v = sig.Tip.Data[e.off] + 0.5*(mu[r]*nu[c]+nu[r]*mu[c])
+				}
 				s0 += v * e.fem[0]
 			}
 			tb.s[pair*numClasses+classFixed][0] = s0
 		}
 	}
+	return nil
+}
+
+// sigBlocks lists sig's blocks by BTAMap's unified block index — diagonal,
+// lower, arrow, then the tip — and returns the tip's index (−1 without
+// one).
+func (tb *QcTable) sigBlocks(sig *bta.Matrix) ([][]float64, int32) {
 	tb.blocks = tb.blocks[:0]
 	for _, blk := range sig.Diag {
 		tb.blocks = append(tb.blocks, blk.Data)
@@ -139,24 +185,11 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 	for _, blk := range sig.Arrow {
 		tb.blocks = append(tb.blocks, blk.Data)
 	}
-	if a > 0 {
-		tb.blocks = append(tb.blocks, sig.Tip.Data)
+	if sig.A == 0 {
+		return tb.blocks, -1
 	}
-	tip := int32(len(tb.blocks) - 1)
-	gram := m.gram.Val
-	for i := range m.dataRuns {
-		r := &m.dataRuns[i]
-		d := tb.blocks[r.blk]
-		var v float64
-		for _, e := range r.entries {
-			v += d[e.off] * gram[e.gram]
-		}
-		if r.blk >= int32(nt) && (a == 0 || r.blk != tip) {
-			v *= 2 // a lower or arrow block
-		}
-		tb.gram[r.pair] += v
-	}
-	return nil
+	tb.blocks = append(tb.blocks, sig.Tip.Data)
+	return tb.blocks, int32(len(tb.blocks) - 1)
 }
 
 // Grad writes into grad (length NumHyper) the gradient at θ of
@@ -166,7 +199,9 @@ func (tb *QcTable) Contract(sig *bta.Matrix, mu []float64) error {
 // with μ and Σ those last contracted; t is θ decoded (theta supplies the
 // coupling parameters) and obs the observation scratch LogLikInto last
 // filled at t and μ, whose projections A·μ_j the data term reads and whose
-// residual slot it overwrites. With the θ layout of DecodeTheta:
+// residual slot it overwrites. For a count model, whose table ContractCount
+// filled, it is the gradient of the count objective, the implicit term
+// through μ(θ) included (count.go). With the θ layout of DecodeTheta:
 // process k's ranges move its block weights (spde.SeparableCoeffsDeriv /
 // DiffusionCoeffsDeriv) and its prior log-determinant; log σ_l scales row
 // l of M = Λ_c⁻¹ and column l of Λ_c; ∂Λ_c/∂λ is coreg.CoregDerivInto and
@@ -240,40 +275,52 @@ func (tb *QcTable) Grad(t *Theta, theta, obs, grad []float64) error {
 		grad[3*k+1] -= 0.5 * gT
 		grad[3*k+2] += prior // −½·(−2·prior): M's row k scales as 1/σ_k
 	}
-	// log ℓ = Σ_k ½M·(log τ_k − log 2π) − ½τ_k·‖y_k − Σ_j Λ_kj·A·μ_j‖²:
-	// dll[k·nv + j] = ∂ log ℓ/∂Λ_kj = τ_k·r_kᵀ·A·μ_j.
-	u, res := obs[:nv*mObs], obs[nv*mObs:(nv+1)*mObs]
-	for k, y := range m.Obs.Y {
-		gaussResidualInto(lc, k, y, u, res)
-		tau := t.TauY[k]
-		for j := range nv {
-			tb.dll[k*nv+j] = tau * dense.Dot(res, u[j*mObs:(j+1)*mObs])
-		}
-		grad[tauAt+k] = 0.5*float64(mObs) - 0.5*tau*dense.Dot(res, res)
-	}
-	for l := range nv {
-		// Column l of Λ_c scales as σ_l: in log ℓ and in W.
-		var g, w float64
-		for k := range nv {
-			g += lc.At(k, l) * tb.dll[k*nv+l]
-		}
-		for j := range nv {
-			w = 0
-			for k := range nv {
-				w += t.TauY[k] * lc.At(k, l) * lc.At(k, j)
+	if tb.count != nil {
+		// The data term's ∂/∂Λ_kj, with log σ_l scaling column l of Λ_c.
+		tb.countDataGrad(t, obs)
+		for l := range nv {
+			var g float64
+			for k := l; k < nv; k++ {
+				g += lc.At(k, l) * tb.dll[k*nv+l]
 			}
-			g -= 0.5 * w * (tb.gram[l*nv+j] + tb.gram[j*nv+l])
+			grad[3*l+2] += g
 		}
-		grad[3*l+2] += g
-	}
-	for k, tau := range t.TauY {
-		var g float64
-		for i := range nv {
+	} else {
+		// log ℓ = Σ_k ½M·(log τ_k − log 2π) − ½τ_k·‖y_k − Σ_j Λ_kj·A·μ_j‖²:
+		// dll[k·nv + j] = ∂ log ℓ/∂Λ_kj = τ_k·r_kᵀ·A·μ_j.
+		u, res := obs[:nv*mObs], obs[nv*mObs:(nv+1)*mObs]
+		for k, y := range m.Obs.Y {
+			gaussResidualInto(lc, k, y, u, res)
+			tau := t.TauY[k]
 			for j := range nv {
-				g += lc.At(k, i) * lc.At(k, j) * tb.gram[i*nv+j]
+				tb.dll[k*nv+j] = tau * dense.Dot(res, u[j*mObs:(j+1)*mObs])
 			}
+			grad[tauAt+k] = 0.5*float64(mObs) - 0.5*tau*dense.Dot(res, res)
 		}
-		grad[tauAt+k] -= 0.5 * tau * g
+		for l := range nv {
+			// Column l of Λ_c scales as σ_l: in log ℓ and in W.
+			var g, w float64
+			for k := range nv {
+				g += lc.At(k, l) * tb.dll[k*nv+l]
+			}
+			for j := range nv {
+				w = 0
+				for k := range nv {
+					w += t.TauY[k] * lc.At(k, l) * lc.At(k, j)
+				}
+				g -= 0.5 * w * (tb.gram[l*nv+j] + tb.gram[j*nv+l])
+			}
+			grad[3*l+2] += g
+		}
+		for k, tau := range t.TauY {
+			var g float64
+			for i := range nv {
+				for j := range nv {
+					g += lc.At(k, i) * lc.At(k, j) * tb.gram[i*nv+j]
+				}
+			}
+			grad[tauAt+k] -= 0.5 * tau * g
+		}
 	}
 	for q := range nl {
 		coreg.CoregDerivInto(t.Lambda.Sigmas, lam, q, tb.dLc)
@@ -298,6 +345,15 @@ func (tb *QcTable) Grad(t *Theta, theta, obs, grad []float64) error {
 					g -= 0.5 * dmm * tb.r[k*nv*nv+i*nv+j]
 				}
 			}
+		}
+		if tb.count != nil {
+			for i := range nv {
+				for j := 0; j <= i; j++ {
+					g += dLc.At(i, j) * tb.dll[i*nv+j]
+				}
+			}
+			grad[3*nv+q] = g
+			continue
 		}
 		for i := range nv {
 			for j := range nv {

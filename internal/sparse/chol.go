@@ -291,8 +291,7 @@ func (f *CholFactor) sigmaAt(sig, sigDiag []float64, r, c int) float64 {
 // ordering. This is the operation INLA needs for latent marginal variances
 // and the one PARDISO exposes for R-INLA.
 func (f *CholFactor) SelectedInverseDiag() []float64 {
-	sig, sigDiag := f.selectedInverse()
-	_ = sig
+	_, sigDiag := f.selectedInverse()
 	out := make([]float64, f.N)
 	for i := 0; i < f.N; i++ {
 		out[f.Perm[i]] = sigDiag[i]
@@ -304,23 +303,51 @@ func (f *CholFactor) SelectedInverseDiag() []float64 {
 // returning (offdiag values parallel to the factor layout, diagonal). The
 // coordinates are permuted; use SelectedInverseDiag or SigmaAtOrig for
 // user-facing access.
+//
+// Column j's entries need Σ at every pair of rows (i, k) of its pattern.
+// Those are gathered first into sub, the dense symmetric block of Σ on the
+// pattern: Σ_ik for i > k sits in column k, whose row positions are
+// scattered into pos (owner[r] names the column pos[r] belongs to), so each
+// read is O(1); a pair outside the fill pattern reads 0, as sigmaAt does.
+// The sums then run over sub in the same order as over sigmaAt.
 func (f *CholFactor) selectedInverse() (sig, sigDiag []float64) {
 	n := f.N
 	sig = make([]float64, len(f.Val))
 	sigDiag = make([]float64, n)
+	pos, owner := make([]int, n), make([]int, n)
+	for i := range owner {
+		owner[i] = -1
+	}
+	var sub []float64
 	for j := n - 1; j >= 0; j-- {
 		dj := f.Val[f.ColPtr[j]]
 		invDj := 1 / dj
 		lo, hi := f.ColPtr[j]+1, f.ColPtr[j+1]
-		// Off-diagonal entries Σ_ij for i in pattern of column j.
-		for p := lo; p < hi; p++ {
-			i := f.RowIdx[p]
-			var s float64
-			for q := lo; q < hi; q++ {
-				k := f.RowIdx[q]
-				s += f.sigmaAt(sig, sigDiag, i, k) * f.Val[q]
+		rows, m := f.RowIdx[lo:hi], hi-lo
+		if cap(sub) < m*m {
+			sub = make([]float64, m*m)
+		}
+		sub = sub[:m*m]
+		for b, k := range rows {
+			sub[b*m+b] = sigDiag[k]
+			for p := f.ColPtr[k] + 1; p < f.ColPtr[k+1]; p++ {
+				pos[f.RowIdx[p]], owner[f.RowIdx[p]] = p, k
 			}
-			sig[p] = -invDj * s
+			for a := b + 1; a < m; a++ {
+				var v float64
+				if i := rows[a]; owner[i] == k {
+					v = sig[pos[i]]
+				}
+				sub[a*m+b], sub[b*m+a] = v, v
+			}
+		}
+		// Off-diagonal entries Σ_ij for i in pattern of column j.
+		for a := range rows {
+			var s float64
+			for b, v := range sub[a*m : (a+1)*m] {
+				s += v * f.Val[lo+b]
+			}
+			sig[lo+a] = -invDj * s
 		}
 		// Diagonal Σ_jj.
 		var s float64

@@ -184,9 +184,7 @@ func TestGenerateRecoversPredictions(t *testing.T) {
 // true θ and at the jittered start θ₀ — on every seed 1–40, for the
 // benchmark's bivariate count shape and a trivariate one. (With the
 // pollutant defaults about one seed in five diverged on the first and
-// nearly all on the second.) Every arm θ₀ ± h·e_i of the first gradient
-// stencil (h = 1e-3, the optimizer's default step) converges warm from the
-// mode at θ₀, without falling back to x = 0.
+// nearly all on the second.)
 func TestCountDefaultsConvergeEverySeed(t *testing.T) {
 	for _, cfg := range []GenConfig{
 		{Nv: 2, Nt: 4, Nr: 2, MeshNx: 6, MeshNy: 5, ObsPerStep: 40},
@@ -206,32 +204,9 @@ func TestCountDefaultsConvergeEverySeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var centre []float64 // the mode at θ₀, the loop's last θ
 			for _, th := range []*model.Theta{ds.TrueTheta, theta0} {
-				centre = centre[:0]
-				mode, err := m.ConditionalModeInto(th, f, w, nil)
-				if err != nil {
+				if _, err := m.ConditionalModeInto(th, f, w); err != nil {
 					t.Errorf("nv=%d seed=%d: %v", cfg.Nv, seed, err)
-					continue
-				}
-				centre = append(centre[:0], mode.XPM...)
-			}
-			if len(centre) == 0 {
-				continue
-			}
-			const h = 1e-3
-			for i := range ds.Theta0 {
-				for _, s := range []float64{h, -h} {
-					arm := append([]float64(nil), ds.Theta0...)
-					arm[i] += s
-					th, err := m.DecodeTheta(arm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mode, err := m.ConditionalModeInto(th, f, w, centre)
-					if err != nil || !mode.Warm {
-						t.Errorf("nv=%d seed=%d: arm θ₀%+g·e_%d did not converge from the θ₀ mode (err %v)", cfg.Nv, seed, s, i, err)
-					}
 				}
 			}
 		}
