@@ -99,24 +99,14 @@ type (
 	BTAMatrix = bta.Matrix
 	// BTAFactor is its sequential Cholesky factorization.
 	BTAFactor = bta.Factor
-	// BTASolver is the common solver surface of the sequential and
-	// parallel-in-time backends (Refactorize, Solve, LogDet, selected
-	// inversion).
-	BTASolver = bta.Solver
-	// ParallelBTAFactor is the shared-memory parallel-in-time factorization
-	// (PPOBTAF/PPOBTAS/PPOBTASI over goroutine partitions).
-	ParallelBTAFactor = bta.ParallelFactor
 )
 
 // Simulated distributed-machine types.
 type (
-	// SharedPlan is how an in-process evaluator spends its core budget:
-	// one S1 point evaluation per core, each on a sequential factor.
-	SharedPlan = inla.SharedPlan
 	// ClusterConfig configures a simulated distributed INLA run: world
 	// size, machine model, BFGS iteration cap, memory cap and an optional
-	// fault plan. S3 solver ranks split the time blocks as
-	// ParallelBTAFactor does.
+	// fault plan. S3 solver ranks split the time blocks by
+	// bta.Partitions, one partition per rank.
 	ClusterConfig = inla.DistConfig
 	// ClusterReport carries the virtual-time statistics and the mode
 	// search result of a run.
@@ -206,10 +196,6 @@ func UnmarshalResult(data []byte) (*Result, error) { return inla.UnmarshalResult
 // noise precisions to add. Count models are otherwise served like Gaussian
 // ones, on the linear-predictor scale.
 var ErrUnsupportedLikelihood = predict.ErrUnsupportedLikelihood
-
-// WithPredictMaxBatch sets a width the snapshot only reports back
-// (PredictSnapshot.MaxBatch); nothing reads it to batch requests.
-func WithPredictMaxBatch(k int) PredictOption { return predict.WithMaxBatch(k) }
 
 // WithObservationNoise folds Gaussian observation noise into predictive
 // variances, giving the law of a new observation rather than of the latent
@@ -342,21 +328,6 @@ func Exceedance(m *Model, theta []float64, samples [][]float64,
 // FactorizeBTA computes the block Cholesky factorization of a BTA matrix
 // (the sequential POBTAF routine).
 func FactorizeBTA(m *BTAMatrix) (*BTAFactor, error) { return bta.Factorize(m) }
-
-// NewBTASolver builds a structured solver for the BTA shape at the given
-// parallel-in-time width: partitions ≤ 1 yields the sequential Factor,
-// larger widths the shared-memory ParallelFactor (clamped to what the time
-// dimension supports). The solver is reusable across Refactorize calls and
-// allocation-free after warmup.
-func NewBTASolver(n, b, a, partitions int) (BTASolver, error) {
-	return bta.NewSolver(n, b, a, partitions)
-}
-
-// NewParallelBTAFactor allocates a parallel-in-time BTA factorization over
-// the given number of partitions of the time dimension.
-func NewParallelBTAFactor(n, b, a, partitions int) (*ParallelBTAFactor, error) {
-	return bta.NewParallelFactor(n, b, a, partitions)
-}
 
 // NewBTAMatrix allocates a zeroed BTA matrix with n diagonal blocks of size
 // b and arrow width a.

@@ -14,12 +14,10 @@
 //   - Factor, the sequential chain (POBTAF, POBTAS, POBTASI): the
 //     one-partition run of the cores, every block an interior of one
 //     one-sided partition and the arrow tip its only boundary;
-//   - one partitioned driver over a time-domain partitioning (PPOBTAF,
-//     PPOBTAS, PPOBTASI, the nested-dissection Schur-complement scheme of
-//     §IV-C–E), with two ways to own partitions: ParallelFactor owns all of
-//     them and runs them as goroutine tasks in shared memory; DistFactor
-//     owns one rank's share and exchanges boundary blocks with its peers
-//     over a comm communicator.
+//   - DistFactor, the one partitioned driver over a time-domain
+//     partitioning (PPOBTAF, PPOBTAS, PPOBTASI, the nested-dissection
+//     Schur-complement scheme of §IV-C–E): one partition per rank of a comm
+//     communicator, exchanging boundary blocks with its peers.
 package bta
 
 import (

@@ -142,16 +142,6 @@ func (l *LocalBTA) FillFrom(g *Matrix) {
 	}
 }
 
-// above returns the block coupling the slice's block off to the one before
-// it: a rank-internal sub-diagonal block, or the coupling to the previous
-// rank.
-func (l *LocalBTA) above(off int) *dense.Matrix {
-	if off == 0 {
-		return l.TopCoupling
-	}
-	return l.Lower[off-1]
-}
-
 // whole views a slice that spans every block (the only slice of a
 // one-partition topology) as the full matrix.
 func (l *LocalBTA) whole() Matrix {
@@ -171,13 +161,12 @@ func (l *LocalBTA) DiagVec() []float64 {
 }
 
 // DistFactor is one rank's share of the partitioned BTA factorization over a
-// communicator: the driver over the rank's partition, with the reduced
-// system on rank 0. It is persistent like the shared-memory
-// ParallelFactor — built once for a fixed topology, refactorized per θ by
-// PPOBTAF — and serves the distributed triangular solve (PPOBTAS), selected
-// inversion (PPOBTASI) and the replicated log-determinant. A topology change
-// (a shrunk communicator) needs a fresh factor. Rank 0 factorizes the
-// reduced system sequentially, as ParallelFactor does.
+// communicator: the one partitioned driver over the rank's partition, with
+// the reduced system on rank 0. It is persistent — built once for a fixed
+// topology, refactorized per θ by PPOBTAF — and serves the distributed
+// triangular solve (PPOBTAS), selected inversion (PPOBTASI) and the
+// replicated log-determinant. A topology change (a shrunk communicator)
+// needs a fresh factor.
 type DistFactor struct {
 	partFactor
 	x     []float64 // PPOBTAS solution storage, [owned blocks; tip]
@@ -185,16 +174,13 @@ type DistFactor struct {
 }
 
 // NewDistFactor allocates the persistent factor state for the topology
-// local records (the rank's partition within the global list) on the
-// shared executor.
+// local records (the rank's partition within the global list).
 func NewDistFactor(local *LocalBTA) (*DistFactor, error) {
 	if local.Rank < 0 || local.Rank >= local.ranks {
 		return nil, fmt.Errorf("bta: rank %d outside the %d-partition list of its slice", local.Rank, local.ranks)
 	}
 	f := &DistFactor{}
-	if err := f.init(local.NGlobal, local.B, local.A, []Partition{local.Part}, local.Rank, local.ranks, nil); err != nil {
-		return nil, err
-	}
+	f.init(local.NGlobal, local.B, local.A, local.Part, local.Rank, local.ranks)
 	f.x = make([]float64, f.span.Size()*f.B+f.A)
 	f.sigma = &LocalBTA{Part: f.span, Rank: local.Rank, NGlobal: local.NGlobal, B: local.B, A: local.A, ranks: local.ranks}
 	return f, nil
@@ -206,14 +192,14 @@ func (f *DistFactor) LogDet() float64 { return f.logDet }
 
 // collective guards a collective entry point: the communicator must match
 // the factor's topology, and a communication fault mid-protocol (a dead
-// peer or a revoked communicator) aborts cleanly — the
-// gangs complete inside comm.Compute before any exchange, so no goroutine
+// peer or a revoked communicator) aborts cleanly — the local phases
+// complete inside comm.Compute before any exchange, so no goroutine
 // outlives the abort, all storage stays with the factor, and the fault comes
 // back as a wrapped error the driver can test with comm.Retryable.
 func (f *DistFactor) collective(c *comm.Comm, op string, body func() error) (err error) {
-	if c.Rank() != f.rank || c.Size() != f.ranks {
+	if c.Rank() != f.rank || c.Size() != f.P {
 		return fmt.Errorf("bta: distributed %s: rank %d of %d on a factor built for rank %d of %d",
-			op, c.Rank(), c.Size(), f.rank, f.ranks)
+			op, c.Rank(), c.Size(), f.rank, f.P)
 	}
 	defer func() {
 		if r := recover(); r != nil {

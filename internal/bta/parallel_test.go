@@ -1,87 +1,71 @@
 package bta
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
+	"github.com/dalia-hpc/dalia/internal/comm"
 	"github.com/dalia-hpc/dalia/internal/dense"
-	"github.com/dalia-hpc/dalia/internal/sched"
 )
 
-// equivTol is the agreement tolerance between the sequential and parallel
-// backends demanded by the acceptance criteria.
+// equivTol is the agreement tolerance between the sequential and the
+// partitioned factor demanded by the acceptance criteria.
 const equivTol = 1e-10
 
-// seqParallelPair factorizes the same matrix through both backends.
-func seqParallelPair(t *testing.T, m *Matrix, p int) (*Factor, *ParallelFactor) {
-	t.Helper()
-	seq, err := Factorize(m)
+// matchesSequential factorizes, solves and selected-inverts g over one rank
+// per partition of parts and reports the first of the log-determinant, the
+// solve and the Σ blocks that differs from the sequential factor's by more
+// than equivTol.
+func matchesSequential(g *Matrix, parts []Partition, rhs []float64) error {
+	seq, err := Factorize(g)
 	if err != nil {
-		t.Fatalf("sequential factorization: %v", err)
+		return err
 	}
-	pf, err := NewParallelFactor(m.N, m.B, m.A, p)
+	res := runParts(g, parts, rhs, nil)
+	if res.err != nil {
+		return res.err
+	}
+	if d := math.Abs(res.logDet - seq.LogDet()); d > equivTol*(1+math.Abs(seq.LogDet())) {
+		return fmt.Errorf("logdet %v want %v", res.logDet, seq.LogDet())
+	}
+	want := append([]float64(nil), rhs...)
+	seq.Solve(want)
+	for i := range want {
+		if math.Abs(res.x[i]-want[i]) > equivTol {
+			return fmt.Errorf("solve[%d] = %v want %v", i, res.x[i], want[i])
+		}
+	}
+	wantSig, err := seq.SelectedInversion()
 	if err != nil {
-		t.Fatalf("NewParallelFactor(p=%d): %v", p, err)
+		return err
 	}
-	if err := pf.Refactorize(m); err != nil {
-		t.Fatalf("parallel refactorize (p=%d): %v", p, err)
+	if !res.sig.ToDense().Equal(wantSig.ToDense(), equivTol) {
+		return fmt.Errorf("selected inverse mismatch")
 	}
-	return seq, pf
+	return nil
 }
 
-// TestParallelFactorMatchesSequential sweeps the acceptance grid: partition
-// counts {1,2,3,5}, odd block counts, and arrowhead sizes {0,1,4}, checking
-// Solve, LogDet and SelectedInversion agreement to 1e-10.
+// TestParallelFactorMatchesSequential sweeps the acceptance grid of the
+// partitioned factor, one rank per partition of Partitions' split:
+// partition counts {1,2,3,5}, odd block counts and arrowhead sizes {0,1,4},
+// checking Solve, LogDet and every Σ block to 1e-10.
 func TestParallelFactorMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, p := range []int{1, 2, 3, 5} {
 		for _, a := range []int{0, 1, 4} {
 			for _, n := range []int{9, 11} {
-				b := 3
-				m := randBTA(rng, n, b, a)
-				seq, pf := seqParallelPair(t, m, p)
-
-				// LogDet.
-				if d := math.Abs(seq.LogDet() - pf.LogDet()); d > equivTol*(1+math.Abs(seq.LogDet())) {
-					t.Fatalf("p=%d a=%d n=%d: LogDet %v vs %v", p, a, n, pf.LogDet(), seq.LogDet())
-				}
-
-				// Solve.
-				rhs0 := randVec(rng, m.Dim())
-				want := append([]float64(nil), rhs0...)
-				seq.Solve(want)
-				got := append([]float64(nil), rhs0...)
-				pf.Solve(got)
-				for i := range got {
-					if math.Abs(got[i]-want[i]) > equivTol {
-						t.Fatalf("p=%d a=%d n=%d: Solve[%d] = %v want %v", p, a, n, i, got[i], want[i])
-					}
-				}
-
-				// SelectedInversion, every block on the pattern.
-				wantSig, err := seq.SelectedInversion()
+				m := randBTA(rng, n, 3, a)
+				parts, err := Partitions(n, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotSig, err := pf.SelectedInversion()
-				if err != nil {
-					t.Fatalf("p=%d a=%d n=%d: parallel selinv: %v", p, a, n, err)
-				}
-				for i := 0; i < n; i++ {
-					if !gotSig.Diag[i].Equal(wantSig.Diag[i], equivTol) {
-						t.Fatalf("p=%d a=%d n=%d: Σ diag block %d mismatch", p, a, n, i)
-					}
-					if i < n-1 && !gotSig.Lower[i].Equal(wantSig.Lower[i], equivTol) {
-						t.Fatalf("p=%d a=%d n=%d: Σ lower block %d mismatch", p, a, n, i)
-					}
-					if a > 0 && !gotSig.Arrow[i].Equal(wantSig.Arrow[i], equivTol) {
-						t.Fatalf("p=%d a=%d n=%d: Σ arrow block %d mismatch", p, a, n, i)
-					}
-				}
-				if a > 0 && !gotSig.Tip.Equal(wantSig.Tip, equivTol) {
-					t.Fatalf("p=%d a=%d n=%d: Σ tip mismatch", p, a, n)
+				if err := matchesSequential(m, parts, randVec(rng, m.Dim())); err != nil {
+					t.Fatalf("p=%d a=%d n=%d: %v", p, a, n, err)
 				}
 			}
 		}
@@ -96,113 +80,116 @@ func TestParallelFactorTinyShapes(t *testing.T) {
 		{2, 2, 1}, {3, 2, 0}, {4, 3, 2}, {5, 3, 1}, {6, 4, 2}, {8, 5, 1},
 	} {
 		m := randBTA(rng, tc.n, 2, tc.a)
-		seq, pf := seqParallelPair(t, m, tc.p)
-		rhs0 := randVec(rng, m.Dim())
-		want := append([]float64(nil), rhs0...)
-		seq.Solve(want)
-		got := append([]float64(nil), rhs0...)
-		pf.Solve(got)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > equivTol {
-				t.Fatalf("%+v: Solve[%d] = %v want %v", tc, i, got[i], want[i])
-			}
-		}
-		wantSig, err := seq.SelectedInversion()
+		parts, err := Partitions(tc.n, tc.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotSig, err := pf.SelectedInversion()
-		if err != nil {
+		if err := matchesSequential(m, parts, randVec(rng, m.Dim())); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
-		}
-		if !gotSig.ToDense().Equal(wantSig.ToDense(), equivTol) {
-			t.Fatalf("%+v: selected inverse mismatch", tc)
 		}
 	}
 }
 
-// TestParallelSolveLTCovariance verifies the sampling contract: applying
-// SolveLT to every unit vector and summing the outer products must
-// reproduce A⁻¹ for any elimination ordering, since Σ_i (L̃⁻ᵀe_i)(L̃⁻ᵀe_i)ᵀ
-// = L̃⁻ᵀL̃⁻¹ up to the factor's implicit symmetric permutation.
-func TestParallelSolveLTCovariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	m := randBTA(rng, 5, 2, 1)
-	_, pf := seqParallelPair(t, m, 3)
-	dim := m.Dim()
-	cov := dense.New(dim, dim)
-	x := make([]float64, dim)
-	for i := 0; i < dim; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		x[i] = 1
-		pf.SolveLT(x)
-		for r := 0; r < dim; r++ {
-			for c := 0; c < dim; c++ {
-				cov.Set(r, c, cov.At(r, c)+x[r]*x[c])
+// TestReducedEngineGrid sweeps the reduced boundary system: partitions
+// {2,3,4,5,6,11} × arrowhead {0,1,4} at an odd block count, checking
+// LogDet, Solve and SelectedInversion to 1e-10. The reduced system grows
+// from 2 blocks (P = 2) to 20 (P = 11); every one is factorized by the
+// one-partition Factor over the assembled storage.
+func TestReducedEngineGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	const n, b = 25, 2
+	for _, a := range []int{0, 1, 4} {
+		m := randBTA(rng, n, b, a)
+		rhs := randVec(rng, m.Dim())
+		for _, p := range []int{2, 3, 4, 5, 6, 11} {
+			parts, err := Partitions(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := matchesSequential(m, parts, rhs); err != nil {
+				t.Fatalf("a=%d p=%d: %v", a, p, err)
 			}
 		}
 	}
-	inv, err := dense.Inverse(m.ToDense())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cov.Equal(inv, 1e-8) {
-		t.Fatal("SolveLT outer-product sum does not reproduce A⁻¹")
-	}
 }
 
-// TestParallelRefactorizeReuse: refilling the same parallel factor from
-// different matrices must not leak state between factorizations.
+// TestParallelRefactorizeReuse: refilling the same ranks from different
+// matrices must not leak state between factorizations.
 func TestParallelRefactorizeReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	pf, err := NewParallelFactor(9, 3, 2, 3)
+	parts, err := Partitions(9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ranks := make([]distRank, len(parts))
 	for trial := 0; trial < 3; trial++ {
 		m := randBTA(rng, 9, 3, 2)
 		seq, err := Factorize(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pf.Refactorize(m); err != nil {
-			t.Fatal(err)
+		rhs := randVec(rng, m.Dim())
+		res := runParts(m, parts, rhs, ranks)
+		if res.err != nil {
+			t.Fatalf("trial %d: %v", trial, res.err)
 		}
-		rhs0 := randVec(rng, m.Dim())
-		want := append([]float64(nil), rhs0...)
+		want := append([]float64(nil), rhs...)
 		seq.Solve(want)
-		got := append([]float64(nil), rhs0...)
-		pf.Solve(got)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > equivTol {
-				t.Fatalf("trial %d: Solve[%d] = %v want %v", trial, i, got[i], want[i])
+		for i := range want {
+			if math.Abs(res.x[i]-want[i]) > equivTol {
+				t.Fatalf("trial %d: Solve[%d] = %v want %v", trial, i, res.x[i], want[i])
 			}
 		}
 	}
 }
 
-// TestParallelFactorNonSPDRecovery: a failed (infeasible-θ) factorization
-// must surface an error, keep all preallocated scratch, and leave the
-// factor fully usable — and still exact — on the next successful
-// Refactorize, through many failure/success cycles.
-func TestParallelFactorNonSPDRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	good := randBTA(rng, 9, 3, 2)
-	// Indefinite in a middle partition's interior: partition elimination
-	// fails mid-sweep with fill blocks in flight.
+// newRanks builds every rank's slice and factor over parts for the shape
+// of g.
+func newRanks(t *testing.T, g *Matrix, parts []Partition) []distRank {
+	t.Helper()
+	ranks := make([]distRank, len(parts))
+	for r := range parts {
+		var err error
+		if ranks[r].local, err = NewLocalBTA(parts, r, g.N, g.B, g.A); err != nil {
+			t.Fatal(err)
+		}
+		if ranks[r].f, err = NewDistFactor(ranks[r].local); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ranks
+}
+
+// failEveryRank refills the ranks' slices from m, runs PPOBTAF and reports
+// unless it failed on every rank.
+func failEveryRank(ranks []distRank, m *Matrix) error {
+	failed := make([]bool, len(ranks))
+	if err := runWorld(len(ranks), func(c *comm.Comm) {
+		dr := &ranks[c.Rank()]
+		dr.local.FillFrom(m)
+		failed[c.Rank()] = PPOBTAF(c, dr.f, dr.local) != nil
+	}); err != nil {
+		return err
+	}
+	if slices.Contains(failed, false) {
+		return fmt.Errorf("PPOBTAF failed on ranks %v, want every rank", failed)
+	}
+	return nil
+}
+
+// checkNonSPDRecovery runs failure/recovery cycles on persistent ranks over
+// Partitions(good.N, p): an indefinite block badBlock (elimination fails
+// mid-sweep with fill blocks in flight, or, on a boundary block, the
+// reduced factorization) and an indefinite tip (every elimination succeeds
+// and the reduced factorization fails) must fail on every rank, keep the
+// construction-time fill chains, and leave the ranks exact on the next
+// matrix.
+func checkNonSPDRecovery(t *testing.T, good *Matrix, badBlock, p, cycles int) {
+	t.Helper()
 	bad := good.Clone()
-	bad.Diag[4].Set(0, 0, -5)
-	// Indefinite only in the arrowhead: every partition elimination
-	// succeeds and the failure surfaces in the reduced boundary system.
+	bad.Diag[badBlock].Set(0, 0, -5)
 	badTip := good.Clone()
 	badTip.Tip.Set(0, 0, -5)
-
-	pf, err := NewParallelFactor(9, 3, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq, err := Factorize(good)
 	if err != nil {
 		t.Fatal(err)
@@ -211,178 +198,112 @@ func TestParallelFactorNonSPDRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chainLens := make([]int, len(pf.ps))
-	for r, ps := range pf.ps {
-		chainLens[r] = len(ps.chain)
+	parts, err := Partitions(good.N, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for cycle := 0; cycle < 4; cycle++ {
-		if err := pf.Refactorize(bad); err == nil {
-			t.Fatal("non-SPD interior must fail to factorize")
+	ranks := newRanks(t, good, parts)
+	chainLens := make([]int, p)
+	for r, dr := range ranks {
+		chainLens[r] = len(dr.f.chain)
+	}
+	rhs := make([]float64, good.Dim())
+	for cycle := 0; cycle < cycles; cycle++ {
+		for name, m := range map[string]*Matrix{"interior": bad, "tip": badTip} {
+			if err := failEveryRank(ranks, m); err != nil {
+				t.Fatalf("P=%d cycle %d: non-SPD %s: %v", p, cycle, name, err)
+			}
 		}
-		if err := pf.Refactorize(badTip); err == nil {
-			t.Fatal("non-SPD reduced system must fail to factorize")
+		res := runParts(good, parts, rhs, ranks)
+		if res.err != nil {
+			t.Fatalf("P=%d cycle %d: recovery: %v", p, cycle, res.err)
 		}
-		if err := pf.Refactorize(good); err != nil {
-			t.Fatalf("cycle %d: recovery refactorize: %v", cycle, err)
+		if !res.sig.ToDense().Equal(wantSig.ToDense(), equivTol) {
+			t.Fatalf("P=%d cycle %d: selected inverse drifted after failures", p, cycle)
 		}
-		gotSig, err := pf.SelectedInversion()
+		for r, dr := range ranks {
+			if len(dr.f.chain) != chainLens[r] || dr.f.chainUsed > len(dr.f.chain) {
+				t.Fatalf("P=%d cycle %d: rank %d chain %d → %d (used %d)",
+					p, cycle, r, chainLens[r], len(dr.f.chain), dr.f.chainUsed)
+			}
+		}
+	}
+}
+
+// TestParallelFactorNonSPDRecovery: failure/recovery cycles over three
+// ranks, the indefinite block inside the middle partition.
+func TestParallelFactorNonSPDRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	checkNonSPDRecovery(t, randBTA(rng, 9, 3, 2), 4, 3, 4)
+}
+
+// TestReducedEngineNonSPDRecovery: failure/recovery cycles at P = 4 and
+// P = 5, reduced systems of 6 and 8 blocks.
+func TestReducedEngineNonSPDRecovery(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	good := randBTA(rng, 23, 3, 2)
+	for _, p := range []int{4, 5} {
+		checkNonSPDRecovery(t, good, 11, p, 3)
+	}
+}
+
+// TestParallelFactorStandIn pins the stand-in the benchmark's
+// bta.parallel2_* rows time: its Refactorize gives the sequential
+// log-determinant to 1e-12 relative at p = 2 and p = MaxPartitions(n), a
+// non-SPD matrix fails on every rank without hanging, and a second
+// Refactorize of the same matrix reproduces the first bit for bit.
+func TestParallelFactorStandIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	const n, b, a = 11, 3, 2
+	m := randBTA(rng, n, b, a)
+	bad := m.Clone()
+	bad.Diag[n/2].Set(0, 0, -5)
+	seq, err := Factorize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, MaxPartitions(n)} {
+		pf, err := NewParallelFactor(n, b, a, p)
 		if err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
+			t.Fatal(err)
 		}
-		if !gotSig.ToDense().Equal(wantSig.ToDense(), equivTol) {
-			t.Fatalf("cycle %d: selected inverse drifted after failures", cycle)
-		}
-		// The preallocated fill chains must neither grow nor leak across
-		// failure cycles.
-		for r, ps := range pf.ps {
-			if len(ps.chain) != chainLens[r] {
-				t.Fatalf("cycle %d: partition %d chain length changed %d → %d",
-					cycle, r, chainLens[r], len(ps.chain))
+		done := make(chan error, 1)
+		go func() { done <- pf.Refactorize(bad) }()
+		select {
+		case err := <-done:
+			var joined interface{ Unwrap() []error }
+			if !errors.As(err, &joined) || len(joined.Unwrap()) != p {
+				t.Fatalf("p=%d: non-SPD Refactorize returned %v, want an error from each of the %d ranks", p, err, p)
 			}
-			if ps.chainUsed > len(ps.chain) {
-				t.Fatalf("cycle %d: partition %d chain overrun", cycle, r)
-			}
+		case <-time.After(time.Minute):
+			t.Fatalf("p=%d: non-SPD Refactorize hangs", p)
 		}
-	}
-}
-
-// TestParallelFactorAllocFree pins the acceptance criterion: after warmup,
-// a full Refactorize + Solve + LogDet + SelectedInversionInto cycle — one
-// INLA θ-evaluation plus posterior extraction — performs zero heap
-// allocations, goroutine fan-out included.
-func TestParallelFactorAllocFree(t *testing.T) {
-	if dense.RaceEnabled {
-		t.Skip("race-mode sync.Pool drops Put items; alloc counts are meaningless")
-	}
-	rng := rand.New(rand.NewSource(47))
-	m := randBTA(rng, 12, 16, 3)
-	pf, err := NewParallelFactor(12, 16, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig := NewMatrix(12, 16, 3)
-	rhs0 := randVec(rng, m.Dim())
-	rhs := make([]float64, m.Dim())
-	// Warm-up: factor, solve, selected inversion.
-	if err := pf.Refactorize(m); err != nil {
-		t.Fatal(err)
-	}
-	copy(rhs, rhs0)
-	pf.Solve(rhs)
-	if err := pf.SelectedInversionInto(sig); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
+		snapshot := func() []*dense.Matrix {
+			var out []*dense.Matrix
+			for _, l := range pf.locals {
+				for _, blocks := range [][]*dense.Matrix{l.Diag, l.Lower, l.Arrow} {
+					for _, blk := range blocks {
+						out = append(out, blk.Clone())
+					}
+				}
+			}
+			return out
+		}
 		if err := pf.Refactorize(m); err != nil {
-			t.Fatal(err)
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		copy(rhs, rhs0)
-		pf.Solve(rhs)
-		_ = pf.LogDet()
-		if err := pf.SelectedInversionInto(sig); err != nil {
-			t.Fatal(err)
+		first, firstLogDet := snapshot(), pf.LogDet()
+		if d := math.Abs(firstLogDet - seq.LogDet()); d > 1e-12*math.Abs(seq.LogDet()) {
+			t.Fatalf("p=%d: logdet %v want %v", p, firstLogDet, seq.LogDet())
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("parallel solver cycle allocates %.1f objects per run in steady state, want 0", allocs)
-	}
-}
-
-// TestNewSolverClampsPartitions: the Solver constructor clamps an
-// oversized core budget to the useful width instead of failing — down to
-// the sequential backend when the time dimension is too shallow for
-// partitioning to pay at all.
-func TestNewSolverClampsPartitions(t *testing.T) {
-	// 16 blocks absorb at most 16/4 = 4 useful partitions.
-	s, err := NewSolver(16, 2, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, ok := s.(*ParallelFactor)
-	if !ok {
-		t.Fatalf("expected a ParallelFactor, got %T", s)
-	}
-	if pf.P != MaxUsefulPartitions(16) {
-		t.Fatalf("partitions %d, want the useful bound %d", pf.P, MaxUsefulPartitions(16))
-	}
-	// 4 blocks over 64 requested partitions would be all boundaries and no
-	// interiors — strictly slower than sequential, so it degrades to the
-	// sequential chain.
-	s, err = NewSolver(4, 2, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*Factor); !ok {
-		t.Fatalf("expected the sequential Factor for an unpartitionable shape, got %T", s)
-	}
-	s, err = NewSolver(16, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*Factor); !ok {
-		t.Fatalf("expected the sequential Factor for p=1, got %T", s)
-	}
-}
-
-// TestParallelFactorDeterministicAcrossExecutorWidths: the shared-memory
-// factor's partition phases give the same bits on an 8-worker executor,
-// where partition tasks run on different workers and steal, as on a
-// zero-worker one, where the caller alone runs every task — the factor,
-// the log-determinant, a solve and every Σ block, at P = 3 and at P = 5
-// (an 8-block reduced system) over nt = 20, with one and two arrow
-// columns. Tip deltas fold in partition order and every other write set is
-// disjoint, so the arithmetic does not depend on which goroutine ran a
-// task.
-func TestParallelFactorDeterministicAcrossExecutorWidths(t *testing.T) {
-	serial, wide := sched.New(0), sched.New(8)
-	defer serial.Close()
-	defer wide.Close()
-	const n, b = 20, 3
-	rng := rand.New(rand.NewSource(31))
-	for _, a := range []int{1, 2} {
-		m := randBTA(rng, n, b, a)
-		rhs := randVec(rng, m.Dim())
-		for _, p := range []int{3, 5} {
-			parts, err := Partitions(n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			type run struct {
-				f   *ParallelFactor
-				x   []float64
-				sig *Matrix
-			}
-			on := func(ex *sched.Executor) run {
-				f, err := newParallelFactor(n, b, a, parts, ex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Refactorize(m); err != nil {
-					t.Fatalf("a=%d P=%d: %v", a, p, err)
-				}
-				r := run{f: f, x: append([]float64(nil), rhs...), sig: NewMatrix(n, b, a)}
-				f.Solve(r.x)
-				if err := f.SelectedInversionInto(r.sig); err != nil {
-					t.Fatalf("a=%d P=%d: %v", a, p, err)
-				}
-				return r
-			}
-			want, got := on(serial), on(wide)
-			label := fmt.Sprintf("a=%d P=%d", a, p)
-			if err := sameMatrix(label+" factor", got.f.Workspace(), want.f.Workspace()); err != nil {
-				t.Fatal(err)
-			}
-			if got.f.LogDet() != want.f.LogDet() {
-				t.Fatalf("%s: logdet %v on 8 workers, %v on 0", label, got.f.LogDet(), want.f.LogDet())
-			}
-			for i := range want.x {
-				if got.x[i] != want.x[i] {
-					t.Fatalf("%s: solve[%d] = %v on 8 workers, %v on 0", label, i, got.x[i], want.x[i])
-				}
-			}
-			if err := sameMatrix(label+" Σ", got.sig, want.sig); err != nil {
-				t.Fatal(err)
-			}
+		if err := pf.Refactorize(m); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if pf.LogDet() != firstLogDet {
+			t.Fatalf("p=%d: second logdet %v, first %v", p, pf.LogDet(), firstLogDet)
+		}
+		if err := sameBlocks(fmt.Sprintf("p=%d factor", p), snapshot(), first); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

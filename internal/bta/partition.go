@@ -91,11 +91,10 @@ func PartitionBlocks(n, p int, lb float64) ([]Partition, error) {
 // to equalize the per-partition makespan.
 const defaultLoadBalance = 1.7
 
-// Partitions is the split of n diagonal blocks over p ranks that every
-// partitioned solver runs — ParallelFactor's partitions and a distributed
-// S3 solver's ranks: PartitionBlocks at defaultLoadBalance, or the even
-// split where the load-balanced one cannot fit a tiny block count. Every
-// p ≤ MaxPartitions(n) fits.
+// Partitions is the split of n diagonal blocks over p ranks that a
+// distributed S3 solver runs: PartitionBlocks at defaultLoadBalance, or the
+// even split where the load-balanced one cannot fit a tiny block count.
+// Every p ≤ MaxPartitions(n) fits.
 func Partitions(n, p int) ([]Partition, error) {
 	parts, err := PartitionBlocks(n, p, defaultLoadBalance)
 	if err != nil {

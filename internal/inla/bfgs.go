@@ -17,14 +17,6 @@ type OptOptions struct {
 	GradStep float64 // central-difference step h (Eq. 10)
 	GradTol  float64 // ‖∇F‖∞ convergence threshold
 	StepTol  float64 // minimal line-search step before giving up
-	// MaxEvalRetries bounds how often an undefined finite-difference
-	// gradient (a stencil arm quarantined as +Inf/NaN) is retried with a
-	// shrunk step before the search gives up with ErrGradientUndefined
-	// (0 = fail on the first undefined gradient, the historical behavior).
-	MaxEvalRetries int
-	// RetryBackoff is the stencil-shrink factor of each retry (default 0.5):
-	// a smaller h pulls the stencil arms back inside the feasible region.
-	RetryBackoff float64
 	// Ctx, when non-nil, lets a caller abort the search between iterations:
 	// cancellation is observed at iteration boundaries only (a checkpoint
 	// boundary — the iterate, gradient and inverse Hessian are consistent),
@@ -49,9 +41,18 @@ type OptOptions struct {
 
 // DefaultOptOptions mirrors the tolerances R-INLA uses for its BFGS stage.
 func DefaultOptOptions() OptOptions {
-	return OptOptions{MaxIter: 60, GradStep: 1e-3, GradTol: 5e-3, StepTol: 1e-10,
-		MaxEvalRetries: 2, RetryBackoff: 0.5}
+	return OptOptions{MaxIter: 60, GradStep: 1e-3, GradTol: 5e-3, StepTol: 1e-10}
 }
+
+// The gradient retry policy: an undefined finite-difference gradient (a
+// stencil arm quarantined as +Inf/NaN) is retried with the step shrunk by
+// retryBackoff, which pulls the arms back inside the feasible region, at
+// most maxEvalRetries times before the search gives up with
+// ErrGradientUndefined.
+const (
+	maxEvalRetries = 2
+	retryBackoff   = 0.5
+)
 
 // OptResult reports the outcome of the mode search.
 type OptResult struct {
@@ -214,18 +215,14 @@ func lineSearchWidth(e Evaluator) int {
 
 // evalGradient evaluates the central-difference gradient at x into g via
 // the evaluator, shrinking the stencil step and retrying when an arm lands
-// on an infeasible (quarantined) point, per the OptOptions retry policy.
-// f is F(x) when the caller already knows it (the accepted line-search
-// candidate): then only the 2d arms are evaluated. NaN means unknown; the
-// first attempt then evaluates the centre with the arms, and retries reuse
-// it. It returns F(x), the number of evaluations spent, and whether the
-// resulting gradient is finite.
+// on an infeasible (quarantined) point, per the retry policy
+// (maxEvalRetries, retryBackoff). f is F(x) when the caller already knows
+// it (the accepted line-search candidate): then only the 2d arms are
+// evaluated. NaN means unknown; the first attempt then evaluates the centre
+// with the arms, and retries reuse it. It returns F(x), the number of
+// evaluations spent, and whether the resulting gradient is finite.
 func evalGradient(e Evaluator, st *bfgsState, x, g []float64, f float64, opt OptOptions) (float64, int, bool) {
 	h := opt.GradStep
-	backoff := opt.RetryBackoff
-	if backoff <= 0 || backoff >= 1 {
-		backoff = 0.5
-	}
 	from := 1 // first stencil point to evaluate: 0 includes the centre
 	if math.IsNaN(f) {
 		from = 0
@@ -240,10 +237,10 @@ func evalGradient(e Evaluator, st *bfgsState, x, g []float64, f float64, opt Opt
 		if finiteVec(g) {
 			return f, nevals, true
 		}
-		if attempt >= opt.MaxEvalRetries {
+		if attempt >= maxEvalRetries {
 			return f, nevals, false
 		}
-		h *= backoff
+		h *= retryBackoff
 	}
 }
 
@@ -386,13 +383,6 @@ func Minimize(e Evaluator, theta0 []float64, opt OptOptions) (*OptResult, error)
 		res = &OptResult{FEvals: nevals, Trace: []float64{f}}
 	}
 
-	gradientUndefined := func() error {
-		if opt.MaxEvalRetries > 0 {
-			return fmt.Errorf("%w (after %d step-backoff retries)", ErrGradientUndefined, opt.MaxEvalRetries)
-		}
-		return ErrGradientUndefined
-	}
-
 	for iter := startIter; iter < opt.MaxIter; iter++ {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			// Iteration boundaries are checkpoint boundaries: emit a final
@@ -406,7 +396,7 @@ func Minimize(e Evaluator, theta0 []float64, opt OptOptions) (*OptResult, error)
 		}
 		res.Iterations = iter + 1
 		if !gradOK || !finiteVec(st.g) {
-			return finish(res, f), gradientUndefined()
+			return finish(res, f), fmt.Errorf("%w (after %d step-backoff retries)", ErrGradientUndefined, maxEvalRetries)
 		}
 		if infNorm(st.g) < opt.GradTol {
 			res.Converged = true

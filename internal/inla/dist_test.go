@@ -347,14 +347,14 @@ func TestRunDistributedMatchesMinimizeBitForBit(t *testing.T) {
 	}
 }
 
-// A wide S3 solver evaluates with ParallelFactor's arithmetic at the same
-// width: its ranks split the time blocks by bta.Partitions, as
-// ParallelFactor does, assemble their slices in place and factorize over
-// the one partitioned driver. So −F at θ0 equals the Laplace and closing
-// steps on a ParallelFactor over P partitions bit for bit. A memory cap
+// A wide S3 solver's −F at θ0 is the Laplace and closing steps of an
+// in-process P-rank PPOBTAF + PPOBTAS over bta.Partitions' split bit for
+// bit: the solver's ranks assemble their slices of Q_c in place, the
+// reference slices one globally assembled Q_c. Both agree with the
+// sequential evaluation (evalFobjScratch) to 1e-12 relative. A memory cap
 // between the P−1 and the P working sets makes World P one group of P
 // solver ranks.
-func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
+func TestWideSolverMatchesInProcessLaplaceStepBitForBit(t *testing.T) {
 	for _, c := range []struct {
 		nv, nt, nx, ny int
 		seed           int64
@@ -367,35 +367,72 @@ func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prior := WeakPrior(ds.Theta0, 5)
-		n, b, a := ds.Model.Dims.BTAShape()
+		m, prior := ds.Model, WeakPrior(ds.Theta0, 5)
+		n, b, a := m.Dims.BTAShape()
 		cfg := DistConfig{World: c.p, Machine: comm.DefaultMachine(),
 			MemCapBytes: nodeWorkingSetBytes(bta.BytesDense(n, b, a), c.p, b, a)}
-		run, err := newDistRun(ds.Model, prior, ds.Theta0, cfg)
+		run, err := newDistRun(m, prior, ds.Theta0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plan := run.planFor(c.p); plan.Groups != 1 || plan.SolverWidths[0] != c.p {
 			t.Fatalf("%s: plan %+v, want one group of %d solver ranks", label, plan, c.p)
 		}
-		pf, err := bta.NewParallelFactor(n, b, a, c.p)
+		th, err := m.DecodeTheta(ds.Theta0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := ds.Model.DecodeTheta(ds.Theta0)
+		qc := bta.NewMatrix(n, b, a)
+		if err := m.QcInto(th, qc); err != nil {
+			t.Fatal(err)
+		}
+		parts, err := bta.Partitions(n, c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := newSolverScratch(ds.Model)
-		mu, err := laplaceStep(ds.Model, th, pf, ws)
+		var want float64
+		_, err = comm.Run(c.p, cfg.Machine, nil, func(cm *comm.Comm) error {
+			local, err := bta.LocalSlice(qc, parts, cm.Rank())
+			if err != nil {
+				return err
+			}
+			f, err := bta.NewDistFactor(local)
+			if err != nil {
+				return err
+			}
+			if err := bta.PPOBTAF(cm, f, local); err != nil {
+				return err
+			}
+			v := newEvalVectors(m)
+			m.CondRHSInto(th, v.mu, v.pm, v.obs)
+			tip, span := n*b, local.Part
+			x, xTip, err := bta.PPOBTAS(cm, f, v.mu[span.Lo*b:(span.Hi+1)*b], v.mu[tip:tip+a])
+			if err != nil {
+				return err
+			}
+			gathered := cm.Gather(0, x)
+			if cm.Rank() != 0 {
+				return nil
+			}
+			off := 0
+			for _, part := range gathered {
+				off += copy(v.mu[off:], part)
+			}
+			copy(v.mu[tip:], xTip)
+			fp, err := closeFobj(m, prior, th, ds.Theta0, v.mu, f.LogDet(), &v)
+			want = -fp.F()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		seq, err := evalFobjScratch(m, prior, ds.Theta0, newSolverScratch(m))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := closeFobj(ds.Model, prior, th, ds.Theta0, mu, pf.LogDet(), &ws.evalVectors)
-		if err != nil {
-			t.Fatal(err)
+		if d := math.Abs(want + seq.F()); d > 1e-12*math.Abs(seq.F()) {
+			t.Fatalf("%s: −F = %v on %d ranks, %v sequential", label, want, c.p, -seq.F())
 		}
-		want := -parts.F()
 		_, err = comm.Run(c.p, cfg.Machine, nil, func(cm *comm.Comm) error {
 			e := &commEvaluator{run: run}
 			e.join(cm)
@@ -404,7 +441,7 @@ func TestWideSolverMatchesParallelFactorBitForBit(t *testing.T) {
 				return e.err
 			}
 			if got != want {
-				return fmt.Errorf("%s rank %d: −F = %v, ParallelFactor's %v", label, cm.Rank(), got, want)
+				return fmt.Errorf("%s rank %d: −F = %v, in-process Laplace step's %v", label, cm.Rank(), got, want)
 			}
 			return nil
 		})

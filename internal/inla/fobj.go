@@ -199,7 +199,7 @@ func evalFobjScratch(m *model.Model, prior Prior, theta []float64, ws *solverScr
 // ws.mu. For counts the inner Newton loop (model.ConditionalModeInto) finds
 // the mode from x = 0 on f, and ws.mode keeps it. μ aliases ws until its
 // next evaluation.
-func laplaceStep(m *model.Model, t *model.Theta, f bta.Solver, ws *solverScratch) ([]float64, error) {
+func laplaceStep(m *model.Model, t *model.Theta, f *bta.Factor, ws *solverScratch) ([]float64, error) {
 	if m.Lik == model.LikPoisson {
 		mode, err := m.ConditionalModeInto(t, f, ws.newtonWork(m))
 		if ws.mode = mode; err != nil {
@@ -306,7 +306,8 @@ type BTAEvaluator struct {
 // EvalError is one quarantined θ evaluation failure: the point, the retry
 // attempt it occurred on (0 for a first evaluation), and the underlying
 // cause. BFGS absorbs quarantined evaluations as +Inf objective values and
-// recovers with step-backoff (OptOptions.MaxEvalRetries/RetryBackoff).
+// recovers with step-backoff (maxEvalRetries retries, each shrinking the
+// gradient step by retryBackoff; bfgs.go).
 type EvalError struct {
 	Theta   []float64
 	Attempt int

@@ -19,8 +19,7 @@ import (
 // variances — bit for bit, with one and two fixed effects per process.
 // Every evaluation factorizes on its arena's sequential factor, so
 // scheduling decides only which goroutine computes a value, never the
-// value. The partitioned factor's own executor-width check is
-// bta.TestParallelFactorDeterministicAcrossExecutorWidths.
+// value.
 func TestFitDeterministicAcrossExecutorWidths(t *testing.T) {
 	serial, wide := sched.New(0), sched.New(8)
 	defer serial.Close()

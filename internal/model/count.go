@@ -66,7 +66,7 @@ func (m *Model) newCountWork() *countWork {
 // tables, solves the adjoint system on f, and contracts the prior with
 // Σ + μμᵀ − ½(wμᵀ + μwᵀ). Grad then gives the count objective's gradient.
 // Allocation-free once the count tables are built.
-func (tb *QcTable) ContractCount(t *Theta, sig *bta.Matrix, mu, obs []float64, f bta.Solver) error {
+func (tb *QcTable) ContractCount(t *Theta, sig *bta.Matrix, mu, obs []float64, f *bta.Factor) error {
 	m, c := tb.m, tb.count
 	if c == nil {
 		return fmt.Errorf("model: ContractCount on a %v model's table", m.Lik)

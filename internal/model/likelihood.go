@@ -311,13 +311,13 @@ type newtonSystem interface {
 	solve(rhs, x []float64)
 }
 
-// btaNewton is the Newton system on the assembly tables and a BTA solver:
+// btaNewton is the Newton system on the assembly tables and a BTA factor:
 // each factor copies Q_p(θ), assembled once into w.qp, into f's workspace,
 // adds the data term at η and factorizes it there.
 type btaNewton struct {
 	m *Model
 	t *Theta
-	f bta.Solver
+	f *bta.Factor
 	w *NewtonWork
 }
 
@@ -456,7 +456,7 @@ func (m *Model) modeOf(w *NewtonWork, inner int) *PoissonMode {
 // is a function of t alone, bit for bit. On success f holds the
 // factorization of Q_c at the mode. The returned mode aliases w (its QcCSR
 // is nil) and is valid until w's next use.
-func (m *Model) ConditionalModeInto(t *Theta, f bta.Solver, w *NewtonWork) (*PoissonMode, error) {
+func (m *Model) ConditionalModeInto(t *Theta, f *bta.Factor, w *NewtonWork) (*PoissonMode, error) {
 	if err := m.newtonSetup(t, f, w); err != nil {
 		return nil, err
 	}
@@ -476,7 +476,7 @@ func (m *Model) ConditionalModeInto(t *Theta, f bta.Solver, w *NewtonWork) (*Poi
 // 0). For the x ConditionalModeInto returned at the same t, the mode, the
 // factor and its log det are that call's bit for bit. The returned mode
 // aliases w and is valid until w's next use.
-func (m *Model) ConditionalModeAt(t *Theta, f bta.Solver, w *NewtonWork, x []float64) (*PoissonMode, error) {
+func (m *Model) ConditionalModeAt(t *Theta, f *bta.Factor, w *NewtonWork, x []float64) (*PoissonMode, error) {
 	if len(x) != len(w.x) {
 		return nil, fmt.Errorf("model: mode of length %d, want %d", len(x), len(w.x))
 	}
@@ -496,7 +496,7 @@ func (m *Model) ConditionalModeAt(t *Theta, f bta.Solver, w *NewtonWork, x []flo
 
 // newtonSetup checks f's shape, assembles Q_p(θ) into w and points w's
 // Newton system at t and f.
-func (m *Model) newtonSetup(t *Theta, f bta.Solver, w *NewtonWork) error {
+func (m *Model) newtonSetup(t *Theta, f *bta.Factor, w *NewtonWork) error {
 	if err := m.checkShape(f.Workspace()); err != nil {
 		return err
 	}

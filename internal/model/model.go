@@ -11,7 +11,7 @@
 // values once per block class (first, interior and last time step,
 // coupling), copied into the class's other blocks, then the data term at
 // the AᵀA entries. QcInto writes every position of its output, so callers
-// assemble straight into a solver's workspace (bta.Solver.Workspace). The
+// assemble straight into a factor's workspace (bta.Factor.Workspace). The
 // coregionalization structure is exploited the way §IV-B advocates: every
 // response shares the observation operator A = [A_st | A_cov], so the data
 // term factorizes as AᵀDA|_(i,j) = W[i,j]·(AᵀA) with the small dense matrix

@@ -5,16 +5,13 @@ import "sync"
 // deque is the per-lane work deque: the lane owner pushes and pops at the
 // bottom (LIFO, keeping the working set cache-hot) while thieves take from
 // the top (FIFO, stealing the oldest — and therefore typically largest —
-// pending task). Tasks are chunky (a partition elimination, a back-solve
-// sweep, a θ-point evaluation), so a fine-grained per-lane mutex costs
-// nothing against the work it guards and keeps every push/pop/steal pairing
+// pending task). A per-lane mutex keeps every push/pop/steal pairing
 // trivially correct under the race detector; the scheduling discipline is
 // exactly the classic work-stealing one.
 //
 // The ring is sized at laneCap entries up front and grows only if an
 // operation ever has more than laneCap tasks in flight, so steady-state
-// push/pop is allocation-free (the AllocsPerRun pins in bta and inla run
-// through this path).
+// push/pop is allocation-free.
 type deque struct {
 	mu   sync.Mutex
 	ring []*Task
@@ -23,10 +20,9 @@ type deque struct {
 	top, bot int64
 }
 
-// laneCap is the initial ring capacity. The widest producers are the
-// per-partition gangs (one task per partition, ≤ MaxUsefulPartitions on
-// the evaluation path), so 64 covers every steady-state operation without
-// growth.
+// laneCap is the initial ring capacity. No program path spawns light
+// tasks (the benchmark's spawn/join row pushes 256, and tests fewer), so
+// the ring grows only there.
 const laneCap = 64
 
 func (d *deque) init() {

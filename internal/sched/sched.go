@@ -1,31 +1,26 @@
-// Package sched is the unified work-stealing task executor behind every
-// parallel layer of the solver stack. One process-wide pool of
-// GOMAXPROCS-bounded workers runs partition eliminations, back-solve
-// sweeps, selected-inversion sweeps and whole θ-point evaluations as tasks,
-// so work from different θ evaluations interleaves on the same cores
-// instead of synchronizing phase-by-phase per evaluation.
+// Package sched is the work-stealing task executor behind the in-process
+// evaluation batches. One process-wide pool of GOMAXPROCS-bounded workers
+// runs whole θ-point evaluations as heavy tasks, so the evaluations of
+// concurrent batches interleave on the same cores.
 //
-// The design mirrors classic work stealing with two DALIA-specific twists:
+// Tasks are two-tier:
 //
-//   - Deques are per-computation ("lanes"), not per-worker. Every solver
-//     operation acquires a pooled lane, pushes its phase tasks there
-//     (LIFO for the owner, FIFO steal for everyone else) and joins by
-//     help-first waiting: the joining goroutine drains its own lane, then
-//     steals, and parks only when no light task is runnable anywhere. A
-//     zero-worker executor therefore still completes every operation — the
-//     owners run their own lanes — which keeps correctness trivially
-//     independent of pool sizing.
+//   - Heavy tasks (whole θ-point evaluation bodies, which may block in
+//     nested joins of their own) go to a global injector FIFO and are run
+//     only by executor workers and WaitHeavy joiners. A BTAEvaluator batch
+//     submits its runner bodies this way; a zero-worker executor still
+//     completes the batch on the joining caller.
 //
-//   - Tasks are two-tier. Light tasks (solver phases) live on lanes and
-//     may be run by any helper. Heavy tasks (whole θ-point evaluation
-//     bodies, which block in nested joins of their own) go to a global
-//     injector FIFO and are run only by executor workers and WaitHeavy
-//     joiners, so a fine-grained solver join never grows its stack by an
-//     entire nested evaluation.
+//   - Light tasks live on per-computation deques ("lanes"): an operation
+//     acquires a pooled lane, pushes its tasks there (LIFO for the owner,
+//     FIFO steal for everyone else) and joins by help-first waiting. No
+//     program path spawns light tasks since the partitioned BTA solver runs
+//     one partition per communicator rank; the lanes stay only because the
+//     end-to-end benchmark's sched.* rows time them, and go with the next
+//     change to the benchmark.
 //
 // Task nodes are caller-owned and reused across cycles; spawning, joining,
-// stealing and parking are allocation-free after warmup, preserving the
-// repo-wide AllocsPerRun pins.
+// stealing and parking are allocation-free after warmup.
 package sched
 
 import (
@@ -116,7 +111,7 @@ func Shared() *Executor {
 	return shared.Load()
 }
 
-// Lane is a per-computation work deque. Acquire one per solver operation,
+// Lane is a per-computation work deque. Acquire one per operation,
 // spawn the operation's light tasks onto it, join, release. The owner pops
 // LIFO; everyone else steals FIFO.
 type Lane struct {
@@ -162,7 +157,7 @@ func (l *Lane) Spawn(t *Task) {
 // Submit enqueues a Reset task onto the heavy injector: whole θ-point
 // evaluation bodies that may themselves block in nested joins. Only
 // executor workers and WaitHeavy joiners run them; lane helpers skip them
-// so a fine-grained solver join never buries a full evaluation on its
+// so a fine-grained light-task join never buries a full evaluation on its
 // stack.
 func (e *Executor) Submit(t *Task) {
 	e.inject(t)

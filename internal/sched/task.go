@@ -7,9 +7,8 @@ import (
 )
 
 // Task is one schedulable unit of work. Task nodes are caller-owned and
-// pooled: a ParallelFactor preallocates one node per partition and reuses
-// them across Refactorize/Solve cycles, so steady-state submission performs
-// no allocation. A node must be Reset before every (re)use and must not be
+// may be reused across cycles, so steady-state submission performs no
+// allocation. A node must be Reset before every (re)use and must not be
 // touched again until the Group it was spawned under has been waited on.
 type Task struct {
 	// fn is the task body. It runs exactly once per Reset/spawn cycle, on
@@ -56,8 +55,8 @@ func (t *Task) run() {
 // bgCtx restores the default (empty) label set after a labeled task.
 var bgCtx = context.Background()
 
-// Group counts outstanding tasks of one join scope — a solver phase or an
-// evaluation batch. The zero value is unusable; call Init first.
+// Group counts outstanding tasks of one join scope — a light-task
+// operation or an evaluation batch. The zero value is unusable; call Init first.
 type Group struct {
 	n  atomic.Int64
 	ex *Executor
@@ -84,7 +83,7 @@ func (g *Group) done() {
 // with pending light work instead of idling: it drains l (the caller's own
 // lane, may be nil), then steals from other lanes, and only parks when no
 // light task is runnable anywhere. Heavy injector tasks are skipped — a
-// solver-phase join must not grow its stack by a whole nested evaluation.
+// light-task join must not grow its stack by a whole nested evaluation.
 func (g *Group) Wait(l *Lane) { g.wait(l, false) }
 
 // WaitHeavy is Wait for batch scopes: it additionally runs heavy injector
